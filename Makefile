@@ -1,18 +1,20 @@
 # Tier-1 gate and convenience targets. `make check` is what every PR must
 # keep green (see README.md); `make race` adds the data-race gate over the
 # whole module (every package may run under the multi-core executor now);
-# `make chaos` runs the transport
-# fault-injection suite under the race detector; `make ckpt` is the raced
-# checkpoint/restore determinism gate; `make bench` refreshes the committed
+# `make chaos` runs the transport fault-injection suite under the race
+# detector; `make exec` is the raced gate over the one executor body —
+# parallel pacing, speculation, checkpoint capture and restore; `make e2e`
+# vets and tests the end-to-end benchmark module, which the root module's
+# build and tests do not reach; `make bench` refreshes the committed
 # benchmark baselines.
 
 GO ?= go
 
-.PHONY: check build vet test race chaos parallel spec scale ckpt bench all
+.PHONY: check build vet test race chaos exec scale e2e bench all
 
 all: check race
 
-check: vet build test chaos parallel spec scale ckpt
+check: vet build test chaos exec scale e2e
 
 vet:
 	$(GO) vet ./...
@@ -26,19 +28,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Multi-core executor gate: the parallel digest/wake/profiling tests under
-# the race detector, so check catches both nondeterminism and data races in
-# the pinned-thread path.
-parallel:
-	$(GO) test -race -run 'TestParallel' \
-		./internal/link/ ./internal/orch/ ./internal/profiler/
-
-# Optimistic executor gate: the speculation digest/rollback/leap property
-# tests (bit-identity with sequential across placements and GOMAXPROCS
-# levels) and the remote-rejection contract under the race detector, plus
-# the rollback fuzz seed corpus.
-spec:
-	$(GO) test -race -run 'TestOptimistic|TestParallelRemote' ./internal/orch/
+# Executor gate: ExecutionPlan.Execute is one body, so its modes race-test
+# together. Parallel digest/wake/profiling tests (nondeterminism and data
+# races in the pinned-thread path), the speculation digest/rollback/leap
+# properties and the remote-rejection contract, checkpoints restoring
+# bit-identically across placements, modes and GOMAXPROCS levels, and the
+# warm-started sweep's identity point matching its cold run — plus the
+# rollback fuzz seed corpus.
+exec:
+	$(GO) test -race \
+		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart' \
+		./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 
 # Fault-injection suite: supervised transport under connection kills,
@@ -55,13 +55,12 @@ scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
 	$(GO) test -run 'TestFlowSmoke' ./internal/netsim/flowsim/
 
-# Checkpoint/restore gate: deterministic checkpoints must restore
-# bit-identically across placements and GOMAXPROCS levels, and the
-# warm-started sweep's identity point must match its cold run — raced, since
-# placed captures and resumes exercise the multi-core executor.
-ckpt:
-	$(GO) test -race -run 'TestCheckpoint|TestLoadCheckpoint|TestWarmStart' \
-		./internal/orch/ ./internal/experiments/
+# End-to-end benchmark module: bench/e2e is a Go module of its own, so the
+# root `go build ./... && go test ./...` does not notice when an exported
+# orch/link name it depends on changes. Its tests hold every workload's
+# golden digest.
+e2e:
+	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	sh scripts/bench.sh

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/orch"
 	"repro/internal/sim"
 )
 
@@ -174,47 +175,43 @@ func parseOpts(cmd string, args []string) experiments.Options {
 	if *bg != "" && *bg != "flow" {
 		fail("-bg accepts \"flow\", not %q", *bg)
 	}
-	return experiments.Options{Scale: *scale, Seed: *seed, Placement: *placement, Parallel: *parallel,
-		Optimistic: optimistic.on, OptimisticK: optimistic.k,
-		CheckpointAt: sim.Time(*ckAt * float64(sim.Microsecond)),
+	var exec orch.RunOptions
+	switch {
+	case optimistic > 0:
+		exec = orch.RunOptions{Mode: orch.Optimistic, K: int(optimistic)}
+	case *parallel:
+		exec.Mode = orch.Parallel
+	}
+	return experiments.Options{Scale: *scale, Seed: *seed, Placement: *placement, Exec: exec,
+		CheckpointAt:   sim.Time(*ckAt * float64(sim.Microsecond)),
 		CheckpointFile: *ckFile, RestoreFile: *restore,
 		Hosts: *hosts, Bg: *bg}
 }
 
-// optimisticFlag implements -optimistic[=K]: bare -optimistic enables the
-// optimistic executor at its default speculation depth, -optimistic=K (K > 0)
-// sets the depth explicitly, -optimistic=false disables it.
-type optimisticFlag struct {
-	on bool
-	k  int
-}
+// optimisticFlag implements -optimistic[=K] as the speculation ceiling, 0
+// meaning off: bare -optimistic enables the optimistic executor at its
+// default ceiling, -optimistic=K (K > 0) sets it explicitly,
+// -optimistic=false disables it.
+type optimisticFlag int
 
-func (f *optimisticFlag) String() string {
-	if !f.on {
-		return "false"
-	}
-	if f.k > 0 {
-		return strconv.Itoa(f.k)
-	}
-	return "true"
-}
+func (f *optimisticFlag) String() string { return strconv.Itoa(int(*f)) }
 
 func (f *optimisticFlag) IsBoolFlag() bool { return true }
 
 func (f *optimisticFlag) Set(s string) error {
 	switch s {
 	case "", "true":
-		f.on, f.k = true, 0
+		*f = orch.DefaultSpecWindows
 		return nil
 	case "false":
-		f.on, f.k = false, 0
+		*f = 0
 		return nil
 	}
 	k, err := strconv.Atoi(s)
 	if err != nil || k < 1 {
 		return fmt.Errorf("want true, false, or a window count >= 1, got %q", s)
 	}
-	f.on, f.k = true, k
+	*f = optimisticFlag(k)
 	return nil
 }
 

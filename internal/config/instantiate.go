@@ -181,19 +181,8 @@ func (i *Instance) RunCoupled(end sim.Time) error {
 	return i.Sim.RunCoupled(end)
 }
 
-// RunPlaced executes the instance coupled under the given placement.
-func (i *Instance) RunPlaced(end sim.Time, p decomp.Placement) error {
-	return i.Sim.RunPlaced(end, p)
-}
-
-// RunParallel executes the instance under the given placement with the
-// multi-core executor (pinned OS threads, batched sync windows).
-// Bit-identical to RunSequential and RunPlaced.
-func (i *Instance) RunParallel(end sim.Time, p decomp.Placement) error {
-	return i.Sim.RunParallel(end, p)
-}
-
-// Plan resolves a placement against the instance's simulation.
+// Plan resolves a placement against the instance's simulation; execute the
+// plan with its Execute (or Run / RunParallel / RunOptimistic).
 func (i *Instance) Plan(p decomp.Placement) (*orch.ExecutionPlan, error) {
 	return i.Sim.Plan(p)
 }

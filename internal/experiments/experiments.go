@@ -28,20 +28,13 @@ type Options struct {
 	// their model predictions under s/percomp/auto). Empty keeps each
 	// experiment's default.
 	Placement string
-	// Parallel executes placed runs with the multi-core executor
-	// (orch.RunParallel: pinned OS threads, batched horizon windows)
-	// instead of the plain coupled executor. Results are bit-identical
-	// either way; only wall-clock measurements change.
-	Parallel bool
-	// Optimistic executes placed runs with the optimistic executor
-	// (orch.RunOptimistic: groups speculate past their conservative sync
-	// horizons with per-group snapshot/rollback). Implies the parallel
-	// executor's thread placement. Results stay bit-identical; only
-	// wall-clock measurements change.
-	Optimistic bool
-	// OptimisticK overrides the speculation depth (sync windows past the
-	// committed horizon) for Optimistic runs. 0 keeps the executor default.
-	OptimisticK int
+	// Exec selects how placed runs execute: Mode picks coupled, parallel
+	// (pinned OS threads, batched horizon windows) or optimistic
+	// (speculation past the conservative sync horizons with per-group
+	// snapshot/rollback) pacing, K the speculation ceiling. Results are
+	// bit-identical under every choice; only wall-clock measurements
+	// change.
+	Exec orch.RunOptions
 	// CheckpointAt overrides the warmup horizon for experiments that
 	// checkpoint (warmstart). Zero keeps the experiment's default.
 	CheckpointAt sim.Time

@@ -185,24 +185,12 @@ func PlacementStudy(opts Options) (*PlacementResult, error) {
 
 		run := buildPlacementStudy(opts)
 		sw := newStopwatch()
-		var runErr error
-		switch {
-		case opts.Optimistic:
-			oo := orch.DefaultOptimisticOptions()
-			if opts.OptimisticK > 0 {
-				oo.MaxWindows = opts.OptimisticK
-			}
-			var pl *orch.ExecutionPlan
-			if pl, runErr = run.s.Plan(p); runErr == nil {
-				_, runErr = pl.RunOptimisticOpts(dur, oo)
-			}
-		case opts.Parallel:
-			runErr = run.s.RunParallel(dur, p)
-		default:
-			runErr = run.s.RunPlaced(dur, p)
+		pl, err := run.s.Plan(p)
+		if err == nil {
+			_, err = pl.Execute(dur, opts.Exec)
 		}
-		if runErr != nil {
-			return nil, fmt.Errorf("experiments: placement %s: %w", name, runErr)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: placement %s: %w", name, err)
 		}
 		checkDrained(run.s)
 		wall := sw.ms()

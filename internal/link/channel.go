@@ -59,6 +59,11 @@ type Endpoint struct {
 	sinks  map[uint16]core.Sink
 	srcFor map[uint16]int32
 
+	// recv is the handler the owning runner's drain and stall paths feed
+	// incoming messages to: handle from Attach on, handleSpec once SetSpec
+	// installs optimistic execution.
+	recv func(Message)
+
 	lastSentT sim.Time // our clock when we last sent anything (-1: never)
 	lastRecvT sim.Time // peer clock as of the last received message (-1: none)
 	peerDone  bool
@@ -107,7 +112,7 @@ func (e *Endpoint) Send(payload core.Message) { e.SendSub(0, payload) }
 // SendSub transmits payload on the given sub-channel. The message is staged
 // in the outgoing ring but not yet published: the owning runner publishes
 // every staged message at once (one atomic store + at most one consumer
-// wakeup per scheduler pass) from sendSyncs, finish, and before blocking —
+// wakeup per scheduler pass) from syncAt, finish, and before blocking —
 // see Runner.flushAll. FIFO order and monotone timestamps are preserved
 // because staging keeps the producer's program order.
 func (e *Endpoint) SendSub(sub uint16, payload core.Message) {
@@ -198,10 +203,10 @@ func (e *Endpoint) finish(end sim.Time) {
 	e.out.close()
 }
 
-// handle processes one incoming message: it advances the recorded peer
-// clock and, for data, schedules delivery at T + latency on the runner's
-// scheduler with the sub-channel's ordering source.
-func (e *Endpoint) handle(m Message) {
+// observe records one incoming message — the peer clock it carries and its
+// counters — and reports whether it is data still to be delivered. This is
+// the part of receiving that speculation does not change.
+func (e *Endpoint) observe(m Message) (data bool) {
 	if m.T < e.lastRecvT {
 		panic(fmt.Sprintf("link: %s received non-monotone timestamp %v after %v",
 			e.label, m.T, e.lastRecvT))
@@ -210,9 +215,19 @@ func (e *Endpoint) handle(m Message) {
 	e.runner.horizonOK = false
 	if m.Kind == KindSync {
 		e.Stats.RxSync++
-		return
+		return false
 	}
 	e.Stats.RxData += msgCount(m.Payload)
+	return true
+}
+
+// handle processes one incoming message: it advances the recorded peer
+// clock and, for data, schedules delivery at T + latency on the runner's
+// scheduler with the sub-channel's ordering source.
+func (e *Endpoint) handle(m Message) {
+	if !e.observe(m) {
+		return
+	}
 	sink, ok := e.sinks[m.Sub]
 	if !ok {
 		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))

@@ -36,7 +36,7 @@ type Runner struct {
 	syncCapCache sim.Time
 	syncCapOK    bool
 
-	// lastSyncAll is the virtual time of the last full sendSyncs pass;
+	// lastSyncAll is the virtual time of the last full syncAt pass;
 	// repeating the pass at the same time is a no-op on every endpoint and
 	// is skipped wholesale.
 	lastSyncAll sim.Time
@@ -59,7 +59,7 @@ type Runner struct {
 	// wall clock is a syscall, and the counters only ever need differences.
 	// procTick counts message-handling occasions and waitTick blocking
 	// occasions; only every profSamplePeriod-th (resp. waitSamplePeriod-th)
-	// one is actually timed (see drainAll and blockOnLimiting).
+	// one is actually timed (see drainAll and awaitLimiting).
 	epoch    time.Time
 	procTick uint32
 	waitTick uint32
@@ -99,6 +99,7 @@ func (r *Runner) Attach(e *Endpoint) {
 		panic("link: endpoint " + e.label + " already attached")
 	}
 	e.runner = r
+	e.recv = e.handle
 	r.eps = append(r.eps, e)
 	r.horizonOK = false
 	r.syncCapOK = false
@@ -138,19 +139,7 @@ func (r *Runner) Run(end sim.Time) {
 		r.runSpec(end)
 		return
 	}
-	r.end = end
-	r.epoch = time.Now()
-	for _, c := range r.comps {
-		if r.restored {
-			rs, ok := c.(restartable)
-			if !ok {
-				panic("link: restored run with non-restorable component " + c.Name())
-			}
-			rs.StartRestored(end)
-			continue
-		}
-		c.Start(end)
-	}
+	r.startComponents(end)
 	for {
 		r.drainAll()
 		target := r.horizon()
@@ -164,7 +153,7 @@ func (r *Runner) Run(end sim.Time) {
 		}
 		if target > r.sched.Now() || r.runnableBefore(target) {
 			r.sched.RunBefore(target)
-			r.sendSyncs()
+			r.syncAt(r.sched.Now())
 			if r.OnAdvance != nil {
 				r.OnAdvance(r.sched.Now())
 			}
@@ -184,6 +173,25 @@ func (r *Runner) Run(end sim.Time) {
 			continue // more headroom appeared; keep running
 		}
 		r.blockOnLimiting()
+	}
+}
+
+// startComponents opens a run to end: it anchors the profiling epoch and
+// starts every component — through StartRestored when the run resumes from
+// a checkpoint, whose events already carry what Start would seed.
+func (r *Runner) startComponents(end sim.Time) {
+	r.end = end
+	r.epoch = time.Now()
+	for _, c := range r.comps {
+		if r.restored {
+			rs, ok := c.(restartable)
+			if !ok {
+				panic("link: restored run with non-restorable component " + c.Name())
+			}
+			rs.StartRestored(end)
+			continue
+		}
+		c.Start(end)
 	}
 }
 
@@ -215,7 +223,7 @@ func (r *Runner) horizon() sim.Time {
 // per its channel's sync interval. Cached like horizon; sending on any
 // endpoint invalidates it. With batched windows the cap is lifted entirely:
 // the horizon already bounds every batch to one lookahead window, and the
-// loop syncs whenever it stops advancing (sendSyncs after each batch, a
+// loop syncs whenever it stops advancing (syncAt after each batch, a
 // standing sync at Now before any block), so liveness needs no finer pacing.
 func (r *Runner) syncCap() sim.Time {
 	if r.batchWindows {
@@ -239,18 +247,18 @@ func (r *Runner) syncCap() sim.Time {
 	return c
 }
 
-// sendSyncs emits a sync on every endpoint that has not yet sent at the
-// current time, then publishes everything staged this pass. After one full
-// pass at time t every endpoint's lastSentT is >= t, so a repeat pass at
-// the same time stages nothing — but the flush still runs, because events
-// executed since the last pass may have staged data sends at an unchanged
-// virtual time.
-func (r *Runner) sendSyncs() {
-	now := r.sched.Now()
-	if now != r.lastSyncAll {
-		r.lastSyncAll = now
+// syncAt emits a sync stamped t on every endpoint that has not yet sent at
+// t, then publishes everything staged this pass. The conservative loop
+// stamps its scheduler clock, the optimistic loop its committed horizon —
+// never the speculative clock. After one full pass at t every endpoint's
+// lastSentT is >= t, so a repeat pass at the same time stages nothing — but
+// the flush still runs, because events executed since the last pass may
+// have staged data sends at an unchanged virtual time.
+func (r *Runner) syncAt(t sim.Time) {
+	if t != r.lastSyncAll {
+		r.lastSyncAll = t
 		for _, e := range r.eps {
-			e.sendSync(now)
+			e.sendSync(t)
 			e.out.flush()
 		}
 		return
@@ -261,7 +269,7 @@ func (r *Runner) sendSyncs() {
 // flushAll publishes every endpoint's staged outgoing messages. This is the
 // send-side batch-publication point: N sends during a scheduler pass cost
 // one atomic publish and at most one consumer wakeup per endpoint. Runs
-// after each event batch (sendSyncs), at finish (via close), and before
+// after each event batch (syncAt), at finish (via close), and before
 // blocking, so a peer can never be left waiting on a staged message while
 // this runner sleeps.
 func (r *Runner) flushAll() {
@@ -286,17 +294,18 @@ const (
 )
 
 // drainAll consumes every already-queued incoming message on every endpoint
-// without blocking. Each endpoint's queue is handled in place as one batch
-// (pipe.drain) — one atomic acquire and at most one wall-clock sample pair
-// per batch rather than per message — which is what keeps per-message
-// fabric overhead low enough for decomposition to pay off.
+// without blocking, through the endpoint's receive handler (conservative or
+// speculative, see Endpoint.recv). Each endpoint's queue is handled in place
+// as one batch (pipe.drain) — one atomic acquire and at most one wall-clock
+// sample pair per batch rather than per message — which is what keeps
+// per-message fabric overhead low enough for decomposition to pay off.
 func (r *Runner) drainAll() {
 	for _, e := range r.eps {
 		if e.in.empty() {
 			// Nothing published; all that can remain is end-of-stream (the
 			// drain call re-checks under the close/publish race).
 			if !e.peerDone {
-				if _, closed := e.in.drain(e.handle); closed {
+				if _, closed := e.in.drain(e.recv); closed {
 					e.peerDone = true
 					r.horizonOK = false
 				}
@@ -306,10 +315,10 @@ func (r *Runner) drainAll() {
 		r.procTick++
 		if r.procTick&(profSamplePeriod-1) == 0 {
 			start := time.Since(r.epoch)
-			e.in.drain(e.handle)
+			e.in.drain(e.recv)
 			e.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
 		} else {
-			e.in.drain(e.handle)
+			e.in.drain(e.recv)
 		}
 		// The ring tracks the deepest backlog the peer ever built against
 		// us; snapshot it from the consumer side where Stats is owned.
@@ -317,18 +326,24 @@ func (r *Runner) drainAll() {
 	}
 }
 
-// blockOnLimiting waits for a message on the endpoint with the smallest
-// horizon, charging the blocked wall time to that endpoint's wait counter
-// and — like the drain path — the handling time to its proc counter, so
-// wait-time profiles do not silently lose the wakeup message's work.
-// Everything staged is published first: peers must see every message we
-// have produced before we sleep on them. The wait itself is the pipe's
-// adaptive spin-then-park (recvAdaptive), which keys its spin budget to
-// GOMAXPROCS: on one core it yields so the peer can run at all, on many it
-// briefly busy-polls a peer that may be publishing concurrently.
+// blockOnLimiting is the conservative stall path: publish everything staged
+// — peers must see every message we have produced before we sleep on them —
+// then wait for the limiting endpoint's next message and handle it.
 func (r *Runner) blockOnLimiting() {
 	r.flushAll()
-	var limiting *Endpoint
+	if e, m, ok := r.awaitLimiting(); ok {
+		r.handleSampled(e, m)
+	}
+}
+
+// awaitLimiting waits for a message on the endpoint with the smallest
+// horizon, charging the blocked wall time to that endpoint's wait counter.
+// ok is false when the peer closed instead (recorded on the endpoint). The
+// wait itself is the pipe's adaptive spin-then-park (recvAdaptive), which
+// keys its spin budget to GOMAXPROCS: on one core it yields so the peer can
+// run at all, on many it briefly busy-polls a peer that may be publishing
+// concurrently.
+func (r *Runner) awaitLimiting() (limiting *Endpoint, m Message, ok bool) {
 	h := sim.Infinity
 	for _, e := range r.eps {
 		if eh := e.horizon(); eh < h {
@@ -351,7 +366,7 @@ func (r *Runner) blockOnLimiting() {
 		if sampled {
 			start = time.Since(r.epoch)
 		}
-		m, ok, closed = limiting.in.recvAdaptive()
+		m, ok, _ = limiting.in.recvAdaptive()
 		if sampled {
 			limiting.Stats.WaitNanos += uint64(time.Since(r.epoch)-start) * waitSamplePeriod
 		}
@@ -359,15 +374,21 @@ func (r *Runner) blockOnLimiting() {
 	if !ok {
 		limiting.peerDone = true
 		r.horizonOK = false
-		return
 	}
+	return limiting, m, ok
+}
+
+// handleSampled handles the message a stall woke up on, charging — like the
+// drain path — the handling time to the endpoint's proc counter, so
+// wait-time profiles do not silently lose the wakeup message's work.
+func (r *Runner) handleSampled(e *Endpoint, m Message) {
 	r.procTick++
 	if r.procTick&(profSamplePeriod-1) == 0 {
 		start := time.Since(r.epoch)
-		limiting.handle(m)
-		limiting.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
+		e.recv(m)
+		e.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
 	} else {
-		limiting.handle(m)
+		e.recv(m)
 	}
 }
 

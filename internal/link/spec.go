@@ -56,9 +56,6 @@ type SpecControl struct {
 	// group may speculate. 0 disables speculation; the runner still runs the
 	// spec loop and takes part in GVT leaping.
 	MaxWindows int
-	// Window is the speculation window unit; 0 means the minimum sync
-	// interval across the runner's endpoints.
-	Window sim.Time
 	// Snapshot captures the group's committed state (component state via
 	// core.Stateful, scheduler mark + pending events) into recycled buffers;
 	// Restore rebuilds exactly that state. Both are orchestrator closures —
@@ -86,7 +83,7 @@ type specState struct {
 	dom *SpecDomain
 
 	k        int      // current speculation depth (adaptive, <= ctl.MaxWindows)
-	window   sim.Time // speculation window unit
+	window   sim.Time // speculation window unit: min sync interval over endpoints
 	minInLat sim.Time // min latency over endpoints: the leap increment
 
 	committed sim.Time // conservative horizon: execution below is final
@@ -94,7 +91,7 @@ type specState struct {
 	snapAt    sim.Time
 	snapDone  uint64 // Processed() at the snapshot
 
-	demoted      bool   // permanently conservative (snapshot/log failure)
+	demoted      bool // permanently conservative (snapshot/log failure)
 	demoteReason string
 
 	rollbackPending bool
@@ -168,7 +165,6 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 		st.demoted = true
 		st.demoteReason = ctl.Reason
 	}
-	st.window = ctl.Window
 	st.minInLat = sim.Infinity
 	for _, e := range r.eps {
 		if st.window <= 0 || e.ch.SyncInterval < st.window {
@@ -178,6 +174,7 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 			st.minInLat = e.ch.Latency
 		}
 		e.spec = &epSpec{withhold: st.k > 0}
+		e.recv = e.handleSpec
 	}
 	r.spec = st
 }
@@ -294,19 +291,7 @@ func (d *SpecDomain) tryLeap(r *Runner) bool {
 // point → speculate up to K windows → sync at committed → leap or park.
 func (r *Runner) runSpec(end sim.Time) {
 	st := r.spec
-	r.end = end
-	r.epoch = time.Now()
-	for _, c := range r.comps {
-		if r.restored {
-			rs, ok := c.(restartable)
-			if !ok {
-				panic("link: restored run with non-restorable component " + c.Name())
-			}
-			rs.StartRestored(end)
-			continue
-		}
-		c.Start(end)
-	}
+	r.startComponents(end)
 	st.committed = r.sched.Now()
 	st.floor.Store(int64(st.committed))
 	if st.k > 0 {
@@ -314,7 +299,7 @@ func (r *Runner) runSpec(end sim.Time) {
 	}
 	for {
 		st.floor.Store(int64(r.specFloorLow()))
-		r.drainSpec()
+		r.drainAll()
 		if st.rollbackPending {
 			r.specRollback()
 		}
@@ -556,46 +541,14 @@ func (r *Runner) specRollback() {
 	}
 }
 
-// drainSpec is drainAll with the speculative receive path.
-func (r *Runner) drainSpec() {
-	for _, e := range r.eps {
-		if e.in.empty() {
-			if !e.peerDone {
-				if _, closed := e.in.drain(e.handleSpec); closed {
-					e.peerDone = true
-					r.horizonOK = false
-				}
-			}
-			continue
-		}
-		r.procTick++
-		if r.procTick&(profSamplePeriod-1) == 0 {
-			start := time.Since(r.epoch)
-			e.in.drain(e.handleSpec)
-			e.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
-		} else {
-			e.in.drain(e.handleSpec)
-		}
-		e.Stats.PeakDepth = e.in.peakDepth()
-	}
-}
-
 // handleSpec processes one incoming message under speculation: log it for
 // replay, detect stragglers against the executed watermark, rewind the
 // purely speculative clock advance when needed, and deliver.
 func (e *Endpoint) handleSpec(m Message) {
-	if m.T < e.lastRecvT {
-		panic(fmt.Sprintf("link: %s received non-monotone timestamp %v after %v",
-			e.label, m.T, e.lastRecvT))
-	}
-	e.lastRecvT = m.T
-	r := e.runner
-	r.horizonOK = false
-	if m.Kind == KindSync {
-		e.Stats.RxSync++
+	if !e.observe(m) {
 		return
 	}
-	e.Stats.RxData += msgCount(m.Payload)
+	r := e.runner
 	sp := e.spec
 	sp.rx.Add(1)
 	st := r.spec
@@ -705,22 +658,8 @@ func (e *Endpoint) releaseSpec(committed sim.Time, sp *epSpec) {
 	sp.withheld = sp.withheld[:rest]
 }
 
-// syncAt emits a sync stamped t (the committed horizon — never the
-// speculative clock) on every endpoint, then publishes everything staged.
-func (r *Runner) syncAt(t sim.Time) {
-	if t != r.lastSyncAll {
-		r.lastSyncAll = t
-		for _, e := range r.eps {
-			e.sendSync(t)
-			e.out.flush()
-		}
-		return
-	}
-	r.flushAll()
-}
-
 // specBlock is the stall path: advertise the floor, try a GVT leap, and
-// otherwise park on the limiting endpoint like blockOnLimiting. The floor
+// otherwise wait on the limiting endpoint like blockOnLimiting. The floor
 // is raised only here — after everything runnable has run and everything
 // staged is flushed — and lowered back to committed before any new input is
 // consumed, so a concurrent leap reader never trusts a stale promise.
@@ -743,42 +682,9 @@ func (r *Runner) specBlock() {
 	if st.dom != nil && st.dom.tryLeap(r) {
 		return
 	}
-	var limiting *Endpoint
-	h := sim.Infinity
-	for _, e := range r.eps {
-		if eh := e.horizon(); eh < h {
-			h = eh
-			limiting = e
-		}
-	}
-	if limiting == nil {
-		panic("link: runner " + r.name + " blocked with no endpoints")
-	}
-	m, ok, closed := limiting.in.tryRecv()
-	if !ok && !closed {
-		r.waitTick++
-		var start time.Duration
-		sampled := r.waitTick&(waitSamplePeriod-1) == 0
-		if sampled {
-			start = time.Since(r.epoch)
-		}
-		m, ok, closed = limiting.in.recvAdaptive()
-		if sampled {
-			limiting.Stats.WaitNanos += uint64(time.Since(r.epoch)-start) * waitSamplePeriod
-		}
-	}
+	e, m, ok := r.awaitLimiting()
 	st.floor.Store(int64(r.specFloorLow()))
-	if !ok {
-		limiting.peerDone = true
-		r.horizonOK = false
-		return
-	}
-	r.procTick++
-	if r.procTick&(profSamplePeriod-1) == 0 {
-		start := time.Since(r.epoch)
-		limiting.handleSpec(m)
-		limiting.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
-	} else {
-		limiting.handleSpec(m)
+	if ok {
+		r.handleSampled(e, m)
 	}
 }

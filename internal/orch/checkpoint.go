@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/snap"
@@ -13,7 +12,9 @@ import (
 
 // Deterministic checkpoint/restore at sync horizons.
 //
-// A checkpoint is taken at a quiesced group-run boundary: every runner has
+// A checkpoint is Execute's capture phase (RunOptions.Capture), restoring
+// one its restore phase (RunOptions.Resume). The capture is taken at a
+// quiesced group-run boundary: every runner has
 // reached virtual time T and joined, every channel pipe has been drained of
 // its residual final-window messages (FIFO timestamps plus the horizon
 // invariant guarantee those deliver at or after T), and all state is
@@ -29,8 +30,8 @@ import (
 // Because event records carry sink names and named-handler names rather
 // than pointers, the same checkpoint restores into ANY placement of an
 // identically built simulation: the bytes are bit-identical no matter which
-// placement produced them, and the restored run is bit-identical to the
-// uninterrupted one.
+// placement or mode produced them, and the restored run is bit-identical to
+// the uninterrupted one.
 //
 // Not captured: remote (cross-process) connections, dynamically created TCP
 // flows, and raw closure timers — each surfaces a typed error at capture.
@@ -150,8 +151,7 @@ func (s *Simulation) sinkTable() (*sinkTable, error) {
 }
 
 // capture serializes the quiesced simulation at time at. scheds holds every
-// scheduler of the finished run (one in sequential mode, one per group in
-// placed modes).
+// scheduler of the finished run, one per group.
 func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint, error) {
 	table, err := s.sinkTable()
 	if err != nil {
@@ -442,87 +442,14 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 	return ed.Err()
 }
 
-// CheckpointSequential runs the simulation sequentially from time zero to
-// at and captures a checkpoint there. The simulation is swept afterwards
-// (pending frames return to their pools); restore into a freshly built,
-// identically configured Simulation.
-func (s *Simulation) CheckpointSequential(at sim.Time) (*Checkpoint, error) {
-	if len(s.remotes) > 0 {
-		return nil, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
-	}
-	pl, err := s.Plan(decomp.SingleGroup(len(s.comps)))
-	if err != nil {
-		return nil, err
-	}
-	sched := sim.NewScheduler(0)
-	pl.wire([]*sim.Scheduler{sched}, nil)
-	for _, c := range s.comps {
-		c.Attach(core.Env{Sched: sched, Src: s.srcOf[c]})
-	}
-	for _, c := range s.comps {
-		c.Start(at)
-	}
-	for {
-		t, ok := sched.PeekTime()
-		if !ok || t >= at {
-			break
-		}
-		sched.Step()
-	}
-	ck, err := s.capture([]*sim.Scheduler{sched}, at)
-	sched.DiscardPending(core.ReleaseMessage)
-	return ck, err
-}
-
-// CheckpointPlaced runs the simulation coupled under placement p from time
-// zero to at, quiesces every channel at that sync horizon, and captures a
-// checkpoint. The resulting bytes are bit-identical to what any other
-// placement — including CheckpointSequential — produces for the same build.
-func (s *Simulation) CheckpointPlaced(at sim.Time, p decomp.Placement, opts ParallelOptions) (*Checkpoint, error) {
-	if len(s.remotes) > 0 {
-		return nil, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
-	}
-	pl, err := s.Plan(p)
-	if err != nil {
-		return nil, err
-	}
-	g := &link.Group{}
-	scheds := make([]*sim.Scheduler, pl.NumGroups())
-	runners := make([]*link.Runner, pl.NumGroups())
-	for gi, name := range pl.GroupNames {
-		scheds[gi] = sim.NewScheduler(int32(1000 + gi))
-		runners[gi] = link.NewRunner(name, scheds[gi])
-		runners[gi].SetBatchWindows(opts.BatchWindows)
-		g.Add(runners[gi])
-	}
-	pl.wire(scheds, runners)
-	for gi, members := range pl.groupComps {
-		for _, ci := range members {
-			c := s.comps[ci]
-			runners[gi].AddComponent(c, s.srcOf[c])
-		}
-	}
-	s.Group = g
-	if s.PreRun != nil {
-		s.PreRun(g)
-	}
-	pinned := 0
-	if opts.Pin {
-		pinned = len(runners)
-		if opts.MaxPinned > 0 && pinned > opts.MaxPinned {
-			pinned = opts.MaxPinned
-		}
-	}
-	if err := g.RunPinned(at, pinned); err != nil {
-		return nil, err
-	}
-	// Quiesce: every runner has joined at the sync horizon, but each stopped
-	// as soon as it reached `at` without consuming peers' final-window
-	// messages. Drain those residuals through the normal handle path — FIFO
-	// timestamps plus the horizon invariant put them all at or after `at`,
-	// so nothing schedules into the past — then assert every pipe is empty
-	// (the outgoing direction is the peer's incoming one, so this sweep
-	// covers both directions of every channel).
+// quiesce settles a joined group run at its end horizon so capture sees all
+// state: every runner stopped as soon as it reached at, without consuming
+// peers' final-window messages. Those residuals drain through the normal
+// handle path — FIFO timestamps plus the horizon invariant put them all at
+// or after at, so nothing schedules into the past — and then every pipe
+// must be empty (the outgoing direction is the peer's incoming one, so the
+// sweep covers both directions of every channel).
+func quiesce(g *link.Group, at sim.Time) error {
 	for _, r := range g.Runners {
 		for _, e := range r.Endpoints() {
 			e.DrainResidual()
@@ -531,105 +458,9 @@ func (s *Simulation) CheckpointPlaced(at sim.Time, p decomp.Placement, opts Para
 	for _, r := range g.Runners {
 		for _, e := range r.Endpoints() {
 			if !e.Quiesced() {
-				return nil, fmt.Errorf("orch: channel not quiesced at checkpoint horizon %v", at)
+				return fmt.Errorf("orch: channel not quiesced at checkpoint horizon %v", at)
 			}
 		}
 	}
-	ck, err := s.capture(scheds, at)
-	for _, sc := range scheds {
-		sc.DiscardPending(core.ReleaseMessage)
-	}
-	return ck, err
-}
-
-// ResumeSequential restores ck into this freshly built simulation and runs
-// it sequentially to end. Returns the scheduler for statistics, like
-// RunSequential.
-func (s *Simulation) ResumeSequential(ck *Checkpoint, end sim.Time) (*sim.Scheduler, error) {
-	if len(s.remotes) > 0 {
-		return nil, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
-	}
-	pl, err := s.Plan(decomp.SingleGroup(len(s.comps)))
-	if err != nil {
-		return nil, err
-	}
-	sched := sim.NewScheduler(0)
-	sched.StartAt(ck.At)
-	pl.wire([]*sim.Scheduler{sched}, nil)
-	for _, c := range s.comps {
-		c.Attach(core.Env{Sched: sched, Src: s.srcOf[c]})
-	}
-	if err := s.restoreInto(ck, pl, []*sim.Scheduler{sched}); err != nil {
-		return nil, err
-	}
-	for _, c := range s.comps {
-		c.(core.Stateful).StartRestored(end)
-	}
-	for {
-		t, ok := sched.PeekTime()
-		if !ok || t >= end {
-			break
-		}
-		sched.Step()
-	}
-	sched.DiscardPending(core.ReleaseMessage)
-	return sched, nil
-}
-
-// ResumePlaced restores ck into this freshly built simulation and runs it
-// coupled under placement p to end. The run is bit-identical to resuming
-// sequentially, which in turn is bit-identical to never checkpointing.
-func (s *Simulation) ResumePlaced(ck *Checkpoint, end sim.Time, p decomp.Placement, opts ParallelOptions) error {
-	if len(s.remotes) > 0 {
-		return fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
-	}
-	pl, err := s.Plan(p)
-	if err != nil {
-		return err
-	}
-	g := &link.Group{}
-	scheds := make([]*sim.Scheduler, pl.NumGroups())
-	runners := make([]*link.Runner, pl.NumGroups())
-	for gi, name := range pl.GroupNames {
-		scheds[gi] = sim.NewScheduler(int32(1000 + gi))
-		scheds[gi].StartAt(ck.At)
-		runners[gi] = link.NewRunner(name, scheds[gi])
-		runners[gi].SetBatchWindows(opts.BatchWindows)
-		runners[gi].SetRestored(true)
-		g.Add(runners[gi])
-	}
-	pl.wire(scheds, runners)
-	for gi, members := range pl.groupComps {
-		for _, ci := range members {
-			c := s.comps[ci]
-			runners[gi].AddComponent(c, s.srcOf[c])
-		}
-	}
-	if err := s.restoreInto(ck, pl, scheds); err != nil {
-		return err
-	}
-	// Lift every endpoint's pre-first-message horizon floor to the resume
-	// time: a fresh endpoint that has heard nothing would otherwise bound
-	// its runner to latency-from-zero and deadlock the restored run.
-	for _, r := range g.Runners {
-		for _, e := range r.Endpoints() {
-			e.SetStart(ck.At)
-		}
-	}
-	s.Group = g
-	if s.PreRun != nil {
-		s.PreRun(g)
-	}
-	pinned := 0
-	if opts.Pin {
-		pinned = len(runners)
-		if opts.MaxPinned > 0 && pinned > opts.MaxPinned {
-			pinned = opts.MaxPinned
-		}
-	}
-	runErr := g.RunPinned(end, pinned)
-	for _, sc := range scheds {
-		sc.DiscardPending(core.ReleaseMessage)
-	}
-	return runErr
+	return nil
 }

@@ -66,12 +66,24 @@ func ckptDigest(t *testing.T, built *netsim.Built, eng *workload.Engine) uint64 
 	return h.Sum64()
 }
 
+// ckptModes are the multi-group executions both checkpoint properties sweep:
+// resuming and capturing must be indifferent to how the groups pace their
+// synchronization, speculation included.
+var ckptModes = []struct {
+	name string
+	opts orch.RunOptions
+}{
+	{"coupled", orch.RunOptions{}},
+	{"parallel", orch.RunOptions{Mode: orch.Parallel}},
+	{"optimistic", orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows}},
+}
+
 // TestCheckpointRestoreBitIdentical is the tentpole's acceptance property:
 // checkpoint at the halfway horizon, restore into a fresh build, run to the
 // end — the final state digest, the total event count, and the leaked-frame
 // count (zero) all match an uninterrupted run exactly. The resumed half
-// runs sequentially, coupled, and parallel-pinned, across GOMAXPROCS
-// {1, 2, 4, NumCPU}.
+// runs sequentially, coupled, parallel-pinned, and optimistically, across
+// GOMAXPROCS {1, 2, 4, NumCPU}.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const (
 		dur  = 2 * sim.Millisecond
@@ -124,25 +136,14 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		for _, procs := range gomaxprocsSweep() {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				modes := []struct {
-					name string
-					opts orch.ParallelOptions
-				}{
-					{"coupled", orch.ParallelOptions{}},
-					{"parallel", orch.DefaultParallelOptions()},
-				}
-				for _, m := range modes {
+				for _, m := range ckptModes {
 					s2, b2, e2 := buildCkptSim(seed, arrival)
-					if err := s2.ResumePlaced(ck, dur, decomp.PerComponent(nComps), m.opts); err != nil {
-						t.Fatalf("seed %d procs %d %s: ResumePlaced: %v", seed, procs, m.name, err)
-					}
+					o := m.opts
+					o.Resume = ck
+					_, events := execute(t, s2, decomp.PerComponent(nComps), dur, o)
 					if d := ckptDigest(t, b2, e2); d != refDigest {
 						t.Fatalf("seed %d procs %d %s: placed resume digest %#x != reference %#x",
 							seed, procs, m.name, d, refDigest)
-					}
-					var events uint64
-					for _, r := range s2.Group.Runners {
-						events += r.Scheduler().Processed()
 					}
 					if got := ck.BaseEvents + events; got != refEvents {
 						t.Fatalf("seed %d procs %d %s: events %d+%d != %d",
@@ -159,7 +160,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 
 // TestCheckpointBytesPlacementInvariant: the serialized checkpoint is
 // byte-for-byte identical whether it was captured from a sequential run or
-// a quiesced per-component coupled run — sink names and the canonical
+// a quiesced per-component run under any mode — sink names and the canonical
 // (time, source) event order erase the placement.
 func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	const half = sim.Millisecond
@@ -170,18 +171,12 @@ func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckpointSequential: %v", err)
 	}
-	for _, m := range []struct {
-		name string
-		opts orch.ParallelOptions
-	}{
-		{"coupled", orch.ParallelOptions{}},
-		{"parallel", orch.DefaultParallelOptions()},
-	} {
+	for _, m := range ckptModes {
 		ps, _, _ := buildCkptSim(3, arrival)
-		pck, err := ps.CheckpointPlaced(half, decomp.PerComponent(ps.NumComponents()), m.opts)
-		if err != nil {
-			t.Fatalf("%s: CheckpointPlaced: %v", m.name, err)
-		}
+		o := m.opts
+		o.Capture = true
+		res, _ := execute(t, ps, decomp.PerComponent(ps.NumComponents()), half, o)
+		pck := res.Checkpoint
 		if pck.BaseEvents != seqCk.BaseEvents {
 			t.Fatalf("%s: base events %d != sequential %d", m.name, pck.BaseEvents, seqCk.BaseEvents)
 		}
@@ -277,13 +272,30 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 		t.Fatalf("memsim events %d+%d != %d", ck.BaseEvents, rSched.Processed(), refEvents)
 	}
 
-	ps, pCores, pMem := build()
-	if err := ps.ResumePlaced(ck, dur, decomp.PerComponent(ps.NumComponents()),
-		orch.DefaultParallelOptions()); err != nil {
-		t.Fatalf("ResumePlaced: %v", err)
-	}
-	if d := digest(pCores, pMem); d != refDigest {
-		t.Fatalf("memsim placed resume digest %#x != reference %#x", d, refDigest)
+	// No aux state here, so the optimistic row genuinely speculates on both
+	// sides of the checkpoint.
+	for _, m := range ckptModes {
+		cp, _, _ := build()
+		o := m.opts
+		o.Capture = true
+		res, _ := execute(t, cp, decomp.PerComponent(cp.NumComponents()), half, o)
+		if !bytes.Equal(res.Checkpoint.Data, ck.Data) {
+			t.Fatalf("memsim %s capture differs from the sequential capture", m.name)
+		}
+
+		ps, pCores, pMem := build()
+		o = m.opts
+		o.Resume = ck
+		_, events := execute(t, ps, decomp.PerComponent(ps.NumComponents()), dur, o)
+		if d := digest(pCores, pMem); d != refDigest {
+			t.Fatalf("memsim %s resume digest %#x != reference %#x", m.name, d, refDigest)
+		}
+		if got := ck.BaseEvents + events; got != refEvents {
+			t.Fatalf("memsim %s events %d+%d != %d", m.name, ck.BaseEvents, events, refEvents)
+		}
+		if m.opts.Mode == orch.Optimistic && res.Spec.Totals().Snapshots == 0 {
+			t.Errorf("memsim optimistic capture never snapshotted: speculation did not engage")
+		}
 	}
 }
 

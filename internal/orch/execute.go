@@ -1,0 +1,302 @@
+package orch
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+
+	"repro/internal/core"
+	"repro/internal/decomp"
+	"repro/internal/link"
+	"repro/internal/sim"
+)
+
+// One executor. Every way of running a plan — sequential, coupled, on real
+// cores, optimistically, into a checkpoint, out of one — is the same
+// sequence with different options, written once in ExecutionPlan.Execute.
+// The Run*/Checkpoint*/Resume* methods at the bottom of this file are
+// fixed-option spellings of it.
+
+// Mode selects how the runner groups of a plan pace their synchronization.
+// Results are bit-identical under every mode; only wall-clock time differs.
+type Mode int
+
+const (
+	// Coupled pauses every sync interval to exchange syncs and leaves
+	// thread placement to the Go scheduler — the paper's process-per-
+	// simulator architecture, and the only mode that synchronizes remote
+	// (cross-process) channels.
+	Coupled Mode = iota
+	// Parallel batches horizon advancement — one sync exchange per
+	// lookahead window instead of per sync interval — and locks runner
+	// groups to dedicated OS threads (see pinCount).
+	Parallel
+	// Optimistic is Parallel plus speculation: each group may run up to
+	// RunOptions.K sync windows past its committed horizon behind a
+	// per-group snapshot, and stalled groups leap empty windows by GVT (see
+	// optimistic.go and link/spec.go).
+	Optimistic
+)
+
+// DefaultSpecWindows is the speculation ceiling RunOptimistic uses: deep
+// enough to bridge the empty-window stretches of latency-dominated graphs
+// while keeping the worst-case re-execution (one snapshot window) cheap.
+const DefaultSpecWindows = 8
+
+// RunOptions is everything a caller can vary about an execution.
+type RunOptions struct {
+	Mode Mode
+	// K is the speculation ceiling under Optimistic: how many sync windows
+	// past the committed horizon a group may run. The depth adapts at
+	// runtime — a rollback halves a group's working depth, clean commits
+	// earn it back — so K bounds it rather than fixing it. K = 0 never
+	// speculates; groups still run the optimistic loop for its GVT leaping.
+	// Ignored under the other modes.
+	K int
+	// Resume, when set, restores the checkpoint into the freshly built
+	// simulation before running: the run starts at Resume.At, not zero.
+	Resume *Checkpoint
+	// Capture quiesces every channel once the run reaches end and
+	// serializes the simulation there into RunResult.Checkpoint.
+	Capture bool
+}
+
+// RunResult is what an execution leaves behind.
+type RunResult struct {
+	// Scheds holds the run's schedulers, one per runner group in group
+	// order, for event counts and clocks.
+	Scheds []*sim.Scheduler
+	// Spec reports what speculation did; nil unless the run was Optimistic.
+	Spec *SpecReport
+	// Checkpoint is the captured snapshot; nil unless Capture was set.
+	Checkpoint *Checkpoint
+}
+
+// ErrRemoteUnsupported reports a simulation with remote (cross-process)
+// connections being run in a way that cannot synchronize them: only a
+// Coupled execution from time zero keeps remote channels conservatively
+// synchronized.
+var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this executor")
+
+// pinCount is how many of a plan's runner groups get a dedicated OS thread
+// under Parallel and Optimistic: one per group up to procs (GOMAXPROCS) —
+// beyond that, pinning would only multiply OS threads competing for the
+// same cores, so spillover groups stay on the Go scheduler — and none on a
+// single core, where a thread per group buys nothing and costs context
+// switches.
+func pinCount(groups, procs int) int {
+	if procs <= 1 {
+		return 0
+	}
+	return min(groups, procs)
+}
+
+// Execute runs the plan until virtual time end (events at exactly end do
+// not run). The phases, in order:
+//
+//  1. build one scheduler and runner per group (clock at Resume.At when
+//     resuming; batched windows unless Coupled);
+//  2. wire every channel — direct ports intra-group, synchronized channels
+//     cross-group — and attach components in registration order with
+//     their sequential ordering sources;
+//  3. restore component, aux, counter and pending-event state (Resume);
+//  4. install speculation (Optimistic);
+//  5. publish the group on Simulation.Group and call Simulation.PreRun;
+//  6. run the group, pinCount runners on their own OS threads unless
+//     Coupled;
+//  7. quiesce the channels and capture a checkpoint (Capture);
+//  8. sweep every scheduler so frames still in flight return to their
+//     pools — on every exit path, so the leak counters read zero after a
+//     failed restore or a panicked runner too.
+//
+// A one-group plan is the sequential execution: its lone runner has no
+// endpoints, so the run is a single RunBefore(end) on one scheduler. The
+// result is never nil; on error it carries what the run produced so far.
+func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error) {
+	s := pl.s
+	res := &RunResult{}
+	if n := len(s.remotes); n > 0 {
+		if o.Resume != nil || o.Capture {
+			return res, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
+		}
+		if o.Mode != Coupled {
+			return res, fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
+		}
+	}
+
+	g := &link.Group{}
+	scheds := make([]*sim.Scheduler, pl.NumGroups())
+	runners := make([]*link.Runner, pl.NumGroups())
+	for gi, name := range pl.GroupNames {
+		// Events posted without an explicit source take the scheduler's id.
+		// Sequential execution has always used 0 and placed groups 1000+gi;
+		// the recorded digests and checkpoint bytes depend on both.
+		id := int32(0)
+		if len(scheds) > 1 {
+			id = int32(1000 + gi)
+		}
+		scheds[gi] = sim.NewScheduler(id)
+		if o.Resume != nil {
+			scheds[gi].StartAt(o.Resume.At)
+		}
+		runners[gi] = link.NewRunner(name, scheds[gi])
+		runners[gi].SetBatchWindows(o.Mode != Coupled)
+		runners[gi].SetRestored(o.Resume != nil)
+		g.Add(runners[gi])
+	}
+	res.Scheds = scheds
+	defer func() {
+		for _, sc := range scheds {
+			sc.DiscardPending(core.ReleaseMessage)
+		}
+	}()
+
+	pl.wire(scheds, runners)
+	for gi, members := range pl.groupComps {
+		for _, ci := range members {
+			c := s.comps[ci]
+			runners[gi].AddComponent(c, s.srcOf[c])
+		}
+	}
+
+	if o.Resume != nil {
+		if err := s.restoreInto(o.Resume, pl, scheds); err != nil {
+			return res, err
+		}
+		// Lift every endpoint's pre-first-message horizon floor to the resume
+		// time: a fresh endpoint that has heard nothing would otherwise bound
+		// its runner to latency-from-zero and deadlock the restored run.
+		for _, r := range runners {
+			for _, e := range r.Endpoints() {
+				e.SetStart(o.Resume.At)
+			}
+		}
+	}
+
+	if o.Mode == Optimistic {
+		pl.installSpec(scheds, runners, o.K)
+	}
+
+	s.Group = g
+	if s.PreRun != nil {
+		s.PreRun(g)
+	}
+	pinned := 0
+	if o.Mode != Coupled {
+		pinned = pinCount(len(runners), runtime.GOMAXPROCS(0))
+	}
+	err := g.RunPinned(end, pinned)
+	if o.Mode == Optimistic {
+		res.Spec = pl.specReport(runners)
+	}
+	if err != nil || !o.Capture {
+		return res, err
+	}
+
+	if err := quiesce(g, end); err != nil {
+		return res, err
+	}
+	res.Checkpoint, err = s.capture(scheds, end)
+	return res, err
+}
+
+// execute plans p and executes the plan.
+func (s *Simulation) execute(end sim.Time, p decomp.Placement, o RunOptions) (*RunResult, error) {
+	pl, err := s.Plan(p)
+	if err != nil {
+		return &RunResult{}, err
+	}
+	return pl.Execute(end, o)
+}
+
+// sequential executes the one-group plan. A simulation with remote
+// connections has no sequential execution — silently running half a
+// topology would be a correctness trap — so it is rejected here, where the
+// one-group plan would otherwise be a legitimate coupled run.
+func (s *Simulation) sequential(end sim.Time, o RunOptions) (*RunResult, error) {
+	if n := len(s.remotes); n > 0 {
+		return &RunResult{}, fmt.Errorf("%w: sequential run with %d remote connection(s); distributed runs are coupled-only",
+			ErrRemoteUnsupported, n)
+	}
+	return s.execute(end, decomp.SingleGroup(len(s.comps)), o)
+}
+
+// RunSequential executes the whole simulation on a single scheduler until
+// end and returns that scheduler for statistics. It has no error return:
+// a bad configuration or a panicking component panics here.
+func (s *Simulation) RunSequential(end sim.Time) *sim.Scheduler {
+	res, err := s.sequential(end, RunOptions{})
+	if err != nil {
+		panic("orch: " + err.Error())
+	}
+	return res.Scheds[0]
+}
+
+// RunCoupled executes the simulation with one runner (goroutine +
+// scheduler) per component, synchronized through SplitSim channels — the
+// per-component placement. The run is bit-identical to RunSequential.
+func (s *Simulation) RunCoupled(end sim.Time) error {
+	return s.RunPlaced(end, decomp.PerComponent(len(s.comps)))
+}
+
+// RunPlaced executes the simulation coupled under the given placement.
+// Simulations with remote connections may use any placement; the remote
+// channels stay synchronized regardless.
+func (s *Simulation) RunPlaced(end sim.Time, p decomp.Placement) error {
+	_, err := s.execute(end, p, RunOptions{})
+	return err
+}
+
+// RunParallel executes the simulation under the given placement with runner
+// groups on real cores — the multi-core analog of RunPlaced.
+func (s *Simulation) RunParallel(end sim.Time, p decomp.Placement) error {
+	_, err := s.execute(end, p, RunOptions{Mode: Parallel})
+	return err
+}
+
+// RunOptimistic executes the simulation optimistically under the given
+// placement at the default speculation ceiling — the speculative analog of
+// RunParallel.
+func (s *Simulation) RunOptimistic(end sim.Time, p decomp.Placement) (*SpecReport, error) {
+	res, err := s.execute(end, p, RunOptions{Mode: Optimistic, K: DefaultSpecWindows})
+	return res.Spec, err
+}
+
+// CheckpointSequential runs the simulation sequentially from time zero to
+// at and captures a checkpoint there; restore it into a freshly built,
+// identically configured Simulation.
+func (s *Simulation) CheckpointSequential(at sim.Time) (*Checkpoint, error) {
+	res, err := s.sequential(at, RunOptions{Capture: true})
+	return res.Checkpoint, err
+}
+
+// ResumeSequential restores ck into this freshly built simulation and runs
+// it sequentially to end. Returns the scheduler for statistics, like
+// RunSequential.
+func (s *Simulation) ResumeSequential(ck *Checkpoint, end sim.Time) (*sim.Scheduler, error) {
+	res, err := s.sequential(end, RunOptions{Resume: ck})
+	if err != nil {
+		return nil, err
+	}
+	return res.Scheds[0], nil
+}
+
+// Run executes the plan coupled. Runner i carries GroupNames[i] —
+// experiments and the profiler key profiles by these labels.
+func (pl *ExecutionPlan) Run(end sim.Time) error {
+	_, err := pl.Execute(end, RunOptions{})
+	return err
+}
+
+// RunParallel executes the plan with runner groups on real cores.
+func (pl *ExecutionPlan) RunParallel(end sim.Time) error {
+	_, err := pl.Execute(end, RunOptions{Mode: Parallel})
+	return err
+}
+
+// RunOptimistic executes the plan optimistically at the default speculation
+// ceiling.
+func (pl *ExecutionPlan) RunOptimistic(end sim.Time) (*SpecReport, error) {
+	res, err := pl.Execute(end, RunOptions{Mode: Optimistic, K: DefaultSpecWindows})
+	return res.Spec, err
+}

@@ -1,67 +1,31 @@
 package orch
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/snap"
 )
 
-// Optimistic parallel execution. The conservative executor (RunParallel)
-// never lets a group run past the horizon its peers have promised; on
-// latency-dominated graphs that leaves cores idle climbing sync ladders
-// through windows where nothing ever arrives. RunOptimistic lets each group
-// speculate up to K sync windows past its committed horizon, holding a
-// per-group in-memory snapshot to fall back on when a straggler message
-// proves the speculation wrong. Outgoing messages stay withheld until the
-// committed horizon passes them, so misspeculation never escapes a group and
-// a rollback is strictly local. The standing invariant is inherited
-// unchanged: an optimistic run is bit-identical to RunSequential for every
-// placement, every K, and every interleaving.
+// Optimistic parallel execution. A conservative run never lets a group run
+// past the horizon its peers have promised; on latency-dominated graphs that
+// leaves cores idle climbing sync ladders through windows where nothing ever
+// arrives. Under the Optimistic mode each group speculates up to K sync
+// windows past its committed horizon, holding a per-group in-memory snapshot
+// to fall back on when a straggler message proves the speculation wrong.
+// Outgoing messages stay withheld until the committed horizon passes them,
+// so misspeculation never escapes a group and a rollback is strictly local.
+// The standing invariant is inherited unchanged: an optimistic run is
+// bit-identical to RunSequential for every placement, every K, and every
+// interleaving.
 //
 // The fabric half (speculation loop, straggler detection, input-log replay,
-// GVT leaping) lives in link/spec.go. This file is the orchestrator half:
-// deciding which groups may speculate, building the snapshot/restore
-// closures over the group's components and scheduler, wiring replay pool
-// owners, and reporting what speculation did.
-
-// ErrRemoteUnsupported reports a plan whose simulation has remote
-// (cross-process) connections being handed to an executor that cannot
-// synchronize them. RunParallel and RunOptimistic reject such plans; use
-// RunCoupled, which keeps remote channels conservatively synchronized.
-var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this executor")
-
-// checkNoRemotes guards the single-process executors.
-func (pl *ExecutionPlan) checkNoRemotes() error {
-	if n := len(pl.s.remotes); n > 0 {
-		return fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
-	}
-	return nil
-}
-
-// OptimisticOptions tunes the optimistic executor.
-type OptimisticOptions struct {
-	// Parallel carries the thread-placement options shared with RunParallel.
-	Parallel ParallelOptions
-	// MaxWindows is K: how many sync windows past the committed horizon each
-	// group may speculate. 0 disables speculation (groups still run the
-	// optimistic loop for its GVT horizon leaping). The depth is adaptive at
-	// runtime — a rollback halves a group's working K, clean commits earn it
-	// back — so MaxWindows is a ceiling, not a fixed operating point.
-	MaxWindows int
-}
-
-// DefaultOptimisticOptions is the multi-core default: parallel thread
-// placement plus a moderate speculation ceiling. K = 8 is deep enough to
-// bridge the empty-window stretches of latency-dominated graphs while
-// keeping the worst-case re-execution (one snapshot window) cheap.
-func DefaultOptimisticOptions() OptimisticOptions {
-	return OptimisticOptions{Parallel: DefaultParallelOptions(), MaxWindows: 8}
-}
+// GVT leaping) lives in link/spec.go. This file is the orchestrator half,
+// Execute's speculation-install phase: deciding which groups may speculate,
+// building the snapshot/restore closures over the group's components and
+// scheduler, wiring replay pool owners, and reporting what speculation did.
 
 // GroupSpec is one group's speculation outcome.
 type GroupSpec struct {
@@ -128,7 +92,7 @@ type payRef struct {
 // scheduler and components it was taken from.
 type groupSnap struct {
 	sched  *sim.Scheduler
-	comps  []core.Stateful            // group members, registration order
+	comps  []core.Stateful              // group members, registration order
 	owners map[core.Sink]core.Component // pool owner per delivery sink
 
 	mark  sim.Mark
@@ -275,44 +239,18 @@ func (pl *ExecutionPlan) specReason(gi int) string {
 	return ""
 }
 
-// RunOptimistic executes the plan optimistically with the host defaults.
-func (pl *ExecutionPlan) RunOptimistic(end sim.Time) (*SpecReport, error) {
-	return pl.RunOptimisticOpts(end, DefaultOptimisticOptions())
-}
-
-// RunOptimisticOpts executes the plan under explicit optimistic options:
-// the execute() body plus the speculation install step between wiring and
-// launch. Groups that cannot speculate run the same loop conservatively
+// installSpec puts every runner into the optimistic loop with speculation
+// ceiling k. Groups that cannot speculate run the same loop conservatively
 // (with GVT leaping) and are reported with their reason — a plan with no
-// eligible group still runs, it just never speculates.
-func (pl *ExecutionPlan) RunOptimisticOpts(end sim.Time, opts OptimisticOptions) (*SpecReport, error) {
-	if err := pl.checkNoRemotes(); err != nil {
-		return nil, err
-	}
+// eligible group still runs, it just never speculates. Call after wire.
+func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Runner, k int) {
 	s := pl.s
-	g := &link.Group{}
-	scheds := make([]*sim.Scheduler, pl.NumGroups())
-	runners := make([]*link.Runner, pl.NumGroups())
-	for gi, name := range pl.GroupNames {
-		scheds[gi] = sim.NewScheduler(int32(1000 + gi))
-		runners[gi] = link.NewRunner(name, scheds[gi])
-		runners[gi].SetBatchWindows(opts.Parallel.BatchWindows)
-		g.Add(runners[gi])
-	}
-	pl.wire(scheds, runners)
-	for gi, members := range pl.groupComps {
-		for _, ci := range members {
-			c := s.comps[ci]
-			runners[gi].AddComponent(c, s.srcOf[c])
-		}
-	}
-
 	owners := pl.specOwners()
 	for gi := range runners {
-		ctl := &link.SpecControl{MaxWindows: opts.MaxWindows}
+		ctl := &link.SpecControl{MaxWindows: k}
 		if reason := pl.specReason(gi); reason != "" {
 			ctl.Reason = reason
-		} else if opts.MaxWindows > 0 {
+		} else if k > 0 {
 			gs := &groupSnap{sched: scheds[gi], owners: owners}
 			for _, ci := range pl.groupComps[gi] {
 				gs.comps = append(gs.comps, s.comps[ci].(core.Stateful))
@@ -339,38 +277,14 @@ func (pl *ExecutionPlan) RunOptimisticOpts(end sim.Time, opts OptimisticOptions)
 		}
 	}
 	link.NewSpecDomain(runners)
+}
 
-	s.Group = g
-	if s.PreRun != nil {
-		s.PreRun(g)
-	}
-	pinned := 0
-	if opts.Parallel.Pin {
-		pinned = len(runners)
-		if opts.Parallel.MaxPinned > 0 && pinned > opts.Parallel.MaxPinned {
-			pinned = opts.Parallel.MaxPinned
-		}
-	}
-	runErr := g.RunPinned(end, pinned)
-	for _, sc := range scheds {
-		sc.DiscardPending(core.ReleaseMessage)
-	}
-
+// specReport collects the finished run's per-group speculation outcome.
+func (pl *ExecutionPlan) specReport(runners []*link.Runner) *SpecReport {
 	rep := &SpecReport{Groups: make([]GroupSpec, len(runners))}
 	for gi, r := range runners {
 		counters, reason, _ := r.SpecStats()
 		rep.Groups[gi] = GroupSpec{Group: pl.GroupNames[gi], Conservative: reason, Counters: counters}
 	}
-	return rep, runErr
-}
-
-// RunOptimistic executes the simulation optimistically under the given
-// placement — the speculative analog of RunParallel. Bit-identical to
-// RunSequential for every placement and every speculation depth.
-func (s *Simulation) RunOptimistic(end sim.Time, p decomp.Placement) (*SpecReport, error) {
-	pl, err := s.Plan(p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunOptimistic(end)
+	return rep
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // The optimistic benchmarks measure ns per simulated event under the
-// speculative executor, over the same done-events loop as the placement and
-// parallel suites so BENCH_placement.json compares all three executors in
+// Optimistic mode, over the same done-events loop as the placement and
+// parallel suites so BENCH_placement.json compares all three modes in
 // one unit. Each benchmark sweeps GOMAXPROCS 1/2/4 as P1/P2/P4
 // sub-benchmarks and reports an xspeedup metric — the conservative parallel
 // executor's ns/event on the identical graph and placement, measured once
@@ -47,12 +47,8 @@ func parallelRefNs(b *testing.B, key string,
 	start := time.Now()
 	for events < specRefMinEvents {
 		s, _ := build()
-		if err := s.RunParallel(benchEnd, p); err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range s.Group.Runners {
-			events += r.Scheduler().Processed()
-		}
+		_, n := execute(b, s, p, benchEnd, orch.RunOptions{Mode: orch.Parallel})
+		events += n
 	}
 	ns := float64(time.Since(start).Nanoseconds()) / float64(events)
 	specRefNs[key] = ns
@@ -74,16 +70,9 @@ func benchOptimistic(b *testing.B, name string,
 			start := time.Now()
 			for done < uint64(b.N) {
 				s, _ := build()
-				pl, err := s.Plan(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := pl.RunOptimistic(benchEnd); err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range s.Group.Runners {
-					done += r.Scheduler().Processed()
-				}
+				_, events := execute(b, s, p, benchEnd,
+					orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows})
+				done += events
 			}
 			if ns := float64(time.Since(start).Nanoseconds()) / float64(done); ns > 0 {
 				b.ReportMetric(ref/ns, "xspeedup")
@@ -105,12 +94,8 @@ func benchParallelRef(b *testing.B,
 			var done uint64
 			for done < uint64(b.N) {
 				s, _ := build()
-				if err := s.RunParallel(benchEnd, p); err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range s.Group.Runners {
-					done += r.Scheduler().Processed()
-				}
+				_, events := execute(b, s, p, benchEnd, orch.RunOptions{Mode: orch.Parallel})
+				done += events
 			}
 		})
 	}

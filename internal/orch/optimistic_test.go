@@ -96,7 +96,7 @@ func (c *specChatter) RestoreState(d *snap.Decoder) error {
 }
 
 func (c *specChatter) WalkSinks(func(string, core.Sink)) {}
-func (c *specChatter) StartRestored(sim.Time)           {}
+func (c *specChatter) StartRestored(sim.Time)            {}
 
 // buildSpecRandom mirrors buildRandom with specChatter components.
 func buildSpecRandom(seed uint64, nComps int) (*orch.Simulation, []*specChatter) {
@@ -187,25 +187,15 @@ func runSpecSeq(build specBuildFn, seed uint64, nComps int, end sim.Time) (uint6
 	return h, n, sched.Processed()
 }
 
-// runSpecOpt runs the build optimistically under p with the given options.
+// runSpecOpt runs the build optimistically under p with speculation
+// ceiling k.
 func runSpecOpt(t *testing.T, build specBuildFn, seed uint64, nComps int, end sim.Time,
-	p decomp.Placement, opts orch.OptimisticOptions) (uint64, uint64, uint64, *orch.SpecReport) {
+	p decomp.Placement, k int) (uint64, uint64, uint64, *orch.SpecReport) {
 	t.Helper()
 	s, comps := build(seed, nComps)
-	pl, err := s.Plan(p)
-	if err != nil {
-		t.Fatalf("Plan(%v): %v", p.Groups, err)
-	}
-	rep, err := pl.RunOptimisticOpts(end, opts)
-	if err != nil {
-		t.Fatalf("RunOptimistic(%v): %v", p.Groups, err)
-	}
-	var events uint64
-	for _, r := range s.Group.Runners {
-		events += r.Scheduler().Processed()
-	}
+	res, events := execute(t, s, p, end, orch.RunOptions{Mode: orch.Optimistic, K: k})
 	h, n := specDigest(comps)
-	return h, n, events, rep
+	return h, n, events, res.Spec
 }
 
 // randPlacements is the placement set every optimistic property sweeps:
@@ -255,9 +245,7 @@ func TestOptimisticDigestMatchesSequential(t *testing.T) {
 					}
 					for _, p := range randPlacements(seed, nComps) {
 						for _, k := range []int{8, 2} {
-							opts := orch.DefaultOptimisticOptions()
-							opts.MaxWindows = k
-							h, n, events, _ := runSpecOpt(t, bld.build, seed, nComps, end, p, opts)
+							h, n, events, _ := runSpecOpt(t, bld.build, seed, nComps, end, p, k)
 							if h != refH || n != refN {
 								t.Fatalf("%s/seed%d %s K=%d: digest %#x/%d != sequential %#x/%d",
 									bld.name, seed, p.Name, k, h, n, refH, refN)
@@ -282,16 +270,13 @@ func TestOptimisticDigestMatchesSequential(t *testing.T) {
 func TestOptimisticSpeculates(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
 	const end = 2 * sim.Millisecond
-	opts := orch.DefaultOptimisticOptions()
-	opts.MaxWindows = 32
-
 	var total orch.SpecReport
 	var snaps, rolls uint64
 	for seed := uint64(1); seed <= 4; seed++ {
 		nComps := 4 + int(seed)
 		refH, _, _ := runSpecSeq(buildSpecRandom, seed, nComps, end)
 		for _, p := range randPlacements(seed, nComps) {
-			h, _, _, rep := runSpecOpt(t, buildSpecRandom, seed, nComps, end, p, opts)
+			h, _, _, rep := runSpecOpt(t, buildSpecRandom, seed, nComps, end, p, 32)
 			if h != refH {
 				t.Fatalf("seed%d %s: digest diverged under deep speculation", seed, p.Name)
 			}
@@ -332,7 +317,7 @@ func TestOptimisticNonStatefulConservative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, orch.DefaultOptimisticOptions())
+	rep, err := pl.RunOptimistic(end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +366,7 @@ func TestOptimisticAuxStateConservative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, orch.DefaultOptimisticOptions())
+	rep, err := pl.RunOptimistic(end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +441,7 @@ func TestOptimisticFramesDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, orch.DefaultOptimisticOptions())
+	rep, err := pl.RunOptimistic(end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,20 +520,8 @@ func FuzzOptimisticRollback(f *testing.F) {
 		}
 		p := decomp.Placement{Name: "fuzz", Groups: groups}
 
-		opts := orch.DefaultOptimisticOptions()
-		opts.MaxWindows = k
 		s, comps := buildSpecRandom(seed, nComps)
-		pl, err := s.Plan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pl.RunOptimisticOpts(end, opts); err != nil {
-			t.Fatal(err)
-		}
-		var events uint64
-		for _, r := range s.Group.Runners {
-			events += r.Scheduler().Processed()
-		}
+		_, events := execute(t, s, p, end, orch.RunOptions{Mode: orch.Optimistic, K: k})
 		if h, n := specDigest(comps); h != refH || n != refN {
 			t.Fatalf("digest %#x/%d != sequential %#x/%d (K=%d, groups=%v)",
 				h, n, refH, refN, k, groups)

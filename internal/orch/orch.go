@@ -1,11 +1,13 @@
 // Package orch is the SplitSim orchestration runtime: it takes a set of
 // component simulators and channel connections, assigns deterministic event
-// ordering sources, wires ports to sinks, and executes the simulation —
-// either sequentially on one scheduler (fast, for sweeps) or coupled with
-// one goroutine per component synchronized through SplitSim channels (the
-// paper's process-parallel architecture). Both modes produce identical
-// simulation results; the coupled mode additionally produces per-adapter
-// synchronization/communication counters for the profiler.
+// ordering sources, wires ports to sinks, and executes the simulation under
+// a placement of components onto runner groups — all on one scheduler
+// (sequential: fast, for sweeps), one goroutine per component synchronized
+// through SplitSim channels (the paper's process-parallel architecture), or
+// anything in between. One executor (ExecutionPlan.Execute) runs every
+// placement and produces identical simulation results; runs with more than
+// one group additionally produce per-adapter synchronization/communication
+// counters for the profiler.
 package orch
 
 import (
@@ -92,11 +94,13 @@ type Simulation struct {
 	auxs    []auxEntry
 	nextSrc int32
 
-	// Group is populated by RunCoupled for profiler attachment.
+	// Group is the runner group of the latest execution — one runner per
+	// placement group, a single endpoint-less runner after a sequential
+	// run — for post-run inspection (event counts, sync counters).
 	Group *link.Group
 
-	// PreRun, when set, is invoked by RunCoupled after all runners and
-	// channels are wired but before execution starts — the profiler's
+	// PreRun, when set, is invoked by every execution after all runners
+	// and channels are wired but before the run starts — the profiler's
 	// attachment point.
 	PreRun func(*link.Group)
 }
@@ -194,40 +198,6 @@ func (s *Simulation) mustHave(c core.Component, conn string) {
 	}
 }
 
-// RunSequential executes the whole simulation on a single scheduler until
-// end (events at exactly end do not run). It returns the scheduler for
-// statistics. Wiring goes through the one-group execution plan, so it is
-// the same code path every placement uses — with every channel degraded to
-// direct ports.
-func (s *Simulation) RunSequential(end sim.Time) *sim.Scheduler {
-	if len(s.remotes) > 0 {
-		panic("orch: RunSequential on a simulation with remote connections; distributed runs are coupled-only")
-	}
-	pl, err := s.Plan(decomp.SingleGroup(len(s.comps)))
-	if err != nil {
-		panic("orch: " + err.Error())
-	}
-	sched := sim.NewScheduler(0)
-	pl.wire([]*sim.Scheduler{sched}, nil)
-	for _, c := range s.comps {
-		c.Attach(core.Env{Sched: sched, Src: s.srcOf[c]})
-	}
-	for _, c := range s.comps {
-		c.Start(end)
-	}
-	for {
-		at, ok := sched.PeekTime()
-		if !ok || at >= end {
-			break
-		}
-		sched.Step()
-	}
-	// Frames still in flight at end (queued, in a link, mid-DMA) go back to
-	// their pools so the leak counters read zero after every run.
-	sched.DiscardPending(core.ReleaseMessage)
-	return sched
-}
-
 // LiveFrames sums the outstanding pooled frames across all components —
 // zero after a clean run plus end-of-run sweep, so tests and harnesses can
 // assert the packet path leaks nothing.
@@ -252,15 +222,6 @@ func (s *Simulation) FrameStatsTable() *stats.Table {
 		}
 	}
 	return t
-}
-
-// RunCoupled executes the simulation with one runner (goroutine +
-// scheduler) per component, synchronized through SplitSim channels — the
-// per-component placement. The run is bit-identical to RunSequential. The
-// link.Group is stored on the Simulation for post-run inspection
-// (profiling).
-func (s *Simulation) RunCoupled(end sim.Time) error {
-	return s.RunPlaced(end, decomp.PerComponent(len(s.comps)))
 }
 
 // ModelGraph converts a finished run into the decomposition performance

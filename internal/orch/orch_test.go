@@ -1,15 +1,21 @@
 package orch_test
 
 import (
+	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/decomp"
 	"repro/internal/link"
 	"repro/internal/netsim"
+	"repro/internal/netsim/workload"
 	"repro/internal/orch"
 	"repro/internal/profiler"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/snap"
 )
 
 // twoNets builds two single-switch networks joined by a boundary channel,
@@ -56,6 +62,110 @@ func TestCrossNetworkSequential(t *testing.T) {
 	}
 	if h1.TxPackets != h2.RxPackets {
 		t.Fatalf("tx %d != rx %d", h1.TxPackets, h2.RxPackets)
+	}
+}
+
+// TestSequentialIsTheOneGroupPlan pins what RunSequential keeps through the
+// shared executor body: the run is published on Simulation.Group as a
+// single endpoint-less runner around the returned scheduler (not left
+// pointing at an earlier run's group), and that scheduler keeps ordering
+// id 0 — events posted without an explicit source sort by it, so the
+// recorded digests depend on it.
+func TestSequentialIsTheOneGroupPlan(t *testing.T) {
+	s, _, _ := twoNets()
+	if err := s.RunCoupled(sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	coupled := s.Group
+
+	s, _, _ = twoNets()
+	s.Group = coupled
+	sched := s.RunSequential(sim.Millisecond)
+	if s.Group == coupled || len(s.Group.Runners) != 1 {
+		t.Fatalf("Group after RunSequential = %d runners (stale: %v), want this run's single runner",
+			len(s.Group.Runners), s.Group == coupled)
+	}
+	if r := s.Group.Runners[0]; r.Scheduler() != sched || len(r.Endpoints()) != 0 {
+		t.Fatalf("sequential runner: scheduler match %v, %d endpoints", r.Scheduler() == sched, len(r.Endpoints()))
+	}
+	if sched.ID() != 0 {
+		t.Fatalf("sequential scheduler id = %d, want 0", sched.ID())
+	}
+}
+
+// TestSequentialPanicSurfaces: RunSequential has no error return, so a
+// component panic must reach the caller as a panic even though the shared
+// body runs it on a runner goroutine that reports panics as errors.
+func TestSequentialPanicSurfaces(t *testing.T) {
+	s, h1, _ := twoNets()
+	h1.SetApp(netsim.AppFunc(func(h *netsim.Host) {
+		h.After(10*sim.Microsecond, func() { panic("component exploded") })
+	}))
+	defer func() {
+		p := recover()
+		if p == nil || !strings.Contains(p.(string), "component exploded") {
+			t.Fatalf("recovered %v, want the component's panic", p)
+		}
+		if live := s.LiveFrames(); live != 0 {
+			t.Fatalf("%d pooled frames leaked by the panicked run", live)
+		}
+	}()
+	s.RunSequential(sim.Millisecond)
+}
+
+// TestCheckpointFailedResumeLeaksNothing: a checkpoint whose events section
+// names a sink the build does not have fails the restore with the typed
+// error, and the frames re-minted for the deliveries decoded before it go
+// back to their pools — the sweep runs on the error path too.
+func TestCheckpointFailedResumeLeaksNothing(t *testing.T) {
+	arrival := workload.Open{FlowsPerSec: 50_000}
+	cs, _, _ := buildCkptSim(1, arrival)
+	ck, err := cs.CheckpointSequential(sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rebuild the container with the last delivery's sink renamed.
+	r, err := snap.Open(ck.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snap.NewWriter()
+	for _, name := range r.Names() {
+		sec, err := r.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "events" {
+			i := bytes.LastIndex(sec, []byte("c/net"))
+			if i < 0 || bytes.Count(sec, []byte("c/net")) < 2 {
+				t.Fatal("checkpoint holds fewer than two pending deliveries")
+			}
+			sec = append([]byte(nil), sec...)
+			sec[i] = 'X'
+		}
+		if err := w.Section(name, sec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, err := orch.LoadCheckpoint(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	n := cs.NumComponents()
+	for _, p := range []decomp.Placement{decomp.SingleGroup(n), decomp.PerComponent(n)} {
+		rs, _, _ := buildCkptSim(1, arrival)
+		pl, err := rs.Plan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.Execute(2*sim.Millisecond, orch.RunOptions{Resume: bad}); !errors.Is(err, core.ErrUnknownSink) {
+			t.Fatalf("%s: err = %v, want ErrUnknownSink", p.Name, err)
+		}
+		if live := rs.LiveFrames(); live != 0 {
+			t.Fatalf("%s: failed resume left %d pooled frames checked out", p.Name, live)
+		}
 	}
 }
 

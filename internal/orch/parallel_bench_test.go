@@ -9,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The parallel benchmarks mirror the placement suite under the multi-core
-// executor (thread pinning + batched horizon windows) so
-// BENCH_placement.json tracks both executors over the same graph and the
+// The parallel benchmarks mirror the placement suite under the Parallel
+// mode (thread pinning + batched horizon windows) so
+// BENCH_placement.json tracks both modes over the same graph and the
 // same ns-per-event unit. On a single-core host the pinning is a no-op and
 // the interesting number is the batching: the SyncLight pair below runs a
 // channel whose sync interval is latency/8, where batched windows cut the
@@ -22,12 +22,8 @@ func benchParallel(b *testing.B, groups func() decomp.Placement) {
 	var done uint64
 	for done < uint64(b.N) {
 		s, _ := buildRandom(benchSeed, benchComps)
-		if err := s.RunParallel(benchEnd, groups()); err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range s.Group.Runners {
-			done += r.Scheduler().Processed()
-		}
+		_, events := execute(b, s, groups(), benchEnd, orch.RunOptions{Mode: orch.Parallel})
+		done += events
 	}
 }
 
@@ -51,9 +47,9 @@ func BenchmarkParallelPerComp(b *testing.B) {
 
 // The SyncLight pair isolates batched horizon advancement: two chatter
 // components joined by a single channel whose sync interval is latency/8,
-// run per-component so the channel is genuinely synchronized. The coupled
-// executor pays a sync exchange every interval; the parallel executor
-// covers a whole lookahead window per exchange — an ~8x cut in fabric sync
+// run per-component so the channel is genuinely synchronized. Coupled mode
+// pays a sync exchange every interval; Parallel mode covers a whole
+// lookahead window per exchange — an ~8x cut in fabric sync
 // traffic that shows up in ns/event even on one core.
 func buildSyncLight() *orch.Simulation {
 	s := orch.New()
@@ -69,26 +65,14 @@ func buildSyncLight() *orch.Simulation {
 	return s
 }
 
-func benchSyncLight(b *testing.B, parallel bool) {
+func benchSyncLight(b *testing.B, mode orch.Mode) {
 	b.ReportAllocs()
 	var done uint64
 	for done < uint64(b.N) {
-		s := buildSyncLight()
-		p := decomp.PerComponent(2)
-		var err error
-		if parallel {
-			err = s.RunParallel(benchEnd, p)
-		} else {
-			err = s.RunPlaced(benchEnd, p)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range s.Group.Runners {
-			done += r.Scheduler().Processed()
-		}
+		_, events := execute(b, buildSyncLight(), decomp.PerComponent(2), benchEnd, orch.RunOptions{Mode: mode})
+		done += events
 	}
 }
 
-func BenchmarkCoupledSyncLight(b *testing.B)  { benchSyncLight(b, false) }
-func BenchmarkParallelSyncLight(b *testing.B) { benchSyncLight(b, true) }
+func BenchmarkCoupledSyncLight(b *testing.B)  { benchSyncLight(b, orch.Coupled) }
+func BenchmarkParallelSyncLight(b *testing.B) { benchSyncLight(b, orch.Parallel) }

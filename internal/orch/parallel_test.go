@@ -16,13 +16,7 @@ import (
 func runParallelTrial(t *testing.T, build buildFn, seed uint64, nComps int, end sim.Time, p decomp.Placement) ([][]string, uint64) {
 	t.Helper()
 	s, comps := build(seed, nComps)
-	if err := s.RunParallel(end, p); err != nil {
-		t.Fatalf("RunParallel(%v): %v", p.Groups, err)
-	}
-	var events uint64
-	for _, r := range s.Group.Runners {
-		events += r.Scheduler().Processed()
-	}
+	_, events := execute(t, s, p, end, orch.RunOptions{Mode: orch.Parallel})
 	traces := make([][]string, len(comps))
 	for i, c := range comps {
 		traces[i] = c.trace
@@ -130,33 +124,6 @@ func TestParallelFramesDrained(t *testing.T) {
 	}
 	if live := s.LiveFrames(); live != 0 {
 		t.Fatalf("%d pooled frames leaked after parallel run", live)
-	}
-}
-
-// TestDefaultParallelOptions pins the host-derived executor defaults: never
-// pin on a single core (an OS thread per group buys nothing and costs
-// context switches), pin up to GOMAXPROCS otherwise, and always batch
-// windows (fewer fabric messages for identical results).
-func TestDefaultParallelOptions(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	runtime.GOMAXPROCS(1)
-	opts := orch.DefaultParallelOptions()
-	if opts.Pin {
-		t.Error("GOMAXPROCS=1: Pin should be off")
-	}
-	if !opts.BatchWindows {
-		t.Error("BatchWindows should default on")
-	}
-
-	runtime.GOMAXPROCS(4)
-	opts = orch.DefaultParallelOptions()
-	if !opts.Pin || opts.MaxPinned != 4 {
-		t.Errorf("GOMAXPROCS=4: got Pin=%v MaxPinned=%d, want pinning capped at 4",
-			opts.Pin, opts.MaxPinned)
-	}
-	if !opts.BatchWindows {
-		t.Error("BatchWindows should default on")
 	}
 }
 

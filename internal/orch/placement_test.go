@@ -50,6 +50,25 @@ func buildTrunked(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 
 type buildFn func(seed uint64, nComps int) (*orch.Simulation, []*chatter)
 
+// execute plans p on s, executes the plan under o, and returns the result
+// with the total number of scheduler events processed across groups.
+func execute(tb testing.TB, s *orch.Simulation, p decomp.Placement, end sim.Time, o orch.RunOptions) (*orch.RunResult, uint64) {
+	tb.Helper()
+	pl, err := s.Plan(p)
+	if err != nil {
+		tb.Fatalf("Plan(%v): %v", p.Groups, err)
+	}
+	res, err := pl.Execute(end, o)
+	if err != nil {
+		tb.Fatalf("Execute(%v, %+v): %v", p.Groups, o, err)
+	}
+	var events uint64
+	for _, sc := range res.Scheds {
+		events += sc.Processed()
+	}
+	return res, events
+}
+
 // runPlaced builds a fresh simulation, runs it under p (or sequentially
 // when p is nil), and returns per-component traces plus the total number of
 // scheduler events processed.

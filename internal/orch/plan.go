@@ -2,6 +2,7 @@ package orch
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -58,12 +59,13 @@ type PlanChannel struct {
 	Intra        bool
 }
 
-// ExecutionPlan is the single wiring blueprint all execution modes consume:
+// ExecutionPlan is the single wiring blueprint every execution consumes:
 // the component set with ordering sources, every channel with its
 // synchronization parameters, and a normalized Placement mapping components
-// to runner groups. RunSequential builds the one-group plan, RunCoupled the
-// per-component plan, and RunPlaced any placement in between; the plan
-// itself is inspectable (`splitsim plan <exp>`) before anything runs.
+// to runner groups. Execute (execute.go) runs it; RunSequential builds the
+// one-group plan, RunCoupled the per-component plan, and RunPlaced any
+// placement in between. The plan itself is inspectable (`splitsim plan
+// <exp>`) before anything runs.
 type ExecutionPlan struct {
 	Placement  decomp.Placement
 	Comps      []PlanComponent
@@ -145,8 +147,7 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 func (pl *ExecutionPlan) NumGroups() int { return len(pl.GroupNames) }
 
 // wire connects every channel for execution. scheds holds one scheduler per
-// group; runners, when non-nil, holds the matching coupled runners (nil for
-// the sequential path, which is always one group with no remotes).
+// group and runners the matching runners.
 //
 // An intra-group channel becomes direct ports on the group's scheduler —
 // delivery time (send + latency) and ordering source are chosen exactly as
@@ -213,56 +214,16 @@ func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 	}
 }
 
-// Run executes the plan coupled: one runner (goroutine + scheduler) per
-// group, components attached in registration order with their sequential
-// ordering sources. Runner i carries GroupNames[i] — experiments and the
-// profiler key profiles by these labels. The run is bit-identical to
-// RunSequential for every placement. RunParallel (parallel.go) executes the
-// same plan with runner groups pinned to OS threads and horizon batching.
-func (pl *ExecutionPlan) Run(end sim.Time) error {
-	return pl.execute(end, ParallelOptions{})
-}
-
-// execute is the shared coupled/parallel executor body: build one runner
-// per group, wire the channels, attach components, run the group under the
-// given options, sweep in-flight frames.
-func (pl *ExecutionPlan) execute(end sim.Time, opts ParallelOptions) error {
-	s := pl.s
-	g := &link.Group{}
-	scheds := make([]*sim.Scheduler, pl.NumGroups())
-	runners := make([]*link.Runner, pl.NumGroups())
-	for gi, name := range pl.GroupNames {
-		scheds[gi] = sim.NewScheduler(int32(1000 + gi))
-		runners[gi] = link.NewRunner(name, scheds[gi])
-		runners[gi].SetBatchWindows(opts.BatchWindows)
-		g.Add(runners[gi])
-	}
-	pl.wire(scheds, runners)
-	for gi, members := range pl.groupComps {
-		for _, ci := range members {
-			c := s.comps[ci]
-			runners[gi].AddComponent(c, s.srcOf[c])
-		}
-	}
-	s.Group = g
-	if s.PreRun != nil {
-		s.PreRun(g)
-	}
-	pinned := 0
-	if opts.Pin {
-		pinned = len(runners)
-		if opts.MaxPinned > 0 && pinned > opts.MaxPinned {
-			pinned = opts.MaxPinned
-		}
-	}
-	err := g.RunPinned(end, pinned)
-	// All runner goroutines have joined; sweep every scheduler so frames
-	// still in flight at end return to their pools (leak counters read
-	// zero after every run, any placement).
-	for _, sc := range scheds {
-		sc.DiscardPending(core.ReleaseMessage)
-	}
-	return err
+// HostModelParams returns decomposition-model parameters tuned to the
+// executing host rather than the calibrated paper constants: the core
+// budget is GOMAXPROCS and the per-sync cost is measured on this machine's
+// actual channel fabric (link.MeasuredSyncCost — priced once per process,
+// cached thereafter). AutoPlace fed with these parameters weighs core count
+// and real sync cost — it stops splitting beyond the cores that exist and
+// merges groups whose sync bill, at measured prices, exceeds their
+// parallelism win.
+func HostModelParams(duration sim.Time) decomp.Params {
+	return decomp.HostParams(duration, runtime.GOMAXPROCS(0), link.MeasuredSyncCost())
 }
 
 // ModelGraph folds the simulation's per-component model graph to the
@@ -318,15 +279,4 @@ func (pl *ExecutionPlan) String() string {
 			cost, coupled)
 	}
 	return b.String()
-}
-
-// RunPlaced executes the simulation coupled under the given placement.
-// Simulations with remote connections may use any placement; the remote
-// channels stay synchronized regardless.
-func (s *Simulation) RunPlaced(end sim.Time, p decomp.Placement) error {
-	pl, err := s.Plan(p)
-	if err != nil {
-		return err
-	}
-	return pl.Run(end)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/decomp"
+	"repro/internal/orch"
 	"repro/internal/sim"
 )
 
@@ -25,22 +26,15 @@ func benchPlacement(b *testing.B, groups func() decomp.Placement) {
 	var done uint64
 	for done < uint64(b.N) {
 		s, _ := buildRandom(benchSeed, benchComps)
-		if groups == nil {
-			sched := s.RunSequential(benchEnd)
-			done += sched.Processed()
-			continue
-		}
-		if err := s.RunPlaced(benchEnd, groups()); err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range s.Group.Runners {
-			done += r.Scheduler().Processed()
-		}
+		_, events := execute(b, s, groups(), benchEnd, orch.RunOptions{})
+		done += events
 	}
 }
 
+// Seq is the sequential execution: the one-group plan, like Coloc — the
+// pair is kept so the ledger's sequential series continues.
 func BenchmarkPlacementSeq(b *testing.B) {
-	benchPlacement(b, nil)
+	benchPlacement(b, func() decomp.Placement { return decomp.SingleGroup(benchComps) })
 }
 
 func BenchmarkPlacementColoc(b *testing.B) {

@@ -38,12 +38,12 @@ go test -run '^$' -bench 'BenchmarkTimerChurn|BenchmarkQueueChurn|BenchmarkSched
     -benchtime "$TIME" -count "$COUNT" ./internal/sim/ |
     go run ./cmd/benchjson -suite sched -out BENCH_sched.json -rev "$REV" $STRICT
 
-# The placement suite covers all three executors: sequential/coupled
-# (BenchmarkPlacement*), conservative parallel (BenchmarkParallel*), and
-# optimistic (BenchmarkOptimistic*). The optimistic and
-# ParallelLatencyDominated benchmarks sweep GOMAXPROCS 1/2/4 as P1/P2/P4
-# sub-benchmarks, and each optimistic point reports an xspeedup metric over
-# the conservative executor at the same concurrency.
+# The placement suite covers the one executor under each pacing mode:
+# coupled, the one-group sequential plan included (BenchmarkPlacement*),
+# parallel (BenchmarkParallel*), and optimistic (BenchmarkOptimistic*). The
+# optimistic and ParallelLatencyDominated benchmarks sweep GOMAXPROCS 1/2/4
+# as P1/P2/P4 sub-benchmarks, and each optimistic point reports an xspeedup
+# metric over the parallel mode at the same concurrency.
 echo "== placement benchmarks (rev $REV) =="
 go test -run '^$' -bench 'BenchmarkPlacement|BenchmarkParallel|BenchmarkCoupledSyncLight|BenchmarkOptimistic' \
     -benchtime "$TIME" -count "$COUNT" ./internal/orch/ |

@@ -31,6 +31,11 @@
 //	net := splitsim.NewNetwork("net", seed)
 //	... build hosts/switches, add components, connect channels ...
 //	s.RunSequential(20 * splitsim.Millisecond)  // or RunCoupled
+//
+// Every Run* method is a fixed-option spelling of one executor: resolve a
+// Placement with Simulation.Plan and call ExecutionPlan.Execute with
+// RunOptions to pick the pacing mode (Coupled, Parallel, Optimistic), the
+// speculation ceiling, and checkpoint resume/capture yourself.
 package splitsim
 
 import (
@@ -179,8 +184,10 @@ type (
 	ModelParams = decomp.Params
 )
 
-// Placement-aware execution: one build pipeline for sequential, coupled,
-// and distributed runs, with co-location as a first-class knob.
+// Placement-aware execution: one build pipeline and one executor
+// (ExecutionPlan.Execute) for sequential, coupled, multi-core, optimistic,
+// checkpointed and distributed runs, with co-location as a first-class
+// knob.
 type (
 	// Placement maps component index -> runner group; any placement runs
 	// bit-identically to the sequential execution.
@@ -190,10 +197,25 @@ type (
 	ExecutionPlan = orch.ExecutionPlan
 	// RecommendOptions tunes the profiler-driven placement recommender.
 	RecommendOptions = decomp.RecommendOptions
-	// ParallelOptions tunes the multi-core executor (thread pinning,
-	// batched horizon windows). The zero value is the plain coupled
-	// executor; DefaultParallelOptions derives the host defaults.
-	ParallelOptions = orch.ParallelOptions
+	// RunOptions is everything ExecutionPlan.Execute lets a caller vary:
+	// the pacing mode, the speculation ceiling, a checkpoint to resume
+	// from, and whether to capture one at the end.
+	RunOptions = orch.RunOptions
+	// RunResult is what an execution leaves behind: the schedulers, the
+	// speculation report, the captured checkpoint.
+	RunResult = orch.RunResult
+)
+
+// Pacing modes for RunOptions.Mode. Results are bit-identical under all
+// three; only wall-clock time differs.
+const (
+	// Coupled exchanges syncs every sync interval (the zero value).
+	Coupled = orch.Coupled
+	// Parallel pins runner groups to OS threads and batches sync windows.
+	Parallel = orch.Parallel
+	// Optimistic adds speculation past the committed horizon (RunOptions.K
+	// windows deep) with per-group snapshot/rollback.
+	Optimistic = orch.Optimistic
 )
 
 // Placement constructors and the profiler→placement feedback loop.
@@ -215,9 +237,6 @@ var (
 	// host: GOMAXPROCS as the core budget, measured per-sync cost from
 	// the live channel fabric.
 	HostModelParams = orch.HostModelParams
-	// DefaultParallelOptions derives multi-core executor settings from
-	// the host (pin when more than one core, always batch windows).
-	DefaultParallelOptions = orch.DefaultParallelOptions
 	// MeasureSyncCost wall-clock-prices one sync exchange on this
 	// machine's channel fabric.
 	MeasureSyncCost = link.MeasureSyncCost
