@@ -59,11 +59,6 @@ type Endpoint struct {
 	sinks  map[uint16]core.Sink
 	srcFor map[uint16]int32
 
-	// recv is the handler the owning runner's drain and stall paths feed
-	// incoming messages to: handle from Attach on, handleSpec once SetSpec
-	// installs optimistic execution.
-	recv func(Message)
-
 	lastSentT sim.Time // our clock when we last sent anything (-1: never)
 	lastRecvT sim.Time // peer clock as of the last received message (-1: none)
 	peerDone  bool
@@ -75,11 +70,9 @@ type Endpoint struct {
 	// would wait on a horizon in the already-simulated past.
 	start sim.Time
 
-	// spec, when non-nil, carries the optimistic-execution state (withheld
-	// outputs, input log, leap counters — see spec.go). Set by
-	// Runner.SetSpec; nil in conservative runs, keeping their paths free of
-	// speculation overhead beyond one pointer test.
-	spec *epSpec
+	// spec carries the optimistic-execution state (withheld outputs, input
+	// log, leap counters — see spec.go); it stays zero in conservative runs.
+	spec epSpec
 
 	Stats Counters
 }
@@ -121,25 +114,26 @@ func (e *Endpoint) SendSub(sub uint16, payload core.Message) {
 	}
 	now := e.runner.sched.Now()
 	e.Stats.TxData += msgCount(payload)
-	if sp := e.spec; sp != nil {
-		if sp.withhold {
-			// Speculative group: the send may sit at or past the committed
-			// horizon and could still roll back, so it is staged locally and
-			// published by releaseSpec once committed passes its stamp.
-			sp.withheld = append(sp.withheld, specOut{T: now, Sub: sub, Payload: payload})
-			return
-		}
-		e.out.push(Message{T: now, Kind: KindData, Sub: sub, Payload: payload})
-		sp.tx.Add(1)
-		if e.lastSentT != now {
-			e.lastSentT = now
-			e.runner.syncCapOK = false
-		}
+	if e.runner.spec.withhold {
+		// Speculative group: the send may sit at or past the committed
+		// horizon and could still roll back, so it is staged locally and
+		// published by releaseWithheld once committed passes its stamp.
+		e.spec.withheld = append(e.spec.withheld, specOut{T: now, Sub: sub, Payload: payload})
 		return
 	}
-	e.out.push(Message{T: now, Kind: KindData, Sub: sub, Payload: payload})
-	if e.lastSentT != now {
-		e.lastSentT = now
+	e.publish(now, sub, payload)
+}
+
+// publish stages one data message stamped t into the outgoing ring — the
+// one place data enters it, straight from SendSub or on release from the
+// withheld buffer.
+func (e *Endpoint) publish(t sim.Time, sub uint16, payload core.Message) {
+	e.out.push(Message{T: t, Kind: KindData, Sub: sub, Payload: payload})
+	if e.runner.spec.dom != nil {
+		e.spec.tx.Add(1)
+	}
+	if t > e.lastSentT {
+		e.lastSentT = t
 		e.runner.syncCapOK = false
 	}
 }
@@ -203,38 +197,60 @@ func (e *Endpoint) finish(end sim.Time) {
 	e.out.close()
 }
 
-// observe records one incoming message — the peer clock it carries and its
-// counters — and reports whether it is data still to be delivered. This is
-// the part of receiving that speculation does not change.
-func (e *Endpoint) observe(m Message) (data bool) {
+// handle processes one incoming message — the only receive path, fed by the
+// runner's drain, by the message that ends a stall, and by DrainResidual. It
+// advances the recorded peer clock and, for data, schedules delivery at
+// T + latency on the runner's scheduler with the sub-channel's ordering
+// source. While the runner holds a snapshot the message is also logged for
+// replay, and one that lands at or below the scheduler's executed watermark
+// (MaxExec) is a straggler: it is left to the rollback's replay instead of
+// being delivered. Without a snapshot nothing runs past committed, so a
+// straggler is a protocol bug.
+func (e *Endpoint) handle(m Message) {
 	if m.T < e.lastRecvT {
 		panic(fmt.Sprintf("link: %s received non-monotone timestamp %v after %v",
 			e.label, m.T, e.lastRecvT))
 	}
+	r := e.runner
 	e.lastRecvT = m.T
-	e.runner.horizonOK = false
+	r.horizonOK = false
 	if m.Kind == KindSync {
 		e.Stats.RxSync++
-		return false
+		return
 	}
 	e.Stats.RxData += msgCount(m.Payload)
-	return true
-}
-
-// handle processes one incoming message: it advances the recorded peer
-// clock and, for data, schedules delivery at T + latency on the runner's
-// scheduler with the sub-channel's ordering source.
-func (e *Endpoint) handle(m Message) {
-	if !e.observe(m) {
+	st := &r.spec
+	if st.dom != nil {
+		e.spec.rx.Add(1)
+	}
+	at := m.T + e.ch.Latency
+	if at < r.committed {
+		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, at, r.committed))
+	}
+	if st.snapValid {
+		e.logInput(m) // may fall back to the snapshot and give it up
+	}
+	if st.snapValid && (st.rollbackPending || at <= r.sched.MaxExec()) {
+		// Straggler (or riding one already detected this drain): state will
+		// rewind below at, and the logged copy replays. The original payload
+		// is not delivered, so return any pooled resources now.
+		st.rollbackPending = true
+		core.ReleaseMessage(m.Payload)
 		return
+	}
+	if at <= r.sched.MaxExec() {
+		panic(fmt.Sprintf("link: %s straggler at %v (executed to %v) with no snapshot",
+			e.label, at, r.sched.MaxExec()))
 	}
 	sink, ok := e.sinks[m.Sub]
 	if !ok {
 		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))
 	}
-	at := m.T + e.ch.Latency
+	// A speculative batch leaves the clock at its cap even when the window's
+	// tail was empty; pull it back so the delivery is not in the past.
+	r.sched.Rewind(at)
 	// Deliveries are never cancelled and carry exactly (sink, payload), so
 	// they go in as typed delivery events: no Timer, no capturing closure —
-	// the coupled receive path allocates nothing per data message.
-	e.runner.sched.PostDelivery(at, e.srcFor[m.Sub], sink, m.Payload)
+	// the receive path allocates nothing per data message.
+	r.sched.PostDelivery(at, e.srcFor[m.Sub], sink, m.Payload)
 }

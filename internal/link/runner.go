@@ -12,11 +12,12 @@ import (
 
 // Runner executes one simulator "process": it owns a scheduler, the
 // components attached to it, and the channel endpoints connecting it to
-// peer runners. Runner implements the conservative synchronization loop:
+// peer runners. Runner implements the synchronization loop (see Run):
 //
-//	drain incoming messages → compute horizon (min over endpoints of
-//	lastPeerClock + latency) → run local events strictly before the
-//	horizon → emit syncs → block on the limiting endpoint when stuck.
+//	drain incoming messages → raise the committed clock to the horizon
+//	(min over endpoints of lastPeerClock + latency) → run local events
+//	strictly before it → emit syncs → wait on the limiting endpoint when
+//	stuck.
 //
 // The strict "before the horizon" bound plus per-channel ordering sources
 // make a coupled run bit-identical to sequential execution.
@@ -26,6 +27,12 @@ type Runner struct {
 	eps   []*Endpoint
 	comps []core.Component
 	end   sim.Time
+
+	// committed is the conservative horizon the run has reached: execution
+	// below it is final, syncs are stamped with it, and it only moves
+	// forward. Without speculation the scheduler clock equals it after every
+	// batch; a speculating runner's scheduler runs ahead of it (spec.go).
+	committed sim.Time
 
 	// Cached minima over the endpoints. horizon depends only on each
 	// endpoint's lastRecvT/peerDone and syncCap only on lastSentT, so both
@@ -64,14 +71,14 @@ type Runner struct {
 	procTick uint32
 	waitTick uint32
 
-	// OnAdvance, if set, is invoked after each batch of events with the
-	// runner's new virtual time; the profiler hooks in here.
-	OnAdvance func(now sim.Time)
+	// OnAdvance, if set, is invoked once per loop round, after the round's
+	// syncs are out, with the committed clock — never the speculative one.
+	// The profiler samples from here (Collector.Attach).
+	OnAdvance func(committed sim.Time)
 
-	// spec, when non-nil, switches Run into the optimistic loop (see
-	// spec.go): speculation past the committed horizon with snapshot
-	// rollback, plus GVT-leap horizon tracking.
-	spec *specState
+	// spec is the optimistic-execution state (spec.go). Its zero value is
+	// conservative execution: speculation depth 0, no leap domain.
+	spec specState
 }
 
 // NewRunner creates a runner around sched.
@@ -99,7 +106,6 @@ func (r *Runner) Attach(e *Endpoint) {
 		panic("link: endpoint " + e.label + " already attached")
 	}
 	e.runner = r
-	e.recv = e.handle
 	r.eps = append(r.eps, e)
 	r.horizonOK = false
 	r.syncCapOK = false
@@ -134,31 +140,60 @@ func (r *Runner) Counters() Counters {
 
 // Run executes the runner until virtual time end. It is blocking; Group runs
 // many runners concurrently. Events scheduled at exactly end do not execute.
+//
+// This is the only main loop, whatever the mode. Each round: drain incoming
+// messages → roll back if the drain met a straggler → raise committed to
+// min(horizon, end, syncCap) → run the events before it → publish withheld
+// output it has passed → refresh the snapshot → speculate up to K windows
+// further → sync at committed → finish, go round again while there is
+// headroom, or stall. Conservative execution is the K = 0 case outside a
+// leap domain: nothing is ever withheld, snapshotted or speculated, so the
+// scheduler clock equals committed after every batch; coupled pacing is the
+// same loop with syncCap finite.
 func (r *Runner) Run(end sim.Time) {
-	if r.spec != nil {
-		r.runSpec(end)
-		return
-	}
+	st := &r.spec
 	r.startComponents(end)
+	r.committed = r.sched.Now()
+	if st.k > 0 {
+		r.specSnapshot()
+	}
 	for {
+		r.lowerFloor()
 		r.drainAll()
-		target := r.horizon()
-		if target > end {
-			target = end
+		if st.rollbackPending {
+			r.specRollback()
 		}
-		// Cap the batch so peers receive syncs at least every sync
-		// interval of our virtual time.
-		if sc := r.syncCap(); sc < target {
-			target = sc
+		// syncCap keeps the batch short enough that peers receive syncs at
+		// least every sync interval of our virtual time (coupled pacing). A
+		// GVT leap may have left committed above all three bounds.
+		advanced := false
+		if target := min(r.horizon(), end, r.syncCap()); target > r.committed {
+			r.committed = target
+			advanced = true
 		}
-		if target > r.sched.Now() || r.runnableBefore(target) {
-			r.sched.RunBefore(target)
-			r.syncAt(r.sched.Now())
-			if r.OnAdvance != nil {
-				r.OnAdvance(r.sched.Now())
-			}
+		if r.committed > r.sched.Now() || r.runnableBefore(r.committed) {
+			r.sched.RunBefore(r.committed)
 		}
-		if r.sched.Now() >= end {
+		r.releaseWithheld()
+		if st.k > 0 && r.sched.MaxExec() < r.committed && r.specDirty() {
+			r.specSnapshot()
+		}
+		if advanced {
+			r.specCommitTick()
+		}
+		r.speculate()
+		r.syncAt(r.committed)
+		if r.OnAdvance != nil {
+			r.OnAdvance(r.committed)
+		}
+		if r.committed >= end {
+			// This runner will never publish data again: lift its floor to
+			// infinity so stalled peers' GVT leaps are not capped by a stale
+			// promise from a goroutine that has already returned. Nothing
+			// speculative is live either, so residual input (DrainResidual)
+			// needs no replay log.
+			r.storeFloor(sim.Infinity)
+			r.specDisarm()
 			for _, e := range r.eps {
 				e.finish(end)
 			}
@@ -167,12 +202,12 @@ func (r *Runner) Run(end sim.Time) {
 		// No second drain here: new messages can only have been published
 		// while this goroutine was off the processor, so the event batch we
 		// just ran cannot have grown the queues. If something did slip in
-		// from a truly concurrent peer, blockOnLimiting's opening tryRecv
-		// sees it and returns without parking.
-		if r.horizon() > r.sched.Now() {
+		// from a truly concurrent peer, the stall's opening tryRecv sees it
+		// and returns without parking.
+		if r.horizon() > r.committed {
 			continue // more headroom appeared; keep running
 		}
-		r.blockOnLimiting()
+		r.stall()
 	}
 }
 
@@ -248,12 +283,11 @@ func (r *Runner) syncCap() sim.Time {
 }
 
 // syncAt emits a sync stamped t on every endpoint that has not yet sent at
-// t, then publishes everything staged this pass. The conservative loop
-// stamps its scheduler clock, the optimistic loop its committed horizon —
-// never the speculative clock. After one full pass at t every endpoint's
-// lastSentT is >= t, so a repeat pass at the same time stages nothing — but
-// the flush still runs, because events executed since the last pass may
-// have staged data sends at an unchanged virtual time.
+// t, then publishes everything staged this pass. The loop stamps its
+// committed clock, never the speculative one. After one full pass at t every
+// endpoint's lastSentT is >= t, so a repeat pass at the same time stages
+// nothing — but the flush still runs, because events executed since the last
+// pass may have staged data sends at an unchanged virtual time.
 func (r *Runner) syncAt(t sim.Time) {
 	if t != r.lastSyncAll {
 		r.lastSyncAll = t
@@ -294,18 +328,17 @@ const (
 )
 
 // drainAll consumes every already-queued incoming message on every endpoint
-// without blocking, through the endpoint's receive handler (conservative or
-// speculative, see Endpoint.recv). Each endpoint's queue is handled in place
-// as one batch (pipe.drain) — one atomic acquire and at most one wall-clock
-// sample pair per batch rather than per message — which is what keeps
-// per-message fabric overhead low enough for decomposition to pay off.
+// without blocking, through Endpoint.handle. Each endpoint's queue is handled
+// in place as one batch (pipe.drain) — one atomic acquire and at most one
+// wall-clock sample pair per batch rather than per message — which is what
+// keeps per-message fabric overhead low enough for decomposition to pay off.
 func (r *Runner) drainAll() {
 	for _, e := range r.eps {
 		if e.in.empty() {
 			// Nothing published; all that can remain is end-of-stream (the
 			// drain call re-checks under the close/publish race).
 			if !e.peerDone {
-				if _, closed := e.in.drain(e.recv); closed {
+				if _, closed := e.in.drain(e.handle); closed {
 					e.peerDone = true
 					r.horizonOK = false
 				}
@@ -315,10 +348,10 @@ func (r *Runner) drainAll() {
 		r.procTick++
 		if r.procTick&(profSamplePeriod-1) == 0 {
 			start := time.Since(r.epoch)
-			e.in.drain(e.recv)
+			e.in.drain(e.handle)
 			e.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
 		} else {
-			e.in.drain(e.recv)
+			e.in.drain(e.handle)
 		}
 		// The ring tracks the deepest backlog the peer ever built against
 		// us; snapshot it from the consumer side where Stats is owned.
@@ -326,12 +359,24 @@ func (r *Runner) drainAll() {
 	}
 }
 
-// blockOnLimiting is the conservative stall path: publish everything staged
-// — peers must see every message we have produced before we sleep on them —
-// then wait for the limiting endpoint's next message and handle it.
-func (r *Runner) blockOnLimiting() {
+// stall is what a round with no headroom left ends in: publish everything
+// staged — peers must see every message we have produced before we sleep on
+// them — then, inside a leap domain, advertise the raised floor and try a
+// GVT leap; failing that, wait for the limiting endpoint's next message and
+// handle it. The floor is raised only here, after everything runnable has
+// run, and lowered again before the message that ends the wait is consumed,
+// so a concurrent leap reader never trusts a stale promise.
+func (r *Runner) stall() {
 	r.flushAll()
-	if e, m, ok := r.awaitLimiting(); ok {
+	if dom := r.spec.dom; dom != nil {
+		r.storeFloor(r.specFloor(true))
+		if dom.tryLeap(r) {
+			return
+		}
+	}
+	e, m, ok := r.awaitLimiting()
+	r.lowerFloor()
+	if ok {
 		r.handleSampled(e, m)
 	}
 }
@@ -385,10 +430,10 @@ func (r *Runner) handleSampled(e *Endpoint, m Message) {
 	r.procTick++
 	if r.procTick&(profSamplePeriod-1) == 0 {
 		start := time.Since(r.epoch)
-		e.recv(m)
+		e.handle(m)
 		e.Stats.ProcNanos += uint64(time.Since(r.epoch)-start) * profSamplePeriod
 	} else {
-		e.recv(m)
+		e.handle(m)
 	}
 }
 

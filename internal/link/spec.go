@@ -10,9 +10,10 @@ import (
 	"repro/internal/snap"
 )
 
-// Optimistic execution. A runner in spec mode keeps two clocks: committed —
+// Optimistic execution: the steps of Runner.Run that do something only once
+// SetSpec has armed them. A speculating runner keeps two clocks: committed —
 // the conservative horizon, below which execution is final — and the
-// scheduler's actual clock, which may speculate up to K sync windows ahead.
+// scheduler's actual clock, which may run up to K sync windows ahead.
 // Everything that could leak speculation out of the group is fenced:
 //
 //   - Outgoing data messages stamped at or after committed are withheld in a
@@ -28,8 +29,8 @@ import (
 //     already-published messages are deduplicated by count against a
 //     publish oracle that also cross-checks (time, sub) for divergence.
 //
-// Orthogonally, every spec runner (speculating or not) participates in
-// GVT-style committed-horizon tracking: at a stall it advertises a floor —
+// Orthogonally, every runner of a SpecDomain (speculating or not) takes part
+// in GVT-style committed-horizon tracking: at a stall it advertises a floor —
 // the earliest virtual time at which it could ever publish a new message —
 // through a seq-cst atomic, and a stalled runner that observes every
 // cross-group edge empty may leap its committed clock to
@@ -40,7 +41,7 @@ import (
 
 // SpecCounters aggregates a runner's speculation activity. All fields are
 // written only by the owning runner goroutine; read them after the run, or
-// from that goroutine (the profiler's tick events qualify).
+// from that goroutine (the profiler's OnAdvance sampling qualifies).
 type SpecCounters struct {
 	Snapshots   uint64 // committed-state snapshots taken
 	Rollbacks   uint64 // straggler-triggered restores
@@ -53,8 +54,8 @@ type SpecCounters struct {
 // builds it per placement group and installs it with SetSpec before Run.
 type SpecControl struct {
 	// MaxWindows is K: how many sync windows past the committed horizon the
-	// group may speculate. 0 disables speculation; the runner still runs the
-	// spec loop and takes part in GVT leaping.
+	// group may speculate. 0 disables speculation; the runner still takes
+	// part in its domain's GVT leaping.
 	MaxWindows int
 	// Snapshot captures the group's committed state (component state via
 	// core.Stateful, scheduler mark + pending events) into recycled buffers;
@@ -77,21 +78,25 @@ const (
 	specSamplePeriod = 8 // power of two
 )
 
-// specState is the per-runner half of optimistic execution.
+// specState is the per-runner half of optimistic execution. The zero value
+// is a conservative runner: depth 0, no snapshot, no domain.
 type specState struct {
-	ctl *SpecControl
-	dom *SpecDomain
+	ctl *SpecControl // nil until SetSpec
+	dom *SpecDomain  // nil outside a leap domain
+
+	// withhold marks a group that may speculate: outgoing data is staged on
+	// the endpoint until committed passes its stamp (see Endpoint.SendSub).
+	withhold bool
 
 	k        int      // current speculation depth (adaptive, <= ctl.MaxWindows)
 	window   sim.Time // speculation window unit: min sync interval over endpoints
 	minInLat sim.Time // min latency over endpoints: the leap increment
 
-	committed sim.Time // conservative horizon: execution below is final
 	snapValid bool
-	snapAt    sim.Time
 	snapDone  uint64 // Processed() at the snapshot
 
-	demoted      bool // permanently conservative (snapshot/log failure)
+	// demoteReason, once non-empty, pins the runner conservative for good
+	// (SpecControl.Reason, snapshot or input-log failure).
 	demoteReason string
 
 	rollbackPending bool
@@ -128,10 +133,10 @@ type specIn struct {
 	enc     bool
 }
 
-// epSpec is the per-endpoint half of optimistic execution.
+// epSpec is the per-endpoint half of optimistic execution; like specState,
+// its zero value is what a conservative endpoint carries.
 type epSpec struct {
-	withhold bool // speculative group: outgoing data is staged until committed
-	owners   map[uint16]core.Component
+	owners map[uint16]core.Component
 
 	withheld []specOut
 	log      []specIn
@@ -147,44 +152,39 @@ type epSpec struct {
 	snapTxData uint64
 	snapRxData uint64
 
-	// tx counts data messages this endpoint has staged into its outgoing
-	// pipe; rx counts data messages handled from the incoming one. A GVT
-	// leap reads rx before tx on every edge: observing them equal proves
-	// the edge held no data at the tx-read instant. Syncs are exempt — they
-	// never create events, so they cannot invalidate a leap.
+	// Inside a leap domain, tx counts data messages this endpoint has staged
+	// into its outgoing pipe; rx counts data messages handled from the
+	// incoming one. A GVT leap reads rx before tx on every edge: observing
+	// them equal proves the edge held no data at the tx-read instant. Syncs
+	// are exempt — they never create events, so they cannot invalidate a
+	// leap.
 	tx atomic.Uint64
 	rx atomic.Uint64
 }
 
-// SetSpec installs optimistic execution on the runner. Endpoints must
-// already be attached; call once, before Run.
+// SetSpec arms optimistic execution on the runner. Endpoints must already be
+// attached; call once, before Run.
 func (r *Runner) SetSpec(ctl *SpecControl) {
-	st := &specState{ctl: ctl, k: ctl.MaxWindows}
+	st := &r.spec
+	st.ctl = ctl
+	st.k = ctl.MaxWindows
 	if ctl.Reason != "" {
 		st.k = 0
-		st.demoted = true
 		st.demoteReason = ctl.Reason
 	}
+	st.withhold = st.k > 0
 	st.minInLat = sim.Infinity
 	for _, e := range r.eps {
 		if st.window <= 0 || e.ch.SyncInterval < st.window {
 			st.window = e.ch.SyncInterval
 		}
-		if e.ch.Latency < st.minInLat {
-			st.minInLat = e.ch.Latency
-		}
-		e.spec = &epSpec{withhold: st.k > 0}
-		e.recv = e.handleSpec
+		st.minInLat = min(st.minInLat, e.ch.Latency)
 	}
-	r.spec = st
 }
 
 // SetSpecOwner records the component owning the sink behind sub, so logged
-// pooled payloads can re-mint from its pool at replay. Requires SetSpec.
+// pooled payloads can re-mint from its pool at replay.
 func (e *Endpoint) SetSpecOwner(sub uint16, owner core.Component) {
-	if e.spec == nil {
-		panic("link: SetSpecOwner on endpoint " + e.label + " without SetSpec")
-	}
 	if e.spec.owners == nil {
 		e.spec.owners = make(map[uint16]core.Component)
 	}
@@ -192,12 +192,9 @@ func (e *Endpoint) SetSpecOwner(sub uint16, owner core.Component) {
 }
 
 // SpecStats returns the runner's speculation counters, the reason it runs
-// conservatively ("" when speculative), and whether spec mode is active.
+// conservatively ("" when speculative), and whether SetSpec armed it.
 func (r *Runner) SpecStats() (SpecCounters, string, bool) {
-	if r.spec == nil {
-		return SpecCounters{}, "", false
-	}
-	return r.spec.counters, r.spec.demoteReason, true
+	return r.spec.counters, r.spec.demoteReason, r.spec.ctl != nil
 }
 
 // SpecDomain is the set of runners sharing a GVT: all groups of one
@@ -214,11 +211,11 @@ type SpecDomain struct {
 func NewSpecDomain(runners []*Runner) *SpecDomain {
 	d := &SpecDomain{runners: runners}
 	for _, r := range runners {
-		if r.spec == nil {
+		if r.spec.ctl == nil {
 			panic("link: NewSpecDomain with runner " + r.name + " missing SetSpec")
 		}
 		for _, e := range r.eps {
-			if e.peer.spec == nil {
+			if e.peer.runner == nil || e.peer.runner.spec.ctl == nil {
 				panic("link: NewSpecDomain with endpoint " + e.peer.label + " outside the domain")
 			}
 			d.cons = append(d.cons, &e.spec.rx)
@@ -249,7 +246,7 @@ func NewSpecDomain(runners []*Runner) *SpecDomain {
 // never exceeds. min(floors) is therefore a true global lower bound on every
 // future delivery, and adding r's minimum inbound latency keeps it one.
 func (d *SpecDomain) tryLeap(r *Runner) bool {
-	st := r.spec
+	st := &r.spec
 	for i, c := range d.cons {
 		st.scratch[i] = c.Load()
 	}
@@ -271,126 +268,82 @@ func (d *SpecDomain) tryLeap(r *Runner) bool {
 	}
 	target := r.end
 	if gvt < r.end {
-		target = gvt + st.minInLat
-		if target > r.end {
-			target = r.end
-		}
+		target = min(gvt+st.minInLat, r.end)
 	}
-	if target <= st.committed {
+	if target <= r.committed {
 		return false
 	}
-	st.committed = target
+	r.committed = target
 	st.counters.Leaps++
 	return true
 }
 
-// runSpec is the optimistic analogue of Run. Structure per round:
-// lower floor → drain (collect stragglers) → rollback if needed → advance
-// committed along the conservative ladder → execute the committed region →
-// publish withheld output below committed → refresh the snapshot at a quiet
-// point → speculate up to K windows → sync at committed → leap or park.
-func (r *Runner) runSpec(end sim.Time) {
-	st := r.spec
-	r.startComponents(end)
-	st.committed = r.sched.Now()
-	st.floor.Store(int64(st.committed))
-	if st.k > 0 {
-		r.specSnapshot()
-	}
-	for {
-		st.floor.Store(int64(r.specFloorLow()))
-		r.drainAll()
-		if st.rollbackPending {
-			r.specRollback()
-		}
-		h := r.horizon()
-		if h > end {
-			h = end
-		}
-		advanced := h > st.committed
-		if advanced {
-			st.committed = h
-		}
-		if st.committed > r.sched.Now() || r.runnableBefore(st.committed) {
-			r.sched.RunBefore(st.committed)
-		}
-		r.releaseWithheldAll()
-		if st.k > 0 && !st.demoted && r.sched.MaxExec() < st.committed && r.specDirty() {
-			r.specSnapshot()
-		}
-		if advanced {
-			r.specCommitTick()
-		}
-		if cap := r.specCap(); cap > st.committed && (cap > r.sched.Now() || r.runnableBefore(cap)) {
-			st.specTick++
-			if st.specTick&(specSamplePeriod-1) == 0 {
-				start := time.Since(r.epoch)
-				r.sched.RunBefore(cap)
-				st.specNanos += uint64(time.Since(r.epoch)-start) * specSamplePeriod
-			} else {
-				r.sched.RunBefore(cap)
-			}
-		}
-		r.syncAt(st.committed)
-		if r.OnAdvance != nil {
-			r.OnAdvance(st.committed)
-		}
-		if st.committed >= end {
-			// This runner will never publish data again: lift its floor to
-			// infinity so stalled peers' GVT leaps are not capped by a stale
-			// promise from a goroutine that has already returned.
-			st.floor.Store(int64(sim.Infinity))
-			for _, e := range r.eps {
-				e.finish(end)
-			}
-			return
-		}
-		if r.horizon() > st.committed {
-			continue
-		}
-		r.specBlock()
-	}
-}
-
-// specFloorLow returns the sound lowered floor: the earliest virtual time
-// this runner could publish a new data message at. Future input delivers at
-// or above committed (handleSpec enforces it), so committed bounds sends it
-// causes — but a GVT leap raises committed past still-unexecuted pending
-// events, and their sends (plus already-staged withheld output) carry stamps
-// below the new committed. Taking the min over all three keeps the advertised
-// promise true in every round; outside the round after a leap it equals
-// committed exactly.
-func (r *Runner) specFloorLow() sim.Time {
-	st := r.spec
-	f := st.committed
-	if t, ok := r.sched.PeekTime(); ok && t < f {
+// specFloor returns the earliest virtual time this runner could publish a
+// new data message at: the head of its pending events and of its withheld
+// output, clamped against committed in the direction the caller needs. The
+// heads have to be scanned, rather than committed advertised, because a GVT
+// leap can raise committed past still-unexecuted pending events, whose sends
+// (and already-staged withheld output) then carry stamps below it.
+//
+//   - Before consuming input (stalled false) the floor may not exceed
+//     committed — future input delivers at or above it (handle enforces
+//     that), so it bounds whatever that input makes us send — and in the
+//     round after a leap those leftovers pull it lower. In every other round
+//     the result is committed exactly.
+//   - At a stall (stalled true) everything before committed has run and been
+//     released — a leap's leftovers included, one round earlier — so the
+//     floor rises to the earliest head; the clamp holds it at committed
+//     should that ever not be so.
+func (r *Runner) specFloor(stalled bool) sim.Time {
+	f := sim.Infinity
+	if t, ok := r.sched.PeekTime(); ok {
 		f = t
 	}
 	for _, e := range r.eps {
-		if sp := e.spec; len(sp.withheld) > 0 && sp.withheld[0].T < f {
-			f = sp.withheld[0].T
+		if w := e.spec.withheld; len(w) > 0 {
+			f = min(f, w[0].T)
 		}
 	}
-	return f
+	if stalled {
+		return max(f, r.committed)
+	}
+	return min(f, r.committed)
 }
 
-// specCap is the speculation bound: committed + K windows, only while a
-// valid snapshot exists to roll back to.
-func (r *Runner) specCap() sim.Time {
-	st := r.spec
+// lowerFloor advertises the pre-input floor to the runner's leap domain;
+// outside a domain nobody reads it and the scan is skipped.
+func (r *Runner) lowerFloor() {
+	if r.spec.dom != nil {
+		r.storeFloor(r.specFloor(false))
+	}
+}
+
+func (r *Runner) storeFloor(f sim.Time) { r.spec.floor.Store(int64(f)) }
+
+// speculate runs events past committed, up to K windows and never past the
+// end of the run, only while a valid snapshot exists to roll back to.
+func (r *Runner) speculate() {
+	st := &r.spec
 	if st.k <= 0 || !st.snapValid {
-		return st.committed
+		return
 	}
-	cap := st.committed + sim.Time(st.k)*st.window
-	if cap > r.end {
-		cap = r.end
+	cap := min(r.committed+sim.Time(st.k)*st.window, r.end)
+	if cap <= r.committed || (cap <= r.sched.Now() && !r.runnableBefore(cap)) {
+		return
 	}
-	return cap
+	st.specTick++
+	if st.specTick&(specSamplePeriod-1) == 0 {
+		start := time.Since(r.epoch)
+		r.sched.RunBefore(cap)
+		st.specNanos += uint64(time.Since(r.epoch)-start) * specSamplePeriod
+	} else {
+		r.sched.RunBefore(cap)
+	}
 }
 
 // specDirty reports whether the committed state has moved past the snapshot.
 func (r *Runner) specDirty() bool {
-	st := r.spec
+	st := &r.spec
 	if !st.snapValid {
 		return true
 	}
@@ -412,25 +365,22 @@ func (r *Runner) specDirty() bool {
 // unregistered payload codec) demotes the runner to conservative execution
 // instead of failing the run.
 func (r *Runner) specSnapshot() {
-	st := r.spec
+	st := &r.spec
 	for _, e := range r.eps {
 		if e.spec.dropLeft != 0 {
 			panic(fmt.Sprintf("link: %s snapshot with %d unmatched replay re-sends", e.label, e.spec.dropLeft))
 		}
 	}
-	if r.sched.Now() > st.committed {
-		r.sched.Rewind(st.committed)
-	}
+	r.sched.Rewind(r.committed)
 	if err := st.ctl.Snapshot(); err != nil {
 		r.specDemote("snapshot failed: " + err.Error())
 		return
 	}
 	st.snapValid = true
-	st.snapAt = st.committed
 	st.snapDone = r.sched.Processed()
 	st.specNanos = 0
 	for _, e := range r.eps {
-		sp := e.spec
+		sp := &e.spec
 		sp.snapTxData = e.Stats.TxData
 		sp.snapRxData = e.Stats.RxData
 		sp.log = sp.log[:0]
@@ -445,8 +395,7 @@ func (r *Runner) specSnapshot() {
 // snapshot, quiet-point refresh, or immediately after a rollback), which
 // every call site guarantees.
 func (r *Runner) specDemote(reason string) {
-	st := r.spec
-	st.demoted = true
+	st := &r.spec
 	if st.demoteReason == "" {
 		st.demoteReason = reason
 	}
@@ -460,20 +409,18 @@ func (r *Runner) specDemote(reason string) {
 // dedup window (dropLeft/pubLog) stay live — in-flight replay dedup must
 // still complete.
 func (r *Runner) specDisarm() {
-	st := r.spec
-	st.snapValid = false
+	r.spec.snapValid = false
 	for _, e := range r.eps {
-		sp := e.spec
-		sp.log = sp.log[:0]
-		sp.logBuf.Reset()
+		e.spec.log = e.spec.log[:0]
+		e.spec.logBuf.Reset()
 	}
 }
 
 // specCommitTick rewards a clean horizon commit: after specRecoverStreak of
 // them in a row, an adaptively lowered K earns one doubling back.
 func (r *Runner) specCommitTick() {
-	st := r.spec
-	if st.demoted || st.k >= st.ctl.MaxWindows {
+	st := &r.spec
+	if st.ctl == nil || st.demoteReason != "" || st.k >= st.ctl.MaxWindows {
 		return
 	}
 	st.cleanStreak++
@@ -493,7 +440,7 @@ func (r *Runner) specCommitTick() {
 // component and scheduler state, arm re-send dedup, and replay the input
 // log. The straggler itself was logged, so it replays too.
 func (r *Runner) specRollback() {
-	st := r.spec
+	st := &r.spec
 	if !st.snapValid {
 		panic("link: runner " + r.name + " rollback without a valid snapshot")
 	}
@@ -502,7 +449,7 @@ func (r *Runner) specRollback() {
 	st.counters.WastedNanos += st.specNanos
 	st.specNanos = 0
 	for _, e := range r.eps {
-		sp := e.spec
+		sp := &e.spec
 		for i := range sp.withheld {
 			core.ReleaseMessage(sp.withheld[i].Payload)
 			sp.withheld[i].Payload = nil
@@ -514,7 +461,7 @@ func (r *Runner) specRollback() {
 		panic("link: runner " + r.name + " rollback restore failed: " + err.Error())
 	}
 	for _, e := range r.eps {
-		sp := e.spec
+		sp := &e.spec
 		e.Stats.TxData = sp.snapTxData
 		e.Stats.RxData = sp.snapRxData
 		sp.dropLeft = len(sp.pubLog)
@@ -541,150 +488,73 @@ func (r *Runner) specRollback() {
 	}
 }
 
-// handleSpec processes one incoming message under speculation: log it for
-// replay, detect stragglers against the executed watermark, rewind the
-// purely speculative clock advance when needed, and deliver.
-func (e *Endpoint) handleSpec(m Message) {
-	if !e.observe(m) {
+// logInput appends one incoming data message to the endpoint's replay log;
+// only called while the runner holds a valid snapshot. The delivery consumes
+// a pooled payload, so the log takes a deep copy of it. If the payload has
+// no codec (or no pool owner to re-mint from), speculation cannot continue
+// safely: fall back to the committed snapshot now — the log up to here
+// replays — and run conservatively from it, leaving this message to be
+// delivered on committed state where it never needs replaying.
+func (e *Endpoint) logInput(m Message) {
+	sp := &e.spec
+	if _, pooled := m.Payload.(core.Releaser); !pooled {
+		sp.log = append(sp.log, specIn{T: m.T, Sub: m.Sub, Payload: m.Payload})
 		return
 	}
-	r := e.runner
-	sp := e.spec
-	sp.rx.Add(1)
-	st := r.spec
-	d := m.T + e.ch.Latency
-	if d < st.committed {
-		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, d, st.committed))
+	off := sp.logBuf.Len()
+	var err error
+	if owner := sp.owners[m.Sub]; owner == nil {
+		err = fmt.Errorf("%w: no pool owner for sub %d", core.ErrUnknownSink, m.Sub)
+	} else {
+		err = core.EncodePayload(&sp.logBuf, m.Payload)
 	}
-	if st.snapValid {
-		if _, pooled := m.Payload.(core.Releaser); pooled {
-			// The delivery consumes the original, so the log needs a deep
-			// copy. If the payload has no codec (or no pool owner to re-mint
-			// from), speculation cannot continue safely: fall back to the
-			// committed snapshot now — the log up to here replays — and run
-			// conservatively from it, delivering this message on committed
-			// state where it never needs replaying.
-			off := sp.logBuf.Len()
-			var err error
-			if owner := sp.owners[m.Sub]; owner == nil {
-				err = fmt.Errorf("%w: no pool owner for sub %d", core.ErrUnknownSink, m.Sub)
-			} else {
-				err = core.EncodePayload(&sp.logBuf, m.Payload)
-			}
-			if err != nil {
-				r.specRollback()
-				r.specDemote("input not loggable: " + err.Error())
-			} else {
-				sp.log = append(sp.log, specIn{T: m.T, Sub: m.Sub,
-					off: int32(off), n: int32(sp.logBuf.Len() - off), enc: true})
-			}
-		} else {
-			sp.log = append(sp.log, specIn{T: m.T, Sub: m.Sub, Payload: m.Payload})
-		}
-	}
-	if st.snapValid && (st.rollbackPending || d <= r.sched.MaxExec()) {
-		// Straggler (or riding one already detected this drain): state will
-		// rewind below d, and the logged copy replays. The original payload
-		// is not delivered, so return any pooled resources now.
-		st.rollbackPending = true
-		core.ReleaseMessage(m.Payload)
+	if err != nil {
+		e.runner.specRollback()
+		e.runner.specDemote("input not loggable: " + err.Error())
 		return
 	}
-	if d <= r.sched.MaxExec() {
-		panic(fmt.Sprintf("link: %s straggler at %v (executed to %v) with no snapshot",
-			e.label, d, r.sched.MaxExec()))
-	}
-	sink, ok := e.sinks[m.Sub]
-	if !ok {
-		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))
-	}
-	r.sched.Rewind(d)
-	r.sched.PostDelivery(d, e.srcFor[m.Sub], sink, m.Payload)
+	sp.log = append(sp.log, specIn{T: m.T, Sub: m.Sub,
+		off: int32(off), n: int32(sp.logBuf.Len() - off), enc: true})
 }
 
-// releaseWithheldAll publishes every withheld message whose timestamp fell
-// below the committed horizon.
-func (r *Runner) releaseWithheldAll() {
-	committed := r.spec.committed
-	for _, e := range r.eps {
-		if sp := e.spec; len(sp.withheld) > 0 {
-			e.releaseSpec(committed, sp)
-		}
-	}
-}
-
-// releaseSpec publishes the committed prefix of the withheld buffer. The
-// buffer is time-ordered by construction: entries are appended in execution
-// order with nondecreasing stamps (a rollback clears it wholesale), so the
-// release is a prefix drain, no sort. After a rollback the first dropLeft
-// publishes are re-sends of already-published messages: they are dropped,
-// each verified against the publish oracle.
-func (e *Endpoint) releaseSpec(committed sim.Time, sp *epSpec) {
-	n := 0
-	for n < len(sp.withheld) && sp.withheld[n].T < committed {
-		n++
-	}
-	if n == 0 {
+// releaseWithheld publishes, on every endpoint, the prefix of the withheld
+// buffer that committed has passed. The buffer is time-ordered by
+// construction: entries are appended in execution order with nondecreasing
+// stamps (a rollback clears it wholesale), so the release is a prefix drain,
+// no sort. After a rollback the first dropLeft publishes are re-sends of
+// already-published messages: they are dropped, each verified against the
+// publish oracle.
+func (r *Runner) releaseWithheld() {
+	if !r.spec.withhold {
 		return
-	}
-	record := e.runner.spec.snapValid
-	for i := 0; i < n; i++ {
-		m := &sp.withheld[i]
-		if sp.dropLeft > 0 {
-			want := sp.pubLog[len(sp.pubLog)-sp.dropLeft]
-			if want.T != m.T || want.Sub != m.Sub {
-				panic(fmt.Sprintf("link: %s replay divergence: re-send (%v, sub %d) != published (%v, sub %d)",
-					e.label, m.T, m.Sub, want.T, want.Sub))
-			}
-			sp.dropLeft--
-			core.ReleaseMessage(m.Payload)
-			m.Payload = nil
-			continue
-		}
-		if record {
-			sp.pubLog = append(sp.pubLog, specOut{T: m.T, Sub: m.Sub})
-		}
-		e.out.push(Message{T: m.T, Kind: KindData, Sub: m.Sub, Payload: m.Payload})
-		sp.tx.Add(1)
-		if m.T > e.lastSentT {
-			e.lastSentT = m.T
-		}
-		m.Payload = nil
-	}
-	rest := copy(sp.withheld, sp.withheld[n:])
-	for i := rest; i < len(sp.withheld); i++ {
-		sp.withheld[i] = specOut{}
-	}
-	sp.withheld = sp.withheld[:rest]
-}
-
-// specBlock is the stall path: advertise the floor, try a GVT leap, and
-// otherwise wait on the limiting endpoint like blockOnLimiting. The floor
-// is raised only here — after everything runnable has run and everything
-// staged is flushed — and lowered back to committed before any new input is
-// consumed, so a concurrent leap reader never trusts a stale promise.
-func (r *Runner) specBlock() {
-	st := r.spec
-	r.flushAll()
-	f := sim.Infinity
-	if t, ok := r.sched.PeekTime(); ok {
-		f = t
 	}
 	for _, e := range r.eps {
-		if sp := e.spec; len(sp.withheld) > 0 && sp.withheld[0].T < f {
-			f = sp.withheld[0].T
+		sp := &e.spec
+		n := 0
+		for n < len(sp.withheld) && sp.withheld[n].T < r.committed {
+			n++
 		}
-	}
-	if f < st.committed {
-		f = st.committed
-	}
-	st.floor.Store(int64(f))
-	if st.dom != nil && st.dom.tryLeap(r) {
-		return
-	}
-	e, m, ok := r.awaitLimiting()
-	st.floor.Store(int64(r.specFloorLow()))
-	if ok {
-		r.handleSampled(e, m)
+		for i := 0; i < n; i++ {
+			m := &sp.withheld[i]
+			if sp.dropLeft > 0 {
+				want := sp.pubLog[len(sp.pubLog)-sp.dropLeft]
+				if want.T != m.T || want.Sub != m.Sub {
+					panic(fmt.Sprintf("link: %s replay divergence: re-send (%v, sub %d) != published (%v, sub %d)",
+						e.label, m.T, m.Sub, want.T, want.Sub))
+				}
+				sp.dropLeft--
+				core.ReleaseMessage(m.Payload)
+				continue
+			}
+			if r.spec.snapValid {
+				sp.pubLog = append(sp.pubLog, specOut{T: m.T, Sub: m.Sub})
+			}
+			e.publish(m.T, m.Sub, m.Payload)
+		}
+		if n > 0 {
+			rest := copy(sp.withheld, sp.withheld[n:])
+			clear(sp.withheld[rest:])
+			sp.withheld = sp.withheld[:rest]
+		}
 	}
 }

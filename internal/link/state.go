@@ -24,29 +24,13 @@ func (e *Endpoint) SetStart(t sim.Time) {
 }
 
 // DrainResidual consumes every message still sitting in the endpoint's
-// incoming pipe through the normal handle path. When a group run ends at
-// time T, each runner finishes (final sync at T, output closed) as soon as
-// it reaches T, without draining peers' final messages — those are the
-// residual. FIFO timestamp monotonicity plus the horizon invariant
+// incoming pipe through handle, like the run's own drain. When a group run
+// ends at time T, each runner finishes (final sync at T, output closed) as
+// soon as it reaches T, without draining peers' final messages — those are
+// the residual. FIFO timestamp monotonicity plus the horizon invariant
 // guarantee every residual data message delivers at or after T, so handling
 // them from a scheduler sitting at T never schedules into the past.
-func (e *Endpoint) DrainResidual() {
-	for {
-		m, ok, closed := e.in.tryRecv()
-		if ok {
-			e.handle(m)
-			continue
-		}
-		if closed {
-			e.peerDone = true
-			if e.runner != nil {
-				e.runner.horizonOK = false
-			}
-			return
-		}
-		return
-	}
-}
+func (e *Endpoint) DrainResidual() { e.in.drain(e.handle) }
 
 // Quiesced reports whether the incoming pipe is fully consumed. After a
 // joined group run plus DrainResidual on every endpoint, every pipe must be

@@ -11,11 +11,13 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/hostsim"
 	"repro/internal/instantiate"
+	"repro/internal/link"
 	"repro/internal/memsim"
 	"repro/internal/netsim"
 	"repro/internal/netsim/workload"
 	"repro/internal/nicsim"
 	"repro/internal/orch"
+	"repro/internal/profiler"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/snap"
@@ -222,6 +224,32 @@ func TestCheckpointClosedLoop(t *testing.T) {
 	}
 }
 
+// buildMemSplit is the split core/memory fixture: four memsim cores and one
+// memory, every component checkpointable and no aux state, so a placed
+// optimistic run of it genuinely speculates.
+func buildMemSplit() (*orch.Simulation, []*memsim.Core, *memsim.Mem) {
+	s := orch.New()
+	cores, mem := memsim.BuildSplit(s, 4, memsim.DefaultParams())
+	return s, cores, mem
+}
+
+// memSplitDigest folds the fixture's full explicit state into one value.
+func memSplitDigest(t *testing.T, cores []*memsim.Core, mem *memsim.Mem) uint64 {
+	t.Helper()
+	var e snap.Encoder
+	if err := mem.SnapshotState(&e); err != nil {
+		t.Fatalf("mem snapshot: %v", err)
+	}
+	for _, c := range cores {
+		if err := c.SnapshotState(&e); err != nil {
+			t.Fatalf("core snapshot: %v", err)
+		}
+	}
+	h := fnv.New64a()
+	h.Write(e.Bytes())
+	return h.Sum64()
+}
+
 // TestCheckpointMemsimSplit checkpoints the split core/memory build midway
 // and verifies the resumed halves reproduce the uninterrupted run's
 // transaction counts and stall accounting, sequentially and placed.
@@ -230,42 +258,22 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 		dur  = 50 * sim.Microsecond
 		half = 25 * sim.Microsecond
 	)
-	build := func() (*orch.Simulation, []*memsim.Core, *memsim.Mem) {
-		s := orch.New()
-		cores, mem := memsim.BuildSplit(s, 4, memsim.DefaultParams())
-		return s, cores, mem
-	}
-	digest := func(cores []*memsim.Core, mem *memsim.Mem) uint64 {
-		var e snap.Encoder
-		if err := mem.SnapshotState(&e); err != nil {
-			t.Fatalf("mem snapshot: %v", err)
-		}
-		for _, c := range cores {
-			if err := c.SnapshotState(&e); err != nil {
-				t.Fatalf("core snapshot: %v", err)
-			}
-		}
-		h := fnv.New64a()
-		h.Write(e.Bytes())
-		return h.Sum64()
-	}
-
-	ref, refCores, refMem := build()
+	ref, refCores, refMem := buildMemSplit()
 	refEvents := ref.RunSequential(dur).Processed()
-	refDigest := digest(refCores, refMem)
+	refDigest := memSplitDigest(t, refCores, refMem)
 
-	cs, _, _ := build()
+	cs, _, _ := buildMemSplit()
 	ck, err := cs.CheckpointSequential(half)
 	if err != nil {
 		t.Fatalf("CheckpointSequential: %v", err)
 	}
 
-	rs, rCores, rMem := build()
+	rs, rCores, rMem := buildMemSplit()
 	rSched, err := rs.ResumeSequential(ck, dur)
 	if err != nil {
 		t.Fatalf("ResumeSequential: %v", err)
 	}
-	if d := digest(rCores, rMem); d != refDigest {
+	if d := memSplitDigest(t, rCores, rMem); d != refDigest {
 		t.Fatalf("memsim sequential resume digest %#x != reference %#x", d, refDigest)
 	}
 	if got := ck.BaseEvents + rSched.Processed(); got != refEvents {
@@ -275,7 +283,7 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 	// No aux state here, so the optimistic row genuinely speculates on both
 	// sides of the checkpoint.
 	for _, m := range ckptModes {
-		cp, _, _ := build()
+		cp, _, _ := buildMemSplit()
 		o := m.opts
 		o.Capture = true
 		res, _ := execute(t, cp, decomp.PerComponent(cp.NumComponents()), half, o)
@@ -283,11 +291,11 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 			t.Fatalf("memsim %s capture differs from the sequential capture", m.name)
 		}
 
-		ps, pCores, pMem := build()
+		ps, pCores, pMem := buildMemSplit()
 		o = m.opts
 		o.Resume = ck
 		_, events := execute(t, ps, decomp.PerComponent(ps.NumComponents()), dur, o)
-		if d := digest(pCores, pMem); d != refDigest {
+		if d := memSplitDigest(t, pCores, pMem); d != refDigest {
 			t.Fatalf("memsim %s resume digest %#x != reference %#x", m.name, d, refDigest)
 		}
 		if got := ck.BaseEvents + events; got != refEvents {
@@ -295,6 +303,33 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 		}
 		if m.opts.Mode == orch.Optimistic && res.Spec.Totals().Snapshots == 0 {
 			t.Errorf("memsim optimistic capture never snapshotted: speculation did not engage")
+		}
+	}
+}
+
+// TestCheckpointProfiledRun: a profiled run posts no events of its own, so
+// under every mode it captures the very bytes the unprofiled sequential run
+// does (the profiler's closure tick used to fail capture with
+// ErrClosureEvent).
+func TestCheckpointProfiledRun(t *testing.T) {
+	const half = 25 * sim.Microsecond
+	seq, _, _ := buildMemSplit()
+	want, err := seq.CheckpointSequential(half)
+	if err != nil {
+		t.Fatalf("CheckpointSequential: %v", err)
+	}
+	for _, m := range ckptModes {
+		s, _, _ := buildMemSplit()
+		col := profiler.NewCollector()
+		s.PreRun = func(g *link.Group) { col.Attach(g, half/16) }
+		o := m.opts
+		o.Capture = true
+		res, _ := execute(t, s, decomp.PerComponent(s.NumComponents()), half, o)
+		if !bytes.Equal(res.Checkpoint.Data, want.Data) {
+			t.Fatalf("%s: profiled capture differs from the unprofiled sequential capture", m.name)
+		}
+		if len(col.Samples()) == 0 {
+			t.Fatalf("%s: profiler collected no samples", m.name)
 		}
 	}
 }

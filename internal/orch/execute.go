@@ -50,7 +50,7 @@ type RunOptions struct {
 	// past the committed horizon a group may run. The depth adapts at
 	// runtime — a rollback halves a group's working depth, clean commits
 	// earn it back — so K bounds it rather than fixing it. K = 0 never
-	// speculates; groups still run the optimistic loop for its GVT leaping.
+	// speculates; groups still join the leap domain for its GVT leaping.
 	// Ignored under the other modes.
 	K int
 	// Resume, when set, restores the checkpoint into the freshly built

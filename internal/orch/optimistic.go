@@ -21,8 +21,8 @@ import (
 // bit-identical to RunSequential for every placement, every K, and every
 // interleaving.
 //
-// The fabric half (speculation loop, straggler detection, input-log replay,
-// GVT leaping) lives in link/spec.go. This file is the orchestrator half,
+// The fabric half (the speculation steps of the runner loop, straggler
+// detection, input-log replay, GVT leaping) lives in link/spec.go. This file is the orchestrator half,
 // Execute's speculation-install phase: deciding which groups may speculate,
 // building the snapshot/restore closures over the group's components and
 // scheduler, wiring replay pool owners, and reporting what speculation did.
@@ -222,8 +222,8 @@ func (pl *ExecutionPlan) specOwners() map[core.Sink]core.Component {
 
 // specReason decides build-time eligibility for group gi: "" when every
 // member can snapshot, otherwise the reason the group must stay
-// conservative. Runtime conditions (closure events posted by the profiler,
-// payloads without codecs) are left to the fabric's demotion path.
+// conservative. Runtime conditions (a closure event pending at snapshot
+// time, payloads without codecs) are left to the fabric's demotion path.
 func (pl *ExecutionPlan) specReason(gi int) string {
 	if len(pl.s.auxs) > 0 {
 		// Aux state (workload engines, reservoirs) is simulation-global and
@@ -239,10 +239,11 @@ func (pl *ExecutionPlan) specReason(gi int) string {
 	return ""
 }
 
-// installSpec puts every runner into the optimistic loop with speculation
-// ceiling k. Groups that cannot speculate run the same loop conservatively
-// (with GVT leaping) and are reported with their reason — a plan with no
-// eligible group still runs, it just never speculates. Call after wire.
+// installSpec arms every runner's loop for optimistic execution with
+// speculation ceiling k and joins them into one leap domain. Groups that
+// cannot speculate run at depth 0 (GVT leaping only) and are reported with
+// their reason — a plan with no eligible group still runs, it just never
+// speculates. Call after wire.
 func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Runner, k int) {
 	s := pl.s
 	owners := pl.specOwners()

@@ -16,7 +16,7 @@ import (
 // Optimistic mode, over the same done-events loop as the placement and
 // parallel suites so BENCH_placement.json compares all three modes in
 // one unit. Each benchmark sweeps GOMAXPROCS 1/2/4 as P1/P2/P4
-// sub-benchmarks and reports an xspeedup metric — the conservative parallel
+// sub-benchmarks (levels the machine has no CPUs for skip) and reports an xspeedup metric — the conservative parallel
 // executor's ns/event on the identical graph and placement, measured once
 // per (benchmark, procs) pair, divided by the optimistic ns/event — so every
 // data point carries its own baseline regardless of which benchmarks ran.
@@ -30,6 +30,22 @@ import (
 
 // specProcs are the GOMAXPROCS levels every optimistic benchmark sweeps.
 var specProcs = []int{1, 2, 4}
+
+// sweepProcs runs fn as a P<n> sub-benchmark at each GOMAXPROCS level of
+// specProcs. A level above the machine's CPU count skips: its runner threads
+// would time-share cores, and the ledger would record that oversubscription
+// as if it were a scaling point.
+func sweepProcs(b *testing.B, fn func(b *testing.B, procs int)) {
+	for _, procs := range specProcs {
+		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
+			if n := runtime.NumCPU(); procs > n {
+				b.Skipf("GOMAXPROCS %d on %d CPUs measures oversubscription, not scaling", procs, n)
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(b, procs)
+		})
+	}
+}
 
 // specRefMinEvents sizes the conservative baseline measurement.
 const specRefMinEvents = 2000
@@ -59,26 +75,22 @@ func parallelRefNs(b *testing.B, key string,
 // optimistic executions until b.N events have been processed.
 func benchOptimistic(b *testing.B, name string,
 	build func() (*orch.Simulation, []*specChatter), p decomp.Placement) {
-	for _, procs := range specProcs {
-		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			ref := parallelRefNs(b, fmt.Sprintf("%s/P%d", name, procs), build, p)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var done uint64
-			start := time.Now()
-			for done < uint64(b.N) {
-				s, _ := build()
-				_, events := execute(b, s, p, benchEnd,
-					orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows})
-				done += events
-			}
-			if ns := float64(time.Since(start).Nanoseconds()) / float64(done); ns > 0 {
-				b.ReportMetric(ref/ns, "xspeedup")
-			}
-		})
-	}
+	sweepProcs(b, func(b *testing.B, procs int) {
+		ref := parallelRefNs(b, fmt.Sprintf("%s/P%d", name, procs), build, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var done uint64
+		start := time.Now()
+		for done < uint64(b.N) {
+			s, _ := build()
+			_, events := execute(b, s, p, benchEnd,
+				orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows})
+			done += events
+		}
+		if ns := float64(time.Since(start).Nanoseconds()) / float64(done); ns > 0 {
+			b.ReportMetric(ref/ns, "xspeedup")
+		}
+	})
 }
 
 // benchParallelRef mirrors benchOptimistic with the conservative parallel
@@ -86,19 +98,15 @@ func benchOptimistic(b *testing.B, name string,
 // procs level.
 func benchParallelRef(b *testing.B,
 	build func() (*orch.Simulation, []*specChatter), p decomp.Placement) {
-	for _, procs := range specProcs {
-		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			b.ReportAllocs()
-			var done uint64
-			for done < uint64(b.N) {
-				s, _ := build()
-				_, events := execute(b, s, p, benchEnd, orch.RunOptions{Mode: orch.Parallel})
-				done += events
-			}
-		})
-	}
+	sweepProcs(b, func(b *testing.B, _ int) {
+		b.ReportAllocs()
+		var done uint64
+		for done < uint64(b.N) {
+			s, _ := build()
+			_, events := execute(b, s, p, benchEnd, orch.RunOptions{Mode: orch.Parallel})
+			done += events
+		}
+	})
 }
 
 // buildSpecSyncLight is buildSyncLight with checkpointable components: two

@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decomp"
+	"repro/internal/link"
 	"repro/internal/netsim"
 	"repro/internal/orch"
+	"repro/internal/profiler"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/snap"
@@ -461,6 +463,56 @@ func TestOptimisticFramesDrained(t *testing.T) {
 	}
 	if rep.Totals().Snapshots == 0 {
 		t.Error("netsim groups never snapshotted: speculation did not engage")
+	}
+}
+
+// TestOptimisticProfiledStillSpeculates: the profiler samples from the
+// runner's OnAdvance hook and posts no scheduler events, so attaching it to
+// an optimistic run costs the run nothing it can observe — no group demotes
+// (a closure tick in the queue used to fail every snapshot), snapshots are
+// taken, and digest and event count equal the unprofiled sequential run's.
+// Samples carry the committed clock, so each runner's are nondecreasing in
+// virtual time however far it speculated; and the same profiled run
+// captures a checkpoint.
+func TestOptimisticProfiledStillSpeculates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
+	const dur = 50 * sim.Microsecond
+
+	ref, refCores, refMem := buildMemSplit()
+	refEvents := ref.RunSequential(dur).Processed()
+	refDigest := memSplitDigest(t, refCores, refMem)
+
+	s, cores, mem := buildMemSplit()
+	col := profiler.NewCollector()
+	s.PreRun = func(g *link.Group) { col.Attach(g, dur/32) }
+	res, events := execute(t, s, decomp.PerComponent(s.NumComponents()), dur,
+		orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows, Capture: true})
+	for _, g := range res.Spec.Groups {
+		if g.Conservative != "" {
+			t.Errorf("profiled group %s demoted: %s", g.Group, g.Conservative)
+		}
+	}
+	if res.Spec.Totals().Snapshots == 0 {
+		t.Error("profiled run never snapshotted: speculation did not engage")
+	}
+	if d := memSplitDigest(t, cores, mem); d != refDigest || events != refEvents {
+		t.Fatalf("profiled run: digest %#x, %d events; sequential %#x, %d", d, events, refDigest, refEvents)
+	}
+	if res.Checkpoint == nil {
+		t.Fatal("profiled run captured no checkpoint")
+	}
+	last := make(map[string]sim.Time)
+	for _, sm := range col.Samples() {
+		if !sm.SpecActive {
+			t.Fatalf("sample of %s at %v not marked speculative", sm.Sim, sm.Virt)
+		}
+		if sm.Virt < last[sm.Sim] {
+			t.Fatalf("%s sampled at %v after %v", sm.Sim, sm.Virt, last[sm.Sim])
+		}
+		last[sm.Sim] = sm.Virt
+	}
+	if len(last) != s.NumComponents() {
+		t.Fatalf("samples cover %d runners, want %d", len(last), s.NumComponents())
 	}
 }
 

@@ -143,11 +143,4 @@ func (a *Analysis) String() string {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 var _ = sim.Second

@@ -74,44 +74,48 @@ type Collector struct {
 // NewCollector creates an empty collector.
 func NewCollector() *Collector { return &Collector{start: time.Now()} }
 
-// Attach schedules periodic sampling (every interval of virtual time) on
-// every runner in the group. Call from orch.Simulation.PreRun, i.e. after
-// wiring and before execution. Samples are appended from each runner's own
-// goroutine, so in a coupled run many runners sample concurrently; a small
-// critical section guards the shared slice.
+// Attach samples every runner in the group once per interval of virtual
+// time. Call from orch.Simulation.PreRun, i.e. after wiring and before
+// execution. Sampling rides the runner's OnAdvance hook — one sample when
+// the committed clock crosses the next interval boundary, stamped with the
+// committed time, never a speculative one — so profiling posts no scheduler
+// events: event counts, snapshots, rollbacks and checkpoints are the same
+// as in an unprofiled run. A runner whose committed clock steps over several
+// boundaries at once (a batched window or GVT leap longer than interval)
+// yields one sample for the step. Samples are appended from each runner's
+// own goroutine, so in a coupled run many runners sample concurrently; a
+// small critical section guards the shared slice.
 func (c *Collector) Attach(g *link.Group, interval sim.Time) {
 	for _, r := range g.Runners {
-		r := r
-		var tick func()
-		tick = func() {
-			s := Sample{
-				Sim:    r.Name(),
-				WallNs: uint64(time.Since(c.start).Nanoseconds()),
-				Virt:   r.Scheduler().Now(),
+		next := r.Scheduler().Now() + interval
+		r.OnAdvance = func(committed sim.Time) {
+			if committed < next {
+				return
 			}
-			for _, comp := range r.Components() {
-				if fp, ok := comp.(core.FramePooler); ok {
-					s.Frames += fp.FrameStats().Live
-				}
-			}
-			if cnt, _, active := r.SpecStats(); active {
-				s.SpecActive = true
-				s.Spec = cnt
-			}
-			for _, e := range r.Endpoints() {
-				s.Adapters = append(s.Adapters, AdapterSample{
-					Label:    e.Label(),
-					Peer:     e.PeerRunnerName(),
-					Counters: e.Stats,
-				})
-			}
-			c.mu.Lock()
-			c.samples = append(c.samples, s)
-			c.mu.Unlock()
-			r.Scheduler().PostSrc(r.Scheduler().Now()+interval, -1, tick)
+			next += (committed-next)/interval*interval + interval
+			c.sample(r, committed)
 		}
-		r.Scheduler().PostSrc(interval, -1, tick)
 	}
+}
+
+// sample records r's counters at virtual time virt; call from r's own
+// goroutine.
+func (c *Collector) sample(r *link.Runner, virt sim.Time) {
+	s := Sample{Sim: r.Name(), WallNs: uint64(time.Since(c.start).Nanoseconds()), Virt: virt}
+	for _, comp := range r.Components() {
+		if fp, ok := comp.(core.FramePooler); ok {
+			s.Frames += fp.FrameStats().Live
+		}
+	}
+	s.Spec, _, s.SpecActive = r.SpecStats()
+	for _, e := range r.Endpoints() {
+		s.Adapters = append(s.Adapters, AdapterSample{
+			Label:    e.Label(),
+			Peer:     e.PeerRunnerName(),
+			Counters: e.Stats,
+		})
+	}
+	c.Add(s)
 }
 
 // Samples returns everything collected so far. Call after the run ends.
