@@ -6,11 +6,12 @@
 # parallel pacing, speculation, checkpoint capture and restore; `make e2e`
 # vets and tests the end-to-end benchmark module, which the root module's
 # build and tests do not reach; `make bench` refreshes the committed
-# benchmark baselines.
+# benchmark baselines; `make loc` prints the per-package code-line table
+# simplicity PRs report before and after.
 
 GO ?= go
 
-.PHONY: check build vet test race chaos exec scale e2e bench all
+.PHONY: check build vet test race chaos exec scale e2e bench loc all
 
 all: check race
 
@@ -44,7 +45,7 @@ exec:
 # Fault-injection suite: supervised transport under connection kills,
 # garbles, and delays, with goroutine-leak accounting — raced.
 chaos:
-	$(GO) test -race -run 'TestSupervised|TestSupervisor|TestPump|TestServe|TestDistributed' \
+	$(GO) test -race -run 'TestSupervised|TestSupervisor|TestDistributed' \
 		./internal/proxy/ ./internal/orch/
 
 # Datacenter-fabric smoke: a small prefix-routed Clos must build, route,
@@ -64,3 +65,7 @@ e2e:
 
 bench:
 	sh scripts/bench.sh
+
+# Non-test, non-comment, non-blank Go lines per package.
+loc:
+	@sh scripts/loc.sh

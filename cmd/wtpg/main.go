@@ -35,7 +35,7 @@ func main() {
 		in = f
 	}
 
-	samples, err := profiler.ParseLog(in)
+	samples, _, err := profiler.ParseLog(in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parse: %v\n", err)
 		os.Exit(1)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,13 +11,17 @@ import (
 // TestLogPipeline exercises the parse→analyze→render path the tool wraps,
 // on a synthetic log in the exact on-disk format.
 func TestLogPipeline(t *testing.T) {
+	line := func(sim, peer, ep string, wallVirt, wait, proc, data, sync uint64) string {
+		return fmt.Sprintf(`splitsim-prof {"sample":{"sim":%q,"wall":%d,"virt":%d,"adapters":[{"ep":%q,"peer":%q,"wait":%d,"proc":%d,"txd":%d,"txs":%d,"rxd":%d,"rxs":%d}]}}`,
+			sim, wallVirt, wallVirt*1000, ep, peer, wait, proc, data, sync, data, sync)
+	}
 	log := strings.Join([]string{
-		"splitsim-prof sim=net wall=0 virt=0 ep=x.a peer=host wait=0 proc=0 txd=0 txs=0 rxd=0 rxs=0",
-		"splitsim-prof sim=host wall=0 virt=0 ep=x.b peer=net wait=0 proc=0 txd=0 txs=0 rxd=0 rxs=0",
-		"splitsim-prof sim=net wall=1000000 virt=1000000000 ep=x.a peer=host wait=900000 proc=1000 txd=5 txs=10 rxd=5 rxs=10",
-		"splitsim-prof sim=host wall=1000000 virt=1000000000 ep=x.b peer=net wait=10000 proc=1000 txd=5 txs=10 rxd=5 rxs=10",
+		line("net", "host", "x.a", 0, 0, 0, 0, 0),
+		line("host", "net", "x.b", 0, 0, 0, 0, 0),
+		line("net", "host", "x.a", 1000000, 900000, 1000, 5, 10),
+		line("host", "net", "x.b", 1000000, 10000, 1000, 5, 10),
 	}, "\n")
-	samples, err := profiler.ParseLog(strings.NewReader(log))
+	samples, _, err := profiler.ParseLog(strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -336,9 +336,6 @@ func (h *Host) Output(f *proto.Frame) { h.sendFrame(f, false, nil) }
 // frame pool.
 func (h *Host) NewFrame() *proto.Frame { return h.pool.Get() }
 
-// Post implements tcpstack.Transport's cheap timer primitive.
-func (h *Host) Post(d sim.Time, fn func()) { h.env.Post(h.env.Now()+d, fn) }
-
 // PostRTO implements tcpstack.Transport. Detailed hosts are not checkpoint
 // targets, so a plain closure firing suffices here.
 func (h *Host) PostRTO(c *tcpstack.Conn, d sim.Time) { h.env.Post(h.env.Now()+d, c.RTOFire) }

@@ -138,8 +138,11 @@ func (e *Endpoint) publish(t sim.Time, sub uint16, payload core.Message) {
 	}
 }
 
-// SubPort returns a core.Port bound to one sub-channel of this endpoint —
-// the trunk-adapter upper-layer view.
+// SubPort returns a core.Port bound to one sub-channel of this endpoint. This
+// is the paper's trunk adapter: several logical links share one synchronized
+// channel and pay its synchronization cost once; messages carry the
+// sub-channel id and the receiver demultiplexes them to the sinks SetSink
+// registered.
 func (e *Endpoint) SubPort(sub uint16) core.Port { return subPort{e: e, sub: sub} }
 
 type subPort struct {

@@ -40,26 +40,3 @@ func (p *DirectPort) Send(payload core.Message) {
 	// slot, so sequential-mode message delivery allocates nothing.
 	p.sched.PostDelivery(at, p.src, p.sink, payload)
 }
-
-// Trunk is the paper's trunk adapter: it multiplexes several upper-layer
-// logical channels over one synchronized channel, paying the per-channel
-// synchronization cost once instead of once per logical link. Messages are
-// tagged with a sub-channel identifier and demultiplexed at the receiver.
-type Trunk struct {
-	e *Endpoint
-}
-
-// NewTrunk wraps an endpoint as a trunk adapter.
-func NewTrunk(e *Endpoint) *Trunk { return &Trunk{e: e} }
-
-// Endpoint returns the underlying synchronized endpoint.
-func (t *Trunk) Endpoint() *Endpoint { return t.e }
-
-// Port returns the outgoing port for logical sub-channel sub.
-func (t *Trunk) Port(sub uint16) core.Port { return t.e.SubPort(sub) }
-
-// Bind registers the receiving sink for logical sub-channel sub with the
-// given event-ordering source.
-func (t *Trunk) Bind(sub uint16, srcID int32, sink core.Sink) {
-	t.e.SetSink(sub, srcID, sink)
-}

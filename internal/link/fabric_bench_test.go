@@ -43,29 +43,8 @@ func BenchmarkFabricBatchPublishDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricTryRecvAll measures the copying bulk drain with scratch
-// reuse (the API consumers outside the runner hot path use).
-func BenchmarkFabricTryRecvAll(b *testing.B) {
-	p := newPipe()
-	b.ReportAllocs()
-	var scratch []Message
-	const batch = 32
-	for n := 0; n < b.N; n += batch {
-		for i := 0; i < batch; i++ {
-			p.push(Message{T: sim.Time(n + i), Kind: KindSync})
-		}
-		p.flush()
-		out, _ := p.tryRecvAll(scratch)
-		if len(out) != batch {
-			b.Fatalf("drained %d, want %d", len(out), batch)
-		}
-		clear(out)
-		scratch = out
-	}
-}
-
 // BenchmarkFabricStream pushes messages through the ring between two real
-// goroutines, the consumer using blocking recv: the steady-state cost of a
+// goroutines, the consumer using blocking recvAdaptive: the steady-state cost of a
 // producer that stays ahead, including segment recycling and the parked
 // gate on both edges of the stream.
 func BenchmarkFabricStream(b *testing.B) {
@@ -75,7 +54,7 @@ func BenchmarkFabricStream(b *testing.B) {
 	go func() {
 		defer close(done)
 		for {
-			if _, ok, closed := p.recv(); !ok {
+			if _, ok, closed := p.recvAdaptive(); !ok {
 				if closed {
 					return
 				}
@@ -101,7 +80,7 @@ func BenchmarkFabricPingPong(b *testing.B) {
 	b.ReportAllocs()
 	go func() {
 		for {
-			m, ok, _ := ab.recv()
+			m, ok, _ := ab.recvAdaptive()
 			if !ok {
 				ba.close()
 				return
@@ -111,7 +90,7 @@ func BenchmarkFabricPingPong(b *testing.B) {
 	}()
 	for i := 0; i < b.N; i++ {
 		ab.send(Message{T: sim.Time(i), Kind: KindSync})
-		if _, ok, _ := ba.recv(); !ok {
+		if _, ok, _ := ba.recvAdaptive(); !ok {
 			b.Fatal("echo lost")
 		}
 	}

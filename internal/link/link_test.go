@@ -157,20 +157,19 @@ func TestTrunkMultiplexing(t *testing.T) {
 	ra.Attach(ch.SideA())
 	rb.Attach(ch.SideB())
 
-	ta := NewTrunk(ch.SideA())
-	tb := NewTrunk(ch.SideB())
+	ta, tb := ch.SideA(), ch.SideB()
 	const nSub = 4
 	senders := make([]*pinger, nSub)
 	receivers := make([]*pinger, nSub)
 	for i := 0; i < nSub; i++ {
 		senders[i] = &pinger{
 			name:     fmt.Sprintf("s%d", i),
-			port:     ta.Port(uint16(i)),
+			port:     ta.SubPort(uint16(i)),
 			interval: sim.Time(100+i*10) * sim.Nanosecond,
 		}
 		receivers[i] = &pinger{name: fmt.Sprintf("r%d", i), interval: sim.Infinity}
-		tb.Bind(uint16(i), int32(200+i), receivers[i])
-		ta.Bind(uint16(i), int32(300+i), receivers[i]) // unused direction
+		tb.SetSink(uint16(i), int32(200+i), receivers[i])
+		ta.SetSink(uint16(i), int32(300+i), receivers[i]) // unused direction
 		ra.AddComponent(senders[i], int32(20+i))
 	}
 	g := &Group{}
@@ -301,14 +300,14 @@ func TestPipeClose(t *testing.T) {
 	p := newPipe()
 	p.send(Message{T: 1})
 	p.close()
-	if m, ok, closed := p.recv(); !ok || closed || m.T != 1 {
+	if m, ok, closed := p.recvAdaptive(); !ok || closed || m.T != 1 {
 		t.Fatalf("recv after close should drain buffered first: %v %v %v", m, ok, closed)
 	}
-	if _, ok, closed := p.recv(); ok || !closed {
+	if _, ok, closed := p.recvAdaptive(); ok || !closed {
 		t.Fatal("drained closed pipe should report closed")
 	}
-	if p.len() != 0 {
-		t.Fatal("len != 0")
+	if !p.empty() {
+		t.Fatal("drained pipe not empty")
 	}
 }
 

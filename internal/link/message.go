@@ -67,13 +67,13 @@ func msgCount(payload core.Message) uint64 {
 // runner's scheduler or after Group.Run returns, which happens-after every
 // runner goroutine exits. TestParallelProfilingRace holds this to -race.
 type Counters struct {
-	WaitNanos uint64 // blocked waiting for the peer's sync/data
-	ProcNanos uint64 // spent handling incoming messages
-	PeakDepth uint64 // max incoming queue depth seen (messages)
-	TxData    uint64
-	TxSync    uint64
-	RxData    uint64
-	RxSync    uint64
+	WaitNanos uint64 `json:"wait"`  // blocked waiting for the peer's sync/data
+	ProcNanos uint64 `json:"proc"`  // spent handling incoming messages
+	PeakDepth uint64 `json:"depth"` // max incoming queue depth seen (messages)
+	TxData    uint64 `json:"txd"`
+	TxSync    uint64 `json:"txs"`
+	RxData    uint64 `json:"rxd"`
+	RxSync    uint64 `json:"rxs"`
 }
 
 // Add accumulates o into c. PeakDepth sums like the rest: a runner's total

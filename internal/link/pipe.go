@@ -76,10 +76,10 @@ type pipe struct {
 
 	// Shared. tail/peak are producer-written, head consumer-written;
 	// closed/intr/parked/spare/wake are the control plane.
-	tail atomic.Uint64 // published message count
-	_    [7]uint64
-	head atomic.Uint64 // consumed message count
-	_    [7]uint64
+	tail   atomic.Uint64 // published message count
+	_      [7]uint64
+	head   atomic.Uint64 // consumed message count
+	_      [7]uint64
 	peak   atomic.Uint64 // max (written - head) observed at publish
 	closed atomic.Bool
 	intr   atomic.Bool
@@ -212,45 +212,6 @@ func (p *pipe) tryRecv() (m Message, ok, closed bool) {
 	return Message{}, false, false
 }
 
-// tryRecvAll dequeues every published message in bulk, appending into
-// scratch (the batch a previous call returned, cleared by the caller). The
-// returned batch is owned by the caller until it hands the slice back as
-// scratch; closed reports — only when the batch is empty — that no message
-// will ever arrive again. This is the coupled-run drain path: one atomic
-// load and a few segment memcpys per batch instead of synchronization per
-// message.
-func (p *pipe) tryRecvAll(scratch []Message) (batch []Message, closed bool) {
-	batch = scratch[:0]
-	avail := p.tail.Load() - p.consumed
-	if avail == 0 {
-		if !p.closed.Load() {
-			return batch, false
-		}
-		avail = p.tail.Load() - p.consumed // final publish precedes close
-		if avail == 0 {
-			return batch, true
-		}
-	}
-	for avail > 0 {
-		c := p.consChunk
-		idx := int(p.consumed & chunkMask)
-		n := chunkSize - idx
-		if uint64(n) > avail {
-			n = int(avail)
-		}
-		batch = append(batch, c.msgs[idx:idx+n]...)
-		clear(c.msgs[idx : idx+n])
-		p.consumed += uint64(n)
-		avail -= uint64(n)
-		if p.consumed&chunkMask == 0 {
-			p.advanceChunk(c)
-		}
-	}
-	p.tailCache = p.consumed
-	p.head.Store(p.consumed)
-	return batch, false
-}
-
 // empty reports whether no published message is pending. Consumer side
 // only: it compares against the consumer's own position.
 func (p *pipe) empty() bool {
@@ -258,11 +219,11 @@ func (p *pipe) empty() bool {
 }
 
 // drain consumes every published message in place, invoking fn on each
-// straight out of its ring slot — the coupled-run drain path, like
-// tryRecvAll but without copying the batch out of the ring first. n
-// reports how many messages were consumed; closed reports — only when n
-// is 0 — that no message will ever arrive again. Consumer side only; fn
-// must not touch this pipe's consumer side.
+// straight out of its ring slot — the coupled-run drain path: one atomic
+// load per batch instead of synchronization per message, and nothing is
+// copied out of the ring. n reports how many messages were consumed; closed
+// reports — only when n is 0 — that no message will ever arrive again.
+// Consumer side only; fn must not touch this pipe's consumer side.
 func (p *pipe) drain(fn func(Message)) (n int, closed bool) {
 	avail := p.tail.Load() - p.consumed
 	if avail == 0 {
@@ -333,8 +294,8 @@ func spinParams(procs int) (spins, yields int) {
 }
 
 // recvAdaptive dequeues, blocking until a message arrives or the pipe is
-// closed and drained — like recv, but with the spin-then-park discipline
-// above instead of parking on first emptiness. Consumer side only.
+// closed and drained, with the spin-then-park discipline above instead of
+// parking on first emptiness. Consumer side only.
 func (p *pipe) recvAdaptive() (m Message, ok, closed bool) {
 	spins, yields := spinParams(runtime.GOMAXPROCS(0))
 	for i := 0; ; i++ {
@@ -374,23 +335,6 @@ func (p *pipe) park(interruptible bool) {
 	p.parked.Store(0)
 }
 
-// recv dequeues, blocking until a message arrives or the pipe is closed and
-// drained.
-func (p *pipe) recv() (m Message, ok, closed bool) {
-	for {
-		if m, ok := p.pop(); ok {
-			return m, true, false
-		}
-		if p.closed.Load() {
-			if m, ok := p.pop(); ok {
-				return m, true, false
-			}
-			return Message{}, false, true
-		}
-		p.park(false)
-	}
-}
-
 // interrupt permanently wakes receivers blocked in recvInterruptible. The
 // flag is sticky: once set, recvInterruptible never blocks again, though it
 // still drains messages already queued. The transport layer uses this to
@@ -405,9 +349,10 @@ func (p *pipe) interrupt() {
 	}
 }
 
-// recvInterruptible behaves like recv but additionally returns intr=true
-// (with ok=false, closed=false) once interrupt was called and no queued
-// message remains.
+// recvInterruptible dequeues, parking as soon as the pipe is empty, until a
+// message arrives, the pipe is closed and drained, or — intr=true with
+// ok=false, closed=false — interrupt was called and no queued message
+// remains.
 func (p *pipe) recvInterruptible() (m Message, ok, closed, intr bool) {
 	for {
 		if m, ok := p.pop(); ok {
@@ -435,13 +380,6 @@ func (p *pipe) close() {
 	case p.wake <- struct{}{}:
 	default:
 	}
-}
-
-// len reports the number of published, unconsumed messages. Staged-but-
-// unflushed messages are not counted: they are not yet visible to the
-// consumer.
-func (p *pipe) len() int {
-	return int(p.tail.Load() - p.head.Load())
 }
 
 // peakDepth reports the maximum queue depth ever observed at publication

@@ -9,8 +9,9 @@ import (
 // FuzzPipe drives one pipe through an arbitrary operation sequence decoded
 // from the fuzz input and checks it against a trivial model: a slice plus a
 // published-watermark and a closed flag. Every consumer path (tryRecv,
-// tryRecvAll, drain, recv on a closed pipe) must observe exactly the
-// published prefix of the pushed sequence, in order.
+// drain, recvAdaptive where it cannot block, recvInterruptible on a closed
+// pipe) must observe exactly the published prefix of the pushed sequence, in
+// order.
 func FuzzPipe(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 3, 4, 0, 1, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 4, 4, 4, 4})
@@ -54,16 +55,15 @@ func FuzzPipe(f *testing.F) {
 				} else if cl != (closed && read == len(model)) {
 					t.Fatalf("tryRecv closed=%v, want %v", cl, closed && read == len(model))
 				}
-			case 3: // tryRecvAll
-				batch, cl := p.tryRecvAll(nil)
-				for _, m := range batch {
-					expect(m, "tryRecvAll")
+			case 3: // recvAdaptive, where a message or the close is there to return
+				if read == published && !closed {
+					continue
 				}
-				if len(batch) == 0 && read < published {
-					t.Fatal("tryRecvAll empty with published messages pending")
-				}
-				if cl != (len(batch) == 0 && closed && read == len(model)) {
-					t.Fatalf("tryRecvAll closed=%v unexpectedly", cl)
+				m, ok, cl := p.recvAdaptive()
+				if ok {
+					expect(m, "recvAdaptive")
+				} else if !cl || read < published {
+					t.Fatalf("recvAdaptive ok=false closed=%v with %d published messages pending", cl, published-read)
 				}
 			case 4: // drain
 				n, cl := p.drain(func(m Message) { expect(m, "drain") })
@@ -80,8 +80,8 @@ func FuzzPipe(f *testing.F) {
 					published = len(model)
 				}
 			}
-			if got, want := p.len(), published-read; got != want {
-				t.Fatalf("len=%d, want %d (published=%d read=%d)", got, want, published, read)
+			if got, want := p.empty(), published == read; got != want {
+				t.Fatalf("empty=%v, want %v (published=%d read=%d)", got, want, published, read)
 			}
 		}
 
@@ -89,14 +89,14 @@ func FuzzPipe(f *testing.F) {
 		p.close()
 		published = len(model)
 		for {
-			m, ok, cl := p.recv()
+			m, ok, cl, _ := p.recvInterruptible()
 			if !ok {
 				if !cl {
-					t.Fatal("recv !ok without closed on a closed pipe")
+					t.Fatal("recvInterruptible !ok without closed on a closed pipe")
 				}
 				break
 			}
-			expect(m, "final recv")
+			expect(m, "final recvInterruptible")
 		}
 		if read != len(model) {
 			t.Fatalf("consumed %d of %d pushed messages", read, len(model))

@@ -12,6 +12,18 @@ import (
 // under the race detector. The single-goroutine FIFO semantics are covered
 // by pipe_test.go and FuzzPipe.
 
+// recvModes are the consumer's receive paths the tests below sweep; blocking
+// puts the two blocking ones under one signature.
+var recvModes = []string{"recvAdaptive", "recvInterruptible", "drain"}
+
+func blocking(mode string, p *pipe) (m Message, ok, closed bool) {
+	if mode == "recvAdaptive" {
+		return p.recvAdaptive()
+	}
+	m, ok, closed, _ = p.recvInterruptible()
+	return m, ok, closed
+}
+
 // TestPipeStressProducerConsumer streams a large message sequence through
 // one pipe with a real producer and consumer goroutine, the producer
 // staging batches of varying size before publishing. The consumer mixes
@@ -39,11 +51,10 @@ func TestPipeStressProducerConsumer(t *testing.T) {
 		}
 		next++
 	}
-	var scratch []Message
-	for mode := 0; ; mode = (mode + 1) % 3 {
-		switch mode {
-		case 0:
-			m, ok, closed := p.recv()
+	for i := 0; ; i++ {
+		switch mode := recvModes[i%len(recvModes)]; mode {
+		case "recvAdaptive", "recvInterruptible":
+			m, ok, closed := blocking(mode, p)
 			if !ok {
 				if !closed {
 					t.Fatal("recv returned !ok without closed")
@@ -54,15 +65,7 @@ func TestPipeStressProducerConsumer(t *testing.T) {
 				return
 			}
 			check(m)
-		case 1:
-			var batch []Message
-			batch, _ = p.tryRecvAll(scratch)
-			for _, m := range batch {
-				check(m)
-			}
-			clear(batch)
-			scratch = batch
-		case 2:
+		case "drain":
 			if _, closed := p.drain(check); closed && next == total {
 				return
 			}
@@ -77,7 +80,7 @@ func TestPipeStressProducerConsumer(t *testing.T) {
 // while published and staged messages are still queued: the consumer must
 // drain every message before seeing end-of-stream, in every receive mode.
 func TestPipeCloseWhileNonEmpty(t *testing.T) {
-	for _, mode := range []string{"recv", "tryRecvAll", "drain"} {
+	for _, mode := range recvModes {
 		t.Run(mode, func(t *testing.T) {
 			const n = 2*chunkSize + 11
 			p := newPipe()
@@ -96,8 +99,8 @@ func TestPipeCloseWhileNonEmpty(t *testing.T) {
 			got := 0
 			for {
 				switch mode {
-				case "recv":
-					m, ok, closed := p.recv()
+				case "recvAdaptive", "recvInterruptible":
+					m, ok, closed := blocking(mode, p)
 					if !ok {
 						if !closed {
 							t.Fatal("!ok without closed")
@@ -111,15 +114,6 @@ func TestPipeCloseWhileNonEmpty(t *testing.T) {
 						t.Fatalf("message %d has T=%v", got, m.T)
 					}
 					got++
-				case "tryRecvAll":
-					batch, closed := p.tryRecvAll(nil)
-					got += len(batch)
-					if closed {
-						if got != n {
-							t.Fatalf("got %d messages before close, want %d", got, n)
-						}
-						return
-					}
 				case "drain":
 					k, closed := p.drain(func(Message) {})
 					got += k
@@ -144,7 +138,7 @@ func TestPipeParkWakeRace(t *testing.T) {
 	ab, ba := newPipe(), newPipe()
 	go func() {
 		for i := 0; i < rounds; i++ {
-			m, ok, _ := ab.recv()
+			m, ok, _ := ab.recvAdaptive()
 			if !ok {
 				return
 			}
@@ -154,7 +148,7 @@ func TestPipeParkWakeRace(t *testing.T) {
 	}()
 	for i := 0; i < rounds; i++ {
 		ab.send(Message{T: sim.Time(i), Kind: KindSync})
-		m, ok, closed := ba.recv()
+		m, ok, closed := ba.recvAdaptive()
 		if !ok || closed {
 			t.Fatalf("round %d: ok=%v closed=%v", i, ok, closed)
 		}
@@ -196,7 +190,7 @@ func TestPipeInterruptSticky(t *testing.T) {
 	// Interrupting concurrently with close stays safe and close wins for
 	// plain recv.
 	p.close()
-	if _, ok, closed := p.recv(); ok || !closed {
+	if _, ok, closed := p.recvAdaptive(); ok || !closed {
 		t.Fatal("recv after close: want closed")
 	}
 }

@@ -6,6 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
+// drainBatch collects what one drain pass consumes.
+func drainBatch(p *pipe) (batch []Message, closed bool) {
+	_, closed = p.drain(func(m Message) { batch = append(batch, m) })
+	return batch, closed
+}
+
 // TestPipeBoundedUnderProducerLead holds the queue at a constant depth while
 // streaming many messages through: the consumer never fully drains. The
 // segmented ring must keep recycling consumed segments back to the producer,
@@ -24,9 +30,6 @@ func TestPipeBoundedUnderProducerLead(t *testing.T) {
 			t.Fatal("queue unexpectedly empty")
 		}
 	}
-	if got := p.len(); got != depth {
-		t.Fatalf("queue depth = %d, want %d", got, depth)
-	}
 	// A depth-100 queue fits in one segment; with recycling the producer
 	// should never need more than a few segments in flight, no matter how
 	// many messages ever passed through.
@@ -35,6 +38,9 @@ func TestPipeBoundedUnderProducerLead(t *testing.T) {
 	}
 	if pk := p.peakDepth(); pk < depth || pk > depth+1 {
 		t.Fatalf("peak depth = %d, want ~%d", pk, depth)
+	}
+	if got, _ := p.drain(func(Message) {}); got != depth {
+		t.Fatalf("queue depth = %d, want %d", got, depth)
 	}
 }
 
@@ -53,7 +59,7 @@ func TestPipeChunkBoundary(t *testing.T) {
 			t.Fatalf("tryRecv #%d: ok=%v T=%v", i, ok, m.T)
 		}
 	}
-	batch, closed := p.tryRecvAll(nil)
+	batch, closed := drainBatch(p)
 	if closed || len(batch) != total-total/2 {
 		t.Fatalf("batch len=%d closed=%v, want %d,false", len(batch), closed, total-total/2)
 	}
@@ -62,8 +68,8 @@ func TestPipeChunkBoundary(t *testing.T) {
 			t.Fatalf("batch[%d].T = %v, want %v", i, m.T, sim.Time(total/2+i))
 		}
 	}
-	if p.len() != 0 {
-		t.Fatalf("pipe should be empty, len=%d", p.len())
+	if !p.empty() {
+		t.Fatal("pipe should be empty")
 	}
 }
 
@@ -74,35 +80,32 @@ func TestPipeStagedNotVisibleUntilFlush(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.push(Message{T: sim.Time(i), Kind: KindSync})
 	}
-	if p.len() != 0 {
-		t.Fatalf("staged messages already visible: len=%d", p.len())
+	if !p.empty() {
+		t.Fatal("staged messages already visible")
 	}
 	if _, ok, _ := p.tryRecv(); ok {
 		t.Fatal("tryRecv saw a staged message before flush")
 	}
 	p.flush()
-	if p.len() != 5 {
-		t.Fatalf("after flush len=%d, want 5", p.len())
-	}
-	batch, _ := p.tryRecvAll(nil)
+	batch, _ := drainBatch(p)
 	if len(batch) != 5 || batch[0].T != 0 || batch[4].T != 4 {
 		t.Fatalf("batch after flush: %v", batch)
 	}
 	// Flush with nothing staged is a no-op.
 	p.flush()
-	if p.len() != 0 {
+	if !p.empty() {
 		t.Fatal("empty flush published something")
 	}
 }
 
-// TestPipeTryRecvAll covers the batched drain path: ordering, scratch
-// reuse, and the closed signal.
-func TestPipeTryRecvAll(t *testing.T) {
+// TestPipeDrain covers the in-place drain path: ordering, the empty pass,
+// and the closed signal.
+func TestPipeDrain(t *testing.T) {
 	p := newPipe()
 	for i := 0; i < 10; i++ {
 		p.send(Message{T: sim.Time(i), Kind: KindSync})
 	}
-	batch, closed := p.tryRecvAll(nil)
+	batch, closed := drainBatch(p)
 	if closed || len(batch) != 10 {
 		t.Fatalf("batch len=%d closed=%v, want 10,false", len(batch), closed)
 	}
@@ -112,21 +115,16 @@ func TestPipeTryRecvAll(t *testing.T) {
 		}
 	}
 	// Empty now, not closed.
-	if b2, c2 := p.tryRecvAll(batch[:0]); len(b2) != 0 || c2 {
+	if b2, c2 := drainBatch(p); len(b2) != 0 || c2 {
 		t.Fatalf("second drain: len=%d closed=%v, want 0,false", len(b2), c2)
 	}
-	// The handed-back slice is reused as the next batch's backing storage.
-	p.send(Message{T: 99, Kind: KindSync})
-	if m, ok, _ := p.tryRecv(); !ok || m.T != 99 {
-		t.Fatalf("recv after handback: ok=%v T=%v", ok, m.T)
-	}
 	p.close()
-	if _, c := p.tryRecvAll(nil); !c {
+	if _, c := drainBatch(p); !c {
 		t.Fatal("drained closed pipe should report closed")
 	}
 }
 
-// TestPipeMixedRecvModes interleaves tryRecv with tryRecvAll to cover the
+// TestPipeMixedRecvModes interleaves tryRecv with drain to cover the
 // consumer position bookkeeping shared by both paths.
 func TestPipeMixedRecvModes(t *testing.T) {
 	p := newPipe()
@@ -136,13 +134,13 @@ func TestPipeMixedRecvModes(t *testing.T) {
 	if m, ok, _ := p.tryRecv(); !ok || m.T != 0 {
 		t.Fatalf("tryRecv = %v,%v", m.T, ok)
 	}
-	batch, _ := p.tryRecvAll(nil)
+	batch, _ := drainBatch(p)
 	if len(batch) != 7 || batch[0].T != 1 || batch[6].T != 7 {
 		t.Fatalf("batch after partial consume: len=%d first=%v last=%v",
 			len(batch), batch[0].T, batch[len(batch)-1].T)
 	}
-	if p.len() != 0 {
-		t.Fatalf("pipe should be empty, len=%d", p.len())
+	if !p.empty() {
+		t.Fatal("pipe should be empty")
 	}
 	// tryRecv after a batch drain must see fresh publications.
 	p.send(Message{T: 42})
@@ -157,11 +155,11 @@ func TestPipeCloseFlushesStaged(t *testing.T) {
 	p := newPipe()
 	p.push(Message{T: 7, Kind: KindSync})
 	p.close()
-	m, ok, closed := p.recv()
+	m, ok, closed := p.recvAdaptive()
 	if !ok || closed || m.T != 7 {
 		t.Fatalf("recv after close: m=%v ok=%v closed=%v", m.T, ok, closed)
 	}
-	if _, ok, closed := p.recv(); ok || !closed {
+	if _, ok, closed := p.recvAdaptive(); ok || !closed {
 		t.Fatal("drained closed pipe should report closed")
 	}
 }

@@ -16,8 +16,8 @@ import "repro/internal/sim"
 func NewHalf(name string, latency, syncInterval sim.Time) (*Endpoint, *Remote) {
 	c := NewChannel(name, latency, syncInterval)
 	// The local runner owns side A. Side B's pipes are driven by the
-	// Remote: what A sent shows up in remote.Recv, and remote.Inject
-	// feeds A's inbox.
+	// Remote: what A sent shows up in remote.RecvInterruptible, and
+	// remote.Inject feeds A's inbox.
 	r := &Remote{
 		fromLocal: c.a.out,
 		toLocal:   c.b.out,
@@ -31,21 +31,10 @@ type Remote struct {
 	toLocal   *pipe // inbox of the local endpoint
 }
 
-// Recv blocks for the next message produced by the local endpoint
-// (data or sync). ok is false once the local side finished and drained.
-func (r *Remote) Recv() (Message, bool) {
-	m, ok, _ := r.fromLocal.recv()
-	return m, ok
-}
-
-// TryRecv is the non-blocking variant.
-func (r *Remote) TryRecv() (m Message, ok, closed bool) {
-	return r.fromLocal.tryRecv()
-}
-
-// RecvInterruptible blocks like Recv but additionally returns intr=true
-// once Interrupt was called and every queued message has been drained.
-// ok=false with intr=false still means the local side finished cleanly.
+// RecvInterruptible blocks for the next message produced by the local
+// endpoint (data or sync). ok=false with intr=false means the local side
+// finished and drained; intr=true is returned once Interrupt was called and
+// every queued message has been drained.
 // Transport pumps use this so their outbound goroutine — blocked on the
 // pipe, not the socket — can be cancelled without leaking.
 func (r *Remote) RecvInterruptible() (m Message, ok, intr bool) {

@@ -43,11 +43,11 @@ import (
 // written only by the owning runner goroutine; read them after the run, or
 // from that goroutine (the profiler's OnAdvance sampling qualifies).
 type SpecCounters struct {
-	Snapshots   uint64 // committed-state snapshots taken
-	Rollbacks   uint64 // straggler-triggered restores
-	Leaps       uint64 // GVT leaps past the conservative horizon
-	Replayed    uint64 // input-log deliveries re-posted after rollbacks
-	WastedNanos uint64 // wall nanos of speculative execution discarded by rollbacks
+	Snapshots   uint64 `json:"snap"`   // committed-state snapshots taken
+	Rollbacks   uint64 `json:"roll"`   // straggler-triggered restores
+	Leaps       uint64 `json:"leap"`   // GVT leaps past the conservative horizon
+	Replayed    uint64 `json:"replay"` // input-log deliveries re-posted after rollbacks
+	WastedNanos uint64 `json:"wasted"` // wall nanos of speculative execution discarded by rollbacks
 }
 
 // SpecControl configures one runner's optimistic execution; the orchestrator

@@ -74,10 +74,6 @@ func (h *Host) End() sim.Time { return h.net.end }
 // After schedules fn d from now.
 func (h *Host) After(d sim.Time, fn func()) *sim.Timer { return h.net.env.After(d, fn) }
 
-// Post schedules fn d from now without a cancellation handle (implements
-// tcpstack.Transport's cheap timer primitive).
-func (h *Host) Post(d sim.Time, fn func()) { h.net.env.Post(h.net.env.Now()+d, fn) }
-
 // At schedules fn at absolute time t.
 func (h *Host) At(t sim.Time, fn func()) *sim.Timer { return h.net.env.At(t, fn) }
 

@@ -96,16 +96,30 @@ type sinkTarget struct {
 }
 
 // sinkTable maps between live sinks and their stable checkpoint names.
-// Component-owned sinks are named "c/<comp>/<local>" via WalkSinks;
-// connection sinks get "conn/<name>/a|b" and "trunk/<name>/<i>/a|b"
-// fallbacks for sinks no component exports. Non-comparable (func-typed)
-// sinks are skipped — they only fail a checkpoint if a pending delivery
-// actually targets one.
+// Component-owned sinks are named "c/<comp>/<local>" via WalkSinks; channel
+// sinks get the channel.sinkName fallbacks ("conn/<name>/a|b",
+// "trunk/<name>/<i>/a|b") for sinks no component exports. A sink reachable
+// under several names keeps the first. Non-comparable (func-typed) sinks are
+// skipped — they only fail a checkpoint if a pending delivery actually
+// targets one.
 type sinkTable struct {
 	nameOf map[core.Sink]string
 	byName map[string]sinkTarget
 }
 
+// lookup returns the name a live sink serializes under and its target entry
+// (for the owner); ok is false for a sink the walk did not name.
+func (t *sinkTable) lookup(sk core.Sink) (name string, tgt sinkTarget, ok bool) {
+	if !core.SinkComparable(sk) {
+		return "", sinkTarget{}, false
+	}
+	name, ok = t.nameOf[sk]
+	return name, t.byName[name], ok
+}
+
+// sinkTable walks every sink the wiring can target. On error (a component
+// that is not core.Stateful, a name used twice) the table is still returned,
+// complete for every sink the walk could name.
 func (s *Simulation) sinkTable() (*sinkTable, error) {
 	t := &sinkTable{
 		nameOf: make(map[core.Sink]string),
@@ -113,11 +127,13 @@ func (s *Simulation) sinkTable() (*sinkTable, error) {
 	}
 	var err error
 	add := func(name string, sk core.Sink, owner core.Component) {
-		if err != nil || sk == nil || !core.SinkComparable(sk) {
+		if sk == nil || !core.SinkComparable(sk) {
 			return
 		}
 		if _, dup := t.byName[name]; dup {
-			err = fmt.Errorf("orch: duplicate sink name %q", name)
+			if err == nil {
+				err = fmt.Errorf("orch: duplicate sink name %q", name)
+			}
 			return
 		}
 		t.byName[name] = sinkTarget{sink: sk, owner: owner}
@@ -128,26 +144,23 @@ func (s *Simulation) sinkTable() (*sinkTable, error) {
 	for _, c := range s.comps {
 		st, ok := c.(core.Stateful)
 		if !ok {
-			return nil, fmt.Errorf("%w: component %q does not implement core.Stateful",
-				core.ErrNotCheckpointable, c.Name())
+			if err == nil {
+				err = fmt.Errorf("%w: component %q does not implement core.Stateful",
+					core.ErrNotCheckpointable, c.Name())
+			}
+			continue
 		}
 		name := c.Name()
 		st.WalkSinks(func(n string, sk core.Sink) { add("c/"+name+"/"+n, sk, c) })
 	}
-	for _, c := range s.conns {
-		add("conn/"+c.name+"/a", c.a.Sink, c.a.Comp)
-		add("conn/"+c.name+"/b", c.b.Sink, c.b.Comp)
-	}
-	for _, tr := range s.trunks {
-		for i, p := range tr.pairs {
-			add(fmt.Sprintf("trunk/%s/%d/a", tr.name, i), p.SinkA, tr.compA)
-			add(fmt.Sprintf("trunk/%s/%d/b", tr.name, i), p.SinkB, tr.compB)
+	for _, c := range s.chans {
+		for i, l := range c.links {
+			for x, comp := range c.comp {
+				add(c.sinkName(i, x), l.sink[x], comp)
+			}
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t, err
 }
 
 // capture serializes the quiesced simulation at time at. scheds holds every
@@ -213,10 +226,7 @@ func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint,
 			ev.U64(e.Args[1])
 			ev.U64(e.Args[2])
 		case sim.PendingDelivery:
-			name, ok := "", false
-			if core.SinkComparable(e.Sink) {
-				name, ok = table.nameOf[e.Sink]
-			}
+			name, _, ok := table.lookup(e.Sink)
 			if !ok {
 				return nil, fmt.Errorf("%w: %T (delivery at %v)", core.ErrUnknownSink, e.Sink, e.At)
 			}
@@ -232,34 +242,15 @@ func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint,
 		return nil, err
 	}
 
+	// Only per-end totals serialize: ModelGraph reads sums.
 	var cn snap.Encoder
-	cn.U32(uint32(len(s.conns)))
-	for _, c := range s.conns {
-		var ab, ba uint64
-		switch {
-		case c.portAB != nil:
-			ab, ba = c.portAB.Stats.TxData, c.portBA.Stats.TxData
-		case c.epA != nil:
-			ab, ba = c.epA.Stats.TxData, c.epB.Stats.TxData
+	for _, part := range s.localChans() {
+		cn.U32(uint32(len(part)))
+		for _, c := range part {
+			a, b := c.txData()
+			cn.U64(a)
+			cn.U64(b)
 		}
-		cn.U64(ab)
-		cn.U64(ba)
-	}
-	cn.U32(uint32(len(s.trunks)))
-	for _, t := range s.trunks {
-		// Only per-direction totals serialize: trunk ports alternate
-		// (A-side, B-side) per pair, and ModelGraph reads sums.
-		var ta, tb uint64
-		for i := 0; i+1 < len(t.ports); i += 2 {
-			ta += t.ports[i].Stats.TxData
-			tb += t.ports[i+1].Stats.TxData
-		}
-		if t.epA != nil {
-			ta += t.epA.Stats.TxData
-			tb += t.epB.Stats.TxData
-		}
-		cn.U64(ta)
-		cn.U64(tb)
 	}
 	if err := w.Section("conns", cn.Bytes()); err != nil {
 		return nil, err
@@ -353,32 +344,13 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 		return err
 	}
 	cd := snap.NewDecoder(cb)
-	if got := int(cd.U32()); cd.Err() == nil && got != len(s.conns) {
-		return fmt.Errorf("%w: snapshot has %d connections, build has %d",
-			core.ErrNotCheckpointable, got, len(s.conns))
-	}
-	for _, c := range s.conns {
-		ab, ba := cd.U64(), cd.U64()
-		switch {
-		case c.portAB != nil:
-			c.portAB.Stats.TxData, c.portBA.Stats.TxData = ab, ba
-		case c.epA != nil:
-			c.epA.SetTxData(ab)
-			c.epB.SetTxData(ba)
+	for k, part := range s.localChans() {
+		if got := int(cd.U32()); cd.Err() == nil && got != len(part) {
+			return fmt.Errorf("%w: snapshot has %d %v channels, build has %d",
+				core.ErrNotCheckpointable, got, ChannelKind(k), len(part))
 		}
-	}
-	if got := int(cd.U32()); cd.Err() == nil && got != len(s.trunks) {
-		return fmt.Errorf("%w: snapshot has %d trunks, build has %d",
-			core.ErrNotCheckpointable, got, len(s.trunks))
-	}
-	for _, t := range s.trunks {
-		ta, tb := cd.U64(), cd.U64()
-		switch {
-		case len(t.ports) >= 2:
-			t.ports[0].Stats.TxData, t.ports[1].Stats.TxData = ta, tb
-		case t.epA != nil:
-			t.epA.SetTxData(ta)
-			t.epB.SetTxData(tb)
+		for _, c := range part {
+			c.setTxData(cd.U64(), cd.U64())
 		}
 	}
 	if cd.Err() != nil {

@@ -29,6 +29,12 @@ import (
 // call with the same seed builds an identical simulation — the premise of
 // restore-into-fresh-build.
 func buildCkptSim(seed uint64, arrival workload.Arrival) (*orch.Simulation, *netsim.Built, *workload.Engine) {
+	return buildCkptFabric(seed, arrival, true)
+}
+
+// buildCkptFabric is buildCkptSim with the boundary wiring selectable: one
+// trunk per partition pair, or one direct connection per boundary link.
+func buildCkptFabric(seed uint64, arrival workload.Arrival, trunk bool) (*orch.Simulation, *netsim.Built, *workload.Engine) {
 	spec := netsim.ThreeTierSpec{
 		Aggs: 2, RacksPerAgg: 2, HostsPerRack: 2,
 		CoreRate: 100 * sim.Gbps, AggRate: 40 * sim.Gbps,
@@ -44,7 +50,7 @@ func buildCkptSim(seed uint64, arrival workload.Arrival) (*orch.Simulation, *net
 		Seed:    seed,
 	})
 	s := orch.New()
-	instantiate.WirePartitions(s, topo, built, true)
+	instantiate.WirePartitions(s, topo, built, trunk)
 	s.AddAuxState("wl", eng)
 	return s, built, eng
 }

@@ -115,7 +115,7 @@ func pinCount(groups, procs int) int {
 func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error) {
 	s := pl.s
 	res := &RunResult{}
-	if n := len(s.remotes); n > 0 {
+	if n := s.remoteChannels(); n > 0 {
 		if o.Resume != nil || o.Capture {
 			return res, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
 		}
@@ -214,7 +214,7 @@ func (s *Simulation) execute(end sim.Time, p decomp.Placement, o RunOptions) (*R
 // topology would be a correctness trap — so it is rejected here, where the
 // one-group plan would otherwise be a legitimate coupled run.
 func (s *Simulation) sequential(end sim.Time, o RunOptions) (*RunResult, error) {
-	if n := len(s.remotes); n > 0 {
+	if n := s.remoteChannels(); n > 0 {
 		return &RunResult{}, fmt.Errorf("%w: sequential run with %d remote connection(s); distributed runs are coupled-only",
 			ErrRemoteUnsupported, n)
 	}

@@ -91,9 +91,9 @@ type payRef struct {
 // framing, no file I/O — because the snapshot restores only into the very
 // scheduler and components it was taken from.
 type groupSnap struct {
-	sched  *sim.Scheduler
-	comps  []core.Stateful              // group members, registration order
-	owners map[core.Sink]core.Component // pool owner per delivery sink
+	sched *sim.Scheduler
+	comps []core.Stateful // group members, registration order
+	sinks *sinkTable      // names every delivery sink's pool owner
 
 	mark  sim.Mark
 	state snap.Encoder // concatenated per-component state
@@ -133,11 +133,8 @@ func (gs *groupSnap) snapshot() error {
 				// ever restored (the rollback sweep releases the queue), so
 				// the snapshot needs its own copy, re-mintable from the
 				// owning component's pool.
-				var owner core.Component
-				if core.SinkComparable(e.Sink) {
-					owner = gs.owners[e.Sink]
-				}
-				if owner == nil {
+				_, tgt, ok := gs.sinks.lookup(e.Sink)
+				if !ok {
 					return fmt.Errorf("%w: pooled delivery at %v with unowned sink %T",
 						core.ErrUnknownSink, e.At, e.Sink)
 				}
@@ -145,7 +142,7 @@ func (gs *groupSnap) snapshot() error {
 				if err := core.EncodePayload(&gs.pays, e.Payload); err != nil {
 					return err
 				}
-				ref = payRef{off: int32(off), n: int32(gs.pays.Len() - off), enc: true, owner: owner}
+				ref = payRef{off: int32(off), n: int32(gs.pays.Len() - off), enc: true, owner: tgt.owner}
 			}
 		}
 		gs.prefs = append(gs.prefs, ref)
@@ -187,39 +184,6 @@ func (gs *groupSnap) restore() error {
 	return gs.sched.RestorePending(gs.work)
 }
 
-// specOwners maps every delivery sink the wiring can target to the
-// component whose frame pool re-mints pooled payloads for it — the in-memory
-// analogue of the checkpoint sink table, keyed by live sink instead of by
-// serialized name.
-func (pl *ExecutionPlan) specOwners() map[core.Sink]core.Component {
-	s := pl.s
-	owners := make(map[core.Sink]core.Component)
-	add := func(sk core.Sink, owner core.Component) {
-		if sk == nil || !core.SinkComparable(sk) {
-			return
-		}
-		if _, seen := owners[sk]; !seen {
-			owners[sk] = owner
-		}
-	}
-	for _, c := range s.comps {
-		if st, ok := c.(core.Stateful); ok {
-			st.WalkSinks(func(_ string, sk core.Sink) { add(sk, c) })
-		}
-	}
-	for _, c := range s.conns {
-		add(c.a.Sink, c.a.Comp)
-		add(c.b.Sink, c.b.Comp)
-	}
-	for _, t := range s.trunks {
-		for _, p := range t.pairs {
-			add(p.SinkA, t.compA)
-			add(p.SinkB, t.compB)
-		}
-	}
-	return owners
-}
-
 // specReason decides build-time eligibility for group gi: "" when every
 // member can snapshot, otherwise the reason the group must stay
 // conservative. Runtime conditions (a closure event pending at snapshot
@@ -246,13 +210,15 @@ func (pl *ExecutionPlan) specReason(gi int) string {
 // speculates. Call after wire.
 func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Runner, k int) {
 	s := pl.s
-	owners := pl.specOwners()
+	// A sink the walk could not name only demotes the group whose snapshot
+	// meets a pooled delivery to it, so the walk's error is not the run's.
+	sinks, _ := s.sinkTable()
 	for gi := range runners {
 		ctl := &link.SpecControl{MaxWindows: k}
 		if reason := pl.specReason(gi); reason != "" {
 			ctl.Reason = reason
 		} else if k > 0 {
-			gs := &groupSnap{sched: scheds[gi], owners: owners}
+			gs := &groupSnap{sched: scheds[gi], sinks: sinks}
 			for _, ci := range pl.groupComps[gi] {
 				gs.comps = append(gs.comps, s.comps[ci].(core.Stateful))
 			}
@@ -263,17 +229,13 @@ func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Ru
 	}
 	// Replay pool owners per cross-group endpoint sub-channel: a logged
 	// pooled payload re-mints from the receiving side's component pool.
-	for _, c := range s.conns {
-		if c.epA != nil {
-			c.epA.SetSpecOwner(0, c.a.Comp)
-			c.epB.SetSpecOwner(0, c.b.Comp)
-		}
-	}
-	for _, t := range s.trunks {
-		if t.epA != nil {
-			for i := range t.pairs {
-				t.epA.SetSpecOwner(uint16(i), t.compA)
-				t.epB.SetSpecOwner(uint16(i), t.compB)
+	for _, c := range s.chans {
+		for x, ep := range c.ep {
+			if ep == nil {
+				continue
+			}
+			for i := range c.links {
+				ep.SetSpecOwner(uint16(i), c.comp[x])
 			}
 		}
 	}

@@ -11,6 +11,7 @@
 package orch
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,41 +30,6 @@ type Side struct {
 	Sink core.Sink
 }
 
-type connection struct {
-	name    string
-	latency sim.Time
-	syncIv  sim.Time
-	a, b    Side
-	idA     int32 // ordering source for deliveries to a.Sink
-	idB     int32 // ordering source for deliveries to b.Sink
-
-	// Exactly one wiring is live after a run, and ExecutionPlan.wire clears
-	// the other: direct ports when both ends share a runner group (sequential
-	// mode, or co-located in a placed run), channel endpoints when the ends
-	// are in different groups. Both carry the message counters ModelGraph
-	// reads.
-	portAB, portBA *link.DirectPort
-	epA, epB       *link.Endpoint
-}
-
-// trunkConn is a multiplexed connection: several logical links between the
-// same pair of components carried over one synchronized channel.
-type trunkConn struct {
-	name    string
-	latency sim.Time
-	syncIv  sim.Time
-	compA   core.Component
-	compB   core.Component
-	pairs   []TrunkPair
-	idsA    []int32
-	idsB    []int32
-
-	// Live wiring for accounting, mirroring connection: per-pair direct
-	// ports intra-group, one trunked channel's endpoints cross-group.
-	ports    []*link.DirectPort
-	epA, epB *link.Endpoint
-}
-
 // TrunkPair is one logical link inside a trunk connection.
 type TrunkPair struct {
 	BindA func(core.Port)
@@ -72,25 +38,128 @@ type TrunkPair struct {
 	SinkB core.Sink
 }
 
-// remoteConn is one side of a connection whose peer component lives in
-// another OS process: the local endpoint is wired like any channel side,
-// and the spliced link.Remote half is pumped by a proxy supervisor
-// (package proxy) over the scale-out transport.
-type remoteConn struct {
-	name   string
-	side   Side
-	id     int32 // ordering source for deliveries to side.Sink
-	ep     *link.Endpoint
-	remote *link.Remote
+// chanLink is one logical link of a channel, indexed by end (0 = A, 1 = B):
+// how each end receives its outgoing port, the sink taking its incoming
+// messages, and the ordering source of deliveries to that sink.
+type chanLink struct {
+	bind [2]func(core.Port)
+	sink [2]core.Sink
+	src  [2]int32
+}
+
+// channel is the one connection record: a timestamped FIFO pair with a
+// latency and a sync interval carrying one or more logical links between two
+// components. A direct connection is a trunk of one link, and a remote
+// connection is a channel whose B end lives in another OS process. The kind
+// only remembers which constructor made the record, for the printed plan row
+// and the fallback sink name; how a channel is wired is decided per execution
+// from the runner groups of its two ends.
+type channel struct {
+	name    string
+	kind    ChannelKind
+	latency sim.Time
+	syncIv  sim.Time
+	comp    [2]core.Component // comp[1] == nil: the peer is out of process
+	links   []chanLink
+
+	// Live wiring of the latest execution, which also carries the message
+	// counters ModelGraph and checkpoints read: direct ports when both ends
+	// share a runner group (ports[2i+x] is what end x of link i sends on),
+	// the endpoints of one synchronized link.Channel otherwise. A remote
+	// channel's local endpoint is not per execution: it is built with its
+	// link.Remote at registration, because the caller hands the Remote to a
+	// proxy supervisor before anything runs.
+	ports []*link.DirectPort
+	ep    [2]*link.Endpoint
+}
+
+// groups returns the runner groups of the channel's two ends under pl; the
+// out-of-process end of a remote channel is group -1, so a remote channel is
+// never intra-group.
+func (c *channel) groups(pl *ExecutionPlan) [2]int {
+	g := [2]int{pl.grpOf[c.comp[0]], -1}
+	if c.comp[1] != nil {
+		g[1] = pl.grpOf[c.comp[1]]
+	}
+	return g
+}
+
+// quantum is the effective sync interval: the latency unless one was given.
+func (c *channel) quantum() sim.Time {
+	if c.syncIv <= 0 {
+		return c.latency
+	}
+	return c.syncIv
+}
+
+// txData returns the data messages each end has sent over all links, read
+// from whichever wiring is live (zero before the first execution).
+func (c *channel) txData() (a, b uint64) {
+	var tx [2]uint64
+	for i, p := range c.ports {
+		tx[i%2] += p.Stats.TxData
+	}
+	for x, ep := range c.ep {
+		if ep != nil {
+			tx[x] += ep.Stats.TxData
+		}
+	}
+	return tx[0], tx[1]
+}
+
+// setTxData restores per-end totals onto the live wiring of a channel both of
+// whose ends are local. Only totals round-trip, so an intra-group trunk
+// carries them on its first link's ports.
+func (c *channel) setTxData(a, b uint64) {
+	if len(c.ports) > 0 {
+		c.ports[0].Stats.TxData, c.ports[1].Stats.TxData = a, b
+		return
+	}
+	c.ep[0].SetTxData(a)
+	c.ep[1].SetTxData(b)
+}
+
+// sinkName is the checkpoint name of end x's sink on link i, for sinks no
+// component exports under a name of its own.
+func (c *channel) sinkName(i, x int) string {
+	end := "ab"[x : x+1]
+	if c.kind == KindTrunk {
+		return fmt.Sprintf("trunk/%s/%d/%s", c.name, i, end)
+	}
+	return "conn/" + c.name + "/" + end
+}
+
+// ErrBadChannel reports a channel that cannot be wired: a non-positive
+// latency, a negative sync interval, a trunk with no links, a nil Bind or Sink
+// on a local end, or a name another channel already uses. Plan returns it
+// wrapped with the channel's name and the reason.
+var ErrBadChannel = errors.New("orch: bad channel")
+
+// check returns the first reason the channel cannot be wired, "" when it can.
+func (c *channel) check() string {
+	switch {
+	case c.latency <= 0:
+		return fmt.Sprintf("latency %v is not positive (it is the synchronization lookahead)", c.latency)
+	case c.syncIv < 0:
+		return fmt.Sprintf("sync interval %v is negative", c.syncIv)
+	case len(c.links) == 0:
+		return "no links"
+	}
+	for i, l := range c.links {
+		for x, comp := range c.comp {
+			if comp != nil && (l.bind[x] == nil || l.sink[x] == nil) {
+				return fmt.Sprintf("link %d end %s has a nil Bind or Sink", i, "ab"[x:x+1])
+			}
+		}
+	}
+	return ""
 }
 
 // Simulation is a configured set of components and connections.
 type Simulation struct {
 	comps   []core.Component
 	srcOf   map[core.Component]int32
-	conns   []*connection
-	trunks  []*trunkConn
-	remotes []*remoteConn
+	chans   []*channel // registration order
 	auxs    []auxEntry
 	nextSrc int32
 
@@ -129,32 +198,44 @@ func (s *Simulation) Components() []core.Component { return s.comps }
 // accounting.
 func (s *Simulation) NumComponents() int { return len(s.comps) }
 
+// addChannel registers a channel of pairs between compA and compB and assigns
+// each link's two ordering sources: the first to deliveries into end A's
+// sink, the second to end B's.
+func (s *Simulation) addChannel(kind ChannelKind, name string, latency, syncInterval sim.Time,
+	compA, compB core.Component, pairs []TrunkPair) *channel {
+	c := &channel{name: name, kind: kind, latency: latency, syncIv: syncInterval,
+		comp: [2]core.Component{compA, compB}, links: make([]chanLink, 0, len(pairs))}
+	for _, p := range pairs {
+		c.links = append(c.links, chanLink{
+			bind: [2]func(core.Port){p.BindA, p.BindB},
+			sink: [2]core.Sink{p.SinkA, p.SinkB},
+			src:  [2]int32{s.nextSrc, s.nextSrc + 1},
+		})
+		s.nextSrc += 2
+	}
+	s.chans = append(s.chans, c)
+	return c
+}
+
 // Connect wires a bidirectional channel with the given latency between two
-// sides. syncInterval <= 0 defaults to the latency.
+// sides — a trunk of one link. syncInterval 0 defaults to the latency. A
+// channel that cannot be wired (see ErrBadChannel) is reported by Plan.
 func (s *Simulation) Connect(name string, latency, syncInterval sim.Time, a, b Side) {
 	s.mustHave(a.Comp, name)
 	s.mustHave(b.Comp, name)
-	c := &connection{name: name, latency: latency, syncIv: syncInterval, a: a, b: b,
-		idA: s.nextSrc, idB: s.nextSrc + 1}
-	s.nextSrc += 2
-	s.conns = append(s.conns, c)
+	s.addChannel(KindDirect, name, latency, syncInterval, a.Comp, b.Comp,
+		[]TrunkPair{{BindA: a.Bind, SinkA: a.Sink, BindB: b.Bind, SinkB: b.Sink}})
 }
 
 // ConnectTrunk wires several logical links between compA and compB over a
-// single synchronized channel — the paper's trunk adapter. In sequential
-// mode the multiplexing is immaterial and each pair becomes a direct link.
+// single synchronized channel — the paper's trunk adapter. Where both
+// components share a runner group the multiplexing is immaterial and each
+// pair becomes a direct link.
 func (s *Simulation) ConnectTrunk(name string, latency, syncInterval sim.Time,
 	compA, compB core.Component, pairs []TrunkPair) {
 	s.mustHave(compA, name)
 	s.mustHave(compB, name)
-	t := &trunkConn{name: name, latency: latency, syncIv: syncInterval,
-		compA: compA, compB: compB, pairs: pairs}
-	for range pairs {
-		t.idsA = append(t.idsA, s.nextSrc)
-		t.idsB = append(t.idsB, s.nextSrc+1)
-		s.nextSrc += 2
-	}
-	s.trunks = append(s.trunks, t)
+	s.addChannel(KindTrunk, name, latency, syncInterval, compA, compB, pairs)
 }
 
 // Reserve advances the event-ordering source counter by n without
@@ -178,17 +259,22 @@ func (s *Simulation) Reserve(n int32) {
 // A's sink and the second to side B's, and the two processes must make the
 // same choice from opposite ends for a distributed run to be bit-identical
 // to the monolithic one. Simulations with remote connections only execute
-// coupled; RunSequential panics.
+// coupled; RunSequential panics. A non-positive latency has no channel to
+// build: the result is nil and Plan reports ErrBadChannel.
 func (s *Simulation) ConnectRemote(name string, latency, syncInterval sim.Time, local Side, sideA bool) *link.Remote {
 	s.mustHave(local.Comp, name)
-	id := s.nextSrc
+	c := s.addChannel(KindRemote, name, latency, syncInterval, local.Comp, nil,
+		[]TrunkPair{{BindA: local.Bind, SinkA: local.Sink}})
 	if !sideA {
-		id = s.nextSrc + 1
+		// The local end is the mirrored connection's B: its sink takes the
+		// pair's second source.
+		c.links[0].src[0] = c.links[0].src[1]
 	}
-	s.nextSrc += 2
-	ep, remote := link.NewHalf(name, latency, syncInterval)
-	rc := &remoteConn{name: name, side: local, id: id, ep: ep, remote: remote}
-	s.remotes = append(s.remotes, rc)
+	if latency <= 0 {
+		return nil
+	}
+	var remote *link.Remote
+	c.ep[0], remote = link.NewHalf(name, latency, syncInterval)
 	return remote
 }
 
@@ -196,6 +282,34 @@ func (s *Simulation) mustHave(c core.Component, conn string) {
 	if _, ok := s.srcOf[c]; !ok {
 		panic(fmt.Sprintf("orch: connection %s references unregistered component", conn))
 	}
+}
+
+// remoteChannels counts the channels whose peer is out of process.
+func (s *Simulation) remoteChannels() int {
+	n := 0
+	for _, c := range s.chans {
+		if c.comp[1] == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// localChans returns the channels with both ends in this process, direct
+// connections before trunks rather than in registration order: the layout
+// the checkpoint's conns section was given when the two were separate lists,
+// which ModelGraph's link list shares. Changing it changes checkpoint bytes.
+func (s *Simulation) localChans() [2][]*channel {
+	var parts [2][]*channel
+	for _, c := range s.chans {
+		switch c.kind {
+		case KindDirect:
+			parts[0] = append(parts[0], c)
+		case KindTrunk:
+			parts[1] = append(parts[1], c)
+		}
+	}
+	return parts
 }
 
 // LiveFrames sums the outstanding pooled frames across all components —
@@ -240,33 +354,11 @@ func (s *Simulation) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.Link
 		comps[i] = decomp.Comp{Name: c.Name(), BusyNs: decomp.BusyOf(c, duration)}
 	}
 	var links []decomp.Link
-	for _, c := range s.conns {
-		var msgs uint64
-		switch {
-		case c.portAB != nil:
-			msgs = c.portAB.Stats.TxData + c.portBA.Stats.TxData
-		case c.epA != nil:
-			msgs = c.epA.Stats.TxData + c.epB.Stats.TxData
+	for _, part := range s.localChans() {
+		for _, c := range part {
+			a, b := c.txData()
+			links = append(links, decomp.Link{A: idx[c.comp[0]], B: idx[c.comp[1]], Msgs: a + b, Quantum: c.quantum()})
 		}
-		q := c.syncIv
-		if q <= 0 {
-			q = c.latency
-		}
-		links = append(links, decomp.Link{A: idx[c.a.Comp], B: idx[c.b.Comp], Msgs: msgs, Quantum: q})
-	}
-	for _, t := range s.trunks {
-		var msgs uint64
-		for _, p := range t.ports {
-			msgs += p.Stats.TxData
-		}
-		if t.epA != nil {
-			msgs += t.epA.Stats.TxData + t.epB.Stats.TxData
-		}
-		q := t.syncIv
-		if q <= 0 {
-			q = t.latency
-		}
-		links = append(links, decomp.Link{A: idx[t.compA], B: idx[t.compB], Msgs: msgs, Quantum: q})
 	}
 	return comps, links
 }

@@ -245,3 +245,110 @@ func TestNumComponents(t *testing.T) {
 		t.Fatalf("NumComponents = %d", s.NumComponents())
 	}
 }
+
+// TestBadChannelsFailAtPlan is the API-boundary contract for channels: every
+// way of registering one that cannot be wired is reported by Plan as a
+// wrapped ErrBadChannel — through each of the three constructors, under a
+// one-group and a per-component placement alike — instead of panicking or
+// dereferencing nil halfway through Execute.
+func TestBadChannelsFailAtPlan(t *testing.T) {
+	const lat = sim.Microsecond
+	// cfg is one end-to-end description of a two-component channel; each
+	// constructor registers it its own way.
+	type cfg struct {
+		latency, syncIv  sim.Time
+		nilBind, nilSink bool
+		twice            bool // register a second channel under the same name
+	}
+	cases := []struct {
+		name string
+		cfg  cfg
+	}{
+		{"zero latency", cfg{latency: 0}},
+		{"negative latency", cfg{latency: -lat}},
+		{"negative sync interval", cfg{latency: lat, syncIv: -1}},
+		{"nil Bind", cfg{latency: lat, nilBind: true}},
+		{"nil Sink", cfg{latency: lat, nilSink: true}},
+		{"duplicate name", cfg{latency: lat, twice: true}},
+	}
+	side := func(c *chatter, k cfg) orch.Side {
+		sd := orch.Side{Comp: c, Bind: func(core.Port) {}, Sink: c.sink(0)}
+		if k.nilBind {
+			sd.Bind = nil
+		}
+		if k.nilSink {
+			sd.Sink = nil
+		}
+		return sd
+	}
+	constructors := []struct {
+		name    string
+		connect func(s *orch.Simulation, a, b *chatter, k cfg)
+	}{
+		{"Connect", func(s *orch.Simulation, a, b *chatter, k cfg) {
+			s.Connect("x", k.latency, k.syncIv, side(a, cfg{}), side(b, k))
+		}},
+		{"ConnectTrunk", func(s *orch.Simulation, a, b *chatter, k cfg) {
+			sa, sb := side(a, cfg{}), side(b, k)
+			good := orch.TrunkPair{BindA: sa.Bind, SinkA: sa.Sink, BindB: sa.Bind, SinkB: sa.Sink}
+			bad := orch.TrunkPair{BindA: sa.Bind, SinkA: sa.Sink, BindB: sb.Bind, SinkB: sb.Sink}
+			s.ConnectTrunk("x", k.latency, k.syncIv, a, b, []orch.TrunkPair{good, bad})
+		}},
+		{"ConnectRemote", func(s *orch.Simulation, a, _ *chatter, k cfg) {
+			s.ConnectRemote("x", k.latency, k.syncIv, side(a, k), true)
+		}},
+	}
+	check := func(t *testing.T, s *orch.Simulation) {
+		t.Helper()
+		for _, p := range []decomp.Placement{decomp.SingleGroup(2), decomp.PerComponent(2)} {
+			if pl, err := s.Plan(p); !errors.Is(err, orch.ErrBadChannel) || pl != nil {
+				t.Errorf("Plan(%s) = %v, %v; want nil, ErrBadChannel", p.Name, pl, err)
+			}
+		}
+		if err := s.RunCoupled(sim.Millisecond); !errors.Is(err, orch.ErrBadChannel) {
+			t.Errorf("RunCoupled = %v, want ErrBadChannel", err)
+		}
+	}
+	build := func() (*orch.Simulation, *chatter, *chatter) {
+		s := orch.New()
+		a := &chatter{name: "a", period: sim.Microsecond, rng: sim.NewRand(1)}
+		b := &chatter{name: "b", period: sim.Microsecond, rng: sim.NewRand(2)}
+		s.Add(a)
+		s.Add(b)
+		return s, a, b
+	}
+	for _, con := range constructors {
+		for _, tc := range cases {
+			t.Run(con.name+"/"+tc.name, func(t *testing.T) {
+				s, a, b := build()
+				con.connect(s, a, b, tc.cfg)
+				if tc.cfg.twice {
+					con.connect(s, a, b, tc.cfg)
+				}
+				check(t, s)
+			})
+		}
+	}
+	t.Run("ConnectTrunk/no links", func(t *testing.T) {
+		s, a, b := build()
+		s.ConnectTrunk("x", lat, 0, a, b, nil)
+		check(t, s)
+	})
+	t.Run("duplicate name across kinds", func(t *testing.T) {
+		s, a, b := build()
+		constructors[0].connect(s, a, b, cfg{latency: lat})
+		constructors[1].connect(s, a, b, cfg{latency: lat})
+		check(t, s)
+	})
+
+	// RunSequential has no error return and keeps its documented
+	// panic-on-bad-config, now carrying the typed reason.
+	s, a, b := build()
+	s.Connect("x", 0, 0, side(a, cfg{}), side(b, cfg{}))
+	defer func() {
+		if p, _ := recover().(string); !strings.Contains(p, "bad channel \"x\"") {
+			t.Errorf("RunSequential panic = %q, want the bad-channel reason", p)
+		}
+	}()
+	s.RunSequential(sim.Millisecond)
+}

@@ -81,7 +81,8 @@ type ExecutionPlan struct {
 // normalized (dense group ids by first appearance), every channel is
 // classified intra- or cross-group, and runner groups receive their labels.
 // Remote connections always synchronize — their peer lives in another
-// process — so their group is recorded as -1 on the far side.
+// process — so their group is recorded as -1 on the far side. A channel that
+// cannot be wired fails the plan with a wrapped ErrBadChannel.
 func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 	norm, err := p.Normalized(len(s.comps))
 	if err != nil {
@@ -104,40 +105,30 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 		pl.grpOf[c] = g
 		pl.groupComps[g] = append(pl.groupComps[g], i)
 	}
-	effSync := func(latency, syncIv sim.Time) sim.Time {
-		if syncIv <= 0 {
-			return latency
+	seen := make(map[string]bool, len(s.chans))
+	for _, c := range s.chans {
+		reason := c.check()
+		if reason == "" && seen[c.name] {
+			reason = "name already used by another channel"
 		}
-		return syncIv
-	}
-	for _, c := range s.conns {
-		ga, gb := pl.grpOf[c.a.Comp], pl.grpOf[c.b.Comp]
-		pl.Channels = append(pl.Channels, PlanChannel{
-			Name: c.name, Kind: KindDirect,
-			Latency: c.latency, SyncInterval: effSync(c.latency, c.syncIv),
-			GroupA: ga, GroupB: gb, Links: 1,
-			Sources: []int32{c.idA, c.idB}, Intra: ga == gb,
-		})
-	}
-	for _, t := range s.trunks {
-		ga, gb := pl.grpOf[t.compA], pl.grpOf[t.compB]
-		srcs := make([]int32, 0, 2*len(t.pairs))
-		for i := range t.pairs {
-			srcs = append(srcs, t.idsA[i], t.idsB[i])
+		if reason != "" {
+			return nil, fmt.Errorf("%w %q: %s", ErrBadChannel, c.name, reason)
+		}
+		seen[c.name] = true
+		g := c.groups(pl)
+		srcs := make([]int32, 0, 2*len(c.links))
+		for _, l := range c.links {
+			for x, comp := range c.comp {
+				if comp != nil {
+					srcs = append(srcs, l.src[x])
+				}
+			}
 		}
 		pl.Channels = append(pl.Channels, PlanChannel{
-			Name: t.name, Kind: KindTrunk,
-			Latency: t.latency, SyncInterval: effSync(t.latency, t.syncIv),
-			GroupA: ga, GroupB: gb, Links: len(t.pairs),
-			Sources: srcs, Intra: ga == gb,
-		})
-	}
-	for _, rc := range s.remotes {
-		pl.Channels = append(pl.Channels, PlanChannel{
-			Name: rc.name, Kind: KindRemote,
-			Latency: rc.ep.Latency(), SyncInterval: rc.ep.Channel().SyncInterval,
-			GroupA: pl.grpOf[rc.side.Comp], GroupB: -1, Links: 1,
-			Sources: []int32{rc.id}, Intra: false,
+			Name: c.name, Kind: c.kind,
+			Latency: c.latency, SyncInterval: c.quantum(),
+			GroupA: g[0], GroupB: g[1], Links: len(c.links),
+			Sources: srcs, Intra: g[0] == g[1],
 		})
 	}
 	return pl, nil
@@ -149,68 +140,42 @@ func (pl *ExecutionPlan) NumGroups() int { return len(pl.GroupNames) }
 // wire connects every channel for execution. scheds holds one scheduler per
 // group and runners the matching runners.
 //
-// An intra-group channel becomes direct ports on the group's scheduler —
-// delivery time (send + latency) and ordering source are chosen exactly as
-// the coupled path chooses them, so any placement is event-for-event
-// identical to any other. A cross-group channel becomes a synchronized
-// link.Channel between the two runners. Each wiring clears the other mode's
-// port/endpoint references so post-run accounting (ModelGraph) reads
-// whichever was live.
+// A channel whose ends share a group becomes direct ports on the group's
+// scheduler, one pair per link — delivery time (send + latency) and ordering
+// source are chosen exactly as the coupled path chooses them, so any
+// placement is event-for-event identical to any other. Any other channel is
+// one synchronized link.Channel between the two runners, each link a
+// sub-channel of it; only the local end of a remote channel is attached. The
+// wiring not chosen is cleared so post-run accounting reads the live one.
 func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
-	s := pl.s
-	for _, c := range s.conns {
-		ga, gb := pl.grpOf[c.a.Comp], pl.grpOf[c.b.Comp]
-		if ga == gb {
-			sched := scheds[ga]
-			c.portAB = link.NewDirectPort(sched, c.latency, c.idB, c.b.Sink)
-			c.portBA = link.NewDirectPort(sched, c.latency, c.idA, c.a.Sink)
-			c.epA, c.epB = nil, nil
-			c.a.Bind(c.portAB)
-			c.b.Bind(c.portBA)
-			continue
-		}
-		ch := link.NewChannel(c.name, c.latency, c.syncIv)
-		runners[ga].Attach(ch.SideA())
-		runners[gb].Attach(ch.SideB())
-		ch.SideA().SetSink(0, c.idA, c.a.Sink)
-		ch.SideB().SetSink(0, c.idB, c.b.Sink)
-		c.portAB, c.portBA = nil, nil
-		c.epA, c.epB = ch.SideA(), ch.SideB()
-		c.a.Bind(ch.SideA())
-		c.b.Bind(ch.SideB())
-	}
-	for _, t := range s.trunks {
-		ga, gb := pl.grpOf[t.compA], pl.grpOf[t.compB]
-		if ga == gb {
-			sched := scheds[ga]
-			t.ports = t.ports[:0]
-			t.epA, t.epB = nil, nil
-			for i, p := range t.pairs {
-				pa := link.NewDirectPort(sched, t.latency, t.idsB[i], p.SinkB)
-				pb := link.NewDirectPort(sched, t.latency, t.idsA[i], p.SinkA)
-				t.ports = append(t.ports, pa, pb)
-				p.BindA(pa)
-				p.BindB(pb)
+	for _, c := range pl.s.chans {
+		g := c.groups(pl)
+		c.ports = c.ports[:0]
+		if g[0] == g[1] {
+			c.ep = [2]*link.Endpoint{}
+			for _, l := range c.links {
+				for x := range c.comp {
+					p := link.NewDirectPort(scheds[g[0]], c.latency, l.src[1-x], l.sink[1-x])
+					c.ports = append(c.ports, p)
+					l.bind[x](p)
+				}
 			}
 			continue
 		}
-		ch := link.NewChannel(t.name, t.latency, t.syncIv)
-		runners[ga].Attach(ch.SideA())
-		runners[gb].Attach(ch.SideB())
-		ta, tb := link.NewTrunk(ch.SideA()), link.NewTrunk(ch.SideB())
-		t.ports = nil
-		t.epA, t.epB = ch.SideA(), ch.SideB()
-		for i, p := range t.pairs {
-			ta.Bind(uint16(i), t.idsA[i], p.SinkA)
-			tb.Bind(uint16(i), t.idsB[i], p.SinkB)
-			p.BindA(ta.Port(uint16(i)))
-			p.BindB(tb.Port(uint16(i)))
+		if c.comp[1] != nil {
+			ch := link.NewChannel(c.name, c.latency, c.syncIv)
+			c.ep = [2]*link.Endpoint{ch.SideA(), ch.SideB()}
 		}
-	}
-	for _, rc := range s.remotes {
-		runners[pl.grpOf[rc.side.Comp]].Attach(rc.ep)
-		rc.ep.SetSink(0, rc.id, rc.side.Sink)
-		rc.side.Bind(rc.ep)
+		for x, comp := range c.comp {
+			if comp == nil {
+				continue
+			}
+			runners[g[x]].Attach(c.ep[x])
+			for i, l := range c.links {
+				c.ep[x].SetSink(uint16(i), l.src[x], l.sink[x])
+				l.bind[x](c.ep[x].SubPort(uint16(i)))
+			}
+		}
 	}
 }
 
@@ -268,7 +233,7 @@ func (pl *ExecutionPlan) String() string {
 		if ch.Intra {
 			mode = "direct"
 		}
-		if ch.Kind == KindRemote {
+		if ch.GroupB < 0 {
 			groups = fmt.Sprintf("%d-remote", ch.GroupA)
 		}
 		ct.Row(ch.Name, ch.Kind, ch.Links, ch.Latency, ch.SyncInterval, groups, mode)

@@ -16,6 +16,7 @@ package profiler
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -34,33 +35,33 @@ import (
 // simulation waited for (adapter counters) and what the wire did to cause
 // it (reconnects, retransmits, backoff time).
 type TransportSample struct {
-	Name string // supervisor label ("client", "site0", ...)
+	Name string `json:"name"` // supervisor label ("client", "site0", ...)
 	proxy.Counters
 }
 
 // AdapterSample is one adapter's counter snapshot.
 type AdapterSample struct {
-	Label string // endpoint label ("chan.a")
-	Peer  string // peer simulator name
+	Label string `json:"ep"`   // endpoint label ("chan.a")
+	Peer  string `json:"peer"` // peer simulator name
 	link.Counters
 }
 
 // Sample is one periodic snapshot for one simulator component.
 type Sample struct {
-	Sim    string
-	WallNs uint64
-	Virt   sim.Time
+	Sim    string   `json:"sim"`
+	WallNs uint64   `json:"wall"`
+	Virt   sim.Time `json:"virt"`
 	// Frames is the number of pooled frames live (taken from pools, not
 	// yet released) across the runner's components at sample time — the
 	// packet-path leak indicator.
-	Frames uint64
+	Frames uint64 `json:"frames"`
 	// SpecActive reports that the runner executes optimistically
 	// (orch.RunOptimistic); Spec then carries its speculation counters —
 	// snapshots, rollbacks, GVT leaps, replayed deliveries, wasted nanos —
 	// as of sample time.
-	SpecActive bool
-	Spec       link.SpecCounters
-	Adapters   []AdapterSample
+	SpecActive bool              `json:"spec_active,omitempty"`
+	Spec       link.SpecCounters `json:"spec"`
+	Adapters   []AdapterSample   `json:"adapters,omitempty"`
 }
 
 // Collector gathers samples from a coupled run.
@@ -148,172 +149,68 @@ func (c *Collector) Transports() []TransportSample {
 	return append([]TransportSample(nil), c.transports...)
 }
 
-// WriteTo emits the samples as text log lines, one adapter per line:
+// logPrefix marks a profiler record inside a larger log; lines without it
+// belong to something else and are skipped on parse.
+const logPrefix = "splitsim-prof "
+
+// logLine is one record of the profiler log: the prefix, then this object as
+// JSON with exactly one field set.
+type logLine struct {
+	Sample    *Sample          `json:"sample,omitempty"`
+	Transport *TransportSample `json:"transport,omitempty"`
+}
+
+// WriteTo emits the collected samples, then the transport snapshots, one
+// record per line:
 //
-//	splitsim-prof sim=<name> wall=<ns> virt=<ps> frames=<n>
-//	  [spec=<snaps>:<rolls>:<leaps>:<replays>:<wastedns>] ep=<label>
-//	  peer=<sim> wait=<ns> proc=<ns> depth=<n> txd=<n> txs=<n> rxd=<n> rxs=<n>
-//
-// The spec= field appears only for optimistically executed runners.
+//	splitsim-prof {"sample":{"sim":"net","wall":1000,"virt":2000,"frames":0,"spec":{...},"adapters":[{"ep":"x.a","peer":"host","wait":3,...}]}}
+//	splitsim-prof {"transport":{"name":"client","dials":1,...}}
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 	var total int64
+	emit := func(l logLine) error {
+		b, err := json.Marshal(l)
+		if err != nil {
+			return err
+		}
+		n, err := fmt.Fprintf(w, "%s%s\n", logPrefix, b)
+		total += int64(n)
+		return err
+	}
 	for _, s := range c.Samples() {
-		spec := ""
-		if s.SpecActive {
-			spec = fmt.Sprintf(" spec=%d:%d:%d:%d:%d", s.Spec.Snapshots, s.Spec.Rollbacks,
-				s.Spec.Leaps, s.Spec.Replayed, s.Spec.WastedNanos)
-		}
-		if len(s.Adapters) == 0 {
-			n, err := fmt.Fprintf(w, "splitsim-prof sim=%s wall=%d virt=%d frames=%d%s\n",
-				s.Sim, s.WallNs, int64(s.Virt), s.Frames, spec)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		}
-		for _, a := range s.Adapters {
-			n, err := fmt.Fprintf(w,
-				"splitsim-prof sim=%s wall=%d virt=%d frames=%d%s ep=%s peer=%s wait=%d proc=%d depth=%d txd=%d txs=%d rxd=%d rxs=%d\n",
-				s.Sim, s.WallNs, int64(s.Virt), s.Frames, spec, a.Label, a.Peer,
-				a.WaitNanos, a.ProcNanos, a.PeakDepth, a.TxData, a.TxSync, a.RxData, a.RxSync)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
+		if err := emit(logLine{Sample: &s}); err != nil {
+			return total, err
 		}
 	}
 	for _, ts := range c.Transports() {
-		n, err := fmt.Fprintf(w,
-			"splitsim-prof transport=%s dials=%d dialfail=%d reconn=%d ftx=%d frx=%d btx=%d brx=%d hbtx=%d hbrx=%d acktx=%d ackrx=%d retx=%d corrupt=%d backoff=%d\n",
-			ts.Name, ts.Dials, ts.DialFailures, ts.Reconnects,
-			ts.FramesTx, ts.FramesRx, ts.BytesTx, ts.BytesRx,
-			ts.HeartbeatsTx, ts.HeartbeatsRx, ts.AcksTx, ts.AcksRx,
-			ts.Retransmits, ts.Corrupt, ts.BackoffNanos)
-		total += int64(n)
-		if err != nil {
+		if err := emit(logLine{Transport: &ts}); err != nil {
 			return total, err
 		}
 	}
 	return total, nil
 }
 
-// ParseLog reads log lines written by WriteTo, reassembling samples (lines
-// sharing sim+wall+virt merge into one sample). Transport lines are
-// skipped; use ParseLogFull to recover them too.
-func ParseLog(r io.Reader) ([]Sample, error) {
-	samples, _, err := ParseLogFull(r)
-	return samples, err
-}
-
-// ParseLogFull reads log lines written by WriteTo, reassembling both the
-// per-simulator samples and the transport counter lines.
-func ParseLogFull(r io.Reader) ([]Sample, []TransportSample, error) {
-	var out []Sample
+// ParseLog reads the records WriteTo wrote back out of a log, skipping every
+// line that does not carry the profiler prefix.
+func ParseLog(r io.Reader) ([]Sample, []TransportSample, error) {
+	var samples []Sample
 	var transports []TransportSample
-	idx := make(map[string]int)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "splitsim-prof ") {
-			continue
-		}
-		fields := strings.Fields(line)[1:]
-		kv := make(map[string]string, len(fields))
-		for _, f := range fields {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				return nil, nil, fmt.Errorf("profiler: bad field %q", f)
-			}
-			kv[k] = v
-		}
-		if name, isTransport := kv["transport"]; isTransport {
-			ts := TransportSample{Name: name}
-			for _, f := range []struct {
-				name string
-				dst  *uint64
-			}{
-				{"dials", &ts.Dials}, {"dialfail", &ts.DialFailures},
-				{"reconn", &ts.Reconnects},
-				{"ftx", &ts.FramesTx}, {"frx", &ts.FramesRx},
-				{"btx", &ts.BytesTx}, {"brx", &ts.BytesRx},
-				{"hbtx", &ts.HeartbeatsTx}, {"hbrx", &ts.HeartbeatsRx},
-				{"acktx", &ts.AcksTx}, {"ackrx", &ts.AcksRx},
-				{"retx", &ts.Retransmits}, {"corrupt", &ts.Corrupt},
-				{"backoff", &ts.BackoffNanos},
-			} {
-				if _, err := fmt.Sscanf(kv[f.name], "%d", f.dst); err != nil {
-					return nil, nil, fmt.Errorf("profiler: bad %s %q", f.name, kv[f.name])
-				}
-			}
-			transports = append(transports, ts)
-			continue
-		}
-		var s Sample
-		s.Sim = kv["sim"]
-		if _, err := fmt.Sscanf(kv["wall"], "%d", &s.WallNs); err != nil {
-			return nil, nil, fmt.Errorf("profiler: bad wall %q", kv["wall"])
-		}
-		var virt int64
-		if _, err := fmt.Sscanf(kv["virt"], "%d", &virt); err != nil {
-			return nil, nil, fmt.Errorf("profiler: bad virt %q", kv["virt"])
-		}
-		s.Virt = sim.Time(virt)
-		// frames= was added after the first log format; logs written before
-		// it parse with a zero frame count.
-		if v, hasFrames := kv["frames"]; hasFrames {
-			if _, err := fmt.Sscanf(v, "%d", &s.Frames); err != nil {
-				return nil, nil, fmt.Errorf("profiler: bad frames %q", v)
-			}
-		}
-		// spec= appears only on lines from optimistically executed runners;
-		// its absence (conservative runs, older logs) parses as inactive.
-		if v, hasSpec := kv["spec"]; hasSpec {
-			if _, err := fmt.Sscanf(v, "%d:%d:%d:%d:%d", &s.Spec.Snapshots, &s.Spec.Rollbacks,
-				&s.Spec.Leaps, &s.Spec.Replayed, &s.Spec.WastedNanos); err != nil {
-				return nil, nil, fmt.Errorf("profiler: bad spec %q", v)
-			}
-			s.SpecActive = true
-		}
-		key := fmt.Sprintf("%s/%d/%d", s.Sim, s.WallNs, virt)
-		i, ok := idx[key]
+		rec, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), logPrefix)
 		if !ok {
-			i = len(out)
-			idx[key] = i
-			out = append(out, s)
+			continue
 		}
-		out[i].Frames = s.Frames
-		out[i].SpecActive = s.SpecActive
-		out[i].Spec = s.Spec
-		if ep, hasEp := kv["ep"]; hasEp {
-			a := AdapterSample{Label: ep, Peer: kv["peer"]}
-			parse := func(name string, dst *uint64) error {
-				if _, err := fmt.Sscanf(kv[name], "%d", dst); err != nil {
-					return fmt.Errorf("profiler: bad %s %q", name, kv[name])
-				}
-				return nil
-			}
-			for _, f := range []struct {
-				name string
-				dst  *uint64
-			}{
-				{"wait", &a.WaitNanos}, {"proc", &a.ProcNanos},
-				{"txd", &a.TxData}, {"txs", &a.TxSync},
-				{"rxd", &a.RxData}, {"rxs", &a.RxSync},
-			} {
-				if err := parse(f.name, f.dst); err != nil {
-					return nil, nil, err
-				}
-			}
-			// depth= was added after the first log format; logs written
-			// before it parse with a zero peak depth.
-			if _, hasDepth := kv["depth"]; hasDepth {
-				if err := parse("depth", &a.PeakDepth); err != nil {
-					return nil, nil, err
-				}
-			}
-			out[i].Adapters = append(out[i].Adapters, a)
+		var l logLine
+		if err := json.Unmarshal([]byte(rec), &l); err != nil {
+			return nil, nil, fmt.Errorf("profiler: bad record %q: %w", rec, err)
+		}
+		if l.Sample != nil {
+			samples = append(samples, *l.Sample)
+		}
+		if l.Transport != nil {
+			transports = append(transports, *l.Transport)
 		}
 	}
-	return out, transports, sc.Err()
+	return samples, transports, sc.Err()
 }

@@ -96,7 +96,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if _, err := c.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseLog(strings.NewReader(b.String()))
+	parsed, _, err := ParseLog(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLogRoundTripProperty(t *testing.T) {
 		if _, err := c.WriteTo(&b); err != nil {
 			return false
 		}
-		got, err := ParseLog(strings.NewReader(b.String()))
+		got, _, err := ParseLog(strings.NewReader(b.String()))
 		if err != nil || len(got) != 1 {
 			return false
 		}
@@ -137,17 +137,20 @@ func TestLogRoundTripProperty(t *testing.T) {
 }
 
 func TestParseLogIgnoresForeignLines(t *testing.T) {
-	in := "random log line\nsplitsim-prof sim=a wall=1 virt=2\nanother\n"
-	got, err := ParseLog(strings.NewReader(in))
-	if err != nil || len(got) != 1 || got[0].Sim != "a" {
+	in := "random log line\nsplitsim-prof {\"sample\":{\"sim\":\"a\",\"wall\":1,\"virt\":2}}\nanother\n"
+	got, _, err := ParseLog(strings.NewReader(in))
+	if err != nil || len(got) != 1 || got[0].Sim != "a" || got[0].Virt != 2 {
 		t.Fatalf("got %v err %v", got, err)
+	}
+	if _, _, err := ParseLog(strings.NewReader("splitsim-prof sim=a wall=1\n")); err == nil {
+		t.Fatal("a prefixed line that is not a JSON record parsed without error")
 	}
 }
 
 func TestLogRoundTripSpec(t *testing.T) {
-	// spec= counters (optimistic execution) survive the log round trip on
-	// both line forms — with and without adapters — and their absence parses
-	// as an inactive speculative state.
+	// Speculation counters (optimistic execution) survive the log round trip
+	// with and without adapters, and a conservative sample parses as an
+	// inactive speculative state.
 	c := NewCollector()
 	withEp := mkSample("opt", 7, 3*sim.Millisecond, "peer", 1, 2, 3)
 	withEp.SpecActive = true
@@ -162,10 +165,10 @@ func TestLogRoundTripSpec(t *testing.T) {
 	if _, err := c.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "spec=11:2:40:9:1234") {
-		t.Fatalf("missing spec field in log:\n%s", b.String())
+	if !strings.Contains(b.String(), `"spec":{"snap":11,"roll":2,"leap":40,"replay":9,"wasted":1234}`) {
+		t.Fatalf("missing spec object in log:\n%s", b.String())
 	}
-	got, err := ParseLog(strings.NewReader(b.String()))
+	got, _, err := ParseLog(strings.NewReader(b.String()))
 	if err != nil || len(got) != 3 {
 		t.Fatalf("got %d samples err %v", len(got), err)
 	}
@@ -177,20 +180,6 @@ func TestLogRoundTripSpec(t *testing.T) {
 	}
 	if got[2].SpecActive {
 		t.Fatal("conservative sample parsed as speculative")
-	}
-}
-
-func TestParseLogWithoutDepthField(t *testing.T) {
-	// Logs written before the depth= field existed must still parse, with a
-	// zero peak depth.
-	in := "splitsim-prof sim=a wall=1 virt=2 ep=a.x peer=b wait=3 proc=4 txd=5 txs=6 rxd=7 rxs=8\n"
-	got, err := ParseLog(strings.NewReader(in))
-	if err != nil || len(got) != 1 || len(got[0].Adapters) != 1 {
-		t.Fatalf("got %v err %v", got, err)
-	}
-	a := got[0].Adapters[0]
-	if a.PeakDepth != 0 || a.WaitNanos != 3 || a.RxSync != 8 {
-		t.Fatalf("adapter = %+v", a)
 	}
 }
 
@@ -247,7 +236,7 @@ func TestTransportLogRoundTrip(t *testing.T) {
 	if _, err := c.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	samples, transports, err := ParseLogFull(strings.NewReader(b.String()))
+	samples, transports, err := ParseLog(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +245,5 @@ func TestTransportLogRoundTrip(t *testing.T) {
 	}
 	if len(transports) != 2 || transports[0] != ts || transports[1].Name != "server" {
 		t.Fatalf("transport round trip changed: %+v", transports)
-	}
-	// The old entry point still works and skips transport lines.
-	only, err := ParseLog(strings.NewReader(b.String()))
-	if err != nil || len(only) != 6 {
-		t.Fatalf("ParseLog on mixed log: %d samples, err %v", len(only), err)
 	}
 }

@@ -13,20 +13,20 @@ import (
 // transport underneath is doing (frames, bytes, heartbeats, reconnects,
 // time lost to backoff).
 type Counters struct {
-	Dials        uint64 // connection attempts (client) / accepts (server)
-	DialFailures uint64 // failed connection attempts
-	Reconnects   uint64 // sessions re-established after a failure
-	FramesTx     uint64 // frames written (data, sync, EOS)
-	FramesRx     uint64 // frames read (all kinds)
-	BytesTx      uint64 // bytes written to the socket
-	BytesRx      uint64 // bytes read from the socket
-	HeartbeatsTx uint64 // idle heartbeats sent
-	HeartbeatsRx uint64 // heartbeats received
-	AcksTx       uint64 // ack frames sent
-	AcksRx       uint64 // ack frames received
-	Retransmits  uint64 // frames re-sent during a post-reconnect resync
-	Corrupt      uint64 // frames rejected by checksum/validation
-	BackoffNanos uint64 // wall-clock nanoseconds spent in reconnect backoff
+	Dials        uint64 `json:"dials"`    // connection attempts (client) / accepts (server)
+	DialFailures uint64 `json:"dialfail"` // failed connection attempts
+	Reconnects   uint64 `json:"reconn"`   // sessions re-established after a failure
+	FramesTx     uint64 `json:"ftx"`      // frames written (data, sync, EOS)
+	FramesRx     uint64 `json:"frx"`      // frames read (all kinds)
+	BytesTx      uint64 `json:"btx"`      // bytes written to the socket
+	BytesRx      uint64 `json:"brx"`      // bytes read from the socket
+	HeartbeatsTx uint64 `json:"hbtx"`     // idle heartbeats sent
+	HeartbeatsRx uint64 `json:"hbrx"`     // heartbeats received
+	AcksTx       uint64 `json:"acktx"`    // ack frames sent
+	AcksRx       uint64 `json:"ackrx"`    // ack frames received
+	Retransmits  uint64 `json:"retx"`     // frames re-sent during a post-reconnect resync
+	Corrupt      uint64 `json:"corrupt"`  // frames rejected by checksum/validation
+	BackoffNanos uint64 `json:"backoff"`  // wall-clock nanoseconds spent in reconnect backoff
 }
 
 // ctrs is the live, atomically-updated mirror of Counters. Reader, writer,

@@ -13,10 +13,7 @@
 // backoff, retransmission — costs wall-clock time only, never simulated
 // time.
 //
-// Two layers are exported. Pump/Serve/Dial run one channel over one
-// connection with no recovery: if the connection dies, they fail with a
-// typed error (ErrClosed for a dirty disconnect). Supervisor (see
-// supervisor.go) is the production transport: it multiplexes many
+// Supervisor (see supervisor.go) is the transport: it multiplexes many
 // channels over one connection, reconnects with bounded backoff, resyncs
 // retransmit state through a hello handshake so a resumed run is
 // bit-identical, and exports per-connection counters.
@@ -27,11 +24,7 @@
 package proxy
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/link"
@@ -80,147 +73,4 @@ func encodeMsg(dst []byte, ch uint16, m link.Message, codec Codec) ([]byte, erro
 		return appendWireFrame(dst, frame{kind: kindData, ch: ch, t: m.T, sub: m.Sub, payload: payload}), nil
 	}
 	return appendWireFrame(dst, frame{kind: kindSync, ch: ch, t: m.T}), nil
-}
-
-// writeMsg frames one channel message onto w (single-channel transport:
-// channel id 0).
-func writeMsg(w io.Writer, m link.Message, codec Codec) error {
-	buf, err := encodeMsg(nil, 0, m, codec)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// writeEOS signals a clean end of stream.
-func writeEOS(w io.Writer) error {
-	_, err := w.Write(appendWireFrame(nil, frame{kind: kindEOS}))
-	return err
-}
-
-// readMsg reads one framed message. done reports a clean end of stream; a
-// connection that dies before that point surfaces as ErrClosed, so callers
-// can tell a dirty disconnect from a clean shutdown. Heartbeats are
-// consumed silently (they carry no simulation content); any other control
-// frame is a protocol violation on a single-channel transport.
-func readMsg(r io.Reader, codec Codec) (m link.Message, done bool, err error) {
-	for {
-		f, err := readFrame(r)
-		if err != nil {
-			return m, false, mapEOF(err)
-		}
-		switch f.kind {
-		case kindEOS:
-			return m, true, nil
-		case kindSync:
-			return link.Message{T: f.t, Kind: link.KindSync}, false, nil
-		case kindData:
-			payload, err := codec.Decode(f.payload)
-			if err != nil {
-				return m, false, err
-			}
-			return link.Message{T: f.t, Kind: link.KindData, Sub: f.sub, Payload: payload}, false, nil
-		case kindHeartbeat:
-			continue
-		case kindReject:
-			return m, false, ErrRejected
-		default:
-			return m, false, fmt.Errorf("%w: unexpected control frame kind %d", ErrCorrupt, f.kind)
-		}
-	}
-}
-
-// Pump runs both directions of one proxied channel over conn until the
-// local side finishes (outbound EOS sent) and the remote side finishes
-// (inbound EOS received). It owns the connection and closes it. Pump
-// returns only after both pump goroutines have exited: when one direction
-// fails, the connection is closed (unblocking the inbound reader) and the
-// Remote is interrupted (unblocking the outbound goroutine, which waits on
-// a pipe that no socket close could ever wake — the leak this design
-// fixes).
-func Pump(conn net.Conn, remote *link.Remote, codec Codec) error {
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			conn.Close()
-			remote.Interrupt()
-		})
-	}
-	defer stop()
-
-	errc := make(chan error, 2)
-	// Outbound: local simulator -> peer process.
-	go func() {
-		err := func() error {
-			for {
-				m, ok, intr := remote.RecvInterruptible()
-				if intr {
-					return nil // torn down by the inbound direction
-				}
-				if !ok {
-					return writeEOS(conn)
-				}
-				if err := writeMsg(conn, m, codec); err != nil {
-					return err
-				}
-			}
-		}()
-		if err != nil {
-			stop()
-		}
-		errc <- err
-	}()
-	// Inbound: peer process -> local simulator.
-	go func() {
-		br := bufio.NewReader(conn)
-		err := func() error {
-			for {
-				m, done, err := readMsg(br, codec)
-				if err != nil {
-					remote.CloseToLocal()
-					return fmt.Errorf("proxy inbound: %w", err)
-				}
-				if done {
-					remote.CloseToLocal()
-					return nil
-				}
-				remote.Inject(m)
-			}
-		}()
-		if err != nil {
-			stop()
-		}
-		errc <- err
-	}()
-
-	var first error
-	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Serve accepts exactly one peer connection on ln and pumps the channel.
-// The listener is closed as soon as the connection is accepted, so a
-// second accidental dial fails fast at the dialer instead of hanging
-// silently in the accept backlog forever.
-func Serve(ln net.Listener, remote *link.Remote, codec Codec) error {
-	conn, err := ln.Accept()
-	if err != nil {
-		return err
-	}
-	ln.Close()
-	return Pump(conn, remote, codec)
-}
-
-// Dial connects to a listening proxy and pumps the channel.
-func Dial(addr string, remote *link.Remote, codec Codec) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return Pump(conn, remote, codec)
 }

@@ -38,7 +38,6 @@ func (k *benchSink) Deliver(_ sim.Time, m sim.Payload) {
 }
 
 func (x *benchXport) Now() sim.Time               { return x.sched.Now() }
-func (x *benchXport) Post(d sim.Time, fn func())  { x.sched.Post(x.sched.Now()+d, fn) }
 func (x *benchXport) PostRTO(c *Conn, d sim.Time) { x.sched.Post(x.sched.Now()+d, c.RTOFire) }
 func (x *benchXport) NewFrame() *proto.Frame      { return x.pool.Get() }
 func (x *benchXport) LocalIP() proto.IP           { return x.ip }

@@ -20,13 +20,11 @@ import (
 type Transport interface {
 	// Now returns the current virtual time as seen by this endpoint.
 	Now() sim.Time
-	// Post schedules fn after d with no cancellation handle; the stack's
-	// timer logic tolerates stale firings, so the cheaper primitive suffices.
-	Post(d sim.Time, fn func())
-	// PostRTO schedules c.RTOFire() after d. It exists (instead of the
-	// stack posting a bound closure through Post) so transports can record
-	// the pending firing as an explicit, serializable event — a checkpoint
-	// names the connection, not a func pointer.
+	// PostRTO schedules c.RTOFire() after d with no cancellation handle; the
+	// stack's timer logic tolerates stale firings. It takes the connection
+	// rather than a bound closure so transports can record the pending firing
+	// as an explicit, serializable event — a checkpoint names the connection,
+	// not a func pointer.
 	PostRTO(c *Conn, d sim.Time)
 	// NewFrame returns a zeroed frame for an outgoing segment, pooled when
 	// the transport pools (ownership transfers back via Output).

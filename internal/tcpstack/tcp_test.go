@@ -36,9 +36,6 @@ func newLoop(delay sim.Time) *loop {
 }
 
 func (e *endpoint) Now() sim.Time { return e.l.sched.Now() }
-func (e *endpoint) Post(d sim.Time, fn func()) {
-	e.l.sched.Post(e.l.sched.Now()+d, fn)
-}
 func (e *endpoint) PostRTO(c *Conn, d sim.Time) {
 	e.l.sched.Post(e.l.sched.Now()+d, c.RTOFire)
 }

@@ -263,13 +263,8 @@ func Analyze(samples []profiler.Sample, dropWarm, dropCool int) (*Analysis, erro
 // BuildWTPG constructs the wait-time-profile graph from an analysis.
 func BuildWTPG(a *Analysis) *WTPG { return profiler.BuildWTPG(a) }
 
-// Channels.
-type (
-	// Channel is a synchronized SplitSim channel (coupled mode).
-	Channel = link.Channel
-	// Trunk multiplexes logical links over one synchronized channel.
-	Trunk = link.Trunk
-)
+// Channel is a synchronized SplitSim channel (coupled mode).
+type Channel = link.Channel
 
 // Experiments: the paper's evaluation harnesses.
 type (
