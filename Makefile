@@ -51,10 +51,12 @@ chaos:
 # Datacenter-fabric smoke: a small prefix-routed Clos must build, route,
 # and complete incast + shuffle workloads with zero frame leaks; the
 # flow-level background tier must run a mixed-fidelity phase without
-# materializing background hosts.
+# materializing background hosts, and its link-side rate solver must match
+# the flow-side oracle bit for bit (random mixes, edge cases, Poisson
+# churn) without allocating in steady state.
 scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
-	$(GO) test -run 'TestFlowSmoke' ./internal/netsim/flowsim/
+	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs' ./internal/netsim/flowsim/
 
 # End-to-end benchmark module: bench/e2e is a Go module of its own, so the
 # root `go build ./... && go test ./...` does not notice when an exported

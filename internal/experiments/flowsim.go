@@ -36,7 +36,11 @@ type FlowsimPoint struct {
 	FgFCTP99    sim.Time
 	BgEvents    uint64
 	BgProjPkt   uint64
-	WallMs      float64
+	// BgCapHits and BgCapped: rate recomputations that ran into the
+	// solver's round cap, and the flows those rated by fiat.
+	BgCapHits int
+	BgCapped  int
+	WallMs    float64
 }
 
 // FlowsimResult is the experiment outcome.
@@ -49,14 +53,14 @@ type FlowsimResult struct {
 func (r *FlowsimResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Flowsim: mixed-fidelity Clos, %d host slots, packet-level incast foreground\n", r.Hosts)
-	t := stats.NewTable("bg-load", "bg-flows", "fg-done", "fg-fct-p50", "fg-fct-p99", "bg-events", "proj-pkt-events", "ratio")
+	t := stats.NewTable("bg-load", "bg-flows", "fg-done", "fg-fct-p50", "fg-fct-p99", "bg-events", "proj-pkt-events", "ratio", "cap-hits", "capped-flows")
 	for _, p := range r.Points {
 		ratio := "-"
 		if p.BgEvents > 0 {
 			ratio = fmt.Sprintf("%.0fx", float64(p.BgProjPkt)/float64(p.BgEvents))
 		}
 		t.Row(fmt.Sprintf("%.0f%%", p.Load*100), p.BgFlows, p.FgCompleted,
-			p.FgFCTP50, p.FgFCTP99, p.BgEvents, p.BgProjPkt, ratio)
+			p.FgFCTP50, p.FgFCTP99, p.BgEvents, p.BgProjPkt, ratio, p.BgCapHits, p.BgCapped)
 	}
 	b.WriteString(t.String())
 	return b.String()
@@ -115,6 +119,8 @@ func Flowsim(opts Options) (*FlowsimResult, error) {
 			p.BgFlows = br.ActiveFlows
 			p.BgEvents = br.Events
 			p.BgProjPkt = br.ProjPacketEvents
+			p.BgCapHits = br.RoundCapHits
+			p.BgCapped = br.CappedFlows
 		}
 		r.Points = append(r.Points, p)
 	}

@@ -39,11 +39,15 @@ type ScalePhase struct {
 	PktsPerSec float64 // SimPkts / wall
 
 	// Background flow-tier accounting (zero unless Options.Bg == "flow"):
-	// active elephants, scheduler events the fluid tier consumed, and the
-	// packet-level event projection for the traffic it drained.
+	// active elephants, scheduler events the fluid tier consumed, the
+	// packet-level event projection for the traffic it drained, and how
+	// often the rate solver ran into its round cap (and how many flows it
+	// then rated by fiat).
 	BgFlows         int
 	BgEvents        uint64
 	BgProjPktEvents uint64
+	BgRoundCapHits  int
+	BgCappedFlows   int
 }
 
 // ScaleResult is the experiment outcome.
@@ -72,9 +76,9 @@ func (r *ScaleResult) String() string {
 	b.WriteString(t.String())
 	for _, p := range r.Phases {
 		if p.BgEvents > 0 {
-			fmt.Fprintf(&b, "%s background: %d elephants, %d flow events vs %d projected packet events (%.0fx fewer)\n",
+			fmt.Fprintf(&b, "%s background: %d elephants, %d flow events vs %d projected packet events (%.0fx fewer); solver round cap hit %d times, %d flows rated at the cap\n",
 				p.Name, p.BgFlows, p.BgEvents, p.BgProjPktEvents,
-				float64(p.BgProjPktEvents)/float64(p.BgEvents))
+				float64(p.BgProjPktEvents)/float64(p.BgEvents), p.BgRoundCapHits, p.BgCappedFlows)
 		}
 	}
 	return b.String()
@@ -228,6 +232,8 @@ func scalePhase(name string, opts Options, wl workload.Spec, participants int, d
 		ph.BgFlows = br.ActiveFlows
 		ph.BgEvents = br.Events
 		ph.BgProjPktEvents = br.ProjPacketEvents
+		ph.BgRoundCapHits = br.RoundCapHits
+		ph.BgCappedFlows = br.CappedFlows
 	}
 	return ph
 }

@@ -1,11 +1,10 @@
-package flowsim_test
+package flowsim
 
 import (
 	"testing"
 
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
-	"repro/internal/netsim/flowsim"
 	"repro/internal/netsim/topogen"
 	"repro/internal/netsim/workload"
 	"repro/internal/orch"
@@ -61,7 +60,7 @@ func BenchmarkScaleMixed1M(b *testing.B) {
 		for j := 0; j < k; j++ {
 			tr.Flows[j] = workload.TraceFlow{Src: perm[2*j], Dst: perm[2*j+1], Bytes: 1 << 30}
 		}
-		feng := flowsim.Install(bt, all, flowsim.Spec{Trace: tr, Seed: 7})
+		feng := Install(bt, all, Spec{Trace: tr, Seed: 7})
 
 		s := orch.New()
 		instantiate.WirePartitions(s, topo, bt, true)
@@ -87,4 +86,66 @@ func BenchmarkScaleMixed1M(b *testing.B) {
 	b.ReportMetric(float64(endpoints), "endpoints")
 	b.ReportMetric(float64(proj)/float64(events), "x-events")
 	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
+}
+
+// closMix is a synthetic three-tier mix for the solver benchmarks: every
+// flow crosses its source's access link, an uplink, two core links, a
+// downlink and its destination's access link, each drawn at random from
+// its tier. hosts ≥ 2·nflows gives every flow private access links (the
+// mixed_1m elephant tier); fewer makes endpoints shared.
+func closMix(t testing.TB, seed uint64, hosts, uplinks, cores, nflows int) *twin {
+	caps := make([]float64, 0, 2*(hosts+uplinks+cores))
+	tier := func(n int, rate float64) (base int) {
+		base = len(caps)
+		for i := 0; i < n; i++ {
+			caps = append(caps, rate)
+		}
+		return base
+	}
+	tx, rx := tier(hosts, 10e9), tier(hosts, 10e9)
+	up, down := tier(uplinks, 40e9), tier(uplinks, 40e9)
+	coreUp, coreDown := tier(cores, 100e9), tier(cores, 100e9)
+	w := newTwin(t, caps)
+	rng := sim.NewRand(seed)
+	ends := rng.Perm(hosts)
+	for i := 0; i < nflows; i++ {
+		src, dst := ends[(2*i)%hosts], ends[(2*i+1)%hosts]
+		w.admit([]int{tx + src, up + rng.Intn(uplinks), coreUp + rng.Intn(cores),
+			coreDown + rng.Intn(cores), down + rng.Intn(uplinks), rx + dst})
+	}
+	return w
+}
+
+// fewRoundsMix is the Poisson regime: a couple of hundred flows with
+// shared endpoints over a small fabric, solved in seven rounds — and, in
+// that regime, solved again at every arrival.
+func fewRoundsMix(t testing.TB) *twin { return closMix(t, 42, 256, 64, 32, 200) }
+
+// capHitMix is mixed_1m's shape at 1/7.5 scale: disjoint elephant pairs,
+// ~2.4 flows per uplink and ~10 per core link, thousands of distinct
+// bottleneck shares — the round cap is the common case.
+func capHitMix(t testing.TB) *twin { return closMix(t, 42, 40_000, 8192, 2048, 20_000) }
+
+// BenchmarkRecompute times one rate recomputation in steady state (scratch
+// grown, nothing admitted or retired in between) for the link-side solver
+// and, beside it, the flow-side oracle it replaced.
+func BenchmarkRecompute(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		mix  func(testing.TB) *twin
+	}{{"few_rounds", fewRoundsMix}, {"cap_hit", capHitMix}} {
+		w := shape.mix(b)
+		w.solve(shape.name)
+		for _, solver := range []struct {
+			name string
+			fn   func()
+		}{{"link", w.rep[0].recompute}, {"oracle", func() { oracleRecompute(w.rep[1]) }}} {
+			b.Run(shape.name+"/"+solver.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					solver.fn()
+				}
+			})
+		}
+	}
 }

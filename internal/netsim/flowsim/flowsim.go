@@ -87,34 +87,18 @@ const rateInf = 1e15
 // time (ceiled to whole nanoseconds) and the advance arithmetic.
 const completeEps = 1e-3
 
-// Directed-link key packing: bits 0..31 index (topology link or host
-// slot), bit 32 access flag, bit 33 direction.
 const (
-	dirFwd  = 0 // A→B on a topology link; host→switch on an access link
-	dirRev  = 1 // B→A; switch→host
-	keyAcc  = 1 << 32
-	keyRev  = 1 << 33
+	dirFwd  = 0  // A→B on a topology link; host→switch on an access link
+	dirRev  = 1  // B→A; switch→host
 	maxHops = 64 // routing-loop guard on path walks
 )
 
-func topoLinkKey(li int32, dir int8) uint64 {
-	k := uint64(uint32(li))
-	if dir == dirRev {
-		k |= keyRev
-	}
-	return k
-}
+// accessKey packs a host slot and a direction into the access-link map key.
+func accessKey(slot int32, dir int8) uint64 { return uint64(uint32(slot))<<1 | uint64(dir) }
 
-func accessKey(slot int32, dir int8) uint64 {
-	k := uint64(uint32(slot)) | keyAcc
-	if dir == dirRev {
-		k |= keyRev
-	}
-	return k
-}
-
-// hop is one step of a path walk: leaving a switch through iface idx
-// traverses topology link li to switch next.
+// hop is one step of a path walk: leaving a switch through an iface
+// traverses topology link li to switch next. li < 0 marks an iface that is
+// not a fabric link (a host attachment).
 type hop struct {
 	li   int32
 	next int32
@@ -146,7 +130,6 @@ type flow struct {
 	bytes     int64
 	remaining float64
 	rate      float64 // bit/s, assigned by recompute
-	share     float64 // recompute scratch
 	start     sim.Time
 	baseDelay sim.Time // propagation + switch pipeline + store-and-forward fill
 	hops      int32    // switches on the path
@@ -161,7 +144,7 @@ type Engine struct {
 	endpoints []int
 	spec      Spec
 
-	hops          map[uint64]hop // (switch, ifaceIdx) → traversal
+	hops          [][]hop // [switch][ifaceIdx] → traversal
 	switchLatency sim.Time
 	reps          []*replica
 }
@@ -176,10 +159,13 @@ type replica struct {
 	nextH int
 
 	rng    *sim.Rand
-	seqs   []int32 // per-endpoint flow sequence numbers (Pattern input)
-	flows  []*flow // active flows in arrival order
-	links  map[uint64]*blink
-	active []*blink // links with ≥1 active flow, first-use order
+	seqs   []int32           // per-endpoint flow sequence numbers (Pattern input)
+	flows  []*flow           // active flows in arrival order
+	tlinks []*blink          // topology links, indexed 2·li+dir; nil until first use
+	access map[uint64]*blink // host access links by accessKey
+	active []*blink          // links with ≥1 active flow, first-use order
+	path   []*blink          // resolve scratch
+	solver solver            // recompute scratch, grow-only
 
 	lastAdvance sim.Time
 	nextArrival sim.Time // -1 when the arrival process is exhausted
@@ -187,6 +173,7 @@ type replica struct {
 	traceCur    int
 
 	started, completed, skipped, unroutable int
+	roundCapHits, cappedFlows               int // solver diagnostics, not checkpointed
 	bytesModeled                            int64
 	events                                  uint64
 	pktEvProj                               uint64
@@ -227,12 +214,31 @@ func Install(b *netsim.Built, endpoints []int, spec Spec) *Engine {
 		endpoints:     endpoints,
 		spec:          spec,
 		switchLatency: b.Parts[0].SwitchLatency,
-		hops:          make(map[uint64]hop, 2*len(topo.Links)),
+		hops:          make([][]hop, len(b.Switches)),
+	}
+	// One backing array, one row per switch as long as its iface list;
+	// ifaces added later (lazy hosts) fall off the row's end and read as
+	// attachments, which they are.
+	nif := 0
+	for _, sw := range b.Switches {
+		nif += len(sw.Ifaces())
+	}
+	rows := make([]hop, nif)
+	for i := range rows {
+		rows[i].li = -1
+	}
+	for i, sw := range b.Switches {
+		n := len(sw.Ifaces())
+		eng.hops[i], rows = rows[:n:n], rows[n:]
 	}
 	for li := range topo.Links {
 		l := &topo.Links[li]
-		eng.hops[hopKey(int32(l.A), b.LinkIfaces[li][0])] = hop{li: int32(li), next: int32(l.B), dir: dirFwd}
-		eng.hops[hopKey(int32(l.B), b.LinkIfaces[li][1])] = hop{li: int32(li), next: int32(l.A), dir: dirRev}
+		if fi := b.LinkIfaces[li][0]; fi >= 0 {
+			eng.hops[l.A][fi] = hop{li: int32(li), next: int32(l.B), dir: dirFwd}
+		}
+		if fi := b.LinkIfaces[li][1]; fi >= 0 {
+			eng.hops[l.B][fi] = hop{li: int32(li), next: int32(l.A), dir: dirRev}
+		}
 	}
 	for p, net := range b.Parts {
 		r := &replica{
@@ -241,11 +247,12 @@ func Install(b *netsim.Built, endpoints []int, spec Spec) *Engine {
 			part:        p,
 			rng:         sim.NewRand(spec.Seed ^ 0x9e3779b97f4a7c15),
 			seqs:        make([]int32, len(endpoints)),
-			links:       make(map[uint64]*blink),
+			tlinks:      make([]*blink, 2*len(topo.Links)),
 			nextArrival: -1,
 			nextWake:    -1,
 			fct:         stats.NewReservoir(spec.FCTCap, spec.Seed^0xc3c3c3c3c3c3c3c3),
 		}
+		r.resetLinks()
 		r.nextH = net.RegisterNamed(fmt.Sprintf("flowsim/%d/next", spec.Seed), r.fire)
 		net.OnStart(func() {
 			now := r.net.Env().Now()
@@ -285,8 +292,6 @@ func InstallSpec(b *netsim.Built, endpoints []int, ws workload.Spec) *Engine {
 	}
 	return Install(b, endpoints, fs)
 }
-
-func hopKey(sw, iface int32) uint64 { return uint64(uint32(sw))<<32 | uint64(uint32(iface)) }
 
 // wireBits is the on-the-wire size of a flow in bits: payload plus
 // per-packet overhead at the configured MTU.
@@ -350,14 +355,36 @@ func (r *replica) accessIface(slot int32, dir int8) *netsim.Iface {
 	return nil
 }
 
-// link returns the replica's blink for a directed link, creating it on
-// first use.
-func (r *replica) link(key uint64, cap int64, ifc func() *netsim.Iface) *blink {
-	if bl, ok := r.links[key]; ok {
-		return bl
+// resetLinks drops every blink the replica holds. A trace names at most
+// two access links per flow, so the map is sized once instead of grown.
+func (r *replica) resetLinks() {
+	clear(r.tlinks)
+	hint := 0
+	if tr := r.eng.spec.Trace; tr != nil {
+		hint = 2 * len(tr.Flows)
 	}
-	bl := &blink{cap: float64(cap), iface: ifc(), activeIdx: -1}
-	r.links[key] = bl
+	r.access = make(map[uint64]*blink, hint)
+	r.active = r.active[:0]
+}
+
+// topoLink returns the replica's blink for a directed topology link,
+// creating it on first use.
+func (r *replica) topoLink(li int32, dir int8, rate int64) *blink {
+	i := 2*int(li) + int(dir)
+	if r.tlinks[i] == nil {
+		r.tlinks[i] = &blink{cap: float64(rate), iface: r.topoIface(li, dir), activeIdx: -1}
+	}
+	return r.tlinks[i]
+}
+
+// accessLink is topoLink for a host access link.
+func (r *replica) accessLink(slot int32, dir int8, rate int64) *blink {
+	key := accessKey(slot, dir)
+	bl, ok := r.access[key]
+	if !ok {
+		bl = &blink{cap: float64(rate), iface: r.accessIface(slot, dir), activeIdx: -1}
+		r.access[key] = bl
+	}
 	return bl
 }
 
@@ -378,9 +405,9 @@ func (r *replica) resolve(f *flow) bool {
 	delay := srcTH.Delay + dstTH.Delay
 	var fill sim.Time
 
+	path := r.path[:0]
 	if srcTH.Rate > 0 {
-		f.links = append(f.links, r.link(accessKey(srcSlot, dirFwd), srcTH.Rate,
-			func() *netsim.Iface { return r.accessIface(srcSlot, dirFwd) }))
+		path = append(path, r.accessLink(srcSlot, dirFwd, srcTH.Rate))
 	}
 	cur := srcTH.Switch
 	nsw := int32(1)
@@ -389,15 +416,14 @@ func (r *replica) resolve(f *flow) bool {
 		if !ok {
 			return false
 		}
-		hp, ok := eng.hops[hopKey(int32(cur), int32(out))]
-		if !ok {
+		row := eng.hops[cur]
+		if uint(out) >= uint(len(row)) || row[out].li < 0 {
 			return false // routed into an attachment port, not the fabric
 		}
+		hp := row[out]
 		l := &eng.topo.Links[hp.li]
 		if l.Rate > 0 {
-			li, dir := hp.li, hp.dir
-			f.links = append(f.links, r.link(topoLinkKey(li, dir), l.Rate,
-				func() *netsim.Iface { return r.topoIface(li, dir) }))
+			path = append(path, r.topoLink(hp.li, hp.dir, l.Rate))
 			fill += sim.TransmitTime(lastWire, l.Rate)
 		}
 		delay += l.Delay
@@ -407,13 +433,37 @@ func (r *replica) resolve(f *flow) bool {
 		}
 	}
 	if dstTH.Rate > 0 {
-		f.links = append(f.links, r.link(accessKey(dstSlot, dirRev), dstTH.Rate,
-			func() *netsim.Iface { return r.accessIface(dstSlot, dirRev) }))
+		path = append(path, r.accessLink(dstSlot, dirRev, dstTH.Rate))
 		fill += sim.TransmitTime(lastWire, dstTH.Rate)
 	}
+	r.path = path
+	f.links = append(make([]*blink, 0, len(path)), path...)
 	f.hops = nsw
 	f.baseDelay = delay + sim.Time(nsw)*eng.switchLatency + fill
 	return true
+}
+
+// admit resolves f's path and adds it to the active set. False means
+// unroutable.
+func (r *replica) admit(f *flow) bool {
+	if !r.resolve(f) {
+		return false
+	}
+	r.attach(f)
+	return true
+}
+
+// attach adds a flow whose links are known to the active set, putting each
+// link on the active list at first use.
+func (r *replica) attach(f *flow) {
+	r.flows = append(r.flows, f)
+	for _, bl := range f.links {
+		bl.nflows++
+		if bl.activeIdx < 0 {
+			bl.activeIdx = len(r.active)
+			r.active = append(r.active, bl)
+		}
+	}
 }
 
 // fire is the single named-event handler: advance the fluid state to now,
@@ -427,6 +477,16 @@ func (r *replica) fire(sim.NamedArgs) {
 	if r.nextWake == now {
 		r.nextWake = -1
 	}
+	if r.step(now) {
+		r.recompute()
+		r.applyReservations()
+	}
+	r.scheduleWake(now)
+}
+
+// step moves flow membership to now — drain, admit due arrivals, retire
+// drained flows — and reports whether the active set changed.
+func (r *replica) step(now sim.Time) bool {
 	r.advanceTo(now)
 	changed := false
 	for r.nextArrival >= 0 && r.nextArrival <= now {
@@ -438,11 +498,7 @@ func (r *replica) fire(sim.NamedArgs) {
 	if r.completeDue(now) {
 		changed = true
 	}
-	if changed {
-		r.recompute()
-		r.applyReservations()
-	}
-	r.scheduleWake(now)
+	return changed
 }
 
 // advanceTo drains every active flow at its current rate over the elapsed
@@ -491,17 +547,9 @@ func (r *replica) startFlow(now sim.Time) bool {
 		remaining: r.eng.wireBits(bytes),
 		start:     now,
 	}
-	if !r.resolve(f) {
+	if !r.admit(f) {
 		r.unroutable++
 		return false
-	}
-	r.flows = append(r.flows, f)
-	for _, bl := range f.links {
-		bl.nflows++
-		if bl.activeIdx < 0 {
-			bl.activeIdx = len(r.active)
-			r.active = append(r.active, bl)
-		}
 	}
 	r.started++
 	return true
@@ -547,69 +595,6 @@ func (r *replica) completeDue(now sim.Time) bool {
 		r.flows = r.flows[:w]
 	}
 	return done
-}
-
-// recompute assigns every active flow its max-min fair rate by
-// progressive filling, flow-side: each round computes each unfixed flow's
-// minimum per-link fair share, fixes the flows achieving the global
-// minimum (they traverse the bottleneck), subtracts, and repeats. No
-// link→flow lists are materialized; cost is O(rounds × flows × hops)
-// with rounds bounded by the number of distinct bottlenecks.
-func (r *replica) recompute() {
-	const maxRounds = 100
-	for _, bl := range r.active {
-		bl.avail = bl.cap
-		bl.unfixed = bl.nflows
-	}
-	unfixed := 0
-	for _, f := range r.flows {
-		if len(f.links) == 0 {
-			f.rate = rateInf
-		} else {
-			f.rate = -1
-			unfixed++
-		}
-	}
-	for round := 0; unfixed > 0; round++ {
-		minShare := math.Inf(1)
-		for _, f := range r.flows {
-			if f.rate >= 0 {
-				continue
-			}
-			s := math.Inf(1)
-			for _, bl := range f.links {
-				if bl.unfixed <= 0 {
-					continue
-				}
-				if sh := bl.avail / float64(bl.unfixed); sh < s {
-					s = sh
-				}
-			}
-			if s < 0 {
-				s = 0
-			}
-			f.share = s
-			if s < minShare {
-				minShare = s
-			}
-		}
-		// Past the round bound (degenerate all-distinct-bottleneck mixes)
-		// fix everything at its current share: approximate but
-		// deterministic, and oversubscription is absorbed by effRate's
-		// capacity floor on the packet side.
-		last := round == maxRounds-1
-		for _, f := range r.flows {
-			if f.rate >= 0 || (!last && f.share > minShare) {
-				continue
-			}
-			f.rate = f.share
-			for _, bl := range f.links {
-				bl.avail -= f.share
-				bl.unfixed--
-			}
-			unfixed--
-		}
-	}
 }
 
 // applyReservations pushes each link's aggregate background rate to its
@@ -660,11 +645,9 @@ func (r *replica) scheduleArrival(now sim.Time) {
 	r.nextArrival = now + sim.Time(r.rng.Exp(mean))
 }
 
-// scheduleWake posts the named wake at the earliest pending moment (next
-// arrival or earliest completion) unless an earlier wake is already
-// outstanding. Later outstanding wakes are left to fire stale — fire is
-// idempotent — because the scheduler has no cancel.
-func (r *replica) scheduleWake(now sim.Time) {
+// nextEvent is the earliest pending moment after now: the next arrival or
+// the earliest completion at current rates; -1 when neither exists.
+func (r *replica) nextEvent(now sim.Time) sim.Time {
 	t := r.nextArrival
 	for _, f := range r.flows {
 		if f.rate <= 0 {
@@ -678,6 +661,14 @@ func (r *replica) scheduleWake(now sim.Time) {
 			t = c
 		}
 	}
+	return t
+}
+
+// scheduleWake posts the named wake at nextEvent unless an earlier wake is
+// already outstanding. Later outstanding wakes are left to fire stale —
+// fire is idempotent — because the scheduler has no cancel.
+func (r *replica) scheduleWake(now sim.Time) {
+	t := r.nextEvent(now)
 	if t < 0 {
 		return
 	}
@@ -706,7 +697,14 @@ type Report struct {
 	// move the traffic the fluid model drained — completed flows in full,
 	// active flows pro-rata (conservative undercount; see projEvents).
 	ProjPacketEvents uint64
-	FCT              *stats.Latency
+	// RoundCapHits counts rate recomputations that ran into the solver's
+	// round cap; CappedFlows counts the flows those rated above the final
+	// round's bottleneck share — by fiat, where progressive filling would
+	// have kept going. Both count this process's solver work and restart
+	// from zero on a resumed run.
+	RoundCapHits int
+	CappedFlows  int
+	FCT          *stats.Latency
 }
 
 // Collect returns the tier's report. Call it after the run: active flows'
@@ -736,11 +734,14 @@ func (e *Engine) Collect() Report {
 		BytesModeled:     r.bytesModeled,
 		Events:           r.events,
 		ProjPacketEvents: proj,
+		RoundCapHits:     r.roundCapHits,
+		CappedFlows:      r.cappedFlows,
 		FCT:              r.fct,
 	}
 }
 
 func (rp Report) String() string {
-	return fmt.Sprintf("flows=%d/%d active=%d bytes=%d events=%d projPktEvents=%d",
-		rp.FlowsCompleted, rp.FlowsStarted, rp.ActiveFlows, rp.BytesModeled, rp.Events, rp.ProjPacketEvents)
+	return fmt.Sprintf("flows=%d/%d active=%d bytes=%d events=%d projPktEvents=%d roundCapHits=%d cappedFlows=%d",
+		rp.FlowsCompleted, rp.FlowsStarted, rp.ActiveFlows, rp.BytesModeled, rp.Events, rp.ProjPacketEvents,
+		rp.RoundCapHits, rp.CappedFlows)
 }

@@ -408,6 +408,21 @@ func TestMixedFidelityCheckpointRestore(t *testing.T) {
 	if fr.FlowsCompleted == 0 || fr.FlowsStarted == 0 {
 		t.Fatalf("restored background tier idle: %v", fr)
 	}
+
+	// Restoring into an engine that has already admitted flows must leave
+	// nothing of them behind: not the flows, not their links' flow counts,
+	// not their place on the active list.
+	s3, b3, w3, f3 := build()
+	s3.RunSequential(at / 2)
+	if pre := f3.Collect(); pre.ActiveFlows == 0 {
+		t.Fatalf("engine to restore into admitted nothing: %v", pre)
+	}
+	if _, err := s3.ResumeSequential(ck, end); err != nil {
+		t.Fatalf("resume into a used engine: %v", err)
+	}
+	if got := mixedDigest(t, b3, w3, f3); got != want {
+		t.Fatalf("run restored into a used engine diverged: digest %x, want %x", got, want)
+	}
 }
 
 // TestFlowReportFCTIsLatency pins the report type so experiment code can

@@ -135,9 +135,9 @@ func (e *Engine) RestoreState(dec *snap.Decoder) error {
 			r.seqs[idx] = int32(seqVal[i])
 		}
 
+		clear(r.flows)
 		r.flows = r.flows[:0]
-		r.links = make(map[uint64]*blink)
-		r.active = r.active[:0]
+		r.resetLinks()
 		for i, rec := range recs {
 			if int(rec.src) >= len(e.endpoints) || int(rec.dst) >= len(e.endpoints) {
 				return fmt.Errorf("flowsim: snapshot flow %d endpoints outside set", i)
@@ -149,16 +149,8 @@ func (e *Engine) RestoreState(dec *snap.Decoder) error {
 				remaining: rec.rem,
 				start:     rec.start,
 			}
-			if !r.resolve(f) {
+			if !r.admit(f) {
 				return fmt.Errorf("flowsim: snapshot flow %d (%d→%d) no longer routes", i, rec.src, rec.dst)
-			}
-			r.flows = append(r.flows, f)
-			for _, bl := range f.links {
-				bl.nflows++
-				if bl.activeIdx < 0 {
-					bl.activeIdx = len(r.active)
-					r.active = append(r.active, bl)
-				}
 			}
 		}
 		r.recompute()

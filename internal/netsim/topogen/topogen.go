@@ -8,6 +8,7 @@ package topogen
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/netsim"
 	"repro/internal/proto"
@@ -100,6 +101,38 @@ type ClosMeta struct {
 	LeafPrefix [][]proto.Prefix
 
 	hostBits, leafBits, podBits uint
+}
+
+// leafNames formats one leaf's host names, "h<pod>.<leaf>.<i>", into a
+// single string and hands out substrings of it: one allocation per leaf
+// where a Sprintf per slot made host names most of what a 10⁶-slot fabric
+// allocates. The buffers are reused from leaf to leaf.
+type leafNames struct {
+	buf  []byte
+	ends []int // ends[i] is where host i's name stops in all
+	all  string
+}
+
+func (n *leafNames) format(pod, leaf, hosts int) {
+	n.buf, n.ends = n.buf[:0], n.ends[:0]
+	for i := 0; i < hosts; i++ {
+		n.buf = append(n.buf, 'h')
+		n.buf = strconv.AppendInt(n.buf, int64(pod), 10)
+		n.buf = append(n.buf, '.')
+		n.buf = strconv.AppendInt(n.buf, int64(leaf), 10)
+		n.buf = append(n.buf, '.')
+		n.buf = strconv.AppendInt(n.buf, int64(i), 10)
+		n.ends = append(n.ends, len(n.buf))
+	}
+	n.all = string(n.buf)
+}
+
+func (n *leafNames) name(i int) string {
+	start := 0
+	if i > 0 {
+		start = n.ends[i-1]
+	}
+	return n.all[start:n.ends[i]]
 }
 
 // bitsFor returns the smallest b with 1<<b >= n.
@@ -211,6 +244,7 @@ func Clos(spec ClosSpec) (*netsim.Topology, *ClosMeta) {
 	if spec.Cores > 0 {
 		g = spec.Cores / spec.SpinePerPod
 	}
+	var names leafNames
 	for p := 0; p < spec.Pods; p++ {
 		var spines, leaves []int
 		for j := 0; j < spec.SpinePerPod; j++ {
@@ -234,9 +268,10 @@ func Clos(spec ClosSpec) (*netsim.Topology, *ClosMeta) {
 		leafPrefixes := make([]proto.Prefix, spec.LeafPerPod)
 		for l, lf := range leaves {
 			leafPrefixes[l] = proto.MakePrefix(m.HostIP(p, l, 0), 32-int(m.hostBits))
+			names.format(p, l, spec.HostsPerLeaf)
 			for i := 0; i < spec.HostsPerLeaf; i++ {
 				ip := m.HostIP(p, l, i)
-				name := fmt.Sprintf("h%d.%d.%d", p, l, i)
+				name := names.name(i)
 				var hi int
 				if spec.Lazy {
 					hi = t.AddLazyHost(name, ip, lf, spec.HostRate, spec.LinkDelay)

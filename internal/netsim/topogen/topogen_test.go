@@ -326,3 +326,24 @@ func TestDefaultUpRouteEquivalence(t *testing.T) {
 			small.Pods, a, big.Pods, b)
 	}
 }
+
+// TestHostNamesMatchSprintf pins the slot names Clos builds from one buffer
+// per leaf to the Sprintf form they replaced, across digit-count changes
+// in every field (pods and hosts past 9 and 99, leaves past 9).
+func TestHostNamesMatchSprintf(t *testing.T) {
+	spec := topogen.ClosSpec{
+		Pods: 12, LeafPerPod: 11, SpinePerPod: 1, Cores: 1, HostsPerLeaf: 101,
+		HostRate: 10 * sim.Gbps, LeafRate: 40 * sim.Gbps,
+		LinkDelay: sim.Microsecond, Lazy: true,
+	}
+	topo, m := topogen.Clos(spec)
+	for p, pod := range m.HostSlots {
+		for l, leaf := range pod {
+			for i, slot := range leaf {
+				if got, want := topo.Hosts[slot].Name, fmt.Sprintf("h%d.%d.%d", p, l, i); got != want {
+					t.Fatalf("slot %d: name %q, want %q", slot, got, want)
+				}
+			}
+		}
+	}
+}
