@@ -33,13 +33,15 @@ race:
 # together. Parallel digest/wake/profiling tests (nondeterminism and data
 # races in the pinned-thread path), the speculation digest/rollback/leap
 # properties and the remote-rejection contract, checkpoints restoring
-# bit-identically across placements, modes and GOMAXPROCS levels, and the
-# warm-started sweep's identity point matching its cold run — plus the
-# rollback fuzz seed corpus.
+# bit-identically across placements, modes and GOMAXPROCS levels, the
+# warm-started sweep's identity point matching its cold run, and the
+# scheduler's delivery lanes (their contents are pending events, so
+# snapshots, rollbacks and checkpoints export, discard and restore them) —
+# plus the rollback fuzz seed corpus.
 exec:
 	$(GO) test -race \
-		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart' \
-		./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/
+		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane' \
+		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 
 # Fault-injection suite: supervised transport under connection kills,

@@ -47,6 +47,12 @@ type Host struct {
 	cpuBusyUntil []sim.Time
 	cpuBusy      sim.Time // accumulated busy time, for utilization stats
 
+	// lanes holds one delivery lane per simulated core, built by Attach on
+	// the run's scheduler. A core's bookings never go back in time, so the
+	// stack completions parked on it keep the heap one entry deep per core
+	// however far ahead the backlog reaches.
+	lanes []*sim.Lane
+
 	txID       uint64
 	txWaiters  map[uint64]func(hw sim.Time)
 	phcID      uint64
@@ -70,7 +76,7 @@ type Host struct {
 	freeRxJob []*rxJob
 
 	// txSink and rxSink are the typed-delivery sinks for stack-compute
-	// completion events — one queue slot per in-flight packet, no closures.
+	// completion events — one lane entry per in-flight packet, no closures.
 	txSink hostTxSink
 	rxSink hostRxSink
 
@@ -194,7 +200,13 @@ func (h *Host) Cores() int { return len(h.cpuBusyUntil) }
 func (h *Host) Name() string { return h.name }
 
 // Attach implements core.Component.
-func (h *Host) Attach(env core.Env) { h.env = env }
+func (h *Host) Attach(env core.Env) {
+	h.env = env
+	h.lanes = make([]*sim.Lane, len(h.cpuBusyUntil))
+	for i := range h.lanes {
+		h.lanes[i] = env.Sched.NewLane(env.Src)
+	}
+}
 
 // Start implements core.Component.
 func (h *Host) Start(end sim.Time) {
@@ -263,10 +275,10 @@ func (h *Host) jitter(d sim.Time) sim.Time {
 }
 
 // computeDone books d of work on the least-loaded simulated core and
-// returns its completion time, serialized behind previously queued work.
-// This is the mechanism that makes servers saturate and adds the latency
-// the protocol-level simulator cannot see.
-func (h *Host) computeDone(d sim.Time) sim.Time {
+// returns its completion time, serialized behind previously queued work,
+// and the core's index. This is the mechanism that makes servers saturate
+// and adds the latency the protocol-level simulator cannot see.
+func (h *Host) computeDone(d sim.Time) (sim.Time, int) {
 	d = h.jitter(d)
 	ci := 0
 	for i := 1; i < len(h.cpuBusyUntil); i++ {
@@ -281,12 +293,13 @@ func (h *Host) computeDone(d sim.Time) sim.Time {
 	h.cpuBusyUntil[ci] = start + d
 	h.cpuBusy += d
 	h.cost.Charge(h.p.SimCostPerEventNs)
-	return h.cpuBusyUntil[ci]
+	return h.cpuBusyUntil[ci], ci
 }
 
 // Compute runs fn after a simulated core has spent d executing this work.
 func (h *Host) Compute(d sim.Time, fn func()) {
-	h.env.At(h.computeDone(d), fn)
+	t, _ := h.computeDone(d)
+	h.env.At(t, fn)
 }
 
 // CPUBusy returns accumulated busy time of the simulated core.
@@ -359,7 +372,8 @@ func (h *Host) sendFrame(f *proto.Frame, stamp bool, onTx func(sim.Time)) {
 	j.bytes = proto.AppendFrame(h.pool.GetBuf(), f)
 	j.stamp, j.onTx = stamp, onTx
 	f.Release()
-	h.env.PostDelivery(h.computeDone(h.p.TxStackCost), &h.txSink, j)
+	t, ci := h.computeDone(h.p.TxStackCost)
+	h.lanes[ci].Post(t, &h.txSink, j)
 }
 
 // ReadPHC issues a PTP-hardware-clock read; fn receives the PHC value and
@@ -442,7 +456,8 @@ func (h *Host) receiveFrame(msg pci.RxPacket) {
 	// SO_TIMESTAMP software receive timestamp: taken when the driver sees
 	// the packet, before it waits behind other work on the CPU.
 	j.f, j.hw, j.sw = f, msg.HWTime, h.ClockNow()
-	h.env.PostDelivery(h.computeDone(h.p.IRQOverhead+h.p.RxStackCost), &h.rxSink, j)
+	t, ci := h.computeDone(h.p.IRQOverhead + h.p.RxStackCost)
+	h.lanes[ci].Post(t, &h.rxSink, j)
 }
 
 func (h *Host) demux(f *proto.Frame, hw, sw sim.Time) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hostsim"
 	"repro/internal/netsim"
 	"repro/internal/nicsim"
@@ -249,6 +250,73 @@ func TestGem5NoiseChangesTiming(t *testing.T) {
 	g := rtt(hostsim.Gem5Params())
 	if g <= q {
 		t.Fatalf("gem5 RTT %v should exceed qemu RTT %v (higher stack costs)", g, q)
+	}
+}
+
+// TestHorizonWithCPUBacklogLeaksNothing stops a run while both hosts' cores
+// are still booked ahead: h1 queues 1000 datagrams at time zero and h2's
+// receive path is slower than h1's transmit path. The completions parked
+// behind the cores at the horizon must all be swept back to their pools.
+func TestHorizonWithCPUBacklogLeaksNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params hostsim.Params
+		cores  int
+	}{
+		{"qemu-1core", hostsim.QemuParams(), 1},
+		{"gem5-2cores-noise", hostsim.Gem5Params(), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := buildRig(tc.params)
+			r.h1.SetCores(tc.cores)
+			r.h2.SetCores(tc.cores)
+			var got uint64
+			r.h2.BindUDP(9, func(proto.IP, uint16, []byte, int) { got++ })
+			r.h1.AddApp(hostsim.AppFunc(func(h *hostsim.Host) {
+				for i := 0; i < 1000; i++ {
+					h.SendUDP(proto.HostIP(2), 9, 9, make([]byte, 64), 0)
+				}
+			}))
+			r.sim.RunSequential(sim.Millisecond)
+			if r.h1.TxPackets != 1000 || r.n1.TxFrames == 0 || r.n1.TxFrames >= 1000 {
+				t.Fatalf("h1 sent %d, NIC transmitted %d: want a transmit backlog at the horizon",
+					r.h1.TxPackets, r.n1.TxFrames)
+			}
+			if got == 0 || got >= r.h2.RxPackets {
+				t.Fatalf("h2 received %d, delivered %d: want a receive backlog at the horizon",
+					r.h2.RxPackets, got)
+			}
+			for _, c := range r.sim.Components() {
+				if fp, ok := c.(core.FramePooler); ok && fp.FrameStats().Live != 0 {
+					t.Errorf("%s: %d frames live after the run", c.Name(), fp.FrameStats().Live)
+				}
+			}
+			if n := r.sim.LiveFrames(); n != 0 {
+				t.Fatalf("LiveFrames() = %d after the run", n)
+			}
+		})
+	}
+}
+
+// TestRerunRebuildsLanes runs one simulation twice: the second run attaches
+// every host to a fresh scheduler, and stack completions must be queued
+// there, not on the first run's.
+func TestRerunRebuildsLanes(t *testing.T) {
+	r := buildRig(hostsim.QemuParams())
+	r.h2.BindUDP(7, func(src proto.IP, sport uint16, payload []byte, _ int) {
+		r.h2.SendUDP(src, 7, sport, payload, 0)
+	})
+	echoes := 0
+	r.h1.BindUDP(8000, func(proto.IP, uint16, []byte, int) { echoes++ })
+	r.h1.AddApp(hostsim.AppFunc(func(h *hostsim.Host) {
+		h.SendUDP(proto.HostIP(2), 8000, 7, make([]byte, 32), 0)
+	}))
+	for run := 1; run <= 2; run++ {
+		s := r.sim.RunSequential(sim.Millisecond)
+		if echoes != run || s.Pending() != 0 || r.sim.LiveFrames() != 0 {
+			t.Fatalf("run %d: %d echoes in total, %d pending, %d frames live",
+				run, echoes, s.Pending(), r.sim.LiveFrames())
+		}
 	}
 }
 

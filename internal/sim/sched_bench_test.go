@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Scheduler/event-queue microbenchmarks. The dominant kernel pattern in
 // every substrate simulator is timer churn: pop the earliest event, whose
@@ -59,6 +62,71 @@ func BenchmarkQueueChurn1024(b *testing.B) {
 		push(e.at+Time(100+(n*40503)%1000), e.src)
 	}
 }
+
+// BenchmarkLaneBacklog measures ns/event at a standing backlog of k typed
+// deliveries spread over four monotone producers — a detailed host's
+// booked-ahead stack completions. Every delivery re-posts its producer's
+// next one at that producer's tail, so the backlog stays at k. "post" queues
+// them all on the heap with PostDelivery, "lane" through one Lane per
+// producer; the two execute the same events in the same order.
+func BenchmarkLaneBacklog(b *testing.B) {
+	for _, mode := range []string{"post", "lane"} {
+		for _, k := range []int{64, 4096, 131072} {
+			b.Run(fmt.Sprintf("%s/%d", mode, k), func(b *testing.B) {
+				bb := newBacklog(mode == "lane", k)
+				if a := testing.AllocsPerRun(1000, func() { bb.s.Step() }); a != 0 {
+					b.Fatalf("%.1f allocs per event in steady state", a)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					bb.s.Step()
+				}
+			})
+		}
+	}
+}
+
+const backlogProducers = 4
+
+type backlogTok struct{ p int }
+
+func (*backlogTok) Size() int { return 0 }
+
+type backlog struct {
+	s     *Scheduler
+	lanes []*Lane // nil for the PostDelivery form
+	toks  [backlogProducers]backlogTok
+	tails [backlogProducers]Time
+	n     int
+}
+
+func newBacklog(lanes bool, k int) *backlog {
+	bb := &backlog{s: NewScheduler(0)}
+	for p := 0; p < backlogProducers; p++ {
+		bb.toks[p].p = p
+		if lanes {
+			bb.lanes = append(bb.lanes, bb.s.NewLane(int32(p)))
+		}
+	}
+	for i := 0; i < k; i++ {
+		bb.post(i % backlogProducers)
+	}
+	return bb
+}
+
+// post books the producer's next completion 100–1099 ps after its tail.
+func (bb *backlog) post(p int) {
+	bb.n++
+	bb.tails[p] += Time(100 + (bb.n*2654435761)%1000)
+	if bb.lanes != nil {
+		bb.lanes[p].Post(bb.tails[p], bb, &bb.toks[p])
+	} else {
+		bb.s.PostDelivery(bb.tails[p], int32(p), bb, &bb.toks[p])
+	}
+}
+
+func (bb *backlog) Deliver(_ Time, pl Payload) { bb.post(pl.(*backlogTok).p) }
 
 // BenchmarkSchedulerMixed interleaves scheduling, cancellation, and
 // execution the way host/NIC models do: every fourth timer is cancelled

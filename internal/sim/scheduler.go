@@ -34,6 +34,10 @@ type Scheduler struct {
 	deliveries []delivery
 	freeDel    []int32
 
+	// behind counts lane entries queued behind their lane's head: pending,
+	// but not on the heap (see lane.go).
+	behind int
+
 	// namedEvts is the analogous side table for named events (negative
 	// eventEntry.del values); named/namedIdx hold the handler registry.
 	// See state.go.
@@ -61,8 +65,8 @@ func (s *Scheduler) ID() int32 { return s.id }
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending returns the number of events still queued (including lazily
-// cancelled timers that have not yet surfaced).
-func (s *Scheduler) Pending() int { return s.q.Len() }
+// cancelled timers that have not yet surfaced), lane-held entries included.
+func (s *Scheduler) Pending() int { return s.q.Len() + s.behind }
 
 // Processed returns how many events have been executed.
 func (s *Scheduler) Processed() uint64 { return s.done }
@@ -124,6 +128,13 @@ func (s *Scheduler) PostDelivery(t Time, src int32, sink Sink, payload Payload) 
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
+	s.pushDelivery(t, src, s.seq, sink, payload)
+}
+
+// pushDelivery queues a typed delivery under an already drawn ordering key.
+// PostDelivery draws the key here; a Lane drew it when the entry was posted
+// and pushes it when the entry reaches the lane's head.
+func (s *Scheduler) pushDelivery(t Time, src int32, seq uint64, sink Sink, payload Payload) {
 	var i int32
 	if n := len(s.freeDel); n > 0 {
 		i = s.freeDel[n-1]
@@ -133,7 +144,7 @@ func (s *Scheduler) PostDelivery(t Time, src int32, sink Sink, payload Payload) 
 		s.deliveries = append(s.deliveries, delivery{sink: sink, payload: payload})
 		i = int32(len(s.deliveries) - 1)
 	}
-	s.q.Push(eventEntry{at: t, src: src, del: i + 1, seq: s.seq})
+	s.q.Push(eventEntry{at: t, src: src, del: i + 1, seq: seq})
 }
 
 // PeekTime returns the time of the earliest pending event. ok is false when
@@ -248,24 +259,27 @@ func (s *Scheduler) Run() uint64 {
 }
 
 // DiscardPending drains every still-queued event without executing it and
-// returns how many were dropped. For typed delivery events the payload is
-// handed to fn (nil to ignore) so pooled resources in flight when a run
-// ends — frames queued past the end time, undelivered NIC batches — can be
-// returned to their pools. Func events are dropped silently; Now does not
-// advance. The delivery side table and its free list are reset.
+// returns how many were dropped. For typed delivery events, lane-held ones
+// included, the payload is handed to fn (nil to ignore) so pooled
+// resources in flight when a run ends — frames queued past the end time,
+// undelivered NIC batches — can be returned to their pools. Func events are
+// dropped silently; Now does not advance. Every lane is left empty, and the
+// delivery side table and its free list are reset.
 func (s *Scheduler) DiscardPending(fn func(Payload)) int {
 	n := 0
-	for {
-		e := s.q.top()
-		if e == nil {
-			break
-		}
-		if e.del > 0 && fn != nil {
-			fn(s.deliveries[e.del-1].payload)
+	for e := s.q.top(); e != nil; e = s.q.top() {
+		if e.del > 0 {
+			d := s.deliveries[e.del-1]
+			if k, ok := d.sink.(*laneHead); ok {
+				n += (*Lane)(k).discard(fn) - 1 // the head entry is counted below
+			} else if fn != nil {
+				fn(d.payload)
+			}
 		}
 		s.q.Pop()
 		n++
 	}
+	s.behind = 0
 	s.deliveries = s.deliveries[:0]
 	s.freeDel = s.freeDel[:0]
 	s.namedEvts = s.namedEvts[:0]

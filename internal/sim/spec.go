@@ -64,6 +64,10 @@ func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error
 		switch {
 		case e.del > 0:
 			d := s.deliveries[e.del-1]
+			if k, ok := d.sink.(*laneHead); ok {
+				out = (*Lane)(k).appendPending(out)
+				continue
+			}
 			out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
 				Kind: PendingDelivery, Sink: d.sink, Payload: d.payload})
 		case e.del < 0:
@@ -83,7 +87,7 @@ func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error
 // bit-identical: events re-posted after the restore draw the same sequence
 // numbers they drew the first time.
 func (s *Scheduler) RestoreMark(m Mark) {
-	if s.q.Len() != 0 {
+	if s.Pending() != 0 {
 		panic("sim: RestoreMark on a scheduler with queued events")
 	}
 	s.now = m.Now
@@ -100,28 +104,27 @@ func (s *Scheduler) RestoreMark(m Mark) {
 // already restored (RestoreMark), so every record's Seq is below the Seq
 // register and At is not before Now. Named handlers resolve by name against
 // this scheduler's registry; an unknown name reports an error naming it.
+// Deliveries that a lane held when exported come back as plain deliveries
+// with the same keys, so they run in the same order.
 func (s *Scheduler) RestorePending(evs []PendingEvent) error {
-	if s.q.Len() != 0 {
+	if s.Pending() != 0 {
 		panic("sim: RestorePending on a scheduler with queued events")
 	}
 	for i := range evs {
 		ev := &evs[i]
-		entry := eventEntry{at: ev.At, src: ev.Src, seq: ev.Seq}
 		switch ev.Kind {
 		case PendingDelivery:
-			s.deliveries = append(s.deliveries, delivery{sink: ev.Sink, payload: ev.Payload})
-			entry.del = int32(len(s.deliveries))
+			s.pushDelivery(ev.At, ev.Src, ev.Seq, ev.Sink, ev.Payload)
 		case PendingNamed:
 			h, ok := s.namedIdx[ev.Handler]
 			if !ok {
 				return fmt.Errorf("sim: restore of named event %q: handler not registered", ev.Handler)
 			}
 			s.namedEvts = append(s.namedEvts, namedEvent{h: h, args: ev.Args})
-			entry.del = -int32(len(s.namedEvts))
+			s.q.Push(eventEntry{at: ev.At, src: ev.Src, seq: ev.Seq, del: -int32(len(s.namedEvts))})
 		default:
 			return fmt.Errorf("sim: restore of unknown pending-event kind %d", ev.Kind)
 		}
-		s.q.Push(entry)
 	}
 	return nil
 }

@@ -112,10 +112,12 @@ const (
 // ExportPending returns every live queued event as a restorable record.
 // Cancelled timers are skipped. Any live closure event (At/After/Post)
 // makes the queue unexportable and returns ErrClosureEvent wrapped with the
-// event time, because a func pointer cannot be serialized. The queue is not
-// modified; records come back in heap order, not time order — callers sort.
+// event time, because a func pointer cannot be serialized. Lane-held
+// entries export as ordinary deliveries under their own (At, Src, Seq);
+// lanes themselves never appear. The queue is not modified; records come
+// back in heap order, not time order — callers sort.
 func (s *Scheduler) ExportPending() ([]PendingEvent, error) {
-	out, err := s.ExportPendingInto(make([]PendingEvent, 0, s.q.Len()))
+	out, err := s.ExportPendingInto(make([]PendingEvent, 0, s.Pending()))
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +128,7 @@ func (s *Scheduler) ExportPending() ([]PendingEvent, error) {
 // resumes at the checkpoint horizon. It refuses to rewrite history: the
 // queue must be empty and the clock unadvanced.
 func (s *Scheduler) StartAt(t Time) {
-	if s.q.Len() != 0 {
+	if s.Pending() != 0 {
 		panic("sim: StartAt on a scheduler with queued events")
 	}
 	if s.now != 0 && s.now != t {
