@@ -51,13 +51,17 @@ chaos:
 		./internal/proxy/ ./internal/orch/
 
 # Datacenter-fabric smoke: a small prefix-routed Clos must build, route,
-# and complete incast + shuffle workloads with zero frame leaks; the
-# flow-level background tier must run a mixed-fidelity phase without
-# materializing background hosts, and its link-side rate solver must match
-# the flow-side oracle bit for bit (random mixes, edge cases, Poisson
-# churn) without allocating in steady state.
+# and complete incast + shuffle workloads with zero frame leaks; every
+# switch's compiled route table must answer like the per-IP-map plus
+# per-length-maps oracle (seeded random install sequences and the fuzz
+# seed corpus), reject prefixes longer than 32 bits, and look up without
+# allocating; the flow-level background tier must run a mixed-fidelity
+# phase without materializing background hosts, and its link-side rate
+# solver must match the flow-side oracle bit for bit (random mixes, edge
+# cases, Poisson churn) without allocating in steady state.
 scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
+	$(GO) test -run 'TestRoute|FuzzRouteTable' ./internal/netsim/
 	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs' ./internal/netsim/flowsim/
 
 # End-to-end benchmark module: bench/e2e is a Go module of its own, so the

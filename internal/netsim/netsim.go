@@ -93,12 +93,15 @@ type Network struct {
 	// partitionRouted marks a network built as one partition of a
 	// multi-partition topology: its routes were installed globally by
 	// Topology.Build and point through boundary links ComputeRoutes cannot
-	// see. prefixRouted marks a network whose reachability lives in the
-	// aggregate tier. Either makes ComputeRoutes refuse to run — rewriting
-	// the tables locally would silently break cross-partition or aggregate
-	// forwarding.
+	// see. prefixRouted marks a network whose reachability lives in
+	// aggregate (prefix) routes. Either makes ComputeRoutes refuse to run —
+	// rewriting the tables locally would silently break cross-partition or
+	// aggregate forwarding.
 	partitionRouted bool
 	prefixRouted    bool
+
+	// rscratch is the working memory every switch's route compile reuses.
+	rscratch routeScratch
 
 	started bool
 }
@@ -122,10 +125,18 @@ func (n *Network) Name() string { return n.name }
 
 // Attach implements core.Component. Deferred named-event handlers register
 // here, in deterministic order, under names scoped by the component name.
+// Route tables still dirty from installs after the build compile here, on
+// the building goroutine: the flow tier's replicas look up every
+// partition's switches from their own runners during the run.
 func (n *Network) Attach(env core.Env) {
 	n.env = env
 	for i := range n.regs {
 		n.regs[i].h = env.RegisterNamed("net/"+n.name+"/"+n.regs[i].suffix, n.regs[i].fn)
+	}
+	for _, sw := range n.switches {
+		if sw.dirty {
+			sw.compile()
+		}
 	}
 }
 
@@ -201,7 +212,7 @@ type node interface {
 
 // AddSwitch creates a switch.
 func (n *Network) AddSwitch(name string) *Switch {
-	s := &Switch{net: n, name: name, routes: make(map[proto.IP]int)}
+	s := &Switch{net: n, name: name}
 	n.switches = append(n.switches, s)
 	return s
 }

@@ -89,12 +89,22 @@ func (n *Network) ComputeRoutes() {
 		}
 	}
 
+	routes := len(n.hosts)
+	for _, p := range n.exts {
+		routes += len(p.ips)
+	}
+	for _, s := range n.switches {
+		s.reserveRoutes(routes)
+	}
 	for _, h := range n.hosts {
 		sw, fi := n.attachment(h.iface)
 		install(sw, fi, []proto.IP{h.ip})
 	}
 	for _, p := range n.exts {
 		install(p.sw, switchIfaceIndex(p.sw, p.iface), p.ips)
+	}
+	for _, s := range n.switches {
+		s.compile()
 	}
 }
 

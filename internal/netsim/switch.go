@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -29,29 +33,32 @@ type flowEntry struct {
 	ok  bool
 }
 
-// Switch is an output-queued IP switch with static routes (a per-IP map
-// plus a longest-prefix aggregate tier), an optional programmable
-// dataplane, and optional PTP transparent-clock support.
+// Switch is an output-queued IP switch with static longest-prefix-match
+// routes (per-IP routes and CIDR aggregates in one compiled table), an
+// optional programmable dataplane, and optional PTP transparent-clock
+// support.
 type Switch struct {
 	net    *Network
 	name   string
 	ifaces []*Iface
-	routes map[proto.IP]int
 
-	// The aggregate tier under the per-IP map: prefixes[bits] maps a
-	// masked address to its equal-cost next-hop candidates, and
-	// prefixLens holds the lengths present, longest first, so a lookup is
-	// one map probe per distinct length (datacenter fabrics use two or
-	// three: leaf, pod, default). An empty candidate slice is an explicit
-	// blackhole — the match consumes the packet as unroutable rather than
-	// letting a shorter prefix bounce it back into the fabric.
-	prefixes   map[uint8]map[proto.IP][]int32
-	prefixLens []uint8
+	// Routing state. rules is the install log: SetRoute and SetPrefixRoute
+	// append to it, and compile sorts it, keeps the last install of each
+	// prefix and sweeps the nested prefixes into a table of disjoint
+	// intervals — interval i covers [starts[i], starts[i+1]) and resolves
+	// through rule acts[i], or nowhere when acts[i] < 0 (no covering rule,
+	// or a blackhole as the innermost one). cands is the pool of equal-cost
+	// next hops the rules index. dirty marks installs the table does not
+	// reflect yet.
+	rules  []routeRule
+	cands  []int32
+	starts []uint32
+	acts   []int32
+	dirty  bool
 
-	// fcache short-circuits the route tables on the forwarding hot path. It
-	// is a pure cache over the per-IP map and prefix tier — lookups through
-	// it are behavior-identical — and every topology or route mutation
-	// clears it.
+	// fcache short-circuits the route table on the forwarding hot path. It
+	// is a pure cache over the table — lookups through it are
+	// behavior-identical — and every topology or route mutation clears it.
 	fcache [flowCacheSize]flowEntry
 
 	// Dataplane, when non-nil, processes every received frame.
@@ -82,13 +89,15 @@ func (s *Switch) Network() *Network { return s.net }
 // Ifaces returns the switch's interfaces in attachment order.
 func (s *Switch) Ifaces() []*Iface { return s.ifaces }
 
-// SetRoute installs iface index out as the next hop for ip.
+// SetRoute installs iface index out as the next hop for ip. A per-IP route
+// outranks every aggregate containing ip, a /32 included; installing ip
+// again replaces the earlier route.
 func (s *Switch) SetRoute(ip proto.IP, out int) {
 	if out < 0 || out >= len(s.ifaces) {
 		panic(fmt.Sprintf("netsim: %s: route to %v via invalid iface %d", s.name, ip, out))
 	}
-	s.routes[ip] = out
-	s.invalidateFlowCache()
+	s.cands = append(s.cands, int32(out))
+	s.addRule(ip, perIPBits, 1)
 }
 
 // SetPrefixRoute installs equal-cost next-hop candidates for a CIDR
@@ -97,117 +106,261 @@ func (s *Switch) SetRoute(ip proto.IP, out int) {
 // same rule Topology.Build applies to per-IP routes). No candidates means
 // an explicit blackhole: addresses inside the prefix with no longer match
 // are dropped here instead of looping through shorter aggregates.
+// Installing the same prefix again replaces the earlier candidates.
 func (s *Switch) SetPrefixRoute(p proto.Prefix, outs ...int) {
-	cands := make([]int32, len(outs))
-	for i, out := range outs {
+	if p.Bits > 32 {
+		panic(fmt.Sprintf("netsim: %s: prefix route %v is longer than 32 bits", s.name, p))
+	}
+	if len(outs) > math.MaxUint16 {
+		panic(fmt.Sprintf("netsim: %s: prefix route %v has %d next hops, more than a rule holds", s.name, p, len(outs)))
+	}
+	for _, out := range outs {
 		if out < 0 || out >= len(s.ifaces) {
 			panic(fmt.Sprintf("netsim: %s: prefix route %v via invalid iface %d", s.name, p, out))
 		}
-		cands[i] = int32(out)
+		s.cands = append(s.cands, int32(out))
 	}
-	if s.prefixes == nil {
-		s.prefixes = make(map[uint8]map[proto.IP][]int32)
+	s.addRule(p.Addr.Masked(p.Bits), p.Bits, len(outs))
+}
+
+// routeRule is one installed route: the addresses addr/bits and their
+// equal-cost next hops, the pool entries [off, off+n). n == 0 is an
+// explicit blackhole. Per-IP routes are rules of perIPBits.
+type routeRule struct {
+	addr proto.IP
+	off  uint32
+	n    uint16
+	bits uint8
+}
+
+// perIPBits is the length of a per-IP rule: one more than any prefix, so
+// the longest match prefers it to a /32 aggregate on the same address.
+const perIPBits = 33
+
+// ruleBytes is the resident size of one routeRule.
+const ruleBytes = int(unsafe.Sizeof(routeRule{}))
+
+// last returns the last address the rule covers.
+func (r *routeRule) last() uint64 {
+	if r.bits >= 32 {
+		return uint64(r.addr)
 	}
-	m := s.prefixes[p.Bits]
-	if m == nil {
-		m = make(map[proto.IP][]int32)
-		s.prefixes[p.Bits] = m
-		// Keep the present lengths sorted longest-first.
-		at := len(s.prefixLens)
-		for i, l := range s.prefixLens {
-			if p.Bits > l {
-				at = i
-				break
-			}
-		}
-		s.prefixLens = append(s.prefixLens, 0)
-		copy(s.prefixLens[at+1:], s.prefixLens[at:])
-		s.prefixLens[at] = p.Bits
-	}
-	m[p.Addr.Masked(p.Bits)] = cands
+	return uint64(r.addr) | (1<<(32-r.bits) - 1)
+}
+
+// addRule appends a rule whose candidates are the last n pool entries.
+func (s *Switch) addRule(addr proto.IP, bits uint8, n int) {
+	var off uint32
+	s.cands, off = shareTail(s.cands, n)
+	s.rules = append(s.rules, routeRule{addr: addr, off: off, n: uint16(n), bits: bits})
+	s.dirty = true
 	s.invalidateFlowCache()
 }
 
+// shareTail returns the offset of the n candidates just appended to pool.
+// When the n entries before them are the same set, the new copy is dropped
+// and the earlier one shared: consecutive rules often name the same next
+// hops (a leaf's pod aggregates all point at its uplinks).
+func shareTail(pool []int32, n int) ([]int32, uint32) {
+	off := len(pool) - n
+	if n > 0 && off >= n && slices.Equal(pool[off-n:off], pool[off:]) {
+		return pool[:off], uint32(off - n)
+	}
+	return pool, uint32(off)
+}
+
+// reserveRoutes makes room for n more single-candidate routes, so a build
+// that knows its route count installs them without regrowing.
+func (s *Switch) reserveRoutes(n int) {
+	s.rules = slices.Grow(s.rules, n)
+	s.cands = slices.Grow(s.cands, n)
+}
+
+// routeScratch is the reusable working memory of Switch.compile, one per
+// Network: a compile builds into it and copies the result out at its exact
+// size.
+type routeScratch struct {
+	cands  []int32
+	starts []uint32
+	acts   []int32
+	open   []int32
+}
+
+// compile rebuilds the interval table from the rule list. Rules are sorted
+// by (addr, bits) — stable, so of two installs of one prefix the later one
+// is kept, as a map overwrite would — and swept with a stack of the rules
+// open at the current address: prefixes either nest or are disjoint, so the
+// top of the stack is the longest match, and a blackhole on top answers "no
+// route" without falling back to the rules beneath it.
+func (s *Switch) compile() {
+	sc := &s.net.rscratch
+	rules := s.rules
+	slices.SortStableFunc(rules, func(a, b routeRule) int {
+		if a.addr != b.addr {
+			return cmp.Compare(a.addr, b.addr)
+		}
+		return cmp.Compare(a.bits, b.bits)
+	})
+	pool := sc.cands[:0]
+	kept := rules[:0]
+	for i, r := range rules {
+		if i+1 < len(rules) && rules[i+1].addr == r.addr && rules[i+1].bits == r.bits {
+			continue // replaced by a later install
+		}
+		pool = append(pool, s.cands[r.off:r.off+uint32(r.n)]...)
+		pool, r.off = shareTail(pool, int(r.n))
+		kept = append(kept, r)
+	}
+
+	starts, acts, open := sc.starts[:0], sc.acts[:0], sc.open[:0]
+	var at uint64 // first address not yet in the table
+	// emit starts an interval at `at` resolving through rule a, unless the
+	// previous interval resolves identically: no route either way, or the
+	// same shared candidate run (a leaf's pod aggregates become one
+	// interval).
+	emit := func(a int32) {
+		if a >= 0 && kept[a].n == 0 {
+			a = -1 // a blackhole resolves like no route
+		}
+		if k := len(acts); k > 0 {
+			p := acts[k-1]
+			if p == a || p >= 0 && a >= 0 && kept[p].off == kept[a].off && kept[p].n == kept[a].n {
+				return
+			}
+		}
+		starts = append(starts, uint32(at))
+		acts = append(acts, a)
+	}
+	top := func() int32 {
+		if len(open) == 0 {
+			return -1
+		}
+		return open[len(open)-1]
+	}
+	// closeBefore pops the open rules that end before addr, emitting the
+	// addresses each still owns above its inner rules.
+	closeBefore := func(addr uint64) {
+		for len(open) > 0 {
+			end := kept[top()].last()
+			if end >= addr {
+				return
+			}
+			if at <= end {
+				emit(top())
+				at = end + 1
+			}
+			open = open[:len(open)-1]
+		}
+	}
+	for i := range kept {
+		lo := uint64(kept[i].addr)
+		closeBefore(lo)
+		if at < lo {
+			emit(top())
+			at = lo
+		}
+		open = append(open, int32(i))
+	}
+	closeBefore(1 << 32)
+	if at <= math.MaxUint32 {
+		emit(-1)
+	}
+
+	// Drop append's growth slack; an allocator size class rounds up by
+	// less than an eighth, so a list sized up front is kept as it is.
+	if cap(kept)-len(kept) > len(kept)/8 {
+		kept = slices.Clone(kept)
+	}
+	s.rules = kept
+	s.cands = slices.Clone(pool)
+	s.starts = slices.Clone(starts)
+	s.acts = slices.Clone(acts)
+	sc.cands, sc.starts, sc.acts, sc.open = pool, starts, acts, open
+	s.dirty = false
+}
+
 // ecmpHash is the per-destination spreading hash shared by every equal-cost
-// choice in the simulator (topology build, prefix tier, ComputeRoutes), so
+// choice in the simulator (topology build, prefix routes, ComputeRoutes), so
 // any of them installed for the same candidate set forwards identically.
 func ecmpHash(ip proto.IP) uint64 {
 	return uint64(ip) * 0x9e3779b97f4a7c15 >> 32
 }
 
-// Route returns the next-hop interface index ip resolves to — per-IP map
-// first, then the longest-prefix tier — without touching the flow cache or
-// hit counters. The second result is false for unroutable addresses and
-// blackholed aggregates.
+// Route returns the next-hop interface index of ip's longest match —
+// without touching the flow cache or hit counters. The second result is
+// false for unroutable addresses and blackholed aggregates. The first
+// lookup after a route install compiles the table.
 func (s *Switch) Route(ip proto.IP) (int, bool) {
-	if out, ok := s.routes[ip]; ok {
-		return out, true
+	if s.dirty {
+		s.compile()
 	}
-	return s.lookupPrefix(ip)
-}
-
-// lookupPrefix resolves ip through the aggregate tier, longest prefix
-// first, spreading equal-cost candidates with the per-destination hash.
-func (s *Switch) lookupPrefix(ip proto.IP) (int, bool) {
-	for _, bits := range s.prefixLens {
-		cands, ok := s.prefixes[bits][ip.Masked(bits)]
-		if !ok {
-			continue
-		}
-		if len(cands) == 0 {
-			return 0, false // explicit blackhole
-		}
-		return int(cands[ecmpHash(ip)%uint64(len(cands))]), true
+	starts := s.starts
+	if len(starts) == 0 {
+		return 0, false // no routes installed
 	}
-	return 0, false
+	// Find the last interval starting at or below ip (starts[0] is 0). The
+	// step is arithmetic, not a branch: random destinations would
+	// mispredict half of a textbook binary search's comparisons.
+	i, x := 0, int64(ip)
+	for n := len(starts); n > 1; n -= n >> 1 {
+		half := n >> 1
+		below := x - int64(starts[i+half]) // < 0: ip is below that start
+		i += half &^ int(below>>63)
+	}
+	a := s.acts[i]
+	if a < 0 {
+		return 0, false
+	}
+	r := &s.rules[a]
+	// ecmpHash is below 2³², so the 32-bit remainder is the same and cheaper.
+	return int(s.cands[r.off+uint32(ecmpHash(ip))%uint32(r.n)]), true
 }
 
 // lookup resolves the next hop for ip through the flow cache, falling back
-// to (and refilling from) the per-IP map and prefix tier on a miss.
+// to (and refilling from) the route table on a miss.
 func (s *Switch) lookup(ip proto.IP) (int, bool) {
 	e := &s.fcache[uint32(ip)&(flowCacheSize-1)]
 	if e.ok && e.ip == ip {
 		s.FlowCacheHits++
 		return int(e.out), true
 	}
-	out, ok := s.routes[ip]
-	if !ok {
-		out, ok = s.lookupPrefix(ip)
-	}
+	out, ok := s.Route(ip)
 	if ok {
 		*e = flowEntry{ip: ip, out: int32(out), ok: true}
 	}
 	return out, ok
 }
 
-// RouteEntries returns the resident routing-table sizes: exact per-IP
-// entries and aggregate (prefix) entries. The scale tests assert the
-// aggregate build keeps perIP+prefix O(pods), not O(hosts).
+// RouteEntries returns the resident routing-table sizes: per-IP routes and
+// aggregate (prefix) routes, each prefix counted once however often it was
+// installed. The scale tests assert the aggregate build keeps perIP+prefix
+// O(pods), not O(hosts).
 func (s *Switch) RouteEntries() (perIP, prefix int) {
-	perIP = len(s.routes)
-	for _, m := range s.prefixes {
-		prefix += len(m)
+	if s.dirty {
+		s.compile()
 	}
-	return perIP, prefix
-}
-
-// RouteStateBytes estimates the bytes of routing state this switch holds:
-// map-entry overhead for per-IP routes plus key, slice header, and
-// candidate storage for each aggregate. An estimate, but a consistent one —
-// the scale benchmarks track it per host across revisions.
-func (s *Switch) RouteStateBytes() int {
-	const mapEntry = 16 // ~IP key + int value, amortized bucket overhead
-	bytes := len(s.routes) * mapEntry
-	for _, m := range s.prefixes {
-		for _, cands := range m {
-			bytes += 8 + 24 + 4*len(cands) // key + slice header + outs
+	for _, r := range s.rules {
+		if r.bits == perIPBits {
+			perIP++
 		}
 	}
-	return bytes
+	return perIP, len(s.rules) - perIP
+}
+
+// RouteStateBytes returns the bytes of routing state this switch holds: its
+// rules, their candidate pool and the compiled interval table (a 4-byte
+// start and a 4-byte action per interval). The scale benchmarks track it
+// per host across revisions.
+func (s *Switch) RouteStateBytes() int {
+	if s.dirty {
+		s.compile()
+	}
+	return ruleBytes*len(s.rules) + 4*len(s.cands) + 8*len(s.starts)
 }
 
 // invalidateFlowCache clears every cached forwarding decision. Called on any
-// mutation that could change a next hop: SetRoute and interface additions.
+// mutation that could change a next hop: route installs and interface
+// additions (which leave the compiled table as it is — no route changed).
 func (s *Switch) invalidateFlowCache() {
 	s.fcache = [flowCacheSize]flowEntry{}
 }

@@ -326,6 +326,9 @@ func (t *Topology) Build(name string, seed uint64, assign []int, namer func(part
 		p := b.LinkIfaces[li]
 		return int(p[0]), int(p[1])
 	})
+	for _, sw := range b.Switches {
+		sw.compile()
+	}
 	return b
 }
 
@@ -462,9 +465,35 @@ func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces fun
 		return
 	}
 
-	// Hierarchical mode. Direct routes on each owning switch (lazy slots
-	// get theirs at MaterializeSlot), with a loud coverage check: a host
-	// address no aggregate contains would be silently unreachable remotely.
+	// Hierarchical mode. Size every switch's rule list first: one rule per
+	// direct host route and per aggregate it is in scope of or a member of.
+	routes := make([]int, ns)
+	for hi, th := range t.Hosts {
+		if hostIface[hi] >= 0 {
+			routes[th.Switch]++
+		}
+	}
+	for _, p := range t.Prefixes {
+		if p.Scope == nil {
+			for v := range routes {
+				routes[v]++
+			}
+			continue
+		}
+		for _, v := range p.Scope {
+			routes[v]++
+		}
+		for _, v := range p.Switches {
+			routes[v]++
+		}
+	}
+	for v, sw := range b.Switches {
+		sw.reserveRoutes(routes[v])
+	}
+
+	// Direct routes on each owning switch (lazy slots get theirs at
+	// MaterializeSlot), with a loud coverage check: a host address no
+	// aggregate contains would be silently unreachable remotely.
 	for hi, th := range t.Hosts {
 		if !b.aggs.covers(th.IP) {
 			panic(fmt.Sprintf("netsim: hierarchical build: host %s (%v) is not covered by any aggregate",
@@ -537,6 +566,9 @@ func (t *Topology) installFlatRoutes(b *Built, hostIface []int, bfs *topoBFS) {
 	bySwitch := make([][]int, ns) // host slot indices per owning switch
 	for hi, th := range t.Hosts {
 		bySwitch[th.Switch] = append(bySwitch[th.Switch], hi)
+	}
+	for _, sw := range b.Switches {
+		sw.reserveRoutes(len(t.Hosts))
 	}
 	for tgt := 0; tgt < ns; tgt++ {
 		slots := bySwitch[tgt]
