@@ -30,8 +30,8 @@ race:
 	$(GO) test -race ./...
 
 # Executor gate: ExecutionPlan.Execute is one body, so its modes race-test
-# together. Parallel digest/wake/profiling tests (nondeterminism and data
-# races in the pinned-thread path), the speculation digest/rollback/leap
+# together. Parallel digest/wake/yield/profiling tests (nondeterminism and
+# data races among concurrent runners), the speculation digest/rollback/leap
 # properties and the remote-rejection contract, checkpoints restoring
 # bit-identically across placements, modes and GOMAXPROCS levels, the
 # warm-started sweep's identity point matching its cold run, and the

@@ -143,7 +143,7 @@ flags for run and plan:
   -scale f       duration/topology scale (default 1.0 = paper scale)
   -seed n        random seed (default 42)
   -placement p   execution placement (placement: %s; fig7/fig8: s|percomp|auto)
-  -parallel      run placed groups on real cores (pinned threads, batched sync windows)
+  -parallel      run placed groups concurrently (one goroutine per group, batched sync windows)
   -optimistic[=K]  speculate K sync windows past the committed horizon (placed runs; bare flag = default depth)
   -checkpoint-at us     warmup horizon in microseconds for checkpointing experiments (warmstart)
   -checkpoint-file f    write the captured checkpoint to f

@@ -29,7 +29,7 @@ type Options struct {
 	// experiment's default.
 	Placement string
 	// Exec selects how placed runs execute: Mode picks coupled, parallel
-	// (pinned OS threads, batched horizon windows) or optimistic
+	// (batched horizon windows) or optimistic
 	// (speculation past the conservative sync horizons with per-group
 	// snapshot/rollback) pacing, K the speculation ceiling. Results are
 	// bit-identical under every choice; only wall-clock measurements

@@ -17,7 +17,7 @@ const calRounds = 4096
 // the measured host nanoseconds per sync message sent. The two runners
 // carry no components, so every message exchanged is a sync and the result
 // isolates the fabric's per-quantum price — publish, wake, drain, horizon
-// update — as it really is on this host, spin/park discipline included.
+// update — as it really is on this host, yield/park discipline included.
 //
 // The decomposition model's calibrated SyncCostNs constant stands in for
 // this number when reproducing the paper's figures; placement decisions for

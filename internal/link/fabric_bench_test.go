@@ -44,7 +44,7 @@ func BenchmarkFabricBatchPublishDrain(b *testing.B) {
 }
 
 // BenchmarkFabricStream pushes messages through the ring between two real
-// goroutines, the consumer using blocking recvAdaptive: the steady-state cost of a
+// goroutines, the consumer using blocking recv: the steady-state cost of a
 // producer that stays ahead, including segment recycling and the parked
 // gate on both edges of the stream.
 func BenchmarkFabricStream(b *testing.B) {
@@ -54,7 +54,7 @@ func BenchmarkFabricStream(b *testing.B) {
 	go func() {
 		defer close(done)
 		for {
-			if _, ok, closed := p.recvAdaptive(); !ok {
+			if _, ok, closed := p.recv(); !ok {
 				if closed {
 					return
 				}
@@ -80,7 +80,7 @@ func BenchmarkFabricPingPong(b *testing.B) {
 	b.ReportAllocs()
 	go func() {
 		for {
-			m, ok, _ := ab.recvAdaptive()
+			m, ok, _ := ab.recv()
 			if !ok {
 				ba.close()
 				return
@@ -90,7 +90,7 @@ func BenchmarkFabricPingPong(b *testing.B) {
 	}()
 	for i := 0; i < b.N; i++ {
 		ab.send(Message{T: sim.Time(i), Kind: KindSync})
-		if _, ok, _ := ba.recvAdaptive(); !ok {
+		if _, ok, _ := ba.recv(); !ok {
 			b.Fatal("echo lost")
 		}
 	}

@@ -300,10 +300,10 @@ func TestPipeClose(t *testing.T) {
 	p := newPipe()
 	p.send(Message{T: 1})
 	p.close()
-	if m, ok, closed := p.recvAdaptive(); !ok || closed || m.T != 1 {
+	if m, ok, closed := p.recv(); !ok || closed || m.T != 1 {
 		t.Fatalf("recv after close should drain buffered first: %v %v %v", m, ok, closed)
 	}
-	if _, ok, closed := p.recvAdaptive(); ok || !closed {
+	if _, ok, closed := p.recv(); ok || !closed {
 		t.Fatal("drained closed pipe should report closed")
 	}
 	if !p.empty() {

@@ -56,20 +56,23 @@ func msgCount(payload core.Message) uint64 {
 // adapter, mirroring the paper's three per-adapter counters: cycles blocked
 // waiting for synchronization, messages sent, and messages processed.
 // WaitNanos and ProcNanos are wall-clock nanoseconds; PeakDepth is the
-// deepest incoming-queue backlog ever observed at publication time; the
-// remaining fields are message counts.
+// deepest incoming-queue backlog ever observed at publication time; Parks
+// counts waits that outlasted the yields and parked on the pipe's gate;
+// the remaining fields are message counts.
 //
 // Concurrency contract: every field of an Endpoint's Stats is written only
 // by the runner that owns the endpoint — Tx* in SendSub on the sender's
-// goroutine, Rx*/ProcNanos/WaitNanos in the owner's drain/handle/block
-// paths — so the multi-core executor needs no atomics here. Aggregation
-// (Runner.Counters, the profiler's samplers) happens either on the owning
-// runner's scheduler or after Group.Run returns, which happens-after every
-// runner goroutine exits. TestParallelProfilingRace holds this to -race.
+// goroutine, Rx*/ProcNanos/WaitNanos/Parks in the owner's
+// drain/handle/block paths — so the multi-core executor needs no atomics
+// here. Aggregation (Runner.Counters, the profiler's samplers) happens
+// either on the owning runner's scheduler or after Group.Run returns, which
+// happens-after every runner goroutine exits. TestParallelProfilingRace
+// holds this to -race.
 type Counters struct {
 	WaitNanos uint64 `json:"wait"`  // blocked waiting for the peer's sync/data
 	ProcNanos uint64 `json:"proc"`  // spent handling incoming messages
 	PeakDepth uint64 `json:"depth"` // max incoming queue depth seen (messages)
+	Parks     uint64 `json:"parks"` // waits that ended parked on the gate
 	TxData    uint64 `json:"txd"`
 	TxSync    uint64 `json:"txs"`
 	RxData    uint64 `json:"rxd"`
@@ -82,6 +85,7 @@ func (c *Counters) Add(o Counters) {
 	c.WaitNanos += o.WaitNanos
 	c.ProcNanos += o.ProcNanos
 	c.PeakDepth += o.PeakDepth
+	c.Parks += o.Parks
 	c.TxData += o.TxData
 	c.TxSync += o.TxSync
 	c.RxData += o.RxData

@@ -8,44 +8,26 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSpinParams pins the GOMAXPROCS keying of the adaptive spin-then-park
-// budget: one core must never busy-spin (the producer runs only when we
-// yield), several cores must spin before yielding.
-func TestSpinParams(t *testing.T) {
-	for _, procs := range []int{0, 1} {
-		if s, y := spinParams(procs); s != 0 || y != singleCoreYields {
-			t.Errorf("spinParams(%d) = (%d, %d), want (0, %d)", procs, s, y, singleCoreYields)
-		}
-	}
-	for _, procs := range []int{2, 4, 64} {
-		if s, y := spinParams(procs); s != multiCoreSpins || y != multiCoreYields {
-			t.Errorf("spinParams(%d) = (%d, %d), want (%d, %d)",
-				procs, s, y, multiCoreSpins, multiCoreYields)
-		}
-	}
-}
-
 // TestParallelWakePromptness is the park/wake regression test for true
-// concurrency: a consumer that has spun out its budget and parked must wake
-// promptly when a producer on a different OS thread publishes. Before the
-// adaptive budget, the fixed single-core yield loop was the only thing
-// standing between tryRecv and a park — this test runs with GOMAXPROCS >= 2
-// and a thread-locked producer so the park path genuinely races a
-// concurrent publish.
+// concurrency: a consumer that has burned its waitYields yields and parked
+// must wake promptly when a producer on a different OS thread publishes.
+// The test runs with GOMAXPROCS >= 2 and a thread-locked producer (test
+// harness, not a runner) so the park path genuinely races a concurrent
+// publish.
 func TestParallelWakePromptness(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for round := 0; round < 8; round++ {
 		p := newPipe()
 		got := make(chan time.Time, 1)
 		go func() {
-			m, ok, _ := p.recvAdaptive()
+			m, ok, _ := p.recv()
 			if !ok || m.T != 7 {
 				got <- time.Time{}
 				return
 			}
 			got <- time.Now()
 		}()
-		// Give the consumer time to burn its spin+yield budget and park.
+		// Give the consumer time to burn its yields and park.
 		time.Sleep(10 * time.Millisecond)
 		runtime.LockOSThread()
 		sent := time.Now()
@@ -65,17 +47,46 @@ func TestParallelWakePromptness(t *testing.T) {
 	}
 }
 
-// TestRecvAdaptiveClosed checks the adaptive path's end-of-stream handling:
-// staged messages drain first, then closed is reported.
+// TestRecvAdaptiveClosed checks the blocking receive path's end-of-stream
+// handling for a staged sync message: it drains first, then closed is
+// reported.
 func TestRecvAdaptiveClosed(t *testing.T) {
 	p := newPipe()
 	p.send(Message{T: 1, Kind: KindSync})
 	p.close()
-	if m, ok, closed := p.recvAdaptive(); !ok || closed || m.T != 1 {
-		t.Fatalf("recvAdaptive = (%v, %v, %v), want message T=1", m, ok, closed)
+	if m, ok, closed := p.recv(); !ok || closed || m.T != 1 {
+		t.Fatalf("recv = (%v, %v, %v), want message T=1", m, ok, closed)
 	}
-	if _, ok, closed := p.recvAdaptive(); ok || !closed {
-		t.Fatal("recvAdaptive on drained closed pipe should report closed")
+	if _, ok, closed := p.recv(); ok || !closed {
+		t.Fatal("recv on drained closed pipe should report closed")
+	}
+}
+
+// TestParallelYieldLetsPeerPublish pins why a blocked receiver yields before
+// it parks: at GOMAXPROCS 1 the peer runner can only run when the waiter
+// gives up the P, and one yield hands it over. A two-runner component-less
+// lock-step run — MeasureSyncCost's shape — must end every wait inside the
+// yields, with no park at all.
+func TestParallelYieldLetsPeerPublish(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const latency = sim.Microsecond
+	ch := NewChannel("lockstep", latency, 0)
+	ra := NewRunner("a", sim.NewScheduler(1))
+	rb := NewRunner("b", sim.NewScheduler(2))
+	ra.Attach(ch.SideA())
+	rb.Attach(ch.SideB())
+	g := &Group{}
+	g.Add(ra, rb)
+	if err := g.Run(calRounds * latency); err != nil {
+		t.Fatal(err)
+	}
+	total := ra.Counters()
+	total.Add(rb.Counters())
+	if total.TxSync < calRounds {
+		t.Fatalf("lock-step run sent %d syncs, want >= %d", total.TxSync, calRounds)
+	}
+	if total.Parks != 0 {
+		t.Fatalf("%d waits parked at GOMAXPROCS 1; every wait should end in a yield", total.Parks)
 	}
 }
 

@@ -72,7 +72,8 @@ type pipe struct {
 	consumed  uint64 // messages consumed
 	tailCache uint64 // consumer-local snapshot of tail
 	consChunk *chunk
-	_         [4]uint64
+	parks     uint64 // recv waits that outlasted the yields and parked
+	_         [3]uint64
 
 	// Shared. tail/peak are producer-written, head consumer-written;
 	// closed/intr/parked/spare/wake are the control plane.
@@ -259,45 +260,17 @@ func (p *pipe) drain(fn func(Message)) (n int, closed bool) {
 	return n, false
 }
 
-// Adaptive spin-then-park budgets. The consumer's blocking strategy depends
-// on whether the producer can be executing at this very instant:
-//
-//   - GOMAXPROCS == 1: it cannot. The producer runs *because* we yield, so
-//     busy-spinning without yielding is pure waste; the right move is a
-//     bounded Gosched loop (each yield is a chance for the producer to run
-//     and publish) and then a real park.
-//   - GOMAXPROCS > 1: the producer may be mid-publish on another core, a
-//     handful of nanoseconds away. A short hot spin re-checking the
-//     published tail picks the message up without surrendering the core,
-//     where an immediate park would pay a sleep/wake round trip through the
-//     wake gate (microseconds) for a message that was almost there. A few
-//     yields after the spin cover the oversubscribed case (more runners
-//     than cores) before parking for real.
-//
-// The budgets are consulted per blocking episode, not cached at init:
-// GOMAXPROCS legitimately changes at runtime (tests sweep it; deployments
-// resize), and a budget tuned for the wrong mode is exactly the single-core
-// assumption this replaces.
-const (
-	singleCoreYields = 64  // legacy yield budget: peer runs only when we yield
-	multiCoreSpins   = 256 // hot tail re-checks while the peer may be publishing
-	multiCoreYields  = 8   // then brief yields for oversubscription, then park
-)
+// waitYields is how many times a blocked consumer yields before it parks.
+// Runners are plain goroutines, so a yield is a cheap goroutine switch: it
+// lets a peer runner sharing this P run and publish, and when nothing else
+// is runnable it returns at once, so the yield loop is also the poll of a
+// peer publishing from another core and needs no spin phase before it.
+const waitYields = 8
 
-// spinParams returns the (spin, yield) budget for the current processor
-// count.
-func spinParams(procs int) (spins, yields int) {
-	if procs <= 1 {
-		return 0, singleCoreYields
-	}
-	return multiCoreSpins, multiCoreYields
-}
-
-// recvAdaptive dequeues, blocking until a message arrives or the pipe is
-// closed and drained, with the spin-then-park discipline above instead of
-// parking on first emptiness. Consumer side only.
-func (p *pipe) recvAdaptive() (m Message, ok, closed bool) {
-	spins, yields := spinParams(runtime.GOMAXPROCS(0))
+// recv dequeues, blocking until a message arrives or the pipe is closed and
+// drained: it yields waitYields times, then parks on the gate, counting
+// the wait in parks. Consumer side only.
+func (p *pipe) recv() (m Message, ok, closed bool) {
 	for i := 0; ; i++ {
 		if m, ok := p.pop(); ok {
 			return m, true, false
@@ -308,15 +281,14 @@ func (p *pipe) recvAdaptive() (m Message, ok, closed bool) {
 			}
 			return Message{}, false, true
 		}
-		switch {
-		case i < spins:
-			// Hot spin: pop reloads the published tail each pass, so a
-			// concurrent publish is observed without any scheduler traffic.
-		case i < spins+yields:
+		if i < waitYields {
 			runtime.Gosched()
-		default:
-			p.park(false)
+			continue
 		}
+		if i == waitYields {
+			p.parks++
+		}
+		p.park(false)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // FuzzPipe drives one pipe through an arbitrary operation sequence decoded
 // from the fuzz input and checks it against a trivial model: a slice plus a
 // published-watermark and a closed flag. Every consumer path (tryRecv,
-// drain, recvAdaptive where it cannot block, recvInterruptible on a closed
+// drain, recv where it cannot block, recvInterruptible on a closed
 // pipe) must observe exactly the published prefix of the pushed sequence, in
 // order.
 func FuzzPipe(f *testing.F) {
@@ -55,15 +55,15 @@ func FuzzPipe(f *testing.F) {
 				} else if cl != (closed && read == len(model)) {
 					t.Fatalf("tryRecv closed=%v, want %v", cl, closed && read == len(model))
 				}
-			case 3: // recvAdaptive, where a message or the close is there to return
+			case 3: // recv, where a message or the close is there to return
 				if read == published && !closed {
 					continue
 				}
-				m, ok, cl := p.recvAdaptive()
+				m, ok, cl := p.recv()
 				if ok {
-					expect(m, "recvAdaptive")
+					expect(m, "recv")
 				} else if !cl || read < published {
-					t.Fatalf("recvAdaptive ok=false closed=%v with %d published messages pending", cl, published-read)
+					t.Fatalf("recv ok=false closed=%v with %d published messages pending", cl, published-read)
 				}
 			case 4: // drain
 				n, cl := p.drain(func(m Message) { expect(m, "drain") })

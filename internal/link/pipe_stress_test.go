@@ -14,11 +14,11 @@ import (
 
 // recvModes are the consumer's receive paths the tests below sweep; blocking
 // puts the two blocking ones under one signature.
-var recvModes = []string{"recvAdaptive", "recvInterruptible", "drain"}
+var recvModes = []string{"recv", "recvInterruptible", "drain"}
 
 func blocking(mode string, p *pipe) (m Message, ok, closed bool) {
-	if mode == "recvAdaptive" {
-		return p.recvAdaptive()
+	if mode == "recv" {
+		return p.recv()
 	}
 	m, ok, closed, _ = p.recvInterruptible()
 	return m, ok, closed
@@ -53,7 +53,7 @@ func TestPipeStressProducerConsumer(t *testing.T) {
 	}
 	for i := 0; ; i++ {
 		switch mode := recvModes[i%len(recvModes)]; mode {
-		case "recvAdaptive", "recvInterruptible":
+		case "recv", "recvInterruptible":
 			m, ok, closed := blocking(mode, p)
 			if !ok {
 				if !closed {
@@ -99,7 +99,7 @@ func TestPipeCloseWhileNonEmpty(t *testing.T) {
 			got := 0
 			for {
 				switch mode {
-				case "recvAdaptive", "recvInterruptible":
+				case "recv", "recvInterruptible":
 					m, ok, closed := blocking(mode, p)
 					if !ok {
 						if !closed {
@@ -138,7 +138,7 @@ func TestPipeParkWakeRace(t *testing.T) {
 	ab, ba := newPipe(), newPipe()
 	go func() {
 		for i := 0; i < rounds; i++ {
-			m, ok, _ := ab.recvAdaptive()
+			m, ok, _ := ab.recv()
 			if !ok {
 				return
 			}
@@ -148,7 +148,7 @@ func TestPipeParkWakeRace(t *testing.T) {
 	}()
 	for i := 0; i < rounds; i++ {
 		ab.send(Message{T: sim.Time(i), Kind: KindSync})
-		m, ok, closed := ba.recvAdaptive()
+		m, ok, closed := ba.recv()
 		if !ok || closed {
 			t.Fatalf("round %d: ok=%v closed=%v", i, ok, closed)
 		}
@@ -190,7 +190,7 @@ func TestPipeInterruptSticky(t *testing.T) {
 	// Interrupting concurrently with close stays safe and close wins for
 	// plain recv.
 	p.close()
-	if _, ok, closed := p.recvAdaptive(); ok || !closed {
+	if _, ok, closed := p.recv(); ok || !closed {
 		t.Fatal("recv after close: want closed")
 	}
 }

@@ -155,11 +155,11 @@ func TestPipeCloseFlushesStaged(t *testing.T) {
 	p := newPipe()
 	p.push(Message{T: 7, Kind: KindSync})
 	p.close()
-	m, ok, closed := p.recvAdaptive()
+	m, ok, closed := p.recv()
 	if !ok || closed || m.T != 7 {
 		t.Fatalf("recv after close: m=%v ok=%v closed=%v", m.T, ok, closed)
 	}
-	if _, ok, closed := p.recvAdaptive(); ok || !closed {
+	if _, ok, closed := p.recv(); ok || !closed {
 		t.Fatal("drained closed pipe should report closed")
 	}
 }

@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -384,10 +383,8 @@ func (r *Runner) stall() {
 // awaitLimiting waits for a message on the endpoint with the smallest
 // horizon, charging the blocked wall time to that endpoint's wait counter.
 // ok is false when the peer closed instead (recorded on the endpoint). The
-// wait itself is the pipe's adaptive spin-then-park (recvAdaptive), which
-// keys its spin budget to GOMAXPROCS: on one core it yields so the peer can
-// run at all, on many it briefly busy-polls a peer that may be publishing
-// concurrently.
+// wait itself is the pipe's yield-then-park (recv); the endpoint's Parks
+// counter snapshots how many waits ended in a park.
 func (r *Runner) awaitLimiting() (limiting *Endpoint, m Message, ok bool) {
 	h := sim.Infinity
 	for _, e := range r.eps {
@@ -411,10 +408,11 @@ func (r *Runner) awaitLimiting() (limiting *Endpoint, m Message, ok bool) {
 		if sampled {
 			start = time.Since(r.epoch)
 		}
-		m, ok, _ = limiting.in.recvAdaptive()
+		m, ok, _ = limiting.in.recv()
 		if sampled {
 			limiting.Stats.WaitNanos += uint64(time.Since(r.epoch)-start) * waitSamplePeriod
 		}
+		limiting.Stats.Parks = limiting.in.parks
 	}
 	if !ok {
 		limiting.peerDone = true
@@ -446,30 +444,18 @@ type Group struct {
 func (g *Group) Add(rs ...*Runner) { g.Runners = append(g.Runners, rs...) }
 
 // Run starts every runner in its own goroutine and waits for all of them.
-// A panic in any runner is captured and returned as an error after the
-// remaining runners are unblocked by their peers' closed pipes.
-func (g *Group) Run(end sim.Time) error { return g.run(end, 0) }
-
-// RunPinned is Run with the first `pinned` runners each locked to a
-// dedicated OS thread for the duration of the run — the multi-core
-// executor's thread pool. Every runner still gets its own goroutine
-// (runners block on one another, so they must all be schedulable); pinning
-// beyond what the caller asks for is left to the Go scheduler. Callers size
-// `pinned` to GOMAXPROCS (see orch's parallel executor) so each pinned
-// runner maps onto one core's worth of OS-level parallelism.
-func (g *Group) RunPinned(end sim.Time, pinned int) error { return g.run(end, pinned) }
-
-func (g *Group) run(end sim.Time, pinned int) error {
+// Runners are plain goroutines in every mode — thread placement is the Go
+// scheduler's — so a blocked runner's yield (pipe.recv) is a cheap
+// goroutine switch that lets a peer sharing its P publish, not an OS-thread
+// hand-off. A panic in any runner is captured and returned as an error
+// after the remaining runners are unblocked by their peers' closed pipes.
+func (g *Group) Run(end sim.Time) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(g.Runners))
 	for i, r := range g.Runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if i < pinned {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			defer func() {
 				if p := recover(); p != nil {
 					errs[i] = fmt.Errorf("runner %s: %v", r.name, p)

@@ -90,7 +90,7 @@ var ckptModes = []struct {
 // checkpoint at the halfway horizon, restore into a fresh build, run to the
 // end — the final state digest, the total event count, and the leaked-frame
 // count (zero) all match an uninterrupted run exactly. The resumed half
-// runs sequentially, coupled, parallel-pinned, and optimistically, across
+// runs sequentially, coupled, in parallel, and optimistically, across
 // GOMAXPROCS {1, 2, 4, NumCPU}.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const (

@@ -3,7 +3,6 @@ package orch
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -11,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// One executor. Every way of running a plan — sequential, coupled, on real
-// cores, optimistically, into a checkpoint, out of one — is the same
+// One executor. Every way of running a plan — sequential, coupled, in
+// parallel, optimistically, into a checkpoint, out of one — is the same
 // sequence with different options, written once in ExecutionPlan.Execute.
 // The Run*/Checkpoint*/Resume* methods at the bottom of this file are
 // fixed-option spellings of it.
@@ -22,14 +21,14 @@ import (
 type Mode int
 
 const (
-	// Coupled pauses every sync interval to exchange syncs and leaves
-	// thread placement to the Go scheduler — the paper's process-per-
-	// simulator architecture, and the only mode that synchronizes remote
-	// (cross-process) channels.
+	// Coupled pauses every sync interval to exchange syncs — the paper's
+	// process-per-simulator architecture, and the only mode that
+	// synchronizes remote (cross-process) channels.
 	Coupled Mode = iota
 	// Parallel batches horizon advancement — one sync exchange per
-	// lookahead window instead of per sync interval — and locks runner
-	// groups to dedicated OS threads (see pinCount).
+	// lookahead window instead of per sync interval — and nothing else:
+	// in every mode each runner group is a plain goroutine and thread
+	// placement is the Go scheduler's.
 	Parallel
 	// Optimistic is Parallel plus speculation: each group may run up to
 	// RunOptions.K sync windows past its committed horizon behind a
@@ -78,19 +77,6 @@ type RunResult struct {
 // synchronized.
 var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this executor")
 
-// pinCount is how many of a plan's runner groups get a dedicated OS thread
-// under Parallel and Optimistic: one per group up to procs (GOMAXPROCS) —
-// beyond that, pinning would only multiply OS threads competing for the
-// same cores, so spillover groups stay on the Go scheduler — and none on a
-// single core, where a thread per group buys nothing and costs context
-// switches.
-func pinCount(groups, procs int) int {
-	if procs <= 1 {
-		return 0
-	}
-	return min(groups, procs)
-}
-
 // Execute runs the plan until virtual time end (events at exactly end do
 // not run). The phases, in order:
 //
@@ -102,8 +88,7 @@ func pinCount(groups, procs int) int {
 //  3. restore component, aux, counter and pending-event state (Resume);
 //  4. install speculation (Optimistic);
 //  5. publish the group on Simulation.Group and call Simulation.PreRun;
-//  6. run the group, pinCount runners on their own OS threads unless
-//     Coupled;
+//  6. run the group, every runner on its own goroutine;
 //  7. quiesce the channels and capture a checkpoint (Capture);
 //  8. sweep every scheduler so frames still in flight return to their
 //     pools — on every exit path, so the leak counters read zero after a
@@ -181,11 +166,7 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 	if s.PreRun != nil {
 		s.PreRun(g)
 	}
-	pinned := 0
-	if o.Mode != Coupled {
-		pinned = pinCount(len(runners), runtime.GOMAXPROCS(0))
-	}
-	err := g.RunPinned(end, pinned)
+	err := g.Run(end)
 	if o.Mode == Optimistic {
 		res.Spec = pl.specReport(runners)
 	}
@@ -247,8 +228,8 @@ func (s *Simulation) RunPlaced(end sim.Time, p decomp.Placement) error {
 	return err
 }
 
-// RunParallel executes the simulation under the given placement with runner
-// groups on real cores — the multi-core analog of RunPlaced.
+// RunParallel executes the simulation under the given placement with
+// batched sync windows — the multi-core analog of RunPlaced.
 func (s *Simulation) RunParallel(end sim.Time, p decomp.Placement) error {
 	_, err := s.execute(end, p, RunOptions{Mode: Parallel})
 	return err
@@ -288,7 +269,7 @@ func (pl *ExecutionPlan) Run(end sim.Time) error {
 	return err
 }
 
-// RunParallel executes the plan with runner groups on real cores.
+// RunParallel executes the plan with batched sync windows.
 func (pl *ExecutionPlan) RunParallel(end sim.Time) error {
 	_, err := pl.Execute(end, RunOptions{Mode: Parallel})
 	return err

@@ -10,12 +10,11 @@ import (
 )
 
 // The parallel benchmarks mirror the placement suite under the Parallel
-// mode (thread pinning + batched horizon windows) so
-// BENCH_placement.json tracks both modes over the same graph and the
-// same ns-per-event unit. On a single-core host the pinning is a no-op and
-// the interesting number is the batching: the SyncLight pair below runs a
-// channel whose sync interval is latency/8, where batched windows cut the
-// fabric sync traffic ~8x whether or not real cores are available.
+// mode (batched horizon windows) so BENCH_placement.json tracks both modes
+// over the same graph and the same ns-per-event unit. The interesting
+// number is the batching: the SyncLight pair below runs a channel whose
+// sync interval is latency/8, where batched windows cut the fabric sync
+// traffic ~8x whether or not real cores are available.
 
 func benchParallel(b *testing.B, groups func() decomp.Placement) {
 	b.ReportAllocs()

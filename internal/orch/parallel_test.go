@@ -40,11 +40,11 @@ func gomaxprocsSweep() []int {
 }
 
 // TestParallelDigestMatchesSequential is the tentpole's acceptance
-// property: RunParallel — thread pinning, batched horizon windows,
-// spin-then-park blocking and all — produces bit-identical per-component
-// traces and scheduler event counts to RunSequential, for random
-// placements, at every GOMAXPROCS level. Sync pacing and thread placement
-// must never schedule or reorder a simulation event.
+// property: RunParallel — concurrent runner goroutines, batched horizon
+// windows, yield-then-park blocking and all — produces bit-identical
+// per-component traces and scheduler event counts to RunSequential, for
+// random placements, at every GOMAXPROCS level. Sync pacing and thread
+// placement must never schedule or reorder a simulation event.
 func TestParallelDigestMatchesSequential(t *testing.T) {
 	const end = 2 * sim.Millisecond
 	builders := []struct {
@@ -99,6 +99,42 @@ func TestParallelDigestMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPinCount holds the executor's pin count at zero. Execute used to lock
+// min(groups, GOMAXPROCS) runners to OS threads under Parallel; every runner
+// group is now a plain goroutine in every mode, so the old groups ×
+// GOMAXPROCS table is one behaviour: each cell — one P, and more groups than
+// Ps, included — completes a Parallel run with the sequential traces and
+// event count. Eight groups on one P is the cell where a blocked runner's
+// yields are the only way its peers get to run.
+func TestPinCount(t *testing.T) {
+	const (
+		nComps = 8
+		end    = sim.Millisecond
+	)
+	refTraces, refEvents := runPlaced(t, buildRandom, 3, nComps, end, nil)
+	sizes := []int{1, 2, 4, 8}
+	for _, groups := range sizes {
+		p := decomp.Placement{Name: fmt.Sprintf("rr%d", groups), Groups: make([]int, nComps)}
+		for i := range p.Groups {
+			p.Groups[i] = i % groups
+		}
+		for _, procs := range sizes {
+			t.Run(fmt.Sprintf("groups%d/procs%d", groups, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				traces, events := runParallelTrial(t, buildRandom, 3, nComps, end, p)
+				if events != refEvents {
+					t.Errorf("%d events, sequential %d", events, refEvents)
+				}
+				for i := range traces {
+					if !equalSlices(traces[i], refTraces[i]) {
+						t.Fatalf("trace of comp %d diverged from sequential", i)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestParallelFramesDrained runs the pooled-frame packet path under the
 // multi-core executor: every frame borrowed from the pool must be returned
 // once the run (including the post-run in-flight sweep) completes, and the
@@ -128,13 +164,19 @@ func TestParallelFramesDrained(t *testing.T) {
 }
 
 // TestHostModelParams checks the placement recommender's host tuning: the
-// core budget tracks GOMAXPROCS and the sync price comes from a real
-// measurement on this machine's fabric.
+// core budget tracks GOMAXPROCS but never exceeds the CPUs that exist, and
+// the sync price comes from a real measurement on this machine's fabric.
 func TestHostModelParams(t *testing.T) {
-	p := orch.HostModelParams(sim.Millisecond)
-	if want := runtime.GOMAXPROCS(0); p.Cores != want {
-		t.Errorf("Cores = %d, want GOMAXPROCS %d", p.Cores, want)
+	ncpu := runtime.NumCPU()
+	for _, procs := range []int{1, ncpu, ncpu + 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := orch.HostModelParams(sim.Millisecond).Cores
+		runtime.GOMAXPROCS(prev)
+		if want := min(procs, ncpu); got != want {
+			t.Errorf("GOMAXPROCS %d on %d CPUs: Cores = %d, want %d", procs, ncpu, got, want)
+		}
 	}
+	p := orch.HostModelParams(sim.Millisecond)
 	if p.SyncCostNs <= 0 {
 		t.Error("SyncCostNs should be measured > 0")
 	}

@@ -181,14 +181,16 @@ func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 
 // HostModelParams returns decomposition-model parameters tuned to the
 // executing host rather than the calibrated paper constants: the core
-// budget is GOMAXPROCS and the per-sync cost is measured on this machine's
+// budget is min(GOMAXPROCS, NumCPU) — Ps beyond the CPUs that exist run
+// nothing in parallel — and the per-sync cost is measured on this machine's
 // actual channel fabric (link.MeasuredSyncCost — priced once per process,
 // cached thereafter). AutoPlace fed with these parameters weighs core count
 // and real sync cost — it stops splitting beyond the cores that exist and
 // merges groups whose sync bill, at measured prices, exceeds their
 // parallelism win.
 func HostModelParams(duration sim.Time) decomp.Params {
-	return decomp.HostParams(duration, runtime.GOMAXPROCS(0), link.MeasuredSyncCost())
+	cores := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	return decomp.HostParams(duration, cores, link.MeasuredSyncCost())
 }
 
 // ModelGraph folds the simulation's per-component model graph to the

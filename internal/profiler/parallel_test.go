@@ -11,10 +11,10 @@ import (
 )
 
 // TestParallelProfilingRace is the parallel-executor audit for the
-// profiler's sampled timing: four runner groups, pinned to OS threads with
-// GOMAXPROCS >= 4 and batched horizon windows, each sampling its own
-// ProcNanos/WaitNanos epochs through an attached Collector while the
-// endpoint counters (Tx/Rx/Proc/Wait/PeakDepth) tick on both sides of every
+// profiler's sampled timing: four runner goroutines with GOMAXPROCS >= 4
+// and batched horizon windows, each sampling its own ProcNanos/WaitNanos
+// epochs through an attached Collector while the endpoint counters
+// (Tx/Rx/Proc/Wait/PeakDepth/Parks) tick on both sides of every
 // channel. Run with -race: the epoch state (procTick/waitTick) is
 // per-Runner and the endpoint counters are single-writer (the owning
 // runner), and this test is the proof that stays true when the runners are
@@ -56,12 +56,12 @@ func TestParallelProfilingRace(t *testing.T) {
 	}
 	c.Attach(g, 20*sim.Microsecond)
 
-	if err := g.RunPinned(2*sim.Millisecond, n); err != nil {
+	if err := g.Run(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 
 	if len(c.Samples()) == 0 {
-		t.Fatal("no samples collected from pinned parallel run")
+		t.Fatal("no samples collected from parallel run")
 	}
 	for i, r := range runners {
 		cnt := r.Counters()

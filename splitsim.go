@@ -211,7 +211,7 @@ type (
 const (
 	// Coupled exchanges syncs every sync interval (the zero value).
 	Coupled = orch.Coupled
-	// Parallel pins runner groups to OS threads and batches sync windows.
+	// Parallel batches sync windows: one exchange per lookahead window.
 	Parallel = orch.Parallel
 	// Optimistic adds speculation past the committed horizon (RunOptions.K
 	// windows deep) with per-group snapshot/rollback.
