@@ -3,7 +3,7 @@
 # whole module (every package may run under the multi-core executor now);
 # `make chaos` runs the transport fault-injection suite under the race
 # detector; `make exec` is the raced gate over the one executor body —
-# parallel pacing, speculation, checkpoint capture and restore; `make e2e`
+# conservative pacing, speculation, checkpoint capture and restore; `make e2e`
 # vets and tests the end-to-end benchmark module, which the root module's
 # build and tests do not reach; `make bench` refreshes the committed
 # benchmark baselines; `make loc` prints the per-package code-line table
@@ -32,7 +32,7 @@ race:
 # Executor gate: ExecutionPlan.Execute is one body, so its modes race-test
 # together. Parallel digest/wake/yield/profiling tests (nondeterminism and
 # data races among concurrent runners), the speculation digest/rollback/leap
-# properties and the remote-rejection contract, checkpoints restoring
+# properties and the remote-rejection contracts, checkpoints restoring
 # bit-identically across placements, modes and GOMAXPROCS levels, the
 # warm-started sweep's identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so

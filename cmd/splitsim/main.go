@@ -143,8 +143,7 @@ flags for run and plan:
   -scale f       duration/topology scale (default 1.0 = paper scale)
   -seed n        random seed (default 42)
   -placement p   execution placement (placement: %s; fig7/fig8: s|percomp|auto)
-  -parallel      run placed groups concurrently (one goroutine per group, batched sync windows)
-  -optimistic[=K]  speculate K sync windows past the committed horizon (placed runs; bare flag = default depth)
+  -optimistic[=K]  speculate K lookahead windows past the committed horizon (placed runs; bare flag = default depth)
   -checkpoint-at us     warmup horizon in microseconds for checkpointing experiments (warmstart)
   -checkpoint-file f    write the captured checkpoint to f
   -restore-file f       resume from a checkpoint file instead of simulating the warmup
@@ -163,7 +162,6 @@ func parseOpts(cmd string, args []string) experiments.Options {
 	scale := fs.Float64("scale", 1.0, "duration/topology scale")
 	seed := fs.Uint64("seed", 42, "random seed")
 	placement := fs.String("placement", "", "execution placement")
-	parallel := fs.Bool("parallel", false, "multi-core executor for placed runs")
 	var optimistic optimisticFlag
 	fs.Var(&optimistic, "optimistic", "optimistic executor for placed runs; =K sets speculation depth")
 	ckAt := fs.Float64("checkpoint-at", 0, "warmup horizon in microseconds (checkpointing experiments)")
@@ -176,11 +174,8 @@ func parseOpts(cmd string, args []string) experiments.Options {
 		fail("-bg accepts \"flow\", not %q", *bg)
 	}
 	var exec orch.RunOptions
-	switch {
-	case optimistic > 0:
+	if optimistic > 0 {
 		exec = orch.RunOptions{Mode: orch.Optimistic, K: int(optimistic)}
-	case *parallel:
-		exec.Mode = orch.Parallel
 	}
 	return experiments.Options{Scale: *scale, Seed: *seed, Placement: *placement, Exec: exec,
 		CheckpointAt:   sim.Time(*ckAt * float64(sim.Microsecond)),

@@ -52,8 +52,8 @@ func main() {
 
 	// Each site runs as its own simulator process (here: goroutine), with
 	// the channel spliced over TCP.
-	epA, remA := link.NewHalf("wan", linkLatency, 0)
-	epB, remB := link.NewHalf("wan", linkLatency, 0)
+	epA, remA := link.NewHalf("wan", linkLatency)
+	epB, remB := link.NewHalf("wan", linkLatency)
 	r1 := link.NewRunner("site1", sim.NewScheduler(1))
 	r2 := link.NewRunner("site2", sim.NewScheduler(2))
 	r1.Attach(epA)

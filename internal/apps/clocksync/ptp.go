@@ -14,8 +14,8 @@ import (
 type PTPMaster struct {
 	// Slaves lists the slave addresses.
 	Slaves []proto.IP
-	// Interval is the Sync interval (ptp4l default logSyncInterval 0 = 1s;
-	// datacenter profiles run much faster).
+	// Interval is the PTP Sync message interval (ptp4l's default is 2^0 =
+	// 1s; datacenter profiles run much faster).
 	Interval sim.Time
 
 	h *hostsim.Host

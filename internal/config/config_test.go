@@ -239,7 +239,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.Sim.RunPlaced(end, p); err != nil {
+		if err := inst.Sim.RunParallel(end, p); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if *received != *refReceived {

@@ -182,7 +182,7 @@ func (i *Instance) RunCoupled(end sim.Time) error {
 }
 
 // Plan resolves a placement against the instance's simulation; execute the
-// plan with its Execute (or Run / RunParallel / RunOptimistic).
+// plan with its Execute (or RunParallel / RunOptimistic).
 func (i *Instance) Plan(p decomp.Placement) (*orch.ExecutionPlan, error) {
 	return i.Sim.Plan(p)
 }

@@ -78,11 +78,10 @@ func scaleOutSite(name string, localID, remoteID uint32) (*netsim.Network, *nets
 
 // scaleOutTopo is the assembled two-pair topology.
 type scaleOutTopo struct {
-	n    [4]*netsim.Network
-	h    [4]*netsim.Host
-	x    [4]*netsim.ExtPort
-	lat  sim.Time
-	sync sim.Time
+	n   [4]*netsim.Network
+	h   [4]*netsim.Host
+	x   [4]*netsim.ExtPort
+	lat sim.Time
 }
 
 func buildScaleOutTopo() *scaleOutTopo {
@@ -124,8 +123,8 @@ func runScaleOutMono(end sim.Time) ([2]uint64, error) {
 	for i := range t.n {
 		s.Add(t.n[i])
 	}
-	s.Connect("x12", t.lat, t.sync, t.side(0), t.side(1))
-	s.Connect("x34", t.lat, t.sync, t.side(2), t.side(3))
+	s.Connect("x12", t.lat, t.side(0), t.side(1))
+	s.Connect("x34", t.lat, t.side(2), t.side(3))
 	if err := s.RunCoupled(end); err != nil {
 		return [2]uint64{}, err
 	}
@@ -143,16 +142,16 @@ func runScaleOutDist(end sim.Time, seed uint64, chaos *proxy.Chaos) ([2]uint64, 
 	sA.Reserve(1)
 	sA.Add(t.n[2])
 	sA.Reserve(1)
-	remA12 := sA.ConnectRemote("x12", t.lat, t.sync, t.side(0), true)
-	remA34 := sA.ConnectRemote("x34", t.lat, t.sync, t.side(2), true)
+	remA12 := sA.ConnectRemote("x12", t.lat, t.side(0), true)
+	remA34 := sA.ConnectRemote("x34", t.lat, t.side(2), true)
 
 	sB := orch.New() // n2, n4 — side B
 	sB.Reserve(1)
 	sB.Add(t.n[1])
 	sB.Reserve(1)
 	sB.Add(t.n[3])
-	remB12 := sB.ConnectRemote("x12", t.lat, t.sync, t.side(1), false)
-	remB34 := sB.ConnectRemote("x34", t.lat, t.sync, t.side(3), false)
+	remB12 := sB.ConnectRemote("x12", t.lat, t.side(1), false)
+	remB34 := sB.ConnectRemote("x34", t.lat, t.side(3), false)
 
 	cfg := proxy.Config{
 		Heartbeat:   20 * time.Millisecond,

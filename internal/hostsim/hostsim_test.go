@@ -46,16 +46,16 @@ func buildRig(params hostsim.Params) *rig {
 	s.Add(r.n1)
 	s.Add(r.h2)
 	s.Add(r.n2)
-	s.Connect("h1.pci", pci.DefaultLatency, 0,
+	s.Connect("h1.pci", pci.DefaultLatency,
 		orch.Side{Comp: r.h1, Bind: r.h1.BindNIC, Sink: r.h1.NICSink()},
 		orch.Side{Comp: r.n1, Bind: r.n1.BindHost, Sink: r.n1.HostSink()})
-	s.Connect("n1.eth", 500*sim.Nanosecond, 0,
+	s.Connect("n1.eth", 500*sim.Nanosecond,
 		orch.Side{Comp: r.n1, Bind: r.n1.BindNet, Sink: r.n1.NetSink()},
 		orch.Side{Comp: r.net, Bind: ext1.Bind, Sink: ext1})
-	s.Connect("h2.pci", pci.DefaultLatency, 0,
+	s.Connect("h2.pci", pci.DefaultLatency,
 		orch.Side{Comp: r.h2, Bind: r.h2.BindNIC, Sink: r.h2.NICSink()},
 		orch.Side{Comp: r.n2, Bind: r.n2.BindHost, Sink: r.n2.HostSink()})
-	s.Connect("n2.eth", 500*sim.Nanosecond, 0,
+	s.Connect("n2.eth", 500*sim.Nanosecond,
 		orch.Side{Comp: r.n2, Bind: r.n2.BindNet, Sink: r.n2.NetSink()},
 		orch.Side{Comp: r.net, Bind: ext2.Bind, Sink: ext2})
 	r.sim = s

@@ -64,7 +64,7 @@ func batchedRun(t *testing.T, mode string, moderation sim.Time) (digest string, 
 	case "placed":
 		// Host and NIC co-located, network on its own runner.
 		p := decomp.Placement{Name: "2g", Groups: []int{0, 1, 1}}
-		if err := s.RunPlaced(end, p); err != nil {
+		if err := s.RunParallel(end, p); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 	default:

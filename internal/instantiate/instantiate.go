@@ -47,10 +47,10 @@ func (d *DetailedHost) Wire(s *orch.Simulation, netComp core.Component, ext *net
 	ext.SetEncode(true) // frames cross the Ethernet channel as raw bytes
 	s.Add(d.Host)
 	s.Add(d.NIC)
-	s.Connect(d.Host.Name()+".pci", pci.DefaultLatency, 0,
+	s.Connect(d.Host.Name()+".pci", pci.DefaultLatency,
 		orch.Side{Comp: d.Host, Bind: d.Host.BindNIC, Sink: d.Host.NICSink()},
 		orch.Side{Comp: d.NIC, Bind: d.NIC.BindHost, Sink: d.NIC.HostSink()})
-	s.Connect(d.Host.Name()+".eth", EthLatency, 0,
+	s.Connect(d.Host.Name()+".eth", EthLatency,
 		orch.Side{Comp: d.NIC, Bind: d.NIC.BindNet, Sink: d.NIC.NetSink()},
 		orch.Side{Comp: netComp, Bind: ext.Bind, Sink: ext})
 }
@@ -68,7 +68,7 @@ func WirePartitions(s *orch.Simulation, topo *netsim.Topology, b *netsim.Built, 
 	if !trunk {
 		for _, bd := range b.Boundaries {
 			lat := topo.Links[bd.Link].Delay
-			s.Connect(fmt.Sprintf("bd%d", bd.Link), lat, 0,
+			s.Connect(fmt.Sprintf("bd%d", bd.Link), lat,
 				orch.Side{Comp: b.Parts[bd.PartA], Bind: bd.PortA.Bind, Sink: bd.PortA},
 				orch.Side{Comp: b.Parts[bd.PartB], Bind: bd.PortB.Bind, Sink: bd.PortB})
 		}
@@ -104,7 +104,7 @@ func WirePartitions(s *orch.Simulation, topo *netsim.Topology, b *netsim.Built, 
 				BindB: pb.Bind, SinkB: pb,
 			})
 		}
-		s.ConnectTrunk(fmt.Sprintf("trunk%d-%d", k.a, k.b), lat, 0,
+		s.ConnectTrunk(fmt.Sprintf("trunk%d-%d", k.a, k.b), lat,
 			b.Parts[k.a], b.Parts[k.b], pairs)
 	}
 }

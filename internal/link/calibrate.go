@@ -18,6 +18,8 @@ const calRounds = 4096
 // carry no components, so every message exchanged is a sync and the result
 // isolates the fabric's per-quantum price — publish, wake, drain, horizon
 // update — as it really is on this host, yield/park discipline included.
+// The pair runs in lock step, so it sends one sync per lookahead window:
+// the price per sync is the price per window.
 //
 // The decomposition model's calibrated SyncCostNs constant stands in for
 // this number when reproducing the paper's figures; placement decisions for
@@ -27,7 +29,7 @@ const calRounds = 4096
 // treat 0 as "keep the calibrated default".
 func MeasureSyncCost() float64 {
 	const latency = sim.Microsecond
-	ch := NewChannel("calibrate", latency, 0)
+	ch := NewChannel("calibrate", latency)
 	g := &Group{}
 	ra := NewRunner("cal.a", sim.NewScheduler(1))
 	rb := NewRunner("cal.b", sim.NewScheduler(2))

@@ -9,27 +9,23 @@ import (
 
 // Channel is a bidirectional SplitSim channel between two component
 // simulators. Each direction is an independent FIFO; both share the same
-// latency and synchronization interval.
+// latency, which is also the synchronization quantum — the SimBricks
+// protocol: a side may not run past its peer's last timestamp + latency.
 type Channel struct {
-	Name         string
-	Latency      sim.Time
-	SyncInterval sim.Time
+	Name    string
+	Latency sim.Time
 
 	a, b *Endpoint
 }
 
 // NewChannel creates a channel. latency must be positive — it is the
 // synchronization lookahead, and a zero-latency channel cannot be simulated
-// in parallel. syncInterval <= 0 defaults to the latency, the standard
-// SimBricks quantum.
-func NewChannel(name string, latency, syncInterval sim.Time) *Channel {
+// in parallel.
+func NewChannel(name string, latency sim.Time) *Channel {
 	if latency <= 0 {
 		panic(fmt.Sprintf("link: channel %q needs positive latency", name))
 	}
-	if syncInterval <= 0 {
-		syncInterval = latency
-	}
-	c := &Channel{Name: name, Latency: latency, SyncInterval: syncInterval}
+	c := &Channel{Name: name, Latency: latency}
 	ab, ba := newPipe(), newPipe()
 	c.a = &Endpoint{ch: c, label: name + ".a", out: ab, in: ba, lastSentT: -1, lastRecvT: -1}
 	c.b = &Endpoint{ch: c, label: name + ".b", out: ba, in: ab, lastSentT: -1, lastRecvT: -1}
@@ -132,10 +128,7 @@ func (e *Endpoint) publish(t sim.Time, sub uint16, payload core.Message) {
 	if e.runner.spec.dom != nil {
 		e.spec.tx.Add(1)
 	}
-	if t > e.lastSentT {
-		e.lastSentT = t
-		e.runner.syncCapOK = false
-	}
+	e.lastSentT = max(e.lastSentT, t)
 }
 
 // SubPort returns a core.Port bound to one sub-channel of this endpoint. This
@@ -187,9 +180,6 @@ func (e *Endpoint) sendSync(now sim.Time) {
 	}
 	e.out.push(Message{T: now, Kind: KindSync})
 	e.lastSentT = now
-	if e.runner != nil {
-		e.runner.syncCapOK = false
-	}
 	e.Stats.TxSync++
 }
 

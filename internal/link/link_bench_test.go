@@ -22,7 +22,7 @@ func (nopPayload) Size() int { return 0 }
 // whose A side's pipe is written directly (bypassing endpoint bookkeeping)
 // so the producer adds no measurable cost.
 func benchConsumer() (r *Runner, feed *pipe, recv *Endpoint) {
-	ch := NewChannel("bench", sim.Microsecond, 0)
+	ch := NewChannel("bench", sim.Microsecond)
 	r = NewRunner("consumer", sim.NewScheduler(1))
 	r.Attach(ch.SideB())
 	ch.SideB().SetSink(0, 7, core.SinkFunc(func(sim.Time, core.Message) {}))
@@ -95,7 +95,7 @@ func BenchmarkPipeSendTryRecv(b *testing.B) {
 func BenchmarkCoupledPingPong(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ch := NewChannel("pp", 500*sim.Nanosecond, 0)
+		ch := NewChannel("pp", 500*sim.Nanosecond)
 		ra := NewRunner("a", sim.NewScheduler(1))
 		rb := NewRunner("b", sim.NewScheduler(2))
 		ra.Attach(ch.SideA())

@@ -44,10 +44,10 @@ func (p *pinger) Deliver(at sim.Time, m core.Message) {
 	p.trace = append(p.trace, fmt.Sprintf("%v:%s:%d@%v", at, msg.from, msg.seq, at))
 }
 
-func buildPair(latency, syncIv sim.Time) (*Group, *pinger, *pinger) {
+func buildPair(latency sim.Time) (*Group, *pinger, *pinger) {
 	sa, sb := sim.NewScheduler(1), sim.NewScheduler(2)
 	ra, rb := NewRunner("a", sa), NewRunner("b", sb)
-	ch := NewChannel("ab", latency, syncIv)
+	ch := NewChannel("ab", latency)
 	ra.Attach(ch.SideA())
 	rb.Attach(ch.SideB())
 	pa := &pinger{name: "pa", port: ch.SideA(), interval: 100 * sim.Nanosecond}
@@ -62,7 +62,7 @@ func buildPair(latency, syncIv sim.Time) (*Group, *pinger, *pinger) {
 }
 
 func TestChannelDeliveryLatency(t *testing.T) {
-	g, pa, pb := buildPair(500*sim.Nanosecond, 0)
+	g, pa, pb := buildPair(500 * sim.Nanosecond)
 	if err := g.Run(1 * sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestChannelDeliveryLatency(t *testing.T) {
 
 func TestCoupledDeterminism(t *testing.T) {
 	run := func() ([]string, []string) {
-		g, pa, pb := buildPair(200*sim.Nanosecond, 50*sim.Nanosecond)
+		g, pa, pb := buildPair(200 * sim.Nanosecond)
 		if err := g.Run(10 * sim.Microsecond); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestCoupledDeterminism(t *testing.T) {
 // design: parallel coupled execution and sequential direct execution yield
 // identical traces.
 func TestCoupledMatchesDirect(t *testing.T) {
-	g, pa, pb := buildPair(200*sim.Nanosecond, 0)
+	g, pa, pb := buildPair(200 * sim.Nanosecond)
 	if err := g.Run(5 * sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCoupledMatchesDirect(t *testing.T) {
 }
 
 func TestSyncCountersPopulated(t *testing.T) {
-	g, _, _ := buildPair(100*sim.Nanosecond, 0)
+	g, _, _ := buildPair(100 * sim.Nanosecond)
 	if err := g.Run(20 * sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSyncCountersPopulated(t *testing.T) {
 func TestTrunkMultiplexing(t *testing.T) {
 	sa, sb := sim.NewScheduler(1), sim.NewScheduler(2)
 	ra, rb := NewRunner("a", sa), NewRunner("b", sb)
-	ch := NewChannel("trunk", 100*sim.Nanosecond, 0)
+	ch := NewChannel("trunk", 100*sim.Nanosecond)
 	ra.Attach(ch.SideA())
 	rb.Attach(ch.SideB())
 
@@ -210,8 +210,8 @@ func TestThreeRunnerChain(t *testing.T) {
 	ra := NewRunner("a", ss[0])
 	rb := NewRunner("b", ss[1])
 	rc := NewRunner("c", ss[2])
-	ab := NewChannel("ab", 100*sim.Nanosecond, 0)
-	bc := NewChannel("bc", 150*sim.Nanosecond, 0)
+	ab := NewChannel("ab", 100*sim.Nanosecond)
+	bc := NewChannel("bc", 150*sim.Nanosecond)
 	ra.Attach(ab.SideA())
 	rb.Attach(ab.SideB())
 	rb.Attach(bc.SideA())
@@ -251,7 +251,7 @@ func TestThreeRunnerChain(t *testing.T) {
 func TestGroupPropagatesPanic(t *testing.T) {
 	sa, sb := sim.NewScheduler(1), sim.NewScheduler(2)
 	ra, rb := NewRunner("a", sa), NewRunner("b", sb)
-	ch := NewChannel("ab", 100*sim.Nanosecond, 0)
+	ch := NewChannel("ab", 100*sim.Nanosecond)
 	ra.Attach(ch.SideA())
 	rb.Attach(ch.SideB())
 	ch.SideA().SetSink(0, 100, core.SinkFunc(func(sim.Time, core.Message) {}))
@@ -273,7 +273,7 @@ func TestChannelValidation(t *testing.T) {
 			t.Fatal("zero latency channel should panic")
 		}
 	}()
-	NewChannel("bad", 0, 0)
+	NewChannel("bad", 0)
 }
 
 func TestPipeFIFOProperty(t *testing.T) {

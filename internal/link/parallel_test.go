@@ -69,19 +69,7 @@ func TestRecvAdaptiveClosed(t *testing.T) {
 // yields, with no park at all.
 func TestParallelYieldLetsPeerPublish(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const latency = sim.Microsecond
-	ch := NewChannel("lockstep", latency, 0)
-	ra := NewRunner("a", sim.NewScheduler(1))
-	rb := NewRunner("b", sim.NewScheduler(2))
-	ra.Attach(ch.SideA())
-	rb.Attach(ch.SideB())
-	g := &Group{}
-	g.Add(ra, rb)
-	if err := g.Run(calRounds * latency); err != nil {
-		t.Fatal(err)
-	}
-	total := ra.Counters()
-	total.Add(rb.Counters())
+	total := lockstepProbe(t, sim.Microsecond, calRounds)
 	if total.TxSync < calRounds {
 		t.Fatalf("lock-step run sent %d syncs, want >= %d", total.TxSync, calRounds)
 	}
@@ -90,39 +78,35 @@ func TestParallelYieldLetsPeerPublish(t *testing.T) {
 	}
 }
 
-// batchProbe builds two coupled runners joined by a channel whose sync
-// interval is much finer than its latency, runs them, and returns the total
-// sync messages sent.
-func batchProbe(t *testing.T, batch bool, end sim.Time) uint64 {
+// lockstepProbe runs two component-less runners joined by one channel of
+// the given latency for the given number of lookahead windows and returns
+// both runners' counters summed.
+func lockstepProbe(t *testing.T, latency sim.Time, windows int) Counters {
 	t.Helper()
-	ch := NewChannel("probe", 8*sim.Microsecond, sim.Microsecond)
+	ch := NewChannel("lockstep", latency)
 	ra := NewRunner("a", sim.NewScheduler(1))
 	rb := NewRunner("b", sim.NewScheduler(2))
-	ra.SetBatchWindows(batch)
-	rb.SetBatchWindows(batch)
 	ra.Attach(ch.SideA())
 	rb.Attach(ch.SideB())
 	g := &Group{}
 	g.Add(ra, rb)
-	if err := g.Run(end); err != nil {
+	if err := g.Run(sim.Time(windows) * latency); err != nil {
 		t.Fatal(err)
 	}
-	return ch.SideA().Stats.TxSync + ch.SideB().Stats.TxSync
+	total := ra.Counters()
+	total.Add(rb.Counters())
+	return total
 }
 
-// TestBatchWindowsAmortizeSyncs pins the parallel executor's horizon
-// batching: with a sync interval of latency/8, the batched discipline must
-// exchange several times fewer sync messages over the same run — one
-// exchange per lookahead window instead of one per interval.
+// TestBatchWindowsAmortizeSyncs pins the one pacing rule: the horizon alone
+// bounds a batch, so a lock-step channel run for N lookahead windows sends
+// at most N + 1 syncs in total — one per window plus the closing one — not
+// one per side per window.
 func TestBatchWindowsAmortizeSyncs(t *testing.T) {
-	const end = 2 * sim.Millisecond
-	fine := batchProbe(t, false, end)
-	batched := batchProbe(t, true, end)
-	if fine == 0 || batched == 0 {
-		t.Fatalf("degenerate sync counts: fine=%d batched=%d", fine, batched)
-	}
-	if batched*4 > fine {
-		t.Fatalf("batched windows sent %d syncs vs %d unbatched; want >=4x reduction", batched, fine)
+	const windows = 250
+	syncs := lockstepProbe(t, 8*sim.Microsecond, windows).TxSync
+	if syncs == 0 || syncs > windows+1 {
+		t.Fatalf("lock-step run over %d windows sent %d syncs; want 1..%d", windows, syncs, windows+1)
 	}
 }
 

@@ -13,8 +13,8 @@ import "repro/internal/sim"
 // not advance past lastRemoteTimestamp + latency. The transport only has
 // to preserve order; wall-clock network delay costs wall time, never
 // simulated time.
-func NewHalf(name string, latency, syncInterval sim.Time) (*Endpoint, *Remote) {
-	c := NewChannel(name, latency, syncInterval)
+func NewHalf(name string, latency sim.Time) (*Endpoint, *Remote) {
+	c := NewChannel(name, latency)
 	// The local runner owns side A. Side B's pipes are driven by the
 	// Remote: what A sent shows up in remote.RecvInterruptible, and
 	// remote.Inject feeds A's inbox.

@@ -52,7 +52,7 @@ func TestPipeInterruptIsStickyAndDrainsFirst(t *testing.T) {
 // TestRemoteInterrupt covers the exported surface: Interrupt unblocks
 // RecvInterruptible, and a clean close still reports ok=false, intr=false.
 func TestRemoteInterrupt(t *testing.T) {
-	_, rem := NewHalf("x", 1, 0)
+	_, rem := NewHalf("x", 1)
 	done := make(chan bool, 1)
 	go func() {
 		_, ok, intr := rem.RecvInterruptible()

@@ -33,14 +33,11 @@ type Runner struct {
 	// batch; a speculating runner's scheduler runs ahead of it (spec.go).
 	committed sim.Time
 
-	// Cached minima over the endpoints. horizon depends only on each
-	// endpoint's lastRecvT/peerDone and syncCap only on lastSentT, so both
-	// stay valid across loop iterations that neither receive nor send;
-	// endpoint mutations invalidate them.
+	// Cached minimum over the endpoints. horizon depends only on each
+	// endpoint's lastRecvT/peerDone, so it stays valid across loop
+	// iterations that receive nothing; receiving invalidates it.
 	horizonCache sim.Time
 	horizonOK    bool
-	syncCapCache sim.Time
-	syncCapOK    bool
 
 	// lastSyncAll is the virtual time of the last full syncAt pass;
 	// repeating the pass at the same time is a no-op on every endpoint and
@@ -50,15 +47,6 @@ type Runner struct {
 	// restored marks a run resuming from a checkpoint: components start
 	// via StartRestored (no initial events) instead of Start. See state.go.
 	restored bool
-
-	// batchWindows, set by the parallel executor, amortizes horizon
-	// advancement: the event batch runs all the way to the conservative
-	// horizon and one sync exchange covers the whole lookahead window,
-	// instead of pausing every sync interval to emit intermediate syncs.
-	// Peers advance in coarser steps but simulation content is untouched —
-	// sync messages never schedule events, so the run stays bit-identical
-	// (and the event count equal) to sequential execution.
-	batchWindows bool
 
 	// epoch anchors the profiler's wall-clock samples: time.Since on a
 	// monotonic base is measurably cheaper than time.Now on VMs where the
@@ -107,7 +95,6 @@ func (r *Runner) Attach(e *Endpoint) {
 	e.runner = r
 	r.eps = append(r.eps, e)
 	r.horizonOK = false
-	r.syncCapOK = false
 }
 
 // AddComponent registers a component, attaching it to the runner's
@@ -117,15 +104,6 @@ func (r *Runner) Attach(e *Endpoint) {
 func (r *Runner) AddComponent(c core.Component, src int32) {
 	c.Attach(core.Env{Sched: r.sched, Src: src})
 	r.comps = append(r.comps, c)
-}
-
-// SetBatchWindows toggles amortized horizon batching (see the batchWindows
-// field). Call before Run; the parallel executor enables it so that, under
-// true concurrency, peers exchange one sync per lookahead window instead of
-// one per sync interval.
-func (r *Runner) SetBatchWindows(on bool) {
-	r.batchWindows = on
-	r.syncCapOK = false
 }
 
 // Counters returns the sum of all endpoint counters.
@@ -142,13 +120,17 @@ func (r *Runner) Counters() Counters {
 //
 // This is the only main loop, whatever the mode. Each round: drain incoming
 // messages → roll back if the drain met a straggler → raise committed to
-// min(horizon, end, syncCap) → run the events before it → publish withheld
-// output it has passed → refresh the snapshot → speculate up to K windows
-// further → sync at committed → finish, go round again while there is
-// headroom, or stall. Conservative execution is the K = 0 case outside a
-// leap domain: nothing is ever withheld, snapshotted or speculated, so the
-// scheduler clock equals committed after every batch; coupled pacing is the
-// same loop with syncCap finite.
+// min(horizon, end) → run the events before it → publish withheld output it
+// has passed → refresh the snapshot → speculate up to K windows further →
+// sync at committed → finish, go round again while there is headroom, or
+// stall. Conservative execution is the K = 0 case outside a leap domain:
+// nothing is ever withheld, snapshotted or speculated, so the scheduler
+// clock equals committed after every batch.
+//
+// The horizon alone bounds a batch, so a lock-step channel costs one sync
+// exchange per lookahead window. Sync messages never schedule events, so
+// how coarsely peers hear from each other changes wall time only, never
+// simulation content.
 func (r *Runner) Run(end sim.Time) {
 	st := &r.spec
 	r.startComponents(end)
@@ -162,11 +144,9 @@ func (r *Runner) Run(end sim.Time) {
 		if st.rollbackPending {
 			r.specRollback()
 		}
-		// syncCap keeps the batch short enough that peers receive syncs at
-		// least every sync interval of our virtual time (coupled pacing). A
-		// GVT leap may have left committed above all three bounds.
+		// A GVT leap may have left committed above both bounds.
 		advanced := false
-		if target := min(r.horizon(), end, r.syncCap()); target > r.committed {
+		if target := min(r.horizon(), end); target > r.committed {
 			r.committed = target
 			advanced = true
 		}
@@ -251,34 +231,6 @@ func (r *Runner) horizon() sim.Time {
 	r.horizonCache = h
 	r.horizonOK = true
 	return h
-}
-
-// syncCap bounds batch size so that each peer hears from us at least once
-// per its channel's sync interval. Cached like horizon; sending on any
-// endpoint invalidates it. With batched windows the cap is lifted entirely:
-// the horizon already bounds every batch to one lookahead window, and the
-// loop syncs whenever it stops advancing (syncAt after each batch, a
-// standing sync at Now before any block), so liveness needs no finer pacing.
-func (r *Runner) syncCap() sim.Time {
-	if r.batchWindows {
-		return sim.Infinity
-	}
-	if r.syncCapOK {
-		return r.syncCapCache
-	}
-	c := sim.Infinity
-	for _, e := range r.eps {
-		floor := e.lastSentT
-		if floor < 0 {
-			floor = 0
-		}
-		if t := floor + e.ch.SyncInterval; t < c {
-			c = t
-		}
-	}
-	r.syncCapCache = c
-	r.syncCapOK = true
-	return c
 }
 
 // syncAt emits a sync stamped t on every endpoint that has not yet sent at

@@ -88,9 +88,11 @@ type specState struct {
 	// the endpoint until committed passes its stamp (see Endpoint.SendSub).
 	withhold bool
 
-	k        int      // current speculation depth (adaptive, <= ctl.MaxWindows)
-	window   sim.Time // speculation window unit: min sync interval over endpoints
-	minInLat sim.Time // min latency over endpoints: the leap increment
+	k int // current speculation depth (adaptive, <= ctl.MaxWindows)
+	// minInLat, the minimum latency over endpoints, is both the speculation
+	// window unit and the leap increment; Infinity on an endpoint-less
+	// runner, which never speculates.
+	minInLat sim.Time
 
 	snapValid bool
 	snapDone  uint64 // Processed() at the snapshot
@@ -175,9 +177,6 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 	st.withhold = st.k > 0
 	st.minInLat = sim.Infinity
 	for _, e := range r.eps {
-		if st.window <= 0 || e.ch.SyncInterval < st.window {
-			st.window = e.ch.SyncInterval
-		}
 		st.minInLat = min(st.minInLat, e.ch.Latency)
 	}
 }
@@ -324,10 +323,10 @@ func (r *Runner) storeFloor(f sim.Time) { r.spec.floor.Store(int64(f)) }
 // end of the run, only while a valid snapshot exists to roll back to.
 func (r *Runner) speculate() {
 	st := &r.spec
-	if st.k <= 0 || !st.snapValid {
+	if st.k <= 0 || !st.snapValid || st.minInLat == sim.Infinity {
 		return
 	}
-	cap := min(r.committed+sim.Time(st.k)*st.window, r.end)
+	cap := min(r.committed+sim.Time(st.k)*st.minInLat, r.end)
 	if cap <= r.committed || (cap <= r.sched.Now() && !r.runnableBefore(cap)) {
 		return
 	}

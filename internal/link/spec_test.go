@@ -94,7 +94,6 @@ func (s *loopSnap) rollback() error {
 // loopConfig is one row of the mode table: how Run's one loop is armed.
 type loopConfig struct {
 	name   string
-	batch  bool // batched windows instead of coupled sync pacing
 	domain bool // SetSpec on every runner plus a shared SpecDomain
 	k      int  // speculation ceiling inside the domain
 }
@@ -109,13 +108,10 @@ func runLoopChain(t *testing.T, nNodes int, cfg loopConfig, end sim.Time) ([][]s
 	for i := range nodes {
 		nodes[i] = &loopNode{name: fmt.Sprintf("n%d", i), interval: sim.Time(90+20*i) * sim.Nanosecond}
 		r := NewRunner(nodes[i].name, sim.NewScheduler(int32(i+1)))
-		r.SetBatchWindows(cfg.batch)
 		g.Add(r)
 	}
 	for i := 1; i < nNodes; i++ {
-		// Sync interval a quarter of the latency: coupled pacing then takes
-		// four rounds per lookahead window where batching takes one.
-		ch := NewChannel(fmt.Sprintf("c%d", i), 400*sim.Nanosecond, 100*sim.Nanosecond)
+		ch := NewChannel(fmt.Sprintf("c%d", i), 400*sim.Nanosecond)
 		a, b := nodes[i-1], nodes[i]
 		g.Runners[i-1].Attach(ch.SideA())
 		g.Runners[i].Attach(ch.SideB())
@@ -160,7 +156,7 @@ func runLoopChain(t *testing.T, nNodes int, cfg loopConfig, end sim.Time) ([][]s
 }
 
 // TestOptimisticLoopModesAgree drives Run's one loop through every way of
-// arming it — coupled pacing, batched windows, a leap domain at K = 0, and
+// arming it — conservative batched windows, a leap domain at K = 0, and
 // real speculation over stub snapshot closures — on a two-runner ping-pong
 // and a three-runner chain, and requires identical delivery traces and
 // event counts from all of them. The speculating row must actually have
@@ -169,11 +165,9 @@ func runLoopChain(t *testing.T, nNodes int, cfg loopConfig, end sim.Time) ([][]s
 func TestOptimisticLoopModesAgree(t *testing.T) {
 	const end = 100 * sim.Microsecond
 	configs := []loopConfig{
-		{name: "coupled"},
-		{name: "batched", batch: true},
-		{name: "domainK0", batch: true, domain: true},
-		{name: "domainK8", batch: true, domain: true, k: 8},
-		{name: "coupledK8", domain: true, k: 8},
+		{name: "batched"},
+		{name: "domainK0", domain: true},
+		{name: "domainK8", domain: true, k: 8},
 	}
 	for _, nNodes := range []int{2, 3} {
 		var refTraces [][]string

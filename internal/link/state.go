@@ -9,19 +9,10 @@ import (
 // runs concurrently with the pipes' producers or consumers.
 
 // SetStart records the virtual time a restored run resumes at, lifting the
-// endpoint's pre-first-message horizon floor to start + latency and its
-// sync-pacing floor to start + sync interval — both sides behave as if a
-// sync at the start time had already been exchanged. Without the send-side
-// floor a resumed unbatched run computes a sync cap of interval-from-zero,
-// which sits below the restored clock: no runner ever qualifies to run a
-// batch or emit a sync, and the group livelocks. Call on both endpoints of
-// every channel before the restored run begins.
-func (e *Endpoint) SetStart(t sim.Time) {
-	e.start = t
-	if e.lastSentT < t {
-		e.lastSentT = t
-	}
-}
+// endpoint's pre-first-message horizon floor to start + latency: both sides
+// behave as if a sync at the start time had already been exchanged. Call on
+// both endpoints of every channel before the restored run begins.
+func (e *Endpoint) SetStart(t sim.Time) { e.start = t }
 
 // DrainResidual consumes every message still sitting in the endpoint's
 // incoming pipe through handle, like the run's own drain. When a group run

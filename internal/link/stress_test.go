@@ -21,7 +21,7 @@ func TestManyRunnerRing(t *testing.T) {
 	}
 	received := make([]int, n)
 	for i := 0; i < n; i++ {
-		chans[i] = NewChannel(fmt.Sprintf("c%d", i), 500*sim.Nanosecond, 0)
+		chans[i] = NewChannel(fmt.Sprintf("c%d", i), 500*sim.Nanosecond)
 		runners[i].Attach(chans[i].SideA())       // i sends to i+1
 		runners[(i+1)%n].Attach(chans[i].SideB()) // i+1 receives from i
 	}
@@ -65,7 +65,7 @@ func (s *seeder) Start(end sim.Time) {
 
 // TestEndpointLabels covers the introspection surface the profiler uses.
 func TestEndpointLabels(t *testing.T) {
-	ch := NewChannel("wire", sim.Microsecond, 0)
+	ch := NewChannel("wire", sim.Microsecond)
 	ra := NewRunner("alpha", sim.NewScheduler(1))
 	rb := NewRunner("beta", sim.NewScheduler(2))
 	ra.Attach(ch.SideA())
@@ -85,7 +85,7 @@ func TestEndpointLabels(t *testing.T) {
 }
 
 func TestDoubleAttachPanics(t *testing.T) {
-	ch := NewChannel("x", sim.Microsecond, 0)
+	ch := NewChannel("x", sim.Microsecond)
 	ra := NewRunner("a", sim.NewScheduler(1))
 	rb := NewRunner("b", sim.NewScheduler(2))
 	ra.Attach(ch.SideA())

@@ -101,7 +101,7 @@ func BuildSplit(s *orch.Simulation, n int, p Params) ([]*Core, *Mem) {
 	}
 	for i, c := range cores {
 		i, c := i, c
-		s.Connect(c.Name()+".mem", p.MemLatency, 0,
+		s.Connect(c.Name()+".mem", p.MemLatency,
 			orch.Side{Comp: c, Bind: c.BindMem, Sink: c.MemSink()},
 			orch.Side{Comp: mem, Bind: func(port core.Port) { mem.BindCore(i, port) }, Sink: mem.ReqSink()})
 	}

@@ -280,8 +280,8 @@ func TestMixedFidelityPlacementBitIdentity(t *testing.T) {
 				t.Fatalf("RunParallel: %v", err)
 			}
 		default:
-			if err := s.RunPlaced(end, *placement); err != nil {
-				t.Fatalf("RunPlaced(%v): %v", placement.Groups, err)
+			if err := s.RunParallel(end, *placement); err != nil {
+				t.Fatalf("RunParallel(%v): %v", placement.Groups, err)
 			}
 		}
 		if live := s.LiveFrames(); live != 0 {

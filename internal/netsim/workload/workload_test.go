@@ -212,7 +212,7 @@ func digest(eng *workload.Engine, b *netsim.Built) string {
 
 // TestPlacementBitIdentity is the standing-invariant property test on the
 // new stack: the same partitioned Clos + workload run under RunSequential,
-// RunPlaced(per-component), and RunPlaced(random placement) must agree on
+// RunParallel(per-component), and RunParallel(random placement) must agree on
 // every observable — flow counts, FCT distribution, switch packet counts.
 func TestPlacementBitIdentity(t *testing.T) {
 	const end = 2 * sim.Millisecond
@@ -227,8 +227,8 @@ func TestPlacementBitIdentity(t *testing.T) {
 		eng := workload.Install(hosts, spec)
 		if placement == nil {
 			s.RunSequential(end)
-		} else if err := s.RunPlaced(end, *placement); err != nil {
-			t.Fatalf("RunPlaced(%v): %v", placement.Groups, err)
+		} else if err := s.RunParallel(end, *placement); err != nil {
+			t.Fatalf("RunParallel(%v): %v", placement.Groups, err)
 		}
 		if live := s.LiveFrames(); live != 0 {
 			t.Fatalf("%d frames leaked", live)

@@ -75,14 +75,13 @@ func ckptDigest(t *testing.T, built *netsim.Built, eng *workload.Engine) uint64 
 }
 
 // ckptModes are the multi-group executions both checkpoint properties sweep:
-// resuming and capturing must be indifferent to how the groups pace their
-// synchronization, speculation included.
+// resuming and capturing must be indifferent to how the groups synchronize,
+// speculation included.
 var ckptModes = []struct {
 	name string
 	opts orch.RunOptions
 }{
-	{"coupled", orch.RunOptions{}},
-	{"parallel", orch.RunOptions{Mode: orch.Parallel}},
+	{"parallel", orch.RunOptions{}},
 	{"optimistic", orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows}},
 }
 
@@ -90,7 +89,7 @@ var ckptModes = []struct {
 // checkpoint at the halfway horizon, restore into a fresh build, run to the
 // end — the final state digest, the total event count, and the leaked-frame
 // count (zero) all match an uninterrupted run exactly. The resumed half
-// runs sequentially, coupled, in parallel, and optimistically, across
+// runs sequentially, in parallel, and optimistically, across
 // GOMAXPROCS {1, 2, 4, NumCPU}.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const (

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/decomp"
 	"repro/internal/netsim"
 	"repro/internal/orch"
 	"repro/internal/proto"
@@ -63,10 +64,10 @@ func runMonolithic(t *testing.T) (rx2, rx4 uint64) {
 	s.Add(n2)
 	s.Add(n3)
 	s.Add(n4)
-	s.Connect("x12", distLatency, 0,
+	s.Connect("x12", distLatency,
 		orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1},
 		orch.Side{Comp: n2, Bind: x2.Bind, Sink: x2})
-	s.Connect("x34", distLatency, 0,
+	s.Connect("x34", distLatency,
 		orch.Side{Comp: n3, Bind: x3.Bind, Sink: x3},
 		orch.Side{Comp: n4, Bind: x4.Bind, Sink: x4})
 	if err := s.RunCoupled(distEnd); err != nil {
@@ -92,8 +93,8 @@ func distCfg(seed uint64) proxy.Config {
 // carrying both boundary channels. Every process scripts the same
 // component/connection sequence, registering its own pieces and Reserving
 // the peer's, so the source-id assignment matches the monolithic run
-// exactly.
-func runDistributed(t *testing.T, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc proxy.Counters) {
+// exactly. Both processes run their two local networks under placement p.
+func runDistributed(t *testing.T, p decomp.Placement, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc proxy.Counters) {
 	t.Helper()
 	n1, h1, x1 := buildSite("net1", 1, 2)
 	n2, h2, x2 := buildSite("net2", 2, 1)
@@ -106,9 +107,9 @@ func runDistributed(t *testing.T, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc p
 	sA.Reserve(1) // n2 lives in the peer
 	sA.Add(n3)
 	sA.Reserve(1) // n4 lives in the peer
-	remA12 := sA.ConnectRemote("x12", distLatency, 0,
+	remA12 := sA.ConnectRemote("x12", distLatency,
 		orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1}, true)
-	remA34 := sA.ConnectRemote("x34", distLatency, 0,
+	remA34 := sA.ConnectRemote("x34", distLatency,
 		orch.Side{Comp: n3, Bind: x3.Bind, Sink: x3}, true)
 
 	sB := orch.New() // holds n2, n4; side B
@@ -116,9 +117,9 @@ func runDistributed(t *testing.T, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc p
 	sB.Add(n2)
 	sB.Reserve(1) // n3
 	sB.Add(n4)
-	remB12 := sB.ConnectRemote("x12", distLatency, 0,
+	remB12 := sB.ConnectRemote("x12", distLatency,
 		orch.Side{Comp: n2, Bind: x2.Bind, Sink: x2}, false)
-	remB34 := sB.ConnectRemote("x34", distLatency, 0,
+	remB34 := sB.ConnectRemote("x34", distLatency,
 		orch.Side{Comp: n4, Bind: x4.Bind, Sink: x4}, false)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -139,8 +140,8 @@ func runDistributed(t *testing.T, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc p
 	errs := make(chan error, 4)
 	go func() { errs <- supA.Serve(context.Background(), ln) }()
 	go func() { errs <- supB.Dial(context.Background(), ln.Addr().String()) }()
-	go func() { errs <- sA.RunCoupled(distEnd) }()
-	go func() { errs <- sB.RunCoupled(distEnd) }()
+	go func() { errs <- sA.RunParallel(distEnd, p) }()
+	go func() { errs <- sB.RunParallel(distEnd, p) }()
 	for i := 0; i < 4; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("distributed run: %v", err)
@@ -151,19 +152,22 @@ func runDistributed(t *testing.T, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc p
 
 // TestDistributedMatchesMonolithic is the scale-out acceptance property:
 // splitting the simulation across two supervised processes changes nothing
-// about the results.
+// about the results, whether each process runs its two networks on a runner
+// each or both on one runner group.
 func TestDistributedMatchesMonolithic(t *testing.T) {
 	m2, m4 := runMonolithic(t)
 	if m2 == 0 || m4 == 0 {
 		t.Fatal("no traffic in monolithic run")
 	}
-	d2, d4, _, cc := runDistributed(t, nil)
-	if d2 != m2 || d4 != m4 {
-		t.Fatalf("distributed run diverged: monolithic rx=(%d,%d) distributed rx=(%d,%d)",
-			m2, m4, d2, d4)
-	}
-	if cc.FramesTx == 0 || cc.FramesRx == 0 {
-		t.Fatalf("client transport idle: %+v", cc)
+	for _, p := range []decomp.Placement{decomp.PerComponent(2), decomp.SingleGroup(2)} {
+		d2, d4, _, cc := runDistributed(t, p, nil)
+		if d2 != m2 || d4 != m4 {
+			t.Fatalf("%s distributed run diverged: monolithic rx=(%d,%d) distributed rx=(%d,%d)",
+				p.Name, m2, m4, d2, d4)
+		}
+		if cc.FramesTx == 0 || cc.FramesRx == 0 {
+			t.Fatalf("%s client transport idle: %+v", p.Name, cc)
+		}
 	}
 }
 
@@ -173,7 +177,7 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 func TestDistributedSurvivesConnectionKills(t *testing.T) {
 	m2, m4 := runMonolithic(t)
 	chaos := proxy.NewChaos(77, 2, 3000)
-	d2, d4, sc, cc := runDistributed(t, chaos)
+	d2, d4, sc, cc := runDistributed(t, decomp.PerComponent(2), chaos)
 	if d2 != m2 || d4 != m4 {
 		t.Fatalf("faulted distributed run diverged: monolithic rx=(%d,%d) got rx=(%d,%d)",
 			m2, m4, d2, d4)
@@ -193,7 +197,7 @@ func TestRunSequentialRejectsRemoteConnections(t *testing.T) {
 	n1, _, x1 := buildSite("net1", 1, 2)
 	s := orch.New()
 	s.Add(n1)
-	s.ConnectRemote("x12", distLatency, 0,
+	s.ConnectRemote("x12", distLatency,
 		orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1}, true)
 	defer func() {
 		if recover() == nil {

@@ -10,28 +10,25 @@ import (
 	"repro/internal/sim"
 )
 
-// One executor. Every way of running a plan — sequential, coupled, in
-// parallel, optimistically, into a checkpoint, out of one — is the same
-// sequence with different options, written once in ExecutionPlan.Execute.
-// The Run*/Checkpoint*/Resume* methods at the bottom of this file are
+// One executor. Every way of running a plan — sequential, placed,
+// optimistically, into a checkpoint, out of one — is the same sequence with
+// different options, written once in ExecutionPlan.Execute. The
+// Run*/Checkpoint*/Resume* methods at the bottom of this file are
 // fixed-option spellings of it.
 
-// Mode selects how the runner groups of a plan pace their synchronization.
-// Results are bit-identical under every mode; only wall-clock time differs.
+// Mode selects how the runner groups of a plan synchronize. Results are
+// bit-identical under every mode; only wall-clock time differs.
 type Mode int
 
 const (
-	// Coupled pauses every sync interval to exchange syncs — the paper's
-	// process-per-simulator architecture, and the only mode that
-	// synchronizes remote (cross-process) channels.
-	Coupled Mode = iota
-	// Parallel batches horizon advancement — one sync exchange per
-	// lookahead window instead of per sync interval — and nothing else:
-	// in every mode each runner group is a plain goroutine and thread
-	// placement is the Go scheduler's.
-	Parallel
+	// Parallel is conservative synchronization (the zero value): each group
+	// runs its events up to the horizon its peers have promised and
+	// exchanges one sync per lookahead window. Each runner group is a plain
+	// goroutine and thread placement is the Go scheduler's. It is the only
+	// mode that synchronizes remote (cross-process) channels.
+	Parallel Mode = iota
 	// Optimistic is Parallel plus speculation: each group may run up to
-	// RunOptions.K sync windows past its committed horizon behind a
+	// RunOptions.K lookahead windows past its committed horizon behind a
 	// per-group snapshot, and stalled groups leap empty windows by GVT (see
 	// optimistic.go and link/spec.go).
 	Optimistic
@@ -45,8 +42,8 @@ const DefaultSpecWindows = 8
 // RunOptions is everything a caller can vary about an execution.
 type RunOptions struct {
 	Mode Mode
-	// K is the speculation ceiling under Optimistic: how many sync windows
-	// past the committed horizon a group may run. The depth adapts at
+	// K is the speculation ceiling under Optimistic: how many lookahead
+	// windows past the committed horizon a group may run. The depth adapts at
 	// runtime — a rollback halves a group's working depth, clean commits
 	// earn it back — so K bounds it rather than fixing it. K = 0 never
 	// speculates; groups still join the leap domain for its GVT leaping.
@@ -73,15 +70,15 @@ type RunResult struct {
 
 // ErrRemoteUnsupported reports a simulation with remote (cross-process)
 // connections being run in a way that cannot synchronize them: only a
-// Coupled execution from time zero keeps remote channels conservatively
-// synchronized.
+// conservative (Parallel) execution from time zero, at any placement, keeps
+// remote channels synchronized.
 var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this executor")
 
 // Execute runs the plan until virtual time end (events at exactly end do
 // not run). The phases, in order:
 //
 //  1. build one scheduler and runner per group (clock at Resume.At when
-//     resuming; batched windows unless Coupled);
+//     resuming);
 //  2. wire every channel — direct ports intra-group, synchronized channels
 //     cross-group — and attach components in registration order with
 //     their sequential ordering sources;
@@ -104,7 +101,7 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 		if o.Resume != nil || o.Capture {
 			return res, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
 		}
-		if o.Mode != Coupled {
+		if o.Mode == Optimistic {
 			return res, fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
 		}
 	}
@@ -125,7 +122,6 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 			scheds[gi].StartAt(o.Resume.At)
 		}
 		runners[gi] = link.NewRunner(name, scheds[gi])
-		runners[gi].SetBatchWindows(o.Mode != Coupled)
 		runners[gi].SetRestored(o.Resume != nil)
 		g.Add(runners[gi])
 	}
@@ -193,10 +189,10 @@ func (s *Simulation) execute(end sim.Time, p decomp.Placement, o RunOptions) (*R
 // sequential executes the one-group plan. A simulation with remote
 // connections has no sequential execution — silently running half a
 // topology would be a correctness trap — so it is rejected here, where the
-// one-group plan would otherwise be a legitimate coupled run.
+// one-group plan would otherwise be a legitimate placed run.
 func (s *Simulation) sequential(end sim.Time, o RunOptions) (*RunResult, error) {
 	if n := s.remoteChannels(); n > 0 {
-		return &RunResult{}, fmt.Errorf("%w: sequential run with %d remote connection(s); distributed runs are coupled-only",
+		return &RunResult{}, fmt.Errorf("%w: sequential run with %d remote connection(s); distributed runs are placed runs",
 			ErrRemoteUnsupported, n)
 	}
 	return s.execute(end, decomp.SingleGroup(len(s.comps)), o)
@@ -217,21 +213,14 @@ func (s *Simulation) RunSequential(end sim.Time) *sim.Scheduler {
 // scheduler) per component, synchronized through SplitSim channels — the
 // per-component placement. The run is bit-identical to RunSequential.
 func (s *Simulation) RunCoupled(end sim.Time) error {
-	return s.RunPlaced(end, decomp.PerComponent(len(s.comps)))
+	return s.RunParallel(end, decomp.PerComponent(len(s.comps)))
 }
 
-// RunPlaced executes the simulation coupled under the given placement.
-// Simulations with remote connections may use any placement; the remote
-// channels stay synchronized regardless.
-func (s *Simulation) RunPlaced(end sim.Time, p decomp.Placement) error {
-	_, err := s.execute(end, p, RunOptions{})
-	return err
-}
-
-// RunParallel executes the simulation under the given placement with
-// batched sync windows — the multi-core analog of RunPlaced.
+// RunParallel executes the simulation conservatively under the given
+// placement. Simulations with remote connections may use any placement; the
+// remote channels stay synchronized regardless.
 func (s *Simulation) RunParallel(end sim.Time, p decomp.Placement) error {
-	_, err := s.execute(end, p, RunOptions{Mode: Parallel})
+	_, err := s.execute(end, p, RunOptions{})
 	return err
 }
 
@@ -262,16 +251,10 @@ func (s *Simulation) ResumeSequential(ck *Checkpoint, end sim.Time) (*sim.Schedu
 	return res.Scheds[0], nil
 }
 
-// Run executes the plan coupled. Runner i carries GroupNames[i] —
-// experiments and the profiler key profiles by these labels.
-func (pl *ExecutionPlan) Run(end sim.Time) error {
-	_, err := pl.Execute(end, RunOptions{})
-	return err
-}
-
-// RunParallel executes the plan with batched sync windows.
+// RunParallel executes the plan conservatively. Runner i carries
+// GroupNames[i] — experiments and the profiler key profiles by these labels.
 func (pl *ExecutionPlan) RunParallel(end sim.Time) error {
-	_, err := pl.Execute(end, RunOptions{Mode: Parallel})
+	_, err := pl.Execute(end, RunOptions{})
 	return err
 }
 

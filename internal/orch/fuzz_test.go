@@ -78,7 +78,7 @@ func buildRandom(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 		ca.ports = append(ca.ports, nil)
 		cb.ports = append(cb.ports, nil)
 		lat := sim.Time(1+rng.Intn(20)) * sim.Microsecond
-		s.Connect(fmt.Sprintf("ch%d.%d-%d.%d", a, pa, b, pb), lat, 0,
+		s.Connect(fmt.Sprintf("ch%d.%d-%d.%d", a, pa, b, pb), lat,
 			orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[pa] = p }, Sink: ca.sink(pa)},
 			orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[pb] = p }, Sink: cb.sink(pb)})
 	}

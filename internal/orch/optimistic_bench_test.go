@@ -110,7 +110,7 @@ func benchParallelRef(b *testing.B,
 }
 
 // buildSpecSyncLight is buildSyncLight with checkpointable components: two
-// chatters over one channel whose sync interval is latency/8.
+// chatters over one 16us channel.
 func buildSpecSyncLight() (*orch.Simulation, []*specChatter) {
 	s := orch.New()
 	ca := newSpecChatter("a", 64*sim.Microsecond, 1)
@@ -119,7 +119,7 @@ func buildSpecSyncLight() (*orch.Simulation, []*specChatter) {
 	s.Add(cb)
 	ca.ports = append(ca.ports, nil)
 	cb.ports = append(cb.ports, nil)
-	s.Connect("light", 16*sim.Microsecond, 2*sim.Microsecond,
+	s.Connect("light", 16*sim.Microsecond,
 		orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[0] = p }, Sink: ca.sink(0)},
 		orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[0] = p }, Sink: cb.sink(0)})
 	return s, []*specChatter{ca, cb}
@@ -143,7 +143,7 @@ func buildSpecLatencyDominated() (*orch.Simulation, []*specChatter) {
 		pa, pb := len(ca.ports), len(cb.ports)
 		ca.ports = append(ca.ports, nil)
 		cb.ports = append(cb.ports, nil)
-		s.Connect(fmt.Sprintf("ld%d-%d", i-1, i), 5*sim.Microsecond, 5*sim.Microsecond,
+		s.Connect(fmt.Sprintf("ld%d-%d", i-1, i), 5*sim.Microsecond,
 			orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[pa] = p }, Sink: ca.sink(pa)},
 			orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[pb] = p }, Sink: cb.sink(pb)})
 	}

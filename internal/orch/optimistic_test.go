@@ -116,7 +116,7 @@ func buildSpecRandom(seed uint64, nComps int) (*orch.Simulation, []*specChatter)
 		ca.ports = append(ca.ports, nil)
 		cb.ports = append(cb.ports, nil)
 		lat := sim.Time(1+rng.Intn(20)) * sim.Microsecond
-		s.Connect(fmt.Sprintf("ch%d.%d-%d.%d", a, pa, b, pb), lat, 0,
+		s.Connect(fmt.Sprintf("ch%d.%d-%d.%d", a, pa, b, pb), lat,
 			orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[pa] = p }, Sink: ca.sink(pa)},
 			orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[pb] = p }, Sink: cb.sink(pb)})
 	}
@@ -158,7 +158,7 @@ func buildSpecTrunked(seed uint64, nComps int) (*orch.Simulation, []*specChatter
 			}
 		}
 		lat := sim.Time(2+rng.Intn(10)) * sim.Microsecond
-		s.ConnectTrunk(fmt.Sprintf("trunk%d", i), lat, 0, ca, cb, pairs)
+		s.ConnectTrunk(fmt.Sprintf("trunk%d", i), lat, ca, cb, pairs)
 	}
 	return s, comps
 }
@@ -410,7 +410,7 @@ func twoNetsNamed() (*orch.Simulation, *netsim.Host, *netsim.Host) {
 	s := orch.New()
 	s.Add(n1)
 	s.Add(n2)
-	s.Connect("x", 1*sim.Microsecond, 0,
+	s.Connect("x", 1*sim.Microsecond,
 		orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1},
 		orch.Side{Comp: n2, Bind: x2.Bind, Sink: x2})
 
@@ -523,22 +523,41 @@ func remoteSim() *orch.Simulation {
 	c.ports = append(c.ports, nil)
 	s.Add(c)
 	s.Reserve(1)
-	s.ConnectRemote("x", 5*sim.Microsecond, 0,
+	s.ConnectRemote("x", 5*sim.Microsecond,
 		orch.Side{Comp: c, Bind: func(p core.Port) { c.ports[0] = p }, Sink: c.sink(0)}, true)
 	return s
 }
 
-// TestParallelRemoteRejected / TestOptimisticRemoteRejected: the
-// single-process executors reject plans with remote channels via the typed
-// error instead of deadlocking against a peer that will never answer.
+// TestParallelRemoteRejected pins what a conservative run with a remote
+// channel still refuses: capturing a checkpoint and resuming from one. Both
+// fail with core.ErrNotCheckpointable before any runner starts — this
+// remote peer never answers, so a runner that did start would hang.
 func TestParallelRemoteRejected(t *testing.T) {
-	s := remoteSim()
-	err := s.RunParallel(sim.Millisecond, decomp.SingleGroup(1))
-	if !errors.Is(err, orch.ErrRemoteUnsupported) {
-		t.Fatalf("RunParallel with remotes: err = %v, want ErrRemoteUnsupported", err)
+	for _, tc := range []struct {
+		name string
+		o    orch.RunOptions
+	}{
+		{"Capture", orch.RunOptions{Capture: true}},
+		{"Resume", orch.RunOptions{Resume: &orch.Checkpoint{At: sim.Microsecond}}},
+	} {
+		s := remoteSim()
+		pl, err := s.Plan(decomp.SingleGroup(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Execute(sim.Millisecond, tc.o)
+		if !errors.Is(err, core.ErrNotCheckpointable) {
+			t.Fatalf("%s with remotes: err = %v, want ErrNotCheckpointable", tc.name, err)
+		}
+		if res.Scheds != nil || s.Group != nil {
+			t.Fatalf("%s with remotes built runners before failing", tc.name)
+		}
 	}
 }
 
+// TestOptimisticRemoteRejected: the optimistic executor rejects plans with
+// remote channels via the typed error — its GVT leaps read every runner's
+// floor and edge counters, which a peer process does not share.
 func TestOptimisticRemoteRejected(t *testing.T) {
 	s := remoteSim()
 	_, err := s.RunOptimistic(sim.Millisecond, decomp.SingleGroup(1))

@@ -48,9 +48,10 @@ type chanLink struct {
 }
 
 // channel is the one connection record: a timestamped FIFO pair with a
-// latency and a sync interval carrying one or more logical links between two
-// components. A direct connection is a trunk of one link, and a remote
-// connection is a channel whose B end lives in another OS process. The kind
+// latency — also its synchronization quantum — carrying one or more logical
+// links between two components. A direct connection is a trunk of one link,
+// and a remote connection is a channel whose B end lives in another OS
+// process. The kind
 // only remembers which constructor made the record, for the printed plan row
 // and the fallback sink name; how a channel is wired is decided per execution
 // from the runner groups of its two ends.
@@ -58,7 +59,6 @@ type channel struct {
 	name    string
 	kind    ChannelKind
 	latency sim.Time
-	syncIv  sim.Time
 	comp    [2]core.Component // comp[1] == nil: the peer is out of process
 	links   []chanLink
 
@@ -82,14 +82,6 @@ func (c *channel) groups(pl *ExecutionPlan) [2]int {
 		g[1] = pl.grpOf[c.comp[1]]
 	}
 	return g
-}
-
-// quantum is the effective sync interval: the latency unless one was given.
-func (c *channel) quantum() sim.Time {
-	if c.syncIv <= 0 {
-		return c.latency
-	}
-	return c.syncIv
 }
 
 // txData returns the data messages each end has sent over all links, read
@@ -130,9 +122,9 @@ func (c *channel) sinkName(i, x int) string {
 }
 
 // ErrBadChannel reports a channel that cannot be wired: a non-positive
-// latency, a negative sync interval, a trunk with no links, a nil Bind or Sink
-// on a local end, or a name another channel already uses. Plan returns it
-// wrapped with the channel's name and the reason.
+// latency, a trunk with no links, a nil Bind or Sink on a local end, or a name
+// another channel already uses. Plan returns it wrapped with the channel's
+// name and the reason.
 var ErrBadChannel = errors.New("orch: bad channel")
 
 // check returns the first reason the channel cannot be wired, "" when it can.
@@ -140,8 +132,6 @@ func (c *channel) check() string {
 	switch {
 	case c.latency <= 0:
 		return fmt.Sprintf("latency %v is not positive (it is the synchronization lookahead)", c.latency)
-	case c.syncIv < 0:
-		return fmt.Sprintf("sync interval %v is negative", c.syncIv)
 	case len(c.links) == 0:
 		return "no links"
 	}
@@ -201,9 +191,9 @@ func (s *Simulation) NumComponents() int { return len(s.comps) }
 // addChannel registers a channel of pairs between compA and compB and assigns
 // each link's two ordering sources: the first to deliveries into end A's
 // sink, the second to end B's.
-func (s *Simulation) addChannel(kind ChannelKind, name string, latency, syncInterval sim.Time,
+func (s *Simulation) addChannel(kind ChannelKind, name string, latency sim.Time,
 	compA, compB core.Component, pairs []TrunkPair) *channel {
-	c := &channel{name: name, kind: kind, latency: latency, syncIv: syncInterval,
+	c := &channel{name: name, kind: kind, latency: latency,
 		comp: [2]core.Component{compA, compB}, links: make([]chanLink, 0, len(pairs))}
 	for _, p := range pairs {
 		c.links = append(c.links, chanLink{
@@ -218,12 +208,12 @@ func (s *Simulation) addChannel(kind ChannelKind, name string, latency, syncInte
 }
 
 // Connect wires a bidirectional channel with the given latency between two
-// sides — a trunk of one link. syncInterval 0 defaults to the latency. A
-// channel that cannot be wired (see ErrBadChannel) is reported by Plan.
-func (s *Simulation) Connect(name string, latency, syncInterval sim.Time, a, b Side) {
+// sides — a trunk of one link. A channel that cannot be wired (see
+// ErrBadChannel) is reported by Plan.
+func (s *Simulation) Connect(name string, latency sim.Time, a, b Side) {
 	s.mustHave(a.Comp, name)
 	s.mustHave(b.Comp, name)
-	s.addChannel(KindDirect, name, latency, syncInterval, a.Comp, b.Comp,
+	s.addChannel(KindDirect, name, latency, a.Comp, b.Comp,
 		[]TrunkPair{{BindA: a.Bind, SinkA: a.Sink, BindB: b.Bind, SinkB: b.Sink}})
 }
 
@@ -231,11 +221,11 @@ func (s *Simulation) Connect(name string, latency, syncInterval sim.Time, a, b S
 // single synchronized channel — the paper's trunk adapter. Where both
 // components share a runner group the multiplexing is immaterial and each
 // pair becomes a direct link.
-func (s *Simulation) ConnectTrunk(name string, latency, syncInterval sim.Time,
+func (s *Simulation) ConnectTrunk(name string, latency sim.Time,
 	compA, compB core.Component, pairs []TrunkPair) {
 	s.mustHave(compA, name)
 	s.mustHave(compB, name)
-	s.addChannel(KindTrunk, name, latency, syncInterval, compA, compB, pairs)
+	s.addChannel(KindTrunk, name, latency, compA, compB, pairs)
 }
 
 // Reserve advances the event-ordering source counter by n without
@@ -258,12 +248,13 @@ func (s *Simulation) Reserve(n int32) {
 // side A of the mirrored connection: Connect assigns the first id to side
 // A's sink and the second to side B's, and the two processes must make the
 // same choice from opposite ends for a distributed run to be bit-identical
-// to the monolithic one. Simulations with remote connections only execute
-// coupled; RunSequential panics. A non-positive latency has no channel to
-// build: the result is nil and Plan reports ErrBadChannel.
-func (s *Simulation) ConnectRemote(name string, latency, syncInterval sim.Time, local Side, sideA bool) *link.Remote {
+// to the monolithic one. Simulations with remote connections run under the
+// conservative mode at any placement; RunSequential panics. A non-positive
+// latency has no channel to build: the result is nil and Plan reports
+// ErrBadChannel.
+func (s *Simulation) ConnectRemote(name string, latency sim.Time, local Side, sideA bool) *link.Remote {
 	s.mustHave(local.Comp, name)
-	c := s.addChannel(KindRemote, name, latency, syncInterval, local.Comp, nil,
+	c := s.addChannel(KindRemote, name, latency, local.Comp, nil,
 		[]TrunkPair{{BindA: local.Bind, SinkA: local.Sink}})
 	if !sideA {
 		// The local end is the mirrored connection's B: its sink takes the
@@ -274,7 +265,7 @@ func (s *Simulation) ConnectRemote(name string, latency, syncInterval sim.Time, 
 		return nil
 	}
 	var remote *link.Remote
-	c.ep[0], remote = link.NewHalf(name, latency, syncInterval)
+	c.ep[0], remote = link.NewHalf(name, latency)
 	return remote
 }
 
@@ -357,7 +348,7 @@ func (s *Simulation) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.Link
 	for _, part := range s.localChans() {
 		for _, c := range part {
 			a, b := c.txData()
-			links = append(links, decomp.Link{A: idx[c.comp[0]], B: idx[c.comp[1]], Msgs: a + b, Quantum: c.quantum()})
+			links = append(links, decomp.Link{A: idx[c.comp[0]], B: idx[c.comp[1]], Msgs: a + b, Quantum: c.latency})
 		}
 	}
 	return comps, links

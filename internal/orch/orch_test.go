@@ -38,7 +38,7 @@ func twoNets() (*orch.Simulation, *netsim.Host, *netsim.Host) {
 	s := orch.New()
 	s.Add(n1)
 	s.Add(n2)
-	s.Connect("x", 1*sim.Microsecond, 0,
+	s.Connect("x", 1*sim.Microsecond,
 		orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1},
 		orch.Side{Comp: n2, Bind: x2.Bind, Sink: x2})
 
@@ -232,7 +232,7 @@ func TestConnectUnregisteredPanics(t *testing.T) {
 			t.Fatal("Connect with unregistered component should panic")
 		}
 	}()
-	s.Connect("bad", sim.Microsecond, 0,
+	s.Connect("bad", sim.Microsecond,
 		orch.Side{Comp: n, Bind: func(core.Port) {}, Sink: nil},
 		orch.Side{Comp: n, Bind: func(core.Port) {}, Sink: nil})
 }
@@ -256,7 +256,7 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 	// cfg is one end-to-end description of a two-component channel; each
 	// constructor registers it its own way.
 	type cfg struct {
-		latency, syncIv  sim.Time
+		latency          sim.Time
 		nilBind, nilSink bool
 		twice            bool // register a second channel under the same name
 	}
@@ -266,7 +266,6 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 	}{
 		{"zero latency", cfg{latency: 0}},
 		{"negative latency", cfg{latency: -lat}},
-		{"negative sync interval", cfg{latency: lat, syncIv: -1}},
 		{"nil Bind", cfg{latency: lat, nilBind: true}},
 		{"nil Sink", cfg{latency: lat, nilSink: true}},
 		{"duplicate name", cfg{latency: lat, twice: true}},
@@ -286,16 +285,16 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 		connect func(s *orch.Simulation, a, b *chatter, k cfg)
 	}{
 		{"Connect", func(s *orch.Simulation, a, b *chatter, k cfg) {
-			s.Connect("x", k.latency, k.syncIv, side(a, cfg{}), side(b, k))
+			s.Connect("x", k.latency, side(a, cfg{}), side(b, k))
 		}},
 		{"ConnectTrunk", func(s *orch.Simulation, a, b *chatter, k cfg) {
 			sa, sb := side(a, cfg{}), side(b, k)
 			good := orch.TrunkPair{BindA: sa.Bind, SinkA: sa.Sink, BindB: sa.Bind, SinkB: sa.Sink}
 			bad := orch.TrunkPair{BindA: sa.Bind, SinkA: sa.Sink, BindB: sb.Bind, SinkB: sb.Sink}
-			s.ConnectTrunk("x", k.latency, k.syncIv, a, b, []orch.TrunkPair{good, bad})
+			s.ConnectTrunk("x", k.latency, a, b, []orch.TrunkPair{good, bad})
 		}},
 		{"ConnectRemote", func(s *orch.Simulation, a, _ *chatter, k cfg) {
-			s.ConnectRemote("x", k.latency, k.syncIv, side(a, k), true)
+			s.ConnectRemote("x", k.latency, side(a, k), true)
 		}},
 	}
 	check := func(t *testing.T, s *orch.Simulation) {
@@ -331,7 +330,7 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 	}
 	t.Run("ConnectTrunk/no links", func(t *testing.T) {
 		s, a, b := build()
-		s.ConnectTrunk("x", lat, 0, a, b, nil)
+		s.ConnectTrunk("x", lat, a, b, nil)
 		check(t, s)
 	})
 	t.Run("duplicate name across kinds", func(t *testing.T) {
@@ -344,7 +343,7 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 	// RunSequential has no error return and keeps its documented
 	// panic-on-bad-config, now carrying the typed reason.
 	s, a, b := build()
-	s.Connect("x", 0, 0, side(a, cfg{}), side(b, cfg{}))
+	s.Connect("x", 0, side(a, cfg{}), side(b, cfg{}))
 	defer func() {
 		if p, _ := recover().(string); !strings.Contains(p, "bad channel \"x\"") {
 			t.Errorf("RunSequential panic = %q, want the bad-channel reason", p)

@@ -9,12 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// The parallel benchmarks mirror the placement suite under the Parallel
-// mode (batched horizon windows) so BENCH_placement.json tracks both modes
-// over the same graph and the same ns-per-event unit. The interesting
-// number is the batching: the SyncLight pair below runs a channel whose
-// sync interval is latency/8, where batched windows cut the fabric sync
-// traffic ~8x whether or not real cores are available.
+// The parallel benchmarks run the placement suite's graph and placements
+// with the Parallel mode spelled out, in the same ns-per-event unit; the
+// two suites now run the same executor, and both series stay so that
+// BENCH_placement.json's history continues.
 
 func benchParallel(b *testing.B, groups func() decomp.Placement) {
 	b.ReportAllocs()
@@ -44,12 +42,10 @@ func BenchmarkParallelPerComp(b *testing.B) {
 	benchParallel(b, func() decomp.Placement { return decomp.PerComponent(benchComps) })
 }
 
-// The SyncLight pair isolates batched horizon advancement: two chatter
-// components joined by a single channel whose sync interval is latency/8,
-// run per-component so the channel is genuinely synchronized. Coupled mode
-// pays a sync exchange every interval; Parallel mode covers a whole
-// lookahead window per exchange — an ~8x cut in fabric sync
-// traffic that shows up in ns/event even on one core.
+// SyncLight isolates horizon advancement: two chatter components joined by
+// a single channel, run per-component so the channel is genuinely
+// synchronized, whose chatter periods are several lookahead windows long,
+// so most sync exchanges carry no data.
 func buildSyncLight() *orch.Simulation {
 	s := orch.New()
 	ca := &chatter{name: "a", period: 64 * sim.Microsecond, rng: sim.NewRand(1)}
@@ -58,20 +54,17 @@ func buildSyncLight() *orch.Simulation {
 	s.Add(cb)
 	ca.ports = append(ca.ports, nil)
 	cb.ports = append(cb.ports, nil)
-	s.Connect("light", 16*sim.Microsecond, 2*sim.Microsecond,
+	s.Connect("light", 16*sim.Microsecond,
 		orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[0] = p }, Sink: ca.sink(0)},
 		orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[0] = p }, Sink: cb.sink(0)})
 	return s
 }
 
-func benchSyncLight(b *testing.B, mode orch.Mode) {
+func BenchmarkParallelSyncLight(b *testing.B) {
 	b.ReportAllocs()
 	var done uint64
 	for done < uint64(b.N) {
-		_, events := execute(b, buildSyncLight(), decomp.PerComponent(2), benchEnd, orch.RunOptions{Mode: mode})
+		_, events := execute(b, buildSyncLight(), decomp.PerComponent(2), benchEnd, orch.RunOptions{})
 		done += events
 	}
 }
-
-func BenchmarkCoupledSyncLight(b *testing.B)  { benchSyncLight(b, orch.Coupled) }
-func BenchmarkParallelSyncLight(b *testing.B) { benchSyncLight(b, orch.Parallel) }

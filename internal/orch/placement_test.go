@@ -43,7 +43,7 @@ func buildTrunked(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 			}
 		}
 		lat := sim.Time(2+rng.Intn(10)) * sim.Microsecond
-		s.ConnectTrunk(fmt.Sprintf("trunk%d", i), lat, 0, ca, cb, pairs)
+		s.ConnectTrunk(fmt.Sprintf("trunk%d", i), lat, ca, cb, pairs)
 	}
 	return s, comps
 }
@@ -80,8 +80,8 @@ func runPlaced(t *testing.T, build buildFn, seed uint64, nComps int, end sim.Tim
 		sched := s.RunSequential(end)
 		events = sched.Processed()
 	} else {
-		if err := s.RunPlaced(end, *p); err != nil {
-			t.Fatalf("RunPlaced(%v): %v", p.Groups, err)
+		if err := s.RunParallel(end, *p); err != nil {
+			t.Fatalf("RunParallel(%v): %v", p.Groups, err)
 		}
 		for _, r := range s.Group.Runners {
 			events += r.Scheduler().Processed()

@@ -48,24 +48,22 @@ type PlanComponent struct {
 // channel is wired as zero-synchronization direct ports — the co-location
 // saving — instead of a synchronized coupled channel.
 type PlanChannel struct {
-	Name         string
-	Kind         ChannelKind
-	Latency      sim.Time
-	SyncInterval sim.Time
-	GroupA       int
-	GroupB       int // -1 for the remote half of a cross-process channel
-	Links        int // logical links carried (>1 only for trunks)
-	Sources      []int32
-	Intra        bool
+	Name    string
+	Kind    ChannelKind
+	Latency sim.Time
+	GroupA  int
+	GroupB  int // -1 for the remote half of a cross-process channel
+	Links   int // logical links carried (>1 only for trunks)
+	Sources []int32
+	Intra   bool
 }
 
 // ExecutionPlan is the single wiring blueprint every execution consumes:
-// the component set with ordering sources, every channel with its
-// synchronization parameters, and a normalized Placement mapping components
-// to runner groups. Execute (execute.go) runs it; RunSequential builds the
-// one-group plan, RunCoupled the per-component plan, and RunPlaced any
-// placement in between. The plan itself is inspectable (`splitsim plan
-// <exp>`) before anything runs.
+// the component set with ordering sources, every channel with its latency,
+// and a normalized Placement mapping components to runner groups. Execute
+// (execute.go) runs it; RunSequential builds the one-group plan, RunCoupled
+// the per-component plan, and RunParallel any placement in between. The
+// plan itself is inspectable (`splitsim plan <exp>`) before anything runs.
 type ExecutionPlan struct {
 	Placement  decomp.Placement
 	Comps      []PlanComponent
@@ -125,8 +123,7 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 			}
 		}
 		pl.Channels = append(pl.Channels, PlanChannel{
-			Name: c.name, Kind: c.kind,
-			Latency: c.latency, SyncInterval: c.quantum(),
+			Name: c.name, Kind: c.kind, Latency: c.latency,
 			GroupA: g[0], GroupB: g[1], Links: len(c.links),
 			Sources: srcs, Intra: g[0] == g[1],
 		})
@@ -163,7 +160,7 @@ func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 			continue
 		}
 		if c.comp[1] != nil {
-			ch := link.NewChannel(c.name, c.latency, c.syncIv)
+			ch := link.NewChannel(c.name, c.latency)
 			c.ep = [2]*link.Endpoint{ch.SideA(), ch.SideB()}
 		}
 		for x, comp := range c.comp {
@@ -228,7 +225,7 @@ func (pl *ExecutionPlan) String() string {
 	b.WriteString(gt.String())
 	b.WriteByte('\n')
 
-	ct := stats.NewTable("channel", "kind", "links", "latency", "sync", "groups", "mode")
+	ct := stats.NewTable("channel", "kind", "links", "latency", "groups", "mode")
 	for _, ch := range pl.Channels {
 		groups := fmt.Sprintf("%d-%d", ch.GroupA, ch.GroupB)
 		mode := "coupled"
@@ -238,7 +235,7 @@ func (pl *ExecutionPlan) String() string {
 		if ch.GroupB < 0 {
 			groups = fmt.Sprintf("%d-remote", ch.GroupA)
 		}
-		ct.Row(ch.Name, ch.Kind, ch.Links, ch.Latency, ch.SyncInterval, groups, mode)
+		ct.Row(ch.Name, ch.Kind, ch.Links, ch.Latency, groups, mode)
 	}
 	b.WriteString(ct.String())
 	if cost := link.MeasuredSyncCost(); cost > 0 {

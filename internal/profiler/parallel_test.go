@@ -11,8 +11,8 @@ import (
 )
 
 // TestParallelProfilingRace is the parallel-executor audit for the
-// profiler's sampled timing: four runner goroutines with GOMAXPROCS >= 4
-// and batched horizon windows, each sampling its own ProcNanos/WaitNanos
+// profiler's sampled timing: four runner goroutines with GOMAXPROCS >= 4,
+// each sampling its own ProcNanos/WaitNanos
 // epochs through an attached Collector while the endpoint counters
 // (Tx/Rx/Proc/Wait/PeakDepth/Parks) tick on both sides of every
 // channel. Run with -race: the epoch state (procTick/waitTick) is
@@ -34,12 +34,11 @@ func TestParallelProfilingRace(t *testing.T) {
 	runners := make([]*link.Runner, n)
 	for i := 0; i < n; i++ {
 		runners[i] = link.NewRunner(fmt.Sprintf("p%d", i), sim.NewScheduler(int32(i+1)))
-		runners[i].SetBatchWindows(true)
 	}
 	// Ring of channels so every runner synchronizes with two peers, plus
 	// periodic traffic so Proc/Wait sampling sees real work.
 	for i := 0; i < n; i++ {
-		ch := link.NewChannel(fmt.Sprintf("c%d", i), 2*sim.Microsecond, 0)
+		ch := link.NewChannel(fmt.Sprintf("c%d", i), 2*sim.Microsecond)
 		a, b := ch.SideA(), ch.SideB()
 		runners[i].Attach(a)
 		runners[(i+1)%n].Attach(b)

@@ -82,7 +82,7 @@ func NewCollector() *Collector { return &Collector{start: time.Now()} }
 // committed time, never a speculative one — so profiling posts no scheduler
 // events: event counts, snapshots, rollbacks and checkpoints are the same
 // as in an unprofiled run. A runner whose committed clock steps over several
-// boundaries at once (a batched window or GVT leap longer than interval)
+// boundaries at once (a lookahead window or GVT leap longer than interval)
 // yields one sample for the step. Samples are appended from each runner's
 // own goroutine, so in a coupled run many runners sample concurrently; a
 // small critical section guards the shared slice.

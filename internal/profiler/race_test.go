@@ -24,7 +24,7 @@ func TestCollectorConcurrentAddAndAttach(t *testing.T) {
 	}
 	// Ring of channels so every runner has peers to synchronize with.
 	for i := 0; i < n; i++ {
-		ch := link.NewChannel(fmt.Sprintf("c%d", i), 500*sim.Nanosecond, 0)
+		ch := link.NewChannel(fmt.Sprintf("c%d", i), 500*sim.Nanosecond)
 		runners[i].Attach(ch.SideA())
 		runners[(i+1)%n].Attach(ch.SideB())
 		ch.SideA().SetSink(0, int32(100+i), core.SinkFunc(func(sim.Time, core.Message) {}))

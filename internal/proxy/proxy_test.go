@@ -62,7 +62,7 @@ func runDirect(t *testing.T) (uint64, uint64) {
 
 	r1 := link.NewRunner("p1", sim.NewScheduler(1))
 	r2 := link.NewRunner("p2", sim.NewScheduler(2))
-	ch := link.NewChannel("x", latency, 0)
+	ch := link.NewChannel("x", latency)
 	r1.Attach(ch.SideA())
 	r2.Attach(ch.SideB())
 	ch.SideA().SetSink(0, 100, x1)

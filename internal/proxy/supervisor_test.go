@@ -59,8 +59,8 @@ func runSupervised(t *testing.T, serverCfg, clientCfg proxy.Config,
 	h1.BindUDP(9, func(proto.IP, uint16, []byte, int) {})
 	h2.BindUDP(9, func(proto.IP, uint16, []byte, int) {})
 
-	epA, remA := link.NewHalf("x", latency, 0)
-	epB, remB := link.NewHalf("x", latency, 0)
+	epA, remA := link.NewHalf("x", latency)
+	epB, remB := link.NewHalf("x", latency)
 	r1 := link.NewRunner("p1", sim.NewScheduler(1))
 	r2 := link.NewRunner("p2", sim.NewScheduler(2))
 	r1.Attach(epA)
@@ -207,8 +207,8 @@ func runTwoPair(t *testing.T, supervised bool) [4]uint64 {
 	r1 := link.NewRunner("p1", sim.NewScheduler(1))
 	r2 := link.NewRunner("p2", sim.NewScheduler(2))
 	if !supervised {
-		ch1 := link.NewChannel("x", latency, 0)
-		ch2 := link.NewChannel("y", latency, 0)
+		ch1 := link.NewChannel("x", latency)
+		ch2 := link.NewChannel("y", latency)
 		r1.Attach(ch1.SideA())
 		r2.Attach(ch1.SideB())
 		r1.Attach(ch2.SideA())
@@ -222,10 +222,10 @@ func runTwoPair(t *testing.T, supervised bool) [4]uint64 {
 		x3.Bind(ch2.SideA())
 		x4.Bind(ch2.SideB())
 	} else {
-		epA, remA := link.NewHalf("x", latency, 0)
-		epB, remB := link.NewHalf("x", latency, 0)
-		epC, remC := link.NewHalf("y", latency, 0)
-		epD, remD := link.NewHalf("y", latency, 0)
+		epA, remA := link.NewHalf("x", latency)
+		epB, remB := link.NewHalf("x", latency)
+		epC, remC := link.NewHalf("y", latency)
+		epD, remD := link.NewHalf("y", latency)
 		r1.Attach(epA)
 		r2.Attach(epB)
 		r1.Attach(epC)

@@ -26,7 +26,7 @@ func fastConfig(seed uint64) Config {
 
 func newIdleSupervisor(id uint64) *Supervisor {
 	s := NewSupervisor(fastConfig(id))
-	_, rem := link.NewHalf("x", sim.Microsecond, 0)
+	_, rem := link.NewHalf("x", sim.Microsecond)
 	s.AddChannel(0, rem, RawFrameCodec{})
 	return s
 }
@@ -95,7 +95,7 @@ func TestSupervisorGivesUpTyped(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.MaxAttempts = 3
 	sup := NewSupervisor(cfg)
-	_, rem := link.NewHalf("x", sim.Microsecond, 0)
+	_, rem := link.NewHalf("x", sim.Microsecond)
 	sup.AddChannel(0, rem, RawFrameCodec{})
 	err = sup.Dial(context.Background(), addr)
 	if !errors.Is(err, ErrGaveUp) {
@@ -118,8 +118,8 @@ func TestSupervisorChannelMismatch(t *testing.T) {
 	}
 	supA := newIdleSupervisor(4) // one channel
 	supB := NewSupervisor(fastConfig(5))
-	_, remB0 := link.NewHalf("x", sim.Microsecond, 0)
-	_, remB1 := link.NewHalf("y", sim.Microsecond, 0)
+	_, remB0 := link.NewHalf("x", sim.Microsecond)
+	_, remB1 := link.NewHalf("y", sim.Microsecond)
 	supB.AddChannel(0, remB0, RawFrameCodec{})
 	supB.AddChannel(1, remB1, RawFrameCodec{})
 
@@ -162,7 +162,7 @@ func TestSupervisorRejectedPeerGivesUp(t *testing.T) {
 	cfg := fastConfig(8)
 	cfg.MaxAttempts = 2
 	supC := NewSupervisor(cfg)
-	_, remC := link.NewHalf("x", sim.Microsecond, 0)
+	_, remC := link.NewHalf("x", sim.Microsecond)
 	supC.AddChannel(0, remC, RawFrameCodec{})
 	err = supC.Dial(ctx, ln.Addr().String())
 	if !errors.Is(err, ErrGaveUp) {

@@ -38,14 +38,15 @@ go test -run '^$' -bench 'BenchmarkTimerChurn|BenchmarkQueueChurn|BenchmarkSched
     -benchtime "$TIME" -count "$COUNT" ./internal/sim/ |
     go run ./cmd/benchjson -suite sched -out BENCH_sched.json -rev "$REV" $STRICT
 
-# The placement suite covers the one executor under each pacing mode:
-# coupled, the one-group sequential plan included (BenchmarkPlacement*),
-# parallel (BenchmarkParallel*), and optimistic (BenchmarkOptimistic*). The
-# optimistic and ParallelLatencyDominated benchmarks sweep GOMAXPROCS 1/2/4
-# as P1/P2/P4 sub-benchmarks, and each optimistic point reports an xspeedup
-# metric over the parallel mode at the same concurrency.
+# The placement suite covers the one executor under both modes:
+# conservative, the one-group sequential plan included (BenchmarkPlacement*
+# and BenchmarkParallel*, one series each since the two were once different
+# pacings), and optimistic (BenchmarkOptimistic*). The optimistic and
+# ParallelLatencyDominated benchmarks sweep GOMAXPROCS 1/2/4 as P1/P2/P4
+# sub-benchmarks, and each optimistic point reports an xspeedup metric over
+# the conservative mode at the same concurrency.
 echo "== placement benchmarks (rev $REV) =="
-go test -run '^$' -bench 'BenchmarkPlacement|BenchmarkParallel|BenchmarkCoupledSyncLight|BenchmarkOptimistic' \
+go test -run '^$' -bench 'BenchmarkPlacement|BenchmarkParallel|BenchmarkOptimistic' \
     -benchtime "$TIME" -count "$COUNT" ./internal/orch/ |
     go run ./cmd/benchjson -suite placement -out BENCH_placement.json -rev "$REV" $STRICT
 

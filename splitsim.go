@@ -34,7 +34,7 @@
 //
 // Every Run* method is a fixed-option spelling of one executor: resolve a
 // Placement with Simulation.Plan and call ExecutionPlan.Execute with
-// RunOptions to pick the pacing mode (Coupled, Parallel, Optimistic), the
+// RunOptions to pick the mode (conservative Parallel or Optimistic), the
 // speculation ceiling, and checkpoint resume/capture yourself.
 package splitsim
 
@@ -206,12 +206,11 @@ type (
 	RunResult = orch.RunResult
 )
 
-// Pacing modes for RunOptions.Mode. Results are bit-identical under all
-// three; only wall-clock time differs.
+// Modes for RunOptions.Mode. Results are bit-identical under both; only
+// wall-clock time differs.
 const (
-	// Coupled exchanges syncs every sync interval (the zero value).
-	Coupled = orch.Coupled
-	// Parallel batches sync windows: one exchange per lookahead window.
+	// Parallel is conservative synchronization (the zero value): one sync
+	// exchange per lookahead window.
 	Parallel = orch.Parallel
 	// Optimistic adds speculation past the committed horizon (RunOptions.K
 	// windows deep) with per-group snapshot/rollback.

@@ -136,7 +136,7 @@ func TestPublicAPIPlacement(t *testing.T) {
 	seqComps, seqLinks := s.ModelGraph(splitsim.Millisecond)
 
 	s2, _ := build()
-	s2.RunPlaced(splitsim.Millisecond, splitsim.PerComponent(2))
+	s2.RunParallel(splitsim.Millisecond, splitsim.PerComponent(2))
 	pcComps, _ := s2.ModelGraph(splitsim.Millisecond)
 	if len(pcComps) != len(seqComps) {
 		t.Fatalf("model graphs diverge: %d vs %d comps", len(pcComps), len(seqComps))
