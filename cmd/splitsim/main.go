@@ -90,6 +90,13 @@ func catalog() map[string]runner {
 			}
 			return r.String(), nil
 		},
+		"ablations": func(o experiments.Options) (string, error) {
+			return experiments.TrunkAblation(o).String() + "\n" +
+				experiments.SyncQuantumAblation(o).String(), nil
+		},
+		"profoverhead": func(o experiments.Options) (string, error) {
+			return experiments.ProfilerOverhead(o).String(), nil
+		},
 	}
 }
 

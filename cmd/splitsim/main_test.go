@@ -12,6 +12,7 @@ func TestCatalogCoversEveryFigure(t *testing.T) {
 	for _, want := range []string{
 		"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"clocksync", "configeffort", "placement", "scale", "scaleout",
+		"ablations", "profoverhead",
 	} {
 		if _, ok := cat[want]; !ok {
 			t.Errorf("catalog missing %q", want)

@@ -221,18 +221,6 @@ type RecommendOptions struct {
 	// where the paper assumes one core per process. AutoPlace fills it from
 	// Params.Cores.
 	Cores int
-	// RollbackPenalty biases split selection for optimistic execution
-	// (orch.RunOptimistic). Splitting a group turns its internal links into
-	// cross-group channels, and under speculation every cross message is a
-	// potential straggler forcing the receiving group to roll back and
-	// replay. With RollbackPenalty > 0, each split candidate's wait
-	// fraction is worsened by penalty x its share of the graph's total
-	// message traffic carried on links internal to it — the traffic a split
-	// would expose — so message-dense groups stay co-located while sparse,
-	// latency-dominated groups (where speculation wins and rollbacks are
-	// rare) split first. 0, the default, reproduces the conservative
-	// recommender unchanged.
-	RollbackPenalty float64
 }
 
 func (o RecommendOptions) withDefaults(nComps int) RecommendOptions {
@@ -299,33 +287,14 @@ func RecommendPlacement(cur Placement, comps []Comp, links []Link, a *profiler.A
 	}
 	out := append([]int(nil), norm.Groups...)
 
-	// Split the bottleneck group by busy-cost bisection. With a rollback
-	// penalty configured, a candidate's effective wait is inflated by the
-	// message traffic a split would expose as cross-group channels —
-	// potential stragglers under optimistic execution — so dense groups
-	// drop out of splitting before sparse ones.
-	risk := make([]float64, G)
-	if o.RollbackPenalty > 0 {
-		total := 0.0
-		for _, l := range links {
-			total += float64(l.Msgs)
-		}
-		if total > 0 {
-			for _, l := range links {
-				if ga, gb := norm.Groups[l.A], norm.Groups[l.B]; ga == gb {
-					risk[ga] += float64(l.Msgs) / total
-				}
-			}
-		}
-	}
-	score := func(g int) float64 { return wait[g] + o.RollbackPenalty*risk[g] }
+	// Split the bottleneck group by busy-cost bisection.
 	split := -1
 	if G < o.MaxGroups {
 		for g := 0; g < G; g++ {
-			if !known[g] || len(members[g]) < 2 || score(g) >= o.SplitBelow {
+			if !known[g] || len(members[g]) < 2 || wait[g] >= o.SplitBelow {
 				continue
 			}
-			if split < 0 || score(g) < score(split) {
+			if split < 0 || wait[g] < wait[split] {
 				split = g
 			}
 		}

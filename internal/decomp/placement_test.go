@@ -167,30 +167,6 @@ func TestRecommendPlacementSplitsBottleneck(t *testing.T) {
 	}
 }
 
-func TestRecommendPlacementRollbackPenalty(t *testing.T) {
-	comps, links := placementModel()
-	// Same bottleneck setup as the split test: group 0 = {hot, idle0} is the
-	// limiting group and splits under the default recommender. The
-	// hot-idle0 link carries the largest share of the graph's message
-	// traffic, so a rollback penalty prices the same split as a hazard:
-	// exposing that link cross-group would make every one of its messages a
-	// potential straggler.
-	cur := Placement{Name: "x", Groups: []int{0, 0, 1, 1}}
-	merged, mlinks, err := MergePlacement(comps, links, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := ModeledAnalysis(merged, mlinks, DefaultParams(sim.Time(1e9)))
-	base := RecommendPlacement(cur, comps, links, a, RecommendOptions{})
-	if base.Groups[0] == base.Groups[1] {
-		t.Fatalf("without penalty the bottleneck group must split: %v", base.Groups)
-	}
-	next := RecommendPlacement(cur, comps, links, a, RecommendOptions{RollbackPenalty: 10})
-	if next.Groups[0] != next.Groups[1] {
-		t.Fatalf("rollback penalty did not keep the message-dense group together: %v", next.Groups)
-	}
-}
-
 func TestAutoPlaceTerminatesAndIsolatesHotComponent(t *testing.T) {
 	comps, links := placementModel()
 	p := AutoPlace(comps, links, DefaultParams(sim.Time(1e9)), RecommendOptions{})

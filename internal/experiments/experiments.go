@@ -4,8 +4,9 @@
 // paper's. EXPERIMENTS.md records paper-vs-measured for each.
 //
 // Every harness accepts Options.Scale to shrink simulated durations (and,
-// where applicable, topology size) so the full suite runs in seconds as Go
-// benchmarks; Scale=1 reproduces the paper-scale configuration.
+// where applicable, topology size) so the whole suite runs quickly
+// (`splitsim run all -scale 0.1`); Scale=1 reproduces the paper-scale
+// configuration.
 package experiments
 
 import (
@@ -19,7 +20,7 @@ import (
 // Options tunes experiment scale and seeding.
 type Options struct {
 	// Scale multiplies simulated durations (1.0 = paper-scale defaults;
-	// benches use ~0.1).
+	// tests use ~0.1).
 	Scale float64
 	// Seed drives all randomness.
 	Seed uint64

@@ -8,8 +8,8 @@ import (
 )
 
 // The experiment tests assert the paper's qualitative claims (who wins, by
-// roughly what factor, where crossovers fall) at reduced scale; the bench
-// harness regenerates the full tables. Heavy cases honor -short.
+// roughly what factor, where crossovers fall) at reduced scale; `splitsim
+// run` regenerates the full tables. Heavy cases honor -short.
 
 func TestFig4OppositeTrends(t *testing.T) {
 	r := Fig4(Options{Scale: 0.4, Seed: 42})
@@ -286,6 +286,44 @@ func TestConfigEffort(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "252 lines") {
 		t.Error("render should cite the paper's numbers")
+	}
+}
+
+func TestTrunkAblation(t *testing.T) {
+	r := TrunkAblation(Options{Scale: 0.1, Seed: 42})
+	if r.TrunkChannels != 16 || r.PerLinkChannels != 184 {
+		t.Errorf("channels: trunk %d, per-link %d, want 16 and 184",
+			r.TrunkChannels, r.PerLinkChannels)
+	}
+	if r.SavingFrac <= 0.5 {
+		t.Errorf("trunking saves %.2f of modeled runtime, want > 0.5", r.SavingFrac)
+	}
+	if !strings.Contains(r.String(), "trunk adapters") {
+		t.Error("missing render")
+	}
+}
+
+func TestSyncQuantumAblation(t *testing.T) {
+	r := SyncQuantumAblation(Options{Scale: 0.1, Seed: 42})
+	if len(r.Points) != 5 {
+		t.Fatalf("points = %d, want 5", len(r.Points))
+	}
+	// A larger quantum means fewer syncs per simulated second.
+	for i := 1; i < len(r.Points); i++ {
+		if prev, p := r.Points[i-1], r.Points[i]; p.SPerSimS >= prev.SPerSimS {
+			t.Errorf("quantum x%.2f: %.2f s/s, not below x%.2f's %.2f",
+				p.QuantumFactor, p.SPerSimS, prev.QuantumFactor, prev.SPerSimS)
+		}
+	}
+}
+
+func TestProfilerOverhead(t *testing.T) {
+	r := ProfilerOverhead(Options{Scale: 0.1, Seed: 42})
+	if r.Samples <= 0 {
+		t.Errorf("profiled run took %d samples", r.Samples)
+	}
+	if r.BaseMs <= 0 || r.ProfiledMs <= 0 {
+		t.Errorf("wall times base %.1f ms, profiled %.1f ms", r.BaseMs, r.ProfiledMs)
 	}
 }
 

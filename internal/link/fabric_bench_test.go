@@ -9,7 +9,8 @@ import (
 // Microbenchmarks for the lock-free SPSC ring itself, isolated from the
 // synchronization protocol: per-message cost of the staged/batched publish
 // path, the bulk drain paths, and the cross-goroutine stream including the
-// park/wake gate. scripts/bench.sh records them in BENCH_fabric.json.
+// park/wake gate. TestPipeZeroAlloc gates the single-goroutine paths' 0
+// allocs/op.
 
 // BenchmarkFabricSendTryRecv is the unbatched floor: one publish and one
 // consumer pop per message, single goroutine (no parking).

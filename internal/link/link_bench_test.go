@@ -8,9 +8,9 @@ import (
 )
 
 // The benchmarks here pin the coupled-run message-drain hot path: a runner
-// consuming already-queued messages from a peer. Results are recorded as the
-// perf baseline in BENCH_link.json (see scripts/bench.sh); every change to
-// the pipe/runner/channel fabric should be measured against them.
+// consuming already-queued messages from a peer. A change to the
+// pipe/runner/channel fabric can compare them before and after with
+// `go test -bench`.
 
 const benchBatch = 64
 

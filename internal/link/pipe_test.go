@@ -164,6 +164,46 @@ func TestPipeCloseFlushesStaged(t *testing.T) {
 	}
 }
 
+// TestPipeZeroAlloc pins the ring's steady state at zero allocations: the
+// unbatched send→tryRecv path, and a segment-sized push→flush→drain cycle
+// whose full segment is recycled through the spare slot instead of
+// allocated afresh.
+func TestPipeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	p := newPipe()
+	single := func() {
+		p.send(Message{Kind: KindSync})
+		if _, ok, _ := p.tryRecv(); !ok {
+			t.Fatal("empty after send")
+		}
+	}
+	nop := func(Message) {}
+	cycle := func() {
+		for i := 0; i < chunkSize; i++ {
+			p.push(Message{T: sim.Time(i), Kind: KindSync})
+		}
+		p.flush()
+		if n, _ := p.drain(nop); n != chunkSize {
+			t.Fatalf("drained %d, want %d", n, chunkSize)
+		}
+	}
+	for i := 0; i < 2*chunkSize; i++ {
+		single()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(1000, single); avg != 0 {
+		t.Errorf("send→tryRecv allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("push×%d→flush→drain allocates %.2f/op, want 0", chunkSize, avg)
+	}
+	if n := p.chunkAllocs.Load(); n != 2 {
+		t.Errorf("pipe allocated %d segments, want 2 (one live, one recycled)", n)
+	}
+}
+
 // TestPipeSendOnClosedPanics pins the protocol-bug guard.
 func TestPipeSendOnClosedPanics(t *testing.T) {
 	p := newPipe()

@@ -11,12 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkScaleMixed1M is the tentpole scaling benchmark, recorded into
-// BENCH_scale.json by scripts/bench.sh: a 10⁶-endpoint Clos (489 pods ×
-// 32 leaves × 64 hosts/leaf = 1,001,472 slots, default-up routing) carries
-// a packet-level incast foreground in one pod while the flow-level tier
-// holds elephants on 30% of all endpoints. No background host is ever
-// materialized; the fluid tier's whole event bill is the admission wave.
+// BenchmarkScaleMixed1M is the mixed-fidelity scaling benchmark: a
+// 10⁶-endpoint Clos (489 pods × 32 leaves × 64 hosts/leaf = 1,001,472
+// slots, default-up routing) carries a packet-level incast foreground in
+// one pod while the flow-level tier holds elephants on 30% of all
+// endpoints. No background host is ever materialized; the fluid tier's
+// whole event bill is the admission wave.
 // Reported metrics: endpoints (fabric size), x-events (packet-level event
 // projection over flow-tier events — the mixed-fidelity speedup), pkts/s
 // (foreground packet throughput per wall-clock second).

@@ -11,10 +11,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The BenchmarkScale* suite is recorded into BENCH_scale.json by
-// scripts/bench.sh. Beyond ns/op it reports the tentpole's two scaling
-// figures via custom metrics: sustained simulated packets per wall-clock
-// second ("pkts/s") and resident routing state per host ("bytes/host").
+// Beyond ns/op the BenchmarkScale* suite reports two scaling figures via
+// custom metrics: sustained simulated packets per wall-clock second
+// ("pkts/s") and resident routing state per host ("bytes/host").
 
 // scale10k is a 10⁴-host Clos: 16 pods × 16 leaves × 8 spines, 40 hosts
 // per leaf = 10,240 hosts, 416 switches.

@@ -13,12 +13,12 @@ import (
 )
 
 // The optimistic benchmarks measure ns per simulated event under the
-// Optimistic mode, over the same done-events loop as the placement and
-// parallel suites so BENCH_placement.json compares all three modes in
-// one unit. Each benchmark sweeps GOMAXPROCS 1/2/4 as P1/P2/P4
-// sub-benchmarks (levels the machine has no CPUs for skip) and reports an xspeedup metric — the conservative parallel
-// executor's ns/event on the identical graph and placement, measured once
-// per (benchmark, procs) pair, divided by the optimistic ns/event — so every
+// Optimistic mode, over the same done-events loop as the placement suite so
+// both modes read in one unit. Each benchmark sweeps GOMAXPROCS 1/2/4 as
+// P1/P2/P4 sub-benchmarks (levels the machine has no CPUs for skip) and
+// reports an xspeedup metric — the conservative parallel executor's
+// ns/event on the identical graph and placement, measured once per
+// (benchmark, procs) pair, divided by the optimistic ns/event — so every
 // data point carries its own baseline regardless of which benchmarks ran.
 //
 // The headline graph is LatencyDominated: chatter periods ~100x the channel
@@ -32,9 +32,9 @@ import (
 var specProcs = []int{1, 2, 4}
 
 // sweepProcs runs fn as a P<n> sub-benchmark at each GOMAXPROCS level of
-// specProcs. A level above the machine's CPU count skips: its runner threads
-// would time-share cores, and the ledger would record that oversubscription
-// as if it were a scaling point.
+// specProcs. A level above the machine's CPU count skips: its runners would
+// time-share cores, and the result would report that oversubscription as if
+// it were a scaling point.
 func sweepProcs(b *testing.B, fn func(b *testing.B, procs int)) {
 	for _, procs := range specProcs {
 		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
@@ -94,8 +94,8 @@ func benchOptimistic(b *testing.B, name string,
 }
 
 // benchParallelRef mirrors benchOptimistic with the conservative parallel
-// executor, so the JSON carries directly comparable ns/event entries at each
-// procs level.
+// executor, so the output carries directly comparable ns/event entries at
+// each procs level.
 func benchParallelRef(b *testing.B,
 	build func() (*orch.Simulation, []*specChatter), p decomp.Placement) {
 	sweepProcs(b, func(b *testing.B, _ int) {

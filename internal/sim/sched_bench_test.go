@@ -9,8 +9,6 @@ import (
 // every substrate simulator is timer churn: pop the earliest event, whose
 // callback schedules a successor slightly later (NIC DMA completions, TCP
 // retransmit timers, closed-loop client think times all look like this).
-// Results are recorded as the perf baseline in BENCH_sched.json (see
-// scripts/bench.sh).
 
 // BenchmarkTimerChurn measures the pop-min-then-push-later pattern through
 // the public Scheduler API with k timers in flight. ns/op is per event
