@@ -38,11 +38,14 @@ race:
 # warm-started sweep's identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —
-# plus the rollback fuzz seed corpus.
+# plus the rollback fuzz seed corpus. Plan-time trunking rides along: cut
+# channels bundled onto one endpoint pair must keep their own message
+# counts (ModelGraph, checkpoint bytes), print their bundle, and fold into
+# one modeled link.
 exec:
 	$(GO) test -race \
-		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane' \
-		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/
+		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement' \
+		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/ ./internal/decomp/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 
 # Fault-injection suite: supervised transport under connection kills,

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/profiler"
+	"repro/internal/sim"
 )
 
 // Placement assigns each component of an orchestrated simulation to a
@@ -173,7 +174,9 @@ func Coarsen(fine, coarse []int) ([]int, error) {
 // level of a placement: components sharing a group merge into one Comp
 // (busy times add — a group is one sequential process), links inside one
 // group vanish (co-located channels cost no synchronization), and
-// cross-group links keep their per-channel sync cost. The merged Comp names
+// cross-group links between one pair of groups at one Quantum fold into one
+// Link with their summed Msgs — the one synchronized channel the executor
+// bundles them onto, which pays one sync per quantum. The merged Comp names
 // are the placement's group labels, so modeled analyses of the merged graph
 // key by the same names the executed runners carry.
 func MergePlacement(comps []Comp, links []Link, p Placement) ([]Comp, []Link, error) {
@@ -193,12 +196,23 @@ func MergePlacement(comps []Comp, links []Link, p Placement) ([]Comp, []Link, er
 	for i, c := range comps {
 		merged[norm.Groups[i]].BusyNs += c.BusyNs
 	}
+	type bundleKey struct {
+		lo, hi  int
+		quantum sim.Time
+	}
 	var mlinks []Link
+	at := make(map[bundleKey]int)
 	for _, l := range links {
 		ga, gb := norm.Groups[l.A], norm.Groups[l.B]
 		if ga == gb {
 			continue
 		}
+		k := bundleKey{min(ga, gb), max(ga, gb), l.Quantum}
+		if i, ok := at[k]; ok {
+			mlinks[i].Msgs += l.Msgs
+			continue
+		}
+		at[k] = len(mlinks)
 		mlinks = append(mlinks, Link{A: ga, B: gb, Msgs: l.Msgs, Quantum: l.Quantum})
 	}
 	return merged, mlinks, nil

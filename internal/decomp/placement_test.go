@@ -117,15 +117,49 @@ func TestMergePlacement(t *testing.T) {
 	if mc[1].BusyNs != 3e8 {
 		t.Fatalf("merged busy = %g, want 3e8", mc[1].BusyNs)
 	}
-	// idle0-idle1 and idle1-idle2 links are intra-group and vanish.
-	if len(ml) != 2 {
-		t.Fatalf("merged links = %d, want 2 (cross only)", len(ml))
+	// idle0-idle1 and idle1-idle2 links are intra-group and vanish; hot-idle0
+	// and hot-idle1 cross the one cut at one quantum and fold into one link.
+	want := []Link{{A: 0, B: 1, Msgs: 2000, Quantum: 500}}
+	if !equalLinks(ml, want) {
+		t.Fatalf("merged links = %+v, want %+v", ml, want)
 	}
-	for _, l := range ml {
-		if l.A == l.B {
-			t.Fatalf("intra-group link survived: %+v", l)
+}
+
+// TestMergePlacementFoldsByCutAndQuantum: cross-group links fold into one
+// only when they share both the group pair (in either orientation) and the
+// quantum — the key the executor bundles channels by.
+func TestMergePlacementFoldsByCutAndQuantum(t *testing.T) {
+	comps, _ := placementModel()
+	links := []Link{
+		{A: 0, B: 2, Msgs: 10, Quantum: 500},
+		{A: 3, B: 1, Msgs: 20, Quantum: 500}, // same cut, reversed
+		{A: 1, B: 2, Msgs: 40, Quantum: 700}, // same cut, other quantum
+		{A: 0, B: 1, Msgs: 80, Quantum: 500}, // intra-group
+	}
+	p := Placement{Name: "blocked", Groups: []int{0, 0, 1, 1}}
+	_, ml, err := MergePlacement(comps, links, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Link{
+		{A: 0, B: 1, Msgs: 30, Quantum: 500},
+		{A: 0, B: 1, Msgs: 40, Quantum: 700},
+	}
+	if !equalLinks(ml, want) {
+		t.Fatalf("merged links = %+v, want %+v", ml, want)
+	}
+}
+
+func equalLinks(a, b []Link) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
+	return true
 }
 
 func TestRecommendPlacementMergesIdlePair(t *testing.T) {

@@ -52,8 +52,7 @@ type Endpoint struct {
 	in    *pipe
 
 	runner *Runner
-	sinks  map[uint16]core.Sink
-	srcFor map[uint16]int32
+	subs   []subEnd // indexed by sub-channel id
 
 	lastSentT sim.Time // our clock when we last sent anything (-1: never)
 	lastRecvT sim.Time // peer clock as of the last received message (-1: none)
@@ -71,6 +70,29 @@ type Endpoint struct {
 	spec epSpec
 
 	Stats Counters
+}
+
+// subEnd is this side's record of one sub-channel: the sink and ordering
+// source its incoming messages deliver with, the component whose pool a
+// logged pooled payload re-mints from at replay (optimistic runs only), and
+// tx, the data messages published on it. tx counts at publication, so a
+// rollback's re-sends — withheld and then deduplicated — never count twice:
+// at the end of a run each sub's tx is exactly its committed sends, which is
+// what lets several logical channels share one endpoint and still report
+// their own message counts.
+type subEnd struct {
+	sink  core.Sink
+	src   int32
+	owner core.Component
+	tx    uint64
+}
+
+// sub returns the record of sub-channel id, growing the table to hold it.
+func (e *Endpoint) sub(id uint16) *subEnd {
+	if int(id) >= len(e.subs) {
+		e.subs = append(e.subs, make([]subEnd, int(id)+1-len(e.subs))...)
+	}
+	return &e.subs[id]
 }
 
 // Label returns a human-readable endpoint name ("chan.a"/"chan.b").
@@ -109,7 +131,8 @@ func (e *Endpoint) SendSub(sub uint16, payload core.Message) {
 		panic("link: endpoint " + e.label + " not attached to a runner")
 	}
 	now := e.runner.sched.Now()
-	e.Stats.TxData += msgCount(payload)
+	n := msgCount(payload)
+	e.Stats.TxData += n
 	if e.runner.spec.withhold {
 		// Speculative group: the send may sit at or past the committed
 		// horizon and could still roll back, so it is staged locally and
@@ -117,14 +140,15 @@ func (e *Endpoint) SendSub(sub uint16, payload core.Message) {
 		e.spec.withheld = append(e.spec.withheld, specOut{T: now, Sub: sub, Payload: payload})
 		return
 	}
-	e.publish(now, sub, payload)
+	e.publish(now, sub, payload, n)
 }
 
-// publish stages one data message stamped t into the outgoing ring — the
-// one place data enters it, straight from SendSub or on release from the
-// withheld buffer.
-func (e *Endpoint) publish(t sim.Time, sub uint16, payload core.Message) {
+// publish stages one data message stamped t, worth n logical messages, into
+// the outgoing ring — the one place data enters it, straight from SendSub or
+// on release from the withheld buffer.
+func (e *Endpoint) publish(t sim.Time, sub uint16, payload core.Message, n uint64) {
 	e.out.push(Message{T: t, Kind: KindData, Sub: sub, Payload: payload})
+	e.sub(sub).tx += n
 	if e.runner.spec.dom != nil {
 		e.spec.tx.Add(1)
 	}
@@ -151,12 +175,8 @@ func (p subPort) Latency() sim.Time         { return p.e.ch.Latency }
 // assign srcIDs identically in sequential and coupled mode for runs to be
 // comparable.
 func (e *Endpoint) SetSink(sub uint16, srcID int32, sink core.Sink) {
-	if e.sinks == nil {
-		e.sinks = make(map[uint16]core.Sink)
-		e.srcFor = make(map[uint16]int32)
-	}
-	e.sinks[sub] = sink
-	e.srcFor[sub] = srcID
+	se := e.sub(sub)
+	se.sink, se.src = sink, srcID
 }
 
 // horizon returns the virtual time this side may safely advance to.
@@ -220,6 +240,9 @@ func (e *Endpoint) handle(m Message) {
 	if at < r.committed {
 		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, at, r.committed))
 	}
+	if int(m.Sub) >= len(e.subs) || e.subs[m.Sub].sink == nil {
+		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))
+	}
 	if st.snapValid {
 		e.logInput(m) // may fall back to the snapshot and give it up
 	}
@@ -235,15 +258,12 @@ func (e *Endpoint) handle(m Message) {
 		panic(fmt.Sprintf("link: %s straggler at %v (executed to %v) with no snapshot",
 			e.label, at, r.sched.MaxExec()))
 	}
-	sink, ok := e.sinks[m.Sub]
-	if !ok {
-		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))
-	}
+	se := &e.subs[m.Sub]
 	// A speculative batch leaves the clock at its cap even when the window's
 	// tail was empty; pull it back so the delivery is not in the past.
 	r.sched.Rewind(at)
 	// Deliveries are never cancelled and carry exactly (sink, payload), so
 	// they go in as typed delivery events: no Timer, no capturing closure —
 	// the receive path allocates nothing per data message.
-	r.sched.PostDelivery(at, e.srcFor[m.Sub], sink, m.Payload)
+	r.sched.PostDelivery(at, se.src, se.sink, m.Payload)
 }

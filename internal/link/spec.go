@@ -138,8 +138,6 @@ type specIn struct {
 // epSpec is the per-endpoint half of optimistic execution; like specState,
 // its zero value is what a conservative endpoint carries.
 type epSpec struct {
-	owners map[uint16]core.Component
-
 	withheld []specOut
 	log      []specIn
 	logBuf   snap.Encoder
@@ -183,12 +181,7 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 
 // SetSpecOwner records the component owning the sink behind sub, so logged
 // pooled payloads can re-mint from its pool at replay.
-func (e *Endpoint) SetSpecOwner(sub uint16, owner core.Component) {
-	if e.spec.owners == nil {
-		e.spec.owners = make(map[uint16]core.Component)
-	}
-	e.spec.owners[sub] = owner
-}
+func (e *Endpoint) SetSpecOwner(sub uint16, owner core.Component) { e.sub(sub).owner = owner }
 
 // SpecStats returns the runner's speculation counters, the reason it runs
 // conservatively ("" when speculative), and whether SetSpec armed it.
@@ -466,16 +459,17 @@ func (r *Runner) specRollback() {
 		sp.dropLeft = len(sp.pubLog)
 		for i := range sp.log {
 			rec := &sp.log[i]
+			se := &e.subs[rec.Sub]
 			payload := rec.Payload
 			if rec.enc {
 				dec := snap.NewDecoder(sp.logBuf.Bytes()[rec.off : rec.off+rec.n])
-				p, err := core.DecodePayload(dec, sp.owners[rec.Sub])
+				p, err := core.DecodePayload(dec, se.owner)
 				if err != nil {
 					panic(fmt.Sprintf("link: %s replay decode: %v", e.label, err))
 				}
 				payload = p
 			}
-			r.sched.PostDelivery(rec.T+e.ch.Latency, e.srcFor[rec.Sub], e.sinks[rec.Sub], payload)
+			r.sched.PostDelivery(rec.T+e.ch.Latency, se.src, se.sink, payload)
 			e.Stats.RxData += msgCount(payload)
 			st.counters.Replayed++
 		}
@@ -502,7 +496,7 @@ func (e *Endpoint) logInput(m Message) {
 	}
 	off := sp.logBuf.Len()
 	var err error
-	if owner := sp.owners[m.Sub]; owner == nil {
+	if owner := e.subs[m.Sub].owner; owner == nil {
 		err = fmt.Errorf("%w: no pool owner for sub %d", core.ErrUnknownSink, m.Sub)
 	} else {
 		err = core.EncodePayload(&sp.logBuf, m.Payload)
@@ -548,7 +542,7 @@ func (r *Runner) releaseWithheld() {
 			if r.spec.snapValid {
 				sp.pubLog = append(sp.pubLog, specOut{T: m.T, Sub: m.Sub})
 			}
-			e.publish(m.T, m.Sub, m.Payload)
+			e.publish(m.T, m.Sub, m.Payload, msgCount(m.Payload))
 		}
 		if n > 0 {
 			rest := copy(sp.withheld, sp.withheld[n:])

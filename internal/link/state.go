@@ -29,11 +29,26 @@ func (e *Endpoint) DrainResidual() { e.in.drain(e.handle) }
 // sweep over endpoints covers both directions of every channel.
 func (e *Endpoint) Quiesced() bool { return e.in.empty() }
 
-// SetTxData overwrites the endpoint's cumulative data-message counter; the
-// checkpoint layer restores it so ModelGraph message counts carry across a
-// restore. Only TxData round-trips: sync and wait counters describe the
-// executor, not the simulation, and differ legitimately across placements.
-func (e *Endpoint) SetTxData(n uint64) { e.Stats.TxData = n }
+// TxData returns the data messages published on sub-channel sub. Channels
+// that share an endpoint each sum their own subs; Stats.TxData is the
+// endpoint's total.
+func (e *Endpoint) TxData(sub uint16) uint64 {
+	if int(sub) >= len(e.subs) {
+		return 0
+	}
+	return e.subs[sub].tx
+}
+
+// SetTxData overwrites sub-channel sub's cumulative data-message counter and
+// moves the endpoint's total with it; the checkpoint layer restores it so
+// ModelGraph message counts carry across a restore. Only TxData round-trips:
+// sync and wait counters describe the executor, not the simulation, and
+// differ legitimately across placements.
+func (e *Endpoint) SetTxData(sub uint16, n uint64) {
+	se := e.sub(sub)
+	e.Stats.TxData += n - se.tx
+	se.tx = n
+}
 
 // restartable matches core.Stateful's restored-start method without
 // importing core's full interface here.

@@ -167,8 +167,10 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 
 // TestCheckpointBytesPlacementInvariant: the serialized checkpoint is
 // byte-for-byte identical whether it was captured from a sequential run or
-// a quiesced per-component run under any mode — sink names and the canonical
-// (time, source) event order erase the placement.
+// a quiesced placed run under any mode — sink names and the canonical
+// (time, source) event order erase the placement. The blocked placement cuts
+// several trunks at one latency onto one sync bundle, whose per-channel
+// message counts must serialize as each channel's own.
 func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	const half = sim.Millisecond
 	arrival := workload.Open{FlowsPerSec: 50_000}
@@ -178,21 +180,27 @@ func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckpointSequential: %v", err)
 	}
-	for _, m := range ckptModes {
-		ps, _, _ := buildCkptSim(3, arrival)
-		o := m.opts
-		o.Capture = true
-		res, _ := execute(t, ps, decomp.PerComponent(ps.NumComponents()), half, o)
-		pck := res.Checkpoint
-		if pck.BaseEvents != seqCk.BaseEvents {
-			t.Fatalf("%s: base events %d != sequential %d", m.name, pck.BaseEvents, seqCk.BaseEvents)
-		}
-		if !bytes.Equal(pck.Data, seqCk.Data) {
-			t.Fatalf("%s: checkpoint bytes differ from sequential capture (%d vs %d bytes)",
-				m.name, len(pck.Data), len(seqCk.Data))
-		}
-		if n := ps.LiveFrames(); n != 0 {
-			t.Fatalf("%s: placed checkpoint leaked %d frames", m.name, n)
+	n := seqSim.NumComponents()
+	for _, p := range []decomp.Placement{decomp.PerComponent(n), blocked(n)} {
+		for _, m := range ckptModes {
+			ps, _, _ := buildCkptSim(3, arrival)
+			if p.Name == "blocked2" && maxBundleShare(t, ps, p) < 2 {
+				t.Fatal("no two channels share a sync bundle: the blocked row tests nothing")
+			}
+			o := m.opts
+			o.Capture = true
+			res, _ := execute(t, ps, p, half, o)
+			pck := res.Checkpoint
+			if pck.BaseEvents != seqCk.BaseEvents {
+				t.Fatalf("%s %s: base events %d != sequential %d", p.Name, m.name, pck.BaseEvents, seqCk.BaseEvents)
+			}
+			if !bytes.Equal(pck.Data, seqCk.Data) {
+				t.Fatalf("%s %s: checkpoint bytes differ from sequential capture (%d vs %d bytes)",
+					p.Name, m.name, len(pck.Data), len(seqCk.Data))
+			}
+			if n := ps.LiveFrames(); n != 0 {
+				t.Fatalf("%s %s: placed checkpoint leaked %d frames", p.Name, m.name, n)
+			}
 		}
 	}
 }
@@ -286,28 +294,32 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 	}
 
 	// No aux state here, so the optimistic row genuinely speculates on both
-	// sides of the checkpoint.
-	for _, m := range ckptModes {
-		cp, _, _ := buildMemSplit()
-		o := m.opts
-		o.Capture = true
-		res, _ := execute(t, cp, decomp.PerComponent(cp.NumComponents()), half, o)
-		if !bytes.Equal(res.Checkpoint.Data, ck.Data) {
-			t.Fatalf("memsim %s capture differs from the sequential capture", m.name)
-		}
+	// sides of the checkpoint. Blocked, three core channels share one sync
+	// bundle.
+	n := cs.NumComponents()
+	for _, p := range []decomp.Placement{decomp.PerComponent(n), blocked(n)} {
+		for _, m := range ckptModes {
+			cp, _, _ := buildMemSplit()
+			o := m.opts
+			o.Capture = true
+			res, _ := execute(t, cp, p, half, o)
+			if !bytes.Equal(res.Checkpoint.Data, ck.Data) {
+				t.Fatalf("memsim %s %s capture differs from the sequential capture", p.Name, m.name)
+			}
 
-		ps, pCores, pMem := buildMemSplit()
-		o = m.opts
-		o.Resume = ck
-		_, events := execute(t, ps, decomp.PerComponent(ps.NumComponents()), dur, o)
-		if d := memSplitDigest(t, pCores, pMem); d != refDigest {
-			t.Fatalf("memsim %s resume digest %#x != reference %#x", m.name, d, refDigest)
-		}
-		if got := ck.BaseEvents + events; got != refEvents {
-			t.Fatalf("memsim %s events %d+%d != %d", m.name, ck.BaseEvents, events, refEvents)
-		}
-		if m.opts.Mode == orch.Optimistic && res.Spec.Totals().Snapshots == 0 {
-			t.Errorf("memsim optimistic capture never snapshotted: speculation did not engage")
+			ps, pCores, pMem := buildMemSplit()
+			o = m.opts
+			o.Resume = ck
+			_, events := execute(t, ps, p, dur, o)
+			if d := memSplitDigest(t, pCores, pMem); d != refDigest {
+				t.Fatalf("memsim %s %s resume digest %#x != reference %#x", p.Name, m.name, d, refDigest)
+			}
+			if got := ck.BaseEvents + events; got != refEvents {
+				t.Fatalf("memsim %s %s events %d+%d != %d", p.Name, m.name, ck.BaseEvents, events, refEvents)
+			}
+			if m.opts.Mode == orch.Optimistic && res.Spec.Totals().Snapshots == 0 {
+				t.Errorf("memsim %s optimistic capture never snapshotted: speculation did not engage", p.Name)
+			}
 		}
 	}
 }

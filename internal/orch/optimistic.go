@@ -102,6 +102,12 @@ type groupSnap struct {
 	prefs []payRef // parallel to evs
 	pays  snap.Encoder
 	work  []sim.PendingEvent // restore-side scratch
+
+	// ports are the direct ports of the group's co-located channels: they
+	// count sends as they happen, so a rollback rewinds their counters to
+	// portTx, the values at the snapshot.
+	ports  []*link.DirectPort
+	portTx []uint64
 }
 
 // snapshot captures the group at its committed horizon. An error (a closure
@@ -147,6 +153,10 @@ func (gs *groupSnap) snapshot() error {
 		}
 		gs.prefs = append(gs.prefs, ref)
 	}
+	gs.portTx = gs.portTx[:0]
+	for _, p := range gs.ports {
+		gs.portTx = append(gs.portTx, p.Stats.TxData)
+	}
 	gs.mark = gs.sched.CaptureMark()
 	return nil
 }
@@ -167,6 +177,9 @@ func (gs *groupSnap) restore() error {
 			return fmt.Errorf("component %s: %w", c.Name(), err)
 		}
 		start = gs.offs[i]
+	}
+	for i, p := range gs.ports {
+		p.Stats.TxData = gs.portTx[i]
 	}
 	gs.work = gs.work[:0]
 	for i := range gs.evs {
@@ -222,6 +235,11 @@ func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Ru
 			for _, ci := range pl.groupComps[gi] {
 				gs.comps = append(gs.comps, s.comps[ci].(core.Stateful))
 			}
+			for i, c := range s.chans {
+				if pc := pl.Channels[i]; pc.Intra && pc.GroupA == gi {
+					gs.ports = append(gs.ports, c.ports...)
+				}
+			}
 			ctl.Snapshot = gs.snapshot
 			ctl.Restore = gs.restore
 		}
@@ -235,7 +253,7 @@ func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Ru
 				continue
 			}
 			for i := range c.links {
-				ep.SetSpecOwner(uint16(i), c.comp[x])
+				ep.SetSpecOwner(c.sub0+uint16(i), c.comp[x])
 			}
 		}
 	}

@@ -163,6 +163,26 @@ func buildSpecTrunked(seed uint64, nComps int) (*orch.Simulation, []*specChatter
 	return s, comps
 }
 
+// buildSpecBundled mirrors buildBundled with specChatter components.
+func buildSpecBundled(seed uint64, nComps int) (*orch.Simulation, []*specChatter) {
+	rng := sim.NewRand(seed)
+	s := orch.New()
+	comps := make([]*specChatter, nComps)
+	cs := make([]core.Component, nComps)
+	for i := range comps {
+		comps[i] = newSpecChatter(fmt.Sprintf("sb%d", i),
+			sim.Time(50+rng.Intn(100))*sim.Microsecond, seed^uint64(i)*0x7f4a)
+		s.Add(comps[i])
+		cs[i] = comps[i]
+	}
+	wireBundled(s, rng, cs, func(i int) (func(core.Port), core.Sink) {
+		c, p := comps[i], len(comps[i].ports)
+		c.ports = append(c.ports, nil)
+		return func(port core.Port) { c.ports[p] = port }, c.sink(p)
+	})
+	return s, comps
+}
+
 type specBuildFn func(seed uint64, nComps int) (*orch.Simulation, []*specChatter)
 
 // specDigest folds every component's trace digest and count into one pair.
@@ -201,12 +221,13 @@ func runSpecOpt(t *testing.T, build specBuildFn, seed uint64, nComps int, end si
 }
 
 // randPlacements is the placement set every optimistic property sweeps:
-// fully split, fully co-located, and two random placements derived from the
-// seed.
+// fully split, fully co-located, blocked in two halves, and two random
+// placements derived from the seed.
 func randPlacements(seed uint64, nComps int) []decomp.Placement {
 	ps := []decomp.Placement{
 		decomp.PerComponent(nComps),
 		decomp.SingleGroup(nComps),
+		blocked(nComps),
 	}
 	prng := sim.NewRand(seed * 104729)
 	for k := 0; k < 2; k++ {
@@ -233,6 +254,7 @@ func TestOptimisticDigestMatchesSequential(t *testing.T) {
 	}{
 		{"direct", buildSpecRandom},
 		{"trunked", buildSpecTrunked},
+		{"bundled", buildSpecBundled},
 	}
 	for _, procs := range gomaxprocsSweep() {
 		procs := procs

@@ -65,12 +65,14 @@ type channel struct {
 	// Live wiring of the latest execution, which also carries the message
 	// counters ModelGraph and checkpoints read: direct ports when both ends
 	// share a runner group (ports[2i+x] is what end x of link i sends on),
-	// the endpoints of one synchronized link.Channel otherwise. A remote
-	// channel's local endpoint is not per execution: it is built with its
-	// link.Remote at registration, because the caller hands the Remote to a
-	// proxy supervisor before anything runs.
+	// otherwise the endpoints of the synchronized link.Channel the plan
+	// bundled the channel into (ep[x] is end x's), link i on sub-channel
+	// sub0+i of it. A remote channel's local endpoint is not per execution:
+	// it is built with its link.Remote at registration, because the caller
+	// hands the Remote to a proxy supervisor before anything runs.
 	ports []*link.DirectPort
 	ep    [2]*link.Endpoint
+	sub0  uint16
 }
 
 // groups returns the runner groups of the channel's two ends under pl; the
@@ -85,7 +87,8 @@ func (c *channel) groups(pl *ExecutionPlan) [2]int {
 }
 
 // txData returns the data messages each end has sent over all links, read
-// from whichever wiring is live (zero before the first execution).
+// from whichever wiring is live (zero before the first execution). On a
+// bundled endpoint only the channel's own sub-channels count.
 func (c *channel) txData() (a, b uint64) {
 	var tx [2]uint64
 	for i, p := range c.ports {
@@ -93,22 +96,24 @@ func (c *channel) txData() (a, b uint64) {
 	}
 	for x, ep := range c.ep {
 		if ep != nil {
-			tx[x] += ep.Stats.TxData
+			for i := range c.links {
+				tx[x] += ep.TxData(c.sub0 + uint16(i))
+			}
 		}
 	}
 	return tx[0], tx[1]
 }
 
 // setTxData restores per-end totals onto the live wiring of a channel both of
-// whose ends are local. Only totals round-trip, so an intra-group trunk
-// carries them on its first link's ports.
+// whose ends are local. Only totals round-trip, so a trunk carries them on
+// its first link: its first pair of direct ports, or its first sub-channel.
 func (c *channel) setTxData(a, b uint64) {
 	if len(c.ports) > 0 {
 		c.ports[0].Stats.TxData, c.ports[1].Stats.TxData = a, b
 		return
 	}
-	c.ep[0].SetTxData(a)
-	c.ep[1].SetTxData(b)
+	c.ep[0].SetTxData(c.sub0, a)
+	c.ep[1].SetTxData(c.sub0, b)
 }
 
 // sinkName is the checkpoint name of end x's sink on link i, for sinks no
@@ -122,9 +127,10 @@ func (c *channel) sinkName(i, x int) string {
 }
 
 // ErrBadChannel reports a channel that cannot be wired: a non-positive
-// latency, a trunk with no links, a nil Bind or Sink on a local end, or a name
-// another channel already uses. Plan returns it wrapped with the channel's
-// name and the reason.
+// latency, a trunk with no links, a nil Bind or Sink on a local end, a name
+// another channel already uses, or — under a placement that cuts it — more
+// links than a message's 16-bit sub-channel id can name. Plan returns it
+// wrapped with the channel's name and the reason.
 var ErrBadChannel = errors.New("orch: bad channel")
 
 // check returns the first reason the channel cannot be wired, "" when it can.

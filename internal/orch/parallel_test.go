@@ -1,10 +1,12 @@
 package orch_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/orch"
 	"repro/internal/sim"
@@ -53,6 +55,7 @@ func TestParallelDigestMatchesSequential(t *testing.T) {
 	}{
 		{"direct", buildRandom},
 		{"trunked", buildTrunked},
+		{"bundled", buildBundled},
 	}
 	for _, procs := range gomaxprocsSweep() {
 		procs := procs
@@ -69,6 +72,7 @@ func TestParallelDigestMatchesSequential(t *testing.T) {
 					placements := []decomp.Placement{
 						decomp.PerComponent(nComps),
 						decomp.SingleGroup(nComps),
+						blocked(nComps),
 					}
 					prng := sim.NewRand(seed * 104729)
 					for k := 0; k < 2; k++ {
@@ -182,5 +186,125 @@ func TestHostModelParams(t *testing.T) {
 	}
 	if p.Duration != sim.Millisecond {
 		t.Errorf("Duration = %v", p.Duration)
+	}
+}
+
+// sparse is a component with many ports that sends one message on each of a
+// chosen few, once, and logs which of its sinks received which sender port;
+// port i of one end is link i, so sink i receiving another port is misrouted.
+type sparse struct {
+	name      string
+	env       core.Env
+	ports     []core.Port
+	send      []int
+	trace     []string
+	misrouted int
+}
+
+func (c *sparse) Name() string        { return c.name }
+func (c *sparse) Attach(env core.Env) { c.env = env }
+func (c *sparse) Start(sim.Time) {
+	c.env.After(sim.Microsecond, func() {
+		for _, i := range c.send {
+			c.ports[i].Send(chatMsg{from: c.name, port: i})
+		}
+	})
+}
+
+func (c *sparse) sink(i int) core.Sink {
+	return core.SinkFunc(func(at sim.Time, m core.Message) {
+		msg := m.(chatMsg)
+		c.trace = append(c.trace, fmt.Sprintf("%s[%d]<-%s.%d@%v", c.name, i, msg.from, msg.port, at))
+		if msg.port != i {
+			c.misrouted++
+		}
+	})
+}
+
+// TestParallelBundleOverflow: a message names its sub-channel in 16 bits, so
+// when the channels crossing one cut at one latency carry 65,537 links the
+// last one opens a second bundle instead of wrapping to sub 0. A short placed
+// run matches sequential, and every message reaches the sink of its own link.
+// A single channel whose links cannot fit one bundle fails Plan when cut.
+func TestParallelBundleOverflow(t *testing.T) {
+	const half = 1 << 15 // two trunks of half fill the first bundle exactly
+	const lat = sim.Microsecond
+	build := func() (*orch.Simulation, [2]*sparse) {
+		s := orch.New()
+		var c [2]*sparse
+		for x := range c {
+			c[x] = &sparse{name: fmt.Sprintf("s%d", x), send: []int{0, half - 1, half, 2*half - 1, 2 * half}}
+			c[x].ports = make([]core.Port, 2*half+1)
+			s.Add(c[x])
+		}
+		pair := func(i int) orch.TrunkPair {
+			return orch.TrunkPair{
+				BindA: func(p core.Port) { c[0].ports[i] = p }, SinkA: c[0].sink(i),
+				BindB: func(p core.Port) { c[1].ports[i] = p }, SinkB: c[1].sink(i),
+			}
+		}
+		for k := 0; k < 2; k++ {
+			pairs := make([]orch.TrunkPair, half)
+			for j := range pairs {
+				pairs[j] = pair(k*half + j)
+			}
+			s.ConnectTrunk(fmt.Sprintf("t%d", k), lat, c[0], c[1], pairs)
+		}
+		p := pair(2 * half)
+		s.Connect("last", lat, orch.Side{Comp: c[0], Bind: p.BindA, Sink: p.SinkA},
+			orch.Side{Comp: c[1], Bind: p.BindB, Sink: p.SinkB})
+		return s, c
+	}
+	const end = 10 * sim.Microsecond
+	ref, refC := build()
+	ref.RunSequential(end)
+	_, refLinks := ref.ModelGraph(end)
+
+	s, c := build()
+	pl, err := s.Plan(decomp.PerComponent(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := []int{pl.Channels[0].Bundle, pl.Channels[1].Bundle, pl.Channels[2].Bundle}; b[0] != b[1] || b[2] == b[0] {
+		t.Fatalf("bundles %v: want t0 and t1 sharing one, last on a second", b)
+	}
+	if _, err := pl.Execute(end, orch.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Group.Runners[0].Endpoints()); n != 2 {
+		t.Errorf("runner has %d endpoints, want 2", n)
+	}
+	_, links := s.ModelGraph(end)
+	for x := range c {
+		if len(c[x].trace) != len(c[x].send) {
+			t.Fatalf("%s received %d messages, want %d", c[x].name, len(c[x].trace), len(c[x].send))
+		}
+		if !equalSlices(c[x].trace, refC[x].trace) {
+			t.Fatalf("%s trace %v, sequential %v", c[x].name, c[x].trace, refC[x].trace)
+		}
+		if c[x].misrouted != 0 {
+			t.Errorf("%s: %d messages reached another link's sink: %v", c[x].name, c[x].misrouted, c[x].trace)
+		}
+	}
+	for i := range links {
+		if links[i].Msgs != refLinks[i].Msgs {
+			t.Errorf("link %d: %d msgs, sequential %d", i, links[i].Msgs, refLinks[i].Msgs)
+		}
+	}
+
+	big := orch.New()
+	a, b := &sparse{name: "a"}, &sparse{name: "b"}
+	big.Add(a)
+	big.Add(b)
+	pairs := make([]orch.TrunkPair, 2*half+1)
+	for i := range pairs {
+		pairs[i] = orch.TrunkPair{BindA: func(core.Port) {}, SinkA: a.sink(i), BindB: func(core.Port) {}, SinkB: b.sink(i)}
+	}
+	big.ConnectTrunk("huge", lat, a, b, pairs)
+	if _, err := big.Plan(decomp.SingleGroup(2)); err != nil {
+		t.Errorf("co-located trunk of %d links: %v", len(pairs), err)
+	}
+	if _, err := big.Plan(decomp.PerComponent(2)); !errors.Is(err, orch.ErrBadChannel) {
+		t.Errorf("cut trunk of %d links: Plan = %v, want ErrBadChannel", len(pairs), err)
 	}
 }

@@ -48,6 +48,89 @@ func buildTrunked(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 	return s, comps
 }
 
+// wireBundled connects comps in a ring at one latency plus one random chord
+// each at one of two, one channel in three a two-link trunk, so a two-group
+// placement cuts several channels at one latency — a blocked one at least
+// two ring edges — and the plan bundles them onto one synchronized endpoint
+// pair. port(i) adds a port to component i and returns how to bind it and
+// its sink.
+func wireBundled(s *orch.Simulation, rng *sim.Rand, comps []core.Component,
+	port func(i int) (func(core.Port), core.Sink)) {
+	n := len(comps)
+	pair := func(a, b int) orch.TrunkPair {
+		ba, sa := port(a)
+		bb, sb := port(b)
+		return orch.TrunkPair{BindA: ba, SinkA: sa, BindB: bb, SinkB: sb}
+	}
+	connect := func(k, a, b int, lat sim.Time) {
+		name := fmt.Sprintf("b%d.%d-%d", k, a, b)
+		if rng.Intn(3) == 0 {
+			s.ConnectTrunk(name, lat, comps[a], comps[b], []orch.TrunkPair{pair(a, b), pair(a, b)})
+			return
+		}
+		p := pair(a, b)
+		s.Connect(name, lat, orch.Side{Comp: comps[a], Bind: p.BindA, Sink: p.SinkA},
+			orch.Side{Comp: comps[b], Bind: p.BindB, Sink: p.SinkB})
+	}
+	for i := 0; i < n; i++ {
+		connect(2*i, i, (i+1)%n, 3*sim.Microsecond)
+		if j := rng.Intn(n); j != i {
+			connect(2*i+1, j, i, sim.Time(3+4*rng.Intn(2))*sim.Microsecond)
+		}
+	}
+}
+
+// buildBundled creates a chatter graph wired by wireBundled.
+func buildBundled(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
+	rng := sim.NewRand(seed)
+	s := orch.New()
+	comps := make([]*chatter, nComps)
+	cs := make([]core.Component, nComps)
+	for i := range comps {
+		comps[i] = &chatter{
+			name:   fmt.Sprintf("b%d", i),
+			period: sim.Time(50+rng.Intn(100)) * sim.Microsecond,
+			rng:    sim.NewRand(seed ^ uint64(i)*0x7f4a),
+		}
+		s.Add(comps[i])
+		cs[i] = comps[i]
+	}
+	wireBundled(s, rng, cs, func(i int) (func(core.Port), core.Sink) {
+		c, p := comps[i], len(comps[i].ports)
+		c.ports = append(c.ports, nil)
+		return func(port core.Port) { c.ports[p] = port }, c.sink(p)
+	})
+	return s, comps
+}
+
+// blocked places n components on two groups: the first half and the rest.
+func blocked(n int) decomp.Placement {
+	g := make([]int, n)
+	for i := n / 2; i < n; i++ {
+		g[i] = 1
+	}
+	return decomp.Placement{Name: "blocked2", Groups: g}
+}
+
+// maxBundleShare plans p on s and returns the most channels any one sync
+// bundle carries.
+func maxBundleShare(tb testing.TB, s *orch.Simulation, p decomp.Placement) int {
+	tb.Helper()
+	pl, err := s.Plan(p)
+	if err != nil {
+		tb.Fatalf("Plan(%v): %v", p.Groups, err)
+	}
+	per := map[int]int{}
+	most := 0
+	for _, ch := range pl.Channels {
+		if ch.Bundle >= 0 {
+			per[ch.Bundle]++
+			most = max(most, per[ch.Bundle])
+		}
+	}
+	return most
+}
+
 type buildFn func(seed uint64, nComps int) (*orch.Simulation, []*chatter)
 
 // execute plans p on s, executes the plan under o, and returns the result
@@ -107,6 +190,7 @@ func TestPlacementDeterminism(t *testing.T) {
 	}{
 		{"direct", buildRandom},
 		{"trunked", buildTrunked},
+		{"bundled", buildBundled},
 	}
 	for _, bld := range builders {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -121,6 +205,7 @@ func TestPlacementDeterminism(t *testing.T) {
 				placements := []decomp.Placement{
 					decomp.PerComponent(nComps),
 					decomp.SingleGroup(nComps),
+					blocked(nComps),
 				}
 				prng := sim.NewRand(seed * 7919)
 				for k := 0; k < 4; k++ {
@@ -179,24 +264,31 @@ func TestAutoPlacementMatchesSequential(t *testing.T) {
 
 // TestModelGraphAfterCoupled pins the satellite fix: a coupled run must
 // yield the same per-link message counts as a sequential run, not silent
-// zeros from nil sequential ports.
+// zeros from nil sequential ports. The blocked row cuts several channels at
+// one latency, so they share one endpoint pair: each must still count only
+// its own sub-channels.
 func TestModelGraphAfterCoupled(t *testing.T) {
 	const end = 2 * sim.Millisecond
-	for _, bld := range []struct {
+	for _, row := range []struct {
 		name  string
 		build buildFn
+		place func(n int) decomp.Placement
 	}{
-		{"direct", buildRandom},
-		{"trunked", buildTrunked},
+		{"direct", buildRandom, decomp.PerComponent},
+		{"trunked", buildTrunked, decomp.PerComponent},
+		{"blocked", buildBundled, blocked},
 	} {
-		bld := bld
-		t.Run(bld.name, func(t *testing.T) {
-			s1, _ := bld.build(5, 4)
+		t.Run(row.name, func(t *testing.T) {
+			s1, _ := row.build(5, 4)
 			s1.RunSequential(end)
 			_, seqLinks := s1.ModelGraph(end)
 
-			s2, _ := bld.build(5, 4)
-			if err := s2.RunCoupled(end); err != nil {
+			s2, _ := row.build(5, 4)
+			p := row.place(4)
+			if row.name == "blocked" && maxBundleShare(t, s2, p) < 2 {
+				t.Fatal("no two channels share a sync bundle: the row tests nothing")
+			}
+			if err := s2.RunParallel(end, p); err != nil {
 				t.Fatal(err)
 			}
 			_, cplLinks := s2.ModelGraph(end)
@@ -243,6 +335,40 @@ func TestPlanDescribes(t *testing.T) {
 	}
 	out := pl.String()
 	for _, want := range []string{"plan \"half\"", "4 components", "2 groups", "channel", "runner"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("plan rendering missing %q:\n%s", want, out)
+		}
+	}
+
+	// Cut channels share a sync bundle exactly when they join the same two
+	// groups at the same latency; a co-located channel rides none.
+	bs := orch.New()
+	var cs [3]*chatter
+	for i := range cs {
+		cs[i] = &chatter{name: fmt.Sprintf("p%d", i), period: sim.Millisecond, rng: sim.NewRand(uint64(i))}
+		bs.Add(cs[i])
+	}
+	side := func(c *chatter) orch.Side { return orch.Side{Comp: c, Bind: func(core.Port) {}, Sink: c.sink(0)} }
+	bs.Connect("x", sim.Microsecond, side(cs[0]), side(cs[1]))
+	bs.Connect("y", sim.Microsecond, side(cs[1]), side(cs[0]))
+	bs.Connect("z", 2*sim.Microsecond, side(cs[0]), side(cs[1]))
+	bs.Connect("w", sim.Microsecond, side(cs[0]), side(cs[2]))
+	bpl, err := bs.Plan(decomp.Placement{Name: "cut", Groups: []int{0, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, z, w := bpl.Channels[0], bpl.Channels[1], bpl.Channels[2], bpl.Channels[3]
+	if x.Bundle < 0 || x.Bundle != y.Bundle {
+		t.Errorf("equal-latency cut channels x, y ride bundles %d, %d; want one shared", x.Bundle, y.Bundle)
+	}
+	if z.Bundle < 0 || z.Bundle == x.Bundle {
+		t.Errorf("cut channel z at another latency rides bundle %d, x rides %d; want its own", z.Bundle, x.Bundle)
+	}
+	if w.Bundle != -1 {
+		t.Errorf("co-located channel w rides bundle %d, want -1", w.Bundle)
+	}
+	out = bpl.String()
+	for _, want := range []string{"3 coupled on 2 sync bundles, 1 co-located", "bundle"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("plan rendering missing %q:\n%s", want, out)
 		}

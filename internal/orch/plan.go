@@ -56,7 +56,19 @@ type PlanChannel struct {
 	Links   int // logical links carried (>1 only for trunks)
 	Sources []int32
 	Intra   bool
+	// Bundle is the index of the synchronized endpoint pair the channel
+	// rides, -1 for an intra-group channel. Every in-process channel between
+	// one pair of groups at one latency shares a bundle — the trunk adapter
+	// applied at plan time, so the cut pays one sync per window however many
+	// channels cross it — and each remote channel has its own.
+	Bundle int
+
+	sub0 uint16 // sub-channel id of the channel's first link on its bundle
 }
+
+// maxBundleLinks is how many logical links one bundle carries: a message
+// names its sub-channel in 16 bits.
+const maxBundleLinks = 1 << 16
 
 // ExecutionPlan is the single wiring blueprint every execution consumes:
 // the component set with ordering sources, every channel with its latency,
@@ -70,6 +82,7 @@ type ExecutionPlan struct {
 	GroupNames []string
 	Channels   []PlanChannel
 
+	bundles    int // synchronized endpoint pairs (Bundle ids 0..bundles-1)
 	s          *Simulation
 	groupComps [][]int // component indices per group, in registration order
 	grpOf      map[core.Component]int
@@ -77,10 +90,18 @@ type ExecutionPlan struct {
 
 // Plan resolves a placement against the simulation: the placement is
 // normalized (dense group ids by first appearance), every channel is
-// classified intra- or cross-group, and runner groups receive their labels.
-// Remote connections always synchronize — their peer lives in another
-// process — so their group is recorded as -1 on the far side. A channel that
-// cannot be wired fails the plan with a wrapped ErrBadChannel.
+// classified intra- or cross-group, cross-group channels are bundled, and
+// runner groups receive their labels. Remote connections always synchronize
+// — their peer lives in another process — so their group is recorded as -1
+// on the far side. A channel that cannot be wired fails the plan with a
+// wrapped ErrBadChannel.
+//
+// Bundling is keyed by (lower group, higher group, latency): keying on the
+// exact latency keeps every link's lookahead and delivery time what its own
+// channel would give it, and each link keeps its ordering source, so a
+// bundled run is event-for-event the unbundled one. Links take the bundle's
+// sub-channel ids densely in registration order; a channel whose links would
+// pass maxBundleLinks opens a second bundle for the same key.
 func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 	norm, err := p.Normalized(len(s.comps))
 	if err != nil {
@@ -103,6 +124,12 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 		pl.grpOf[c] = g
 		pl.groupComps[g] = append(pl.groupComps[g], i)
 	}
+	type bundleKey struct {
+		lo, hi int
+		lat    sim.Time
+	}
+	var open map[bundleKey]int // key → the bundle still taking links
+	var fill []int             // links per bundle
 	seen := make(map[string]bool, len(s.chans))
 	for _, c := range s.chans {
 		reason := c.check()
@@ -122,12 +149,36 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 				}
 			}
 		}
-		pl.Channels = append(pl.Channels, PlanChannel{
+		pc := PlanChannel{
 			Name: c.name, Kind: c.kind, Latency: c.latency,
 			GroupA: g[0], GroupB: g[1], Links: len(c.links),
-			Sources: srcs, Intra: g[0] == g[1],
-		})
+			Sources: srcs, Intra: g[0] == g[1], Bundle: -1,
+		}
+		switch {
+		case pc.Intra:
+		case c.comp[1] == nil:
+			pc.Bundle = len(fill)
+			fill = append(fill, len(c.links))
+		case len(c.links) > maxBundleLinks:
+			return nil, fmt.Errorf("%w %q: %d links cross groups %d-%d, one synchronized channel carries at most %d",
+				ErrBadChannel, c.name, len(c.links), g[0], g[1], maxBundleLinks)
+		default:
+			k := bundleKey{min(g[0], g[1]), max(g[0], g[1]), c.latency}
+			b, ok := open[k]
+			if !ok || fill[b]+len(c.links) > maxBundleLinks {
+				if open == nil {
+					open = make(map[bundleKey]int)
+				}
+				b = len(fill)
+				fill = append(fill, 0)
+				open[k] = b
+			}
+			pc.Bundle, pc.sub0 = b, uint16(fill[b])
+			fill[b] += len(c.links)
+		}
+		pl.Channels = append(pl.Channels, pc)
 	}
+	pl.bundles = len(fill)
 	return pl, nil
 }
 
@@ -140,37 +191,53 @@ func (pl *ExecutionPlan) NumGroups() int { return len(pl.GroupNames) }
 // A channel whose ends share a group becomes direct ports on the group's
 // scheduler, one pair per link — delivery time (send + latency) and ordering
 // source are chosen exactly as the coupled path chooses them, so any
-// placement is event-for-event identical to any other. Any other channel is
-// one synchronized link.Channel between the two runners, each link a
-// sub-channel of it; only the local end of a remote channel is attached. The
-// wiring not chosen is cleared so post-run accounting reads the live one.
+// placement is event-for-event identical to any other. Any other channel
+// rides its plan bundle: one synchronized link.Channel between the two
+// runners, built when its first channel is wired, whose side A belongs to
+// the lower-numbered group; each link is the sub-channel the plan gave it.
+// Only the local end of a remote channel is attached. The wiring not chosen
+// is cleared so post-run accounting reads the live one.
 func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
-	for _, c := range pl.s.chans {
-		g := c.groups(pl)
+	bundles := make([][2]*link.Endpoint, pl.bundles)
+	for ci, c := range pl.s.chans {
+		pc := &pl.Channels[ci]
 		c.ports = c.ports[:0]
-		if g[0] == g[1] {
+		if pc.Intra {
 			c.ep = [2]*link.Endpoint{}
 			for _, l := range c.links {
 				for x := range c.comp {
-					p := link.NewDirectPort(scheds[g[0]], c.latency, l.src[1-x], l.sink[1-x])
+					p := link.NewDirectPort(scheds[pc.GroupA], c.latency, l.src[1-x], l.sink[1-x])
 					c.ports = append(c.ports, p)
 					l.bind[x](p)
 				}
 			}
 			continue
 		}
-		if c.comp[1] != nil {
-			ch := link.NewChannel(c.name, c.latency)
-			c.ep = [2]*link.Endpoint{ch.SideA(), ch.SideB()}
+		if c.comp[1] == nil {
+			runners[pc.GroupA].Attach(c.ep[0])
+		} else {
+			lo, hi := min(pc.GroupA, pc.GroupB), max(pc.GroupA, pc.GroupB)
+			b := &bundles[pc.Bundle]
+			if b[0] == nil {
+				ch := link.NewChannel(c.name, c.latency)
+				*b = [2]*link.Endpoint{ch.SideA(), ch.SideB()}
+				runners[lo].Attach(b[0])
+				runners[hi].Attach(b[1])
+			}
+			c.ep = *b
+			if pc.GroupA == hi {
+				c.ep[0], c.ep[1] = c.ep[1], c.ep[0]
+			}
 		}
-		for x, comp := range c.comp {
-			if comp == nil {
+		c.sub0 = pc.sub0
+		for x, ep := range c.ep {
+			if ep == nil {
 				continue
 			}
-			runners[g[x]].Attach(c.ep[x])
 			for i, l := range c.links {
-				c.ep[x].SetSink(uint16(i), l.src[x], l.sink[x])
-				l.bind[x](c.ep[x].SubPort(uint16(i)))
+				sub := c.sub0 + uint16(i)
+				ep.SetSink(sub, l.src[x], l.sink[x])
+				l.bind[x](ep.SubPort(sub))
 			}
 		}
 	}
@@ -200,19 +267,17 @@ func (pl *ExecutionPlan) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.
 }
 
 // String renders the plan for `splitsim plan`: a header line, the group
-// table, and the channel table.
+// table, and the channel table with each coupled channel's sync bundle.
 func (pl *ExecutionPlan) String() string {
 	var b strings.Builder
-	coupled, coloc := 0, 0
+	coloc := 0
 	for _, ch := range pl.Channels {
 		if ch.Intra {
 			coloc++
-		} else {
-			coupled++
 		}
 	}
-	fmt.Fprintf(&b, "plan %q: %d components, %d groups, %d channels (%d coupled, %d co-located)\n",
-		pl.Placement.Name, len(pl.Comps), pl.NumGroups(), len(pl.Channels), coupled, coloc)
+	fmt.Fprintf(&b, "plan %q: %d components, %d groups, %d channels (%d coupled on %d sync bundles, %d co-located)\n",
+		pl.Placement.Name, len(pl.Comps), pl.NumGroups(), len(pl.Channels), len(pl.Channels)-coloc, pl.bundles, coloc)
 
 	gt := stats.NewTable("group", "runner", "components")
 	for gi, name := range pl.GroupNames {
@@ -225,22 +290,22 @@ func (pl *ExecutionPlan) String() string {
 	b.WriteString(gt.String())
 	b.WriteByte('\n')
 
-	ct := stats.NewTable("channel", "kind", "links", "latency", "groups", "mode")
+	ct := stats.NewTable("channel", "kind", "links", "latency", "groups", "mode", "bundle")
 	for _, ch := range pl.Channels {
 		groups := fmt.Sprintf("%d-%d", ch.GroupA, ch.GroupB)
-		mode := "coupled"
+		mode, bundle := "coupled", fmt.Sprint(ch.Bundle)
 		if ch.Intra {
-			mode = "direct"
+			mode, bundle = "direct", "-"
 		}
 		if ch.GroupB < 0 {
 			groups = fmt.Sprintf("%d-remote", ch.GroupA)
 		}
-		ct.Row(ch.Name, ch.Kind, ch.Links, ch.Latency, groups, mode)
+		ct.Row(ch.Name, ch.Kind, ch.Links, ch.Latency, groups, mode, bundle)
 	}
 	b.WriteString(ct.String())
 	if cost := link.MeasuredSyncCost(); cost > 0 {
-		fmt.Fprintf(&b, "measured sync cost on this host: %.0f ns/sync (%d coupled channels pay it per quantum)\n",
-			cost, coupled)
+		fmt.Fprintf(&b, "measured sync cost on this host: %.0f ns/sync (%d sync bundles pay it per quantum)\n",
+			cost, pl.bundles)
 	}
 	return b.String()
 }
