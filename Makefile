@@ -8,15 +8,19 @@
 # build and tests do not reach; `make bench` runs every Go benchmark once
 # as a smoke test (performance is recorded only by BENCHMARK.json's
 # bench/e2e workloads); `make loc` prints the per-package code-line table
-# simplicity PRs report before and after.
+# simplicity PRs report before and after; `make fmt` fails on any file
+# gofmt would rewrite.
 
 GO ?= go
 
-.PHONY: check build vet test race chaos exec scale e2e bench loc all
+.PHONY: check fmt build vet test race chaos exec scale e2e bench loc all
 
 all: check race
 
-check: vet build test chaos exec scale e2e
+check: fmt vet build test chaos exec scale e2e
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

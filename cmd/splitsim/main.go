@@ -12,7 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,126 +21,50 @@ import (
 	"repro/internal/sim"
 )
 
-type runner func(opts experiments.Options) (string, error)
-
-func catalog() map[string]runner {
-	return map[string]runner{
-		"table1": func(experiments.Options) (string, error) {
-			return experiments.Table1(), nil
-		},
-		"fig4": func(o experiments.Options) (string, error) {
-			return experiments.Fig4(o).String(), nil
-		},
-		"fig5": func(o experiments.Options) (string, error) {
-			return experiments.Fig5(o).String(), nil
-		},
-		"fig6": func(o experiments.Options) (string, error) {
-			return experiments.Fig6(o).String(), nil
-		},
-		"clocksync": func(o experiments.Options) (string, error) {
-			return experiments.ClockSync(o).String(), nil
-		},
-		"fig7": func(o experiments.Options) (string, error) {
-			return experiments.Fig7(o).String(), nil
-		},
-		"fig8": func(o experiments.Options) (string, error) {
-			return experiments.Fig8(o).String(), nil
-		},
-		"fig9": func(o experiments.Options) (string, error) {
-			return experiments.Fig9(o).String(), nil
-		},
-		"fig10": func(o experiments.Options) (string, error) {
-			return experiments.Fig10(o).String(), nil
-		},
-		"placement": func(o experiments.Options) (string, error) {
-			r, err := experiments.PlacementStudy(o)
-			if err != nil {
-				return "", err
-			}
-			return r.String(), nil
-		},
-		"scale": func(o experiments.Options) (string, error) {
-			return experiments.Scale(o).String(), nil
-		},
-		"flowsim": func(o experiments.Options) (string, error) {
-			r, err := experiments.Flowsim(o)
-			if err != nil {
-				return "", err
-			}
-			return r.String(), nil
-		},
-		"scaleout": func(o experiments.Options) (string, error) {
-			r, err := experiments.ScaleOut(o)
-			if err != nil {
-				return "", err
-			}
-			return r.String(), nil
-		},
-		"warmstart": func(o experiments.Options) (string, error) {
-			r, err := experiments.WarmStart(o)
-			if err != nil {
-				return "", err
-			}
-			return r.String(), nil
-		},
-		"configeffort": func(experiments.Options) (string, error) {
-			r, err := experiments.ConfigEffort(".")
-			if err != nil {
-				return "", err
-			}
-			return r.String(), nil
-		},
-		"ablations": func(o experiments.Options) (string, error) {
-			return experiments.TrunkAblation(o).String() + "\n" +
-				experiments.SyncQuantumAblation(o).String(), nil
-		},
-		"profoverhead": func(o experiments.Options) (string, error) {
-			return experiments.ProfilerOverhead(o).String(), nil
-		},
-	}
-}
-
+// names lists the experiment table's names, in table (sorted) order.
 func names() []string {
 	var out []string
-	for name := range catalog() {
-		out = append(out, name)
+	for _, e := range experiments.Experiments() {
+		out = append(out, e.Name)
 	}
-	sort.Strings(out)
 	return out
 }
 
-// placementsFor maps each experiment to the -placement values it accepts.
-// Experiments absent from the map reject the flag.
-func placementsFor() map[string][]string {
-	return map[string][]string{
-		"placement": experiments.PlacementNames(),
-		"fig7":      {"s", "percomp", "auto"},
-		"fig8":      {"s", "percomp", "auto"},
-	}
-}
-
-// plannable lists the experiments `splitsim plan` can render.
-func plannable() []string { return []string{"fig7", "fig8", "placement"} }
-
-// checkPlacement validates a -placement value against an experiment.
-func checkPlacement(exp, placement string) error {
-	if placement == "" {
+// checkOpts validates the run/plan flags against experiment exp: -bg names a
+// tier, -scale is positive, -hosts is not negative, and -placement is one
+// the experiment's table row accepts.
+func checkOpts(exp string, o experiments.Options) error {
+	switch {
+	case o.Bg != "" && o.Bg != "flow":
+		return fmt.Errorf("-bg accepts \"flow\", not %q", o.Bg)
+	case !(o.Scale > 0):
+		return fmt.Errorf("-scale must be positive, not %v", o.Scale)
+	case o.Hosts < 0:
+		return fmt.Errorf("-hosts must be 0 (scale-derived) or positive, not %d", o.Hosts)
+	case o.Placement == "":
 		return nil
 	}
-	allowed, ok := placementsFor()[exp]
-	if !ok {
+	e, _ := experiments.Lookup(exp)
+	if e.Placements == nil {
 		return fmt.Errorf("experiment %q does not take -placement", exp)
 	}
-	for _, a := range allowed {
-		if a == placement {
-			return nil
-		}
+	if !slices.Contains(e.Placements, o.Placement) {
+		return fmt.Errorf("experiment %q accepts -placement %s, not %q",
+			exp, strings.Join(e.Placements, "|"), o.Placement)
 	}
-	return fmt.Errorf("experiment %q accepts -placement %s, not %q",
-		exp, strings.Join(allowed, "|"), placement)
+	return nil
 }
 
 func usage() {
+	var places, plannable []string
+	for _, e := range experiments.Experiments() {
+		if e.Placements != nil {
+			places = append(places, e.Name+": "+strings.Join(e.Placements, "|"))
+		}
+		if e.Plannable() {
+			plannable = append(plannable, e.Name)
+		}
+	}
 	fmt.Fprintf(os.Stderr, `usage:
   splitsim list                      list available experiments
   splitsim run <name|all> [flags]    run an experiment
@@ -149,7 +73,7 @@ func usage() {
 flags for run and plan:
   -scale f       duration/topology scale (default 1.0 = paper scale)
   -seed n        random seed (default 42)
-  -placement p   execution placement (placement: %s; fig7/fig8: s|percomp|auto)
+  -placement p   execution placement (%s)
   -optimistic[=K]  speculate K lookahead windows past the committed horizon (placed runs; bare flag = default depth)
   -checkpoint-at us     warmup horizon in microseconds for checkpointing experiments (warmstart)
   -checkpoint-file f    write the captured checkpoint to f
@@ -159,7 +83,7 @@ flags for run and plan:
 
 experiments: %v
 plannable: %v
-`, strings.Join(experiments.PlacementNames(), "|"), names(), plannable())
+`, strings.Join(places, "; "), names(), plannable)
 	os.Exit(2)
 }
 
@@ -177,9 +101,6 @@ func parseOpts(cmd string, args []string) experiments.Options {
 	hosts := fs.Int("hosts", 0, "target endpoint count for the scale experiments (0 = scale-derived)")
 	bg := fs.String("bg", "", "background-traffic tier for scale experiments: flow")
 	_ = fs.Parse(args)
-	if *bg != "" && *bg != "flow" {
-		fail("-bg accepts \"flow\", not %q", *bg)
-	}
 	var exec orch.RunOptions
 	if optimistic > 0 {
 		exec = orch.RunOptions{Mode: orch.Optimistic, K: int(optimistic)}
@@ -226,57 +147,48 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
-	switch os.Args[1] {
-	case "list":
+	cmd := os.Args[1]
+	switch {
+	case cmd == "list":
 		for _, n := range names() {
 			fmt.Println(n)
 		}
-	case "run":
-		if len(os.Args) < 3 {
-			usage()
-		}
-		name := os.Args[2]
-		opts := parseOpts("run", os.Args[3:])
-		cat := catalog()
-		run := func(n string) {
-			r, ok := cat[n]
-			if !ok {
-				fail("unknown experiment %q; try: %v", n, names())
-			}
-			if err := checkPlacement(n, opts.Placement); err != nil {
-				fail("%v", err)
-			}
-			out, err := r(opts)
-			if err != nil {
-				fail("%s: %v", n, err)
-			}
-			fmt.Println(out)
-		}
-		if name == "all" {
-			if opts.Placement != "" {
-				fail("-placement applies to a single experiment, not all")
-			}
-			for _, n := range names() {
-				run(n)
-			}
-			return
-		}
-		run(name)
-	case "plan":
-		if len(os.Args) < 3 {
-			usage()
-		}
-		name := os.Args[2]
-		opts := parseOpts("plan", os.Args[3:])
-		if err := checkPlacement(name, opts.Placement); err != nil {
-			fail("%v", err)
-		}
+		return
+	case (cmd != "run" && cmd != "plan") || len(os.Args) < 3:
+		usage()
+	}
+	name, opts := os.Args[2], parseOpts(cmd, os.Args[3:])
+	if err := checkOpts(name, opts); err != nil {
+		fail("%v", err)
+	}
+	if cmd == "plan" {
 		out, err := experiments.PlanFor(name, opts)
 		if err != nil {
 			fail("%v", err)
 		}
 		fmt.Println(out)
-	default:
-		usage()
+		return
+	}
+	exps := experiments.Experiments()
+	if name != "all" {
+		e, ok := experiments.Lookup(name)
+		if !ok {
+			fail("unknown experiment %q; try: %v", name, names())
+		}
+		exps = []experiments.Experiment{e}
+	}
+	// One failing experiment does not stop the rest of `run all`.
+	failed := false
+	for _, e := range exps {
+		out, err := e.Run(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
+			failed = true
+			continue
+		}
+		fmt.Println(out)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

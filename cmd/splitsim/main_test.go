@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,18 +9,23 @@ import (
 )
 
 func TestCatalogCoversEveryFigure(t *testing.T) {
-	cat := catalog()
 	for _, want := range []string{
 		"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"clocksync", "configeffort", "placement", "scale", "scaleout",
 		"ablations", "profoverhead",
 	} {
-		if _, ok := cat[want]; !ok {
-			t.Errorf("catalog missing %q", want)
+		if _, ok := experiments.Lookup(want); !ok {
+			t.Errorf("experiment table missing %q", want)
 		}
 	}
-	if len(names()) != len(cat) {
+	exps := experiments.Experiments()
+	if len(names()) != len(exps) {
 		t.Error("names() incomplete")
+	}
+	for _, e := range exps {
+		if e.Run == nil {
+			t.Errorf("%s: no runner", e.Name)
+		}
 	}
 }
 
@@ -36,7 +42,8 @@ func TestRunnersProduceOutput(t *testing.T) {
 	// Smoke-run the cheap entries through the same path the CLI uses.
 	opts := experiments.Options{Scale: 0.3, Seed: 1}
 	for _, name := range []string{"table1", "fig7"} {
-		out, err := catalog()[name](opts)
+		e, _ := experiments.Lookup(name)
+		out, err := e.Run(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -48,37 +55,52 @@ func TestRunnersProduceOutput(t *testing.T) {
 }
 
 func TestCheckPlacement(t *testing.T) {
+	ok := experiments.Options{Scale: 1}
+	with := func(f func(*experiments.Options)) experiments.Options {
+		o := ok
+		f(&o)
+		return o
+	}
+	placed := func(p string) experiments.Options {
+		return with(func(o *experiments.Options) { o.Placement = p })
+	}
 	cases := []struct {
-		exp, placement string
-		ok             bool
+		exp  string
+		opts experiments.Options
+		ok   bool
 	}{
-		{"placement", "", true},
-		{"placement", "ac", true},
-		{"placement", "auto", true},
-		{"placement", "percomp", false},
-		{"fig7", "percomp", true},
-		{"fig8", "s", true},
-		{"fig7", "cr2", false},
-		{"fig4", "s", false},
-		{"fig4", "", true},
+		{"placement", placed(""), true},
+		{"placement", placed("ac"), true},
+		{"placement", placed("auto"), true},
+		{"placement", placed("percomp"), false},
+		{"fig7", placed("percomp"), true},
+		{"fig8", placed("s"), true},
+		{"fig7", placed("cr2"), false},
+		{"fig4", placed("s"), false},
+		{"fig4", placed(""), true},
+		{"all", placed("s"), false},
+		{"all", placed(""), true},
+		{"scale", with(func(o *experiments.Options) { o.Bg = "flow" }), true},
+		{"scale", with(func(o *experiments.Options) { o.Bg = "packet" }), false},
+		{"fig4", with(func(o *experiments.Options) { o.Scale = 0.1 }), true},
+		{"fig4", with(func(o *experiments.Options) { o.Scale = 0 }), false},
+		{"fig4", with(func(o *experiments.Options) { o.Scale = -1 }), false},
+		{"scale", with(func(o *experiments.Options) { o.Hosts = 1_000_000 }), true},
+		{"scale", with(func(o *experiments.Options) { o.Hosts = -5 }), false},
 	}
 	for _, c := range cases {
-		err := checkPlacement(c.exp, c.placement)
+		err := checkOpts(c.exp, c.opts)
 		if (err == nil) != c.ok {
-			t.Errorf("checkPlacement(%q, %q) = %v, want ok=%v",
-				c.exp, c.placement, err, c.ok)
+			t.Errorf("checkOpts(%q, %+v) = %v, want ok=%v", c.exp, c.opts, err, c.ok)
 		}
 	}
-	// Every plannable and placement-taking experiment must exist in the catalog.
-	cat := catalog()
-	for exp := range placementsFor() {
-		if _, ok := cat[exp]; !ok {
-			t.Errorf("placementsFor lists unknown experiment %q", exp)
-		}
-	}
-	for _, exp := range plannable() {
-		if _, ok := cat[exp]; !ok {
-			t.Errorf("plannable lists unknown experiment %q", exp)
+	// Every experiment accepts exactly its table row's placements.
+	for _, e := range experiments.Experiments() {
+		for _, p := range append([]string{"s", "percomp", "auto", "ac", "cr2", "rs"}, e.Placements...) {
+			accepted := slices.Contains(e.Placements, p)
+			if err := checkOpts(e.Name, placed(p)); (err == nil) != accepted {
+				t.Errorf("checkOpts(%q, -placement %s) = %v, want ok=%v", e.Name, p, err, accepted)
+			}
 		}
 	}
 }
@@ -96,13 +118,24 @@ func TestParseOpts(t *testing.T) {
 
 func TestPlanSubcommandOutput(t *testing.T) {
 	// The plan subcommand goes through experiments.PlanFor; exercise the
-	// same path here so the CLI wiring is covered without spawning a process.
+	// same path here for every plannable row of the experiment table, so
+	// the CLI wiring is covered without spawning a process.
 	opts := experiments.Options{Scale: 0.3, Seed: 1, Placement: "s"}
-	out, err := experiments.PlanFor("placement", opts)
-	if err != nil {
-		t.Fatalf("PlanFor(placement): %v", err)
+	planned := 0
+	for _, e := range experiments.Experiments() {
+		if !e.Plannable() {
+			continue
+		}
+		planned++
+		out, err := experiments.PlanFor(e.Name, opts)
+		if err != nil {
+			t.Fatalf("PlanFor(%s): %v", e.Name, err)
+		}
+		if !strings.Contains(out, "1 groups") {
+			t.Fatalf("%s: co-located plan should have 1 group:\n%s", e.Name, out)
+		}
 	}
-	if !strings.Contains(out, "1 groups") {
-		t.Fatalf("co-located plan should have 1 group:\n%s", out)
+	if planned == 0 {
+		t.Fatal("no plannable experiment in the table")
 	}
 }

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/decomp"
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
-	"repro/internal/orch"
-	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -42,44 +41,24 @@ func (r *TrunkAblationResult) String() string {
 }
 
 // trunkAblationRun wires the same partitioned topology one way and runs it.
-func trunkAblationRun(trunk bool, opts Options) (*orch.Simulation, *netsim.Built, sim.Time) {
-	dur := opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)
-	topo, meta := netsim.FatTree(8, 10*sim.Gbps, 40*sim.Gbps, 1*sim.Microsecond)
-	assign := decomp.EvenFatTree(meta, len(topo.Switches), 8)
-	b := topo.Build("net", opts.Seed, assign, nil)
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, trunk)
-	hosts := b.Hosts
-	perm := sim.NewRand(opts.Seed ^ 0xab).Perm(len(hosts))
-	const pktSize = 8900
-	gap := sim.FromSeconds(pktSize * 8 / 2e9)
-	for i := 0; i < len(hosts)/2; i++ {
-		a, c := hosts[perm[2*i]], hosts[perm[2*i+1]]
-		a.SetApp(&bulkApp{dst: c.IP(), gap: gap, size: pktSize})
-		c.BindUDP(proto.PortBulk, func(proto.IP, uint16, []byte, int) {})
-	}
-	s.RunSequential(dur)
-	checkDrained(s)
-	return s, b, dur
+func trunkAblationRun(trunk bool, opts Options) (*modelRun, *netsim.Built) {
+	s, b := fatTree(8, 8, trunk, opts.Seed)
+	bulkTraffic(shuffledPairs(b.Hosts, opts.Seed^0xab), 8900, 2e9, false, nil)
+	return newScenario(s, opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)).run("", nil), b
 }
 
 // TrunkAblation measures the trunk adapter's saving.
 func TrunkAblation(opts Options) *TrunkAblationResult {
-	r := &TrunkAblationResult{Parts: 8}
-
-	st, bt, dur := trunkAblationRun(true, opts)
-	comps, links := st.ModelGraph(dur)
-	mt := decomp.Makespan(comps, links, decomp.DefaultParams(dur))
-	r.TrunkChannels = len(links)
-	r.TrunkSPerSimS = mt.ParNs / 1e9 / dur.Seconds()
-	r.BoundaryMsgsPerSimSec = float64(instantiate.BoundaryMsgs(bt)) / dur.Seconds()
-
-	sp, _, dur2 := trunkAblationRun(false, opts)
-	comps2, links2 := sp.ModelGraph(dur2)
-	mp := decomp.Makespan(comps2, links2, decomp.DefaultParams(dur2))
-	r.PerLinkChannels = len(links2)
-	r.PerLinkSPerSimS = mp.ParNs / 1e9 / dur2.Seconds()
-
+	trunked, b := trunkAblationRun(true, opts)
+	perLink, _ := trunkAblationRun(false, opts)
+	r := &TrunkAblationResult{
+		Parts:                 8,
+		TrunkChannels:         len(trunked.links),
+		PerLinkChannels:       len(perLink.links),
+		TrunkSPerSimS:         trunked.perSimS(trunked.model.ParNs),
+		PerLinkSPerSimS:       perLink.perSimS(perLink.model.ParNs),
+		BoundaryMsgsPerSimSec: float64(instantiate.BoundaryMsgs(b)) / trunked.dur.Seconds(),
+	}
 	r.SavingFrac = 1 - r.TrunkSPerSimS/r.PerLinkSPerSimS
 	return r
 }
@@ -113,19 +92,16 @@ func (r *SyncQuantumAblationResult) String() string {
 // SyncQuantumAblation reuses one partitioned run and re-evaluates the
 // performance model under scaled synchronization quanta.
 func SyncQuantumAblation(opts Options) *SyncQuantumAblationResult {
-	s, _, dur := trunkAblationRun(true, opts)
-	comps, links := s.ModelGraph(dur)
+	m, _ := trunkAblationRun(true, opts)
 	r := &SyncQuantumAblationResult{}
 	for _, f := range []float64{0.25, 0.5, 1, 2, 4} {
-		scaled := make([]decomp.Link, len(links))
-		copy(scaled, links)
+		scaled := slices.Clone(m.links)
 		for i := range scaled {
 			scaled[i].Quantum = sim.Time(float64(scaled[i].Quantum) * f)
 		}
-		m := decomp.Makespan(comps, scaled, decomp.DefaultParams(dur))
 		r.Points = append(r.Points, SyncQuantumPoint{
 			QuantumFactor: f,
-			SPerSimS:      m.ParNs / 1e9 / dur.Seconds(),
+			SPerSimS:      m.perSimS(decomp.Makespan(m.comps, scaled, m.mp).ParNs),
 		})
 	}
 	return r

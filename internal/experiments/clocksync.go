@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps/clocksync"
 	"repro/internal/apps/crdb"
 	"repro/internal/apps/kv"
-	"repro/internal/decomp"
 	"repro/internal/hostsim"
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
@@ -102,24 +101,6 @@ func clockSyncSpec(opts Options) netsim.ThreeTierSpec {
 	return spec
 }
 
-// bulkApp is the background workload: constant-rate virtual-payload UDP
-// toward a fixed partner (the randomized bulk-transfer pairs of §4.3).
-type bulkApp struct {
-	dst  proto.IP
-	gap  sim.Time
-	size int
-}
-
-func (b *bulkApp) Start(h *netsim.Host) {
-	// Desynchronize via a random phase.
-	h.After(sim.Time(h.Rand().Int63n(int64(b.gap))), func() { b.tick(h) })
-}
-
-func (b *bulkApp) tick(h *netsim.Host) {
-	h.SendUDP(b.dst, proto.PortBulk, proto.PortBulk, nil, b.size)
-	h.After(b.gap, func() { b.tick(h) })
-}
-
 // runClockSync executes one mode.
 func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
 	spec := clockSyncSpec(opts)
@@ -158,19 +139,9 @@ func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
 			bg = append(bg, h)
 		}
 	}
-	perm := sim.NewRand(opts.Seed ^ 0xb6).Perm(len(bg))
-	pairs := len(bg) / 2
-	pairRate := 0.3 * float64(spec.CoreRate) * float64(spec.Aggs) / float64(pairs)
-	if max := 0.3 * float64(spec.HostRate); pairRate > max {
-		pairRate = max
-	}
-	const pktSize = 8900 // jumbo frames
-	gap := sim.FromSeconds(pktSize * 8 / pairRate)
-	for i := 0; i < pairs; i++ {
-		a, c := bg[perm[2*i]], bg[perm[2*i+1]]
-		a.SetApp(&bulkApp{dst: c.IP(), gap: gap, size: pktSize})
-		c.BindUDP(proto.PortBulk, func(proto.IP, uint16, []byte, int) {})
-	}
+	pairs := shuffledPairs(bg, opts.Seed^0xb6)
+	pairRate := min(0.3*float64(spec.CoreRate)*float64(spec.Aggs)/float64(len(pairs)), 0.3*float64(spec.HostRate))
+	bulkTraffic(pairs, 8900, pairRate, false, nil) // jumbo frames
 
 	// Detailed hosts.
 	mkHost := func(slot int, name string, seed uint64, drift float64) *instantiate.DetailedHost {
@@ -260,9 +231,7 @@ func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
 		c.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { cli.Run(h) }))
 	}
 
-	s.RunSequential(dur)
-	checkDrained(s)
-
+	m := newScenario(s, dur).run("", nil)
 	row := ClockSyncRow{
 		Mode:            mode,
 		Bound:           leaderChrony.Bounds.Mean(),
@@ -284,10 +253,8 @@ func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
 	row.WriteTput = stats.Rate(int(writes), dur-warm)
 	row.WriteP50 = wl.Percentile(50)
 	row.ReadP50 = rl.Percentile(50)
-	comps, links := s.ModelGraph(dur)
-	model := decomp.Makespan(comps, links, decomp.DefaultParams(dur))
-	if model.SimSpeed > 0 {
-		row.ModeledRunSPerSimS = 1 / model.SimSpeed
+	if m.model.SimSpeed > 0 {
+		row.ModeledRunSPerSimS = 1 / m.model.SimSpeed
 	}
 	return row
 }

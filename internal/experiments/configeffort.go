@@ -51,12 +51,11 @@ func (r *ConfigEffortResult) String() string {
 
 // countLines counts non-blank, non-comment lines of a Go file.
 func countLines(path string) (int, error) {
-	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, path, nil, 0); err != nil {
-		return 0, err
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
+		return 0, err
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), path, raw, 0); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -71,8 +70,13 @@ func countLines(path string) (int, error) {
 }
 
 // ConfigEffort measures this repository's experiment-configuration sizes.
-// root is the repository root (tests pass ".." chains as needed).
-func ConfigEffort(root string) (*ConfigEffortResult, error) {
+// dir is the repository root or any directory below it: the files are
+// found relative to the nearest enclosing directory holding go.mod.
+func ConfigEffort(dir string) (*ConfigEffortResult, error) {
+	root, err := moduleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
 	entries := []struct {
 		artifact string
 		rel      string
@@ -82,6 +86,7 @@ func ConfigEffort(root string) (*ConfigEffortResult, error) {
 		{"in-network case study config", "internal/experiments/fig4.go", false},
 		{"DCTCP case study config", "internal/experiments/fig6.go", false},
 		{"partitioning study config", "internal/experiments/fig9.go", false},
+		{"shared scenario module", "internal/experiments/scenario.go", true},
 		{"shared topology module", "internal/netsim/builders.go", true},
 		{"shared instantiation module", "internal/instantiate/instantiate.go", true},
 	}
@@ -97,4 +102,20 @@ func ConfigEffort(root string) (*ConfigEffortResult, error) {
 		})
 	}
 	return r, nil
+}
+
+// moduleRoot walks up from dir to the nearest directory holding go.mod.
+func moduleRoot(dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for d := abs; ; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		if d == filepath.Dir(d) {
+			return "", fmt.Errorf("configeffort: no go.mod at or above %s", abs)
+		}
+	}
 }

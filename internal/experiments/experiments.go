@@ -55,6 +55,75 @@ type Options struct {
 	Bg string
 }
 
+// Experiment is one row of the experiment table: what `splitsim` lists,
+// validates, runs and plans.
+type Experiment struct {
+	Name string
+	// Run executes the experiment and renders its result.
+	Run func(Options) (string, error)
+	// Placements lists the -placement values Run accepts (nil: none).
+	Placements []string
+	// plan builds the system PlanFor renders (nil: no plan).
+	plan func(Options) *scenario
+}
+
+// Plannable reports whether PlanFor renders the experiment's plan.
+func (e Experiment) Plannable() bool { return e.plan != nil }
+
+// Experiments returns the experiment table, sorted by name.
+func Experiments() []Experiment {
+	return []Experiment{
+		{Name: "ablations", Run: func(o Options) (string, error) {
+			return TrunkAblation(o).String() + "\n" + SyncQuantumAblation(o).String(), nil
+		}},
+		{Name: "clocksync", Run: render(infallible(ClockSync))},
+		{Name: "configeffort", Run: render(func(Options) (*ConfigEffortResult, error) { return ConfigEffort(".") })},
+		{Name: "fig10", Run: render(infallible(Fig10))},
+		{Name: "fig4", Run: render(infallible(Fig4))},
+		{Name: "fig5", Run: render(infallible(Fig5))},
+		{Name: "fig6", Run: render(infallible(Fig6))},
+		{Name: "fig7", Run: render(infallible(Fig7)), Placements: modelPlacements,
+			plan: func(o Options) *scenario { sc, _ := fig7Build(8, o); return sc }},
+		{Name: "fig8", Run: render(infallible(Fig8)), Placements: modelPlacements,
+			plan: func(o Options) *scenario { sc, _ := fig8Build(16, o); return sc }},
+		{Name: "fig9", Run: render(infallible(Fig9))},
+		{Name: "flowsim", Run: render(Flowsim)},
+		{Name: "placement", Run: render(PlacementStudy), Placements: PlacementNames(),
+			plan: func(o Options) *scenario { sc, _ := buildPlacementStudy(o); return sc }},
+		{Name: "profoverhead", Run: render(infallible(ProfilerOverhead))},
+		{Name: "scale", Run: render(infallible(Scale))},
+		{Name: "scaleout", Run: render(ScaleOut)},
+		{Name: "table1", Run: func(Options) (string, error) { return Table1(), nil }},
+		{Name: "warmstart", Run: render(WarmStart)},
+	}
+}
+
+// Lookup returns the named row of the experiment table.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// render adapts a harness to Experiment.Run.
+func render[R fmt.Stringer](f func(Options) (R, error)) func(Options) (string, error) {
+	return func(o Options) (string, error) {
+		r, err := f(o)
+		if err != nil {
+			return "", err
+		}
+		return r.String(), nil
+	}
+}
+
+// infallible adapts a harness that cannot fail to render.
+func infallible[R any](f func(Options) R) func(Options) (R, error) {
+	return func(o Options) (R, error) { return f(o), nil }
+}
+
 // DefaultOptions returns paper-scale settings.
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 42} }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 
 func TestFig4OppositeTrends(t *testing.T) {
 	r := Fig4(Options{Scale: 0.4, Seed: 42})
+	checkGolden(t, "fig4", r.String())
 
 	// Protocol-level: NetCache ahead (paper: +33%).
 	nc, pg := r.Get(SystemNetCache, ConfigNS3), r.Get(SystemPegasus, ConfigNS3)
@@ -66,6 +69,7 @@ func TestFig4OppositeTrends(t *testing.T) {
 
 func TestFig5ClientFidelity(t *testing.T) {
 	r := Fig5(Options{Scale: 0.4, Seed: 42})
+	checkGolden(t, "fig5", r.String())
 	// Saturated: both clients measure the same distribution (within 10%).
 	sat := float64(r.Get(WorkloadSaturated, "qemu").P50) /
 		float64(r.Get(WorkloadSaturated, "ns3").P50)
@@ -90,6 +94,7 @@ func TestFig6MixedTracksE2E(t *testing.T) {
 		t.Skip("heavy: -short")
 	}
 	r := Fig6(Options{Scale: 0.3, Seed: 42})
+	checkGolden(t, "fig6", r.String())
 	for _, k := range r.Ks {
 		e2e, mx := r.Get(ConfigE2E, k).Flow0, r.Get(ConfigMixed, k).Flow0
 		if rel := mx / e2e; rel < 0.85 || rel > 1.15 {
@@ -119,6 +124,7 @@ func TestClockSyncCaseStudy(t *testing.T) {
 		t.Skip("heavy: -short")
 	}
 	r := ClockSync(Options{Scale: 0.05, Seed: 42})
+	checkGolden(t, "clocksync", r.String())
 	ntp, ptp := r.Get(ModeNTP), r.Get(ModePTP)
 	// Bound improves by roughly an order of magnitude (paper 11us -> 943ns).
 	if ntp.Bound < 5*sim.Microsecond || ntp.Bound > 50*sim.Microsecond {
@@ -149,6 +155,7 @@ func TestClockSyncCaseStudy(t *testing.T) {
 
 func TestFig7Parallelization(t *testing.T) {
 	r := Fig7(Options{Scale: 1, Seed: 42})
+	checkGolden(t, "fig7", r.String())
 	// Speedup at 8 cores around 5x (paper: ~5x).
 	if s := r.Get(8).Speedup; s < 3.5 || s > 7 {
 		t.Errorf("8-core speedup = %.1f, want ~5", s)
@@ -174,6 +181,7 @@ func TestFig8SplitSimBeatsNative(t *testing.T) {
 		t.Skip("heavy: -short")
 	}
 	r := Fig8(Options{Scale: 0.3, Seed: 42})
+	checkGolden(t, "fig8", r.String())
 	best := 0.0
 	for _, p := range r.Points {
 		if p.Parts == 1 {
@@ -199,6 +207,7 @@ func TestFig9PartitionStrategies(t *testing.T) {
 	}
 	opts := Options{Scale: 0.08, Seed: 42}
 	r := Fig9(opts)
+	checkGolden(t, "fig9", r.String())
 	// Partitioning helps: every strategy beats "s" with qemu hosts.
 	s := r.Get("s", "qemu").SimSpeed
 	for _, name := range []string{"ac", "cr3", "rs"} {
@@ -230,6 +239,7 @@ func TestFig10Profiles(t *testing.T) {
 		t.Skip("heavy: -short")
 	}
 	r := Fig10(Options{Scale: 0.08, Seed: 42})
+	checkGolden(t, "fig10", r.String())
 	// ac: network partitions are among the bottlenecks, the core-only
 	// partition (p0) and the NICs are not.
 	foundNet := false
@@ -257,6 +267,7 @@ func TestFig10Profiles(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	out := Table1()
+	checkGolden(t, "table1", out)
 	for _, want := range []string{"SplitSim", "SimBricks", "end-to-end", "yes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
@@ -287,10 +298,29 @@ func TestConfigEffort(t *testing.T) {
 	if !strings.Contains(r.String(), "252 lines") {
 		t.Error("render should cite the paper's numbers")
 	}
+
+	// From a subdirectory, "." still finds the repository root (the CLI
+	// passes the working directory).
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("testdata"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(wd) })
+	sub, err := ConfigEffort(".")
+	if err != nil {
+		t.Fatalf("ConfigEffort from a subdirectory: %v", err)
+	}
+	if sub.String() != r.String() {
+		t.Errorf("ConfigEffort from a subdirectory differs:\n%s\nvs\n%s", sub, r)
+	}
 }
 
 func TestTrunkAblation(t *testing.T) {
 	r := TrunkAblation(Options{Scale: 0.1, Seed: 42})
+	checkGolden(t, "ablations/trunk", r.String())
 	if r.TrunkChannels != 16 || r.PerLinkChannels != 184 {
 		t.Errorf("channels: trunk %d, per-link %d, want 16 and 184",
 			r.TrunkChannels, r.PerLinkChannels)
@@ -305,6 +335,7 @@ func TestTrunkAblation(t *testing.T) {
 
 func TestSyncQuantumAblation(t *testing.T) {
 	r := SyncQuantumAblation(Options{Scale: 0.1, Seed: 42})
+	checkGolden(t, "ablations/syncquantum", r.String())
 	if len(r.Points) != 5 {
 		t.Fatalf("points = %d, want 5", len(r.Points))
 	}
@@ -347,6 +378,7 @@ func TestPlacementStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "placement", placementTimingFree(r))
 	if len(r.Points) != len(PlacementNames()) {
 		t.Fatalf("points = %d, want %d", len(r.Points), len(PlacementNames()))
 	}
@@ -381,6 +413,7 @@ func TestPlacementStudy(t *testing.T) {
 	if len(one.Points) != 1 || one.Points[0].Placement != "ac" {
 		t.Fatalf("filtered study = %+v", one.Points)
 	}
+	checkGolden(t, "placement -placement ac", placementTimingFree(one))
 	if _, err := PlacementStudy(Options{Scale: 0.5, Seed: 42, Placement: "nope"}); err == nil {
 		t.Fatal("unknown placement not rejected")
 	}
@@ -414,11 +447,31 @@ func TestPlanFor(t *testing.T) {
 	if _, err := PlanFor("fig7", Options{Placement: "cr2"}); err == nil {
 		t.Fatal("PlanFor fig7 should reject study-only placements")
 	}
+	// Exactly the table's plannable experiments plan, and only under their
+	// own placements.
+	for _, e := range Experiments() {
+		_, err := PlanFor(e.Name, Options{Scale: 0.2, Seed: 42, Placement: "s"})
+		if takesS := slices.Contains(e.Placements, "s"); (err == nil) != (e.Plannable() && takesS) {
+			t.Errorf("PlanFor(%s, s): err = %v, plannable %v", e.Name, err, e.Plannable())
+		}
+	}
+	// fig8's plan build carries fig8's bulk traffic, so "auto" profiles a
+	// loaded fabric, not an idle one.
+	e, _ := Lookup("fig8")
+	busy := 0.0
+	for _, c := range e.plan(Options{Scale: 0.2, Seed: 42}).run("", nil).comps {
+		busy += c.BusyNs
+	}
+	if busy == 0 {
+		t.Error("fig8 plan build is idle: its auto probe would profile no traffic")
+	}
 }
 
 func TestFigPlacementOption(t *testing.T) {
 	base := Fig7(Options{Scale: 0.2, Seed: 42})
 	coloc := Fig7(Options{Scale: 0.2, Seed: 42, Placement: "s"})
+	checkGolden(t, "fig7 -scale 0.2", base.String())
+	checkGolden(t, "fig7 -scale 0.2 -placement s", coloc.String())
 	// Fully co-located split == sequential: no channels, speedup 1.
 	p := coloc.Get(8)
 	if p.Speedup < 0.99 || p.Speedup > 1.01 {

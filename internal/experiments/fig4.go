@@ -5,14 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/apps/kv"
-	"repro/internal/apps/netcache"
-	"repro/internal/apps/pegasus"
-	"repro/internal/decomp"
-	"repro/internal/hostsim"
-	"repro/internal/instantiate"
-	"repro/internal/netsim"
-	"repro/internal/nicsim"
-	"repro/internal/orch"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -127,122 +119,32 @@ func defaultFig4Params() fig4Params {
 
 const fig4VIP = proto.IP(0x0a00ff01)
 
-// fig4Build assembles one (system, config) instance.
-type fig4Instance struct {
-	sim     *orch.Simulation
-	clients []*kv.Client
-	dur     sim.Time
-	warmup  sim.Time
-}
-
-func fig4Build(sys Fig4System, cfg Fig4Config, opts Options, p fig4Params, dur sim.Time) *fig4Instance {
-	n := netsim.New("net", opts.Seed)
-	sw := n.AddSwitch("sw")
-
-	serverIPs := make([]proto.IP, p.nServers)
-	for i := range serverIPs {
-		serverIPs[i] = proto.HostIP(uint32(100 + i))
-	}
-
-	// Dataplane.
-	switch sys {
-	case SystemNetCache:
-		sw.Dataplane = netcache.New(p.hotKeys, p.serverParams.ValueSize)
-	case SystemPegasus:
-		sw.Dataplane = pegasus.New(fig4VIP, serverIPs, p.hotKeys)
-	}
-
-	s := orch.New()
-	s.Add(n)
-
-	detailedServers := cfg == ConfigE2E || cfg == ConfigMixed
-	detailedClients := cfg == ConfigE2E
-
-	// Servers.
-	for i, ip := range serverIPs {
-		srv := kv.NewServer(p.serverParams)
-		if detailedServers {
-			ext := n.AddExternal(sw, fmt.Sprintf("srv%d", i), p.serverLinkRate, ip)
-			dh := instantiate.NewDetailedHost(fmt.Sprintf("srv%d", i), ip,
-				hostsim.QemuParams(), serverNIC(p.serverLinkRate), opts.Seed+uint64(i))
-			dh.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { srv.Run(h) }))
-			dh.Wire(s, n, ext)
-		} else {
-			h := n.AddHost(fmt.Sprintf("srv%d", i), ip)
-			n.ConnectHostSwitch(h, sw, p.serverLinkRate, instantiate.EthLatency)
-			h.SetApp(netsim.AppFunc(func(hh *netsim.Host) { srv.Run(hh) }))
-		}
-	}
-
-	// Clients.
-	inst := &fig4Instance{sim: s, dur: dur, warmup: p.warmup}
-	for i := 0; i < p.nClients; i++ {
-		ip := proto.HostIP(uint32(1 + i))
-		cp := kv.DefaultClientParams(uint32(i), serverIPs)
-		cp.Outstanding = p.outstanding
-		cp.ValueSize = p.valueSize
-		cp.WarmUp = p.warmup
-		if sys == SystemPegasus {
-			cp.VIP = fig4VIP
-		}
-		cli := kv.NewClient(cp)
-		inst.clients = append(inst.clients, cli)
-		if detailedClients {
-			ext := n.AddExternal(sw, fmt.Sprintf("cli%d", i), p.clientLinkRate, ip)
-			dh := instantiate.NewDetailedHost(fmt.Sprintf("cli%d", i), ip,
-				hostsim.QemuParams(), nicsim.DefaultParams(), opts.Seed+uint64(10+i))
-			dh.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { cli.Run(h) }))
-			dh.Wire(s, n, ext)
-		} else {
-			h := n.AddHost(fmt.Sprintf("cli%d", i), ip)
-			n.ConnectHostSwitch(h, sw, p.clientLinkRate, instantiate.EthLatency)
-			h.SetApp(netsim.AppFunc(func(hh *netsim.Host) { cli.Run(hh) }))
-		}
-	}
-
-	n.ComputeRoutes()
-	return inst
-}
-
-// serverNIC configures the NIC model at the server link rate.
-func serverNIC(rate int64) nicsim.Params {
-	np := nicsim.DefaultParams()
-	np.Rate = rate
-	return np
-}
-
-// run executes the instance and extracts the cell metrics.
-func (inst *fig4Instance) run(sys Fig4System, cfg Fig4Config) Fig4Cell {
-	sw := newStopwatch()
-	inst.sim.RunSequential(inst.dur)
-	checkDrained(inst.sim)
-	window := inst.dur - inst.warmup
-
-	cell := Fig4Cell{System: sys, Config: cfg, Cores: inst.sim.NumComponents(), WallMs: sw.ms()}
-	var lat stats.Latency
+// fig4Run builds and runs one (system, config) cell.
+func fig4Run(sys Fig4System, cfg Fig4Config, opts Options, p fig4Params, dur sim.Time) Fig4Cell {
+	sc, clients := kvCase{
+		sys:             sys,
+		detailedServers: cfg == ConfigE2E || cfg == ConfigMixed,
+		detailedClient:  func(i int) (uint64, bool) { return opts.Seed + uint64(10+i), cfg == ConfigE2E },
+	}.build(opts, p, dur)
+	m := sc.run("", nil)
+	cell := Fig4Cell{System: sys, Config: cfg, Cores: sc.sim.NumComponents(), WallMs: m.wallMs}
 	var completed, hits uint64
-	for _, c := range inst.clients {
+	var all stats.Latency // every client's latency samples, merged
+	for _, c := range clients {
 		completed += c.Completed
 		hits += c.SwitchHits
-		lat.Add(c.Lat.Percentile(50)) // aggregate via per-client medians below
-	}
-	// Merge latency across clients properly.
-	var all stats.Latency
-	for _, c := range inst.clients {
 		for _, pt := range c.Lat.CDF(200) {
 			all.Add(pt.Value)
 		}
 	}
-	cell.Tput = stats.Rate(int(completed), window)
+	cell.Tput = stats.Rate(int(completed), dur-p.warmup)
 	cell.MeanLat = all.Mean()
 	cell.P99 = all.Percentile(99)
 	if completed > 0 {
 		cell.SwitchHitFrac = float64(hits) / float64(completed)
 	}
-	comps, links := inst.sim.ModelGraph(inst.dur)
-	model := decomp.Makespan(comps, links, decomp.DefaultParams(inst.dur))
-	if model.SimSpeed > 0 {
-		cell.ModeledRunSPerSimS = 1 / model.SimSpeed
+	if m.model.SimSpeed > 0 {
+		cell.ModeledRunSPerSimS = 1 / m.model.SimSpeed
 	}
 	return cell
 }
@@ -254,8 +156,7 @@ func Fig4(opts Options) *Fig4Result {
 	r := &Fig4Result{Dur: dur}
 	for _, cfg := range []Fig4Config{ConfigNS3, ConfigE2E, ConfigMixed} {
 		for _, sys := range []Fig4System{SystemNetCache, SystemPegasus} {
-			inst := fig4Build(sys, cfg, opts, p, dur)
-			r.Cells = append(r.Cells, inst.run(sys, cfg))
+			r.Cells = append(r.Cells, fig4Run(sys, cfg, opts, p, dur))
 		}
 	}
 	return r

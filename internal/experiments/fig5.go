@@ -4,14 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps/kv"
-	"repro/internal/apps/pegasus"
-	"repro/internal/hostsim"
-	"repro/internal/instantiate"
-	"repro/internal/netsim"
-	"repro/internal/nicsim"
-	"repro/internal/orch"
-	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -77,62 +69,13 @@ func (r *Fig5Result) String() string {
 // ns-3 clients, 1 qemu client) under one workload and returns the two
 // measured series.
 func fig5Run(w Fig5Workload, opts Options) []Fig5Series {
-	p := defaultFig4Params()
-	dur := opts.Dur(60*sim.Millisecond, 20*sim.Millisecond)
-
-	n := netsim.New("net", opts.Seed)
-	sw := n.AddSwitch("sw")
-	serverIPs := []proto.IP{proto.HostIP(100), proto.HostIP(101)}
-	sw.Dataplane = pegasus.New(fig4VIP, serverIPs, p.hotKeys)
-
-	s := orch.New()
-	s.Add(n)
-
-	for i, ip := range serverIPs {
-		srv := kv.NewServer(p.serverParams)
-		ext := n.AddExternal(sw, fmt.Sprintf("srv%d", i), p.serverLinkRate, ip)
-		dh := instantiate.NewDetailedHost(fmt.Sprintf("srv%d", i), ip,
-			hostsim.QemuParams(), serverNIC(p.serverLinkRate), opts.Seed+uint64(i))
-		dh.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { srv.Run(h) }))
-		dh.Wire(s, n, ext)
+	c := kvCase{sys: SystemPegasus, detailedServers: true,
+		detailedClient: func(i int) (uint64, bool) { return opts.Seed + 99, i == 2 }}
+	if w == WorkloadUnsaturated {
+		c.rate = 4000 // far below server capacity
 	}
-
-	mkParams := func(id uint32) kv.ClientParams {
-		cp := kv.DefaultClientParams(id, serverIPs)
-		cp.VIP = fig4VIP
-		cp.ValueSize = p.valueSize
-		cp.WarmUp = p.warmup
-		if w == WorkloadSaturated {
-			cp.Outstanding = p.outstanding
-		} else {
-			cp.Outstanding = 0
-			cp.Rate = 4000 // far below server capacity
-		}
-		return cp
-	}
-
-	// Two protocol-level clients.
-	var ns3Clients []*kv.Client
-	for i := 0; i < 2; i++ {
-		ip := proto.HostIP(uint32(1 + i))
-		cli := kv.NewClient(mkParams(uint32(i)))
-		ns3Clients = append(ns3Clients, cli)
-		h := n.AddHost(fmt.Sprintf("cli%d", i), ip)
-		n.ConnectHostSwitch(h, sw, p.clientLinkRate, instantiate.EthLatency)
-		h.SetApp(netsim.AppFunc(func(hh *netsim.Host) { cli.Run(hh) }))
-	}
-	// One detailed (qemu) client.
-	qemuIP := proto.HostIP(3)
-	qemuCli := kv.NewClient(mkParams(2))
-	ext := n.AddExternal(sw, "cli2", p.clientLinkRate, qemuIP)
-	dh := instantiate.NewDetailedHost("cli2", qemuIP,
-		hostsim.QemuParams(), nicsim.DefaultParams(), opts.Seed+99)
-	dh.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { qemuCli.Run(h) }))
-	dh.Wire(s, n, ext)
-
-	n.ComputeRoutes()
-	s.RunSequential(dur)
-	checkDrained(s)
+	sc, clients := c.build(opts, defaultFig4Params(), opts.Dur(60*sim.Millisecond, 20*sim.Millisecond))
+	sc.run("", nil)
 
 	series := func(client string, lats ...*stats.Latency) Fig5Series {
 		var merged stats.Latency
@@ -149,8 +92,8 @@ func fig5Run(w Fig5Workload, opts Options) []Fig5Series {
 		}
 	}
 	return []Fig5Series{
-		series("ns3", &ns3Clients[0].Lat, &ns3Clients[1].Lat),
-		series("qemu", &qemuCli.Lat),
+		series("ns3", &clients[0].Lat, &clients[1].Lat),
+		series("qemu", &clients[2].Lat),
 	}
 }
 

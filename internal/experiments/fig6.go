@@ -114,8 +114,6 @@ func fig6Run(cfg Fig4Config, kPackets int, opts Options) Fig6Point {
 		detailedPairs = 2
 	}
 
-	type flowEnd interface{}
-	_ = flowEnd(nil)
 	var rcvs []*tcpstack.Conn
 	var snds []*tcpstack.Conn
 
@@ -174,8 +172,7 @@ func fig6Run(cfg Fig4Config, kPackets int, opts Options) Fig6Point {
 	obs.SetApp(markWarm)
 	n.ComputeRoutes()
 
-	s.RunSequential(dur)
-	checkDrained(s)
+	newScenario(s, dur).run("", nil)
 
 	var bytes int64
 	var rtx uint64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/decomp"
 	"repro/internal/memsim"
 	"repro/internal/orch"
 	"repro/internal/sim"
@@ -73,29 +72,26 @@ func contains(ps []Fig7Point, cores int) bool {
 	return false
 }
 
+// fig7Build builds n cores split off the memory system, one component
+// each.
+func fig7Build(n int, opts Options) (*scenario, []*memsim.Core) {
+	s := orch.New()
+	cores, _ := memsim.BuildSplit(s, n, memsim.DefaultParams())
+	return newScenario(s, opts.Dur(2*sim.Millisecond, 500*sim.Microsecond)), cores
+}
+
 // fig7Run simulates n cores in the split instantiation and derives both
 // runtimes from the cost accounts: the sequential time is the total work in
 // one process (no channels), the split time is the makespan of the
 // per-component work plus channel synchronization overhead.
 func fig7Run(n int, opts Options) Fig7Point {
-	dur := opts.Dur(2*sim.Millisecond, 500*sim.Microsecond)
-	p := memsim.DefaultParams()
-	s := orch.New()
-	cores, _ := memsim.BuildSplit(s, n, p)
-	sw := newStopwatch()
-	s.RunSequential(dur)
-	checkDrained(s)
-	pt := Fig7Point{Cores: n, WallMs: sw.ms()}
+	sc, cores := fig7Build(n, opts)
+	m := sc.run(opts.Placement, nil)
+	pt := Fig7Point{Cores: n, WallMs: m.wallMs,
+		SeqSPerSimS: m.perSimS(m.model.SeqNs), SplitSPerSimS: m.perSimS(m.model.ParNs), Speedup: m.model.Speedup}
 	for _, c := range cores {
 		pt.Blocks += c.Blocks
 	}
-	comps, links := s.ModelGraph(dur)
-	mp := decomp.DefaultParams(dur)
-	comps, links = applyModelPlacement(opts.Placement, comps, links, mp)
-	split := decomp.Makespan(comps, links, mp)
-	pt.SeqSPerSimS = split.SeqNs / 1e9 / dur.Seconds()
-	pt.SplitSPerSimS = split.ParNs / 1e9 / dur.Seconds()
-	pt.Speedup = split.Speedup
 	return pt
 }
 

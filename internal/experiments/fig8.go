@@ -7,8 +7,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
-	"repro/internal/orch"
-	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -70,50 +68,31 @@ func (r *Fig8Result) String() string {
 // omnetCostFactor scales netsim event costs to OMNeT++'s relative speed.
 const omnetCostFactor = 1.35
 
-// fig8Run builds the partitioned fat tree, drives the DONS-style workload,
-// and evaluates both synchronization schemes on the resulting cost graph.
+// fig8Build builds the DONS FatTree8 evenly cut into parts partitions,
+// every server streaming CBR traffic to a fixed partner in another pod (2
+// Gbps per host keeps event counts tractable).
+func fig8Build(parts int, opts Options) (*scenario, *netsim.Built) {
+	s, b := fatTree(8, parts, true, opts.Seed)
+	bulkTraffic(shuffledPairs(b.Hosts, opts.Seed^0xf8), 8900, 2e9, true, nil)
+	return newScenario(s, opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)), b
+}
+
+// fig8Run runs one partitioning and evaluates both synchronization schemes
+// on the resulting cost graph.
 func fig8Run(flavor string, parts int, opts Options) Fig8Point {
-	dur := opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)
-	topo, meta := netsim.FatTree(8, 10*sim.Gbps, 40*sim.Gbps, 1*sim.Microsecond)
-	assign := decomp.EvenFatTree(meta, len(topo.Switches), parts)
-	b := topo.Build("net", opts.Seed, assign, nil)
-
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, true)
-
-	// DONS-style workload: every server streams CBR traffic to a fixed
-	// partner in another pod.
-	hosts := b.Hosts
-	n := len(hosts)
-	perm := sim.NewRand(opts.Seed ^ 0xf8).Perm(n)
-	const pktSize = 8900
-	rate := 2.0 * 1e9 // 2 Gbps per host keeps event counts tractable
-	gap := sim.FromSeconds(pktSize * 8 / rate)
-	for i := 0; i < n/2; i++ {
-		a, c := hosts[perm[2*i]], hosts[perm[2*i+1]]
-		a.SetApp(&bulkApp{dst: c.IP(), gap: gap, size: pktSize})
-		c.SetApp(&bulkApp{dst: a.IP(), gap: gap, size: pktSize})
-		a.BindUDP(proto.PortBulk, func(proto.IP, uint16, []byte, int) {})
-		c.BindUDP(proto.PortBulk, func(proto.IP, uint16, []byte, int) {})
-	}
-
-	s.RunSequential(dur)
-	checkDrained(s)
-
-	comps, links := s.ModelGraph(dur)
-	if flavor == "omnet" {
-		for i := range comps {
-			comps[i].BusyNs *= omnetCostFactor
+	sc, b := fig8Build(parts, opts)
+	m := sc.run(opts.Placement, func(comps []decomp.Comp, _ []decomp.Link) {
+		if flavor == "omnet" {
+			for i := range comps {
+				comps[i].BusyNs *= omnetCostFactor
+			}
 		}
-	}
-	mp := decomp.DefaultParams(dur)
-	comps, links = applyModelPlacement(opts.Placement, comps, links, mp)
-	native := decomp.NativeBarrier(comps, links, mp)
-	split := decomp.Makespan(comps, links, mp)
+	})
+	native := decomp.NativeBarrier(m.comps, m.links, m.mp)
 	pt := Fig8Point{
 		Flavor: flavor, Parts: parts,
-		NativeS:      native.ParNs / 1e9 / dur.Seconds(),
-		SplitSimS:    split.ParNs / 1e9 / dur.Seconds(),
+		NativeS:      m.perSimS(native.ParNs),
+		SplitSimS:    m.perSimS(m.model.ParNs),
 		BoundaryMsgs: instantiate.BoundaryMsgs(b),
 	}
 	pt.Reduction = 1 - pt.SplitSimS/pt.NativeS

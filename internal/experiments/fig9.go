@@ -74,18 +74,10 @@ var Fig9Strategies = []decomp.Strategy{
 	{Name: "rs"},
 }
 
-// fig9Setup is the built-and-run system plus its model graph.
-type fig9Setup struct {
-	comps []decomp.Comp
-	links []decomp.Link
-	parts int
-	dur   sim.Time
-}
-
 // fig9Run builds the partitioned datacenter with a detailed host pair
 // exchanging request/response traffic, runs it, and returns the model
-// inputs.
-func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) *fig9Setup {
+// inputs and the number of network processes.
+func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) (*modelRun, int) {
 	dur := opts.Dur(500*sim.Millisecond, 100*sim.Millisecond)
 	spec := clockSyncSpec(opts)
 	topo, meta := netsim.ThreeTier(spec)
@@ -159,17 +151,8 @@ func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) *fig9Setup
 		paired[a], paired[partner] = true, true
 		pairList = append(pairList, [2]*netsim.Host{a, partner})
 	}
-	pairs := len(pairList)
-	pairRate := 0.9 * float64(spec.CoreRate) * float64(spec.Aggs) * opts.scale() / float64(pairs)
-	if max := 0.9 * float64(spec.HostRate); pairRate > max {
-		pairRate = max
-	}
-	const pktSize = 1500
-	gap := sim.FromSeconds(pktSize * 8 / pairRate)
-	for _, pr := range pairList {
-		pr[0].SetApp(&bulkApp{dst: pr[1].IP(), gap: gap, size: pktSize})
-		pr[1].BindUDP(proto.PortBulk, func(proto.IP, uint16, []byte, int) {})
-	}
+	pairRate := min(0.9*float64(spec.CoreRate)*float64(spec.Aggs)*opts.scale()/float64(len(pairList)), 0.9*float64(spec.HostRate))
+	bulkTraffic(pairList, 1500, pairRate, false, nil)
 
 	// The detailed pair: a KV server and a closed-loop client.
 	hp := hostsim.QemuParams()
@@ -192,22 +175,21 @@ func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) *fig9Setup
 	cli := kv.NewClient(cp)
 	hostA.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { cli.Run(h) }))
 
-	s.RunSequential(dur)
-	checkDrained(s)
-	comps, links := s.ModelGraph(dur)
 	// Undo the load sampling: each simulated background packet stands for
 	// 1/scale packets of the full-scale workload.
-	if f := 1 / opts.scale(); f > 1 {
-		for i := range comps {
-			if strings.HasPrefix(comps[i].Name, "net") {
-				comps[i].BusyNs *= f
+	m := newScenario(s, dur).run("", func(comps []decomp.Comp, links []decomp.Link) {
+		if f := 1 / opts.scale(); f > 1 {
+			for i := range comps {
+				if strings.HasPrefix(comps[i].Name, "net") {
+					comps[i].BusyNs *= f
+				}
+			}
+			for i := range links {
+				links[i].Msgs = uint64(float64(links[i].Msgs) * f)
 			}
 		}
-		for i := range links {
-			links[i].Msgs = uint64(float64(links[i].Msgs) * f)
-		}
-	}
-	return &fig9Setup{comps: comps, links: links, parts: strategy.Parts(meta), dur: dur}
+	})
+	return m, strategy.Parts(meta)
 }
 
 // machineCores is the evaluation machine's core count (2x Xeon 6336Y).
@@ -218,13 +200,13 @@ func Fig9(opts Options) *Fig9Result {
 	r := &Fig9Result{}
 	for _, hostKind := range []string{"qemu", "gem5"} {
 		for _, st := range Fig9Strategies {
-			setup := fig9Run(st, hostKind, opts)
-			mp := decomp.DefaultParams(setup.dur)
+			m, parts := fig9Run(st, hostKind, opts)
+			mp := m.mp
 			mp.Cores = machineCores
-			model := decomp.Makespan(setup.comps, setup.links, mp)
+			model := decomp.Makespan(m.comps, m.links, mp)
 			r.Points = append(r.Points, Fig9Point{
 				Strategy: st.String(), HostKind: hostKind,
-				Parts: setup.parts, Cores: setup.parts + 4,
+				Parts: parts, Cores: parts + 4,
 				SimSpeed: model.SimSpeed,
 			})
 		}
@@ -259,9 +241,8 @@ func (r *Fig10Result) String() string {
 func Fig10(opts Options) *Fig10Result {
 	r := &Fig10Result{}
 	for _, st := range []decomp.Strategy{{Name: "ac"}, {Name: "cr", N: 3}} {
-		setup := fig9Run(st, "qemu", opts)
-		mp := decomp.DefaultParams(setup.dur)
-		a := decomp.ModeledAnalysis(setup.comps, setup.links, mp)
+		m, _ := fig9Run(st, "qemu", opts)
+		a := decomp.ModeledAnalysis(m.comps, m.links, m.mp)
 		g := decomp.BuildWTPGFromAnalysis(a)
 		switch st.String() {
 		case "ac":

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/instantiate"
-	"repro/internal/netsim"
-	"repro/internal/netsim/flowsim"
-	"repro/internal/netsim/topogen"
 	"repro/internal/netsim/workload"
-	"repro/internal/orch"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -75,52 +70,29 @@ func Flowsim(opts Options) (*FlowsimResult, error) {
 	r := &FlowsimResult{}
 	for _, load := range []float64{0, 0.3, 0.6, 0.9} {
 		sw := newStopwatch()
-		spec := scaleSpec(opts)
-		topo, m := topogen.Clos(spec)
-		b := topo.Build("flowsim", opts.Seed, nil, nil)
-		r.Hosts = m.TotalHosts()
-
-		slots := scaleParticipants(m, 33)
-		hosts := make([]*netsim.Host, len(slots))
-		for i, slot := range slots {
-			hosts[i] = b.MaterializeSlot(slot)
-		}
 		// Open-loop so the offered foreground load is identical at every
 		// background level: degradation shows up in the FCT percentiles
 		// rather than in a closed loop's completion count.
-		weng := workload.Install(hosts, workload.Spec{
+		ph := runClosPhase("flowsim", opts, 33, workload.Spec{
 			Pattern: workload.Incast{Victim: 0},
 			Sizes:   workload.Fixed(20_000),
 			Arrival: workload.Open{FlowsPerSec: 1_000},
 			Seed:    opts.Seed,
-		})
-		var bg *flowsim.Engine
-		if load > 0 {
-			bg = flowsim.Install(b, scaleAllSlots(m), flowsim.Spec{
-				Trace: bgElephants(m.TotalHosts(), load, opts.Seed^0xb105),
-				Seed:  opts.Seed ^ 0xb105,
-			})
-		}
-		s := orch.New()
-		instantiate.WirePartitions(s, topo, b, true)
-		s.RunSequential(dur)
-		checkDrained(s)
-
-		rep := weng.Collect()
+		}, load, dur)
+		r.Hosts = ph.hosts
 		p := FlowsimPoint{
 			Load:        load,
-			FgCompleted: rep.FlowsCompleted,
-			FgFCTP50:    rep.FCT.Percentile(50),
-			FgFCTP99:    rep.FCT.Percentile(99),
+			FgCompleted: ph.fg.FlowsCompleted,
+			FgFCTP50:    ph.fg.FCT.Percentile(50),
+			FgFCTP99:    ph.fg.FCT.Percentile(99),
 			WallMs:      sw.ms(),
 		}
-		if bg != nil {
-			br := bg.Collect()
-			p.BgFlows = br.ActiveFlows
-			p.BgEvents = br.Events
-			p.BgProjPkt = br.ProjPacketEvents
-			p.BgCapHits = br.RoundCapHits
-			p.BgCapped = br.CappedFlows
+		if bg := ph.bg; bg != nil {
+			p.BgFlows = bg.ActiveFlows
+			p.BgEvents = bg.Events
+			p.BgProjPkt = bg.ProjPacketEvents
+			p.BgCapHits = bg.RoundCapHits
+			p.BgCapped = bg.CappedFlows
 		}
 		r.Points = append(r.Points, p)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/instantiate"
-	"repro/internal/memsim"
 	"repro/internal/netsim"
 	"repro/internal/orch"
 	"repro/internal/proto"
@@ -77,19 +76,11 @@ func (r *PlacementResult) String() string {
 	return b.String()
 }
 
-// placementStudySim is one fresh build of the study system.
-type placementStudySim struct {
-	s        *orch.Simulation
-	topo     *netsim.Topology
-	meta     netsim.ThreeTierMeta
-	rs       []int // finest (rs) switch->partition assignment the build uses
-	received *uint64
-}
-
 // buildPlacementStudy constructs the study system at the finest (rs)
 // partitioning — 1 core + 2 agg + 4 rack components — with cross-rack bulk
-// traffic pairs. Placements then only ever coarsen this build.
-func buildPlacementStudy(opts Options) *placementStudySim {
+// traffic pairs, counting every delivered bulk packet. Placements only ever
+// coarsen this build.
+func buildPlacementStudy(opts Options) (*scenario, *atomic.Uint64) {
 	spec := netsim.ThreeTierSpec{
 		Aggs: 2, RacksPerAgg: 2, HostsPerRack: 3,
 		CoreRate: 100 * sim.Gbps, AggRate: 40 * sim.Gbps,
@@ -100,73 +91,34 @@ func buildPlacementStudy(opts Options) *placementStudySim {
 	b := topo.Build("net", opts.Seed, rs, nil)
 	s := orch.New()
 	instantiate.WirePartitions(s, topo, b, true)
-
-	received := new(uint64)
-	hosts := b.Hosts
-	perm := sim.NewRand(opts.Seed ^ 0x91a).Perm(len(hosts))
-	const pktSize = 1500
-	gap := sim.FromSeconds(pktSize * 8 / (2.0 * 1e9))
-	for i := 0; i+1 < len(perm); i += 2 {
-		a, c := hosts[perm[i]], hosts[perm[i+1]]
-		a.SetApp(&bulkApp{dst: c.IP(), gap: gap, size: pktSize})
-		c.SetApp(&bulkApp{dst: a.IP(), gap: gap, size: pktSize})
-		// Hosts in different groups hit this from different runner
-		// goroutines during coupled runs.
-		sink := func(proto.IP, uint16, []byte, int) { atomic.AddUint64(received, 1) }
-		a.BindUDP(proto.PortBulk, sink)
-		c.BindUDP(proto.PortBulk, sink)
-	}
-	return &placementStudySim{s: s, topo: topo, meta: meta, rs: rs, received: received}
-}
-
-// studyPlacement resolves a placement name against the study build: the
-// strategy names coarsen the rs build via decomp.Coarsen, "rs" is
-// per-component, and "auto" runs the recommender over the reference model
-// graph.
-func (ps *placementStudySim) studyPlacement(name string, refComps []decomp.Comp,
-	refLinks []decomp.Link, mp decomp.Params) (decomp.Placement, error) {
-	n := ps.s.NumComponents()
-	switch name {
-	case "s":
-		return decomp.SingleGroup(n), nil
-	case "rs":
-		p := decomp.PerComponent(n)
-		p.Name = "rs"
-		return p, nil
-	case "auto":
-		return decomp.AutoPlace(refComps, refLinks, mp, decomp.RecommendOptions{}), nil
-	case "ac", "cr2":
+	// Hosts in different groups count from different runner goroutines
+	// during placed runs.
+	received := new(atomic.Uint64)
+	bulkTraffic(shuffledPairs(b.Hosts, opts.Seed^0x91a), 1500, 2e9, true,
+		func(proto.IP, uint16, []byte, int) { received.Add(1) })
+	sc := newScenario(s, opts.Dur(5*sim.Millisecond, sim.Millisecond))
+	sc.finest = "rs"
+	sc.coarsen = func(name string) (decomp.Placement, error) {
 		st := decomp.Strategy{Name: "ac"}
 		if name == "cr2" {
 			st = decomp.Strategy{Name: "cr", N: 2}
 		}
-		coarse := st.Assign(ps.meta, len(ps.topo.Switches))
-		groups, err := decomp.Coarsen(ps.rs, coarse)
-		if err != nil {
-			return decomp.Placement{}, err
-		}
-		return decomp.Placement{Name: name, Groups: groups}, nil
+		groups, err := decomp.Coarsen(rs, st.Assign(meta, len(topo.Switches)))
+		return decomp.Placement{Name: name, Groups: groups}, err
 	}
-	return decomp.Placement{}, fmt.Errorf("experiments: unknown placement %q (want one of %v)",
-		name, PlacementNames())
+	return sc, received
 }
 
 // PlacementStudy runs the micro-study. With opts.Placement set, only that
 // placement is measured.
 func PlacementStudy(opts Options) (*PlacementResult, error) {
-	dur := opts.Dur(5*sim.Millisecond, sim.Millisecond)
-	mp := decomp.DefaultParams(dur)
-
 	// Sequential reference: the ground truth every placement must match,
 	// and the cost/traffic graph every prediction starts from.
-	ref := buildPlacementStudy(opts)
-	refSched := ref.s.RunSequential(dur)
-	checkDrained(ref.s)
-	refReceived, refEvents := *ref.received, refSched.Processed()
-	if refReceived == 0 {
+	ref, refReceived := buildPlacementStudy(opts)
+	m := ref.run("", nil)
+	if refReceived.Load() == 0 {
 		return nil, fmt.Errorf("experiments: placement reference run carried no traffic")
 	}
-	refComps, refLinks := ref.s.ModelGraph(dur)
 
 	names := PlacementNames()
 	if opts.Placement != "" {
@@ -174,51 +126,51 @@ func PlacementStudy(opts Options) (*PlacementResult, error) {
 	}
 	r := &PlacementResult{}
 	for _, name := range names {
-		p, err := ref.studyPlacement(name, refComps, refLinks, mp)
+		p, err := ref.placement(name, PlacementNames(), func() *modelRun { return m })
 		if err != nil {
 			return nil, err
 		}
-		norm, err := p.Normalized(len(refComps))
+		norm, err := p.Normalized(len(m.comps))
 		if err != nil {
 			return nil, err
 		}
 
-		run := buildPlacementStudy(opts)
+		run, received := buildPlacementStudy(opts)
 		sw := newStopwatch()
-		pl, err := run.s.Plan(p)
+		pl, err := run.sim.Plan(p)
 		if err == nil {
-			_, err = pl.Execute(dur, opts.Exec)
+			_, err = pl.Execute(run.dur, opts.Exec)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: placement %s: %w", name, err)
 		}
-		checkDrained(run.s)
+		checkDrained(run.sim)
 		wall := sw.ms()
 		var events, syncMsgs uint64
-		for _, rn := range run.s.Group.Runners {
+		for _, rn := range run.sim.Group.Runners {
 			events += rn.Scheduler().Processed()
 			syncMsgs += rn.Counters().TxSync
 		}
 
 		// Model-predicted makespan of the placed run.
-		mc, ml, err := decomp.MergePlacement(refComps, refLinks, norm)
+		mc, ml, err := decomp.MergePlacement(m.comps, m.links, norm)
 		if err != nil {
 			return nil, err
 		}
-		pred := decomp.Makespan(mc, ml, mp)
+		pred := decomp.Makespan(mc, ml, m.mp)
 
 		// Accounted makespan: group busy time plus overhead priced from the
 		// run's real counters. Runner order equals normalized group order.
 		acct := 0.0
-		for gi, rn := range run.s.Group.Runners {
+		for gi, rn := range run.sim.Group.Runners {
 			load := 0.0
 			for ci, g := range norm.Groups {
 				if g == gi {
-					load += refComps[ci].BusyNs
+					load += m.comps[ci].BusyNs
 				}
 			}
 			cnt := rn.Counters()
-			load += float64(cnt.TxSync)*mp.SyncCostNs + float64(cnt.TxData)*mp.MsgCostNs
+			load += float64(cnt.TxSync)*m.mp.SyncCostNs + float64(cnt.TxData)*m.mp.MsgCostNs
 			if load > acct {
 				acct = load
 			}
@@ -227,130 +179,32 @@ func PlacementStudy(opts Options) (*PlacementResult, error) {
 		r.Points = append(r.Points, PlacementPoint{
 			Placement:    name,
 			Groups:       norm.NumGroups(),
-			PredSPerSimS: pred.ParNs / 1e9 / dur.Seconds(),
-			AcctSPerSimS: acct / 1e9 / dur.Seconds(),
+			PredSPerSimS: m.perSimS(pred.ParNs),
+			AcctSPerSimS: m.perSimS(acct),
 			SyncMsgs:     syncMsgs,
 			WallMs:       wall,
-			Identical:    *run.received == refReceived && events == refEvents,
+			Identical:    received.Load() == refReceived.Load() && events == m.events,
 		})
 	}
 	return r, nil
 }
 
-// applyModelPlacement folds a model graph under a named placement before
-// prediction: "" and "percomp" leave it per-component, "s" fully
-// co-locates, "auto" asks the recommender. fig7 and fig8 use it so their
-// predictions honor -placement.
-func applyModelPlacement(name string, comps []decomp.Comp, links []decomp.Link,
-	mp decomp.Params) ([]decomp.Comp, []decomp.Link) {
-	var p decomp.Placement
-	switch name {
-	case "", "percomp":
-		return comps, links
-	case "s":
-		p = decomp.SingleGroup(len(comps))
-	case "auto":
-		p = decomp.AutoPlace(comps, links, mp, decomp.RecommendOptions{})
-	default:
-		panic(fmt.Sprintf("experiments: placement %q not usable here (want s, percomp, auto)", name))
-	}
-	mc, ml, err := decomp.MergePlacement(comps, links, p)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mc, ml
-}
-
-// PlanFor builds the named experiment's simulation and renders its
-// execution plan under the resolved placement — without running it (except
-// "auto", which needs a sequential reference run to profile).
+// PlanFor builds the named experiment's system and renders its execution
+// plan under opts.Placement, without running it — except "auto", which
+// profiles a second build sequentially first.
 func PlanFor(name string, opts Options) (string, error) {
-	placement := opts.Placement
-	switch name {
-	case "placement":
-		if placement == "" {
-			placement = "rs"
-		}
-		dur := opts.Dur(5*sim.Millisecond, sim.Millisecond)
-		mp := decomp.DefaultParams(dur)
-		ps := buildPlacementStudy(opts)
-		var refComps []decomp.Comp
-		var refLinks []decomp.Link
-		if placement == "auto" {
-			ref := buildPlacementStudy(opts)
-			ref.s.RunSequential(dur)
-			checkDrained(ref.s)
-			refComps, refLinks = ref.s.ModelGraph(dur)
-		}
-		p, err := ps.studyPlacement(placement, refComps, refLinks, mp)
-		if err != nil {
-			return "", err
-		}
-		pl, err := ps.s.Plan(p)
-		if err != nil {
-			return "", err
-		}
-		return pl.String(), nil
-	case "fig7":
-		const cores = 8
-		dur := opts.Dur(2*sim.Millisecond, 500*sim.Microsecond)
-		build := func() *orch.Simulation {
-			s := orch.New()
-			memsim.BuildSplit(s, cores, memsim.DefaultParams())
-			return s
-		}
-		s := build()
-		p, err := planPlacement(placement, s, dur, build)
-		if err != nil {
-			return "", err
-		}
-		pl, err := s.Plan(p)
-		if err != nil {
-			return "", err
-		}
-		return pl.String(), nil
-	case "fig8":
-		const parts = 16
-		dur := opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)
-		build := func() *orch.Simulation {
-			topo, meta := netsim.FatTree(8, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
-			assign := decomp.EvenFatTree(meta, len(topo.Switches), parts)
-			b := topo.Build("net", opts.Seed, assign, nil)
-			s := orch.New()
-			instantiate.WirePartitions(s, topo, b, true)
-			return s
-		}
-		s := build()
-		p, err := planPlacement(placement, s, dur, build)
-		if err != nil {
-			return "", err
-		}
-		pl, err := s.Plan(p)
-		if err != nil {
-			return "", err
-		}
-		return pl.String(), nil
+	e, _ := Lookup(name)
+	if e.plan == nil {
+		return "", fmt.Errorf("experiments: %q has no plan", name)
 	}
-	return "", fmt.Errorf("experiments: no plan for %q (want placement, fig7, fig8)", name)
-}
-
-// planPlacement resolves a generic placement name for PlanFor: per
-// component by default, fully co-located for "s", recommender-driven for
-// "auto" (profiling a fresh build sequentially first).
-func planPlacement(name string, s *orch.Simulation, dur sim.Time,
-	build func() *orch.Simulation) (decomp.Placement, error) {
-	n := s.NumComponents()
-	switch name {
-	case "", "percomp":
-		return decomp.PerComponent(n), nil
-	case "s":
-		return decomp.SingleGroup(n), nil
-	case "auto":
-		probe := build()
-		probe.RunSequential(dur)
-		checkDrained(probe)
-		comps, links := probe.ModelGraph(dur)
-		return decomp.AutoPlace(comps, links, decomp.DefaultParams(dur), decomp.RecommendOptions{}), nil
+	sc := e.plan(opts)
+	p, err := sc.placement(opts.Placement, e.Placements, func() *modelRun { return e.plan(opts).run("", nil) })
+	if err != nil {
+		return "", err
 	}
-	return decomp.Placement{}, fmt.Errorf("experiments: placement %q not usable here (want s, percomp, auto)", name)
+	pl, err := sc.sim.Plan(p)
+	if err != nil {
+		return "", err
+	}
+	return pl.String(), nil
 }

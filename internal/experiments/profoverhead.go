@@ -5,13 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/decomp"
-	"repro/internal/instantiate"
 	"repro/internal/link"
 	"repro/internal/netsim"
-	"repro/internal/orch"
 	"repro/internal/profiler"
-	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -46,18 +42,12 @@ func (r *ProfilerOverheadResult) String() string {
 // optionally profiled, returning wall ms and sample count.
 func profOverheadRun(opts Options, profile bool) (float64, int) {
 	dur := opts.Dur(10*sim.Millisecond, 4*sim.Millisecond)
-	topo, meta := netsim.FatTree(4, 10*sim.Gbps, 40*sim.Gbps, 1*sim.Microsecond)
-	assign := decomp.EvenFatTree(meta, len(topo.Switches), 4)
-	b := topo.Build("net", opts.Seed, assign, nil)
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, true)
-	hosts := b.Hosts
-	gap := sim.FromSeconds(8900 * 8 / 2e9)
-	for i := 0; i < len(hosts)/2; i++ {
-		a, c := hosts[i], hosts[len(hosts)/2+i]
-		a.SetApp(&bulkApp{dst: c.IP(), gap: gap, size: 8900})
-		c.BindUDP(proto.PortBulk, func(proto.IP, uint16, []byte, int) {})
+	s, b := fatTree(4, 4, true, opts.Seed)
+	pairs := make([][2]*netsim.Host, len(b.Hosts)/2)
+	for i := range pairs {
+		pairs[i] = [2]*netsim.Host{b.Hosts[i], b.Hosts[len(pairs)+i]}
 	}
+	bulkTraffic(pairs, 8900, 2e9, false, nil)
 	var col *profiler.Collector
 	if profile {
 		col = profiler.NewCollector()

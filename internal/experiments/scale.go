@@ -5,12 +5,8 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/instantiate"
-	"repro/internal/netsim"
-	"repro/internal/netsim/flowsim"
 	"repro/internal/netsim/topogen"
 	"repro/internal/netsim/workload"
-	"repro/internal/orch"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -100,18 +96,10 @@ func scaleSpec(opts Options) topogen.ClosSpec {
 			spec.DefaultUp = true
 		}
 		perPod := spec.LeafPerPod * spec.HostsPerLeaf
-		pods := (opts.Hosts + perPod - 1) / perPod
-		if pods < 4 {
-			pods = 4
-		}
-		spec.Pods = pods
+		spec.Pods = max((opts.Hosts+perPod-1)/perPod, 4)
 		return spec
 	}
-	pods := int(math.Round(100 * opts.scale()))
-	if pods < 4 {
-		pods = 4
-	}
-	spec.Pods = pods
+	spec.Pods = max(int(math.Round(100*opts.scale())), 4)
 	return spec
 }
 
@@ -164,41 +152,18 @@ func scaleParticipants(m *topogen.ClosMeta, n int) []int {
 	return slots
 }
 
-// scalePhase builds a fresh fabric, materializes the participants, runs one
-// workload phase, and folds the outcome into a ScalePhase row.
+// scalePhase runs one workload phase on a fresh fabric (with the 30%
+// elephant background under -bg flow) and folds the outcome into a
+// ScalePhase row.
 func scalePhase(name string, opts Options, wl workload.Spec, participants int, dur sim.Time, r *ScaleResult) ScalePhase {
-	sw := newStopwatch()
-	spec := scaleSpec(opts)
-	topo, m := topogen.Clos(spec)
-	b := topo.Build("scale", opts.Seed, nil, nil)
-	buildMs := sw.ms()
-
-	slots := scaleParticipants(m, participants)
-	hosts := make([]*netsim.Host, len(slots))
-	for i, slot := range slots {
-		hosts[i] = b.MaterializeSlot(slot)
-	}
-	eng := workload.Install(hosts, wl)
-	var bg *flowsim.Engine
+	load := 0.0
 	if opts.Bg == "flow" {
-		// Steady elephant background over every slot at 30% endpoint
-		// occupancy — no background host is ever materialized.
-		bg = flowsim.Install(b, scaleAllSlots(m), flowsim.Spec{
-			Trace: bgElephants(m.TotalHosts(), 0.3, opts.Seed^0xb105),
-			Seed:  opts.Seed ^ 0xb105,
-		})
+		load = 0.3
 	}
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, true)
-
-	runW := newStopwatch()
-	s.RunSequential(dur)
-	wallMs := runW.ms()
-	checkDrained(s)
-
+	ph := runClosPhase("scale", opts, participants, wl, load, dur)
 	var pkts uint64
 	maxEntries, totalBytes := 0, 0
-	for _, swi := range b.Switches {
+	for _, swi := range ph.built.Switches {
 		pkts += swi.RxPackets
 		perIP, prefix := swi.RouteEntries()
 		if perIP+prefix > maxEntries {
@@ -207,35 +172,32 @@ func scalePhase(name string, opts Options, wl workload.Spec, participants int, d
 		totalBytes += swi.RouteStateBytes()
 	}
 	if r.Hosts == 0 {
-		r.Hosts = m.TotalHosts()
-		r.Switches = len(b.Switches)
-		r.Pods = spec.Pods
-		r.BuildMs = buildMs
+		r.Hosts = ph.hosts
+		r.Switches = len(ph.built.Switches)
+		r.Pods = ph.spec.Pods
+		r.BuildMs = ph.buildMs
 		r.MaxEntries = maxEntries
-		r.BytesPerHost = float64(totalBytes) / float64(m.TotalHosts())
+		r.BytesPerHost = float64(totalBytes) / float64(ph.hosts)
 	}
-
-	rep := eng.Collect()
-	ph := ScalePhase{
+	out := ScalePhase{
 		Name:       name,
-		Flows:      rep.FlowsStarted,
-		Completed:  rep.FlowsCompleted,
-		Bytes:      rep.BytesSent,
-		FCTMean:    rep.FCT.Mean(),
-		FCTP99:     rep.FCT.Percentile(99),
+		Flows:      ph.fg.FlowsStarted,
+		Completed:  ph.fg.FlowsCompleted,
+		Bytes:      ph.fg.BytesSent,
+		FCTMean:    ph.fg.FCT.Mean(),
+		FCTP99:     ph.fg.FCT.Percentile(99),
 		SimPkts:    pkts,
-		WallMs:     wallMs,
-		PktsPerSec: float64(pkts) / (wallMs / 1000),
+		WallMs:     ph.run.wallMs,
+		PktsPerSec: float64(pkts) / (ph.run.wallMs / 1000),
 	}
-	if bg != nil {
-		br := bg.Collect()
-		ph.BgFlows = br.ActiveFlows
-		ph.BgEvents = br.Events
-		ph.BgProjPktEvents = br.ProjPacketEvents
-		ph.BgRoundCapHits = br.RoundCapHits
-		ph.BgCappedFlows = br.CappedFlows
+	if bg := ph.bg; bg != nil {
+		out.BgFlows = bg.ActiveFlows
+		out.BgEvents = bg.Events
+		out.BgProjPktEvents = bg.ProjPacketEvents
+		out.BgRoundCapHits = bg.RoundCapHits
+		out.BgCappedFlows = bg.CappedFlows
 	}
-	return ph
+	return out
 }
 
 // Scale runs the incast and shuffle phases.

@@ -39,6 +39,7 @@ func TestScaleSmoke(t *testing.T) {
 	if !strings.Contains(out, "incast") || !strings.Contains(out, "shuffle") {
 		t.Fatalf("render missing phases:\n%s", out)
 	}
+	checkGolden(t, "scale", scaleWallFree(r))
 }
 
 // TestScaleMixedSmoke runs the scale phases with the flow-level background
@@ -61,6 +62,7 @@ func TestScaleMixedSmoke(t *testing.T) {
 	if !strings.Contains(r.String(), "background") {
 		t.Fatalf("render missing background line:\n%s", r.String())
 	}
+	checkGolden(t, "scale -bg flow", scaleWallFree(r))
 }
 
 // TestScaleSpecHostsTarget pins the -hosts derivation: a million-endpoint
@@ -92,6 +94,7 @@ func TestFlowsimSmoke(t *testing.T) {
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d, want 4", len(r.Points))
 	}
+	checkGolden(t, "flowsim", r.String())
 	idle, loaded := r.Points[0], r.Points[len(r.Points)-1]
 	if idle.FgCompleted == 0 || loaded.FgCompleted == 0 {
 		t.Fatal("foreground idle in some point")

@@ -114,31 +114,15 @@ func warmStartDigest(built *netsim.Built, eng *workload.Engine) (uint64, error) 
 	return h.Sum64(), nil
 }
 
-// setQueueCaps applies a sweep point's egress queue bound to every switch
-// interface of every partition.
-func setQueueCaps(built *netsim.Built, capBytes int) {
-	if capBytes <= 0 {
-		return
-	}
+// switchIfaces calls f on every switch interface of every partition.
+func switchIfaces(built *netsim.Built, f func(*netsim.Iface)) {
 	for _, p := range built.Parts {
 		for _, sw := range p.Switches() {
 			for _, ifc := range sw.Ifaces() {
-				ifc.QueueCapBytes = capBytes
+				f(ifc)
 			}
 		}
 	}
-}
-
-func sumDrops(built *netsim.Built) uint64 {
-	var n uint64
-	for _, p := range built.Parts {
-		for _, sw := range p.Switches() {
-			for _, ifc := range sw.Ifaces() {
-				n += ifc.Drops
-			}
-		}
-	}
-	return n
 }
 
 // WarmStart runs the warm-started sweep. Options.CheckpointAt overrides the
@@ -192,10 +176,8 @@ func WarmStart(opts Options) (*WarmStartResult, error) {
 	// reproduce exactly.
 	coldW := newStopwatch()
 	cold, coldBuilt, coldEng := buildWarmStart(opts)
-	coldSched := cold.RunSequential(dur)
+	r.ColdEvents = newScenario(cold, dur).run("", nil).events
 	r.ColdMs = coldW.ms()
-	r.ColdEvents = coldSched.Processed()
-	checkDrained(cold)
 	coldDigest, err := warmStartDigest(coldBuilt, coldEng)
 	if err != nil {
 		return nil, err
@@ -212,7 +194,10 @@ func WarmStart(opts Options) (*WarmStartResult, error) {
 	for _, pt := range points {
 		sw := newStopwatch()
 		s, built, eng := buildWarmStart(opts)
-		setQueueCaps(built, pt.cap)
+		if pt.cap > 0 {
+			// The sweep point's egress queue bound.
+			switchIfaces(built, func(ifc *netsim.Iface) { ifc.QueueCapBytes = pt.cap })
+		}
 		sched, err := s.ResumeSequential(ck, dur)
 		if err != nil {
 			return nil, fmt.Errorf("warmstart: point %s: %w", pt.name, err)
@@ -220,13 +205,15 @@ func WarmStart(opts Options) (*WarmStartResult, error) {
 		wall := sw.ms()
 		checkDrained(s)
 		rep := eng.Collect()
+		var drops uint64
+		switchIfaces(built, func(ifc *netsim.Iface) { drops += ifc.Drops })
 		p := WarmStartPoint{
 			Name:          pt.name,
 			QueueCapBytes: pt.cap,
 			Flows:         rep.FlowsStarted,
 			Completed:     rep.FlowsCompleted,
 			FCTP99:        rep.FCT.Percentile(99),
-			Drops:         sumDrops(built),
+			Drops:         drops,
 			Events:        ck.BaseEvents + sched.Processed(),
 			WallMs:        wall,
 		}

@@ -51,6 +51,9 @@ func TestWarmStart(t *testing.T) {
 	if r2.Points[0].Events != r.Points[0].Events {
 		t.Fatalf("restored sweep events %d != original %d", r2.Points[0].Events, r.Points[0].Events)
 	}
+	// Resuming from the file renders the same sweep as capturing it.
+	checkGolden(t, "warmstart", warmStartWallFree(r))
+	checkGolden(t, "warmstart", warmStartWallFree(r2))
 
 	// A horizon outside the run is rejected, not silently clamped.
 	bad := DefaultOptions()
