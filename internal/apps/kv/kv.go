@@ -21,7 +21,7 @@ import (
 type Env interface {
 	Now() sim.Time
 	End() sim.Time
-	After(d sim.Time, fn func()) *sim.Timer
+	After(d sim.Time, fn func())
 	Compute(d sim.Time, fn func())
 	SendUDP(dst proto.IP, srcPort, dstPort uint16, payload []byte, virtual int)
 	BindUDP(port uint16, fn core.UDPHandler)
@@ -152,7 +152,6 @@ type pending struct {
 	sentAt  sim.Time
 	isWrite bool
 	key     uint64
-	timer   *sim.Timer
 }
 
 // Client generates the workload and records end-to-end statistics.
@@ -242,7 +241,7 @@ func (c *Client) transmit(seq uint64, pd *pending) {
 	c.env.SendUDP(c.target(pd.key), ClientPort, c.p.Port,
 		proto.AppendKV(nil, m), virtual)
 	if c.p.RetransmitAfter > 0 {
-		pd.timer = c.env.After(c.p.RetransmitAfter, func() {
+		c.env.After(c.p.RetransmitAfter, func() {
 			if _, still := c.inflight[seq]; still {
 				c.Retransmits++
 				c.transmit(seq, pd)
@@ -261,9 +260,6 @@ func (c *Client) onReply(_ proto.IP, _ uint16, payload []byte, _ int) {
 		return // duplicate after retransmit
 	}
 	delete(c.inflight, m.Seq)
-	if pd.timer != nil {
-		pd.timer.Cancel()
-	}
 	now := c.env.Now()
 	if now >= c.p.WarmUp {
 		c.Completed++

@@ -50,7 +50,7 @@ func smallSystem() (*config.System, *int, *[]sim.Time) {
 }
 
 // pingLoop is tier-agnostic client logic over the shared socket shape.
-func pingLoop(now func() sim.Time, after func(sim.Time, func()) *sim.Timer,
+func pingLoop(now func() sim.Time, after func(sim.Time, func()),
 	send func(proto.IP, uint16, uint16, []byte, int),
 	bind func(uint16, core.UDPHandler), rtts *[]sim.Time) {
 	var sentAt sim.Time

@@ -32,8 +32,9 @@ type Choices struct {
 	// PartitionOf assigns each switch (by name) to a network partition;
 	// nil leaves the whole network in one component.
 	PartitionOf func(switchName string) int
-	// Trunk multiplexes boundary links between the same partition pair
-	// over one synchronized channel (the trunk adapter). Default true.
+	// NoTrunk gives every boundary link its own synchronized channel
+	// instead of multiplexing the links between one partition pair over a
+	// trunk adapter (the default).
 	NoTrunk bool
 }
 

@@ -90,20 +90,13 @@ type Env struct {
 func (e Env) Now() sim.Time { return e.Sched.Now() }
 
 // At schedules fn at absolute time t with the component's ordering source.
-func (e Env) At(t sim.Time, fn func()) *sim.Timer { return e.Sched.AtSrc(t, e.Src, fn) }
+func (e Env) At(t sim.Time, fn func()) { e.Sched.AtSrc(t, e.Src, fn) }
 
 // After schedules fn d after the current time.
-func (e Env) After(d sim.Time, fn func()) *sim.Timer {
-	return e.Sched.AtSrc(e.Sched.Now()+d, e.Src, fn)
-}
-
-// Post schedules fn at absolute time t like At but without a cancellation
-// handle, so the kernel allocates nothing beyond the queue slot. It orders
-// identically to At at the same call position.
-func (e Env) Post(t sim.Time, fn func()) { e.Sched.PostSrc(t, e.Src, fn) }
+func (e Env) After(d sim.Time, fn func()) { e.Sched.AtSrc(e.Sched.Now()+d, e.Src, fn) }
 
 // PostDelivery schedules sink.Deliver(t, payload) as a typed delivery event
-// with the component's ordering source: no Timer, no capturing closure. It
+// with the component's ordering source and no capturing closure. It
 // orders identically to At at the same call position — the substrate hot
 // paths (switch forwarding, NIC DMA, host stack completion) use it to hand
 // pooled frames and batches along without allocating.

@@ -20,21 +20,20 @@ func TestRecommendPlacementRespectsCoreCap(t *testing.T) {
 	a := ModeledAnalysis(merged, mlinks, DefaultParams(sim.Time(1e9)))
 
 	// Sanity: with no cap the bottleneck splits (the companion test pins
-	// this); with Cores=2 it must not.
-	next := RecommendPlacement(cur, comps, links, a, RecommendOptions{Cores: 2})
+	// this); with 2 cores it must not.
+	next := RecommendPlacement(cur, comps, links, a, 2)
 	if g := next.NumGroups(); g > 2 {
 		t.Fatalf("recommender split past the 2-core budget: %v (%d groups)", next.Groups, g)
 	}
 }
 
 // TestAutoPlaceInheritsParamsCores checks that a core budget carried in
-// Params (as HostParams sets it) caps AutoPlace the same as an explicit
-// option.
+// Params (as HostParams sets it) caps AutoPlace's recommender steps.
 func TestAutoPlaceInheritsParamsCores(t *testing.T) {
 	comps, links := placementModel()
 	params := DefaultParams(sim.Time(1e9))
 	params.Cores = 2
-	p := AutoPlace(comps, links, params, RecommendOptions{})
+	p := AutoPlace(comps, links, params)
 	if g := p.NumGroups(); g > 2 {
 		t.Fatalf("AutoPlace produced %d groups on a 2-core budget: %v", g, p.Groups)
 	}

@@ -254,11 +254,5 @@ func ModeledAnalysis(comps []Comp, links []Link, p Params) *profiler.Analysis {
 	return a
 }
 
-// BuildWTPGFromAnalysis builds the wait-time-profile graph for a modeled
-// analysis (thin indirection so experiment code needs only this package).
-func BuildWTPGFromAnalysis(a *profiler.Analysis) *profiler.WTPG {
-	return profiler.BuildWTPG(a)
-}
-
 // FmtSpeed renders a simulation speed the way the paper's plots label it.
 func FmtSpeed(s float64) string { return fmt.Sprintf("%.2e sim-s/s", s) }

@@ -218,40 +218,14 @@ func MergePlacement(comps []Comp, links []Link, p Placement) ([]Comp, []Link, er
 	return merged, mlinks, nil
 }
 
-// RecommendOptions tunes the greedy placement recommender.
-type RecommendOptions struct {
-	// SplitBelow: the group whose runner waits less than this fraction of
-	// wall time (the WTPG's red bottleneck) is split in two.
-	SplitBelow float64
-	// MergeAbove: a linked pair of groups that both wait more than this are
-	// idling on synchronization and get merged.
-	MergeAbove float64
-	// MaxGroups caps the group count after splitting (0: one per component).
-	MaxGroups int
-	// Cores caps useful parallelism: splitting past the physical core count
-	// adds synchronization without adding concurrent execution, so with
-	// Cores set the recommender never splits beyond it (MaxGroups is
-	// clamped). 0 leaves MaxGroups alone — the model-reproduction default,
-	// where the paper assumes one core per process. AutoPlace fills it from
-	// Params.Cores.
-	Cores int
-}
-
-func (o RecommendOptions) withDefaults(nComps int) RecommendOptions {
-	if o.SplitBelow <= 0 {
-		o.SplitBelow = 0.15
-	}
-	if o.MergeAbove <= 0 {
-		o.MergeAbove = 0.5
-	}
-	if o.MaxGroups <= 0 {
-		o.MaxGroups = nComps
-	}
-	if o.Cores > 0 && o.MaxGroups > o.Cores {
-		o.MaxGroups = o.Cores
-	}
-	return o
-}
+// The recommender's thresholds: a group whose runner waits less than
+// splitBelow of wall time (the WTPG's red bottleneck) is split in two, and a
+// linked pair of groups that both wait more than mergeAbove are idling on
+// synchronization and get merged.
+const (
+	splitBelow = 0.15
+	mergeAbove = 0.5
+)
 
 // RecommendPlacement performs one greedy refinement step driven by a
 // wait-time profile of the current placement — either a live
@@ -261,17 +235,25 @@ func (o RecommendOptions) withDefaults(nComps int) RecommendOptions {
 //
 // Two moves, on disjoint groups, per step:
 //
-//   - split: the bottleneck group — lowest wait fraction below SplitBelow,
+//   - split: the bottleneck group — lowest wait fraction below splitBelow,
 //     at least two members — is bisected by balancing modeled busy cost, so
 //     its work can run in parallel;
 //   - merge: the idlest linked pair of groups — both waiting above
-//     MergeAbove — is co-located, deleting their mutual synchronization.
+//     mergeAbove — is co-located, deleting their mutual synchronization.
+//
+// Splitting stops at one group per component, and at cores groups when
+// cores > 0: splitting past the physical core count adds synchronization
+// without adding concurrent execution. cores 0 is the model-reproduction
+// default, where the paper assumes one core per process.
 //
 // The returned placement is normalized; applying the step to the same
 // profile is idempotent only at a fixed point, so callers loop (AutoPlace)
 // or re-profile between steps.
-func RecommendPlacement(cur Placement, comps []Comp, links []Link, a *profiler.Analysis, opts RecommendOptions) Placement {
-	o := opts.withDefaults(len(comps))
+func RecommendPlacement(cur Placement, comps []Comp, links []Link, a *profiler.Analysis, cores int) Placement {
+	maxGroups := len(comps)
+	if cores > 0 && maxGroups > cores {
+		maxGroups = cores
+	}
 	norm, err := cur.Normalized(len(comps))
 	if err != nil {
 		panic(err.Error())
@@ -303,9 +285,9 @@ func RecommendPlacement(cur Placement, comps []Comp, links []Link, a *profiler.A
 
 	// Split the bottleneck group by busy-cost bisection.
 	split := -1
-	if G < o.MaxGroups {
+	if G < maxGroups {
 		for g := 0; g < G; g++ {
-			if !known[g] || len(members[g]) < 2 || wait[g] >= o.SplitBelow {
+			if !known[g] || len(members[g]) < 2 || wait[g] >= splitBelow {
 				continue
 			}
 			if split < 0 || wait[g] < wait[split] {
@@ -336,7 +318,7 @@ func RecommendPlacement(cur Placement, comps []Comp, links []Link, a *profiler.A
 		if ga == gb || ga == split || gb == split {
 			continue
 		}
-		if !known[ga] || !known[gb] || wait[ga] <= o.MergeAbove || wait[gb] <= o.MergeAbove {
+		if !known[ga] || !known[gb] || wait[ga] <= mergeAbove || wait[gb] <= mergeAbove {
 			continue
 		}
 		if ga > gb {
@@ -374,10 +356,7 @@ func RecommendPlacement(cur Placement, comps []Comp, links []Link, a *profiler.A
 // With host-measured sync costs in params the loop recommends placements
 // for the machine in front of it, not the paper's idealized one-core-per-
 // process cluster.
-func AutoPlace(comps []Comp, links []Link, params Params, opts RecommendOptions) Placement {
-	if opts.Cores == 0 {
-		opts.Cores = params.Cores
-	}
+func AutoPlace(comps []Comp, links []Link, params Params) Placement {
 	cur := PerComponent(len(comps))
 	cur.Name = "auto"
 	seen := map[string]bool{}
@@ -390,7 +369,7 @@ func AutoPlace(comps []Comp, links []Link, params Params, opts RecommendOptions)
 			break // fully co-located: nothing left to profile or merge
 		}
 		a := ModeledAnalysis(merged, mlinks, params)
-		next := RecommendPlacement(cur, comps, links, a, opts)
+		next := RecommendPlacement(cur, comps, links, a, params.Cores)
 		k := next.Key()
 		if k == cur.Key() || seen[k] {
 			break

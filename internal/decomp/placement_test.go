@@ -170,7 +170,7 @@ func TestRecommendPlacementMergesIdlePair(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := ModeledAnalysis(merged, mlinks, DefaultParams(sim.Time(1e9)))
-	next := RecommendPlacement(cur, comps, links, a, RecommendOptions{})
+	next := RecommendPlacement(cur, comps, links, a, 0)
 	if next.NumGroups() >= cur.NumGroups() {
 		t.Fatalf("idle neighbors not merged: %v -> %v", cur.Groups, next.Groups)
 	}
@@ -194,7 +194,7 @@ func TestRecommendPlacementSplitsBottleneck(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := ModeledAnalysis(merged, mlinks, DefaultParams(sim.Time(1e9)))
-	next := RecommendPlacement(cur, comps, links, a, RecommendOptions{})
+	next := RecommendPlacement(cur, comps, links, a, 0)
 	// The hot group (wait ~0) should split: hot and idle0 end up apart.
 	if next.Groups[0] == next.Groups[1] {
 		t.Fatalf("bottleneck group not split: %v", next.Groups)
@@ -203,7 +203,7 @@ func TestRecommendPlacementSplitsBottleneck(t *testing.T) {
 
 func TestAutoPlaceTerminatesAndIsolatesHotComponent(t *testing.T) {
 	comps, links := placementModel()
-	p := AutoPlace(comps, links, DefaultParams(sim.Time(1e9)), RecommendOptions{})
+	p := AutoPlace(comps, links, DefaultParams(sim.Time(1e9)))
 	if _, err := p.Normalized(len(comps)); err != nil {
 		t.Fatalf("AutoPlace returned invalid placement: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestAutoPlaceTerminatesAndIsolatesHotComponent(t *testing.T) {
 		t.Fatalf("NumGroups = %d out of range", g)
 	}
 	// Deterministic: same inputs, same placement.
-	q := AutoPlace(comps, links, DefaultParams(sim.Time(1e9)), RecommendOptions{})
+	q := AutoPlace(comps, links, DefaultParams(sim.Time(1e9)))
 	if p.Key() != q.Key() {
 		t.Fatalf("AutoPlace nondeterministic: %q vs %q", p.Key(), q.Key())
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nicsim"
 	"repro/internal/orch"
+	"repro/internal/profiler"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -243,14 +244,12 @@ func Fig10(opts Options) *Fig10Result {
 	for _, st := range []decomp.Strategy{{Name: "ac"}, {Name: "cr", N: 3}} {
 		m, _ := fig9Run(st, "qemu", opts)
 		a := decomp.ModeledAnalysis(m.comps, m.links, m.mp)
-		g := decomp.BuildWTPGFromAnalysis(a)
+		g := profiler.BuildWTPG(a)
 		switch st.String() {
 		case "ac":
-			r.ACDot, r.ACText = g.DOT(), g.Render()
-			r.ACBottlenecks = a.Bottlenecks(0.10)
+			r.ACDot, r.ACText, r.ACBottlenecks = g.DOT(), g.Render(), a.Bottlenecks(0.10)
 		default:
-			r.CR3Dot, r.CR3Text = g.DOT(), g.Render()
-			r.CR3Bottlenecks = a.Bottlenecks(0.10)
+			r.CR3Dot, r.CR3Text, r.CR3Bottlenecks = g.DOT(), g.Render(), a.Bottlenecks(0.10)
 		}
 	}
 	return r

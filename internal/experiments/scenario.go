@@ -72,7 +72,7 @@ func (sc *scenario) placement(name string, accepted []string, profile func() *mo
 		return p, nil
 	case "auto":
 		m := profile()
-		return decomp.AutoPlace(m.comps, m.links, m.mp, decomp.RecommendOptions{}), nil
+		return decomp.AutoPlace(m.comps, m.links, m.mp), nil
 	}
 	return sc.coarsen(name)
 }

@@ -251,10 +251,10 @@ func (h *Host) End() sim.Time { return h.end }
 func (h *Host) ClockNow() sim.Time { return h.Clock.Read(h.env.Now()) }
 
 // After schedules fn after d of true time (timer wheel; consumes no CPU).
-func (h *Host) After(d sim.Time, fn func()) *sim.Timer { return h.env.After(d, fn) }
+func (h *Host) After(d sim.Time, fn func()) { h.env.After(d, fn) }
 
 // At schedules fn at absolute true time t.
-func (h *Host) At(t sim.Time, fn func()) *sim.Timer { return h.env.At(t, fn) }
+func (h *Host) At(t sim.Time, fn func()) { h.env.At(t, fn) }
 
 // Rand returns the host's deterministic random source.
 func (h *Host) Rand() *sim.Rand { return h.rng }
@@ -351,7 +351,7 @@ func (h *Host) NewFrame() *proto.Frame { return h.pool.Get() }
 
 // PostRTO implements tcpstack.Transport. Detailed hosts are not checkpoint
 // targets, so a plain closure firing suffices here.
-func (h *Host) PostRTO(c *tcpstack.Conn, d sim.Time) { h.env.Post(h.env.Now()+d, c.RTOFire) }
+func (h *Host) PostRTO(c *tcpstack.Conn, d sim.Time) { h.env.After(d, c.RTOFire) }
 
 // FrameStats implements core.FramePooler.
 func (h *Host) FrameStats() proto.PoolStats { return h.pool.Stats() }

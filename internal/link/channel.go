@@ -262,8 +262,8 @@ func (e *Endpoint) handle(m Message) {
 	// A speculative batch leaves the clock at its cap even when the window's
 	// tail was empty; pull it back so the delivery is not in the past.
 	r.sched.Rewind(at)
-	// Deliveries are never cancelled and carry exactly (sink, payload), so
-	// they go in as typed delivery events: no Timer, no capturing closure —
-	// the receive path allocates nothing per data message.
+	// Deliveries carry exactly (sink, payload), so they go in as typed
+	// delivery events with no capturing closure — the receive path
+	// allocates nothing per data message.
 	r.sched.PostDelivery(at, se.src, se.sink, m.Payload)
 }

@@ -64,7 +64,7 @@ func BenchmarkDrainData(b *testing.B) {
 		}
 		r.drainAll()
 		// Execute the scheduled deliveries so the event queue stays small.
-		r.sched.RunUntil(t + sim.Microsecond)
+		r.sched.RunBefore(t + sim.Microsecond)
 	}
 }
 

@@ -72,10 +72,10 @@ func (h *Host) Now() sim.Time { return h.net.env.Now() }
 func (h *Host) End() sim.Time { return h.net.end }
 
 // After schedules fn d from now.
-func (h *Host) After(d sim.Time, fn func()) *sim.Timer { return h.net.env.After(d, fn) }
+func (h *Host) After(d sim.Time, fn func()) { h.net.env.After(d, fn) }
 
 // At schedules fn at absolute time t.
-func (h *Host) At(t sim.Time, fn func()) *sim.Timer { return h.net.env.At(t, fn) }
+func (h *Host) At(t sim.Time, fn func()) { h.net.env.At(t, fn) }
 
 // SetApp installs the host application; it starts when the network starts.
 func (h *Host) SetApp(a App) { h.app = a }

@@ -319,3 +319,34 @@ func TestRouteZeroAlloc(t *testing.T) {
 		t.Fatalf("%d flow-cache hits; every packet should have missed", fab.FlowCacheHits-hits)
 	}
 }
+
+// TestRouteComputeMatchesBuild holds ComputeRoutes to its doc: on a flat
+// fabric it must answer every switch's lookup for every host exactly as the
+// routes Topology.Build installed.
+func TestRouteComputeMatchesBuild(t *testing.T) {
+	for _, k := range []int{4, 6} {
+		topo, _ := FatTree(k, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
+		n := topo.Build("ft", 1, nil, nil).Parts[0]
+		var want []int
+		for _, sw := range n.Switches() {
+			for _, h := range n.Hosts() {
+				out, ok := sw.Route(h.IP())
+				if !ok {
+					t.Fatalf("FatTree(%d): Build left %s without a route to %v", k, sw.Name(), h.IP())
+				}
+				want = append(want, out)
+			}
+		}
+		n.ComputeRoutes()
+		i := 0
+		for _, sw := range n.Switches() {
+			for _, h := range n.Hosts() {
+				if out, ok := sw.Route(h.IP()); !ok || out != want[i] {
+					t.Fatalf("FatTree(%d): %s -> %v: ComputeRoutes gives %d,%v; Build gave %d",
+						k, sw.Name(), h.IP(), out, ok, want[i])
+				}
+				i++
+			}
+		}
+	}
+}

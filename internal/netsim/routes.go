@@ -28,45 +28,21 @@ func (n *Network) ComputeRoutes() {
 	for i, s := range n.switches {
 		idx[s] = i
 	}
-	type edge struct {
-		nb    int // neighbor switch index
-		iface int // local iface index
-	}
-	adj := make([][]edge, ns)
+	bfs := newTopoBFS(ns)
 	for i, s := range n.switches {
 		for fi, f := range s.ifaces {
 			if f.peer == nil {
 				continue
 			}
 			if ps, ok := f.peer.owner.(*Switch); ok {
-				adj[i] = append(adj[i], edge{nb: idx[ps], iface: fi})
+				bfs.adj[i] = append(bfs.adj[i], topoEdge{nb: idx[ps], iface: fi})
 			}
 		}
 	}
 
-	// Reusable BFS state: one distance array and an index-cursor queue
-	// (popping with queue[1:] kept the whole backing array live and
-	// reallocated it per destination).
-	dist := make([]int, ns)
-	queue := make([]int, 0, ns)
-	cands := make([]int, 0, 8)
-
 	install := func(attached *Switch, directIface int, ips []proto.IP) {
 		ti := idx[attached]
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[ti] = 0
-		queue = append(queue[:0], ti)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, e := range adj[u] {
-				if dist[e.nb] < 0 {
-					dist[e.nb] = dist[u] + 1
-					queue = append(queue, e.nb)
-				}
-			}
-		}
+		bfs.run([]int{ti}, nil, 0)
 		for si, s := range n.switches {
 			if si == ti {
 				for _, ip := range ips {
@@ -74,15 +50,10 @@ func (n *Network) ComputeRoutes() {
 				}
 				continue
 			}
-			if dist[si] < 0 {
+			if bfs.distOf(si) < 0 {
 				continue
 			}
-			cands = cands[:0]
-			for _, e := range adj[si] {
-				if dist[e.nb] == dist[si]-1 {
-					cands = append(cands, e.iface)
-				}
-			}
+			cands := bfs.candidates(si)
 			for _, ip := range ips {
 				s.SetRoute(ip, cands[ecmpHash(ip)%uint64(len(cands))])
 			}

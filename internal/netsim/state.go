@@ -53,7 +53,7 @@ func (n *Network) namedHandle(idx int) int32 {
 }
 
 // PostNamed schedules the idx-th registered handler at absolute time t. It
-// orders identically to an Env.Post at the same call position.
+// orders identically to an Env.At at the same call position.
 func (n *Network) PostNamed(t sim.Time, idx int, args sim.NamedArgs) {
 	n.env.PostNamed(t, n.namedHandle(idx), args)
 }

@@ -381,7 +381,7 @@ func (s *Switch) receive(in *Iface, f *proto.Frame) {
 
 // forward routes f out of the switch, applying the pipeline latency. The
 // pipeline hop is a typed delivery event onto the egress interface's enqueue
-// sink — no closure, no Timer.
+// sink — no closure.
 func (s *Switch) forward(in *Iface, f *proto.Frame) {
 	out, ok := s.lookup(f.IP.Dst)
 	if !ok {

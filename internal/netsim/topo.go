@@ -364,6 +364,21 @@ type topoBFS struct {
 	epoch uint32
 }
 
+// newTopoBFS returns empty search state over ns switches. Each switch
+// enters the queue at most once per search, so dist, the queue and the
+// candidate buffer share one backing array (an append past a part's
+// capacity moves that part out).
+func newTopoBFS(ns int) *topoBFS {
+	buf := make([]int, 2*ns+8)
+	return &topoBFS{
+		adj:   make([][]topoEdge, ns),
+		dist:  buf[:ns:ns],
+		queue: buf[ns : ns : 2*ns],
+		cands: buf[2*ns : 2*ns],
+		seen:  make([]uint32, ns),
+	}
+}
+
 type topoEdge struct {
 	nb    int
 	iface int // local iface index on this switch for this link
@@ -449,11 +464,7 @@ func (s *topoBFS) candidates(v int) []int {
 // per-switch state proportional to the number of visible aggregates.
 func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces func(li int) (aIface, bIface int)) {
 	ns := len(t.Switches)
-	bfs := &topoBFS{
-		adj:  make([][]topoEdge, ns),
-		dist: make([]int, ns),
-		seen: make([]uint32, ns),
-	}
+	bfs := newTopoBFS(ns)
 	for li, l := range t.Links {
 		ai, bi := linkIfaces(li)
 		bfs.adj[l.A] = append(bfs.adj[l.A], topoEdge{nb: l.B, iface: ai})

@@ -179,7 +179,7 @@ func TestPHCReadAndServo(t *testing.T) {
 func TestFreqAdjDoesNotJumpPhase(t *testing.T) {
 	p := nicsim.DefaultParams()
 	nic, _, _, s := rig(p)
-	s.RunUntil(100 * sim.Millisecond)
+	s.RunBefore(100 * sim.Millisecond)
 	before := nic.PHC(s.Now())
 	nic.AdjPHCFreq(100) // retune must not retroactively shift the clock
 	after := nic.PHC(s.Now())

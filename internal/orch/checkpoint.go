@@ -34,7 +34,7 @@ import (
 // the uninterrupted one.
 //
 // Not captured: remote (cross-process) connections, dynamically created TCP
-// flows, and raw closure timers — each surfaces a typed error at capture.
+// flows, and pending closure events — each surfaces a typed error at capture.
 
 // Checkpoint is a restorable snapshot of a simulation at time At.
 type Checkpoint struct {

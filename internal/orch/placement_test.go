@@ -247,7 +247,7 @@ func TestAutoPlacementMatchesSequential(t *testing.T) {
 	s, comps := buildRandom(seed, nComps)
 	s.RunSequential(end)
 	mc, ml := s.ModelGraph(end)
-	auto := decomp.AutoPlace(mc, ml, decomp.DefaultParams(end), decomp.RecommendOptions{})
+	auto := decomp.AutoPlace(mc, ml, decomp.DefaultParams(end))
 
 	refTraces := make([][]string, len(comps))
 	for i, c := range comps {

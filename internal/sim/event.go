@@ -10,10 +10,8 @@ package sim
 //
 // Two layout choices matter for the hot path:
 //
-//   - Entries are stored by value, so steady-state scheduling performs no
-//     per-event heap allocation (a Timer is only allocated when the caller
-//     asked for a cancellable handle via At/After/AtSrc; Post/PostSrc skip
-//     it).
+//   - Entries are stored by value, so scheduling allocates nothing beyond
+//     the queue slot (and, for a closure event, the closure itself).
 //   - The heap is 4-ary rather than binary: half the depth means half the
 //     move chain on every sift, and the four children sit in adjacent cache
 //     lines, which measurably beats the binary layout for the timer-churn
@@ -40,32 +38,6 @@ type Sink interface {
 	Deliver(at Time, payload Payload)
 }
 
-// Timer is a handle to a scheduled event that can be cancelled or inspected.
-// Cancellation is lazy: the entry stays in the heap and is skipped when it
-// surfaces.
-type Timer struct {
-	at       Time
-	canceled bool
-	fired    bool
-}
-
-// Cancel prevents the timer's callback from running. Cancelling an already
-// fired or cancelled timer is a no-op. It reports whether the cancellation
-// took effect.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.fired || t.canceled {
-		return false
-	}
-	t.canceled = true
-	return true
-}
-
-// Pending reports whether the timer is still scheduled to fire.
-func (t *Timer) Pending() bool { return t != nil && !t.fired && !t.canceled }
-
-// When returns the virtual time the timer is (or was) scheduled for.
-func (t *Timer) When() Time { return t.at }
-
 type eventEntry struct {
 	at  Time
 	src int32
@@ -74,13 +46,12 @@ type eventEntry struct {
 	// slot del-1; when negative it runs the named handler recorded in the
 	// named-event side table at slot -del-1. fn is nil either way. Keeping
 	// only an index here (it packs into
-	// src's padding) holds the entry at 40 bytes — storing the two
+	// src's padding) holds the entry at 32 bytes — storing the two
 	// interface values inline would nearly double the bytes and the GC
 	// write-barrier work every heap sift copies.
-	del   int32
-	seq   uint64
-	fn    func()
-	timer *Timer // nil for Post/PostSrc/PostDelivery events (not cancellable)
+	del int32
+	seq uint64
+	fn  func()
 }
 
 func entryLess(a, b *eventEntry) bool {
@@ -161,10 +132,9 @@ func (q *eventQueue) Pop() (eventEntry, bool) {
 		return eventEntry{}, false
 	}
 	e := q.h[0]
-	// Drop the popped slot's references; at/src/seq/del garbage is fine
+	// Drop the popped slot's reference; at/src/seq/del garbage is fine
 	// while the hole is open.
 	q.h[0].fn = nil
-	q.h[0].timer = nil
 	q.hole = true
 	return e, true
 }

@@ -16,12 +16,16 @@ func (tok) Size() int { return 0 }
 // posts over a few shared srcs, with many equal timestamps. Every delivery
 // logs itself and posts a random number of successors, so the backlog
 // churns while it runs. With useLanes false the same posts all go through
-// PostDelivery under the lane's src: the reference order.
+// PostDelivery under the lane's src: the reference order. With mixKinds set
+// each plain post instead goes, by a seeded pick of its own, through AtSrc
+// or PostNamed at the same (t, src): every event kind keys alike.
 type laneRig struct {
 	s        *Scheduler
 	rng      *Rand
 	useLanes bool
 	lanes    []*Lane
+	pick     *Rand // non-nil with mixKinds
+	named    int32
 	srcs     []int32
 	tails    []Time
 	next     int
@@ -29,8 +33,12 @@ type laneRig struct {
 	trace    []string
 }
 
-func newLaneRig(seed uint64, useLanes bool) *laneRig {
+func newLaneRig(seed uint64, useLanes, mixKinds bool) *laneRig {
 	r := &laneRig{s: NewScheduler(0), rng: NewRand(seed), useLanes: useLanes, limit: 3000}
+	if mixKinds {
+		r.pick = NewRand(^seed)
+		r.named = r.s.RegisterNamed("tok", func(a NamedArgs) { r.Deliver(r.s.Now(), tok(a[0])) })
+	}
 	// Three lanes over two srcs: two lanes share src 1, and plain posts use
 	// srcs 0..2, so every kind of tie between lane and heap entries occurs.
 	for _, src := range []int32{1, 1, 2} {
@@ -58,7 +66,15 @@ func (r *laneRig) post() {
 		}
 		return
 	}
-	r.s.PostDelivery(r.s.Now()+Time(r.rng.Intn(4)), int32(r.rng.Intn(3)), r, id)
+	t, src := r.s.Now()+Time(r.rng.Intn(4)), int32(r.rng.Intn(3))
+	switch {
+	case r.pick == nil:
+		r.s.PostDelivery(t, src, r, id)
+	case r.pick.Intn(2) == 0:
+		r.s.AtSrc(t, src, func() { r.Deliver(t, id) })
+	default:
+		r.s.PostNamed(t, src, r.named, NamedArgs{uint64(id)})
+	}
 }
 
 // Deliver logs the event with the scheduler's view of it and posts
@@ -72,9 +88,9 @@ func (r *laneRig) Deliver(at Time, p Payload) {
 
 func TestLaneOrdersLikePostDelivery(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		want := newLaneRig(seed, false)
+		want := newLaneRig(seed, false, false)
 		want.s.Run()
-		got := newLaneRig(seed, true)
+		got := newLaneRig(seed, true, true)
 		got.s.Run()
 		if len(want.trace) < 100 {
 			t.Fatalf("seed %d: only %d events", seed, len(want.trace))
@@ -96,10 +112,10 @@ func TestLaneOrdersLikePostDelivery(t *testing.T) {
 
 func TestLaneExportRestore(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		want := newLaneRig(seed, true)
+		want := newLaneRig(seed, true, false)
 		want.s.Run()
 
-		r := newLaneRig(seed, true)
+		r := newLaneRig(seed, true, false)
 		for r.s.Processed() < 1000 {
 			r.s.Step()
 		}
@@ -198,7 +214,7 @@ func TestLanePendingCounts(t *testing.T) {
 	}
 	s.Step()
 	want(5)
-	s.RunUntil(10)
+	s.RunBefore(20)
 	want(1)
 	s.Run()
 	want(0)

@@ -17,8 +17,8 @@ type Scheduler struct {
 	busy uint64
 
 	// maxExec is the timestamp of the latest event actually executed (-1
-	// when none has). Now may run ahead of it — RunBefore/RunUntil advance
-	// the clock to their limit even when the tail of the window held no
+	// when none has). Now may run ahead of it — RunBefore advances the
+	// clock to its limit even when the tail of the window held no
 	// events — and that gap is exactly the speculation the optimistic
 	// executor can retract without rollback: a message arriving at
 	// t > maxExec but t < Now needs only Rewind, while t <= maxExec means
@@ -64,8 +64,8 @@ func (s *Scheduler) ID() int32 { return s.id }
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Pending returns the number of events still queued (including lazily
-// cancelled timers that have not yet surfaced), lane-held entries included.
+// Pending returns the number of events still queued, lane-held entries
+// included.
 func (s *Scheduler) Pending() int { return s.q.Len() + s.behind }
 
 // Processed returns how many events have been executed.
@@ -74,42 +74,15 @@ func (s *Scheduler) Processed() uint64 { return s.done }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a model bug, and silently reordering events
 // would destroy determinism.
-func (s *Scheduler) At(t Time, fn func()) *Timer {
-	return s.atSrc(t, s.id, fn)
-}
+func (s *Scheduler) At(t Time, fn func()) { s.AtSrc(t, s.id, fn) }
 
 // After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Time, fn func()) *Timer {
-	return s.At(s.now+d, fn)
-}
+func (s *Scheduler) After(d Time, fn func()) { s.AtSrc(s.now+d, s.id, fn) }
 
 // AtSrc schedules fn at time t with an explicit ordering source. The link
 // layer uses this to give messages arriving on different channels a stable
 // order independent of goroutine interleaving.
-func (s *Scheduler) AtSrc(t Time, src int32, fn func()) *Timer {
-	return s.atSrc(t, src, fn)
-}
-
-func (s *Scheduler) atSrc(t Time, src int32, fn func()) *Timer {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.seq++
-	tm := &Timer{at: t}
-	s.q.Push(eventEntry{at: t, src: src, seq: s.seq, fn: fn, timer: tm})
-	return tm
-}
-
-// Post schedules fn at absolute time t like At, but returns no Timer: the
-// event cannot be cancelled, and in exchange the kernel allocates nothing
-// beyond the queue slot. Hot paths that never cancel (message delivery,
-// periodic sampling) should prefer it.
-func (s *Scheduler) Post(t Time, fn func()) { s.PostSrc(t, s.id, fn) }
-
-// PostSrc is Post with an explicit ordering source. An event posted here
-// orders identically to one scheduled with AtSrc at the same call position;
-// the two differ only in the existence of a cancellation handle.
-func (s *Scheduler) PostSrc(t Time, src int32, fn func()) {
+func (s *Scheduler) AtSrc(t Time, src int32, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -118,11 +91,10 @@ func (s *Scheduler) PostSrc(t Time, src int32, fn func()) {
 }
 
 // PostDelivery schedules a typed delivery event: at time t the scheduler
-// calls sink.Deliver(t, payload) directly from the queue slot. Like PostSrc
-// it returns no Timer and orders identically to AtSrc at the same call
-// position, but it additionally avoids the capturing closure a func() event
-// would need — the channel fabric uses it for every data message, making
-// steady-state message delivery allocation-free.
+// calls sink.Deliver(t, payload) directly from the queue slot. It orders
+// identically to AtSrc at the same call position, but avoids the capturing
+// closure a func() event would need — the channel fabric uses it for every
+// data message, making steady-state message delivery allocation-free.
 func (s *Scheduler) PostDelivery(t Time, src int32, sink Sink, payload Payload) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
@@ -148,32 +120,19 @@ func (s *Scheduler) pushDelivery(t Time, src int32, seq uint64, sink Sink, paylo
 }
 
 // PeekTime returns the time of the earliest pending event. ok is false when
-// the queue holds no runnable event.
+// the queue is empty.
 func (s *Scheduler) PeekTime() (t Time, ok bool) {
-	e := s.skipCanceled()
+	e := s.q.top()
 	if e == nil {
 		return 0, false
 	}
 	return e.at, true
 }
 
-// skipCanceled discards lazily cancelled timers from the front of the queue
-// and returns the first live entry (valid until the next queue mutation),
-// or nil when the queue is empty.
-func (s *Scheduler) skipCanceled() *eventEntry {
-	for {
-		e := s.q.top()
-		if e == nil || e.timer == nil || !e.timer.canceled {
-			return e
-		}
-		s.q.Pop()
-	}
-}
-
 // Step executes the earliest pending event, advancing Now to its timestamp.
 // It reports whether an event ran.
 func (s *Scheduler) Step() bool {
-	if s.skipCanceled() == nil {
+	if s.q.top() == nil {
 		return false
 	}
 	s.runHead()
@@ -181,14 +140,11 @@ func (s *Scheduler) Step() bool {
 }
 
 // runHead pops and executes the queue head, which the caller has already
-// verified (via skipCanceled) to be a live entry.
+// verified to exist.
 func (s *Scheduler) runHead() {
 	e, _ := s.q.Pop()
 	s.now = e.at
 	s.maxExec = e.at
-	if e.timer != nil {
-		e.timer.fired = true
-	}
 	s.done++
 	if e.del > 0 {
 		i := e.del - 1
@@ -209,24 +165,6 @@ func (s *Scheduler) runHead() {
 	e.fn()
 }
 
-// RunUntil executes every event with timestamp <= limit and then advances
-// Now to limit. It returns the number of events executed.
-func (s *Scheduler) RunUntil(limit Time) uint64 {
-	var n uint64
-	for {
-		e := s.skipCanceled()
-		if e == nil || e.at > limit {
-			break
-		}
-		s.runHead()
-		n++
-	}
-	if s.now < limit {
-		s.now = limit
-	}
-	return n
-}
-
 // RunBefore executes every event with timestamp strictly less than limit and
 // then advances Now to limit. Conservative parallel synchronization uses the
 // strict bound: an event at exactly the synchronization horizon may not run,
@@ -236,7 +174,7 @@ func (s *Scheduler) RunUntil(limit Time) uint64 {
 func (s *Scheduler) RunBefore(limit Time) uint64 {
 	var n uint64
 	for {
-		e := s.skipCanceled()
+		e := s.q.top()
 		if e == nil || e.at >= limit {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -89,74 +90,34 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSchedulerRunUntil(t *testing.T) {
+// TestSchedulerRunBefore checks the strict bound the conservative runner
+// relies on: an event at exactly the limit stays queued, and Now advances to
+// the limit even across an empty tail of the window.
+func TestSchedulerRunBefore(t *testing.T) {
 	s := NewScheduler(0)
 	ran := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Microsecond, func() { ran++ })
+	for _, us := range []Time{1, 2, 3, 4, 5, 9, 10} {
+		s.At(us*Microsecond, func() { ran++ })
 	}
-	n := s.RunUntil(5 * Microsecond)
-	if n != 5 || ran != 5 {
-		t.Fatalf("RunUntil executed %d events (cb %d), want 5", n, ran)
+	if n := s.RunBefore(5 * Microsecond); n != 4 || ran != 4 {
+		t.Fatalf("RunBefore(5us) executed %d events (cb %d), want 4", n, ran)
 	}
 	if s.Now() != 5*Microsecond {
 		t.Fatalf("Now() = %v, want 5us", s.Now())
 	}
-	// RunUntil advances Now even with an empty window.
-	s.RunUntil(7 * Microsecond)
-	if s.Now() != 7*Microsecond {
-		t.Fatalf("Now() = %v, want 7us", s.Now())
+	if n := s.RunBefore(8 * Microsecond); n != 1 || s.Now() != 8*Microsecond {
+		t.Fatalf("RunBefore(8us) executed %d events, Now %v; want 1, 8us", n, s.Now())
 	}
-	if s.Pending() != 3 {
-		t.Fatalf("Pending() = %d, want 3", s.Pending())
+	if s.Pending() != 2 || s.MaxExec() != 5*Microsecond {
+		t.Fatalf("Pending %d MaxExec %v, want 2, 5us", s.Pending(), s.MaxExec())
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	s := NewScheduler(0)
-	fired := false
-	tm := s.At(1*Microsecond, func() { fired = true })
-	if !tm.Pending() {
-		t.Fatal("timer should be pending")
-	}
-	if !tm.Cancel() {
-		t.Fatal("first cancel should succeed")
-	}
-	if tm.Cancel() {
-		t.Fatal("second cancel should be a no-op")
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	if tm.Pending() {
-		t.Fatal("cancelled timer should not be pending")
-	}
-}
-
-func TestTimerFired(t *testing.T) {
-	s := NewScheduler(0)
-	tm := s.At(1*Microsecond, func() {})
-	s.Run()
-	if tm.Pending() {
-		t.Fatal("fired timer still pending")
-	}
-	if tm.Cancel() {
-		t.Fatal("cancelling a fired timer should fail")
-	}
-	if tm.When() != 1*Microsecond {
-		t.Fatalf("When() = %v", tm.When())
-	}
-}
-
-func TestPeekSkipsCancelled(t *testing.T) {
-	s := NewScheduler(0)
-	tm := s.At(1*Microsecond, func() {})
-	s.At(2*Microsecond, func() {})
-	tm.Cancel()
-	at, ok := s.PeekTime()
-	if !ok || at != 2*Microsecond {
-		t.Fatalf("PeekTime = %v,%v; want 2us,true", at, ok)
+// TestEventEntrySize pins the heap entry: every sift copies it, and the
+// GC scans its one pointer word.
+func TestEventEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(eventEntry{}); n != 32 {
+		t.Fatalf("eventEntry is %d bytes, want 32", n)
 	}
 }
 

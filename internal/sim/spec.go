@@ -51,16 +51,13 @@ func (s *Scheduler) Rewind(t Time) {
 // ExportPendingInto is ExportPending with a caller-supplied buffer: records
 // are appended to dst[:0] so a speculation loop taking a snapshot per
 // committed horizon reuses one backing array instead of allocating each
-// time. Same contract otherwise: heap order, cancelled timers skipped, any
-// live closure event fails with ErrClosureEvent.
+// time. Same contract otherwise: heap order, and any closure event fails with
+// ErrClosureEvent.
 func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error) {
 	out := dst[:0]
 	s.q.fill()
 	for i := range s.q.h {
 		e := &s.q.h[i]
-		if e.timer != nil && e.timer.canceled {
-			continue
-		}
 		switch {
 		case e.del > 0:
 			d := s.deliveries[e.del-1]

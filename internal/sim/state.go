@@ -17,7 +17,7 @@ import (
 // a freshly built scheduler resolves it back to the re-registered handler.
 
 // ErrClosureEvent reports a pending event that cannot be exported because
-// it is a raw func() closure (At/After/Post) rather than a typed delivery
+// it is a raw func() closure (At/AtSrc/After) rather than a typed delivery
 // or named event. Components holding such events are not checkpointable.
 var ErrClosureEvent = errors.New("sim: pending closure event is not exportable")
 
@@ -61,11 +61,8 @@ func (s *Scheduler) LookupNamed(name string) (int32, bool) {
 	return h, ok
 }
 
-// NamedHandlerName returns the name handle h was registered under.
-func (s *Scheduler) NamedHandlerName(h int32) string { return s.named[h].name }
-
 // PostNamed schedules handler h to run at time t with args. It orders
-// identically to PostSrc at the same call position and allocates nothing in
+// identically to AtSrc at the same call position and allocates nothing in
 // steady state (the side-table slot is recycled when the event fires).
 func (s *Scheduler) PostNamed(t Time, src int32, h int32, args NamedArgs) {
 	if t < s.now {
@@ -109,13 +106,13 @@ const (
 	PendingNamed    uint8 = 1
 )
 
-// ExportPending returns every live queued event as a restorable record.
-// Cancelled timers are skipped. Any live closure event (At/After/Post)
-// makes the queue unexportable and returns ErrClosureEvent wrapped with the
-// event time, because a func pointer cannot be serialized. Lane-held
-// entries export as ordinary deliveries under their own (At, Src, Seq);
-// lanes themselves never appear. The queue is not modified; records come
-// back in heap order, not time order — callers sort.
+// ExportPending returns every queued event as a restorable record. Any
+// closure event (At/AtSrc/After) makes the queue unexportable and returns
+// ErrClosureEvent wrapped with the event time, because a func pointer
+// cannot be serialized. Lane-held entries export as ordinary deliveries
+// under their own (At, Src, Seq); lanes themselves never appear. The queue
+// is not modified; records come back in heap order, not time order —
+// callers sort.
 func (s *Scheduler) ExportPending() ([]PendingEvent, error) {
 	out, err := s.ExportPendingInto(make([]PendingEvent, 0, s.Pending()))
 	if err != nil {

@@ -38,7 +38,7 @@ func (k *benchSink) Deliver(_ sim.Time, m sim.Payload) {
 }
 
 func (x *benchXport) Now() sim.Time               { return x.sched.Now() }
-func (x *benchXport) PostRTO(c *Conn, d sim.Time) { x.sched.Post(x.sched.Now()+d, c.RTOFire) }
+func (x *benchXport) PostRTO(c *Conn, d sim.Time) { x.sched.After(d, c.RTOFire) }
 func (x *benchXport) NewFrame() *proto.Frame      { return x.pool.Get() }
 func (x *benchXport) LocalIP() proto.IP           { return x.ip }
 func (x *benchXport) LocalMAC() proto.MAC         { return x.mac }
@@ -68,7 +68,7 @@ func benchFlow() (*Conn, *sim.Scheduler) {
 	rcv := NewReceiver(b, a.ip, a.mac, 2000, 1000, CCReno)
 	a.conn, b.conn = snd, rcv
 	snd.StartFlow()
-	s.RunUntil(100 * sim.Millisecond) // settle into the loss-bounded sawtooth
+	s.RunBefore(100 * sim.Millisecond) // settle into the loss-bounded sawtooth
 	return snd, s
 }
 

@@ -95,10 +95,9 @@ type Conn struct {
 	// Lazily re-armed retransmission timer: rtoDeadline is the earliest
 	// instant a timeout may act (0 when disarmed), rtoPending whether a
 	// posted firing is outstanding. Re-arming updates the deadline; a
-	// firing that arrives before it re-posts instead of timing out. That
-	// replaces the cancel-and-recreate Timer the previous implementation
-	// paid for on every ACK. The firing itself travels through
-	// Transport.PostRTO so it stays a serializable record.
+	// firing that arrives before it re-posts instead of timing out, so an
+	// ACK never has to retract a queued event. The firing itself travels
+	// through Transport.PostRTO so it stays a serializable record.
 	rtoDeadline sim.Time
 	rtoPending  bool
 

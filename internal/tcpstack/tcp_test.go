@@ -37,7 +37,7 @@ func newLoop(delay sim.Time) *loop {
 
 func (e *endpoint) Now() sim.Time { return e.l.sched.Now() }
 func (e *endpoint) PostRTO(c *Conn, d sim.Time) {
-	e.l.sched.Post(e.l.sched.Now()+d, c.RTOFire)
+	e.l.sched.After(d, c.RTOFire)
 }
 func (e *endpoint) NewFrame() *proto.Frame { return &proto.Frame{} }
 func (e *endpoint) LocalIP() proto.IP      { return e.ip }

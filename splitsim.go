@@ -195,8 +195,6 @@ type (
 	// ExecutionPlan is the explicit wiring a Simulation derives from a
 	// Placement: components, channels (direct/coupled/remote), groups.
 	ExecutionPlan = orch.ExecutionPlan
-	// RecommendOptions tunes the profiler-driven placement recommender.
-	RecommendOptions = decomp.RecommendOptions
 	// RunOptions is everything ExecutionPlan.Execute lets a caller vary:
 	// the pacing mode, the speculation ceiling, a checkpoint to resume
 	// from, and whether to capture one at the end.

@@ -148,8 +148,7 @@ func TestPublicAPIPlacement(t *testing.T) {
 	}
 
 	// The feedback loop terminates and yields a valid placement.
-	auto := splitsim.AutoPlace(seqComps, seqLinks,
-		splitsim.DefaultModelParams(splitsim.Millisecond), splitsim.RecommendOptions{})
+	auto := splitsim.AutoPlace(seqComps, seqLinks, splitsim.DefaultModelParams(splitsim.Millisecond))
 	if n := auto.NumGroups(); n < 1 || n > 2 {
 		t.Fatalf("auto placement groups = %d", n)
 	}
