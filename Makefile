@@ -7,17 +7,18 @@
 # vets and tests the end-to-end benchmark module, which the root module's
 # build and tests do not reach; `make bench` runs every Go benchmark once
 # as a smoke test (performance is recorded only by BENCHMARK.json's
-# bench/e2e workloads); `make loc` prints the per-package code-line table
+# bench/e2e workloads); `make examples` runs every program under examples/
+# to completion; `make loc` prints the per-package code-line table
 # simplicity PRs report before and after; `make fmt` fails on any file
 # gofmt would rewrite.
 
 GO ?= go
 
-.PHONY: check fmt build vet test race chaos exec scale e2e bench loc all
+.PHONY: check fmt build vet test race chaos exec scale e2e examples bench loc all
 
 all: check race
 
-check: fmt vet build test chaos exec scale e2e
+check: fmt vet build test chaos exec scale e2e examples
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -78,6 +79,15 @@ scale:
 # golden digest.
 e2e:
 	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
+
+# Example programs: `go build ./...` only compiles examples/*, so run each
+# one and fail on a non-zero exit. parallel writes its raw profile under
+# os.TempDir, not the repo.
+examples:
+	@for d in examples/*/; do \
+		echo "run $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Benchmark smoke: one iteration of every Benchmark*, recording nothing.
 # Several fail on a broken invariant (e.g. BenchmarkLaneBacklog's 0

@@ -3,7 +3,7 @@
 //
 //	splitsim list
 //	splitsim run fig4 [-scale 1.0] [-seed 42]
-//	splitsim run placement [-placement ac]
+//	splitsim run placement [-placement ac] [-optimistic[=K]]
 //	splitsim run all  [-scale 0.1]
 //	splitsim plan fig8 [-placement auto]
 package main
@@ -30,10 +30,12 @@ func names() []string {
 	return out
 }
 
-// checkOpts validates the run/plan flags against experiment exp: -bg names a
-// tier, -scale is positive, -hosts is not negative, and -placement is one
-// the experiment's table row accepts.
-func checkOpts(exp string, o experiments.Options) error {
+// checkOpts validates subcommand cmd's flags against experiment exp: -bg
+// names a tier, -scale is positive, -hosts is not negative, -optimistic
+// reaches the one experiment that executes with it (the placement study,
+// alone or in `run all`; plan never executes), and -placement is one the
+// experiment's table row accepts.
+func checkOpts(cmd, exp string, o experiments.Options) error {
 	switch {
 	case o.Bg != "" && o.Bg != "flow":
 		return fmt.Errorf("-bg accepts \"flow\", not %q", o.Bg)
@@ -41,6 +43,8 @@ func checkOpts(exp string, o experiments.Options) error {
 		return fmt.Errorf("-scale must be positive, not %v", o.Scale)
 	case o.Hosts < 0:
 		return fmt.Errorf("-hosts must be 0 (scale-derived) or positive, not %d", o.Hosts)
+	case o.Exec.Mode == orch.Optimistic && (cmd == "plan" || exp != "placement" && exp != "all"):
+		return fmt.Errorf("-optimistic applies to `run placement` and `run all` only, not `%s %s`", cmd, exp)
 	case o.Placement == "":
 		return nil
 	}
@@ -74,7 +78,7 @@ flags for run and plan:
   -scale f       duration/topology scale (default 1.0 = paper scale)
   -seed n        random seed (default 42)
   -placement p   execution placement (%s)
-  -optimistic[=K]  speculate K lookahead windows past the committed horizon (placed runs; bare flag = default depth)
+  -optimistic[=K]  speculate K lookahead windows past the committed horizon (run placement/all only; bare flag = default depth)
   -checkpoint-at us     warmup horizon in microseconds for checkpointing experiments (warmstart)
   -checkpoint-file f    write the captured checkpoint to f
   -restore-file f       resume from a checkpoint file instead of simulating the warmup
@@ -158,7 +162,7 @@ func main() {
 		usage()
 	}
 	name, opts := os.Args[2], parseOpts(cmd, os.Args[3:])
-	if err := checkOpts(name, opts); err != nil {
+	if err := checkOpts(cmd, name, opts); err != nil {
 		fail("%v", err)
 	}
 	if cmd == "plan" {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/orch"
 )
 
 func TestCatalogCoversEveryFigure(t *testing.T) {
@@ -89,16 +90,36 @@ func TestCheckPlacement(t *testing.T) {
 		{"scale", with(func(o *experiments.Options) { o.Hosts = -5 }), false},
 	}
 	for _, c := range cases {
-		err := checkOpts(c.exp, c.opts)
+		err := checkOpts("run", c.exp, c.opts)
 		if (err == nil) != c.ok {
 			t.Errorf("checkOpts(%q, %+v) = %v, want ok=%v", c.exp, c.opts, err, c.ok)
+		}
+	}
+	// -optimistic reaches only the placement study's placed runs; plan
+	// never executes, so it rejects the flag outright.
+	optimistic := with(func(o *experiments.Options) {
+		o.Exec = orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows}
+	})
+	for _, c := range []struct {
+		cmd, exp string
+		ok       bool
+	}{
+		{"run", "placement", true},
+		{"run", "all", true},
+		{"run", "fig8", false},
+		{"run", "fig7", false},
+		{"plan", "placement", false},
+		{"plan", "fig8", false},
+	} {
+		if err := checkOpts(c.cmd, c.exp, optimistic); (err == nil) != c.ok {
+			t.Errorf("checkOpts(%q, %q, -optimistic) = %v, want ok=%v", c.cmd, c.exp, err, c.ok)
 		}
 	}
 	// Every experiment accepts exactly its table row's placements.
 	for _, e := range experiments.Experiments() {
 		for _, p := range append([]string{"s", "percomp", "auto", "ac", "cr2", "rs"}, e.Placements...) {
 			accepted := slices.Contains(e.Placements, p)
-			if err := checkOpts(e.Name, placed(p)); (err == nil) != accepted {
+			if err := checkOpts("run", e.Name, placed(p)); (err == nil) != accepted {
 				t.Errorf("checkOpts(%q, -placement %s) = %v, want ok=%v", e.Name, p, err, accepted)
 			}
 		}

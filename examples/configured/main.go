@@ -9,8 +9,6 @@ import (
 
 	splitsim "repro"
 	"repro/internal/apps/kv"
-	"repro/internal/hostsim"
-	"repro/internal/netsim"
 	"repro/internal/stats"
 )
 
@@ -24,10 +22,7 @@ func describe() (*splitsim.System, []*kv.Client) {
 
 	srv := kv.NewServer(kv.DefaultServerParams())
 	server := sys.AddHost("server", "tor0", 10*splitsim.Gbps, splitsim.Microsecond)
-	server.Apps = append(server.Apps, splitsim.AppFuncs{
-		Protocol: func(h *netsim.Host) { srv.Run(h) },
-		Detailed: func(h *hostsim.Host) { srv.Run(h) },
-	})
+	server.Apps = append(server.Apps, srv.Run)
 
 	var clients []*kv.Client
 	for i := 0; i < 2; i++ {
@@ -38,10 +33,7 @@ func describe() (*splitsim.System, []*kv.Client) {
 		cp.WarmUp = splitsim.Millisecond
 		cli := kv.NewClient(cp)
 		clients = append(clients, cli)
-		host.Apps = append(host.Apps, splitsim.AppFuncs{
-			Protocol: func(h *netsim.Host) { cli.Run(h) },
-			Detailed: func(h *hostsim.Host) { cli.Run(h) },
-		})
+		host.Apps = append(host.Apps, cli.Run)
 	}
 	return sys, clients
 }

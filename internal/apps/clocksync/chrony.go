@@ -3,7 +3,6 @@ package clocksync
 import (
 	"repro/internal/hostsim"
 	"repro/internal/nicsim"
-	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -154,6 +153,3 @@ func (r *PHCRefClock) Run(h *hostsim.Host) {
 	}
 	h.After(r.Poll/3, tick)
 }
-
-// Sanity re-export so callers need not import proto for the NTP port.
-const NTPPort = proto.PortNTP

@@ -9,6 +9,7 @@ package crdb
 
 import (
 	"repro/internal/apps/kv"
+	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -47,7 +48,7 @@ type pendingWrite struct {
 // Server is one replica. The leader serves clients on proto.PortCRDB and
 // replicates writes to the follower; the follower applies and acks.
 type Server struct {
-	env kv.Env
+	env core.Host
 	p   Params
 
 	versions  map[uint64]uint64
@@ -72,7 +73,7 @@ func NewServer(p Params) *Server {
 }
 
 // Run binds the replica; call from the host tier's app hook.
-func (s *Server) Run(env kv.Env) {
+func (s *Server) Run(env core.Host) {
 	s.env = env
 	env.BindUDP(proto.PortCRDB, s.onClient)
 	env.BindUDP(ReplicationPort, s.onReplication)
@@ -110,9 +111,8 @@ func (s *Server) onClient(src proto.IP, srcPort uint16, payload []byte, _ int) {
 			}
 			key := replKey(m)
 			s.pending[key] = &pendingWrite{src: src, srcPort: srcPort, msg: m, startAt: s.env.Now()}
-			repl := m
 			s.env.SendUDP(s.p.Follower, ReplicationPort, ReplicationPort,
-				proto.AppendKV(nil, repl), int(m.ValueLen))
+				proto.AppendKV(nil, m), int(m.ValueLen))
 		})
 	}
 }

@@ -16,19 +16,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Env is the host API the applications run against; both netsim.Host and
-// hostsim.Host satisfy it.
-type Env interface {
-	Now() sim.Time
-	End() sim.Time
-	After(d sim.Time, fn func())
-	Compute(d sim.Time, fn func())
-	SendUDP(dst proto.IP, srcPort, dstPort uint16, payload []byte, virtual int)
-	BindUDP(port uint16, fn core.UDPHandler)
-	LocalIP() proto.IP
-	Rand() *sim.Rand
-}
-
 // ClientPort is the UDP port clients receive replies on.
 const ClientPort = 9001
 
@@ -54,7 +41,7 @@ func DefaultServerParams() ServerParams {
 
 // Server is a replica of the key-value store.
 type Server struct {
-	env      Env
+	env      core.Host
 	p        ServerParams
 	versions map[uint64]uint64
 
@@ -68,7 +55,7 @@ func NewServer(p ServerParams) *Server {
 }
 
 // Run binds the server to its host; call from the host tier's app hook.
-func (s *Server) Run(env Env) {
+func (s *Server) Run(env core.Host) {
 	s.env = env
 	env.BindUDP(proto.PortKV, s.onRequest)
 }
@@ -156,7 +143,7 @@ type pending struct {
 
 // Client generates the workload and records end-to-end statistics.
 type Client struct {
-	env  Env
+	env  core.Host
 	p    ClientParams
 	zipf *sim.Zipf
 	seq  uint64
@@ -185,7 +172,7 @@ func NewClient(p ClientParams) *Client {
 }
 
 // Run binds and starts the client.
-func (c *Client) Run(env Env) {
+func (c *Client) Run(env core.Host) {
 	c.env = env
 	env.BindUDP(ClientPort, c.onReply)
 	if c.p.Rate > 0 {
@@ -277,10 +264,4 @@ func (c *Client) onReply(_ proto.IP, _ uint16, payload []byte, _ int) {
 	if c.p.Rate <= 0 {
 		c.sendNext() // closed loop
 	}
-}
-
-// MeasuredRate returns completed ops/s over the post-warm-up window.
-func (c *Client) MeasuredRate() float64 {
-	window := c.env.End() - c.p.WarmUp
-	return stats.Rate(int(c.Completed), window)
 }

@@ -17,45 +17,15 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hostsim"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
-// App is an application that can run on either host tier. Implementations
-// bind to whichever host kind the instantiation chose — the code-reuse
+// App is an application written once against core.Host; the
+// instantiation calls it on whichever host tier it built — the code-reuse
 // property that lets one workload definition serve every fidelity.
-type App interface {
-	// RunProtocol starts the app on a protocol-level host.
-	RunProtocol(h *netsim.Host)
-	// RunDetailed starts the app on a detailed host.
-	RunDetailed(h *hostsim.Host)
-}
-
-// AppFuncs adapts a pair of functions to App. Either may be nil when the
-// app only supports one tier (validation enforces compatibility with the
-// chosen fidelity).
-type AppFuncs struct {
-	Protocol func(h *netsim.Host)
-	Detailed func(h *hostsim.Host)
-}
-
-// RunProtocol implements App.
-func (a AppFuncs) RunProtocol(h *netsim.Host) {
-	if a.Protocol == nil {
-		panic("config: app has no protocol-level implementation")
-	}
-	a.Protocol(h)
-}
-
-// RunDetailed implements App.
-func (a AppFuncs) RunDetailed(h *hostsim.Host) {
-	if a.Detailed == nil {
-		panic("config: app has no detailed implementation")
-	}
-	a.Detailed(h)
-}
+type App func(h core.Host)
 
 // Host describes one end host of the simulated system.
 type Host struct {

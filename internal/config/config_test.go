@@ -12,6 +12,12 @@ import (
 	"repro/internal/sim"
 )
 
+// Both host tiers offer the one app contract config.App is written against.
+var (
+	_ core.Host = (*hostsim.Host)(nil)
+	_ core.Host = (*netsim.Host)(nil)
+)
+
 // smallSystem builds a 2-switch, 3-host system with a ping workload.
 func smallSystem() (*config.System, *int, *[]sim.Time) {
 	s := &config.System{}
@@ -23,45 +29,31 @@ func smallSystem() (*config.System, *int, *[]sim.Time) {
 	rtts := new([]sim.Time)
 
 	srv := s.AddHost("server", "sw1", 10*sim.Gbps, sim.Microsecond)
-	srv.Apps = append(srv.Apps, config.AppFuncs{
-		Protocol: func(h *netsim.Host) {
-			h.BindUDP(7, func(src proto.IP, sport uint16, p []byte, _ int) {
-				*received++
-				h.SendUDP(src, 7, sport, p, 0)
-			})
-		},
-		Detailed: func(h *hostsim.Host) {
-			h.BindUDP(7, func(src proto.IP, sport uint16, p []byte, _ int) {
-				*received++
-				h.SendUDP(src, 7, sport, p, 0)
-			})
-		},
+	srv.Apps = append(srv.Apps, func(h core.Host) {
+		h.BindUDP(7, func(src proto.IP, sport uint16, p []byte, _ int) {
+			*received++
+			h.SendUDP(src, 7, sport, p, 0)
+		})
 	})
 
-	for i, name := range []string{"cli0", "cli1"} {
+	for _, name := range []string{"cli0", "cli1"} {
 		c := s.AddHost(name, "sw0", 10*sim.Gbps, sim.Microsecond)
-		_ = i
-		c.Apps = append(c.Apps, config.AppFuncs{
-			Protocol: func(h *netsim.Host) { pingLoop(h.Now, h.After, h.SendUDP, h.BindUDP, rtts) },
-			Detailed: func(h *hostsim.Host) { pingLoop(h.Now, h.After, h.SendUDP, h.BindUDP, rtts) },
-		})
+		c.Apps = append(c.Apps, func(h core.Host) { pingLoop(h, rtts) })
 	}
 	return s, received, rtts
 }
 
-// pingLoop is tier-agnostic client logic over the shared socket shape.
-func pingLoop(now func() sim.Time, after func(sim.Time, func()),
-	send func(proto.IP, uint16, uint16, []byte, int),
-	bind func(uint16, core.UDPHandler), rtts *[]sim.Time) {
+// pingLoop is tier-agnostic client logic: it runs on either host kind.
+func pingLoop(h core.Host, rtts *[]sim.Time) {
 	var sentAt sim.Time
-	bind(8000, func(proto.IP, uint16, []byte, int) {
-		*rtts = append(*rtts, now()-sentAt)
+	h.BindUDP(8000, func(proto.IP, uint16, []byte, int) {
+		*rtts = append(*rtts, h.Now()-sentAt)
 	})
 	var tick func()
 	tick = func() {
-		sentAt = now()
-		send(proto.HostIP(1), 8000, 7, nil, 64)
-		after(500*sim.Microsecond, tick)
+		sentAt = h.Now()
+		h.SendUDP(proto.HostIP(1), 8000, 7, nil, 64)
+		h.After(500*sim.Microsecond, tick)
 	}
 	tick()
 }

@@ -141,7 +141,7 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 			if apps := h.Apps; len(apps) > 0 {
 				nh.SetApp(netsim.AppFunc(func(hh *netsim.Host) {
 					for _, a := range apps {
-						a.RunProtocol(hh)
+						a(hh)
 					}
 				}))
 			}
@@ -163,8 +163,7 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 			}
 		}
 		for _, app := range h.Apps {
-			app := app
-			dh.Host.AddApp(hostsim.AppFunc(func(hh *hostsim.Host) { app.RunDetailed(hh) }))
+			dh.Host.AddApp(hostsim.AppFunc(func(hh *hostsim.Host) { app(hh) }))
 		}
 		dh.Wire(inst.Sim, built.Parts[built.HostPart[slot]], built.Exts[slot])
 		inst.Detailed[h.Name] = dh

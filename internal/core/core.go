@@ -125,6 +125,22 @@ type Component interface {
 // code-reuse property the paper's mixed-fidelity case studies depend on.
 type UDPHandler func(src proto.IP, srcPort uint16, payload []byte, virtual int)
 
+// Host is what a host offers an application, at either fidelity: both the
+// protocol-level netsim.Host and the detailed hostsim.Host satisfy it, so
+// an app written once against Host runs on whichever tier an instantiation
+// picks. Compute is free on protocol-level hosts and consumes CPU time on
+// detailed ones — the modeling gap mixed fidelity trades on.
+type Host interface {
+	Now() sim.Time
+	End() sim.Time
+	After(d sim.Time, fn func())
+	Compute(d sim.Time, fn func())
+	SendUDP(dst proto.IP, srcPort, dstPort uint16, payload []byte, virtual int)
+	BindUDP(port uint16, fn UDPHandler)
+	LocalIP() proto.IP
+	Rand() *sim.Rand
+}
+
 // CostAccount accumulates modeled host-CPU nanoseconds for one component.
 // The SplitSim performance model (package decomp) uses these totals to
 // predict simulation runtime: a component that accounts N busy nanoseconds

@@ -196,16 +196,4 @@ func init() {
 			}
 			return proto.GetWireFrame(append([]byte(nil), raw...)), nil
 		})
-	RegisterPayload("proto.RawFrame", reflect.TypeOf(proto.RawFrame{}),
-		func(e *snap.Encoder, m Message) error {
-			e.Bytes32(m.(proto.RawFrame))
-			return nil
-		},
-		func(d *snap.Decoder, owner Component) (Message, error) {
-			raw := d.Bytes32()
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			return proto.RawFrame(append([]byte(nil), raw...)), nil
-		})
 }

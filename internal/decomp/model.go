@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -253,6 +252,3 @@ func ModeledAnalysis(comps []Comp, links []Link, p Params) *profiler.Analysis {
 	})
 	return a
 }
-
-// FmtSpeed renders a simulation speed the way the paper's plots label it.
-func FmtSpeed(s float64) string { return fmt.Sprintf("%.2e sim-s/s", s) }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/kv"
 	"repro/internal/apps/netcache"
 	"repro/internal/apps/pegasus"
+	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/hostsim"
 	"repro/internal/instantiate"
@@ -252,7 +253,7 @@ func (c kvCase) build(opts Options, p fig4Params, dur sim.Time) (*scenario, []*k
 
 	// attach puts app on the switch: on a detailed host with NIC np when
 	// detailed, on a protocol-level host otherwise.
-	attach := func(name string, ip proto.IP, rate int64, np nicsim.Params, seed uint64, detailed bool, app func(kv.Env)) {
+	attach := func(name string, ip proto.IP, rate int64, np nicsim.Params, seed uint64, detailed bool, app func(core.Host)) {
 		if detailed {
 			ext := n.AddExternal(sw, name, rate, ip)
 			dh := instantiate.NewDetailedHost(name, ip, hostsim.QemuParams(), np, seed)
@@ -265,10 +266,9 @@ func (c kvCase) build(opts Options, p fig4Params, dur sim.Time) (*scenario, []*k
 		h.SetApp(netsim.AppFunc(func(h *netsim.Host) { app(h) }))
 	}
 	for i, ip := range serverIPs {
-		srv := kv.NewServer(p.serverParams)
 		np := nicsim.DefaultParams()
 		np.Rate = p.serverLinkRate
-		attach(fmt.Sprintf("srv%d", i), ip, p.serverLinkRate, np, opts.Seed+uint64(i), c.detailedServers, srv.Run)
+		attach(fmt.Sprintf("srv%d", i), ip, p.serverLinkRate, np, opts.Seed+uint64(i), c.detailedServers, kv.NewServer(p.serverParams).Run)
 	}
 	var clients []*kv.Client
 	for i := 0; i < p.nClients; i++ {

@@ -265,34 +265,6 @@ func Install(b *netsim.Built, endpoints []int, spec Spec) *Engine {
 	return eng
 }
 
-// InstallSpec dispatches a workload.Spec by fidelity: FidelityFlow specs
-// install here, translated field-for-field. (FidelityPacket specs go
-// through workload.Install, which materializes hosts; the point of this
-// entry is that flow specs never do.)
-func InstallSpec(b *netsim.Built, endpoints []int, ws workload.Spec) *Engine {
-	if ws.Fidelity != workload.FidelityFlow {
-		panic("flowsim: InstallSpec is for FidelityFlow specs; use workload.Install for packet-level")
-	}
-	fs := Spec{
-		Pattern: ws.Pattern,
-		Sizes:   ws.Sizes,
-		Seed:    ws.Seed,
-		MTU:     ws.MTU,
-		FCTCap:  ws.FCTCap,
-	}
-	switch a := ws.Arrival.(type) {
-	case workload.Open:
-		fs.FlowsPerSec = a.FlowsPerSec
-	case *workload.Trace:
-		fs.Trace = a
-	case workload.Closed:
-		panic("flowsim: the flow tier is open-loop; Closed arrivals need the packet tier")
-	default:
-		panic("flowsim: spec needs an Open or Trace arrival")
-	}
-	return Install(b, endpoints, fs)
-}
-
 // wireBits is the on-the-wire size of a flow in bits: payload plus
 // per-packet overhead at the configured MTU.
 func (e *Engine) wireBits(bytes int64) float64 {

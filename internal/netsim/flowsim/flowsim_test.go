@@ -128,45 +128,6 @@ func TestFlowTraceReplay(t *testing.T) {
 	}
 }
 
-// TestInstallSpecDispatch: a FidelityFlow workload.Spec installs through
-// the flow tier; packet specs are refused here and flow specs are refused
-// by the packet tier.
-func TestInstallSpecDispatch(t *testing.T) {
-	lazy := smallClos
-	lazy.Lazy = true
-	s, b, m := buildFabric(t, lazy, 3, 1)
-	eng := flowsim.InstallSpec(b, allSlots(m), workload.Spec{
-		Fidelity: workload.FidelityFlow,
-		Pattern:  workload.Uniform{},
-		Sizes:    workload.Fixed(100_000),
-		Arrival:  workload.Open{FlowsPerSec: 100},
-		Seed:     3,
-	})
-	s.RunSequential(10 * sim.Millisecond)
-	if r := eng.Collect(); r.FlowsCompleted == 0 {
-		t.Fatalf("no flows completed: %v", r)
-	}
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("InstallSpec(packet)", func() {
-		flowsim.InstallSpec(b, allSlots(m), workload.Spec{
-			Pattern: workload.Uniform{}, Sizes: workload.Fixed(1), Arrival: workload.Open{FlowsPerSec: 1},
-		})
-	})
-	mustPanic("workload.Install(flow)", func() {
-		workload.Install(materializePod(b, m, 0), workload.Spec{
-			Fidelity: workload.FidelityFlow,
-			Pattern:  workload.Uniform{}, Sizes: workload.Fixed(1), Arrival: workload.Open{FlowsPerSec: 1},
-		})
-	})
-}
-
 // runTierFCT runs one fixed-size trace through the chosen tier on a fresh
 // fabric and returns the mean FCT.
 func runTierFCT(t *testing.T, size int64, packet bool) sim.Time {

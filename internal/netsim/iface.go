@@ -40,9 +40,6 @@ type Iface struct {
 	// and MaxBytes the mark (ECT) / drop (non-ECT) probability rises
 	// linearly to MaxP; above MaxBytes everything marks or drops.
 	RED *REDParams
-	// Tap, when set, observes every frame accepted for transmission (after
-	// marking, before serialization) — the capture point.
-	Tap func(now sim.Time, f *proto.Frame)
 
 	// Statistics.
 	TxPackets, TxBytes uint64
@@ -232,9 +229,6 @@ func (i *Iface) Enqueue(f *proto.Frame) sim.Time {
 	} else if i.MarkThresholdBytes > 0 && backlog > i.MarkThresholdBytes && ect {
 		f.IP = f.IP.WithECN(proto.ECNCE)
 		i.Marks++
-	}
-	if i.Tap != nil {
-		i.Tap(now, f)
 	}
 	start := now + i.bgDelay
 	if i.busyUntil > start {

@@ -327,9 +327,6 @@ func (p *ExtPort) Bind(out core.Port) { p.out = out }
 // Iface returns the switch-side interface of this external port.
 func (p *ExtPort) Iface() *Iface { return p.iface }
 
-// IPs returns the addresses reachable through this port.
-func (p *ExtPort) IPs() []proto.IP { return p.ips }
-
 // Deliver implements core.Sink: a frame (or encoded frame) arrives from the
 // external component and enters the switch. Decoded frames come from the
 // network's pool and adopt the incoming wire buffer, so the boundary receive
@@ -345,14 +342,6 @@ func (p *ExtPort) Deliver(_ sim.Time, m core.Message) {
 			panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
 		}
 		proto.PutWireFrame(v)
-		p.net.encRx++
-	case proto.RawFrame:
-		// Legacy byte path (proxy transports, tests). The sender built the
-		// slice fresh for this message, so the frame adopts it directly.
-		f = p.net.pool.Get()
-		if err := proto.ParseFrameInto(f, v); err != nil {
-			panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
-		}
 		p.net.encRx++
 	default:
 		panic(fmt.Sprintf("netsim: %s: unexpected message %T", p.name, m))

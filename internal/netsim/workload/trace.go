@@ -1,14 +1,7 @@
 package workload
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -27,7 +20,7 @@ type TraceFlow struct {
 // Trace replays a recorded arrival schedule over the participant set — the
 // ROADMAP "trace replay" arrival process. It implements Arrival for the
 // packet tier (workload.Install) and is equally consumed by the flow-level
-// tier (netsim/flowsim), so one trace file can drive either fidelity.
+// tier (netsim/flowsim), so one trace can drive either fidelity.
 // Under a trace the Spec's Pattern and Sizes are ignored: destinations,
 // sizes, and timing all come from the tuples.
 type Trace struct {
@@ -58,113 +51,4 @@ func (tr *Trace) Validate(n int) error {
 		}
 	}
 	return nil
-}
-
-// traceMagic heads the binary trace format: records are fixed-width little-
-// endian (start int64 ns, src uint32, dst uint32, bytes int64) after a
-// uint32 count.
-var traceMagic = []byte("SSTR1\n")
-
-// ParseTraceCSV reads the text trace format: one "start_ns,src,dst,bytes"
-// line per flow, blank lines and #-comments skipped.
-func ParseTraceCSV(r io.Reader) (*Trace, error) {
-	tr := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("trace: line %d: want start_ns,src,dst,bytes, got %q", lineNo, line)
-		}
-		var vals [4]int64
-		for i, p := range parts {
-			v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d field %d: %v", lineNo, i+1, err)
-			}
-			vals[i] = v
-		}
-		tr.Flows = append(tr.Flows, TraceFlow{
-			Start: sim.Time(vals[0]), Src: int(vals[1]), Dst: int(vals[2]), Bytes: vals[3]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %v", err)
-	}
-	return tr, nil
-}
-
-// ParseTraceBinary reads the binary trace format (traceMagic header).
-func ParseTraceBinary(b []byte) (*Trace, error) {
-	if !bytes.HasPrefix(b, traceMagic) {
-		return nil, fmt.Errorf("trace: missing %q magic", traceMagic)
-	}
-	b = b[len(traceMagic):]
-	if len(b) < 4 {
-		return nil, fmt.Errorf("trace: truncated header")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	const rec = 8 + 4 + 4 + 8
-	if len(b) != n*rec {
-		return nil, fmt.Errorf("trace: %d records declared, %d bytes of payload (want %d)",
-			n, len(b), n*rec)
-	}
-	tr := &Trace{Flows: make([]TraceFlow, n)}
-	for i := 0; i < n; i++ {
-		r := b[i*rec:]
-		tr.Flows[i] = TraceFlow{
-			Start: sim.Time(binary.LittleEndian.Uint64(r)),
-			Src:   int(binary.LittleEndian.Uint32(r[8:])),
-			Dst:   int(binary.LittleEndian.Uint32(r[12:])),
-			Bytes: int64(binary.LittleEndian.Uint64(r[16:])),
-		}
-	}
-	return tr, nil
-}
-
-// WriteBinary serializes the trace in the binary format.
-func (tr *Trace) WriteBinary(w io.Writer) error {
-	buf := make([]byte, 0, len(traceMagic)+4+len(tr.Flows)*24)
-	buf = append(buf, traceMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tr.Flows)))
-	for _, f := range tr.Flows {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Start))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Src))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Dst))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Bytes))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// LoadTrace reads a trace file, auto-detecting the binary format by magic
-// and falling back to CSV.
-func LoadTrace(path string) (*Trace, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if bytes.HasPrefix(b, traceMagic) {
-		return ParseTraceBinary(b)
-	}
-	return ParseTraceCSV(bytes.NewReader(b))
-}
-
-// SaveTrace writes the trace to path in the binary format.
-func SaveTrace(path string, tr *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

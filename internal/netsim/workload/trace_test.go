@@ -1,87 +1,11 @@
 package workload_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/netsim/workload"
 	"repro/internal/sim"
 )
-
-func TestTraceCSVParse(t *testing.T) {
-	in := `# start_ns,src,dst,bytes
-1000, 0, 1, 2000
-
-2000,1,0,500
-3000,2,0,10000
-`
-	tr, err := workload.ParseTraceCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []workload.TraceFlow{
-		{Start: 1000, Src: 0, Dst: 1, Bytes: 2000},
-		{Start: 2000, Src: 1, Dst: 0, Bytes: 500},
-		{Start: 3000, Src: 2, Dst: 0, Bytes: 10000},
-	}
-	if len(tr.Flows) != len(want) {
-		t.Fatalf("parsed %d flows, want %d", len(tr.Flows), len(want))
-	}
-	for i, f := range tr.Flows {
-		if f != want[i] {
-			t.Fatalf("flow %d: got %+v, want %+v", i, f, want[i])
-		}
-	}
-	if _, err := workload.ParseTraceCSV(strings.NewReader("1000,0,1\n")); err == nil {
-		t.Fatal("3-field line parsed without error")
-	}
-	if _, err := workload.ParseTraceCSV(strings.NewReader("x,0,1,10\n")); err == nil {
-		t.Fatal("non-numeric field parsed without error")
-	}
-}
-
-func TestTraceBinaryRoundTripAndAutoDetect(t *testing.T) {
-	tr := &workload.Trace{Flows: []workload.TraceFlow{
-		{Start: 0, Src: 3, Dst: 1, Bytes: 1},
-		{Start: 5 * sim.Microsecond, Src: 0, Dst: 2, Bytes: 1 << 40},
-	}}
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := workload.ParseTraceBinary(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range got.Flows {
-		if f != tr.Flows[i] {
-			t.Fatalf("flow %d: got %+v, want %+v", i, f, tr.Flows[i])
-		}
-	}
-	if _, err := workload.ParseTraceBinary(buf.Bytes()[:10]); err == nil {
-		t.Fatal("truncated binary trace parsed without error")
-	}
-
-	// LoadTrace detects binary by magic and falls back to CSV.
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "t.bin")
-	if err := workload.SaveTrace(bin, tr); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := workload.LoadTrace(bin); err != nil || len(got.Flows) != 2 {
-		t.Fatalf("binary load: %v (%d flows)", err, len(got.Flows))
-	}
-	csv := filepath.Join(dir, "t.csv")
-	if err := os.WriteFile(csv, []byte("0,3,1,1\n5000,0,2,9\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := workload.LoadTrace(csv); err != nil || len(got.Flows) != 2 {
-		t.Fatalf("csv load: %v", err)
-	}
-}
 
 func TestTraceValidate(t *testing.T) {
 	ok := &workload.Trace{Flows: []workload.TraceFlow{

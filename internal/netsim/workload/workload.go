@@ -160,31 +160,11 @@ const (
 	TransportTCP
 )
 
-// Fidelity selects which tier simulates a workload's flows — the SplitSim
-// mixed-fidelity knob (paper §3.1) applied to traffic.
-type Fidelity int
-
-const (
-	// FidelityPacket runs every flow packet-by-packet over materialized
-	// protocol-level hosts — the default, and the only fidelity
-	// workload.Install accepts.
-	FidelityPacket Fidelity = iota
-	// FidelityFlow runs flows as fluid rates in the flow-level background
-	// tier (netsim/flowsim): no hosts materialized, no frames, O(active
-	// flows) state. Install a FidelityFlow spec with flowsim.InstallSpec,
-	// which dispatches on this knob and accepts host *slots* rather than
-	// hosts.
-	FidelityFlow
-)
-
 // Spec configures one workload.
 type Spec struct {
 	Pattern Pattern
 	Sizes   SizeDist
 	Arrival Arrival
-
-	// Fidelity selects packet-level (default) or flow-level execution.
-	Fidelity Fidelity
 
 	Seed uint64
 
@@ -271,9 +251,6 @@ type hostState struct {
 // ends.
 func Install(hosts []*netsim.Host, spec Spec) *Engine {
 	spec.defaults()
-	if spec.Fidelity != FidelityPacket {
-		panic("workload: Install is packet-level; use flowsim.InstallSpec for FidelityFlow specs")
-	}
 	if len(hosts) < 2 {
 		panic("workload: need at least two hosts")
 	}

@@ -197,9 +197,6 @@ func (n *NIC) AdjPHCFreq(deltaPPM float64) {
 	n.phcFreqAdj += deltaPPM
 }
 
-// PHCFreqAdjPPM returns the applied frequency correction.
-func (n *NIC) PHCFreqAdjPPM() float64 { return n.phcFreqAdj }
-
 // HostSink returns the sink for messages arriving from the host over PCI.
 func (n *NIC) HostSink() core.Sink { return core.SinkFunc(n.fromHost) }
 
@@ -267,8 +264,6 @@ func (n *NIC) fromNet(at sim.Time, m core.Message) {
 	case *proto.WireFrame:
 		frame = v.B
 		proto.PutWireFrame(v)
-	case proto.RawFrame:
-		frame = v
 	default:
 		panic("nicsim: expected an encoded frame on the wire")
 	}

@@ -96,7 +96,7 @@ func TestRxPathAndTimestamp(t *testing.T) {
 	nic, host, _, s := rig(p)
 	arrive := 1 * sim.Millisecond
 	s.At(arrive, func() {
-		nic.NetSink().Deliver(arrive, proto.RawFrame(frameBytes(0)))
+		nic.NetSink().Deliver(arrive, proto.GetWireFrame(frameBytes(0)))
 	})
 	s.Run()
 	if len(host.msgs) != 1 {
@@ -128,7 +128,7 @@ func TestIRQModerationBatches(t *testing.T) {
 	// Three frames arrive 1us apart; one interrupt delivers all three.
 	for i := 0; i < 3; i++ {
 		at := sim.Time(i) * sim.Microsecond
-		s.At(at, func() { nic.NetSink().Deliver(at, proto.RawFrame(frameBytes(0))) })
+		s.At(at, func() { nic.NetSink().Deliver(at, proto.GetWireFrame(frameBytes(0))) })
 	}
 	s.Run()
 	// One interrupt crosses the PCI channel carrying all three frames.

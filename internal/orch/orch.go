@@ -18,7 +18,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/link"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Side describes one end of a connection: the owning component (which
@@ -320,19 +319,6 @@ func (s *Simulation) LiveFrames() uint64 {
 		}
 	}
 	return n
-}
-
-// FrameStatsTable renders per-component frame-pool health (allocations,
-// reuses, still-live frames) for components that own a pool.
-func (s *Simulation) FrameStatsTable() *stats.Table {
-	t := stats.NewTable("component", "frame_allocs", "frame_reuses", "frames_live")
-	for _, c := range s.comps {
-		if fp, ok := c.(core.FramePooler); ok {
-			st := fp.FrameStats()
-			t.Row(c.Name(), st.Allocs, st.Reuses, st.Live)
-		}
-	}
-	return t
 }
 
 // ModelGraph converts a finished run into the decomposition performance

@@ -140,14 +140,6 @@ func ParseFrameInto(f *Frame, b []byte) error {
 	return nil
 }
 
-// RawFrame is a serialized Ethernet frame traveling between simulator
-// components as an honest byte string (the payload type of SimBricks
-// Ethernet channels).
-type RawFrame []byte
-
-// Size implements core.Message.
-func (r RawFrame) Size() int { return len(r) }
-
 // RawWireLen returns the true wire length of an encoded frame including
 // elided virtual payload bytes, by consulting the embedded IPv4 total
 // length. Non-IPv4 or truncated buffers report their literal length.

@@ -118,14 +118,14 @@ func (f *Frame) Release() {
 }
 
 // WireFrame is a serialized Ethernet frame traveling between simulator
-// components, the pooled pointer analog of RawFrame: as a pointer type it
-// crosses the core.Message interface without boxing, and the wrapper is
+// components as an honest byte string (the payload type of SimBricks
+// Ethernet channels). As a pointer type it crosses the core.Message interface without boxing, and the wrapper is
 // recycled through a sync.Pool (wire frames cross runner goroutines, so the
 // wrapper pool must be concurrency-safe; the byte buffer inside is handed
 // off with the message and adopted by the receiver's FramePool).
 type WireFrame struct{ B []byte }
 
-// Size implements core.Message, matching RawFrame's accounting.
+// Size implements core.Message: the encoded length.
 func (w *WireFrame) Size() int { return len(w.B) }
 
 var wirePool = sync.Pool{New: func() any { return new(WireFrame) }}

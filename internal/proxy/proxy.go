@@ -37,26 +37,25 @@ type Codec interface {
 	Decode(b []byte) (core.Message, error)
 }
 
-// RawFrameCodec carries proto.RawFrame payloads (Ethernet channels).
+// RawFrameCodec carries encoded Ethernet frames (*proto.WireFrame) —
+// the one frame type every component boundary exchanges.
 type RawFrameCodec struct{}
 
 // Encode implements Codec.
 func (RawFrameCodec) Encode(m core.Message) ([]byte, error) {
-	switch f := m.(type) {
-	case proto.RawFrame:
-		return f, nil
-	case *proto.WireFrame:
-		// The wrapper is not recycled here: it crossed a goroutine boundary
-		// to reach the proxy, and the bytes outlive this call on the wire.
-		return f.B, nil
-	default:
+	f, ok := m.(*proto.WireFrame)
+	if !ok {
 		return nil, fmt.Errorf("proxy: expected an encoded frame, got %T", m)
 	}
+	// The wrapper is not recycled here: it crossed a goroutine boundary to
+	// reach the proxy, and the bytes outlive this call on the wire.
+	return f.B, nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. The receiver adopts the buffer, so it is a
+// copy of b, which the transport reuses.
 func (RawFrameCodec) Decode(b []byte) (core.Message, error) {
-	return proto.RawFrame(append([]byte(nil), b...)), nil
+	return proto.GetWireFrame(append([]byte(nil), b...)), nil
 }
 
 // encodeMsg turns one channel message into a complete wire frame on

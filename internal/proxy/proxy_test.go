@@ -86,9 +86,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		UDP: proto.UDP{SrcPort: 1, DstPort: 9},
 	}
 	f.Seal()
-	raw := proto.RawFrame(proto.AppendFrame(nil, f))
+	raw := proto.AppendFrame(nil, f)
 	c := proxy.RawFrameCodec{}
-	b, err := c.Encode(raw)
+	b, err := c.Encode(proto.GetWireFrame(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,23 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.(proto.RawFrame)
-	if string(got) != string(raw) {
+	// Decode yields the one encoded-frame type, owning a copy of the input:
+	// the receiver adopts the buffer while the transport reuses b.
+	got, ok := m.(*proto.WireFrame)
+	if !ok {
+		t.Fatalf("Decode returned %T, want *proto.WireFrame", m)
+	}
+	if string(got.B) != string(raw) {
 		t.Fatal("codec round trip changed bytes")
 	}
+	if &got.B[0] == &b[0] {
+		t.Fatal("decoded frame aliases the input buffer")
+	}
+	if _, err := c.Encode(f); err == nil {
+		t.Fatal("encoding a decoded *proto.Frame should fail")
+	}
 	if _, err := c.Encode(badMsg{}); err == nil {
-		t.Fatal("encoding a non-RawFrame should fail")
+		t.Fatal("encoding a non-frame message should fail")
 	}
 }
 

@@ -116,7 +116,6 @@ type Conn struct {
 	// Receiver state.
 	rcvNxt    int64
 	delivered int64
-	onRecv    func(bytes int)
 
 	onDone func()
 	done   bool
@@ -146,9 +145,6 @@ func NewReceiver(tr Transport, remote proto.IP, rmac proto.MAC, lport, rport uin
 	return &Conn{tr: tr, remote: remote, rmac: rmac, lport: lport, rport: rport, algo: algo}
 }
 
-// OnReceive installs a receiver-side delivery callback.
-func (c *Conn) OnReceive(fn func(bytes int)) { c.onRecv = fn }
-
 // StartFlow begins transmission on the sender side.
 func (c *Conn) StartFlow() {
 	if !c.sender {
@@ -174,9 +170,6 @@ func (c *Conn) Alpha() float64 { return c.alpha }
 
 // Done reports whether a bounded transfer completed.
 func (c *Conn) Done() bool { return c.done }
-
-// Sender reports which side of the flow this conn is.
-func (c *Conn) Sender() bool { return c.sender }
 
 // ext64 widens a 32-bit wire sequence number near base.
 func ext64(base int64, wire uint32) int64 {
@@ -317,9 +310,6 @@ func (c *Conn) handleData(f *proto.Frame) {
 	if seq == c.rcvNxt {
 		c.rcvNxt += int64(size)
 		c.delivered += int64(size)
-		if c.onRecv != nil {
-			c.onRecv(size)
-		}
 	}
 	// Cumulative ACK (duplicate when out of order).
 	c.sendSegment(0, 0, flags, c.rcvNxt)

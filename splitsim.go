@@ -172,8 +172,9 @@ type (
 	Choices = config.Choices
 	// Instance is a runnable instantiation of a System.
 	Instance = config.Instance
-	// AppFuncs adapts per-tier functions to a configured application.
-	AppFuncs = config.AppFuncs
+	// App is a configured application, written once against either host
+	// tier's API (core.Host).
+	App = config.App
 )
 
 // Decomposition and performance model.
