@@ -8,9 +8,10 @@
 # build and tests do not reach; `make bench` runs every Go benchmark once
 # as a smoke test (performance is recorded only by BENCHMARK.json's
 # bench/e2e workloads); `make examples` runs every program under examples/
-# to completion; `make loc` prints the per-package code-line table
-# simplicity PRs report before and after; `make fmt` fails on any file
-# gofmt would rewrite.
+# to completion; `make scale` is a local smoke run of the fabric tests that
+# `make test` already covers; `make loc` prints the per-package code-line
+# table simplicity PRs report before and after; `make fmt` fails on any
+# file gofmt would rewrite.
 
 GO ?= go
 
@@ -18,7 +19,7 @@ GO ?= go
 
 all: check race
 
-check: fmt vet build test chaos exec scale e2e examples
+check: fmt vet build test chaos exec e2e examples
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -59,15 +60,16 @@ chaos:
 	$(GO) test -race -run 'TestSupervised|TestSupervisor|TestDistributed' \
 		./internal/proxy/ ./internal/orch/
 
-# Datacenter-fabric smoke: a small prefix-routed Clos must build, route,
-# and complete incast + shuffle workloads with zero frame leaks; every
-# switch's compiled route table must answer like the per-IP-map plus
-# per-length-maps oracle (seeded random install sequences and the fuzz
-# seed corpus), reject prefixes longer than 32 bits, and look up without
-# allocating; the flow-level background tier must run a mixed-fidelity
-# phase without materializing background hosts, and its link-side rate
-# solver must match the flow-side oracle bit for bit (random mixes, edge
-# cases, Poisson churn) without allocating in steady state.
+# Datacenter-fabric smoke for local runs (`make test` runs every test named
+# here, so `check` does not repeat them): a small prefix-routed Clos must
+# build, route, and complete incast + shuffle workloads with zero frame
+# leaks; every switch's compiled route table must answer like the
+# per-IP-map plus per-length-maps oracle (seeded random install sequences
+# and the fuzz seed corpus), reject prefixes longer than 32 bits, and look
+# up without allocating; the flow-level background tier must run a
+# mixed-fidelity phase without materializing background hosts, and its
+# link-side rate solver must match the flow-side oracle bit for bit (random
+# mixes, edge cases, Poisson churn) without allocating in steady state.
 scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
 	$(GO) test -run 'TestRoute|FuzzRouteTable' ./internal/netsim/

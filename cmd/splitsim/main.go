@@ -31,11 +31,13 @@ func names() []string {
 }
 
 // checkOpts validates subcommand cmd's flags against experiment exp: -bg
-// names a tier, -scale is positive, -hosts is not negative, -optimistic
-// reaches the one experiment that executes with it (the placement study,
-// alone or in `run all`; plan never executes), and -placement is one the
+// names a tier, -scale is positive, -hosts is not negative, each
+// experiment-specific flag (-optimistic, -bg, -hosts, -checkpoint-at,
+// -checkpoint-file, -restore-file) reaches an experiment that reads it
+// (alone or in `run all`; plan never executes), and -placement is one the
 // experiment's table row accepts.
 func checkOpts(cmd, exp string, o experiments.Options) error {
+	unread := func(readers ...string) bool { return cmd == "plan" || exp != "all" && !slices.Contains(readers, exp) }
 	switch {
 	case o.Bg != "" && o.Bg != "flow":
 		return fmt.Errorf("-bg accepts \"flow\", not %q", o.Bg)
@@ -43,8 +45,14 @@ func checkOpts(cmd, exp string, o experiments.Options) error {
 		return fmt.Errorf("-scale must be positive, not %v", o.Scale)
 	case o.Hosts < 0:
 		return fmt.Errorf("-hosts must be 0 (scale-derived) or positive, not %d", o.Hosts)
-	case o.Exec.Mode == orch.Optimistic && (cmd == "plan" || exp != "placement" && exp != "all"):
+	case o.Exec.Mode == orch.Optimistic && unread("placement"):
 		return fmt.Errorf("-optimistic applies to `run placement` and `run all` only, not `%s %s`", cmd, exp)
+	case o.Bg != "" && unread("scale"):
+		return fmt.Errorf("-bg applies to `run scale` and `run all` only, not `%s %s`", cmd, exp)
+	case o.Hosts != 0 && unread("scale", "flowsim"):
+		return fmt.Errorf("-hosts applies to `run scale`, `run flowsim` and `run all` only, not `%s %s`", cmd, exp)
+	case (o.CheckpointAt != 0 || o.CheckpointFile != "" || o.RestoreFile != "") && unread("warmstart"):
+		return fmt.Errorf("-checkpoint-at, -checkpoint-file and -restore-file apply to `run warmstart` and `run all` only, not `%s %s`", cmd, exp)
 	case o.Placement == "":
 		return nil
 	}
@@ -79,11 +87,11 @@ flags for run and plan:
   -seed n        random seed (default 42)
   -placement p   execution placement (%s)
   -optimistic[=K]  speculate K lookahead windows past the committed horizon (run placement/all only; bare flag = default depth)
-  -checkpoint-at us     warmup horizon in microseconds for checkpointing experiments (warmstart)
-  -checkpoint-file f    write the captured checkpoint to f
-  -restore-file f       resume from a checkpoint file instead of simulating the warmup
-  -hosts n       target endpoint count for scale/flowsim (e.g. -hosts 1000000; 0 = scale-derived)
-  -bg t          background-traffic tier for scale/flowsim: "flow" = flow-level fluid tier
+  -checkpoint-at us     warmup horizon in microseconds (run warmstart/all only)
+  -checkpoint-file f    write the captured checkpoint to f (run warmstart/all only)
+  -restore-file f       resume from a checkpoint file instead of simulating the warmup (run warmstart/all only)
+  -hosts n       target endpoint count (run scale/flowsim/all only; e.g. -hosts 1000000; 0 = scale-derived)
+  -bg t          background-traffic tier: "flow" = flow-level fluid tier (run scale/all only)
 
 experiments: %v
 plannable: %v

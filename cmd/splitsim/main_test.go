@@ -115,6 +115,28 @@ func TestCheckPlacement(t *testing.T) {
 			t.Errorf("checkOpts(%q, %q, -optimistic) = %v, want ok=%v", c.cmd, c.exp, err, c.ok)
 		}
 	}
+	// Each experiment-specific flag reaches only the experiments that read
+	// it, alone or in `run all`; plan reads none of them.
+	for _, c := range []struct {
+		cmd, exp string
+		args     []string
+		ok       bool
+	}{
+		{"run", "flowsim", []string{"-bg", "flow"}, false},
+		{"run", "fig4", []string{"-hosts", "10"}, false},
+		{"run", "scale", []string{"-restore-file", "x"}, false},
+		{"run", "fig8", []string{"-checkpoint-file", "x"}, false},
+		{"plan", "fig8", []string{"-bg", "flow"}, false},
+		{"plan", "fig8", []string{"-checkpoint-at", "100"}, false},
+		{"run", "scale", []string{"-bg", "flow"}, true},
+		{"run", "flowsim", []string{"-hosts", "1000"}, true},
+		{"run", "warmstart", []string{"-checkpoint-at", "100"}, true},
+		{"run", "all", []string{"-bg", "flow"}, true},
+	} {
+		if err := checkOpts(c.cmd, c.exp, parseOpts(c.cmd, c.args)); (err == nil) != c.ok {
+			t.Errorf("checkOpts(%q, %q, %v) = %v, want ok=%v", c.cmd, c.exp, c.args, err, c.ok)
+		}
+	}
 	// Every experiment accepts exactly its table row's placements.
 	for _, e := range experiments.Experiments() {
 		for _, p := range append([]string{"s", "percomp", "auto", "ac", "cr2", "rs"}, e.Placements...) {

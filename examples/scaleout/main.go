@@ -35,7 +35,6 @@ func site(name string, localID, remoteID uint32) (*netsim.Network, *netsim.Host,
 	h := n.AddHost("h", splitsim.HostIP(localID))
 	n.ConnectHostSwitch(h, sw, 10*splitsim.Gbps, splitsim.Microsecond)
 	x := n.AddExternal(sw, "wan", 10*splitsim.Gbps, splitsim.HostIP(remoteID))
-	x.SetEncode(true)
 	n.ComputeRoutes()
 	return n, h, x
 }

@@ -32,10 +32,6 @@ type Choices struct {
 	// PartitionOf assigns each switch (by name) to a network partition;
 	// nil leaves the whole network in one component.
 	PartitionOf func(switchName string) int
-	// NoTrunk gives every boundary link its own synchronized channel
-	// instead of multiplexing the links between one partition pair over a
-	// trunk adapter (the default).
-	NoTrunk bool
 }
 
 // Instance is a runnable instantiation. Sim is a regular orchestration
@@ -112,7 +108,7 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 		Built:    built,
 		hostSlot: hostSlot,
 	}
-	instantiate.WirePartitions(inst.Sim, topo, built, !c.NoTrunk)
+	instantiate.WirePartitions(inst.Sim, topo, built, true)
 
 	// Install dataplanes.
 	for _, sw := range s.Switches {

@@ -49,7 +49,7 @@ type Options struct {
 	// Large targets (≥200k) switch the generator to default-up routing
 	// and denser leaves so switch count and route state stay tractable.
 	Hosts int
-	// Bg selects a background-traffic tier for the scale experiments:
+	// Bg selects a background-traffic tier for the scale experiment:
 	// "" (none) or "flow" (the flow-level fluid tier over every host
 	// slot, coupled to the packet-level foreground at shared links).
 	Bg string

@@ -63,9 +63,6 @@ func (r *FlowsimResult) String() string {
 
 // Flowsim sweeps background load over {0, 30, 60, 90}% endpoint occupancy.
 func Flowsim(opts Options) (*FlowsimResult, error) {
-	if opts.Bg != "" && opts.Bg != "flow" {
-		return nil, fmt.Errorf("flowsim: unknown background tier %q (want \"flow\")", opts.Bg)
-	}
 	dur := opts.Dur(5*sim.Millisecond, 1*sim.Millisecond)
 	r := &FlowsimResult{}
 	for _, load := range []float64{0, 0.3, 0.6, 0.9} {

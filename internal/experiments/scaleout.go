@@ -71,7 +71,6 @@ func scaleOutSite(name string, localID, remoteID uint32) (*netsim.Network, *nets
 	h := n.AddHost("h", proto.HostIP(localID))
 	n.ConnectHostSwitch(h, sw, 10*sim.Gbps, sim.Microsecond)
 	x := n.AddExternal(sw, "x", 10*sim.Gbps, proto.HostIP(remoteID))
-	x.SetEncode(true)
 	n.ComputeRoutes()
 	return n, h, x
 }

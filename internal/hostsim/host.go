@@ -410,19 +410,12 @@ func (h *Host) fromNIC(at sim.Time, m core.Message) {
 			h.receiveFrame(msg.Pkts[i])
 		}
 		pci.PutRxBatch(msg)
-	case pci.RxPacket:
-		h.receiveFrame(msg)
 	case *pci.TxDone:
 		if fn, ok := h.txWaiters[msg.ID]; ok {
 			delete(h.txWaiters, msg.ID)
 			fn(msg.HWTime)
 		}
 		pci.PutTxDone(msg)
-	case pci.TxDone:
-		if fn, ok := h.txWaiters[msg.ID]; ok {
-			delete(h.txWaiters, msg.ID)
-			fn(msg.HWTime)
-		}
 	case pci.PHCValue:
 		if fn, ok := h.phcWaiters[msg.ID]; ok {
 			delete(h.phcWaiters, msg.ID)

@@ -31,8 +31,6 @@ func buildRig(params hostsim.Params) *rig {
 	r.sw = r.net.AddSwitch("sw")
 	ext1 := r.net.AddExternal(r.sw, "h1", 10*sim.Gbps, ip1)
 	ext2 := r.net.AddExternal(r.sw, "h2", 10*sim.Gbps, ip2)
-	ext1.SetEncode(true)
-	ext2.SetEncode(true)
 	r.net.ComputeRoutes()
 
 	r.h1 = hostsim.New("h1", ip1, params, 42)

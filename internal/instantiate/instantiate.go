@@ -44,7 +44,6 @@ func NewDetailedHost(name string, ip proto.IP, hp hostsim.Params, np nicsim.Para
 // and NIC<->network through the given external port. netComp is the
 // component owning ext (the network or one of its partitions).
 func (d *DetailedHost) Wire(s *orch.Simulation, netComp core.Component, ext *netsim.ExtPort) {
-	ext.SetEncode(true) // frames cross the Ethernet channel as raw bytes
 	s.Add(d.Host)
 	s.Add(d.NIC)
 	s.Connect(d.Host.Name()+".pci", pci.DefaultLatency,

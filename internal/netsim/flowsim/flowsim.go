@@ -53,22 +53,6 @@ type Spec struct {
 	Trace *workload.Trace
 
 	Seed uint64
-
-	// MTU is the payload bytes per packet the fluid model assumes when
-	// accounting per-packet wire overhead (default 1448, matching the
-	// packet tier).
-	MTU int
-	// FCTCap bounds the flow-completion-time reservoir (default 4096).
-	FCTCap int
-}
-
-func (s *Spec) defaults() {
-	if s.MTU == 0 {
-		s.MTU = 1448
-	}
-	if s.FCTCap == 0 {
-		s.FCTCap = 4096
-	}
 }
 
 // perPktOverhead is the per-packet wire overhead the packet tier pays:
@@ -185,7 +169,6 @@ type replica struct {
 // Call it after netsim.Build and before the run starts; registration
 // order matters for determinism, like everything else.
 func Install(b *netsim.Built, endpoints []int, spec Spec) *Engine {
-	spec.defaults()
 	if len(endpoints) < 2 {
 		panic("flowsim: need at least two endpoints")
 	}
@@ -250,7 +233,7 @@ func Install(b *netsim.Built, endpoints []int, spec Spec) *Engine {
 			tlinks:      make([]*blink, 2*len(topo.Links)),
 			nextArrival: -1,
 			nextWake:    -1,
-			fct:         stats.NewReservoir(spec.FCTCap, spec.Seed^0xc3c3c3c3c3c3c3c3),
+			fct:         stats.NewReservoir(workload.FCTSamples, spec.Seed^0xc3c3c3c3c3c3c3c3),
 		}
 		r.resetLinks()
 		r.nextH = net.RegisterNamed(fmt.Sprintf("flowsim/%d/next", spec.Seed), r.fire)
@@ -266,18 +249,17 @@ func Install(b *netsim.Built, endpoints []int, spec Spec) *Engine {
 }
 
 // wireBits is the on-the-wire size of a flow in bits: payload plus
-// per-packet overhead at the configured MTU.
-func (e *Engine) wireBits(bytes int64) float64 {
-	pkts := (bytes + int64(e.spec.MTU) - 1) / int64(e.spec.MTU)
+// per-packet overhead, at the packet tier's netsim.MSS payload per packet.
+func wireBits(bytes int64) float64 {
+	pkts := (bytes + netsim.MSS - 1) / netsim.MSS
 	return float64(bytes+pkts*perPktOverhead) * 8
 }
 
 // lastPktWire is the wire size of a flow's final packet, used for the
 // store-and-forward pipeline-fill term of the base delay.
-func (e *Engine) lastPktWire(bytes int64) int {
-	mtu := int64(e.spec.MTU)
-	pkts := (bytes + mtu - 1) / mtu
-	last := bytes - (pkts-1)*mtu
+func lastPktWire(bytes int64) int {
+	pkts := (bytes + netsim.MSS - 1) / netsim.MSS
+	last := bytes - (pkts-1)*netsim.MSS
 	return int(last) + perPktOverhead
 }
 
@@ -373,7 +355,7 @@ func (r *replica) resolve(f *flow) bool {
 	srcTH := &eng.topo.Hosts[srcSlot]
 	dstTH := &eng.topo.Hosts[dstSlot]
 
-	lastWire := eng.lastPktWire(f.bytes)
+	lastWire := lastPktWire(f.bytes)
 	delay := srcTH.Delay + dstTH.Delay
 	var fill sim.Time
 
@@ -516,7 +498,7 @@ func (r *replica) startFlow(now sim.Time) bool {
 		src:       int32(src),
 		dst:       int32(dst),
 		bytes:     bytes,
-		remaining: r.eng.wireBits(bytes),
+		remaining: wireBits(bytes),
 		start:     now,
 	}
 	if !r.admit(f) {
@@ -534,8 +516,8 @@ func (r *replica) startFlow(now sim.Time) bool {
 // is conservative. Counting drained bits (not flow size) keeps the
 // projection honest for long flows still active at the horizon: only
 // traffic the fluid model actually moved is credited.
-func projEvents(f *flow, drainedBits float64, mtu int) uint64 {
-	pkts := uint64(drainedBits / 8 / float64(mtu+perPktOverhead))
+func projEvents(f *flow, drainedBits float64) uint64 {
+	pkts := uint64(drainedBits / 8 / (netsim.MSS + perPktOverhead))
 	return pkts * 2 * uint64(f.hops+1)
 }
 
@@ -554,7 +536,7 @@ func (r *replica) completeDue(now sim.Time) bool {
 		done = true
 		r.completed++
 		r.bytesModeled += f.bytes
-		r.pktEvProj += projEvents(f, r.eng.wireBits(f.bytes), r.eng.spec.MTU)
+		r.pktEvProj += projEvents(f, wireBits(f.bytes))
 		r.fct.Add(now - f.start + f.baseDelay)
 		for _, bl := range f.links {
 			bl.nflows--
@@ -695,7 +677,7 @@ func (e *Engine) Collect() Report {
 		if rem < 0 {
 			rem = 0
 		}
-		proj += projEvents(f, e.wireBits(f.bytes)-rem, e.spec.MTU)
+		proj += projEvents(f, wireBits(f.bytes)-rem)
 	}
 	return Report{
 		FlowsStarted:     r.started,

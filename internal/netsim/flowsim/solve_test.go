@@ -84,7 +84,6 @@ func newTwin(t testing.TB, caps []float64) *twin {
 	w := &twin{t: t}
 	for k := range w.rep {
 		w.rep[k] = &replica{
-			eng: &Engine{spec: Spec{MTU: 1448}},
 			fct: stats.NewReservoir(16, 1),
 		}
 		for _, c := range caps {

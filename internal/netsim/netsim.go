@@ -272,8 +272,10 @@ func (n *Network) ConnectSwitches(a, b *Switch, rate int64, delay sim.Time) (ai,
 
 // ExtPort attaches an external component (a detailed host's NIC, or a peer
 // network partition) to a switch port. Frames leaving the switch through
-// this port are sent on the bound core.Port; frames arriving from the
-// external side enter through Deliver (ExtPort implements core.Sink).
+// this port are encoded to bytes and sent on the bound core.Port as
+// *proto.WireFrame; frames arriving from the external side enter through
+// Deliver (ExtPort implements core.Sink) in the same form. A boundary always
+// encodes, so no pool-owned *proto.Frame ever crosses to another runner.
 type ExtPort struct {
 	net   *Network
 	name  string
@@ -281,11 +283,6 @@ type ExtPort struct {
 	sw    *Switch
 	out   core.Port
 	ips   []proto.IP
-
-	// encode selects byte-serialization of frames crossing this port
-	// (partition boundaries) over passing the frame struct (in-process
-	// attachment of detailed hosts).
-	encode bool
 
 	// RxFrames counts frames delivered from the external side.
 	RxFrames uint64
@@ -327,45 +324,32 @@ func (p *ExtPort) Bind(out core.Port) { p.out = out }
 // Iface returns the switch-side interface of this external port.
 func (p *ExtPort) Iface() *Iface { return p.iface }
 
-// Deliver implements core.Sink: a frame (or encoded frame) arrives from the
-// external component and enters the switch. Decoded frames come from the
-// network's pool and adopt the incoming wire buffer, so the boundary receive
-// path allocates nothing in steady state.
+// Deliver implements core.Sink: an encoded frame arrives from the external
+// component and enters the switch. Decoded frames come from the network's
+// pool and adopt the incoming wire buffer, so the boundary receive path
+// allocates nothing in steady state.
 func (p *ExtPort) Deliver(_ sim.Time, m core.Message) {
-	var f *proto.Frame
-	switch v := m.(type) {
-	case *proto.Frame:
-		f = v
-	case *proto.WireFrame:
-		f = p.net.pool.Get()
-		if err := proto.ParseFrameInto(f, v.B); err != nil {
-			panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
-		}
-		proto.PutWireFrame(v)
-		p.net.encRx++
-	default:
+	w, ok := m.(*proto.WireFrame)
+	if !ok {
 		panic(fmt.Sprintf("netsim: %s: unexpected message %T", p.name, m))
 	}
+	f := p.net.pool.Get()
+	if err := proto.ParseFrameInto(f, w.B); err != nil {
+		panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
+	}
+	proto.PutWireFrame(w)
+	p.net.encRx++
 	p.RxFrames++
 	p.sw.receive(p.iface, f)
 }
 
-// sendOut transmits a frame to the external component, serializing it to
-// honest bytes when this port is a partition boundary. Encoding reuses a
-// pooled buffer and releases the frame; without encoding, frame ownership
-// transfers with the message.
+// sendOut serializes a frame to honest bytes in a pooled buffer, releases
+// the frame and transmits the bytes to the external component.
 func (p *ExtPort) sendOut(f *proto.Frame) {
 	if p.out == nil {
 		panic("netsim: external port " + p.name + " not bound")
 	}
-	if p.encode {
-		p.net.encTx++
-		p.out.Send(proto.GetWireFrame(proto.AppendFrame(p.net.pool.GetBuf(), f)))
-		f.Release()
-		return
-	}
-	p.out.Send(f)
+	p.net.encTx++
+	p.out.Send(proto.GetWireFrame(proto.AppendFrame(p.net.pool.GetBuf(), f)))
+	f.Release()
 }
-
-// SetEncode controls byte-serialization of frames crossing this port.
-func (p *ExtPort) SetEncode(on bool) { p.encode = on }

@@ -29,13 +29,11 @@ type ClosSpec struct {
 	HostsPerLeaf int
 
 	HostRate int64 // host access links
-	LeafRate int64 // leaf↔spine links; 0 derives from Oversub
+	// LeafRate is the leaf↔spine link rate; 0 derives the non-blocking
+	// rate, uplink capacity (SpinePerPod·LeafRate) equal to downlink
+	// capacity (HostsPerLeaf·HostRate).
+	LeafRate int64
 	CoreRate int64 // spine↔core links; 0 copies LeafRate
-
-	// Oversub is the leaf oversubscription ratio: downlink capacity
-	// (HostsPerLeaf·HostRate) over uplink capacity (SpinePerPod·LeafRate).
-	// Used only when LeafRate is 0; 0 means 1:1 (non-blocking).
-	Oversub float64
 
 	LinkDelay sim.Time
 
@@ -211,12 +209,8 @@ func Clos(spec ClosSpec) (*netsim.Topology, *ClosMeta) {
 			spec.Cores, spec.SpinePerPod))
 	}
 	if spec.LeafRate == 0 {
-		over := spec.Oversub
-		if over == 0 {
-			over = 1
-		}
 		spec.LeafRate = int64(float64(spec.HostsPerLeaf) * float64(spec.HostRate) /
-			(float64(spec.SpinePerPod) * over))
+			float64(spec.SpinePerPod))
 		if spec.LeafRate <= 0 {
 			panic("topogen: derived LeafRate is not positive")
 		}

@@ -1,8 +1,8 @@
 // Package workload drives synthetic datacenter traffic over netsim hosts:
-// open- or closed-loop flow arrivals, heavy-tailed (Pareto, lognormal) flow
-// sizes, and incast / all-to-all shuffle / uniform destination patterns,
-// recording flow-completion times into bounded reservoir-sampled
-// recorders.
+// open- or closed-loop or trace-replayed flow arrivals, heavy-tailed
+// (bounded Pareto) flow sizes, and incast / all-to-all shuffle / uniform
+// destination patterns, recording flow-completion times into bounded
+// reservoir-sampled recorders.
 //
 // The engine is partition-safe by construction: every host owns its state
 // (arrival process, RNG, counters, FCT reservoir) and mutates it only from
@@ -59,25 +59,6 @@ func (p Pareto) Sample(r *sim.Rand) int {
 	return int(s)
 }
 
-// Lognormal draws exp(N(ln Median, Sigma)) clipped to Max.
-type Lognormal struct {
-	Median int
-	Sigma  float64
-	Max    int
-}
-
-// Sample implements SizeDist.
-func (l Lognormal) Sample(r *sim.Rand) int {
-	s := float64(l.Median) * math.Exp(r.Normal(0, l.Sigma))
-	if l.Max > 0 && s > float64(l.Max) {
-		return l.Max
-	}
-	if s < 1 {
-		return 1
-	}
-	return int(s)
-}
-
 // Arrival is the flow arrival process, per source host.
 type Arrival interface {
 	isArrival()
@@ -95,11 +76,10 @@ type Open struct {
 func (Open) isArrival() {}
 
 // Closed is a closed loop: each source keeps Concurrency flows
-// outstanding, starting the next one Think after a completion
-// acknowledgment arrives.
+// outstanding, starting the next one when a completion acknowledgment
+// arrives.
 type Closed struct {
 	Concurrency int
-	Think       sim.Time
 }
 
 func (Closed) isArrival() {}
@@ -145,61 +125,27 @@ func (Shuffle) Dst(_ *sim.Rand, src, flow, n int) int {
 	return (src + 1 + flow%(n-1)) % n
 }
 
-// Transport selects how flows move bytes.
-type Transport int
-
-const (
-	// TransportUDP paces raw datagrams at the access-link rate — no
-	// congestion control, cheap enough for 10⁵-host fabrics, and safe
-	// across partition boundaries.
-	TransportUDP Transport = iota
-	// TransportTCP runs each flow over the tcpstack (congestion-controlled,
-	// FCT measured at last-byte-acked). Flow setup registers conn state on
-	// both endpoints, so every participant must live in the same Network —
-	// Install panics otherwise.
-	TransportTCP
-)
-
-// Spec configures one workload.
+// Spec configures one workload. Flows run as paced UDP datagrams of
+// netsim.MSS payload bytes on port 9000 — no congestion control, cheap
+// enough for 10⁵-host fabrics, and safe across partition boundaries.
 type Spec struct {
 	Pattern Pattern
 	Sizes   SizeDist
 	Arrival Arrival
 
 	Seed uint64
-
-	// Transport defaults to TransportUDP.
-	Transport Transport
-	// CC is the congestion-control algorithm for TransportTCP
-	// (default netsim.CCReno).
-	CC netsim.CCAlgo
-
-	// Port is the UDP port flows run over (default 9000).
-	Port uint16
-	// MTU is the payload bytes per packet (default 1448).
-	MTU int
-	// Burst is how many packets a flow emits per pacing quantum
-	// (default 16); pacing bounds frames-in-flight per flow.
-	Burst int
-	// FCTCap bounds each host's flow-completion-time reservoir
-	// (default 4096 retained samples).
-	FCTCap int
 }
 
-func (s *Spec) defaults() {
-	if s.Port == 0 {
-		s.Port = 9000
-	}
-	if s.MTU == 0 {
-		s.MTU = 1448
-	}
-	if s.Burst == 0 {
-		s.Burst = 16
-	}
-	if s.FCTCap == 0 {
-		s.FCTCap = 4096
-	}
-}
+// FCTSamples bounds each host's flow-completion-time reservoir.
+const FCTSamples = 4096
+
+const (
+	// port is the UDP port flows run over.
+	port = 9000
+	// burst is how many packets a flow emits per pacing quantum; pacing
+	// bounds frames in flight per flow.
+	burst = 16
+)
 
 // Flow packet payload: flow ID, flow start time, and a marker byte —
 // 0 = data, 1 = last data packet, 2 = completion ack.
@@ -224,12 +170,11 @@ type Engine struct {
 // hostState is the per-host slice of the workload; only events on its own
 // host touch it.
 type hostState struct {
-	eng  *Engine
-	h    *netsim.Host
-	idx  int
-	rng  *sim.Rand
-	fct  *stats.Latency // FCTs of flows *received* by this host
-	port uint16
+	eng *Engine
+	h   *netsim.Host
+	idx int
+	rng *sim.Rand
+	fct *stats.Latency // FCTs of flows *received* by this host
 
 	flows     int // flows started (and pattern sequence number)
 	completed int // flows fully received here
@@ -240,27 +185,17 @@ type hostState struct {
 	// closures so pending workload timers serialize into checkpoints.
 	nextH  int // open-loop arrival tick
 	burstH int // UDP burst re-arm, args: {dst<<32|flowID, flowStart, remaining}
-	thinkH int // closed-loop think expiry
 	traceH int // trace-replay cursor advance, args: {cursor}
 }
 
 // Install binds the workload onto hosts: every host becomes a receiver on
-// spec.Port, and every host whose pattern emits traffic becomes a source.
-// Hosts may span multiple partition networks — all interaction is packets.
-// Call before the simulation starts; results come from Collect after it
-// ends.
+// the workload port, and every host whose pattern emits traffic becomes a
+// source. Hosts may span multiple partition networks — all interaction is
+// packets — but a network carries at most one engine. Call before the
+// simulation starts; results come from Collect after it ends.
 func Install(hosts []*netsim.Host, spec Spec) *Engine {
-	spec.defaults()
 	if len(hosts) < 2 {
 		panic("workload: need at least two hosts")
-	}
-	if spec.Transport == TransportTCP {
-		for _, h := range hosts[1:] {
-			if h.Network() != hosts[0].Network() {
-				panic("workload: TransportTCP requires all hosts in one Network " +
-					"(flow setup touches both endpoints); use TransportUDP across partitions")
-			}
-		}
 	}
 	e := &Engine{spec: spec, states: make([]*hostState, len(hosts))}
 	if tr, ok := spec.Arrival.(*Trace); ok {
@@ -278,22 +213,19 @@ func Install(hosts []*netsim.Host, spec Spec) *Engine {
 		// list is assembled.
 		key := spec.Seed ^ uint64(h.IP())*0x9e3779b97f4a7c15
 		st := &hostState{
-			eng:  e,
-			h:    h,
-			idx:  i,
-			rng:  sim.NewRand(key),
-			fct:  stats.NewReservoir(spec.FCTCap, key^0xa5a5a5a5a5a5a5a5),
-			port: spec.Port,
+			eng: e,
+			h:   h,
+			idx: i,
+			rng: sim.NewRand(key),
+			fct: stats.NewReservoir(FCTSamples, key^0xa5a5a5a5a5a5a5a5),
 		}
 		e.states[i] = st
-		// Timer handlers are named per (port, slot) so several engines can
-		// share a network; registration order follows host order, which is
-		// deterministic for an identical build.
-		st.nextH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/next", spec.Port, i), st.nextArrival)
-		st.burstH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/burst", spec.Port, i), st.burstFire)
-		st.thinkH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/think", spec.Port, i), st.thinkFire)
-		st.traceH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/trace", spec.Port, i), st.traceFire)
-		h.BindUDP(spec.Port, st.receive)
+		// Timer handlers are named per slot; registration order follows
+		// host order, which is deterministic for an identical build.
+		st.nextH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/next", port, i), st.nextArrival)
+		st.burstH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/burst", port, i), st.burstFire)
+		st.traceH = h.RegisterNamed(fmt.Sprintf("wl/%d/%d/trace", port, i), st.traceFire)
+		h.BindUDP(port, st.receive)
 		h.SetApp(netsim.AppFunc(func(*netsim.Host) { st.start() }))
 	}
 	return e
@@ -362,13 +294,6 @@ func (st *hostState) burstFire(args sim.NamedArgs) {
 	st.sendBurst(proto.IP(args[0]>>32), uint32(args[0]), sim.Time(args[1]), int(args[2]))
 }
 
-// thinkFire starts the closed loop's next flow after the think time. The
-// end-of-run check happened when the think was armed, matching the old
-// direct st.startFlow post.
-func (st *hostState) thinkFire(sim.NamedArgs) {
-	st.startFlow()
-}
-
 // traceFire replays this host's next trace flow and re-arms for the one
 // after. The cursor rides in the event args, so a pending replay position
 // checkpoints with the scheduler's event section.
@@ -406,57 +331,20 @@ func (st *hostState) launch(dst, size int) {
 		size = 1
 	}
 	flowID := uint32(st.idx)<<16 | uint32(st.flows&0xffff)
-	seq := st.flows
 	st.flows++
-	if st.eng.spec.Transport == TransportTCP {
-		st.startTCPFlow(st.eng.states[dst], seq, size)
-		return
-	}
 	st.sendBurst(st.eng.states[dst].h.IP(), flowID, st.h.Now(), size)
 }
 
-// startTCPFlow runs one flow over the tcpstack. FCT is last-byte-acked at
-// the sender (the TCP analog of the UDP last-packet-received measure, one
-// half-RTT longer); completion also drives the closed loop and tears the
-// conn state down on both ends.
-func (st *hostState) startTCPFlow(dst *hostState, seq, size int) {
-	spec := &st.eng.spec
-	// tcpKey is (remote, rport, lport): rotating the source port keeps
-	// concurrent flows to the same destination distinct.
-	sport := uint16(40000 + seq%20000)
-	start := st.h.Now()
-	var snd *netsim.TCPConn
-	snd, _ = netsim.NewFlow(st.h, dst.h, sport, spec.Port, spec.CC, int64(size), func() {
-		st.fct.Add(st.h.Now() - start)
-		st.completed++
-		st.bytesSent += int64(size)
-		st.h.UnregisterTCP(dst.h.IP(), spec.Port, sport)
-		dst.h.UnregisterTCP(st.h.IP(), sport, spec.Port)
-		if a, ok := spec.Arrival.(Closed); ok {
-			if st.h.Now() >= st.h.End() {
-				return
-			}
-			if a.Think > 0 {
-				st.h.PostNamed(a.Think, st.thinkH, sim.NamedArgs{})
-			} else {
-				st.startFlow()
-			}
-		}
-	})
-	snd.StartFlow()
-}
-
-// sendBurst transmits up to Burst packets of the flow's remaining bytes,
+// sendBurst transmits up to burst packets of the flow's remaining bytes,
 // then re-arms itself after the burst's serialization time at the access
 // link rate — bounding frames in flight per flow to one burst.
 func (st *hostState) sendBurst(dst proto.IP, flowID uint32, flowStart sim.Time, remaining int) {
-	spec := &st.eng.spec
 	var hdr [hdrLen]byte
 	binary.BigEndian.PutUint32(hdr[0:4], flowID)
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(flowStart))
 	burstBytes := 0
-	for i := 0; i < spec.Burst && remaining > 0; i++ {
-		pay := spec.MTU
+	for i := 0; i < burst && remaining > 0; i++ {
+		pay := netsim.MSS
 		if pay > remaining {
 			pay = remaining
 		}
@@ -466,7 +354,7 @@ func (st *hostState) sendBurst(dst proto.IP, flowID uint32, flowStart sim.Time, 
 		} else {
 			hdr[12] = markData
 		}
-		st.h.SendUDP(dst, spec.Port, spec.Port, hdr[:], pay)
+		st.h.SendUDP(dst, port, port, hdr[:], pay)
 		burstBytes += pay + hdrLen
 		st.bytesSent += int64(pay)
 	}
@@ -494,18 +382,11 @@ func (st *hostState) receive(src proto.IP, _ uint16, payload []byte, _ int) {
 		var ack [hdrLen]byte
 		copy(ack[:12], payload[:12])
 		ack[12] = markAck
-		st.h.SendUDP(src, st.port, st.port, ack[:], 0)
+		st.h.SendUDP(src, port, port, ack[:], 0)
 	case markAck:
 		st.acked++
-		if a, ok := st.eng.spec.Arrival.(Closed); ok {
-			if st.h.Now() >= st.h.End() {
-				return
-			}
-			if a.Think > 0 {
-				st.h.PostNamed(a.Think, st.thinkH, sim.NamedArgs{})
-			} else {
-				st.startFlow()
-			}
+		if _, ok := st.eng.spec.Arrival.(Closed); ok && st.h.Now() < st.h.End() {
+			st.startFlow()
 		}
 	}
 }

@@ -34,27 +34,6 @@ func TestParetoBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestLognormalBounded(t *testing.T) {
-	d := workload.Lognormal{Median: 1000, Sigma: 1.5, Max: 50_000}
-	r := sim.NewRand(9)
-	below, above := 0, 0
-	for i := 0; i < 5000; i++ {
-		s := d.Sample(r)
-		if s < 1 || s > 50_000 {
-			t.Fatalf("sample %d out of range", s)
-		}
-		if s < 1000 {
-			below++
-		} else {
-			above++
-		}
-	}
-	// Median should split the mass roughly in half.
-	if below < 2000 || above < 2000 {
-		t.Fatalf("median split %d/%d, want roughly even", below, above)
-	}
-}
-
 func TestShufflePatternCoversAllPeers(t *testing.T) {
 	var p workload.Shuffle
 	n := 5
@@ -159,43 +138,6 @@ func TestOpenLoopShuffleHeavyTailed(t *testing.T) {
 	if live := s.LiveFrames(); live != 0 {
 		t.Fatalf("%d frames leaked", live)
 	}
-}
-
-func TestTCPTransportClosedLoop(t *testing.T) {
-	s, _, hosts := closHosts(t, smallClos, 17, 1)
-	eng := workload.Install(hosts, workload.Spec{
-		Pattern:   workload.Uniform{},
-		Sizes:     workload.Fixed(50_000),
-		Arrival:   workload.Closed{Concurrency: 1},
-		Transport: workload.TransportTCP,
-		Seed:      17,
-	})
-	s.RunSequential(5 * sim.Millisecond)
-	r := eng.Collect()
-	if r.FlowsCompleted == 0 {
-		t.Fatal("no TCP flows completed")
-	}
-	if r.FCT.Min() <= 0 {
-		t.Fatalf("non-positive FCT %v", r.FCT.Min())
-	}
-	if live := s.LiveFrames(); live != 0 {
-		t.Fatalf("%d frames leaked", live)
-	}
-}
-
-func TestTCPAcrossPartitionsRejected(t *testing.T) {
-	_, _, hosts := closHosts(t, smallClos, 19, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TCP across partitions should panic at Install")
-		}
-	}()
-	workload.Install(hosts, workload.Spec{
-		Pattern:   workload.Uniform{},
-		Sizes:     workload.Fixed(1000),
-		Arrival:   workload.Closed{Concurrency: 1},
-		Transport: workload.TransportTCP,
-	})
 }
 
 // digest captures everything observable about a workload run.

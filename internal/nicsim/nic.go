@@ -212,9 +212,6 @@ func (n *NIC) fromHost(at sim.Time, m core.Message) {
 			n.transmit(msg.Subs[i])
 		}
 		pci.PutTxBatch(msg)
-	case pci.TxSubmit:
-		n.cost.Charge(CostPerPacketNs)
-		n.transmit(msg)
 	case pci.PHCRead:
 		n.env.After(n.p.PHCReadLatency, func() {
 			n.hostPort.Send(pci.PHCValue{ID: msg.ID, HWTime: n.PHC(n.env.Now())})
@@ -259,14 +256,12 @@ func (n *NIC) transmit(msg pci.TxSubmit) {
 func (n *NIC) fromNet(at sim.Time, m core.Message) {
 	n.cost.Charge(CostPerPacketNs)
 	n.RxFrames++
-	var frame []byte
-	switch v := m.(type) {
-	case *proto.WireFrame:
-		frame = v.B
-		proto.PutWireFrame(v)
-	default:
+	w, ok := m.(*proto.WireFrame)
+	if !ok {
 		panic("nicsim: expected an encoded frame on the wire")
 	}
+	frame := w.B
+	proto.PutWireFrame(w)
 	pkt := pci.RxPacket{Frame: frame, HWTime: n.PHC(at)}
 	if n.p.IRQModeration <= 0 {
 		b := pci.GetRxBatch()

@@ -52,7 +52,7 @@ func TestTxPathTiming(t *testing.T) {
 	p := nicsim.DefaultParams()
 	nic, host, net, s := rig(p)
 	b := frameBytes(1400)
-	nic.HostSink().Deliver(0, pci.TxSubmit{ID: 1, Frame: b})
+	nic.HostSink().Deliver(0, &pci.TxBatch{Subs: []pci.TxSubmit{{ID: 1, Frame: b}}})
 	s.Run()
 	if len(net.msgs) != 1 {
 		t.Fatalf("net got %d frames", len(net.msgs))
@@ -77,8 +77,8 @@ func TestTxSerializationQueues(t *testing.T) {
 	nic, _, net, s := rig(p)
 	b := frameBytes(1400)
 	// Two frames submitted back to back must serialize, not overlap.
-	nic.HostSink().Deliver(0, pci.TxSubmit{ID: 1, Frame: b})
-	nic.HostSink().Deliver(0, pci.TxSubmit{ID: 2, Frame: b})
+	nic.HostSink().Deliver(0, &pci.TxBatch{Subs: []pci.TxSubmit{{ID: 1, Frame: b}}})
+	nic.HostSink().Deliver(0, &pci.TxBatch{Subs: []pci.TxSubmit{{ID: 2, Frame: b}}})
 	s.Run()
 	if len(net.msgs) != 2 {
 		t.Fatalf("net got %d frames", len(net.msgs))
@@ -191,7 +191,7 @@ func TestFreqAdjDoesNotJumpPhase(t *testing.T) {
 func TestCostAndTax(t *testing.T) {
 	p := nicsim.DefaultParams()
 	nic, _, _, s := rig(p)
-	nic.HostSink().Deliver(0, pci.TxSubmit{ID: 1, Frame: frameBytes(0)})
+	nic.HostSink().Deliver(0, &pci.TxBatch{Subs: []pci.TxSubmit{{ID: 1, Frame: frameBytes(0)}}})
 	s.Run()
 	if nic.Cost().BusyNanos() == 0 {
 		t.Fatal("no cost accounted")

@@ -205,15 +205,15 @@ func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	}
 }
 
-// TestCheckpointClosedLoop drives the named think/burst re-arm paths: a
-// closed-loop workload's pending think timers and pacing bursts must ride
-// through the checkpoint and keep the resumed run bit-identical.
+// TestCheckpointClosedLoop drives the named burst re-arm path: a
+// closed-loop workload's pending pacing bursts must ride through the
+// checkpoint and keep the resumed run bit-identical.
 func TestCheckpointClosedLoop(t *testing.T) {
 	const (
 		dur  = 2 * sim.Millisecond
 		half = sim.Millisecond
 	)
-	arrival := workload.Closed{Concurrency: 2, Think: 10 * sim.Microsecond}
+	arrival := workload.Closed{Concurrency: 2}
 
 	ref, refBuilt, refEng := buildCkptSim(7, arrival)
 	refEvents := ref.RunSequential(dur).Processed()

@@ -418,8 +418,6 @@ func twoNetsNamed() (*orch.Simulation, *netsim.Host, *netsim.Host) {
 	n2.ConnectHostSwitch(h2, sw2, 10*sim.Gbps, 1*sim.Microsecond)
 	x1 := n1.AddExternal(sw1, "x", 10*sim.Gbps, proto.HostIP(2))
 	x2 := n2.AddExternal(sw2, "x", 10*sim.Gbps, proto.HostIP(1))
-	x1.SetEncode(true)
-	x2.SetEncode(true)
 	n1.ComputeRoutes()
 	n2.ComputeRoutes()
 

@@ -3,6 +3,7 @@ package orch_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,8 +31,6 @@ func twoNets() (*orch.Simulation, *netsim.Host, *netsim.Host) {
 	n2.ConnectHostSwitch(h2, sw2, 10*sim.Gbps, 1*sim.Microsecond)
 	x1 := n1.AddExternal(sw1, "x", 10*sim.Gbps, proto.HostIP(2))
 	x2 := n2.AddExternal(sw2, "x", 10*sim.Gbps, proto.HostIP(1))
-	x1.SetEncode(true)
-	x2.SetEncode(true)
 	n1.ComputeRoutes()
 	n2.ComputeRoutes()
 
@@ -63,6 +62,78 @@ func TestCrossNetworkSequential(t *testing.T) {
 	if h1.TxPackets != h2.RxPackets {
 		t.Fatalf("tx %d != rx %d", h1.TxPackets, h2.RxPackets)
 	}
+}
+
+// typeSink records the dynamic type of every message a boundary port
+// receives, then hands it on. Each side has its own, so under a placed run
+// only that side's runner touches it.
+type typeSink struct {
+	next core.Sink
+	seen map[string]int
+}
+
+func (k *typeSink) Deliver(at sim.Time, m core.Message) {
+	k.seen[fmt.Sprintf("%T", m)]++
+	k.next.Deliver(at, m)
+}
+
+// TestBoundaryCarriesOnlyWireFrames pins the one message form of a network
+// boundary: two networks joined by ExtPorts, with no setup call on either
+// port, exchange traffic both ways, and only encoded *proto.WireFrame
+// messages cross — never a pool-owned *proto.Frame — sequentially and
+// under a two-group placement, with no frame left outstanding on either
+// side.
+func TestBoundaryCarriesOnlyWireFrames(t *testing.T) {
+	run := func(t *testing.T, exec func(*orch.Simulation) error) {
+		n1, n2 := netsim.New("net1", 1), netsim.New("net2", 1)
+		sw1, sw2 := n1.AddSwitch("sw1"), n2.AddSwitch("sw2")
+		h1 := n1.AddHost("h1", proto.HostIP(1))
+		h2 := n2.AddHost("h2", proto.HostIP(2))
+		n1.ConnectHostSwitch(h1, sw1, 10*sim.Gbps, sim.Microsecond)
+		n2.ConnectHostSwitch(h2, sw2, 10*sim.Gbps, sim.Microsecond)
+		x1 := n1.AddExternal(sw1, "x", 10*sim.Gbps, proto.HostIP(2))
+		x2 := n2.AddExternal(sw2, "x", 10*sim.Gbps, proto.HostIP(1))
+		n1.ComputeRoutes()
+		n2.ComputeRoutes()
+		k1 := &typeSink{next: x1, seen: map[string]int{}}
+		k2 := &typeSink{next: x2, seen: map[string]int{}}
+		s := orch.New()
+		s.Add(n1)
+		s.Add(n2)
+		s.Connect("x", sim.Microsecond,
+			orch.Side{Comp: n1, Bind: x1.Bind, Sink: k1},
+			orch.Side{Comp: n2, Bind: x2.Bind, Sink: k2})
+		// h2 echoes every datagram back, so both boundary ports receive.
+		h2.BindUDP(9, func(src proto.IP, _ uint16, _ []byte, n int) { h2.SendUDP(src, 9, 1, nil, n) })
+		h1.BindUDP(1, func(proto.IP, uint16, []byte, int) {})
+		h1.SetApp(netsim.AppFunc(func(h *netsim.Host) {
+			var tick func()
+			tick = func() {
+				h.SendUDP(proto.HostIP(2), 1, 9, nil, 400)
+				h.After(20*sim.Microsecond, tick)
+			}
+			tick()
+		}))
+		if err := exec(s); err != nil {
+			t.Fatal(err)
+		}
+		for side, k := range []*typeSink{k1, k2} {
+			if len(k.seen) != 1 || k.seen["*proto.WireFrame"] == 0 {
+				t.Errorf("side %d received %v, want only *proto.WireFrame", side+1, k.seen)
+			}
+		}
+		for _, n := range []*netsim.Network{n1, n2} {
+			if live := n.FrameStats().Live; live != 0 {
+				t.Errorf("%s: %d pooled frames outstanding", n.Name(), live)
+			}
+		}
+	}
+	t.Run("sequential", func(t *testing.T) {
+		run(t, func(s *orch.Simulation) error { s.RunSequential(sim.Millisecond); return nil })
+	})
+	t.Run("two-group", func(t *testing.T) {
+		run(t, func(s *orch.Simulation) error { return s.RunParallel(sim.Millisecond, decomp.PerComponent(2)) })
+	})
 }
 
 // TestSequentialIsTheOneGroupPlan pins what RunSequential keeps through the

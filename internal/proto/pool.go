@@ -11,8 +11,9 @@ import "sync"
 // Ownership contract. A *Frame obtained from Get is owned by exactly one
 // component at a time. Handing the frame to a port, sink, or scheduler
 // delivery transfers ownership; the terminal consumer calls Release. A pool
-// is confined to its owning component's scheduler goroutine — cross-runner
-// boundaries always pass encoded bytes (WireFrame), never *Frame, so pools
+// is confined to its owning component's scheduler goroutine — a network
+// boundary (netsim.ExtPort) encodes every frame it sends, so cross-runner
+// channels carry bytes (WireFrame), never *Frame, by construction, and pools
 // need no locking. Byte buffers do migrate between pools: ParseFrameInto
 // adopts the input buffer into the receiving frame, and Release returns it
 // to the receiver's pool. Traffic flowing both ways keeps the buffer

@@ -18,7 +18,6 @@ func buildNet(name string, localID, remoteID uint32, seed uint64) (*netsim.Netwo
 	h := n.AddHost("h", proto.HostIP(localID))
 	n.ConnectHostSwitch(h, sw, 10*sim.Gbps, sim.Microsecond)
 	x := n.AddExternal(sw, "x", 10*sim.Gbps, proto.HostIP(remoteID))
-	x.SetEncode(true) // frames cross the wire as honest bytes
 	n.ComputeRoutes()
 	return n, h, x
 }

@@ -13,9 +13,6 @@ type Scheduler struct {
 	seq  uint64
 	done uint64 // events executed
 
-	// busy accumulates modeled host-CPU nanoseconds charged via Charge.
-	busy uint64
-
 	// maxExec is the timestamp of the latest event actually executed (-1
 	// when none has). Now may run ahead of it — RunBefore advances the
 	// clock to its limit even when the tail of the window held no
@@ -224,11 +221,3 @@ func (s *Scheduler) DiscardPending(fn func(Payload)) int {
 	s.freeNamed = s.freeNamed[:0]
 	return n
 }
-
-// Charge records ns nanoseconds of modeled host-CPU work attributed to this
-// component. The decomposition layer's makespan model consumes these totals
-// to predict parallel simulation time on a given core budget.
-func (s *Scheduler) Charge(ns uint64) { s.busy += ns }
-
-// BusyNanos returns the modeled host-CPU nanoseconds charged so far.
-func (s *Scheduler) BusyNanos() uint64 { return s.busy }

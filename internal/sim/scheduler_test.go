@@ -121,15 +121,6 @@ func TestEventEntrySize(t *testing.T) {
 	}
 }
 
-func TestChargeAccumulates(t *testing.T) {
-	s := NewScheduler(0)
-	s.Charge(10)
-	s.Charge(32)
-	if s.BusyNanos() != 42 {
-		t.Fatalf("BusyNanos = %d, want 42", s.BusyNanos())
-	}
-}
-
 // Property: popping events always yields a sequence sorted by (time,src,seq).
 func TestEventQueueSortedProperty(t *testing.T) {
 	f := func(times []uint16, srcs []uint8) bool {

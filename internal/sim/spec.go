@@ -18,13 +18,12 @@ type Mark struct {
 	Now     Time
 	Seq     uint64
 	Done    uint64
-	Busy    uint64
 	MaxExec Time
 }
 
 // CaptureMark snapshots the scheduler's scalar state.
 func (s *Scheduler) CaptureMark() Mark {
-	return Mark{Now: s.now, Seq: s.seq, Done: s.done, Busy: s.busy, MaxExec: s.maxExec}
+	return Mark{Now: s.now, Seq: s.seq, Done: s.done, MaxExec: s.maxExec}
 }
 
 // MaxExec returns the timestamp of the latest executed event (-1 if none).
@@ -90,7 +89,6 @@ func (s *Scheduler) RestoreMark(m Mark) {
 	s.now = m.Now
 	s.seq = m.Seq
 	s.done = m.Done
-	s.busy = m.Busy
 	s.maxExec = m.MaxExec
 }
 
