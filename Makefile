@@ -40,8 +40,10 @@ race:
 # together. Parallel digest/wake/yield/profiling tests (nondeterminism and
 # data races among concurrent runners), the speculation digest/rollback/leap
 # properties and the remote-rejection contracts, checkpoints restoring
-# bit-identically across placements, modes and GOMAXPROCS levels, the
-# warm-started sweep's identity point matching its cold run, and the
+# bit-identically across placements, modes and GOMAXPROCS levels (with
+# restore cost independent of fabric size, and a build whose sink walk
+# differs rejected before any event posts), the warm-started sweep's
+# identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —
 # plus the rollback fuzz seed corpus. Plan-time trunking rides along: cut

@@ -12,8 +12,8 @@ import (
 
 // This file defines the explicit-state contract: how components expose
 // their mutable simulation state for checkpointing, how channel payloads in
-// flight serialize, and how sinks gain stable names so a re-posted delivery
-// event can find its target in a freshly built simulation.
+// flight serialize, and how components enumerate their sinks so a re-posted
+// delivery event can find its target in a freshly built simulation.
 
 // Checkpoint-boundary errors. They mark state the format deliberately does
 // not capture; a checkpoint attempt that hits one fails cleanly instead of
@@ -26,9 +26,11 @@ var (
 	// ErrUnknownPayload reports an in-flight message type with no
 	// registered codec.
 	ErrUnknownPayload = errors.New("core: no codec registered for payload type")
-	// ErrUnknownSink reports a delivery event whose sink has no stable
-	// name in the simulation being checkpointed.
-	ErrUnknownSink = errors.New("core: delivery sink has no registered name")
+	// ErrUnknownSink reports a delivery event whose sink the simulation's
+	// sink walk cannot address: at capture, a sink no component or channel
+	// enumerates (or a func-typed one); at restore, a position the build's
+	// walk does not have or that holds no addressable sink.
+	ErrUnknownSink = errors.New("core: delivery sink not in the sink walk")
 )
 
 // Stateful is implemented by components whose simulation state can be
@@ -47,10 +49,11 @@ type Stateful interface {
 	// configured component. Decode errors and layout mismatches surface as
 	// typed errors, never panics.
 	RestoreState(dec *snap.Decoder) error
-	// WalkSinks visits every delivery sink the component owns under a
-	// stable local name, in deterministic order. The checkpoint layer
-	// prefixes names with the component name to address re-posted events.
-	WalkSinks(fn func(name string, s Sink))
+	// WalkSinks visits every delivery sink the component owns, in an order
+	// identical builds reproduce. A checkpoint addresses a re-posted
+	// delivery by its sink's position in the simulation-wide walk, so the
+	// order is part of the format.
+	WalkSinks(fn func(s Sink))
 	// StartRestored is Start for a restored run: adopt the end time and any
 	// runtime wiring Start would do, but seed no events.
 	StartRestored(end sim.Time)
@@ -124,12 +127,6 @@ func DecodePayload(d *snap.Decoder, owner Component) (Message, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPayload, name)
 	}
 	return c.dec(d, owner)
-}
-
-// SinkComparable reports whether s can be used as a map key (named and
-// looked up by identity). Func-typed sinks (SinkFunc) are not.
-func SinkComparable(s Sink) bool {
-	return s != nil && reflect.TypeOf(s).Comparable()
 }
 
 // RegisterNamed registers a named event handler with the component's

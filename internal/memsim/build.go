@@ -19,7 +19,7 @@ func (p envPort) Latency() sim.Time { return p.lat }
 
 func (p envPort) Send(m core.Message) {
 	// A typed delivery event (not a closure): it serializes into
-	// checkpoints by sink name and payload codec.
+	// checkpoints by sink position and payload codec.
 	p.env.PostDelivery(p.env.Now()+p.lat, p.sink, m)
 }
 

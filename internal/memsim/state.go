@@ -63,8 +63,8 @@ func (c *Core) RestoreState(d *snap.Decoder) error {
 }
 
 // WalkSinks implements core.Stateful.
-func (c *Core) WalkSinks(fn func(name string, s core.Sink)) {
-	fn("resp", &c.respSink)
+func (c *Core) WalkSinks(fn func(s core.Sink)) {
+	fn(&c.respSink)
 }
 
 // StartRestored implements core.Stateful: adopt the run window; the pending
@@ -102,8 +102,8 @@ func (m *Mem) RestoreState(d *snap.Decoder) error {
 }
 
 // WalkSinks implements core.Stateful.
-func (m *Mem) WalkSinks(fn func(name string, s core.Sink)) {
-	fn("req", &m.reqSink)
+func (m *Mem) WalkSinks(fn func(s core.Sink)) {
+	fn(&m.reqSink)
 }
 
 // StartRestored implements core.Stateful (Start seeds nothing either).
@@ -141,12 +141,12 @@ func (m *Monolithic) RestoreState(d *snap.Decoder) error {
 	return d.Err()
 }
 
-// WalkSinks implements core.Stateful, prefixing embedded sinks by role.
-func (m *Monolithic) WalkSinks(fn func(name string, s core.Sink)) {
-	m.mem.WalkSinks(func(n string, s core.Sink) { fn("mem/"+n, s) })
-	for i, c := range m.cores {
-		i := i
-		c.WalkSinks(func(n string, s core.Sink) { fn(fmt.Sprintf("core/%d/%s", i, n), s) })
+// WalkSinks implements core.Stateful: the controller's sinks, then each
+// core's in build order.
+func (m *Monolithic) WalkSinks(fn func(s core.Sink)) {
+	m.mem.WalkSinks(fn)
+	for _, c := range m.cores {
+		c.WalkSinks(fn)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // Network implements core.Stateful: every piece of mutable simulation state
 // — PRNGs, per-host and per-switch counters, interface transmitter clocks,
-// installed TCP connection numerics — serializes, and every delivery sink a
-// pending event can target carries a stable name derived from build order.
+// installed TCP connection numerics — serializes, and WalkSinks enumerates
+// every delivery sink a pending event can target, in build order.
 //
 // Not captured, by design: routing tables and topology (rebuilt
 // deterministically from the same build calls), the switch flow cache (a
@@ -77,24 +77,23 @@ func (n *Network) StartRestored(end sim.Time) {
 	n.started = true
 }
 
-// WalkSinks implements core.Stateful. Names are positional in build order,
-// which identical builds reproduce exactly.
-func (n *Network) WalkSinks(fn func(name string, s core.Sink)) {
-	for i, h := range n.hosts {
-		if h.iface == nil {
-			continue
-		}
-		fn(fmt.Sprintf("h/%d/enq", i), &h.iface.enqSink)
-		fn(fmt.Sprintf("h/%d/rx", i), &h.iface.rxSink)
-	}
-	for i, sw := range n.switches {
-		for j, ifc := range sw.ifaces {
-			fn(fmt.Sprintf("sw/%d/if/%d/enq", i, j), &ifc.enqSink)
-			fn(fmt.Sprintf("sw/%d/if/%d/rx", i, j), &ifc.rxSink)
+// WalkSinks implements core.Stateful in build order, which identical builds
+// reproduce exactly.
+func (n *Network) WalkSinks(fn func(s core.Sink)) {
+	for _, h := range n.hosts {
+		if h.iface != nil {
+			fn(&h.iface.enqSink)
+			fn(&h.iface.rxSink)
 		}
 	}
-	for i, p := range n.exts {
-		fn(fmt.Sprintf("ext/%d/out", i), &p.outSink)
+	for _, sw := range n.switches {
+		for _, ifc := range sw.ifaces {
+			fn(&ifc.enqSink)
+			fn(&ifc.rxSink)
+		}
+	}
+	for _, p := range n.exts {
+		fn(&p.outSink)
 	}
 }
 

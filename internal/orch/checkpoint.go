@@ -2,6 +2,7 @@ package orch
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/core"
@@ -27,11 +28,12 @@ import (
 //     canonical placement-invariant (time, source) order with per-scheduler
 //     sequence numbers dropped.
 //
-// Because event records carry sink names and named-handler names rather
-// than pointers, the same checkpoint restores into ANY placement of an
-// identically built simulation: the bytes are bit-identical no matter which
-// placement or mode produced them, and the restored run is bit-identical to
-// the uninterrupted one.
+// Because event records carry sink positions (ordinals in walkSinks'
+// registration-order walk, whose length the metadata records) and
+// named-handler names rather than pointers, the same checkpoint restores
+// into ANY placement of an identically built simulation: the bytes are
+// bit-identical no matter which placement or mode produced them, and the
+// restored run is bit-identical to the uninterrupted one.
 //
 // Not captured: remote (cross-process) connections, dynamically created TCP
 // flows, and pending closure events — each surfaces a typed error at capture.
@@ -88,85 +90,80 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	return &Checkpoint{At: at, BaseEvents: base, Data: data}, nil
 }
 
-// sinkTarget resolves a serialized sink name back to a live sink and the
-// component owning it (whose frame pool re-mints pooled payloads).
-type sinkTarget struct {
+// walkSinks visits every sink the wiring can target, in the order that
+// numbers them in a checkpoint: each component's WalkSinks in registration
+// order, then both ends of every channel link in registration order. The
+// order is independent of placement, which keeps checkpoint bytes
+// placement-invariant. Every visited sink takes the next position, nil and
+// func-typed ones included. A component that is not core.Stateful
+// contributes no sinks and is reported as the error once the walk is done.
+func (s *Simulation) walkSinks(fn func(sk core.Sink, owner core.Component)) error {
+	var err error
+	for _, c := range s.comps {
+		if st, ok := c.(core.Stateful); ok {
+			st.WalkSinks(func(sk core.Sink) { fn(sk, c) })
+		} else if err == nil {
+			err = fmt.Errorf("%w: component %q does not implement core.Stateful",
+				core.ErrNotCheckpointable, c.Name())
+		}
+	}
+	for _, c := range s.chans {
+		for _, l := range c.links {
+			for x, comp := range c.comp {
+				fn(l.sink[x], comp)
+			}
+		}
+	}
+	return err
+}
+
+// sinkRef is one sink of the walk: the sink, its position (in a
+// sinkIndex), and the component owning it, whose frame pool re-mints pooled
+// payloads (nil for the out-of-process end of a remote channel).
+type sinkRef struct {
 	sink  core.Sink
+	ord   uint32
 	owner core.Component
 }
 
-// sinkTable maps between live sinks and their stable checkpoint names.
-// Component-owned sinks are named "c/<comp>/<local>" via WalkSinks; channel
-// sinks get the channel.sinkName fallbacks ("conn/<name>/a|b",
-// "trunk/<name>/<i>/a|b") for sinks no component exports. A sink reachable
-// under several names keeps the first. Non-comparable (func-typed) sinks are
-// skipped — they only fail a checkpoint if a pending delivery actually
-// targets one.
-type sinkTable struct {
-	nameOf map[core.Sink]string
-	byName map[string]sinkTarget
+// sinkComparable reports whether sk can key a map — be addressed by
+// identity. Nil and func-typed sinks (core.SinkFunc) cannot.
+func sinkComparable(sk core.Sink) bool {
+	return sk != nil && reflect.TypeOf(sk).Comparable()
 }
 
-// lookup returns the name a live sink serializes under and its target entry
-// (for the owner); ok is false for a sink the walk did not name.
-func (t *sinkTable) lookup(sk core.Sink) (name string, tgt sinkTarget, ok bool) {
-	if !core.SinkComparable(sk) {
-		return "", sinkTarget{}, false
+// sinkIndex maps each comparable sink to its first position in the walk.
+type sinkIndex map[core.Sink]sinkRef
+
+// lookup returns sk's entry; ok is false for a sink the walk does not reach
+// or that cannot key the index.
+func (x sinkIndex) lookup(sk core.Sink) (ref sinkRef, ok bool) {
+	if !sinkComparable(sk) {
+		return sinkRef{}, false
 	}
-	name, ok = t.nameOf[sk]
-	return name, t.byName[name], ok
+	ref, ok = x[sk]
+	return ref, ok
 }
 
-// sinkTable walks every sink the wiring can target. On error (a component
-// that is not core.Stateful, a name used twice) the table is still returned,
-// complete for every sink the walk could name.
-func (s *Simulation) sinkTable() (*sinkTable, error) {
-	t := &sinkTable{
-		nameOf: make(map[core.Sink]string),
-		byName: make(map[string]sinkTarget),
-	}
-	var err error
-	add := func(name string, sk core.Sink, owner core.Component) {
-		if sk == nil || !core.SinkComparable(sk) {
-			return
+// sinkIndex indexes the walk and returns it with the walk's length. On error
+// (a component that is not core.Stateful) the index is still returned,
+// complete for every sink the walk reached.
+func (s *Simulation) sinkIndex() (sinkIndex, uint32, error) {
+	x := make(sinkIndex)
+	var n uint32
+	err := s.walkSinks(func(sk core.Sink, owner core.Component) {
+		if _, seen := x.lookup(sk); !seen && sinkComparable(sk) {
+			x[sk] = sinkRef{sink: sk, ord: n, owner: owner}
 		}
-		if _, dup := t.byName[name]; dup {
-			if err == nil {
-				err = fmt.Errorf("orch: duplicate sink name %q", name)
-			}
-			return
-		}
-		t.byName[name] = sinkTarget{sink: sk, owner: owner}
-		if _, seen := t.nameOf[sk]; !seen {
-			t.nameOf[sk] = name
-		}
-	}
-	for _, c := range s.comps {
-		st, ok := c.(core.Stateful)
-		if !ok {
-			if err == nil {
-				err = fmt.Errorf("%w: component %q does not implement core.Stateful",
-					core.ErrNotCheckpointable, c.Name())
-			}
-			continue
-		}
-		name := c.Name()
-		st.WalkSinks(func(n string, sk core.Sink) { add("c/"+name+"/"+n, sk, c) })
-	}
-	for _, c := range s.chans {
-		for i, l := range c.links {
-			for x, comp := range c.comp {
-				add(c.sinkName(i, x), l.sink[x], comp)
-			}
-		}
-	}
-	return t, err
+		n++
+	})
+	return x, n, err
 }
 
 // capture serializes the quiesced simulation at time at. scheds holds every
 // scheduler of the finished run, one per group.
 func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint, error) {
-	table, err := s.sinkTable()
+	sinks, nsinks, err := s.sinkIndex()
 	if err != nil {
 		return nil, err
 	}
@@ -208,6 +205,7 @@ func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint,
 	for _, a := range s.auxs {
 		meta.String(a.name)
 	}
+	meta.U32(nsinks)
 	if err := w.Section("meta", meta.Bytes()); err != nil {
 		return nil, err
 	}
@@ -226,11 +224,11 @@ func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint,
 			ev.U64(e.Args[1])
 			ev.U64(e.Args[2])
 		case sim.PendingDelivery:
-			name, _, ok := table.lookup(e.Sink)
+			ref, ok := sinks.lookup(e.Sink)
 			if !ok {
 				return nil, fmt.Errorf("%w: %T (delivery at %v)", core.ErrUnknownSink, e.Sink, e.At)
 			}
-			ev.String(name)
+			ev.U32(ref.ord)
 			if err := core.EncodePayload(&ev, e.Payload); err != nil {
 				return nil, err
 			}
@@ -316,9 +314,25 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 				core.ErrNotCheckpointable, n, a.name)
 		}
 	}
+	nsinks := md.U32()
 	if md.Err() != nil {
 		return md.Err()
 	}
+	// Deliveries address sinks by walk position: a build whose walk has
+	// another length fails here, before any state or event lands. The
+	// counting walk sizes the one list that resolves positions.
+	var walked uint32
+	if err := s.walkSinks(func(core.Sink, core.Component) { walked++ }); err != nil {
+		return err
+	}
+	if walked != nsinks {
+		return fmt.Errorf("%w: snapshot has %d sinks, build has %d",
+			core.ErrNotCheckpointable, nsinks, walked)
+	}
+	targets := make([]sinkRef, 0, nsinks)
+	s.walkSinks(func(sk core.Sink, owner core.Component) {
+		targets = append(targets, sinkRef{sink: sk, owner: owner})
+	})
 
 	for _, c := range s.comps {
 		sec, err := r.Section("comp/" + c.Name())
@@ -357,10 +371,6 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 		return cd.Err()
 	}
 
-	table, err := s.sinkTable()
-	if err != nil {
-		return err
-	}
 	eb, err := r.Section("events")
 	if err != nil {
 		return err
@@ -394,14 +404,14 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 				return fmt.Errorf("orch: checkpoint names unregistered handler %q", name)
 			}
 		case sim.PendingDelivery:
-			name := ed.String()
+			ord := ed.U32()
 			if ed.Err() != nil {
 				return ed.Err()
 			}
-			tgt, ok := table.byName[name]
-			if !ok {
-				return fmt.Errorf("%w: %q", core.ErrUnknownSink, name)
+			if ord >= nsinks || !sinkComparable(targets[ord].sink) {
+				return fmt.Errorf("%w: sink %d of %d", core.ErrUnknownSink, ord, nsinks)
 			}
+			tgt := targets[ord]
 			payload, err := core.DecodePayload(ed, tgt.owner)
 			if err != nil {
 				return err

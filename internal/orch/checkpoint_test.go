@@ -2,7 +2,9 @@ package orch_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"hash/fnv"
 	"runtime"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/memsim"
 	"repro/internal/netsim"
+	"repro/internal/netsim/topogen"
 	"repro/internal/netsim/workload"
 	"repro/internal/nicsim"
 	"repro/internal/orch"
@@ -383,6 +386,195 @@ func TestLoadCheckpoint(t *testing.T) {
 	garbled[len(garbled)/2] ^= 0x5a
 	if _, err := orch.LoadCheckpoint(garbled); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("garbled checkpoint: err = %v, want ErrCorrupt", err)
+	}
+	// A container of the previous format — sinks addressed by name — is
+	// rejected on its version, not misparsed. The CRC covers the version
+	// field, so the re-stamped container gets a valid one.
+	stale := append([]byte(nil), ck.Data...)
+	binary.LittleEndian.PutUint16(stale[4:], 1)
+	binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
+	if _, err := orch.LoadCheckpoint(stale); !errors.Is(err, snap.ErrVersion) {
+		t.Fatalf("version-1 checkpoint: err = %v, want ErrVersion", err)
+	}
+}
+
+// editSection returns ck re-framed with one section passed through edit,
+// which may modify the (copied) bytes in place.
+func editSection(t *testing.T, ck *orch.Checkpoint, section string, edit func(sec []byte)) *orch.Checkpoint {
+	t.Helper()
+	r, err := snap.Open(ck.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snap.NewWriter()
+	for _, name := range r.Names() {
+		sec, err := r.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == section {
+			sec = append([]byte(nil), sec...)
+			edit(sec)
+		}
+		if err := w.Section(name, sec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := orch.LoadCheckpoint(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// ckptSection returns one section of ck.
+func ckptSection(t *testing.T, ck *orch.Checkpoint, name string) []byte {
+	t.Helper()
+	r, err := snap.Open(ck.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := r.Section(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sec
+}
+
+// ckptSinkCount reads the sink count the metadata section ends with.
+func ckptSinkCount(t *testing.T, ck *orch.Checkpoint) uint32 {
+	t.Helper()
+	meta := ckptSection(t, ck, "meta")
+	return binary.LittleEndian.Uint32(meta[len(meta)-4:])
+}
+
+// deliverySinkOffsets parses an events section whose deliveries carry frame
+// payloads and returns the offset of each delivery's sink ordinal.
+func deliverySinkOffsets(t *testing.T, sec []byte) []int {
+	t.Helper()
+	d := snap.NewDecoder(sec)
+	var offs []int
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		d.I64() // time
+		d.U32() // source
+		switch kind := d.U8(); kind {
+		case sim.PendingNamed:
+			d.Bytes32() // handler name
+			d.U64()
+			d.U64()
+			d.U64()
+		case sim.PendingDelivery:
+			offs = append(offs, len(sec)-d.Remaining())
+			d.U32()
+			if codec := d.String(); codec != "proto.Frame" && codec != "proto.WireFrame" {
+				t.Fatalf("delivery payload codec %q, want a frame", codec)
+			}
+			d.Bytes32()
+		default:
+			t.Fatalf("event kind %d", kind)
+		}
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("events section: err %v, %d bytes left over", d.Err(), d.Remaining())
+	}
+	return offs
+}
+
+// TestCheckpointRejectsSinkCountMismatch: a checkpoint whose recorded sink
+// count differs from the build's walk cannot address its deliveries, so the
+// restore fails with the typed error before posting any event and leaves no
+// frame checked out, under both placements.
+func TestCheckpointRejectsSinkCountMismatch(t *testing.T) {
+	arrival := workload.Open{FlowsPerSec: 50_000}
+	cs, _, _ := buildCkptSim(1, arrival)
+	ck, err := cs.CheckpointSequential(sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsinks := ckptSinkCount(t, ck)
+	bad := editSection(t, ck, "meta", func(sec []byte) {
+		binary.LittleEndian.PutUint32(sec[len(sec)-4:], nsinks+1)
+	})
+
+	n := cs.NumComponents()
+	for _, p := range []decomp.Placement{decomp.SingleGroup(n), decomp.PerComponent(n)} {
+		rs, _, _ := buildCkptSim(1, arrival)
+		pl, err := rs.Plan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Execute(2*sim.Millisecond, orch.RunOptions{Resume: bad})
+		if !errors.Is(err, core.ErrNotCheckpointable) {
+			t.Fatalf("%s: err = %v, want ErrNotCheckpointable", p.Name, err)
+		}
+		for gi, sc := range res.Scheds {
+			if posted := sc.CaptureMark().Seq; posted != 0 {
+				t.Fatalf("%s: group %d had %d events posted before the rejection", p.Name, gi, posted)
+			}
+		}
+		if live := rs.LiveFrames(); live != 0 {
+			t.Fatalf("%s: failed resume left %d pooled frames checked out", p.Name, live)
+		}
+	}
+}
+
+// TestCheckpointRestoreAllocsFlatInSinks: restore cost is independent of
+// fabric size. On a lazy Clos with over ten thousand sinks, resuming a
+// checkpoint holding a few hundred pending deliveries for a few microseconds
+// allocates fewer objects than the build has sinks, because resolving a
+// delivery's sink costs nothing per sink in the fabric.
+func TestCheckpointRestoreAllocsFlatInSinks(t *testing.T) {
+	const (
+		warm = 300 * sim.Microsecond
+		tail = 2 * sim.Microsecond
+	)
+	build := func() *orch.Simulation {
+		spec := topogen.ClosSpec{
+			Pods: 10, LeafPerPod: 32, SpinePerPod: 8, Cores: 32, HostsPerLeaf: 32,
+			HostRate: 10 * sim.Gbps, LeafRate: 40 * sim.Gbps, CoreRate: 100 * sim.Gbps,
+			LinkDelay: sim.Microsecond, Lazy: true,
+		}
+		topo, m := topogen.Clos(spec)
+		b := topo.Build("fab", 1, nil, nil)
+		var hosts []*netsim.Host
+		for p := range m.HostSlots {
+			for l := 0; l < spec.LeafPerPod; l += 4 {
+				hosts = append(hosts, b.MaterializeSlot(m.HostSlots[p][l][0]))
+			}
+		}
+		eng := workload.Install(hosts, workload.Spec{
+			Pattern: workload.Uniform{},
+			Sizes:   workload.Fixed(10_000),
+			Arrival: workload.Open{FlowsPerSec: 50_000},
+			Seed:    1,
+		})
+		s := orch.New()
+		instantiate.WirePartitions(s, topo, b, true)
+		s.AddAuxState("wl", eng)
+		return s
+	}
+	ck, err := build().CheckpointSequential(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := ckptSinkCount(t, ck)
+	deliveries := len(deliverySinkOffsets(t, ckptSection(t, ck, "events")))
+	if sinks < 10_000 || deliveries < 100 {
+		t.Fatalf("fixture has %d sinks and %d pending deliveries, want >= 10000 and >= 100", sinks, deliveries)
+	}
+
+	rs := build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := rs.ResumeSequential(ck, warm+tail); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d sinks, %d deliveries: resume allocated %d objects", sinks, deliveries, allocs)
+	if allocs >= uint64(sinks) {
+		t.Fatalf("resume allocated %d objects for %d pending deliveries, want fewer than the %d sinks",
+			allocs, deliveries, sinks)
 	}
 }
 

@@ -22,8 +22,8 @@ const ckptGoldenFile = "testdata/ckpt_golden.json"
 // TestCheckpointGoldenBytes pins the serialized checkpoint format: the
 // sha256 of Checkpoint.Data for each fixture must equal the recorded one,
 // captured sequentially and from a quiesced per-component run alike. A
-// change to the snap codec, a section layout, a sink name or the canonical
-// event order shows up here as a hash mismatch and has to be accepted
+// change to the snap codec, a section layout, the sink walk's order or the
+// canonical event order shows up here as a hash mismatch and has to be accepted
 // explicitly with -update-golden.
 func TestCheckpointGoldenBytes(t *testing.T) {
 	arrival := workload.Open{FlowsPerSec: 50_000}

@@ -93,7 +93,7 @@ type payRef struct {
 type groupSnap struct {
 	sched *sim.Scheduler
 	comps []core.Stateful // group members, registration order
-	sinks *sinkTable      // names every delivery sink's pool owner
+	sinks sinkIndex       // every delivery sink's pool owner
 
 	mark  sim.Mark
 	state snap.Encoder // concatenated per-component state
@@ -139,7 +139,7 @@ func (gs *groupSnap) snapshot() error {
 				// ever restored (the rollback sweep releases the queue), so
 				// the snapshot needs its own copy, re-mintable from the
 				// owning component's pool.
-				_, tgt, ok := gs.sinks.lookup(e.Sink)
+				sk, ok := gs.sinks.lookup(e.Sink)
 				if !ok {
 					return fmt.Errorf("%w: pooled delivery at %v with unowned sink %T",
 						core.ErrUnknownSink, e.At, e.Sink)
@@ -148,7 +148,7 @@ func (gs *groupSnap) snapshot() error {
 				if err := core.EncodePayload(&gs.pays, e.Payload); err != nil {
 					return err
 				}
-				ref = payRef{off: int32(off), n: int32(gs.pays.Len() - off), enc: true, owner: tgt.owner}
+				ref = payRef{off: int32(off), n: int32(gs.pays.Len() - off), enc: true, owner: sk.owner}
 			}
 		}
 		gs.prefs = append(gs.prefs, ref)
@@ -223,9 +223,9 @@ func (pl *ExecutionPlan) specReason(gi int) string {
 // speculates. Call after wire.
 func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Runner, k int) {
 	s := pl.s
-	// A sink the walk could not name only demotes the group whose snapshot
+	// A sink the walk could not reach only demotes the group whose snapshot
 	// meets a pooled delivery to it, so the walk's error is not the run's.
-	sinks, _ := s.sinkTable()
+	sinks, _, _ := s.sinkIndex()
 	for gi := range runners {
 		ctl := &link.SpecControl{MaxWindows: k}
 		if reason := pl.specReason(gi); reason != "" {

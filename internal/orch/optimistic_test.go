@@ -97,8 +97,8 @@ func (c *specChatter) RestoreState(d *snap.Decoder) error {
 	return d.Err()
 }
 
-func (c *specChatter) WalkSinks(func(string, core.Sink)) {}
-func (c *specChatter) StartRestored(sim.Time)            {}
+func (c *specChatter) WalkSinks(func(core.Sink)) {}
+func (c *specChatter) StartRestored(sim.Time)    {}
 
 // buildSpecRandom mirrors buildRandom with specChatter components.
 func buildSpecRandom(seed uint64, nComps int) (*orch.Simulation, []*specChatter) {

@@ -52,8 +52,8 @@ type chanLink struct {
 // and a remote connection is a channel whose B end lives in another OS
 // process. The kind
 // only remembers which constructor made the record, for the printed plan row
-// and the fallback sink name; how a channel is wired is decided per execution
-// from the runner groups of its two ends.
+// and the order of a checkpoint's channel counters; how a channel is wired
+// is decided per execution from the runner groups of its two ends.
 type channel struct {
 	name    string
 	kind    ChannelKind
@@ -113,16 +113,6 @@ func (c *channel) setTxData(a, b uint64) {
 	}
 	c.ep[0].SetTxData(c.sub0, a)
 	c.ep[1].SetTxData(c.sub0, b)
-}
-
-// sinkName is the checkpoint name of end x's sink on link i, for sinks no
-// component exports under a name of its own.
-func (c *channel) sinkName(i, x int) string {
-	end := "ab"[x : x+1]
-	if c.kind == KindTrunk {
-		return fmt.Sprintf("trunk/%s/%d/%s", c.name, i, end)
-	}
-	return "conn/" + c.name + "/" + end
 }
 
 // ErrBadChannel reports a channel that cannot be wired: a non-positive

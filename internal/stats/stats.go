@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -80,7 +80,7 @@ func (l *Latency) Merge(o *Latency) {
 
 func (l *Latency) sortSamples() {
 	if !l.sorted {
-		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+		slices.Sort(l.samples)
 		l.sorted = true
 	}
 }
