@@ -41,8 +41,9 @@ race:
 # data races among concurrent runners), the speculation digest/rollback/leap
 # properties and the remote-rejection contracts, checkpoints restoring
 # bit-identically across placements, modes and GOMAXPROCS levels (with
-# restore cost independent of fabric size, and a build whose sink walk
-# differs rejected before any event posts), the warm-started sweep's
+# restore cost independent of fabric size, a build whose sink walk
+# differs rejected before any event posts, and a restore into a build
+# whose TCP connections differ rejected), the warm-started sweep's
 # identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —

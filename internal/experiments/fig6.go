@@ -155,7 +155,6 @@ func fig6Run(cfg Fig4Config, kPackets int, opts Options) Fig6Point {
 			rcvs = append(rcvs, rcv)
 		}
 	}
-	n.ComputeRoutes()
 
 	// Record delivered bytes at warmup end, measure the remainder.
 	var atWarmup [2]int64

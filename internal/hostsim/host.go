@@ -1,18 +1,12 @@
 package hostsim
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/pci"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/tcpstack"
 )
-
-// UDPHandler aliases the shared socket-callback type; handlers run after
-// the receive path has consumed CPU time.
-type UDPHandler = core.UDPHandler
 
 // App is an application process running on a detailed host.
 type App interface {
@@ -58,12 +52,12 @@ type Host struct {
 	phcID      uint64
 	phcWaiters map[uint64]func(hw sim.Time)
 
-	udpPorts map[uint16]UDPHandler
-	tcpConns map[tcpKey]*tcpstack.Conn
-	apps     []App
+	tcpstack.Sockets // UDP bindings, TCP connections and their demux
+	apps             []App
 
 	// lastHW and lastSW hold the hardware and software (driver-entry)
-	// timestamps of the packet currently delivered to a UDP handler.
+	// timestamps of the packet the socket layer is delivering, set before
+	// any UDP handler runs.
 	lastHW sim.Time
 	lastSW sim.Time
 
@@ -155,16 +149,11 @@ type hostRxSink struct{ h *Host }
 func (k *hostRxSink) Deliver(_ sim.Time, m core.Message) {
 	h := k.h
 	j := m.(*rxJob)
-	h.demux(j.f, j.hw, j.sw)
+	h.lastHW, h.lastSW = j.hw, j.sw
+	h.Deliver(j.f)
 	j.f.Release()
 	j.f = nil
 	h.freeRxJob = append(h.freeRxJob, j)
-}
-
-type tcpKey struct {
-	remote proto.IP
-	rport  uint16
-	lport  uint16
 }
 
 // New creates a detailed host. seed derives all of the host's randomness
@@ -176,8 +165,6 @@ func New(name string, ip proto.IP, p Params, seed uint64) *Host {
 		cpuBusyUntil: make([]sim.Time, 1),
 		txWaiters:    make(map[uint64]func(sim.Time)),
 		phcWaiters:   make(map[uint64]func(sim.Time)),
-		udpPorts:     make(map[uint16]UDPHandler),
-		tcpConns:     make(map[tcpKey]*tcpstack.Conn),
 	}
 	h.txSink.h = h
 	h.rxSink.h = h
@@ -253,9 +240,6 @@ func (h *Host) ClockNow() sim.Time { return h.Clock.Read(h.env.Now()) }
 // After schedules fn after d of true time (timer wheel; consumes no CPU).
 func (h *Host) After(d sim.Time, fn func()) { h.env.After(d, fn) }
 
-// At schedules fn at absolute true time t.
-func (h *Host) At(t sim.Time, fn func()) { h.env.At(t, fn) }
-
 // Rand returns the host's deterministic random source.
 func (h *Host) Rand() *sim.Rand { return h.rng }
 
@@ -304,14 +288,6 @@ func (h *Host) Compute(d sim.Time, fn func()) {
 
 // CPUBusy returns accumulated busy time of the simulated core.
 func (h *Host) CPUBusy() sim.Time { return h.cpuBusy }
-
-// BindUDP registers a datagram handler on a local port.
-func (h *Host) BindUDP(port uint16, fn UDPHandler) {
-	if _, dup := h.udpPorts[port]; dup {
-		panic(fmt.Sprintf("hostsim: %s: UDP port %d already bound", h.name, port))
-	}
-	h.udpPorts[port] = fn
-}
 
 // SendUDP transmits a datagram: the send syscall and stack consume CPU,
 // then the frame is submitted to the NIC over PCI. The payload is encoded
@@ -390,14 +366,14 @@ func (h *Host) ReadPHC(fn func(hw sim.Time)) {
 func (h *Host) DialTCP(remote proto.IP, lport, rport uint16, algo tcpstack.CCAlgo,
 	bytes int64, onDone func()) *tcpstack.Conn {
 	c := tcpstack.NewSender(h, remote, proto.MACFromID(uint32(remote)), lport, rport, algo, bytes, onDone)
-	h.tcpConns[tcpKey{remote: remote, rport: rport, lport: lport}] = c
+	h.Add(c)
 	return c
 }
 
 // ListenTCP creates the receiving side of a TCP flow.
 func (h *Host) ListenTCP(remote proto.IP, lport, rport uint16, algo tcpstack.CCAlgo) *tcpstack.Conn {
 	c := tcpstack.NewReceiver(h, remote, proto.MACFromID(uint32(remote)), lport, rport, algo)
-	h.tcpConns[tcpKey{remote: remote, rport: rport, lport: lport}] = c
+	h.Add(c)
 	return c
 }
 
@@ -451,22 +427,6 @@ func (h *Host) receiveFrame(msg pci.RxPacket) {
 	j.f, j.hw, j.sw = f, msg.HWTime, h.ClockNow()
 	t, ci := h.computeDone(h.p.IRQOverhead + h.p.RxStackCost)
 	h.lanes[ci].Post(t, &h.rxSink, j)
-}
-
-func (h *Host) demux(f *proto.Frame, hw, sw sim.Time) {
-	switch f.IP.Proto {
-	case proto.IPProtoUDP:
-		h.lastHW = hw
-		h.lastSW = sw
-		if fn, ok := h.udpPorts[f.UDP.DstPort]; ok {
-			fn(f.IP.Src, f.UDP.SrcPort, f.Payload, f.VirtualPayload)
-		}
-	case proto.IPProtoTCP:
-		key := tcpKey{remote: f.IP.Src, rport: f.TCP.SrcPort, lport: f.TCP.DstPort}
-		if c, ok := h.tcpConns[key]; ok {
-			c.Input(f)
-		}
-	}
 }
 
 // LastRxHWTime returns the NIC hardware timestamp of the datagram currently

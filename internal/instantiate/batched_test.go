@@ -48,8 +48,8 @@ func batchedRun(t *testing.T, mode string, moderation sim.Time) (digest string, 
 	})
 	peer.SetApp(netsim.AppFunc(func(h *netsim.Host) {
 		for i := 0; i < 4; i++ {
-			at := sim.Time(i) * sim.Microsecond
-			h.At(at, func() { h.SendUDP(ip, 9, 7, []byte("ping"), 256) })
+			d := sim.Time(i) * sim.Microsecond
+			h.After(d, func() { h.SendUDP(ip, 9, 7, []byte("ping"), 256) })
 		}
 	}))
 

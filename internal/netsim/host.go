@@ -1,11 +1,10 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/tcpstack"
 )
 
 // UDPHandler aliases the shared socket-callback type.
@@ -35,8 +34,7 @@ type Host struct {
 	app   App
 	rng   *sim.Rand
 
-	udpPorts map[uint16]UDPHandler
-	tcpConns map[tcpKey]*TCPConn
+	tcpstack.Sockets // UDP bindings, TCP connections and their demux
 
 	// Statistics.
 	RxPackets, TxPackets uint64
@@ -59,9 +57,6 @@ func (h *Host) MAC() proto.MAC { return h.mac }
 // Iface returns the host's link interface.
 func (h *Host) Iface() *Iface { return h.iface }
 
-// Network returns the owning network.
-func (h *Host) Network() *Network { return h.net }
-
 // Rand returns the host's private deterministic random source.
 func (h *Host) Rand() *sim.Rand { return h.rng }
 
@@ -73,9 +68,6 @@ func (h *Host) End() sim.Time { return h.net.end }
 
 // After schedules fn d from now.
 func (h *Host) After(d sim.Time, fn func()) { h.net.env.After(d, fn) }
-
-// At schedules fn at absolute time t.
-func (h *Host) At(t sim.Time, fn func()) { h.net.env.At(t, fn) }
 
 // SetApp installs the host application; it starts when the network starts.
 func (h *Host) SetApp(a App) { h.app = a }
@@ -91,14 +83,6 @@ func (h *Host) Compute(d sim.Time, fn func()) {
 		return
 	}
 	h.After(d, fn)
-}
-
-// BindUDP registers a datagram handler for a local port.
-func (h *Host) BindUDP(port uint16, fn UDPHandler) {
-	if _, dup := h.udpPorts[port]; dup {
-		panic(fmt.Sprintf("netsim: %s: UDP port %d already bound", h.name, port))
-	}
-	h.udpPorts[port] = fn
 }
 
 // SendUDP transmits a datagram. payload carries the semantic bytes; virtual
@@ -139,16 +123,6 @@ func (h *Host) receive(_ *Iface, f *proto.Frame) {
 		f.Release() // mis-delivered; drop silently like a real NIC without promisc
 		return
 	}
-	switch f.IP.Proto {
-	case proto.IPProtoUDP:
-		if fn, ok := h.udpPorts[f.UDP.DstPort]; ok {
-			fn(f.IP.Src, f.UDP.SrcPort, f.Payload, f.VirtualPayload)
-		}
-	case proto.IPProtoTCP:
-		key := tcpKey{remote: f.IP.Src, rport: f.TCP.SrcPort, lport: f.TCP.DstPort}
-		if c, ok := h.tcpConns[key]; ok {
-			c.Input(f)
-		}
-	}
+	h.Deliver(f)
 	f.Release()
 }

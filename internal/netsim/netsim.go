@@ -221,9 +221,7 @@ func (n *Network) AddSwitch(name string) *Switch {
 func (n *Network) AddHost(name string, ip proto.IP) *Host {
 	h := &Host{
 		net: n, name: name, ip: ip,
-		mac:      proto.MACFromID(uint32(ip)),
-		udpPorts: make(map[uint16]UDPHandler),
-		tcpConns: make(map[tcpKey]*TCPConn),
+		mac: proto.MACFromID(uint32(ip)),
 		// The host stream depends only on the experiment seed and the
 		// host address, never on creation order, so any partitioning of
 		// the same topology generates identical workloads.

@@ -321,29 +321,39 @@ func TestRouteZeroAlloc(t *testing.T) {
 }
 
 // TestRouteComputeMatchesBuild holds ComputeRoutes to its doc: on a flat
-// fabric it must answer every switch's lookup for every host exactly as the
-// routes Topology.Build installed.
+// fabric it must answer every switch's lookup for every host and
+// external-port address exactly as the routes Topology.Build installed.
 func TestRouteComputeMatchesBuild(t *testing.T) {
-	for _, k := range []int{4, 6} {
-		topo, _ := FatTree(k, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
+	for _, tc := range []struct {
+		k     int
+		every int // every every-th host slot becomes an external port (0: none)
+	}{{4, 0}, {6, 0}, {4, 3}} {
+		topo, _ := FatTree(tc.k, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
+		for i := 0; tc.every > 0 && i < len(topo.Hosts); i += tc.every {
+			topo.MakeExternal(i)
+		}
 		n := topo.Build("ft", 1, nil, nil).Parts[0]
 		var want []int
 		for _, sw := range n.Switches() {
-			for _, h := range n.Hosts() {
-				out, ok := sw.Route(h.IP())
+			for _, th := range topo.Hosts {
+				out, ok := sw.Route(th.IP)
 				if !ok {
-					t.Fatalf("FatTree(%d): Build left %s without a route to %v", k, sw.Name(), h.IP())
+					t.Fatalf("FatTree(%d): Build left %s without a route to %v", tc.k, sw.Name(), th.IP)
 				}
 				want = append(want, out)
 			}
 		}
+		// Drop Build's installs so every answer below is ComputeRoutes' own.
+		for _, sw := range n.Switches() {
+			sw.rules, sw.cands = nil, nil
+		}
 		n.ComputeRoutes()
 		i := 0
 		for _, sw := range n.Switches() {
-			for _, h := range n.Hosts() {
-				if out, ok := sw.Route(h.IP()); !ok || out != want[i] {
-					t.Fatalf("FatTree(%d): %s -> %v: ComputeRoutes gives %d,%v; Build gave %d",
-						k, sw.Name(), h.IP(), out, ok, want[i])
+			for _, th := range topo.Hosts {
+				if out, ok := sw.Route(th.IP); !ok || out != want[i] {
+					t.Fatalf("FatTree(%d), external every %d: %s -> %v: ComputeRoutes gives %d,%v; Build gave %d",
+						tc.k, tc.every, sw.Name(), th.IP, out, ok, want[i])
 				}
 				i++
 			}

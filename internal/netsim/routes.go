@@ -1,13 +1,12 @@
 package netsim
 
-import "repro/internal/proto"
-
 // ComputeRoutes installs shortest-path routes on every switch for every
-// host and external-port address in this network. Paths are computed with
-// BFS over the switch graph; equal-cost next hops are spread per
-// destination address with the same deterministic hash Topology.Build
-// uses (static ECMP), so a hand-wired network forwards identically to the
-// same fabric built through a Topology.
+// host and external-port address in this network. It builds the switch
+// graph from each switch's interface order and hands it to the per-IP
+// install routine a flat Topology.Build uses — one BFS per destination
+// switch, equal-cost next hops spread per destination address (static
+// ECMP) — so a hand-wired network forwards identically to the same fabric
+// built through a Topology.
 //
 // ComputeRoutes panics on a network produced as one partition of a
 // multi-partition Topology.Build, or one carrying aggregate (prefix)
@@ -40,40 +39,18 @@ func (n *Network) ComputeRoutes() {
 		}
 	}
 
-	install := func(attached *Switch, directIface int, ips []proto.IP) {
-		ti := idx[attached]
-		bfs.run([]int{ti}, nil, 0)
-		for si, s := range n.switches {
-			if si == ti {
-				for _, ip := range ips {
-					s.SetRoute(ip, directIface)
-				}
-				continue
-			}
-			if bfs.distOf(si) < 0 {
-				continue
-			}
-			cands := bfs.candidates(si)
-			for _, ip := range ips {
-				s.SetRoute(ip, cands[ecmpHash(ip)%uint64(len(cands))])
-			}
-		}
-	}
-
-	routes := len(n.hosts)
-	for _, p := range n.exts {
-		routes += len(p.ips)
-	}
-	for _, s := range n.switches {
-		s.reserveRoutes(routes)
-	}
+	dests := make([][]flatDest, ns)
 	for _, h := range n.hosts {
 		sw, fi := n.attachment(h.iface)
-		install(sw, fi, []proto.IP{h.ip})
+		dests[idx[sw]] = append(dests[idx[sw]], flatDest{ip: h.ip, iface: int32(fi)})
 	}
 	for _, p := range n.exts {
-		install(p.sw, switchIfaceIndex(p.sw, p.iface), p.ips)
+		fi := int32(switchIfaceIndex(p.sw, p.iface))
+		for _, ip := range p.ips {
+			dests[idx[p.sw]] = append(dests[idx[p.sw]], flatDest{ip: ip, iface: fi})
+		}
 	}
+	installFlatRoutes(n.switches, bfs, dests)
 	for _, s := range n.switches {
 		s.compile()
 	}

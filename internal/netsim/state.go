@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -18,9 +17,9 @@ import (
 // Not captured, by design: routing tables and topology (rebuilt
 // deterministically from the same build calls), the switch flow cache (a
 // pure cache; dropped caches only perturb FlowCacheHits, which is therefore
-// excluded from checkpoint digests), and TCP connections created
-// dynamically mid-run (their identity lives in callbacks a fresh build
-// cannot reproduce — restoring one surfaces core.ErrNotCheckpointable).
+// excluded from checkpoint digests), and the set of TCP connections (their
+// identity lives in callbacks only the build reproduces — a snapshot whose
+// connections differ from the build's surfaces core.ErrNotCheckpointable).
 
 // namedReg is one deferred named-event registration (see Network.Attach).
 type namedReg struct {
@@ -117,25 +116,6 @@ func restoreIface(d *snap.Decoder, i *Iface) {
 	i.bgDelay = sim.Time(d.I64())
 }
 
-// sortedTCPKeys returns the host's connection keys in a deterministic
-// order (maps iterate randomly).
-func sortedTCPKeys(h *Host) []tcpKey {
-	keys := make([]tcpKey, 0, len(h.tcpConns))
-	for k := range h.tcpConns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].remote != keys[b].remote {
-			return keys[a].remote < keys[b].remote
-		}
-		if keys[a].rport != keys[b].rport {
-			return keys[a].rport < keys[b].rport
-		}
-		return keys[a].lport < keys[b].lport
-	})
-	return keys
-}
-
 // SnapshotState implements core.Stateful.
 func (n *Network) SnapshotState(e *snap.Encoder) error {
 	e.U64(n.rng.State())
@@ -152,13 +132,7 @@ func (n *Network) SnapshotState(e *snap.Encoder) error {
 		if h.iface != nil {
 			snapshotIface(e, h.iface)
 		}
-		keys := sortedTCPKeys(h)
-		e.U32(uint32(len(keys)))
-		for _, k := range keys {
-			e.U64(uint64(k.remote))
-			e.U32(uint32(k.rport)<<16 | uint32(k.lport))
-			h.tcpConns[k].Snapshot(e)
-		}
+		h.Sockets.Snapshot(e)
 	}
 	e.U32(uint32(len(n.switches)))
 	for _, sw := range n.switches {
@@ -203,32 +177,8 @@ func (n *Network) RestoreState(d *snap.Decoder) error {
 			}
 			restoreIface(d, h.iface)
 		}
-		nconns := int(d.U32())
-		restored := make(map[tcpKey]bool, nconns)
-		for c := 0; c < nconns; c++ {
-			remote := proto.IP(d.U64())
-			ports := d.U32()
-			key := tcpKey{remote: remote, rport: uint16(ports >> 16), lport: uint16(ports)}
-			conn, ok := h.tcpConns[key]
-			if !ok {
-				// A connection created dynamically mid-run: the fresh build
-				// cannot reproduce its callbacks, so the checkpoint is not
-				// restorable. (Build-time flows — NewFlow before the run —
-				// always exist here.)
-				return fmt.Errorf("%w: %s: host %s has no TCP conn %v:%d->%d (created mid-run?)",
-					core.ErrNotCheckpointable, n.name, h.name, key.remote, key.rport, key.lport)
-			}
-			if err := conn.Restore(d); err != nil {
-				return err
-			}
-			restored[key] = true
-		}
-		// Build-time conns absent from the snapshot were torn down before
-		// the checkpoint; drop them from the demux table to match.
-		for k := range h.tcpConns {
-			if !restored[k] {
-				delete(h.tcpConns, k)
-			}
+		if err := h.Sockets.Restore(d); err != nil {
+			return fmt.Errorf("%s: host %s: %w", n.name, h.name, err)
 		}
 	}
 	if got := int(d.U32()); got != len(n.switches) {

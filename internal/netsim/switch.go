@@ -280,8 +280,9 @@ func (s *Switch) compile() {
 }
 
 // ecmpHash is the per-destination spreading hash shared by every equal-cost
-// choice in the simulator (topology build, prefix routes, ComputeRoutes), so
-// any of them installed for the same candidate set forwards identically.
+// choice in the simulator (the per-IP install flat builds and ComputeRoutes
+// share, and prefix routes), so any of them installed for the same
+// candidate set forwards identically.
 func ecmpHash(ip proto.IP) uint64 {
 	return uint64(ip) * 0x9e3779b97f4a7c15 >> 32
 }

@@ -20,12 +20,6 @@ type CCAlgo = tcpstack.CCAlgo
 // TCPConn re-exports tcpstack.Conn.
 type TCPConn = tcpstack.Conn
 
-type tcpKey struct {
-	remote proto.IP
-	rport  uint16
-	lport  uint16
-}
-
 // Output implements tcpstack.Transport on protocol-level hosts: frames go
 // straight to the link with zero host processing cost beyond the simulator's
 // per-packet accounting — the ns-3 modeling gap the paper measures.
@@ -44,16 +38,14 @@ func (h *Host) PostRTO(c *TCPConn, d sim.Time) {
 }
 
 // tcpRTOFire dispatches a posted RTO named event back to its connection.
-// A vanished host or connection (flow completed and unregistered after the
-// event was posted) makes the firing a no-op, exactly like a stale closure
-// firing did.
+// Arguments naming a host or connection this network does not hold (an
+// event decoded from another build's checkpoint) make the firing a no-op.
 func (n *Network) tcpRTOFire(args sim.NamedArgs) {
 	h, ok := n.hostByIP[proto.IP(args[0])]
 	if !ok {
 		return
 	}
-	key := tcpKey{remote: proto.IP(args[1]), rport: uint16(args[2] >> 16), lport: uint16(args[2])}
-	if c, ok := h.tcpConns[key]; ok {
+	if c := h.Lookup(proto.IP(args[1]), uint16(args[2]>>16), uint16(args[2])); c != nil {
 		c.RTOFire()
 	}
 }
@@ -68,20 +60,7 @@ func (h *Host) LocalMAC() proto.MAC { return h.mac }
 func NewFlow(src, dst *Host, sport, dport uint16, algo CCAlgo, bytes int64, onDone func()) (*TCPConn, *TCPConn) {
 	snd := tcpstack.NewSender(src, dst.ip, dst.mac, sport, dport, algo, bytes, onDone)
 	rcv := tcpstack.NewReceiver(dst, src.ip, src.mac, dport, sport, algo)
-	src.tcpConns[tcpKey{remote: dst.ip, rport: dport, lport: sport}] = snd
-	dst.tcpConns[tcpKey{remote: src.ip, rport: sport, lport: dport}] = rcv
+	src.Add(snd)
+	dst.Add(rcv)
 	return snd, rcv
-}
-
-// RegisterTCP installs an externally created conn (e.g., whose peer lives on
-// a detailed host) into this host's demux table.
-func (h *Host) RegisterTCP(remote proto.IP, rport, lport uint16, c *TCPConn) {
-	h.tcpConns[tcpKey{remote: remote, rport: rport, lport: lport}] = c
-}
-
-// UnregisterTCP removes a conn from the demux table. Workloads that churn
-// through many short flows tear each one down on completion so the table
-// does not grow without bound.
-func (h *Host) UnregisterTCP(remote proto.IP, rport, lport uint16) {
-	delete(h.tcpConns, tcpKey{remote: remote, rport: rport, lport: lport})
 }

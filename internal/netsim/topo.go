@@ -470,7 +470,11 @@ func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces fun
 	}
 
 	if !t.Hierarchical() {
-		t.installFlatRoutes(b, hostIface, bfs)
+		dests := make([][]flatDest, ns)
+		for hi, th := range t.Hosts {
+			dests[th.Switch] = append(dests[th.Switch], flatDest{ip: th.IP, iface: int32(hostIface[hi])})
+		}
+		installFlatRoutes(b.Switches, bfs, dests)
 		return
 	}
 
@@ -568,29 +572,39 @@ func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces fun
 	}
 }
 
-// installFlatRoutes is the classic per-IP mode: one BFS per destination
-// switch, streamed, hashed-spread over equal-cost candidates.
-func (t *Topology) installFlatRoutes(b *Built, hostIface []int, bfs *topoBFS) {
-	ns := len(t.Switches)
-	bySwitch := make([][]int, ns) // host slot indices per owning switch
-	for hi, th := range t.Hosts {
-		bySwitch[th.Switch] = append(bySwitch[th.Switch], hi)
+// flatDest is one per-IP route destination: an address and the iface on
+// its owning switch that serves it (-1 for a lazy slot, whose direct route
+// waits for MaterializeSlot).
+type flatDest struct {
+	ip    proto.IP
+	iface int32
+}
+
+// installFlatRoutes is the classic per-IP mode Topology.Build and
+// Network.ComputeRoutes share. dests[v] lists the destinations switch v
+// owns; each owning switch gets one BFS over bfs's adjacency, streamed, and
+// every other reachable switch spreads the destinations over its
+// equal-cost candidates by ecmpHash. The ECMP candidate order is the
+// adjacency order, which each caller fixes.
+func installFlatRoutes(switches []*Switch, bfs *topoBFS, dests [][]flatDest) {
+	total := 0
+	for _, ds := range dests {
+		total += len(ds)
 	}
-	for _, sw := range b.Switches {
-		sw.reserveRoutes(len(t.Hosts))
+	for _, sw := range switches {
+		sw.reserveRoutes(total)
 	}
-	for tgt := 0; tgt < ns; tgt++ {
-		slots := bySwitch[tgt]
-		if len(slots) == 0 {
+	for tgt, ds := range dests {
+		if len(ds) == 0 {
 			continue
 		}
 		bfs.run([]int{tgt}, nil, 0)
-		for _, hi := range slots {
-			if fi := hostIface[hi]; fi >= 0 {
-				b.Switches[tgt].SetRoute(t.Hosts[hi].IP, fi)
+		for _, d := range ds {
+			if d.iface >= 0 {
+				switches[tgt].SetRoute(d.ip, int(d.iface))
 			}
 		}
-		for v := 0; v < ns; v++ {
+		for v, sw := range switches {
 			if v == tgt || bfs.distOf(v) < 0 {
 				continue
 			}
@@ -598,10 +612,8 @@ func (t *Topology) installFlatRoutes(b *Built, hostIface []int, bfs *topoBFS) {
 			if len(cands) == 0 {
 				continue
 			}
-			sw := b.Switches[v]
-			for _, hi := range slots {
-				ip := t.Hosts[hi].IP
-				sw.SetRoute(ip, cands[ecmpHash(ip)%uint64(len(cands))])
+			for _, d := range ds {
+				sw.SetRoute(d.ip, cands[ecmpHash(d.ip)%uint64(len(cands))])
 			}
 		}
 	}

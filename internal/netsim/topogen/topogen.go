@@ -61,28 +61,6 @@ type ClosSpec struct {
 	DefaultUp bool
 }
 
-// FatTree returns the spec of a k-ary fat tree (k even): k pods of k/2
-// leaves and k/2 spines, (k/2)² cores, k/2 hosts per leaf — k³/4 hosts
-// total, non-blocking.
-func FatTree(k int, hostRate, fabricRate int64, delay sim.Time, lazy bool) ClosSpec {
-	if k%2 != 0 || k < 2 {
-		panic("topogen: fat tree needs even k >= 2")
-	}
-	half := k / 2
-	return ClosSpec{
-		Pods:         k,
-		LeafPerPod:   half,
-		SpinePerPod:  half,
-		Cores:        half * half,
-		HostsPerLeaf: half,
-		HostRate:     hostRate,
-		LeafRate:     fabricRate,
-		CoreRate:     fabricRate,
-		LinkDelay:    delay,
-		Lazy:         lazy,
-	}
-}
-
 // ClosMeta indexes the generated fabric.
 type ClosMeta struct {
 	Spec ClosSpec

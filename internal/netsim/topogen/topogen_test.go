@@ -23,25 +23,6 @@ func buildAndWire(t *testing.T, topo *netsim.Topology, seed uint64, assign []int
 	return s, b
 }
 
-func TestFatTreeSpecShape(t *testing.T) {
-	spec := topogen.FatTree(4, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond, false)
-	topo, m := topogen.Clos(spec)
-	if got := m.TotalHosts(); got != 16 {
-		t.Fatalf("k=4 fat tree: %d hosts, want 16 (k³/4)", got)
-	}
-	// 4 pods × (2 leaves + 2 spines) + 4 cores.
-	if got, want := len(topo.Switches), 4*(2+2)+4; got != want {
-		t.Fatalf("switches = %d, want %d", got, want)
-	}
-	// Per pod: 2×2 leaf-spine + 2 spines × 2 cores = 8 links; 4 pods.
-	if got, want := len(topo.Links), 4*(2*2+2*2); got != want {
-		t.Fatalf("links = %d, want %d", got, want)
-	}
-	if len(topo.Hosts) != 16 {
-		t.Fatalf("host slots = %d", len(topo.Hosts))
-	}
-}
-
 func TestAddressPlanIsPodAligned(t *testing.T) {
 	_, m := topogen.Clos(topogen.ClosSpec{
 		Pods: 3, LeafPerPod: 2, SpinePerPod: 2, Cores: 4, HostsPerLeaf: 3,

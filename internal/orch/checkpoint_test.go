@@ -518,6 +518,44 @@ func TestCheckpointRejectsSinkCountMismatch(t *testing.T) {
 	}
 }
 
+// buildFlowFabric is a flat k=4 fat tree carrying long-lived DCTCP flows
+// between fixed host pairs, started by the sender's app; extra adds one
+// more pair.
+func buildFlowFabric(extra bool) *orch.Simulation {
+	topo, _ := netsim.FatTree(4, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
+	built := topo.Build("net", 1, nil, nil)
+	pairs := [][2]int{{0, 15}, {5, 10}}
+	if extra {
+		pairs = append(pairs, [2]int{3, 12})
+	}
+	for i, p := range pairs {
+		src := built.Hosts[p[0]]
+		snd, _ := netsim.NewFlow(src, built.Hosts[p[1]], uint16(40000+i), proto.PortBulk, netsim.CCDCTCP, 0, nil)
+		src.SetApp(netsim.AppFunc(func(*netsim.Host) { snd.StartFlow() }))
+	}
+	s := orch.New()
+	instantiate.WirePartitions(s, topo, built, true)
+	return s
+}
+
+// TestCheckpointRejectsTCPConnMismatch: TCP connections are build-time
+// identity, so restoring into a build that installed one more flow than
+// the captured one fails with the typed error instead of silently dropping
+// the extra connection, and leaves no frame checked out.
+func TestCheckpointRejectsTCPConnMismatch(t *testing.T) {
+	ck, err := buildFlowFabric(false).CheckpointSequential(200 * sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := buildFlowFabric(true)
+	if _, err := rs.ResumeSequential(ck, sim.Millisecond); !errors.Is(err, core.ErrNotCheckpointable) {
+		t.Fatalf("resume into a build with an extra flow: err = %v, want ErrNotCheckpointable", err)
+	}
+	if live := rs.LiveFrames(); live != 0 {
+		t.Fatalf("failed resume left %d pooled frames checked out", live)
+	}
+}
+
 // TestCheckpointRestoreAllocsFlatInSinks: restore cost is independent of
 // fabric size. On a lazy Clos with over ten thousand sinks, resuming a
 // checkpoint holding a few hundred pending deliveries for a few microseconds

@@ -86,25 +86,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewRand(123)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 3)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.1 {
-		t.Fatalf("Normal mean = %v, want ~10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-3) > 0.1 {
-		t.Fatalf("Normal stddev = %v, want ~3", math.Sqrt(variance))
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%50 + 1
