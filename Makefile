@@ -47,14 +47,16 @@ race:
 # identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —
-# plus the rollback fuzz seed corpus. Plan-time trunking rides along: cut
-# channels bundled onto one endpoint pair must keep their own message
-# counts (ModelGraph, checkpoint bytes), print their bundle, and fold into
-# one modeled link.
+# plus the rollback fuzz seed corpus. The plan's bundles are the only trunk
+# adapter: cut channels bundled onto one endpoint pair must keep their own
+# message counts (checkpoint bytes), print their bundle, and fold into one
+# modeled link (ModelGraph), and a partitioned build must deliver every
+# boundary link at its own delay, as the monolithic build does, under the
+# sequential and the per-component executor (WirePartitions).
 exec:
 	$(GO) test -race \
-		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement' \
-		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/ ./internal/decomp/
+		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement|TestWirePartitions' \
+		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/ ./internal/decomp/ ./internal/instantiate/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 
 # Fault-injection suite: supervised transport under connection kills,

@@ -25,7 +25,7 @@ func main() {
 	built := topo.Build("net", 42, assign, nil)
 
 	s := splitsim.NewSimulation()
-	splitsim.WirePartitions(s, topo, built, true /* trunk adapters */)
+	splitsim.WirePartitions(s, topo, built, true /* ignored: the plan bundles cut links */)
 
 	// Every host streams to a partner in another pod.
 	hosts := built.Hosts

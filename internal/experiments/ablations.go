@@ -16,7 +16,8 @@ import (
 // (multiplexing many logical links over one synchronized channel) and the
 // synchronization quantum (the channel-latency lookahead).
 
-// TrunkAblationResult compares trunked against per-link channel wiring.
+// TrunkAblationResult compares the plan's trunk adapter against one
+// synchronized channel per boundary link.
 type TrunkAblationResult struct {
 	Parts                 int
 	TrunkChannels         int
@@ -40,23 +41,30 @@ func (r *TrunkAblationResult) String() string {
 	return b.String()
 }
 
-// trunkAblationRun wires the same partitioned topology one way and runs it.
-func trunkAblationRun(trunk bool, opts Options) (*modelRun, *netsim.Built) {
-	s, b := fatTree(8, 8, trunk, opts.Seed)
+// trunkAblationRun runs the partitioned FatTree8 the ablations share.
+func trunkAblationRun(opts Options) (*modelRun, *netsim.Built) {
+	s, b := fatTree(8, 8, opts.Seed)
 	bulkTraffic(shuffledPairs(b.Hosts, opts.Seed^0xab), 8900, 2e9, false, nil)
 	return newScenario(s, opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)).run("", nil), b
 }
 
-// TrunkAblation measures the trunk adapter's saving.
+// TrunkAblation measures the trunk adapter's saving from one run, priced
+// two ways: the model graph's bundled links (what the plan executes) and the
+// per-link counterfactual, one link per boundary carrying the frames both
+// of its ports received.
 func TrunkAblation(opts Options) *TrunkAblationResult {
-	trunked, b := trunkAblationRun(true, opts)
-	perLink, _ := trunkAblationRun(false, opts)
+	trunked, b := trunkAblationRun(opts)
+	perLink := make([]decomp.Link, len(b.Boundaries))
+	for i, bd := range b.Boundaries {
+		perLink[i] = decomp.Link{A: bd.PartA, B: bd.PartB,
+			Msgs: bd.PortA.RxFrames + bd.PortB.RxFrames, Quantum: fatTreeDelay}
+	}
 	r := &TrunkAblationResult{
 		Parts:                 8,
 		TrunkChannels:         len(trunked.links),
-		PerLinkChannels:       len(perLink.links),
+		PerLinkChannels:       len(perLink),
 		TrunkSPerSimS:         trunked.perSimS(trunked.model.ParNs),
-		PerLinkSPerSimS:       perLink.perSimS(perLink.model.ParNs),
+		PerLinkSPerSimS:       trunked.perSimS(decomp.Makespan(trunked.comps, perLink, trunked.mp).ParNs),
 		BoundaryMsgsPerSimSec: float64(instantiate.BoundaryMsgs(b)) / trunked.dur.Seconds(),
 	}
 	r.SavingFrac = 1 - r.TrunkSPerSimS/r.PerLinkSPerSimS
@@ -92,7 +100,7 @@ func (r *SyncQuantumAblationResult) String() string {
 // SyncQuantumAblation reuses one partitioned run and re-evaluates the
 // performance model under scaled synchronization quanta.
 func SyncQuantumAblation(opts Options) *SyncQuantumAblationResult {
-	m, _ := trunkAblationRun(true, opts)
+	m, _ := trunkAblationRun(opts)
 	r := &SyncQuantumAblationResult{}
 	for _, f := range []float64{0.25, 0.5, 1, 2, 4} {
 		scaled := slices.Clone(m.links)

@@ -72,7 +72,7 @@ const omnetCostFactor = 1.35
 // every server streaming CBR traffic to a fixed partner in another pod (2
 // Gbps per host keeps event counts tractable).
 func fig8Build(parts int, opts Options) (*scenario, *netsim.Built) {
-	s, b := fatTree(8, parts, true, opts.Seed)
+	s, b := fatTree(8, parts, opts.Seed)
 	bulkTraffic(shuffledPairs(b.Hosts, opts.Seed^0xf8), 8900, 2e9, true, nil)
 	return newScenario(s, opts.Dur(20*sim.Millisecond, 5*sim.Millisecond)), b
 }

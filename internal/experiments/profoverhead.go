@@ -42,7 +42,7 @@ func (r *ProfilerOverheadResult) String() string {
 // optionally profiled, returning wall ms and sample count.
 func profOverheadRun(opts Options, profile bool) (float64, int) {
 	dur := opts.Dur(10*sim.Millisecond, 4*sim.Millisecond)
-	s, b := fatTree(4, 4, true, opts.Seed)
+	s, b := fatTree(4, 4, opts.Seed)
 	pairs := make([][2]*netsim.Host, len(b.Hosts)/2)
 	for i := range pairs {
 		pairs[i] = [2]*netsim.Host{b.Hosts[i], b.Hosts[len(pairs)+i]}

@@ -166,14 +166,16 @@ func bulkTraffic(pairs [][2]*netsim.Host, size int, rate float64, both bool, sin
 	}
 }
 
-// fatTree builds a k-ary fat tree (10G hosts, 40G fabric, 1 µs links) cut
-// evenly into parts partitions, with the boundaries wired trunked or per
-// link.
-func fatTree(k, parts int, trunk bool, seed uint64) (*orch.Simulation, *netsim.Built) {
-	topo, meta := netsim.FatTree(k, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
+// fatTreeDelay is every fatTree link's delay.
+const fatTreeDelay = sim.Microsecond
+
+// fatTree builds a k-ary fat tree (10G hosts, 40G fabric, fatTreeDelay
+// links) cut evenly into parts partitions.
+func fatTree(k, parts int, seed uint64) (*orch.Simulation, *netsim.Built) {
+	topo, meta := netsim.FatTree(k, 10*sim.Gbps, 40*sim.Gbps, fatTreeDelay)
 	b := topo.Build("net", seed, decomp.EvenFatTree(meta, len(topo.Switches), parts), nil)
 	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, trunk)
+	instantiate.WirePartitions(s, topo, b, true)
 	return s, b
 }
 

@@ -1,14 +1,14 @@
 // Package instantiate is SplitSim's "implementation choices" layer: given
 // a system description, it assembles concrete simulator instances — which
 // hosts are detailed (qemu/gem5) versus protocol-level, how network
-// partitions are wired (trunked or not), and how host/NIC/network
+// partitions are wired, and how host/NIC/network
 // components connect — into an orch.Simulation ready to run. It provides
 // the library of common instantiation strategies the paper describes
 // rather than a one-size-fits-all automatic translator.
 package instantiate
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/hostsim"
@@ -55,56 +55,39 @@ func (d *DetailedHost) Wire(s *orch.Simulation, netComp core.Component, ext *net
 }
 
 // WirePartitions registers every partition network of a Built topology on
-// s and connects the cross-partition boundaries. With trunk=true, all
-// boundary links between the same pair of partitions share one
-// synchronized trunk channel (the paper's trunk adapter); otherwise each
-// boundary link gets its own channel — the configuration the trunk
-// ablation compares.
-func WirePartitions(s *orch.Simulation, topo *netsim.Topology, b *netsim.Built, trunk bool) {
+// s and connects each cross-partition boundary with its own channel, named
+// bd<link>, at that link's delay. Boundaries register grouped by partition
+// pair, pairs in order of first appearance, with the lower partition on side
+// A; the trunk adapter is the plan's: every cut channel between one pair of
+// runner groups at one latency shares one synchronized link. The last
+// argument is ignored.
+func WirePartitions(s *orch.Simulation, topo *netsim.Topology, b *netsim.Built, _ bool) {
 	for _, part := range b.Parts {
 		s.Add(part)
 	}
-	if !trunk {
-		for _, bd := range b.Boundaries {
-			lat := topo.Links[bd.Link].Delay
-			s.Connect(fmt.Sprintf("bd%d", bd.Link), lat,
-				orch.Side{Comp: b.Parts[bd.PartA], Bind: bd.PortA.Bind, Sink: bd.PortA},
-				orch.Side{Comp: b.Parts[bd.PartB], Bind: bd.PortB.Bind, Sink: bd.PortB})
-		}
-		return
-	}
-	type pairKey struct{ a, b int }
-	groups := make(map[pairKey][]netsim.Boundary)
-	var order []pairKey
+	rank := make(map[[2]int]int)
+	var byPair [][]netsim.Boundary
 	for _, bd := range b.Boundaries {
-		k := pairKey{bd.PartA, bd.PartB}
-		if k.a > k.b {
-			k = pairKey{k.b, k.a}
+		k := [2]int{min(bd.PartA, bd.PartB), max(bd.PartA, bd.PartB)}
+		r, seen := rank[k]
+		if !seen {
+			r = len(byPair)
+			rank[k] = r
+			byPair = append(byPair, nil)
 		}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], bd)
+		byPair[r] = append(byPair[r], bd)
 	}
-	for _, k := range order {
-		bds := groups[k]
-		lat := topo.Links[bds[0].Link].Delay
-		var pairs []orch.TrunkPair
+	var name [24]byte // formats each "bd<link>" so only the string allocates
+	for _, bds := range byPair {
 		for _, bd := range bds {
-			if d := topo.Links[bd.Link].Delay; d < lat {
-				lat = d // trunk syncs at the tightest member latency
+			a, z := orch.Side{Comp: b.Parts[bd.PartA], Bind: bd.PortA.Bind, Sink: bd.PortA},
+				orch.Side{Comp: b.Parts[bd.PartB], Bind: bd.PortB.Bind, Sink: bd.PortB}
+			if bd.PartA > bd.PartB {
+				a, z = z, a
 			}
-			pa, pb := bd.PortA, bd.PortB
-			if bd.PartA != k.a {
-				pa, pb = pb, pa
-			}
-			pairs = append(pairs, orch.TrunkPair{
-				BindA: pa.Bind, SinkA: pa,
-				BindB: pb.Bind, SinkB: pb,
-			})
+			s.Connect(string(strconv.AppendInt(append(name[:0], "bd"...), int64(bd.Link), 10)),
+				topo.Links[bd.Link].Delay, a, z)
 		}
-		s.ConnectTrunk(fmt.Sprintf("trunk%d-%d", k.a, k.b), lat,
-			b.Parts[k.a], b.Parts[k.b], pairs)
 	}
 }
 

@@ -48,52 +48,56 @@ func TestDetailedHostWire(t *testing.T) {
 }
 
 // buildParts builds a 2-partition dumbbell-ish topology.
-func buildParts(trunk bool) (*orch.Simulation, *netsim.Built, *netsim.Topology) {
+func buildParts() (*orch.Simulation, *netsim.Built) {
 	topo := &netsim.Topology{}
 	a := topo.AddSwitch("a")
 	b := topo.AddSwitch("b")
-	// Two parallel links — the trunk groups them into one channel.
+	// Two parallel links at one delay: two channels on one plan bundle.
 	topo.AddLink(a, b, 10*sim.Gbps, sim.Microsecond)
 	topo.AddLink(a, b, 10*sim.Gbps, sim.Microsecond)
 	topo.AddHost("h1", proto.HostIP(1), a, 10*sim.Gbps, sim.Microsecond)
 	topo.AddHost("h2", proto.HostIP(2), b, 10*sim.Gbps, sim.Microsecond)
 	built := topo.Build("net", 1, []int{0, 1}, nil)
 	s := orch.New()
-	instantiate.WirePartitions(s, topo, built, trunk)
-	return s, built, topo
+	instantiate.WirePartitions(s, topo, built, true)
+	return s, built
 }
 
+// TestWirePartitionsTrunkVsPerLink: each boundary link is its own channel,
+// and two parallel boundary links between one partition pair fold into one
+// trunk — one sync bundle in the plan and one model link carrying both.
 func TestWirePartitionsTrunkVsPerLink(t *testing.T) {
-	for _, trunk := range []bool{true, false} {
-		s, built, _ := buildParts(trunk)
-		h1, h2 := built.Hosts[0], built.Hosts[1]
-		rx := 0
-		h2.BindUDP(9, func(proto.IP, uint16, []byte, int) { rx++ })
-		h1.SetApp(netsim.AppFunc(func(h *netsim.Host) {
-			for i := 0; i < 5; i++ {
-				h.SendUDP(proto.HostIP(2), 1, 9, nil, 100)
-			}
-		}))
-		s.RunSequential(2 * sim.Millisecond)
-		if rx != 5 {
-			t.Fatalf("trunk=%v: delivered %d/5", trunk, rx)
+	s, built := buildParts()
+	pl, err := s.Plan(decomp.PerComponent(s.NumComponents()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.Channels) != 2 || pl.Channels[0].Bundle != 0 || pl.Channels[1].Bundle != 0 {
+		t.Fatalf("plan channels %+v, want two on bundle 0", pl.Channels)
+	}
+	h1, h2 := built.Hosts[0], built.Hosts[1]
+	rx := 0
+	h2.BindUDP(9, func(proto.IP, uint16, []byte, int) { rx++ })
+	h1.SetApp(netsim.AppFunc(func(h *netsim.Host) {
+		for i := 0; i < 5; i++ {
+			h.SendUDP(proto.HostIP(2), 1, 9, nil, 100)
 		}
-		comps, links := s.ModelGraph(2 * sim.Millisecond)
-		if len(comps) != 2 {
-			t.Fatalf("comps = %d", len(comps))
-		}
-		wantLinks := 2 // per-link
-		if trunk {
-			wantLinks = 1 // both boundary links share one trunk channel
-		}
-		if len(links) != wantLinks {
-			t.Fatalf("trunk=%v: %d model links, want %d", trunk, len(links), wantLinks)
-		}
+	}))
+	s.RunSequential(2 * sim.Millisecond)
+	if rx != 5 {
+		t.Fatalf("delivered %d/5", rx)
+	}
+	comps, links := s.ModelGraph(2 * sim.Millisecond)
+	if len(comps) != 2 {
+		t.Fatalf("comps = %d", len(comps))
+	}
+	if len(links) != 1 || links[0].Msgs != instantiate.BoundaryMsgs(built) {
+		t.Fatalf("model links %+v, want one carrying all %d boundary frames", links, instantiate.BoundaryMsgs(built))
 	}
 }
 
 func TestBoundaryMsgsCounts(t *testing.T) {
-	s, built, _ := buildParts(true)
+	s, built := buildParts()
 	h1, h2 := built.Hosts[0], built.Hosts[1]
 	h2.BindUDP(9, func(proto.IP, uint16, []byte, int) {})
 	h1.SetApp(netsim.AppFunc(func(h *netsim.Host) {
@@ -130,5 +134,49 @@ func TestPartitionStrategiesProduceRunnableSims(t *testing.T) {
 		if !ok {
 			t.Fatalf("strategy %v: cross-partition packet lost", st)
 		}
+	}
+}
+
+// TestWirePartitionsKeepsBoundaryLatency: boundary links between one pair
+// of partitions at different delays each keep their own delay, so a
+// partitioned build delivers exactly when the monolithic one does — under
+// the sequential executor and with every partition on its own runner. Switch
+// s0 is cut from s1 (1 µs away) and s2 (5 µs away); a host on s2 hears a
+// host on s0 over the slow link.
+func TestWirePartitionsKeepsBoundaryLatency(t *testing.T) {
+	const end = 100 * sim.Microsecond
+	build := func(assign []int) (*orch.Simulation, *sim.Time) {
+		topo := &netsim.Topology{}
+		s0, s1, s2 := topo.AddSwitch("s0"), topo.AddSwitch("s1"), topo.AddSwitch("s2")
+		topo.AddLink(s0, s1, 10*sim.Gbps, sim.Microsecond)
+		topo.AddLink(s0, s2, 10*sim.Gbps, 5*sim.Microsecond)
+		topo.AddHost("h0", proto.HostIP(1), s0, 10*sim.Gbps, sim.Microsecond)
+		topo.AddHost("h2", proto.HostIP(2), s2, 10*sim.Gbps, sim.Microsecond)
+		built := topo.Build("net", 1, assign, nil)
+		s := orch.New()
+		instantiate.WirePartitions(s, topo, built, true)
+		at := new(sim.Time)
+		h2 := built.Hosts[1]
+		h2.BindUDP(9, func(proto.IP, uint16, []byte, int) { *at = h2.Now() })
+		built.Hosts[0].SetApp(netsim.AppFunc(func(h *netsim.Host) { h.SendUDP(proto.HostIP(2), 1, 9, nil, 100) }))
+		return s, at
+	}
+	mono, want := build(nil)
+	mono.RunSequential(end)
+	if *want != 8_340_800*sim.Picosecond {
+		t.Fatalf("monolithic arrival %v, want 8.3408us", *want)
+	}
+
+	seq, got := build([]int{0, 1, 1})
+	seq.RunSequential(end)
+	if *got != *want {
+		t.Errorf("partitioned sequential arrival %v, monolithic %v", *got, *want)
+	}
+	par, got := build([]int{0, 1, 1})
+	if err := par.RunParallel(end, decomp.PerComponent(par.NumComponents())); err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Errorf("partitioned per-component arrival %v, monolithic %v", *got, *want)
 	}
 }

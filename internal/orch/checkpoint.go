@@ -92,7 +92,7 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 
 // walkSinks visits every sink the wiring can target, in the order that
 // numbers them in a checkpoint: each component's WalkSinks in registration
-// order, then both ends of every channel link in registration order. The
+// order, then both ends of every channel in registration order. The
 // order is independent of placement, which keeps checkpoint bytes
 // placement-invariant. Every visited sink takes the next position, nil and
 // func-typed ones included. A component that is not core.Stateful
@@ -108,10 +108,8 @@ func (s *Simulation) walkSinks(fn func(sk core.Sink, owner core.Component)) erro
 		}
 	}
 	for _, c := range s.chans {
-		for _, l := range c.links {
-			for x, comp := range c.comp {
-				fn(l.sink[x], comp)
-			}
+		for x, comp := range c.comp {
+			fn(c.sink[x], comp)
 		}
 	}
 	return err
@@ -240,15 +238,15 @@ func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint,
 		return nil, err
 	}
 
-	// Only per-end totals serialize: ModelGraph reads sums.
+	// Per-end data-message totals of every local channel: ModelGraph reads
+	// them.
 	var cn snap.Encoder
-	for _, part := range s.localChans() {
-		cn.U32(uint32(len(part)))
-		for _, c := range part {
-			a, b := c.txData()
-			cn.U64(a)
-			cn.U64(b)
-		}
+	local := s.localChans()
+	cn.U32(uint32(len(local)))
+	for _, c := range local {
+		a, b := c.txData()
+		cn.U64(a)
+		cn.U64(b)
 	}
 	if err := w.Section("conns", cn.Bytes()); err != nil {
 		return nil, err
@@ -358,14 +356,13 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 		return err
 	}
 	cd := snap.NewDecoder(cb)
-	for k, part := range s.localChans() {
-		if got := int(cd.U32()); cd.Err() == nil && got != len(part) {
-			return fmt.Errorf("%w: snapshot has %d %v channels, build has %d",
-				core.ErrNotCheckpointable, got, ChannelKind(k), len(part))
-		}
-		for _, c := range part {
-			c.setTxData(cd.U64(), cd.U64())
-		}
+	local := s.localChans()
+	if got := int(cd.U32()); cd.Err() == nil && got != len(local) {
+		return fmt.Errorf("%w: snapshot has %d channels, build has %d",
+			core.ErrNotCheckpointable, got, len(local))
+	}
+	for _, c := range local {
+		c.setTxData(cd.U64(), cd.U64())
 	}
 	if cd.Err() != nil {
 		return cd.Err()

@@ -32,12 +32,6 @@ import (
 // call with the same seed builds an identical simulation — the premise of
 // restore-into-fresh-build.
 func buildCkptSim(seed uint64, arrival workload.Arrival) (*orch.Simulation, *netsim.Built, *workload.Engine) {
-	return buildCkptFabric(seed, arrival, true)
-}
-
-// buildCkptFabric is buildCkptSim with the boundary wiring selectable: one
-// trunk per partition pair, or one direct connection per boundary link.
-func buildCkptFabric(seed uint64, arrival workload.Arrival, trunk bool) (*orch.Simulation, *netsim.Built, *workload.Engine) {
 	spec := netsim.ThreeTierSpec{
 		Aggs: 2, RacksPerAgg: 2, HostsPerRack: 2,
 		CoreRate: 100 * sim.Gbps, AggRate: 40 * sim.Gbps,
@@ -53,7 +47,7 @@ func buildCkptFabric(seed uint64, arrival workload.Arrival, trunk bool) (*orch.S
 		Seed:    seed,
 	})
 	s := orch.New()
-	instantiate.WirePartitions(s, topo, built, trunk)
+	instantiate.WirePartitions(s, topo, built, true)
 	s.AddAuxState("wl", eng)
 	return s, built, eng
 }
@@ -172,8 +166,8 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // byte-for-byte identical whether it was captured from a sequential run or
 // a quiesced placed run under any mode — sink names and the canonical
 // (time, source) event order erase the placement. The blocked placement cuts
-// several trunks at one latency onto one sync bundle, whose per-channel
-// message counts must serialize as each channel's own.
+// several boundary channels at one latency onto one sync bundle, whose
+// per-channel message counts must serialize as each channel's own.
 func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	const half = sim.Millisecond
 	arrival := workload.Open{FlowsPerSec: 50_000}
@@ -387,14 +381,17 @@ func TestLoadCheckpoint(t *testing.T) {
 	if _, err := orch.LoadCheckpoint(garbled); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("garbled checkpoint: err = %v, want ErrCorrupt", err)
 	}
-	// A container of the previous format — sinks addressed by name — is
-	// rejected on its version, not misparsed. The CRC covers the version
-	// field, so the re-stamped container gets a valid one.
-	stale := append([]byte(nil), ck.Data...)
-	binary.LittleEndian.PutUint16(stale[4:], 1)
-	binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
-	if _, err := orch.LoadCheckpoint(stale); !errors.Is(err, snap.ErrVersion) {
-		t.Fatalf("version-1 checkpoint: err = %v, want ErrVersion", err)
+	// Containers of the previous formats — sinks addressed by name (1), a
+	// conns section split into direct and trunk channels (2) — are rejected
+	// on their version, not misparsed. The CRC covers the version field, so
+	// each re-stamped container gets a valid one.
+	for _, v := range []uint16{1, 2} {
+		stale := append([]byte(nil), ck.Data...)
+		binary.LittleEndian.PutUint16(stale[4:], v)
+		binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
+		if _, err := orch.LoadCheckpoint(stale); !errors.Is(err, snap.ErrVersion) {
+			t.Fatalf("version-%d checkpoint: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 

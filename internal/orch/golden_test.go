@@ -32,12 +32,8 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		at    sim.Time
 		build func() *orch.Simulation
 	}{
-		{"fabric_trunked", sim.Millisecond, func() *orch.Simulation {
-			s, _, _ := buildCkptFabric(3, arrival, true)
-			return s
-		}},
 		{"fabric_direct", sim.Millisecond, func() *orch.Simulation {
-			s, _, _ := buildCkptFabric(3, arrival, false)
+			s, _, _ := buildCkptSim(3, arrival)
 			return s
 		}},
 		{"memsim_split", 25 * sim.Microsecond, func() *orch.Simulation {

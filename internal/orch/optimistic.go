@@ -237,7 +237,7 @@ func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Ru
 			}
 			for i, c := range s.chans {
 				if pc := pl.Channels[i]; pc.Intra && pc.GroupA == gi {
-					gs.ports = append(gs.ports, c.ports...)
+					gs.ports = append(gs.ports, c.ports[:]...)
 				}
 			}
 			ctl.Snapshot = gs.snapshot
@@ -249,11 +249,8 @@ func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Ru
 	// pooled payload re-mints from the receiving side's component pool.
 	for _, c := range s.chans {
 		for x, ep := range c.ep {
-			if ep == nil {
-				continue
-			}
-			for i := range c.links {
-				ep.SetSpecOwner(c.sub0+uint16(i), c.comp[x])
+			if ep != nil {
+				ep.SetSpecOwner(c.sub, c.comp[x])
 			}
 		}
 	}

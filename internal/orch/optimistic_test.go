@@ -145,20 +145,15 @@ func buildSpecTrunked(seed uint64, nComps int) (*orch.Simulation, []*specChatter
 	for i := 1; i < nComps; i++ {
 		ca, cb := comps[i-1], comps[i]
 		nPairs := 2 + rng.Intn(2)
-		pairs := make([]orch.TrunkPair, nPairs)
+		lat := sim.Time(2+rng.Intn(10)) * sim.Microsecond
 		for j := 0; j < nPairs; j++ {
 			pa, pb := len(ca.ports), len(cb.ports)
 			ca.ports = append(ca.ports, nil)
 			cb.ports = append(cb.ports, nil)
-			pairs[j] = orch.TrunkPair{
-				BindA: func(p core.Port) { ca.ports[pa] = p },
-				SinkA: ca.sink(pa),
-				BindB: func(p core.Port) { cb.ports[pb] = p },
-				SinkB: cb.sink(pb),
-			}
+			s.Connect(fmt.Sprintf("trunk%d.%d", i, j), lat,
+				orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[pa] = p }, Sink: ca.sink(pa)},
+				orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[pb] = p }, Sink: cb.sink(pb)})
 		}
-		lat := sim.Time(2+rng.Intn(10)) * sim.Microsecond
-		s.ConnectTrunk(fmt.Sprintf("trunk%d", i), lat, ca, cb, pairs)
 	}
 	return s, comps
 }

@@ -29,49 +29,33 @@ type Side struct {
 	Sink core.Sink
 }
 
-// TrunkPair is one logical link inside a trunk connection.
-type TrunkPair struct {
-	BindA func(core.Port)
-	SinkA core.Sink
-	BindB func(core.Port)
-	SinkB core.Sink
-}
-
-// chanLink is one logical link of a channel, indexed by end (0 = A, 1 = B):
-// how each end receives its outgoing port, the sink taking its incoming
-// messages, and the ordering source of deliveries to that sink.
-type chanLink struct {
-	bind [2]func(core.Port)
-	sink [2]core.Sink
-	src  [2]int32
-}
-
 // channel is the one connection record: a timestamped FIFO pair with a
-// latency — also its synchronization quantum — carrying one or more logical
-// links between two components. A direct connection is a trunk of one link,
-// and a remote connection is a channel whose B end lives in another OS
-// process. The kind
-// only remembers which constructor made the record, for the printed plan row
-// and the order of a checkpoint's channel counters; how a channel is wired
-// is decided per execution from the runner groups of its two ends.
+// latency — also its synchronization quantum — carrying one logical link
+// between two components, indexed by end (0 = A, 1 = B): how each end
+// receives its outgoing port, the sink taking its incoming messages, and the
+// ordering source of deliveries to that sink. A remote connection is a
+// channel whose B end lives in another OS process (comp[1] == nil). How a
+// channel is wired is decided per execution from the runner groups of its
+// two ends; the plan bundles cut channels into shared synchronized links.
 type channel struct {
 	name    string
-	kind    ChannelKind
 	latency sim.Time
 	comp    [2]core.Component // comp[1] == nil: the peer is out of process
-	links   []chanLink
+	bind    [2]func(core.Port)
+	sink    [2]core.Sink
+	src     [2]int32
 
 	// Live wiring of the latest execution, which also carries the message
 	// counters ModelGraph and checkpoints read: direct ports when both ends
-	// share a runner group (ports[2i+x] is what end x of link i sends on),
-	// otherwise the endpoints of the synchronized link.Channel the plan
-	// bundled the channel into (ep[x] is end x's), link i on sub-channel
-	// sub0+i of it. A remote channel's local endpoint is not per execution:
-	// it is built with its link.Remote at registration, because the caller
-	// hands the Remote to a proxy supervisor before anything runs.
-	ports []*link.DirectPort
+	// share a runner group (ports[x] is what end x sends on), otherwise the
+	// endpoints of the synchronized link.Channel the plan bundled the
+	// channel into (ep[x] is end x's), on sub-channel sub of it. A remote
+	// channel's local endpoint is not per execution: it is built with its
+	// link.Remote at registration, because the caller hands the Remote to a
+	// proxy supervisor before anything runs.
+	ports [2]*link.DirectPort
 	ep    [2]*link.Endpoint
-	sub0  uint16
+	sub   uint16
 }
 
 // groups returns the runner groups of the channel's two ends under pl; the
@@ -85,56 +69,46 @@ func (c *channel) groups(pl *ExecutionPlan) [2]int {
 	return g
 }
 
-// txData returns the data messages each end has sent over all links, read
-// from whichever wiring is live (zero before the first execution). On a
-// bundled endpoint only the channel's own sub-channels count.
+// txData returns the data messages each end has sent, read from whichever
+// wiring is live (zero before the first execution). On a bundled endpoint
+// only the channel's own sub-channel counts.
 func (c *channel) txData() (a, b uint64) {
 	var tx [2]uint64
-	for i, p := range c.ports {
-		tx[i%2] += p.Stats.TxData
-	}
-	for x, ep := range c.ep {
-		if ep != nil {
-			for i := range c.links {
-				tx[x] += ep.TxData(c.sub0 + uint16(i))
-			}
+	for x := range tx {
+		if p := c.ports[x]; p != nil {
+			tx[x] = p.Stats.TxData
+		} else if ep := c.ep[x]; ep != nil {
+			tx[x] = ep.TxData(c.sub)
 		}
 	}
 	return tx[0], tx[1]
 }
 
 // setTxData restores per-end totals onto the live wiring of a channel both of
-// whose ends are local. Only totals round-trip, so a trunk carries them on
-// its first link: its first pair of direct ports, or its first sub-channel.
+// whose ends are local.
 func (c *channel) setTxData(a, b uint64) {
-	if len(c.ports) > 0 {
+	if c.ports[0] != nil {
 		c.ports[0].Stats.TxData, c.ports[1].Stats.TxData = a, b
 		return
 	}
-	c.ep[0].SetTxData(c.sub0, a)
-	c.ep[1].SetTxData(c.sub0, b)
+	c.ep[0].SetTxData(c.sub, a)
+	c.ep[1].SetTxData(c.sub, b)
 }
 
 // ErrBadChannel reports a channel that cannot be wired: a non-positive
-// latency, a trunk with no links, a nil Bind or Sink on a local end, a name
-// another channel already uses, or — under a placement that cuts it — more
-// links than a message's 16-bit sub-channel id can name. Plan returns it
-// wrapped with the channel's name and the reason.
+// latency, a nil Bind or Sink on a local end, or a name another channel
+// already uses. Plan returns it wrapped with the channel's name and the
+// reason.
 var ErrBadChannel = errors.New("orch: bad channel")
 
 // check returns the first reason the channel cannot be wired, "" when it can.
 func (c *channel) check() string {
-	switch {
-	case c.latency <= 0:
+	if c.latency <= 0 {
 		return fmt.Sprintf("latency %v is not positive (it is the synchronization lookahead)", c.latency)
-	case len(c.links) == 0:
-		return "no links"
 	}
-	for i, l := range c.links {
-		for x, comp := range c.comp {
-			if comp != nil && (l.bind[x] == nil || l.sink[x] == nil) {
-				return fmt.Sprintf("link %d end %s has a nil Bind or Sink", i, "ab"[x:x+1])
-			}
+	for x, comp := range c.comp {
+		if comp != nil && (c.bind[x] == nil || c.sink[x] == nil) {
+			return fmt.Sprintf("end %s has a nil Bind or Sink", "ab"[x:x+1])
 		}
 	}
 	return ""
@@ -183,44 +157,29 @@ func (s *Simulation) Components() []core.Component { return s.comps }
 // accounting.
 func (s *Simulation) NumComponents() int { return len(s.comps) }
 
-// addChannel registers a channel of pairs between compA and compB and assigns
-// each link's two ordering sources: the first to deliveries into end A's
-// sink, the second to end B's.
-func (s *Simulation) addChannel(kind ChannelKind, name string, latency sim.Time,
-	compA, compB core.Component, pairs []TrunkPair) *channel {
-	c := &channel{name: name, kind: kind, latency: latency,
-		comp: [2]core.Component{compA, compB}, links: make([]chanLink, 0, len(pairs))}
-	for _, p := range pairs {
-		c.links = append(c.links, chanLink{
-			bind: [2]func(core.Port){p.BindA, p.BindB},
-			sink: [2]core.Sink{p.SinkA, p.SinkB},
-			src:  [2]int32{s.nextSrc, s.nextSrc + 1},
-		})
-		s.nextSrc += 2
-	}
+// addChannel registers a channel between sides a and b and assigns its two
+// ordering sources: the first to deliveries into end A's sink, the second to
+// end B's.
+func (s *Simulation) addChannel(name string, latency sim.Time, a, b Side) *channel {
+	c := &channel{name: name, latency: latency,
+		comp: [2]core.Component{a.Comp, b.Comp},
+		bind: [2]func(core.Port){a.Bind, b.Bind},
+		sink: [2]core.Sink{a.Sink, b.Sink},
+		src:  [2]int32{s.nextSrc, s.nextSrc + 1}}
+	s.nextSrc += 2
 	s.chans = append(s.chans, c)
 	return c
 }
 
 // Connect wires a bidirectional channel with the given latency between two
-// sides — a trunk of one link. A channel that cannot be wired (see
-// ErrBadChannel) is reported by Plan.
+// sides. A channel that cannot be wired (see ErrBadChannel) is reported by
+// Plan. Channels cut by a placement between the same pair of runner groups
+// at the same latency share one synchronized link — the trunk adapter,
+// applied by Plan.
 func (s *Simulation) Connect(name string, latency sim.Time, a, b Side) {
 	s.mustHave(a.Comp, name)
 	s.mustHave(b.Comp, name)
-	s.addChannel(KindDirect, name, latency, a.Comp, b.Comp,
-		[]TrunkPair{{BindA: a.Bind, SinkA: a.Sink, BindB: b.Bind, SinkB: b.Sink}})
-}
-
-// ConnectTrunk wires several logical links between compA and compB over a
-// single synchronized channel — the paper's trunk adapter. Where both
-// components share a runner group the multiplexing is immaterial and each
-// pair becomes a direct link.
-func (s *Simulation) ConnectTrunk(name string, latency sim.Time,
-	compA, compB core.Component, pairs []TrunkPair) {
-	s.mustHave(compA, name)
-	s.mustHave(compB, name)
-	s.addChannel(KindTrunk, name, latency, compA, compB, pairs)
+	s.addChannel(name, latency, a, b)
 }
 
 // Reserve advances the event-ordering source counter by n without
@@ -249,12 +208,11 @@ func (s *Simulation) Reserve(n int32) {
 // ErrBadChannel.
 func (s *Simulation) ConnectRemote(name string, latency sim.Time, local Side, sideA bool) *link.Remote {
 	s.mustHave(local.Comp, name)
-	c := s.addChannel(KindRemote, name, latency, local.Comp, nil,
-		[]TrunkPair{{BindA: local.Bind, SinkA: local.Sink}})
+	c := s.addChannel(name, latency, local, Side{})
 	if !sideA {
 		// The local end is the mirrored connection's B: its sink takes the
 		// pair's second source.
-		c.links[0].src[0] = c.links[0].src[1]
+		c.src[0] = c.src[1]
 	}
 	if latency <= 0 {
 		return nil
@@ -281,21 +239,17 @@ func (s *Simulation) remoteChannels() int {
 	return n
 }
 
-// localChans returns the channels with both ends in this process, direct
-// connections before trunks rather than in registration order: the layout
-// the checkpoint's conns section was given when the two were separate lists,
-// which ModelGraph's link list shares. Changing it changes checkpoint bytes.
-func (s *Simulation) localChans() [2][]*channel {
-	var parts [2][]*channel
+// localChans returns the channels with both ends in this process, in
+// registration order: the layout of the checkpoint's conns section and of
+// ModelGraph's per-channel link list.
+func (s *Simulation) localChans() []*channel {
+	var local []*channel
 	for _, c := range s.chans {
-		switch c.kind {
-		case KindDirect:
-			parts[0] = append(parts[0], c)
-		case KindTrunk:
-			parts[1] = append(parts[1], c)
+		if c.comp[1] != nil {
+			local = append(local, c)
 		}
 	}
-	return parts
+	return local
 }
 
 // LiveFrames sums the outstanding pooled frames across all components —
@@ -313,11 +267,12 @@ func (s *Simulation) LiveFrames() uint64 {
 
 // ModelGraph converts a finished run into the decomposition performance
 // model's inputs: one Comp per component (event costs plus fidelity time
-// tax over duration) and one Link per synchronized channel with its
-// observed data-message count. Trunked connections become a single link
-// with the combined count — exactly the trunk adapter's saving. Message
-// counts come from whichever wiring the last run used: direct ports for
-// co-located channels (sequential mode included), channel endpoints for
+// tax over duration) and one Link per synchronized channel between a pair
+// of components at one latency, with its observed data-message count —
+// channels the plan would bundle onto one endpoint pair fold into one link
+// with the summed count, so the model prices the bundles the executor runs.
+// Message counts come from whichever wiring the last run used: direct ports
+// for co-located channels (sequential mode included), channel endpoints for
 // coupled ones.
 func (s *Simulation) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.Link) {
 	idx := make(map[core.Component]int, len(s.comps))
@@ -327,11 +282,11 @@ func (s *Simulation) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.Link
 		comps[i] = decomp.Comp{Name: c.Name(), BusyNs: decomp.BusyOf(c, duration)}
 	}
 	var links []decomp.Link
-	for _, part := range s.localChans() {
-		for _, c := range part {
-			a, b := c.txData()
-			links = append(links, decomp.Link{A: idx[c.comp[0]], B: idx[c.comp[1]], Msgs: a + b, Quantum: c.latency})
-		}
+	for _, c := range s.localChans() {
+		a, b := c.txData()
+		links = append(links, decomp.Link{A: idx[c.comp[0]], B: idx[c.comp[1]], Msgs: a + b, Quantum: c.latency})
 	}
+	// A per-component placement always covers comps, so the fold cannot fail.
+	comps, links, _ = decomp.MergePlacement(comps, links, decomp.PerComponent(len(comps)))
 	return comps, links
 }

@@ -298,7 +298,7 @@ func TestNumComponents(t *testing.T) {
 
 // TestBadChannelsFailAtPlan is the API-boundary contract for channels: every
 // way of registering one that cannot be wired is reported by Plan as a
-// wrapped ErrBadChannel — through each of the three constructors, under a
+// wrapped ErrBadChannel — through each of the two constructors, under a
 // one-group and a per-component placement alike — instead of panicking or
 // dereferencing nil halfway through Execute.
 func TestBadChannelsFailAtPlan(t *testing.T) {
@@ -337,12 +337,6 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 		{"Connect", func(s *orch.Simulation, a, b *chatter, k cfg) {
 			s.Connect("x", k.latency, side(a, cfg{}), side(b, k))
 		}},
-		{"ConnectTrunk", func(s *orch.Simulation, a, b *chatter, k cfg) {
-			sa, sb := side(a, cfg{}), side(b, k)
-			good := orch.TrunkPair{BindA: sa.Bind, SinkA: sa.Sink, BindB: sa.Bind, SinkB: sa.Sink}
-			bad := orch.TrunkPair{BindA: sa.Bind, SinkA: sa.Sink, BindB: sb.Bind, SinkB: sb.Sink}
-			s.ConnectTrunk("x", k.latency, a, b, []orch.TrunkPair{good, bad})
-		}},
 		{"ConnectRemote", func(s *orch.Simulation, a, _ *chatter, k cfg) {
 			s.ConnectRemote("x", k.latency, side(a, k), true)
 		}},
@@ -378,11 +372,6 @@ func TestBadChannelsFailAtPlan(t *testing.T) {
 			})
 		}
 	}
-	t.Run("ConnectTrunk/no links", func(t *testing.T) {
-		s, a, b := build()
-		s.ConnectTrunk("x", lat, a, b, nil)
-		check(t, s)
-	})
 	t.Run("duplicate name across kinds", func(t *testing.T) {
 		s, a, b := build()
 		constructors[0].connect(s, a, b, cfg{latency: lat})

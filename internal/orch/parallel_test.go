@@ -1,7 +1,6 @@
 package orch_test
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -222,37 +221,26 @@ func (c *sparse) sink(i int) core.Sink {
 }
 
 // TestParallelBundleOverflow: a message names its sub-channel in 16 bits, so
-// when the channels crossing one cut at one latency carry 65,537 links the
-// last one opens a second bundle instead of wrapping to sub 0. A short placed
-// run matches sequential, and every message reaches the sink of its own link.
-// A single channel whose links cannot fit one bundle fails Plan when cut.
+// when 65,537 channels cross one cut at one latency the first 65,536 share
+// bundle 0 and the last opens bundle 1 instead of wrapping to sub 0. A short
+// placed run matches sequential, and every message reaches the sink of its
+// own channel.
 func TestParallelBundleOverflow(t *testing.T) {
-	const half = 1 << 15 // two trunks of half fill the first bundle exactly
+	const full = 1 << 16 // channels that fill the first bundle exactly
 	const lat = sim.Microsecond
 	build := func() (*orch.Simulation, [2]*sparse) {
 		s := orch.New()
 		var c [2]*sparse
 		for x := range c {
-			c[x] = &sparse{name: fmt.Sprintf("s%d", x), send: []int{0, half - 1, half, 2*half - 1, 2 * half}}
-			c[x].ports = make([]core.Port, 2*half+1)
+			c[x] = &sparse{name: fmt.Sprintf("s%d", x), send: []int{0, full/2 - 1, full / 2, full - 1, full}}
+			c[x].ports = make([]core.Port, full+1)
 			s.Add(c[x])
 		}
-		pair := func(i int) orch.TrunkPair {
-			return orch.TrunkPair{
-				BindA: func(p core.Port) { c[0].ports[i] = p }, SinkA: c[0].sink(i),
-				BindB: func(p core.Port) { c[1].ports[i] = p }, SinkB: c[1].sink(i),
-			}
+		for i := 0; i <= full; i++ {
+			s.Connect(fmt.Sprintf("c%d", i), lat,
+				orch.Side{Comp: c[0], Bind: func(p core.Port) { c[0].ports[i] = p }, Sink: c[0].sink(i)},
+				orch.Side{Comp: c[1], Bind: func(p core.Port) { c[1].ports[i] = p }, Sink: c[1].sink(i)})
 		}
-		for k := 0; k < 2; k++ {
-			pairs := make([]orch.TrunkPair, half)
-			for j := range pairs {
-				pairs[j] = pair(k*half + j)
-			}
-			s.ConnectTrunk(fmt.Sprintf("t%d", k), lat, c[0], c[1], pairs)
-		}
-		p := pair(2 * half)
-		s.Connect("last", lat, orch.Side{Comp: c[0], Bind: p.BindA, Sink: p.SinkA},
-			orch.Side{Comp: c[1], Bind: p.BindB, Sink: p.SinkB})
 		return s, c
 	}
 	const end = 10 * sim.Microsecond
@@ -265,8 +253,10 @@ func TestParallelBundleOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := []int{pl.Channels[0].Bundle, pl.Channels[1].Bundle, pl.Channels[2].Bundle}; b[0] != b[1] || b[2] == b[0] {
-		t.Fatalf("bundles %v: want t0 and t1 sharing one, last on a second", b)
+	for i, ch := range pl.Channels {
+		if want := i / full; ch.Bundle != want {
+			t.Fatalf("channel %d rides bundle %d, want %d", i, ch.Bundle, want)
+		}
 	}
 	if _, err := pl.Execute(end, orch.RunOptions{}); err != nil {
 		t.Fatal(err)
@@ -290,21 +280,5 @@ func TestParallelBundleOverflow(t *testing.T) {
 		if links[i].Msgs != refLinks[i].Msgs {
 			t.Errorf("link %d: %d msgs, sequential %d", i, links[i].Msgs, refLinks[i].Msgs)
 		}
-	}
-
-	big := orch.New()
-	a, b := &sparse{name: "a"}, &sparse{name: "b"}
-	big.Add(a)
-	big.Add(b)
-	pairs := make([]orch.TrunkPair, 2*half+1)
-	for i := range pairs {
-		pairs[i] = orch.TrunkPair{BindA: func(core.Port) {}, SinkA: a.sink(i), BindB: func(core.Port) {}, SinkB: b.sink(i)}
-	}
-	big.ConnectTrunk("huge", lat, a, b, pairs)
-	if _, err := big.Plan(decomp.SingleGroup(2)); err != nil {
-		t.Errorf("co-located trunk of %d links: %v", len(pairs), err)
-	}
-	if _, err := big.Plan(decomp.PerComponent(2)); !errors.Is(err, orch.ErrBadChannel) {
-		t.Errorf("cut trunk of %d links: Plan = %v, want ErrBadChannel", len(pairs), err)
 	}
 }

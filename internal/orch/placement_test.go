@@ -12,9 +12,9 @@ import (
 )
 
 // buildTrunked creates a chain of chatter components where consecutive
-// pairs are connected by a trunk carrying several logical links, so placed
-// runs exercise both trunk wirings (direct ports intra-group, multiplexed
-// channel cross-group).
+// pairs are connected by several parallel channels at one latency, so placed
+// runs exercise both wirings (direct ports intra-group, channels bundled on
+// one synchronized link cross-group).
 func buildTrunked(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 	rng := sim.NewRand(seed)
 	s := orch.New()
@@ -30,47 +30,40 @@ func buildTrunked(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 	for i := 1; i < nComps; i++ {
 		ca, cb := comps[i-1], comps[i]
 		nPairs := 2 + rng.Intn(2)
-		pairs := make([]orch.TrunkPair, nPairs)
+		lat := sim.Time(2+rng.Intn(10)) * sim.Microsecond
 		for j := 0; j < nPairs; j++ {
 			pa, pb := len(ca.ports), len(cb.ports)
 			ca.ports = append(ca.ports, nil)
 			cb.ports = append(cb.ports, nil)
-			pairs[j] = orch.TrunkPair{
-				BindA: func(p core.Port) { ca.ports[pa] = p },
-				SinkA: ca.sink(pa),
-				BindB: func(p core.Port) { cb.ports[pb] = p },
-				SinkB: cb.sink(pb),
-			}
+			s.Connect(fmt.Sprintf("trunk%d.%d", i, j), lat,
+				orch.Side{Comp: ca, Bind: func(p core.Port) { ca.ports[pa] = p }, Sink: ca.sink(pa)},
+				orch.Side{Comp: cb, Bind: func(p core.Port) { cb.ports[pb] = p }, Sink: cb.sink(pb)})
 		}
-		lat := sim.Time(2+rng.Intn(10)) * sim.Microsecond
-		s.ConnectTrunk(fmt.Sprintf("trunk%d", i), lat, ca, cb, pairs)
 	}
 	return s, comps
 }
 
 // wireBundled connects comps in a ring at one latency plus one random chord
-// each at one of two, one channel in three a two-link trunk, so a two-group
-// placement cuts several channels at one latency — a blocked one at least
-// two ring edges — and the plan bundles them onto one synchronized endpoint
-// pair. port(i) adds a port to component i and returns how to bind it and
-// its sink.
+// each at one of two, one connection in three doubled into two parallel
+// channels, so a two-group placement cuts several channels at one latency —
+// a blocked one at least two ring edges — and the plan bundles them onto one
+// synchronized endpoint pair. port(i) adds a port to component i and returns
+// how to bind it and its sink.
 func wireBundled(s *orch.Simulation, rng *sim.Rand, comps []core.Component,
 	port func(i int) (func(core.Port), core.Sink)) {
 	n := len(comps)
-	pair := func(a, b int) orch.TrunkPair {
-		ba, sa := port(a)
-		bb, sb := port(b)
-		return orch.TrunkPair{BindA: ba, SinkA: sa, BindB: bb, SinkB: sb}
-	}
 	connect := func(k, a, b int, lat sim.Time) {
 		name := fmt.Sprintf("b%d.%d-%d", k, a, b)
+		links := 1
 		if rng.Intn(3) == 0 {
-			s.ConnectTrunk(name, lat, comps[a], comps[b], []orch.TrunkPair{pair(a, b), pair(a, b)})
-			return
+			links = 2
 		}
-		p := pair(a, b)
-		s.Connect(name, lat, orch.Side{Comp: comps[a], Bind: p.BindA, Sink: p.SinkA},
-			orch.Side{Comp: comps[b], Bind: p.BindB, Sink: p.SinkB})
+		for l := 0; l < links; l++ {
+			ba, sa := port(a)
+			bb, sb := port(b)
+			s.Connect(fmt.Sprintf("%s.%d", name, l), lat,
+				orch.Side{Comp: comps[a], Bind: ba, Sink: sa}, orch.Side{Comp: comps[b], Bind: bb, Sink: sb})
+		}
 	}
 	for i := 0; i < n; i++ {
 		connect(2*i, i, (i+1)%n, 3*sim.Microsecond)
@@ -266,7 +259,7 @@ func TestAutoPlacementMatchesSequential(t *testing.T) {
 // yield the same per-link message counts as a sequential run, not silent
 // zeros from nil sequential ports. The blocked row cuts several channels at
 // one latency, so they share one endpoint pair: each must still count only
-// its own sub-channels.
+// its own sub-channel.
 func TestModelGraphAfterCoupled(t *testing.T) {
 	const end = 2 * sim.Millisecond
 	for _, row := range []struct {
@@ -308,6 +301,49 @@ func TestModelGraphAfterCoupled(t *testing.T) {
 				t.Fatal("coupled ModelGraph reported zero messages on every link")
 			}
 		})
+	}
+}
+
+// TestModelGraphFoldsParallelChannels: the model prices the bundles the
+// executor runs, so two channels between one component pair at one latency
+// are one model link carrying both channels' messages, and at two latencies
+// they are two links.
+func TestModelGraphFoldsParallelChannels(t *testing.T) {
+	const end = sim.Millisecond
+	for _, lats := range [][2]sim.Time{{sim.Microsecond, sim.Microsecond}, {sim.Microsecond, 3 * sim.Microsecond}} {
+		s := orch.New()
+		var c [2]*chatter
+		for x := range c {
+			c[x] = &chatter{name: fmt.Sprintf("c%d", x), period: 10 * sim.Microsecond, rng: sim.NewRand(uint64(x + 1))}
+			s.Add(c[x])
+		}
+		for i, lat := range lats {
+			var sd [2]orch.Side
+			for x, cx := range c {
+				cx.ports = append(cx.ports, nil)
+				sd[x] = orch.Side{Comp: cx, Bind: func(p core.Port) { cx.ports[i] = p }, Sink: cx.sink(i)}
+			}
+			s.Connect(fmt.Sprintf("ch%d", i), lat, sd[0], sd[1])
+		}
+		s.RunSequential(end)
+		_, links := s.ModelGraph(end)
+		want := 2
+		if lats[0] == lats[1] {
+			want = 1
+		}
+		if len(links) != want {
+			t.Fatalf("latencies %v: %d model links, want %d", lats, len(links), want)
+		}
+		var msgs uint64
+		for _, l := range links {
+			if l.Msgs == 0 || l.A != 0 || l.B != 1 {
+				t.Errorf("latencies %v: link %+v, want c0-c1 with messages", lats, l)
+			}
+			msgs += l.Msgs
+		}
+		if sent := uint64(c[0].seq + c[1].seq); msgs != sent {
+			t.Errorf("latencies %v: model links carry %d messages, components sent %d", lats, msgs, sent)
+		}
 	}
 }
 

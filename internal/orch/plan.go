@@ -16,10 +16,8 @@ import (
 type ChannelKind int
 
 const (
-	// KindDirect is a plain bidirectional connection.
+	// KindDirect is a bidirectional connection between two local components.
 	KindDirect ChannelKind = iota
-	// KindTrunk multiplexes several logical links over one channel.
-	KindTrunk
 	// KindRemote is the local half of a cross-process connection.
 	KindRemote
 )
@@ -28,8 +26,6 @@ func (k ChannelKind) String() string {
 	switch k {
 	case KindDirect:
 		return "direct"
-	case KindTrunk:
-		return "trunk"
 	case KindRemote:
 		return "remote"
 	}
@@ -53,7 +49,9 @@ type PlanChannel struct {
 	Latency sim.Time
 	GroupA  int
 	GroupB  int // -1 for the remote half of a cross-process channel
-	Links   int // logical links carried (>1 only for trunks)
+	// Sources are the ordering sources of deliveries into the channel's
+	// local sinks, end A's first. The slice is the channel's own: read it,
+	// do not modify it.
 	Sources []int32
 	Intra   bool
 	// Bundle is the index of the synchronized endpoint pair the channel
@@ -63,12 +61,12 @@ type PlanChannel struct {
 	// channels cross it — and each remote channel has its own.
 	Bundle int
 
-	sub0 uint16 // sub-channel id of the channel's first link on its bundle
+	sub uint16 // the channel's sub-channel id on its bundle
 }
 
-// maxBundleLinks is how many logical links one bundle carries: a message
-// names its sub-channel in 16 bits.
-const maxBundleLinks = 1 << 16
+// maxBundleChans is how many channels one bundle carries: a message names
+// its sub-channel in 16 bits.
+const maxBundleChans = 1 << 16
 
 // ExecutionPlan is the single wiring blueprint every execution consumes:
 // the component set with ordering sources, every channel with its latency,
@@ -97,11 +95,11 @@ type ExecutionPlan struct {
 // wrapped ErrBadChannel.
 //
 // Bundling is keyed by (lower group, higher group, latency): keying on the
-// exact latency keeps every link's lookahead and delivery time what its own
-// channel would give it, and each link keeps its ordering source, so a
-// bundled run is event-for-event the unbundled one. Links take the bundle's
-// sub-channel ids densely in registration order; a channel whose links would
-// pass maxBundleLinks opens a second bundle for the same key.
+// exact latency keeps every channel's lookahead and delivery time what its
+// own synchronized link would give it, and each channel keeps its ordering
+// sources, so a bundled run is event-for-event the unbundled one. Channels
+// take the bundle's sub-channel ids densely in registration order; the
+// channel past maxBundleChans opens a second bundle for the same key.
 func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 	norm, err := p.Normalized(len(s.comps))
 	if err != nil {
@@ -116,6 +114,7 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 		GroupNames: norm.GroupLabels(names),
 		s:          s,
 		grpOf:      make(map[core.Component]int, len(s.comps)),
+		Channels:   make([]PlanChannel, 0, len(s.chans)),
 	}
 	pl.groupComps = make([][]int, len(pl.GroupNames))
 	for i, c := range s.comps {
@@ -128,8 +127,8 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 		lo, hi int
 		lat    sim.Time
 	}
-	var open map[bundleKey]int // key → the bundle still taking links
-	var fill []int             // links per bundle
+	var open map[bundleKey]int // key → the bundle still taking channels
+	var fill []int             // channels per bundle
 	seen := make(map[string]bool, len(s.chans))
 	for _, c := range s.chans {
 		reason := c.check()
@@ -141,31 +140,20 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 		}
 		seen[c.name] = true
 		g := c.groups(pl)
-		srcs := make([]int32, 0, 2*len(c.links))
-		for _, l := range c.links {
-			for x, comp := range c.comp {
-				if comp != nil {
-					srcs = append(srcs, l.src[x])
-				}
-			}
-		}
 		pc := PlanChannel{
-			Name: c.name, Kind: c.kind, Latency: c.latency,
-			GroupA: g[0], GroupB: g[1], Links: len(c.links),
-			Sources: srcs, Intra: g[0] == g[1], Bundle: -1,
+			Name: c.name, Latency: c.latency, GroupA: g[0], GroupB: g[1],
+			Sources: c.src[:], Intra: g[0] == g[1], Bundle: -1,
 		}
 		switch {
 		case pc.Intra:
 		case c.comp[1] == nil:
+			pc.Kind, pc.Sources = KindRemote, c.src[:1]
 			pc.Bundle = len(fill)
-			fill = append(fill, len(c.links))
-		case len(c.links) > maxBundleLinks:
-			return nil, fmt.Errorf("%w %q: %d links cross groups %d-%d, one synchronized channel carries at most %d",
-				ErrBadChannel, c.name, len(c.links), g[0], g[1], maxBundleLinks)
+			fill = append(fill, 1)
 		default:
 			k := bundleKey{min(g[0], g[1]), max(g[0], g[1]), c.latency}
 			b, ok := open[k]
-			if !ok || fill[b]+len(c.links) > maxBundleLinks {
+			if !ok || fill[b] == maxBundleChans {
 				if open == nil {
 					open = make(map[bundleKey]int)
 				}
@@ -173,8 +161,8 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 				fill = append(fill, 0)
 				open[k] = b
 			}
-			pc.Bundle, pc.sub0 = b, uint16(fill[b])
-			fill[b] += len(c.links)
+			pc.Bundle, pc.sub = b, uint16(fill[b])
+			fill[b]++
 		}
 		pl.Channels = append(pl.Channels, pc)
 	}
@@ -188,28 +176,25 @@ func (pl *ExecutionPlan) NumGroups() int { return len(pl.GroupNames) }
 // wire connects every channel for execution. scheds holds one scheduler per
 // group and runners the matching runners.
 //
-// A channel whose ends share a group becomes direct ports on the group's
-// scheduler, one pair per link — delivery time (send + latency) and ordering
-// source are chosen exactly as the coupled path chooses them, so any
-// placement is event-for-event identical to any other. Any other channel
-// rides its plan bundle: one synchronized link.Channel between the two
-// runners, built when its first channel is wired, whose side A belongs to
-// the lower-numbered group; each link is the sub-channel the plan gave it.
-// Only the local end of a remote channel is attached. The wiring not chosen
-// is cleared so post-run accounting reads the live one.
+// A channel whose ends share a group becomes a pair of direct ports on the
+// group's scheduler — delivery time (send + latency) and ordering source are
+// chosen exactly as the coupled path chooses them, so any placement is
+// event-for-event identical to any other. Any other channel rides its plan
+// bundle: one synchronized link.Channel between the two runners, built when
+// its first channel is wired, whose side A belongs to the lower-numbered
+// group; the channel is the sub-channel the plan gave it. Only the local end
+// of a remote channel is attached. The wiring not chosen is cleared so
+// post-run accounting reads the live one.
 func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 	bundles := make([][2]*link.Endpoint, pl.bundles)
 	for ci, c := range pl.s.chans {
 		pc := &pl.Channels[ci]
-		c.ports = c.ports[:0]
+		c.ports = [2]*link.DirectPort{}
 		if pc.Intra {
 			c.ep = [2]*link.Endpoint{}
-			for _, l := range c.links {
-				for x := range c.comp {
-					p := link.NewDirectPort(scheds[pc.GroupA], c.latency, l.src[1-x], l.sink[1-x])
-					c.ports = append(c.ports, p)
-					l.bind[x](p)
-				}
+			for x := range c.comp {
+				c.ports[x] = link.NewDirectPort(scheds[pc.GroupA], c.latency, c.src[1-x], c.sink[1-x])
+				c.bind[x](c.ports[x])
 			}
 			continue
 		}
@@ -229,15 +214,11 @@ func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 				c.ep[0], c.ep[1] = c.ep[1], c.ep[0]
 			}
 		}
-		c.sub0 = pc.sub0
+		c.sub = pc.sub
 		for x, ep := range c.ep {
-			if ep == nil {
-				continue
-			}
-			for i, l := range c.links {
-				sub := c.sub0 + uint16(i)
-				ep.SetSink(sub, l.src[x], l.sink[x])
-				l.bind[x](ep.SubPort(sub))
+			if ep != nil {
+				ep.SetSink(c.sub, c.src[x], c.sink[x])
+				c.bind[x](ep.SubPort(c.sub))
 			}
 		}
 	}
@@ -290,7 +271,7 @@ func (pl *ExecutionPlan) String() string {
 	b.WriteString(gt.String())
 	b.WriteByte('\n')
 
-	ct := stats.NewTable("channel", "kind", "links", "latency", "groups", "mode", "bundle")
+	ct := stats.NewTable("channel", "kind", "latency", "groups", "mode", "bundle")
 	for _, ch := range pl.Channels {
 		groups := fmt.Sprintf("%d-%d", ch.GroupA, ch.GroupB)
 		mode, bundle := "coupled", fmt.Sprint(ch.Bundle)
@@ -300,7 +281,7 @@ func (pl *ExecutionPlan) String() string {
 		if ch.GroupB < 0 {
 			groups = fmt.Sprintf("%d-remote", ch.GroupA)
 		}
-		ct.Row(ch.Name, ch.Kind, ch.Links, ch.Latency, groups, mode, bundle)
+		ct.Row(ch.Name, ch.Kind, ch.Latency, groups, mode, bundle)
 	}
 	b.WriteString(ct.String())
 	if cost := link.MeasuredSyncCost(); cost > 0 {

@@ -108,8 +108,6 @@ type (
 	Simulation = orch.Simulation
 	// Side describes one end of a channel connection.
 	Side = orch.Side
-	// TrunkPair is one logical link of a trunked connection.
-	TrunkPair = orch.TrunkPair
 )
 
 // NewSimulation creates an empty simulation.
@@ -292,5 +290,5 @@ type IP = proto.IP
 func HostIP(id uint32) IP { return proto.HostIP(id) }
 
 // WirePartitions connects a partitioned topology's boundaries on a
-// simulation, trunked or not.
+// simulation, one channel per boundary link; its last argument is ignored.
 var WirePartitions = instantiate.WirePartitions
