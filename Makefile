@@ -74,11 +74,15 @@ chaos:
 # up without allocating; the flow-level background tier must run a
 # mixed-fidelity phase without materializing background hosts, and its
 # link-side rate solver must match the flow-side oracle bit for bit (random
-# mixes, edge cases, Poisson churn) without allocating in steady state.
+# mixes, edge cases, Poisson churn) without allocating in steady state; and
+# its switch-major batch admission must agree with a per-flow hop-by-hop
+# Switch.Route walk (monolithic and partitioned, past one chunk, unroutable
+# destinations, a lone synthetic arrival, checkpoint restore) and allocate
+# one object per flow plus one links array per chunk.
 scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
 	$(GO) test -run 'TestRoute|FuzzRouteTable' ./internal/netsim/
-	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs' ./internal/netsim/flowsim/
+	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs|TestBatchAdmission|TestAdmissionAllocs' ./internal/netsim/flowsim/
 
 # End-to-end benchmark module: bench/e2e is a Go module of its own, so the
 # root `go build ./... && go test ./...` does not notice when an exported

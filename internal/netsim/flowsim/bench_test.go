@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/instantiate"
@@ -86,6 +87,28 @@ func BenchmarkScaleMixed1M(b *testing.B) {
 	b.ReportMetric(float64(endpoints), "endpoints")
 	b.ReportMetric(float64(proj)/float64(events), "x-events")
 	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
+}
+
+// BenchmarkAdmit times resolveBatch on a lone arrival (the Poisson
+// regime; nothing to sort) and on one full chunk (a trace's admission
+// wave) on a small Clos, links created.
+func BenchmarkAdmit(b *testing.B) {
+	_, bt, _, slots := admitFabric(b, 1)
+	tr := randomTrace(1, admitChunk, len(slots))
+	r := Install(bt, slots, Spec{Trace: tr, Seed: 1}).reps[0]
+	for _, n := range []int{1, admitChunk} {
+		fs := make([]*flow, n)
+		for i, a := range tr.Flows[:n] {
+			fs[i] = &flow{src: int32(a.Src), dst: int32(a.Dst), bytes: a.Bytes}
+		}
+		r.resolveBatch(fs)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.resolveBatch(fs)
+			}
+		})
+	}
 }
 
 // closMix is a synthetic three-tier mix for the solver benchmarks: every

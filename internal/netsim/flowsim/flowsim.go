@@ -15,6 +15,14 @@
 // push back on background flows; the fluid trajectory is a pure function
 // of virtual time.
 //
+// Admission is switch-major: arrivals due at one instant are drawn in
+// order, admitChunk at a time, and each chunk's paths are resolved one hop
+// level at a time with the flows sorted by their current switch, so a
+// switch's route table is loaded once per level rather than once per
+// flow. The chunk is attached in arrival order, so the flow list, the
+// active-link list and every rate are what one-flow-at-a-time admission
+// gives.
+//
 // Determinism by replication: partitioned builds get one replica of the
 // whole fluid computation per partition. Every replica computes the
 // identical global trajectory from the same seed (flow arrivals, paths,
@@ -116,7 +124,7 @@ type flow struct {
 	rate      float64 // bit/s, assigned by recompute
 	start     sim.Time
 	baseDelay sim.Time // propagation + switch pipeline + store-and-forward fill
-	hops      int32    // switches on the path
+	hops      int32    // switches on the path; 0 until resolved, and for a flow that does not route
 	links     []*blink
 }
 
@@ -148,7 +156,8 @@ type replica struct {
 	tlinks []*blink          // topology links, indexed 2·li+dir; nil until first use
 	access map[uint64]*blink // host access links by accessKey
 	active []*blink          // links with ≥1 active flow, first-use order
-	path   []*blink          // resolve scratch
+	chunk  []*flow           // arrivals drawn but not yet attached
+	batch  batch             // resolveBatch scratch, grow-only
 	solver solver            // recompute scratch, grow-only
 
 	lastAdvance sim.Time
@@ -342,69 +351,22 @@ func (r *replica) accessLink(slot int32, dir int8, rate int64) *blink {
 	return bl
 }
 
-// resolve walks the flow's path hop-for-hop with the same Switch.Route
-// lookups the packet tier uses (so ECMP choices — and therefore which
-// links carry the load — match exactly), collecting finite-capacity links
-// and accumulating the rate-independent base delay: propagation, switch
-// pipeline latency, and the store-and-forward fill of the last packet
-// across every link after the first.
-func (r *replica) resolve(f *flow) bool {
-	eng := r.eng
-	srcSlot := int32(eng.endpoints[f.src])
-	dstSlot := int32(eng.endpoints[f.dst])
-	srcTH := &eng.topo.Hosts[srcSlot]
-	dstTH := &eng.topo.Hosts[dstSlot]
-
-	lastWire := lastPktWire(f.bytes)
-	delay := srcTH.Delay + dstTH.Delay
-	var fill sim.Time
-
-	path := r.path[:0]
-	if srcTH.Rate > 0 {
-		path = append(path, r.accessLink(srcSlot, dirFwd, srcTH.Rate))
-	}
-	cur := srcTH.Switch
-	nsw := int32(1)
-	for cur != dstTH.Switch {
-		out, ok := eng.b.Switches[cur].Route(dstTH.IP)
-		if !ok {
-			return false
-		}
-		row := eng.hops[cur]
-		if uint(out) >= uint(len(row)) || row[out].li < 0 {
-			return false // routed into an attachment port, not the fabric
-		}
-		hp := row[out]
-		l := &eng.topo.Links[hp.li]
-		if l.Rate > 0 {
-			path = append(path, r.topoLink(hp.li, hp.dir, l.Rate))
-			fill += sim.TransmitTime(lastWire, l.Rate)
-		}
-		delay += l.Delay
-		cur = int(hp.next)
-		if nsw++; nsw > maxHops {
-			return false
+// admitBatch resolves fs and attaches, in order, the flows that route. It
+// returns how many did not route and the index of the first of them (-1
+// if all did), and keeps fs, cleared, as the next chunk's buffer.
+func (r *replica) admitBatch(fs []*flow) (unroutable, first int) {
+	r.resolveBatch(fs)
+	first = -1
+	for i, f := range fs {
+		if f.hops > 0 {
+			r.attach(f)
+		} else if unroutable++; first < 0 {
+			first = i
 		}
 	}
-	if dstTH.Rate > 0 {
-		path = append(path, r.accessLink(dstSlot, dirRev, dstTH.Rate))
-		fill += sim.TransmitTime(lastWire, dstTH.Rate)
-	}
-	r.path = path
-	f.links = append(make([]*blink, 0, len(path)), path...)
-	f.hops = nsw
-	f.baseDelay = delay + sim.Time(nsw)*eng.switchLatency + fill
-	return true
-}
-
-// admit resolves f's path and adds it to the active set. False means
-// unroutable.
-func (r *replica) admit(f *flow) bool {
-	if !r.resolve(f) {
-		return false
-	}
-	r.attach(f)
-	return true
+	clear(fs)
+	r.chunk = fs[:0]
+	return unroutable, first
 }
 
 // attach adds a flow whose links are known to the active set, putting each
@@ -439,15 +401,25 @@ func (r *replica) fire(sim.NamedArgs) {
 }
 
 // step moves flow membership to now — drain, admit due arrivals, retire
-// drained flows — and reports whether the active set changed.
+// drained flows — and reports whether the active set changed. Due arrivals
+// are drawn in order, admitChunk at a time; each chunk is resolved as one
+// batch and attached in arrival order.
 func (r *replica) step(now sim.Time) bool {
 	r.advanceTo(now)
 	changed := false
 	for r.nextArrival >= 0 && r.nextArrival <= now {
-		if r.startFlow(now) {
-			changed = true
+		chunk := r.chunk[:0]
+		for len(chunk) < admitChunk && r.nextArrival >= 0 && r.nextArrival <= now {
+			if f := r.draw(now); f != nil {
+				chunk = append(chunk, f)
+			}
+			r.scheduleArrival(now)
 		}
-		r.scheduleArrival(now)
+		n := len(chunk)
+		bad, _ := r.admitBatch(chunk)
+		r.unroutable += bad
+		r.started += n - bad
+		changed = changed || bad < n
 	}
 	if r.completeDue(now) {
 		changed = true
@@ -469,10 +441,10 @@ func (r *replica) advanceTo(now sim.Time) {
 	r.lastAdvance = now
 }
 
-// startFlow admits the next arrival (trace tuple or synthetic draw).
-// Returns false when the draw is a no-op (pattern returned -1 or self,
-// or the path is unroutable) — counted, never fatal.
-func (r *replica) startFlow(now sim.Time) bool {
+// draw takes the next arrival (trace tuple or synthetic draw) as an
+// unresolved flow. It returns nil when the synthetic pattern declines the
+// draw (-1 or self) — counted, never fatal.
+func (r *replica) draw(now sim.Time) *flow {
 	n := len(r.eng.endpoints)
 	var src, dst int
 	var bytes int64
@@ -487,26 +459,20 @@ func (r *replica) startFlow(now sim.Time) bool {
 		dst = r.eng.spec.Pattern.Dst(r.rng, src, seq, n)
 		if dst < 0 || dst == src {
 			r.skipped++
-			return false
+			return nil
 		}
 		bytes = int64(r.eng.spec.Sizes.Sample(r.rng))
 		if bytes < 1 {
 			bytes = 1
 		}
 	}
-	f := &flow{
+	return &flow{
 		src:       int32(src),
 		dst:       int32(dst),
 		bytes:     bytes,
 		remaining: wireBits(bytes),
 		start:     now,
 	}
-	if !r.admit(f) {
-		r.unroutable++
-		return false
-	}
-	r.started++
-	return true
 }
 
 // projEvents is what the packet tier would have scheduled to move

@@ -138,19 +138,27 @@ func (e *Engine) RestoreState(dec *snap.Decoder) error {
 		clear(r.flows)
 		r.flows = r.flows[:0]
 		r.resetLinks()
-		for i, rec := range recs {
-			if int(rec.src) >= len(e.endpoints) || int(rec.dst) >= len(e.endpoints) {
-				return fmt.Errorf("flowsim: snapshot flow %d endpoints outside set", i)
+		for base := 0; base < len(recs); base += admitChunk {
+			chunk, bad := r.chunk[:0], -1
+			for i, rec := range recs[base:min(base+admitChunk, len(recs))] {
+				if int(rec.src) >= len(e.endpoints) || int(rec.dst) >= len(e.endpoints) {
+					bad = base + i // report it once the flows before it are checked
+					break
+				}
+				chunk = append(chunk, &flow{
+					src:       int32(rec.src),
+					dst:       int32(rec.dst),
+					bytes:     rec.bytes,
+					remaining: rec.rem,
+					start:     rec.start,
+				})
 			}
-			f := &flow{
-				src:       int32(rec.src),
-				dst:       int32(rec.dst),
-				bytes:     rec.bytes,
-				remaining: rec.rem,
-				start:     rec.start,
+			if _, first := r.admitBatch(chunk); first >= 0 {
+				rec := recs[base+first]
+				return fmt.Errorf("flowsim: snapshot flow %d (%d→%d) no longer routes", base+first, rec.src, rec.dst)
 			}
-			if !r.admit(f) {
-				return fmt.Errorf("flowsim: snapshot flow %d (%d→%d) no longer routes", i, rec.src, rec.dst)
+			if bad >= 0 {
+				return fmt.Errorf("flowsim: snapshot flow %d endpoints outside set", bad)
 			}
 		}
 		r.recompute()
