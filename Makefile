@@ -47,7 +47,9 @@ race:
 # identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —
-# plus the rollback fuzz seed corpus. The plan's bundles are the only trunk
+# plus the rollback fuzz seed corpus and the configuration-boundary fuzz seed
+# corpus (malformed systems return typed errors, valid ones instantiate and
+# run). The plan's bundles are the only trunk
 # adapter: cut channels bundled onto one endpoint pair must keep their own
 # message counts (checkpoint bytes), print their bundle, and fold into one
 # modeled link (ModelGraph), and a partitioned build must deliver every
@@ -58,6 +60,7 @@ exec:
 		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement|TestWirePartitions' \
 		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/ ./internal/decomp/ ./internal/instantiate/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
+	$(GO) test -run 'FuzzSystemInstantiate' ./internal/config/
 
 # Fault-injection suite: supervised transport under connection kills,
 # garbles, and delays, with goroutine-leak accounting — raced.

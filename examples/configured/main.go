@@ -1,7 +1,8 @@
-// Declarative configuration: describe a key-value system once — hosts,
-// switches, links, applications — and instantiate it three different ways
-// (all protocol-level; mixed fidelity; partitioned network), the paper's
-// separation of system configuration from simulator choices.
+// Declarative configuration: describe a key-value system once — switches,
+// hosts and links by name into the System's Topology, applications on the
+// hosts — and instantiate it three different ways (all protocol-level;
+// mixed fidelity; partitioned network), the paper's separation of system
+// configuration from simulator choices.
 package main
 
 import (
@@ -45,12 +46,12 @@ func run(name string, choices splitsim.Choices) {
 		panic(err)
 	}
 	const dur = 20 * splitsim.Millisecond
-	inst.RunSequential(dur)
+	inst.Sim.RunSequential(dur)
 	var done uint64
 	for _, c := range clients {
 		done += c.Completed
 	}
-	fmt.Printf("%-22s cores=%d tput=%s p50=%v\n", name, inst.Cores(),
+	fmt.Printf("%-22s cores=%d tput=%s p50=%v\n", name, inst.Sim.NumComponents(),
 		stats.FmtRate(stats.Rate(int(done), dur-splitsim.Millisecond)),
 		clients[0].Lat.Percentile(50))
 }
@@ -63,7 +64,7 @@ func main() {
 		FidelityOverride: map[string]splitsim.Fidelity{"server": splitsim.Coarse},
 	})
 	run("partitioned network", splitsim.Choices{
-		Seed:        1,
-		PartitionOf: func(sw string) int { return int(sw[3] - '0') },
+		Seed:      1,
+		Partition: []int{0, 1}, // one partition per switch
 	})
 }

@@ -1,6 +1,7 @@
 package config_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -61,32 +62,62 @@ func pingLoop(h core.Host, rtts *[]sim.Time) {
 func TestValidateCatchesErrors(t *testing.T) {
 	cases := []struct {
 		mutate func(*config.System)
+		kind   error
 		want   string
 	}{
-		{func(s *config.System) { s.AddSwitch("sw0") }, "duplicate switch"},
-		{func(s *config.System) { s.AddHost("server", "sw0", sim.Gbps, sim.Microsecond) }, "duplicate host"},
-		{func(s *config.System) { s.AddHost("x", "nope", sim.Gbps, sim.Microsecond) }, "unknown switch"},
-		{func(s *config.System) { s.AddHost("x", "sw0", 0, sim.Microsecond) }, "link rate"},
-		{func(s *config.System) { s.AddHost("x", "sw0", sim.Gbps, 0) }, "link delay"},
-		{func(s *config.System) { s.Connect("sw0", "sw0", sim.Gbps, sim.Microsecond) }, "self loop"},
-		{func(s *config.System) { s.Connect("sw0", "ghost", sim.Gbps, sim.Microsecond) }, "unknown switch"},
-		{func(s *config.System) { s.AddSwitch("island") }, "unreachable"},
-		{func(s *config.System) { s.Hosts[0].Cores = 0 }, "machine attributes"},
+		{func(s *config.System) { s.AddSwitch("sw0") }, config.ErrName, "duplicate switch"},
+		{func(s *config.System) { s.AddSwitch("") }, config.ErrName, "empty name"},
+		{func(s *config.System) { s.AddHost("server", "sw0", sim.Gbps, sim.Microsecond) }, config.ErrName, "duplicate host"},
+		{func(s *config.System) { s.AddHost("x", "nope", sim.Gbps, sim.Microsecond) }, config.ErrUnknownSwitch, "unknown switch"},
+		{func(s *config.System) { s.Topo.Hosts[0].Switch = 2 }, config.ErrUnknownSwitch, "unknown switch"},
+		{func(s *config.System) { s.AddHost("x", "sw0", 0, sim.Microsecond) }, config.ErrBadLink, "link rate"},
+		{func(s *config.System) { s.AddHost("x", "sw0", sim.Gbps, 0) }, config.ErrBadLink, "link delay"},
+		{func(s *config.System) { s.Connect("sw0", "sw0", sim.Gbps, sim.Microsecond) }, config.ErrBadLink, "self loop"},
+		{func(s *config.System) { s.Topo.Links[0].Delay = -1 }, config.ErrBadLink, "non-positive"},
+		{func(s *config.System) { s.Connect("sw0", "ghost", sim.Gbps, sim.Microsecond) }, config.ErrUnknownSwitch, "unknown switch"},
+		{func(s *config.System) { s.AddSwitch("island") }, config.ErrUnreachable, "unreachable"},
 		{func(s *config.System) {
-			s.Hosts[0].IP = proto.HostIP(9)
-			s.Hosts[1].IP = proto.HostIP(9)
-		}, "share IP"},
-		// Host index 1 auto-assigns HostIP(2); an explicit HostIP(2) elsewhere
-		// collides with it even though only one IP is set explicitly.
-		{func(s *config.System) { s.Hosts[0].IP = proto.HostIP(2) }, "auto-assigned"},
-		{func(s *config.System) { s.Hosts[2].IP = proto.HostIP(2) }, "auto-assigned"},
+			s.Topo.Hosts[0].IP = proto.HostIP(9)
+			s.Topo.Hosts[1].IP = proto.HostIP(9)
+		}, config.ErrDuplicateIP, "share IP"},
+		// Slot 1 got HostIP(2) from AddHost; an explicit HostIP(2) elsewhere
+		// collides with it.
+		{func(s *config.System) { s.Topo.Hosts[0].IP = proto.HostIP(2) }, config.ErrDuplicateIP, "share IP"},
+		{func(s *config.System) { s.Host(7) }, config.ErrUnknownSwitch, "slot 7"},
+		{func(s *config.System) { s.Dataplanes = map[int]netsim.Dataplane{-1: nil} }, config.ErrUnknownSwitch, "dataplane"},
+		{func(s *config.System) {
+			s.Topo.AddAggregate(proto.Prefix{Addr: proto.HostIP(0), Bits: 33}, []int{0}, nil)
+		}, config.ErrBadAggregate, "32 bits"},
+		{func(s *config.System) {
+			s.Topo.AddAggregate(proto.Prefix{Addr: proto.HostIP(0), Bits: 24}, []int{5}, nil)
+		}, config.ErrBadAggregate, "switches that exist"},
+		{func(s *config.System) {
+			s.Topo.AddAggregate(proto.Prefix{Addr: proto.IP(0xc0a80000), Bits: 16}, []int{0}, nil)
+		}, config.ErrBadAggregate, "in no aggregate"},
 	}
 	for _, c := range cases {
 		s, _, _ := smallSystem()
 		c.mutate(s)
 		err := s.Validate()
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("want error containing %q, got %v", c.want, err)
+		if !errors.Is(err, c.kind) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("want %v containing %q, got %v", c.kind, c.want, err)
+		}
+		if _, ierr := s.Instantiate(config.Choices{Seed: 1}); !errors.Is(ierr, c.kind) {
+			t.Errorf("Instantiate: want %v, got %v", c.kind, ierr)
+		}
+	}
+}
+
+func TestInstantiateRejectsBadChoices(t *testing.T) {
+	for _, c := range []config.Choices{
+		{Partition: []int{0}},
+		{Partition: []int{0, -1}},
+		{FidelityOverride: map[string]core.Fidelity{"lazy": core.Coarse}},
+	} {
+		s, _, _ := smallSystem()
+		s.Topo.AddLazyHost("lazy", proto.HostIP(50), 0, sim.Gbps, sim.Microsecond)
+		if _, err := s.Instantiate(c); !errors.Is(err, config.ErrBadChoice) {
+			t.Errorf("%+v: want ErrBadChoice, got %v", c, err)
 		}
 	}
 }
@@ -104,10 +135,10 @@ func TestInstantiateProtocolLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Cores() != 1 {
-		t.Fatalf("protocol-level cores = %d, want 1", inst.Cores())
+	if inst.Sim.NumComponents() != 1 {
+		t.Fatalf("protocol-level cores = %d, want 1", inst.Sim.NumComponents())
 	}
-	inst.RunSequential(10 * sim.Millisecond)
+	inst.Sim.RunSequential(10 * sim.Millisecond)
 	if *received == 0 || len(*rtts) == 0 {
 		t.Fatal("workload did not run")
 	}
@@ -126,7 +157,7 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.RunSequential(10 * sim.Millisecond)
+	inst.Sim.RunSequential(10 * sim.Millisecond)
 
 	// (b) the server detailed (mixed fidelity).
 	s2, received2, mixedRtts := smallSystem()
@@ -137,13 +168,13 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst2.Cores() != 3 { // net + host + nic
-		t.Fatalf("mixed cores = %d, want 3", inst2.Cores())
+	if inst2.Sim.NumComponents() != 3 { // net + host + nic
+		t.Fatalf("mixed cores = %d, want 3", inst2.Sim.NumComponents())
 	}
 	if inst2.Detailed["server"] == nil || inst2.NetHosts["cli0"] == nil {
 		t.Fatal("host registries incomplete")
 	}
-	inst2.RunSequential(10 * sim.Millisecond)
+	inst2.Sim.RunSequential(10 * sim.Millisecond)
 	if *received2 == 0 {
 		t.Fatal("mixed-fidelity workload did not run")
 	}
@@ -157,16 +188,16 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 	// (c) partitioned network: one partition per switch, still one system.
 	s3, received3, _ := smallSystem()
 	inst3, err := s3.Instantiate(config.Choices{
-		Seed:        1,
-		PartitionOf: func(name string) int { return int(name[2] - '0') },
+		Seed:      1,
+		Partition: []int{0, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inst3.Parts) != 2 {
-		t.Fatalf("parts = %d, want 2", len(inst3.Parts))
+	if len(inst3.Built.Parts) != 2 {
+		t.Fatalf("parts = %d, want 2", len(inst3.Built.Parts))
 	}
-	inst3.RunSequential(10 * sim.Millisecond)
+	inst3.Sim.RunSequential(10 * sim.Millisecond)
 	if *received3 == 0 {
 		t.Fatal("partitioned workload did not run")
 	}
@@ -175,8 +206,8 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 func TestPartitionedCoupledRun(t *testing.T) {
 	s, received, _ := smallSystem()
 	inst, err := s.Instantiate(config.Choices{
-		Seed:        1,
-		PartitionOf: func(name string) int { return int(name[2] - '0') },
+		Seed:      1,
+		Partition: []int{0, 1},
 		FidelityOverride: map[string]core.Fidelity{
 			"server": core.Coarse,
 		},
@@ -184,7 +215,7 @@ func TestPartitionedCoupledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.RunCoupled(10 * sim.Millisecond); err != nil {
+	if err := inst.Sim.RunCoupled(10 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if *received == 0 {
@@ -202,7 +233,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 		s, received, rtts := smallSystem()
 		inst, err := s.Instantiate(config.Choices{
 			Seed:             1,
-			PartitionOf:      func(name string) int { return int(name[2] - '0') },
+			Partition:        []int{0, 1},
 			FidelityOverride: map[string]core.Fidelity{"server": core.Coarse},
 		})
 		if err != nil {
@@ -212,7 +243,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 	}
 
 	refInst, refReceived, refRtts := build()
-	refInst.RunSequential(end)
+	refInst.Sim.RunSequential(end)
 	if *refReceived == 0 {
 		t.Fatal("reference run carried no traffic")
 	}
@@ -254,7 +285,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := inst.Plan(p)
+	pl, err := inst.Sim.Plan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +301,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 
 func TestClockConfiguration(t *testing.T) {
 	s, _, _ := smallSystem()
-	s.HostByName("server").OscDriftPPM = 40
-	s.HostByName("server").OscOffset = sim.Millisecond
+	s.Host(0).Osc = hostsim.Oscillator{DriftPPM: 40, Offset: sim.Millisecond, WanderPPM: 1, Phase: 2}
 	inst, err := s.Instantiate(config.Choices{
 		Seed:             1,
 		FidelityOverride: map[string]core.Fidelity{"server": core.Coarse},
@@ -279,15 +309,22 @@ func TestClockConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := inst.Detailed["server"].Host
-	if h.Clock.Osc.DriftPPM != 40 || h.Clock.Osc.Offset != sim.Millisecond {
-		t.Fatal("oscillator configuration not applied")
+	if got := inst.Detailed["server"].Host.Clock.Osc; got != s.Host(0).Osc {
+		t.Fatalf("oscillator %+v, want %+v", got, s.Host(0).Osc)
 	}
 }
 
-func TestHostByName(t *testing.T) {
+// TestHostBySlot checks the per-slot configuration accessor: one entry per
+// slot, created on first use, and AddHost's entry is its slot's.
+func TestHostBySlot(t *testing.T) {
 	s, _, _ := smallSystem()
-	if s.HostByName("server") == nil || s.HostByName("ghost") != nil {
-		t.Fatal("HostByName broken")
+	if s.Host(0) != s.Host(0) || s.Host(0) == s.Host(1) {
+		t.Fatal("Host must return one configuration per slot")
+	}
+	if h := s.AddHost("extra", "sw0", sim.Gbps, sim.Microsecond); h != s.Host(len(s.Topo.Hosts)-1) {
+		t.Fatal("AddHost's configuration is not its slot's")
+	}
+	if ip := s.Topo.Hosts[3].IP; ip != proto.HostIP(4) {
+		t.Fatalf("AddHost assigned %v to slot 3, want %v", ip, proto.HostIP(4))
 	}
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -10,115 +11,89 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nicsim"
 	"repro/internal/orch"
-	"repro/internal/sim"
 )
 
 // Choices carries the instantiation decisions — everything about *how* to
 // simulate, none of it about *what* is simulated. This is the paper's
 // second step: one System can be instantiated many ways.
 type Choices struct {
-	// Seed drives all randomness.
+	// Seed drives the network's randomness and the seeds of detailed hosts
+	// that declare none.
 	Seed uint64
-	// DefaultFidelity applies to hosts whose Fidelity matches Unset.
+	// DefaultFidelity applies to hosts whose Fidelity is ProtocolLevel.
 	DefaultFidelity core.Fidelity
 	// FidelityOverride forces a fidelity per host name (optional).
 	FidelityOverride map[string]core.Fidelity
 	// HostParams maps a fidelity tier to detailed-host parameters; nil
 	// picks QemuParams/Gem5Params.
 	HostParams func(f core.Fidelity) hostsim.Params
-	// NICParams configures the NIC model for detailed hosts; the zero
-	// value picks nicsim.DefaultParams with the host's link rate.
-	NICParams *nicsim.Params
-	// PartitionOf assigns each switch (by name) to a network partition;
-	// nil leaves the whole network in one component.
-	PartitionOf func(switchName string) int
+	// Partition assigns each switch, by index, to a network partition; nil
+	// leaves the whole network in one component.
+	Partition []int
 }
 
 // Instance is a runnable instantiation. Sim is a regular orchestration
-// configuration — callers can keep wiring onto it by hand, exactly as the
-// paper lets users modify the emitted SimBricks configuration.
+// configuration — callers run it and can keep wiring onto it by hand,
+// exactly as the paper lets users modify the emitted SimBricks
+// configuration.
 type Instance struct {
 	Sim *orch.Simulation
-	// Parts holds the network partition components.
-	Parts []*netsim.Network
+	// Built is the network build: partitions, switches, host slots, and
+	// each link's ifaces (Built.LinkIfaces).
+	Built *netsim.Built
 	// NetHosts maps protocol-level host names to their simulated hosts.
 	NetHosts map[string]*netsim.Host
 	// Detailed maps detailed host names to their host+NIC pairs.
 	Detailed map[string]*instantiate.DetailedHost
-	// Built exposes the underlying topology build.
-	Built *netsim.Built
-
-	hostSlot map[string]int // host name → topology slot, for placement math
 }
 
 // fidelityOf resolves a host's effective fidelity under the choices.
-func (c Choices) fidelityOf(h *Host) core.Fidelity {
-	if f, ok := c.FidelityOverride[h.Name]; ok {
+func (c Choices) fidelityOf(name string, h *Host) core.Fidelity {
+	if f, ok := c.FidelityOverride[name]; ok {
 		return f
 	}
-	if h.Fidelity != core.ProtocolLevel {
+	if h != nil && h.Fidelity != core.ProtocolLevel {
 		return h.Fidelity
 	}
 	return c.DefaultFidelity
 }
 
-// Instantiate validates the system and assembles the simulation.
+// Instantiate validates the system and assembles the simulation: the
+// topology built under c's partitioning, every host slot whose fidelity
+// is not protocol-level replaced by a host+NIC pair wired to its external
+// port, in slot order, and every app bound to the host it was declared on.
 func (s *System) Instantiate(c Choices) (*Instance, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-
-	// Translate to the topology layer.
-	topo := &netsim.Topology{}
-	swIdx := make(map[string]int, len(s.Switches))
-	for _, sw := range s.Switches {
-		swIdx[sw.Name] = topo.AddSwitch(sw.Name)
-		topo.Switches[swIdx[sw.Name]].TC = sw.TC
-	}
-	hostSlot := make(map[string]int, len(s.Hosts))
-	for _, h := range s.Hosts {
-		slot := topo.AddHost(h.Name, s.autoIP(h), swIdx[h.Switch], h.LinkRate, h.LinkDelay)
-		hostSlot[h.Name] = slot
-		if c.fidelityOf(h) != core.ProtocolLevel {
-			topo.MakeExternal(slot)
+	// Build a copy whose External flags follow this instantiation's
+	// fidelities, so one System instantiates any number of ways.
+	topo := *s.Topo
+	topo.Hosts = slices.Clone(topo.Hosts)
+	for slot := range topo.Hosts {
+		th := &topo.Hosts[slot]
+		th.External = c.fidelityOf(th.Name, s.Hosts[slot]) != core.ProtocolLevel
+		if th.External && th.Lazy {
+			return nil, fmt.Errorf("%w: lazy host slot %q cannot be detailed", ErrBadChoice, th.Name)
 		}
 	}
-	for _, l := range s.Links {
-		topo.AddLink(swIdx[l.A], swIdx[l.B], l.Rate, l.Delay)
+	if c.Partition != nil && (len(c.Partition) != len(topo.Switches) || slices.Min(c.Partition) < 0) {
+		return nil, fmt.Errorf("%w: partition %v for %d switches", ErrBadChoice, c.Partition, len(topo.Switches))
 	}
+	seeds := s.seeds(c.Seed, &topo)
 
-	var assign []int
-	if c.PartitionOf != nil {
-		assign = make([]int, len(topo.Switches))
-		for _, sw := range s.Switches {
-			p := c.PartitionOf(sw.Name)
-			if p < 0 {
-				return nil, fmt.Errorf("config: negative partition for switch %q", sw.Name)
-			}
-			assign[swIdx[sw.Name]] = p
-		}
-	}
-
-	built := topo.Build("net", c.Seed, assign, nil)
+	built := topo.Build("net", c.Seed, c.Partition, nil)
 	inst := &Instance{
 		Sim:      orch.New(),
-		Parts:    built.Parts,
+		Built:    built,
 		NetHosts: make(map[string]*netsim.Host),
 		Detailed: make(map[string]*instantiate.DetailedHost),
-		Built:    built,
-		hostSlot: hostSlot,
 	}
-	instantiate.WirePartitions(inst.Sim, topo, built, true)
-
-	// Install dataplanes.
-	for _, sw := range s.Switches {
-		if sw.Dataplane != nil {
-			built.Switches[swIdx[sw.Name]].Dataplane = sw.Dataplane
-		}
+	instantiate.WirePartitions(inst.Sim, &topo, built, true)
+	for sw, dp := range s.Dataplanes {
+		built.Switches[sw].Dataplane = dp
 	}
 
-	// Hosts: protocol-level apps bind directly; detailed hosts get a
-	// host+NIC pair wired to their external port.
 	hostParams := c.HostParams
 	if hostParams == nil {
 		hostParams = func(f core.Fidelity) hostsim.Params {
@@ -128,59 +103,64 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 			return hostsim.QemuParams()
 		}
 	}
-	for _, h := range s.Hosts {
-		slot := hostSlot[h.Name]
-		fid := c.fidelityOf(h)
-		if fid == core.ProtocolLevel {
-			nh := built.Hosts[slot]
-			inst.NetHosts[h.Name] = nh
-			if apps := h.Apps; len(apps) > 0 {
-				nh.SetApp(netsim.AppFunc(func(hh *netsim.Host) {
+	var none Host
+	for slot, th := range topo.Hosts {
+		h := s.Hosts[slot]
+		if h == nil {
+			h = &none
+		}
+		if !th.External {
+			if len(h.Apps) > 0 {
+				apps := h.Apps
+				built.MaterializeSlot(slot).SetApp(netsim.AppFunc(func(hh *netsim.Host) {
 					for _, a := range apps {
 						a(hh)
 					}
 				}))
 			}
+			if nh := built.Hosts[slot]; nh != nil {
+				inst.NetHosts[th.Name] = nh
+			}
 			continue
 		}
 		np := nicsim.DefaultParams()
-		np.Rate = h.LinkRate
-		if c.NICParams != nil {
-			np = *c.NICParams
+		np.Rate = th.Rate
+		if h.NIC != nil {
+			np = *h.NIC
 		}
-		dh := instantiate.NewDetailedHost(h.Name, topo.Hosts[slot].IP,
-			hostParams(fid), np, c.Seed^uint64(slot+1))
-		if h.Cores > 1 {
-			dh.Host.SetCores(h.Cores)
-		}
-		if h.OscDriftPPM != 0 || h.OscOffset != 0 {
-			dh.Host.Clock.Osc = hostsim.Oscillator{
-				Offset: h.OscOffset, DriftPPM: h.OscDriftPPM,
-			}
-		}
+		dh := instantiate.NewDetailedHost(th.Name, th.IP, hostParams(c.fidelityOf(th.Name, h)), np, seeds[slot])
+		dh.Host.Clock.Osc = h.Osc
 		for _, app := range h.Apps {
 			dh.Host.AddApp(hostsim.AppFunc(func(hh *hostsim.Host) { app(hh) }))
 		}
 		dh.Wire(inst.Sim, built.Parts[built.HostPart[slot]], built.Exts[slot])
-		inst.Detailed[h.Name] = dh
+		inst.Detailed[th.Name] = dh
 	}
 	return inst, nil
 }
 
-// RunSequential executes the instance until end on one scheduler.
-func (i *Instance) RunSequential(end sim.Time) *sim.Scheduler {
-	return i.Sim.RunSequential(end)
-}
-
-// RunCoupled executes the instance with one goroutine per component.
-func (i *Instance) RunCoupled(end sim.Time) error {
-	return i.Sim.RunCoupled(end)
-}
-
-// Plan resolves a placement against the instance's simulation; execute the
-// plan with its Execute (or RunParallel / RunOptimistic).
-func (i *Instance) Plan(p decomp.Placement) (*orch.ExecutionPlan, error) {
-	return i.Sim.Plan(p)
+// seeds resolves the seed of every detailed (External) slot of topo: its
+// declared one, or seed^(slot+1) moved past every seed already taken, so
+// two detailed hosts share a seed only if both declared it.
+func (s *System) seeds(seed uint64, topo *netsim.Topology) map[int]uint64 {
+	seeds := make(map[int]uint64)
+	taken := make(map[uint64]bool)
+	for slot, h := range s.Hosts {
+		if h != nil && h.seeded && topo.Hosts[slot].External {
+			seeds[slot], taken[h.seed] = h.seed, true
+		}
+	}
+	for slot, th := range topo.Hosts {
+		if _, declared := seeds[slot]; declared || !th.External {
+			continue
+		}
+		d := seed ^ uint64(slot+1)
+		for taken[d] {
+			d += 0x9e3779b97f4a7c15
+		}
+		seeds[slot], taken[d] = d, true
+	}
+	return seeds
 }
 
 // PartPlacement turns a per-partition group assignment — e.g. a coarse
@@ -192,24 +172,23 @@ func (i *Instance) Plan(p decomp.Placement) (*orch.ExecutionPlan, error) {
 // direct ports whenever the partition group allows it). With pairHostNIC
 // false, detailed hosts and NICs instead get fresh per-component groups.
 func (i *Instance) PartPlacement(name string, partGroup []int, pairHostNIC bool) (decomp.Placement, error) {
-	if len(partGroup) != len(i.Parts) {
+	parts := i.Built.Parts
+	if len(partGroup) != len(parts) {
 		return decomp.Placement{}, fmt.Errorf("config: %d part groups for %d partitions",
-			len(partGroup), len(i.Parts))
+			len(partGroup), len(parts))
 	}
-	groupOf := make(map[core.Component]int, len(i.Parts))
-	for pi, part := range i.Parts {
+	groupOf := make(map[core.Component]int, len(parts))
+	for pi, part := range parts {
 		groupOf[part] = partGroup[pi]
 	}
 	if pairHostNIC {
-		for name, dh := range i.Detailed {
-			slot := i.hostSlot[name]
-			g := partGroup[i.Built.HostPart[slot]]
-			groupOf[dh.Host] = g
-			groupOf[dh.NIC] = g
+		for slot, th := range i.Built.Topo().Hosts {
+			if dh := i.Detailed[th.Name]; dh != nil && th.External {
+				g := partGroup[i.Built.HostPart[slot]]
+				groupOf[dh.Host] = g
+				groupOf[dh.NIC] = g
+			}
 		}
 	}
 	return decomp.Placement{Name: name, Groups: instantiate.ComponentGroups(i.Sim, groupOf)}, nil
 }
-
-// Cores returns the component count (the paper's core accounting).
-func (i *Instance) Cores() int { return i.Sim.NumComponents() }

@@ -7,11 +7,11 @@ import (
 	"repro/internal/apps/clocksync"
 	"repro/internal/apps/crdb"
 	"repro/internal/apps/kv"
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/hostsim"
-	"repro/internal/instantiate"
 	"repro/internal/netsim"
 	"repro/internal/nicsim"
-	"repro/internal/orch"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -101,40 +101,132 @@ func clockSyncSpec(opts Options) netsim.ThreeTierSpec {
 	return spec
 }
 
-// runClockSync executes one mode.
-func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
-	spec := clockSyncSpec(opts)
-	topo, meta := netsim.ThreeTier(spec)
+// clockSyncCase is one mode's declared system and the handles its
+// measurement reads.
+type clockSyncCase struct {
+	sys *config.System
+	// leader is the leader replica's chrony.
+	leader *clocksync.Chrony
+	// clients are the four detailed clients.
+	clients []*kv.Client
+	// ptp lists the PTP slaves by host name; each needs its host's NIC,
+	// which exists once the system is instantiated.
+	ptp map[string]*clocksync.PTPSlave
+}
+
+// onHost adapts an app that needs the detailed host's clock and NIC.
+func onHost(run func(*hostsim.Host)) config.App {
+	return func(h core.Host) { run(h.(*hostsim.Host)) }
+}
+
+// clockSyncSystem declares the case study: the datacenter with transparent
+// clocks everywhere, and seven detailed hosts — replicas in the first rack
+// of agg0, the clock server in agg0's third rack, two measured write
+// clients beside the leader and two social-mix clients across the
+// datacenter — running chrony, NTP or PTP, the commit-wait database and
+// its clients. Every other host is protocol-level background load.
+func clockSyncSystem(mode ClockSyncMode, opts Options, warm sim.Time) *clockSyncCase {
+	topo, meta := netsim.ThreeTier(clockSyncSpec(opts))
 	for i := range topo.Switches {
 		topo.Switches[i].TC = true // PTP transparent clocks everywhere
 	}
-
-	// Reserve 7 host slots for the detailed machines: replicas in the
-	// first rack of agg0/agg1, clock server in agg0 rack1, clients spread.
-	slots := []int{
-		meta.HostsByRack[0][0][0], // replica 0 (leader)
-		meta.HostsByRack[0][1][0], // replica 1 (adjacent rack, same agg)
-		meta.HostsByRack[0][2][0], // clock server
-		// Measured write clients sit in the leader's rack (short paths, so
-		// the commit wait is a visible share of write latency)...
-		meta.HostsByRack[0][0][1], meta.HostsByRack[0][0][2],
-		// ...while the social-mix clients run across the datacenter.
-		meta.HostsByRack[2][0][0], meta.HostsByRack[3][0][0],
+	cs := &clockSyncCase{sys: &config.System{Topo: topo}, ptp: make(map[string]*clocksync.PTPSlave)}
+	// declare names slot name's detailed host: a qemu machine seeded
+	// opts.Seed+k whose oscillator (and NIC PHC, 5 ppm off it) drifts by
+	// drift ppm with a slow wander; drift 0 is a perfect reference.
+	declare := func(name string, slot, k int, drift float64, apps ...config.App) {
+		topo.Hosts[slot].Name = name
+		seed := opts.Seed + uint64(k)
+		h := cs.sys.Host(slot).SetSeed(seed)
+		h.Fidelity, h.Apps = core.Coarse, apps
+		if drift != 0 {
+			np := nicsim.DefaultParams()
+			np.PHCDriftPPM = drift + 5
+			h.NIC = &np
+			h.Osc = hostsim.Oscillator{
+				Offset:   sim.Time(seed%7) * sim.Millisecond,
+				DriftPPM: drift, WanderPPM: 1,
+				WanderPeriod: 10 * sim.Second, Phase: float64(seed),
+			}
+		}
 	}
-	for _, s := range slots {
-		topo.MakeExternal(s)
-	}
-	b := topo.Build("net", opts.Seed, nil, nil)
-	net := b.Parts[0]
+	rack := meta.HostsByRack
+	leaderIP, followerIP := topo.Hosts[rack[0][0][0]].IP, topo.Hosts[rack[0][1][0]].IP
+	clockIP := topo.Hosts[rack[0][2][0]].IP
 
-	s := orch.New()
-	s.Add(net)
+	// Clock synchronization: chrony on both replicas.
+	syncInterval := 50 * sim.Millisecond
+	chrony := func(name string) (*clocksync.Chrony, []config.App) {
+		ch := clocksync.NewChrony()
+		apps := []config.App{onHost(ch.Run)}
+		switch mode {
+		case ModeNTP:
+			nc := &clocksync.NTPClient{Server: clockIP, Poll: syncInterval}
+			nc.OnMeasurement = ch.OnMeasurement
+			apps = append(apps, onHost(nc.Run))
+		case ModePTP:
+			slave := &clocksync.PTPSlave{Master: clockIP}
+			ref := &clocksync.PHCRefClock{Slave: slave, Poll: syncInterval}
+			ref.OnMeasurement = ch.OnMeasurement
+			cs.ptp[name] = slave
+			apps = append(apps, onHost(slave.Run), onHost(ref.Run))
+		}
+		return ch, apps
+	}
+	// Commit-wait database: the leader replicates to the follower; commit
+	// wait is the leader chrony's live bound.
+	leader, leaderApps := chrony("replica0")
+	cs.leader = leader
+	lp := crdb.DefaultParams()
+	lp.Follower = followerIP
+	lp.Bound = leader.Bound
+	declare("replica0", rack[0][0][0], 1, 32, append(leaderApps, crdb.NewServer(lp).Run)...)
+	_, followerApps := chrony("replica1")
+	declare("replica1", rack[0][1][0], 2, -21, append(followerApps, crdb.NewServer(crdb.DefaultParams()).Run)...)
+	// The clock server is the stratum-1/GPS reference.
+	var clockApp config.App
+	switch mode {
+	case ModeNTP:
+		clockApp = onHost((&clocksync.NTPServer{}).Run)
+	case ModePTP:
+		gm := &clocksync.PTPMaster{Slaves: []proto.IP{leaderIP, followerIP}, Interval: syncInterval}
+		clockApp = onHost(gm.Run)
+	}
+	declare("clocksrv", rack[0][2][0], 3, 0, clockApp)
+
+	// Two clients issue the measured write transactions from the leader's
+	// rack (short paths, so the commit wait is a visible share of write
+	// latency); two issue the read-mostly social mix across the datacenter.
+	for i, slot := range []int{rack[0][0][1], rack[0][0][2], rack[2][0][0], rack[3][0][0]} {
+		cp := crdb.SocialClientParams(uint32(i), leaderIP)
+		cp.WarmUp = warm
+		cp.Outstanding = 1
+		if i < 2 {
+			cp.WriteFrac = 1
+		}
+		cli := kv.NewClient(cp)
+		cs.clients = append(cs.clients, cli)
+		declare(fmt.Sprintf("client%d", i), slot, 4+i, []float64{18, -9, 44, 27}[i], cli.Run)
+	}
+	return cs
+}
+
+// runClockSync executes one mode.
+func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
+	spec := clockSyncSpec(opts)
+	dur := opts.Dur(20*sim.Second, 2*sim.Second)
+	warm := dur / 4
+	cs := clockSyncSystem(mode, opts, warm)
+	inst := mustInstantiate(cs.sys, config.Choices{Seed: opts.Seed})
+	for name, slave := range cs.ptp {
+		slave.NIC = inst.Detailed[name].NIC
+	}
 
 	// Background bulk pairs among all remaining protocol-level hosts,
 	// sized to load the aggregation/core layer to ~30%. Jumbo frames keep
 	// simulated event counts manageable at full scale.
 	var bg []*netsim.Host
-	for _, h := range b.Hosts {
+	for _, h := range inst.Built.Hosts {
 		if h != nil {
 			bg = append(bg, h)
 		}
@@ -143,105 +235,17 @@ func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
 	pairRate := min(0.3*float64(spec.CoreRate)*float64(spec.Aggs)/float64(len(pairs)), 0.3*float64(spec.HostRate))
 	bulkTraffic(pairs, 8900, pairRate, false, nil) // jumbo frames
 
-	// Detailed hosts.
-	mkHost := func(slot int, name string, seed uint64, drift float64) *instantiate.DetailedHost {
-		ip := topo.Hosts[slot].IP
-		np := nicsim.DefaultParams()
-		if drift != 0 {
-			np.PHCDriftPPM = drift + 5
-		}
-		dh := instantiate.NewDetailedHost(name, ip, hostsim.QemuParams(), np, seed)
-		if drift != 0 {
-			dh.Host.Clock.Osc = hostsim.Oscillator{
-				Offset:   sim.Time(seed%7) * sim.Millisecond,
-				DriftPPM: drift, WanderPPM: 1,
-				WanderPeriod: 10 * sim.Second, Phase: float64(seed),
-			}
-		}
-		dh.Wire(s, net, b.Exts[slot])
-		return dh
-	}
-	leader := mkHost(slots[0], "replica0", opts.Seed+1, 32)
-	follower := mkHost(slots[1], "replica1", opts.Seed+2, -21)
-	// The clock server is the stratum-1/GPS reference: perfect oscillator.
-	clock := mkHost(slots[2], "clocksrv", opts.Seed+3, 0)
-	var clients []*instantiate.DetailedHost
-	for i := 0; i < 4; i++ {
-		clients = append(clients, mkHost(slots[3+i], fmt.Sprintf("client%d", i),
-			opts.Seed+uint64(4+i), []float64{18, -9, 44, 27}[i]))
-	}
-
-	// Clock synchronization: chrony on both replicas.
-	syncInterval := 50 * sim.Millisecond
-	mkChrony := func(dh *instantiate.DetailedHost) *clocksync.Chrony {
-		ch := clocksync.NewChrony()
-		dh.Host.AddApp(hostsim.AppFunc(ch.Run))
-		switch mode {
-		case ModeNTP:
-			nc := &clocksync.NTPClient{Server: clock.Host.LocalIP(), Poll: syncInterval}
-			nc.OnMeasurement = ch.OnMeasurement
-			dh.Host.AddApp(hostsim.AppFunc(nc.Run))
-		case ModePTP:
-			slave := &clocksync.PTPSlave{Master: clock.Host.LocalIP(), NIC: dh.NIC}
-			ref := &clocksync.PHCRefClock{Slave: slave, NIC: dh.NIC, Poll: syncInterval}
-			ref.OnMeasurement = ch.OnMeasurement
-			dh.Host.AddApp(hostsim.AppFunc(slave.Run))
-			dh.Host.AddApp(hostsim.AppFunc(ref.Run))
-		}
-		return ch
-	}
-	leaderChrony := mkChrony(leader)
-	mkChrony(follower)
-	switch mode {
-	case ModeNTP:
-		srv := &clocksync.NTPServer{}
-		clock.Host.AddApp(hostsim.AppFunc(srv.Run))
-	case ModePTP:
-		gm := &clocksync.PTPMaster{
-			Slaves:   []proto.IP{leader.Host.LocalIP(), follower.Host.LocalIP()},
-			Interval: syncInterval,
-		}
-		clock.Host.AddApp(hostsim.AppFunc(gm.Run))
-	}
-
-	// Commit-wait database: leader replicates to follower; commit wait is
-	// the leader chrony's live bound.
-	lp := crdb.DefaultParams()
-	lp.Follower = follower.Host.LocalIP()
-	lp.Bound = leaderChrony.Bound
-	leaderSrv := crdb.NewServer(lp)
-	leader.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { leaderSrv.Run(h) }))
-	followerSrv := crdb.NewServer(crdb.DefaultParams())
-	follower.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { followerSrv.Run(h) }))
-
-	dur := opts.Dur(20*sim.Second, 2*sim.Second)
-	warm := dur / 4
-	// Two clients issue the measured write transactions; two issue the
-	// read-mostly social background mix.
-	var kvClients []*kv.Client
-	for i, c := range clients {
-		cp := crdb.SocialClientParams(uint32(i), leader.Host.LocalIP())
-		cp.WarmUp = warm
-		cp.Outstanding = 1
-		if i < 2 {
-			cp.WriteFrac = 1
-		}
-		cli := kv.NewClient(cp)
-		kvClients = append(kvClients, cli)
-		c.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { cli.Run(h) }))
-	}
-
-	m := newScenario(s, dur).run("", nil)
+	m := newScenario(inst.Sim, dur).run("", nil)
 	row := ClockSyncRow{
 		Mode:            mode,
-		Bound:           leaderChrony.Bounds.Mean(),
-		TrueErr:         leaderChrony.TrueError(),
-		Cores:           s.NumComponents(),
+		Bound:           cs.leader.Bounds.Mean(),
+		TrueErr:         cs.leader.TrueError(),
+		Cores:           inst.Sim.NumComponents(),
 		BackgroundHosts: len(bg),
 	}
 	var writes uint64
 	var wl, rl stats.Latency
-	for _, c := range kvClients {
+	for _, c := range cs.clients {
 		writes += uint64(c.WriteLat.Count())
 		for _, pt := range c.WriteLat.CDF(200) {
 			wl.Add(pt.Value)

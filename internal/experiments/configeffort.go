@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/stats"
@@ -14,17 +16,20 @@ import (
 // §4.6 — configuration and orchestration effort. The paper counts the
 // lines of Python needed to configure each evaluation (252 lines for the
 // whole clock-sync study, 195 of them app command generation; the reusable
-// topology module is 195 lines). The Go analog: this harness counts the
-// experiment-configuration code in this repository and the reusable
-// topology/instantiation modules it shares, demonstrating the same
-// separation of system configuration from simulator choices.
+// topology module is 195 lines). The Go analog counts, per case study, the
+// functions that declare its config.System and instantiate it under each
+// cell's Choices, and, as shared modules, the topology constructors and
+// the config package that turns any declared system into simulators.
 
 // ConfigEffortRow is one artifact's size.
 type ConfigEffortRow struct {
 	Artifact string
-	File     string
-	Lines    int
-	Shared   bool // reusable across experiments
+	// File is the file or package counted; Funcs, when set, narrows the
+	// count to those functions.
+	File   string
+	Funcs  []string
+	Lines  int
+	Shared bool // reusable across experiments
 }
 
 // ConfigEffortResult lists measured configuration sizes.
@@ -40,7 +45,11 @@ func (r *ConfigEffortResult) String() string {
 		if row.Shared {
 			shared = "yes"
 		}
-		t.Row(row.Artifact, row.File, row.Lines, shared)
+		file := row.File
+		if len(row.Funcs) > 0 {
+			file += ": " + strings.Join(row.Funcs, ", ")
+		}
+		t.Row(row.Artifact, file, row.Lines, shared)
 	}
 	var b strings.Builder
 	b.WriteString("Config & orchestration effort (paper: clock-sync config = 252 lines of\n")
@@ -49,22 +58,38 @@ func (r *ConfigEffortResult) String() string {
 	return b.String()
 }
 
-// countLines counts non-blank, non-comment lines of a Go file.
-func countLines(path string) (int, error) {
+// countLines counts the non-blank, non-comment lines of a Go file — only
+// those inside the named functions (or methods) when funcs is non-empty.
+func countLines(path string, funcs []string) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := parser.ParseFile(token.NewFileSet(), path, raw, 0); err != nil {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, raw, 0)
+	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, line := range strings.Split(string(raw), "\n") {
-		l := strings.TrimSpace(line)
-		if l == "" || strings.HasPrefix(l, "//") {
-			continue
+	lines := strings.Split(string(raw), "\n")
+	if len(funcs) > 0 {
+		var in []string
+		found := 0
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && slices.Contains(funcs, fd.Name.Name) {
+				in = append(in, lines[fset.Position(fd.Pos()).Line-1:fset.Position(fd.End()).Line]...)
+				found++
+			}
 		}
-		n++
+		if found != len(funcs) {
+			return 0, fmt.Errorf("found %d of the functions %v", found, funcs)
+		}
+		lines = in
+	}
+	n := 0
+	for _, line := range lines {
+		if l := strings.TrimSpace(line); l != "" && !strings.HasPrefix(l, "//") {
+			n++
+		}
 	}
 	return n, nil
 }
@@ -77,29 +102,31 @@ func ConfigEffort(dir string) (*ConfigEffortResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := []struct {
-		artifact string
-		rel      string
-		shared   bool
-	}{
-		{"clock-sync case study config", "internal/experiments/clocksync.go", false},
-		{"in-network case study config", "internal/experiments/fig4.go", false},
-		{"DCTCP case study config", "internal/experiments/fig6.go", false},
-		{"partitioning study config", "internal/experiments/fig9.go", false},
-		{"shared scenario module", "internal/experiments/scenario.go", true},
-		{"shared topology module", "internal/netsim/builders.go", true},
-		{"shared instantiation module", "internal/instantiate/instantiate.go", true},
-	}
-	r := &ConfigEffortResult{}
-	for _, e := range entries {
-		path := filepath.Join(root, e.rel)
-		n, err := countLines(path)
-		if err != nil {
-			return nil, fmt.Errorf("configeffort: %s: %w", e.rel, err)
+	r := &ConfigEffortResult{Rows: []ConfigEffortRow{
+		{Artifact: "clock-sync case study config", File: "internal/experiments/clocksync.go",
+			Funcs: []string{"clockSyncSystem", "runClockSync"}},
+		{Artifact: "in-network case study config", File: "internal/experiments/fig4.go",
+			Funcs: []string{"kvSystem", "fig4Run"}},
+		{Artifact: "DCTCP case study config", File: "internal/experiments/fig6.go",
+			Funcs: []string{"fig6Run"}},
+		{Artifact: "partitioning study config", File: "internal/experiments/fig9.go",
+			Funcs: []string{"fig9System", "fig9Run"}},
+		{Artifact: "shared topology module", File: "internal/netsim/builders.go", Shared: true},
+		{Artifact: "shared instantiation module", File: "internal/config", Shared: true},
+	}}
+	for i, row := range r.Rows {
+		paths := []string{filepath.Join(root, row.File)}
+		if !strings.HasSuffix(row.File, ".go") { // a package: its non-test files
+			all, _ := filepath.Glob(filepath.Join(root, row.File, "*.go"))
+			paths = slices.DeleteFunc(all, func(p string) bool { return strings.HasSuffix(p, "_test.go") })
 		}
-		r.Rows = append(r.Rows, ConfigEffortRow{
-			Artifact: e.artifact, File: e.rel, Lines: n, Shared: e.shared,
-		})
+		for _, path := range paths {
+			n, err := countLines(path, row.Funcs)
+			if err != nil {
+				return nil, fmt.Errorf("configeffort: %s: %w", row.File, err)
+			}
+			r.Rows[i].Lines += n
+		}
 	}
 	return r, nil
 }

@@ -5,6 +5,12 @@ import (
 	"strings"
 
 	"repro/internal/apps/kv"
+	"repro/internal/apps/netcache"
+	"repro/internal/apps/pegasus"
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/instantiate"
+	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -90,13 +96,14 @@ func (r *Fig4Result) String() string {
 	return b.String()
 }
 
-// fig4Params collects the case study's fixed parameters.
+// fig4Params collects the case study's parameters.
 type fig4Params struct {
 	nServers, nClients int
 	serverLinkRate     int64
 	clientLinkRate     int64
 	valueSize          int
-	outstanding        int // closed-loop window per client (offered load)
+	outstanding        int     // closed-loop window per client (offered load)
+	rate               float64 // open-loop requests/s per client; 0: closed-loop
 	hotKeys            int
 	serverParams       kv.ServerParams
 	warmup             sim.Time
@@ -119,15 +126,61 @@ func defaultFig4Params() fig4Params {
 
 const fig4VIP = proto.IP(0x0a00ff01)
 
+// kvSystem declares the in-network KV case study (Figs. 4 and 5): two
+// servers and three clients on one switch running the dataplane, and
+// returns it with its clients. Which hosts run detailed is a cell's choice;
+// server i's host seed is opts.Seed+i, client i's clientSeed(i).
+func kvSystem(dataplane Fig4System, opts Options, p fig4Params, clientSeed func(i int) uint64) (*config.System, []*kv.Client) {
+	sys := &config.System{Topo: &netsim.Topology{}}
+	sw := sys.Topo.AddSwitch("sw")
+	serverIPs := make([]proto.IP, p.nServers)
+	for i := range serverIPs {
+		serverIPs[i] = proto.HostIP(uint32(100 + i))
+	}
+	switch dataplane {
+	case SystemNetCache:
+		sys.Dataplanes = map[int]netsim.Dataplane{sw: netcache.New(p.hotKeys, p.serverParams.ValueSize)}
+	case SystemPegasus:
+		sys.Dataplanes = map[int]netsim.Dataplane{sw: pegasus.New(fig4VIP, serverIPs, p.hotKeys)}
+	}
+	for i, ip := range serverIPs {
+		slot := sys.Topo.AddHost(fmt.Sprintf("srv%d", i), ip, sw, p.serverLinkRate, instantiate.EthLatency)
+		sys.Host(slot).SetSeed(opts.Seed + uint64(i)).Apps = []config.App{kv.NewServer(p.serverParams).Run}
+	}
+	var clients []*kv.Client
+	for i := 0; i < p.nClients; i++ {
+		cp := kv.DefaultClientParams(uint32(i), serverIPs)
+		cp.Outstanding = p.outstanding
+		cp.ValueSize = p.valueSize
+		cp.WarmUp = p.warmup
+		if dataplane == SystemPegasus {
+			cp.VIP = fig4VIP
+		}
+		if p.rate > 0 {
+			cp.Outstanding, cp.Rate = 0, p.rate
+		}
+		cli := kv.NewClient(cp)
+		clients = append(clients, cli)
+		slot := sys.Topo.AddHost(fmt.Sprintf("cli%d", i), proto.HostIP(uint32(1+i)), sw,
+			p.clientLinkRate, instantiate.EthLatency)
+		sys.Host(slot).SetSeed(clientSeed(i)).Apps = []config.App{cli.Run}
+	}
+	return sys, clients
+}
+
 // fig4Run builds and runs one (system, config) cell.
 func fig4Run(sys Fig4System, cfg Fig4Config, opts Options, p fig4Params, dur sim.Time) Fig4Cell {
-	sc, clients := kvCase{
-		sys:             sys,
-		detailedServers: cfg == ConfigE2E || cfg == ConfigMixed,
-		detailedClient:  func(i int) (uint64, bool) { return opts.Seed + uint64(10+i), cfg == ConfigE2E },
-	}.build(opts, p, dur)
-	m := sc.run("", nil)
-	cell := Fig4Cell{System: sys, Config: cfg, Cores: sc.sim.NumComponents(), WallMs: m.wallMs}
+	system, clients := kvSystem(sys, opts, p, func(i int) uint64 { return opts.Seed + uint64(10+i) })
+	c := config.Choices{Seed: opts.Seed}
+	switch cfg {
+	case ConfigE2E:
+		c.DefaultFidelity = core.Coarse
+	case ConfigMixed:
+		c.FidelityOverride = atFidelity(core.Coarse, "srv0", "srv1")
+	}
+	inst := mustInstantiate(system, c)
+	m := newScenario(inst.Sim, dur).run("", nil)
+	cell := Fig4Cell{System: sys, Config: cfg, Cores: inst.Sim.NumComponents(), WallMs: m.wallMs}
 	var completed, hits uint64
 	var all stats.Latency // every client's latency samples, merged
 	for _, c := range clients {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -69,13 +71,16 @@ func (r *Fig5Result) String() string {
 // ns-3 clients, 1 qemu client) under one workload and returns the two
 // measured series.
 func fig5Run(w Fig5Workload, opts Options) []Fig5Series {
-	c := kvCase{sys: SystemPegasus, detailedServers: true,
-		detailedClient: func(i int) (uint64, bool) { return opts.Seed + 99, i == 2 }}
+	p := defaultFig4Params()
 	if w == WorkloadUnsaturated {
-		c.rate = 4000 // far below server capacity
+		p.rate = 4000 // far below server capacity
 	}
-	sc, clients := c.build(opts, defaultFig4Params(), opts.Dur(60*sim.Millisecond, 20*sim.Millisecond))
-	sc.run("", nil)
+	sys, clients := kvSystem(SystemPegasus, opts, p, func(int) uint64 { return opts.Seed + 99 })
+	inst := mustInstantiate(sys, config.Choices{
+		Seed:             opts.Seed,
+		FidelityOverride: atFidelity(core.Coarse, "srv0", "srv1", "cli2"),
+	})
+	newScenario(inst.Sim, opts.Dur(60*sim.Millisecond, 20*sim.Millisecond)).run("", nil)
 
 	series := func(client string, lats ...*stats.Latency) Fig5Series {
 		var merged stats.Latency

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/hostsim"
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
 	"repro/internal/nicsim"
-	"repro/internal/orch"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -94,84 +95,66 @@ func fig6Run(cfg Fig4Config, kPackets int, opts Options) Fig6Point {
 	dur := opts.Dur(60*sim.Millisecond, 30*sim.Millisecond)
 	warmup := 10 * sim.Millisecond
 
-	n := netsim.New("net", opts.Seed)
-	swL := n.AddSwitch("swL")
-	swR := n.AddSwitch("swR")
-	li, ri := n.ConnectSwitches(swL, swR, 10*sim.Gbps, 1*sim.Microsecond)
-	for _, ifc := range []*netsim.Iface{swL.Ifaces()[li], swR.Ifaces()[ri]} {
-		ifc.MarkThresholdBytes = kPackets * (tcpstack.MSS + 54)
-		ifc.QueueCapBytes = 4 << 20
+	// Pair 0 transfers l0->r0 and pair 1 r1->l1, so each direction of the
+	// bottleneck carries one bulk flow.
+	topo, m := netsim.Dumbbell(netsim.DumbbellSpec{
+		HostsPerSide: 2, EdgeRate: 10 * sim.Gbps, BottleneckRate: 10 * sim.Gbps,
+		EdgeDelay: instantiate.EthLatency, BottleneckDelay: sim.Microsecond,
+	})
+	sys := &config.System{Topo: topo}
+	pairs := [2][2]int{{m.Left[0], m.Right[0]}, {m.Right[1], m.Left[1]}}
+	np := fig6NICParams()
+	for i, p := range pairs {
+		sys.Host(p[0]).SetSeed(opts.Seed + uint64(i)).NIC = &np
+		sys.Host(p[1]).SetSeed(opts.Seed + uint64(10+i)).NIC = &np
 	}
-
-	s := orch.New()
-	s.Add(n)
-
-	detailedPairs := 0
-	switch cfg {
-	case ConfigMixed:
-		detailedPairs = 1
-	case ConfigE2E:
-		detailedPairs = 2
-	}
-
-	var rcvs []*tcpstack.Conn
-	var snds []*tcpstack.Conn
-
-	for i := 0; i < 2; i++ {
-		// Pair 0 transfers left->right, pair 1 right->left: each direction
-		// of the bottleneck carries one bulk flow.
-		lIP := proto.HostIP(uint32(1 + i))
-		rIP := proto.HostIP(uint32(101 + i))
-		if i == 1 {
-			lIP, rIP = rIP, lIP
-		}
-		port := uint16(41000 + i)
-		swSnd, swRcv := swL, swR
-		if i == 1 {
-			swSnd, swRcv = swR, swL
-		}
-		if i < detailedPairs {
-			extL := n.AddExternal(swSnd, fmt.Sprintf("l%d", i), 10*sim.Gbps, lIP)
-			extR := n.AddExternal(swRcv, fmt.Sprintf("r%d", i), 10*sim.Gbps, rIP)
-			dl := instantiate.NewDetailedHost(fmt.Sprintf("l%d", i), lIP,
-				fig6HostParams(), fig6NICParams(), opts.Seed+uint64(i))
-			dr := instantiate.NewDetailedHost(fmt.Sprintf("r%d", i), rIP,
-				fig6HostParams(), fig6NICParams(), opts.Seed+uint64(10+i))
-			snd := dl.Host.DialTCP(rIP, port, proto.PortBulk, tcpstack.CCDCTCP, 0, nil)
-			rcv := dr.Host.ListenTCP(lIP, proto.PortBulk, port, tcpstack.CCDCTCP)
-			dl.Host.AddApp(hostsim.AppFunc(func(*hostsim.Host) { snd.StartFlow() }))
-			dl.Wire(s, n, extL)
-			dr.Wire(s, n, extR)
-			snds = append(snds, snd)
-			rcvs = append(rcvs, rcv)
-		} else {
-			hl := n.AddHost(fmt.Sprintf("l%d", i), lIP)
-			hr := n.AddHost(fmt.Sprintf("r%d", i), rIP)
-			n.ConnectHostSwitch(hl, swSnd, 10*sim.Gbps, instantiate.EthLatency)
-			n.ConnectHostSwitch(hr, swRcv, 10*sim.Gbps, instantiate.EthLatency)
-			snd, rcv := netsim.NewFlow(hl, hr, port, proto.PortBulk, netsim.CCDCTCP, 0, nil)
-			hl.SetApp(netsim.AppFunc(func(*netsim.Host) { snd.StartFlow() }))
-			snds = append(snds, snd)
-			rcvs = append(rcvs, rcv)
-		}
-	}
-
-	// Record delivered bytes at warmup end, measure the remainder.
+	// An observer on the left switch records delivered bytes at warmup
+	// end; the remainder is measured.
+	var rcvs, snds []*tcpstack.Conn
 	var atWarmup [2]int64
-	markWarm := netsim.AppFunc(func(h *netsim.Host) {
+	obs := topo.AddHost("obs", proto.HostIP(250), m.SwLeft, sim.Gbps, instantiate.EthLatency)
+	sys.Host(obs).Apps = []config.App{func(h core.Host) {
 		h.After(warmup, func() {
 			for i, r := range rcvs {
 				atWarmup[i] = r.Delivered()
 			}
 		})
-	})
-	// Attach the warmup marker to a fresh observer host on the left switch.
-	obs := n.AddHost("obs", proto.HostIP(250))
-	n.ConnectHostSwitch(obs, swL, sim.Gbps, instantiate.EthLatency)
-	obs.SetApp(markWarm)
-	n.ComputeRoutes()
+	}}
 
-	newScenario(s, dur).run("", nil)
+	c := config.Choices{
+		Seed:       opts.Seed,
+		HostParams: func(core.Fidelity) hostsim.Params { return fig6HostParams() },
+	}
+	switch cfg {
+	case ConfigMixed:
+		c.FidelityOverride = atFidelity(core.Detailed, "l0", "r0")
+	case ConfigE2E:
+		c.FidelityOverride = atFidelity(core.Detailed, "l0", "r0", "l1", "r1")
+	}
+	inst := mustInstantiate(sys, c)
+	for end, sw := range []int{m.SwLeft, m.SwRight} {
+		ifc := inst.Built.Switches[sw].Ifaces()[inst.Built.LinkIfaces[m.Bottleneck][end]]
+		ifc.MarkThresholdBytes = kPackets * (tcpstack.MSS + 54)
+		ifc.QueueCapBytes = 4 << 20
+	}
+	// One DCTCP flow per pair, on whichever tier the pair runs.
+	for i, p := range pairs {
+		src, dst := topo.Hosts[p[0]].Name, topo.Hosts[p[1]].Name
+		port := uint16(41000 + i)
+		var snd, rcv *tcpstack.Conn
+		if dl, dr := inst.Detailed[src], inst.Detailed[dst]; dl != nil {
+			snd = dl.Host.DialTCP(dr.Host.LocalIP(), port, proto.PortBulk, tcpstack.CCDCTCP, 0, nil)
+			rcv = dr.Host.ListenTCP(dl.Host.LocalIP(), proto.PortBulk, port, tcpstack.CCDCTCP)
+			dl.Host.AddApp(hostsim.AppFunc(func(*hostsim.Host) { snd.StartFlow() }))
+		} else {
+			hl := inst.NetHosts[src]
+			snd, rcv = netsim.NewFlow(hl, inst.NetHosts[dst], port, proto.PortBulk, netsim.CCDCTCP, 0, nil)
+			hl.SetApp(netsim.AppFunc(func(*netsim.Host) { snd.StartFlow() }))
+		}
+		snds, rcvs = append(snds, snd), append(rcvs, rcv)
+	}
+
+	newScenario(inst.Sim, dur).run("", nil)
 
 	var bytes int64
 	var rtx uint64

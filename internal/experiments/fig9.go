@@ -5,12 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/apps/kv"
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/decomp"
-	"repro/internal/hostsim"
-	"repro/internal/instantiate"
 	"repro/internal/netsim"
-	"repro/internal/nicsim"
-	"repro/internal/orch"
 	"repro/internal/profiler"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -75,24 +73,33 @@ var Fig9Strategies = []decomp.Strategy{
 	{Name: "rs"},
 }
 
-// fig9Run builds the partitioned datacenter with a detailed host pair
-// exchanging request/response traffic, runs it, and returns the model
-// inputs and the number of network processes.
-func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) (*modelRun, int) {
+// fig9System declares the datacenter with a detailed pair in different
+// aggregation blocks: a KV server (hostB) and a closed-loop client (hostA).
+func fig9System(opts Options) (*config.System, netsim.ThreeTierMeta) {
+	topo, meta := netsim.ThreeTier(clockSyncSpec(opts))
+	sys := &config.System{Topo: topo}
+	slotA, slotB := meta.HostsByRack[0][0][0], meta.HostsByRack[1][0][0]
+	topo.Hosts[slotA].Name, topo.Hosts[slotB].Name = "hostA", "hostB"
+	cp := kv.DefaultClientParams(0, []proto.IP{topo.Hosts[slotB].IP})
+	cp.Outstanding = 4
+	cp.WarmUp = 0
+	a, b := sys.Host(slotA).SetSeed(opts.Seed+1), sys.Host(slotB).SetSeed(opts.Seed+2)
+	a.Apps, b.Apps = []config.App{kv.NewClient(cp).Run}, []config.App{kv.NewServer(kv.DefaultServerParams()).Run}
+	return sys, meta
+}
+
+// fig9Run instantiates the datacenter partitioned by strategy with the
+// detailed pair at hostKind's fidelity, adds the background traffic, runs
+// it, and returns the model inputs and the number of network processes.
+func fig9Run(strategy decomp.Strategy, hostKind core.Fidelity, opts Options) (*modelRun, int) {
 	dur := opts.Dur(500*sim.Millisecond, 100*sim.Millisecond)
-	spec := clockSyncSpec(opts)
-	topo, meta := netsim.ThreeTier(spec)
-	assign := strategy.Assign(meta, len(topo.Switches))
-
-	// Two detailed-host slots in different aggregation blocks.
-	slotA := meta.HostsByRack[0][0][0]
-	slotB := meta.HostsByRack[1][0][0]
-	topo.MakeExternal(slotA)
-	topo.MakeExternal(slotB)
-
-	b := topo.Build("net", opts.Seed, assign, nil)
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, true)
+	sys, meta := fig9System(opts)
+	spec := meta.Spec
+	inst := mustInstantiate(sys, config.Choices{
+		Seed:             opts.Seed,
+		Partition:        strategy.Assign(meta, len(sys.Topo.Switches)),
+		FidelityOverride: atFidelity(hostKind, "hostA", "hostB"),
+	})
 
 	// Background bulk pairs. At full scale they load the core layer to
 	// ~90% with 1500-byte packets, the regime where ns-3 dominates the
@@ -108,7 +115,7 @@ func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) (*modelRun
 	for a := range meta.HostsByRack {
 		for r := range meta.HostsByRack[a] {
 			for _, slot := range meta.HostsByRack[a][r] {
-				if h := b.Hosts[slot]; h != nil {
+				if h := inst.Built.Hosts[slot]; h != nil {
 					bg = append(bg, h)
 					hostAgg[h] = a
 					hostRack[h] = rackID
@@ -155,30 +162,9 @@ func fig9Run(strategy decomp.Strategy, hostKind string, opts Options) (*modelRun
 	pairRate := min(0.9*float64(spec.CoreRate)*float64(spec.Aggs)*opts.scale()/float64(len(pairList)), 0.9*float64(spec.HostRate))
 	bulkTraffic(pairList, 1500, pairRate, false, nil)
 
-	// The detailed pair: a KV server and a closed-loop client.
-	hp := hostsim.QemuParams()
-	if hostKind == "gem5" {
-		hp = hostsim.Gem5Params()
-	}
-	mk := func(slot int, name string, seed uint64) *instantiate.DetailedHost {
-		dh := instantiate.NewDetailedHost(name, topo.Hosts[slot].IP, hp,
-			nicsim.DefaultParams(), seed)
-		dh.Wire(s, b.Parts[b.HostPart[slot]], b.Exts[slot])
-		return dh
-	}
-	hostA := mk(slotA, "hostA", opts.Seed+1)
-	hostB := mk(slotB, "hostB", opts.Seed+2)
-	srv := kv.NewServer(kv.DefaultServerParams())
-	hostB.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { srv.Run(h) }))
-	cp := kv.DefaultClientParams(0, []proto.IP{hostB.Host.LocalIP()})
-	cp.Outstanding = 4
-	cp.WarmUp = 0
-	cli := kv.NewClient(cp)
-	hostA.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { cli.Run(h) }))
-
 	// Undo the load sampling: each simulated background packet stands for
 	// 1/scale packets of the full-scale workload.
-	m := newScenario(s, dur).run("", func(comps []decomp.Comp, links []decomp.Link) {
+	m := newScenario(inst.Sim, dur).run("", func(comps []decomp.Comp, links []decomp.Link) {
 		if f := 1 / opts.scale(); f > 1 {
 			for i := range comps {
 				if strings.HasPrefix(comps[i].Name, "net") {
@@ -199,14 +185,14 @@ const machineCores = 48
 // Fig9 sweeps strategies and host kinds.
 func Fig9(opts Options) *Fig9Result {
 	r := &Fig9Result{}
-	for _, hostKind := range []string{"qemu", "gem5"} {
+	for _, hostKind := range []core.Fidelity{core.Coarse, core.Detailed} {
 		for _, st := range Fig9Strategies {
 			m, parts := fig9Run(st, hostKind, opts)
 			mp := m.mp
 			mp.Cores = machineCores
 			model := decomp.Makespan(m.comps, m.links, mp)
 			r.Points = append(r.Points, Fig9Point{
-				Strategy: st.String(), HostKind: hostKind,
+				Strategy: st.String(), HostKind: hostKind.String(),
 				Parts: parts, Cores: parts + 4,
 				SimSpeed: model.SimSpeed,
 			})
@@ -242,7 +228,7 @@ func (r *Fig10Result) String() string {
 func Fig10(opts Options) *Fig10Result {
 	r := &Fig10Result{}
 	for _, st := range []decomp.Strategy{{Name: "ac"}, {Name: "cr", N: 3}} {
-		m, _ := fig9Run(st, "qemu", opts)
+		m, _ := fig9Run(st, core.Coarse, opts)
 		a := decomp.ModeledAnalysis(m.comps, m.links, m.mp)
 		g := profiler.BuildWTPG(a)
 		switch st.String() {

@@ -5,10 +5,9 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/config"
 	"repro/internal/decomp"
-	"repro/internal/instantiate"
 	"repro/internal/netsim"
-	"repro/internal/orch"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -88,15 +87,13 @@ func buildPlacementStudy(opts Options) (*scenario, *atomic.Uint64) {
 	}
 	topo, meta := netsim.ThreeTier(spec)
 	rs := decomp.StrategyRS(meta, len(topo.Switches))
-	b := topo.Build("net", opts.Seed, rs, nil)
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, true)
+	inst := mustInstantiate(&config.System{Topo: topo}, config.Choices{Seed: opts.Seed, Partition: rs})
 	// Hosts in different groups count from different runner goroutines
 	// during placed runs.
 	received := new(atomic.Uint64)
-	bulkTraffic(shuffledPairs(b.Hosts, opts.Seed^0x91a), 1500, 2e9, true,
+	bulkTraffic(shuffledPairs(inst.Built.Hosts, opts.Seed^0x91a), 1500, 2e9, true,
 		func(proto.IP, uint16, []byte, int) { received.Add(1) })
-	sc := newScenario(s, opts.Dur(5*sim.Millisecond, sim.Millisecond))
+	sc := newScenario(inst.Sim, opts.Dur(5*sim.Millisecond, sim.Millisecond))
 	sc.finest = "rs"
 	sc.coarsen = func(name string) (decomp.Placement, error) {
 		st := decomp.Strategy{Name: "ac"}

@@ -5,18 +5,14 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/apps/kv"
-	"repro/internal/apps/netcache"
-	"repro/internal/apps/pegasus"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/decomp"
-	"repro/internal/hostsim"
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
 	"repro/internal/netsim/flowsim"
 	"repro/internal/netsim/topogen"
 	"repro/internal/netsim/workload"
-	"repro/internal/nicsim"
 	"repro/internal/orch"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -169,14 +165,13 @@ func bulkTraffic(pairs [][2]*netsim.Host, size int, rate float64, both bool, sin
 // fatTreeDelay is every fatTree link's delay.
 const fatTreeDelay = sim.Microsecond
 
-// fatTree builds a k-ary fat tree (10G hosts, 40G fabric, fatTreeDelay
-// links) cut evenly into parts partitions.
+// fatTree instantiates a k-ary fat tree (10G hosts, 40G fabric,
+// fatTreeDelay links) cut evenly into parts partitions.
 func fatTree(k, parts int, seed uint64) (*orch.Simulation, *netsim.Built) {
 	topo, meta := netsim.FatTree(k, 10*sim.Gbps, 40*sim.Gbps, fatTreeDelay)
-	b := topo.Build("net", seed, decomp.EvenFatTree(meta, len(topo.Switches), parts), nil)
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, b, true)
-	return s, b
+	inst := mustInstantiate(&config.System{Topo: topo},
+		config.Choices{Seed: seed, Partition: decomp.EvenFatTree(meta, len(topo.Switches), parts)})
+	return inst.Sim, inst.Built
 }
 
 // closPhase is one workload phase on a fresh lazy Clos (scaleSpec's fabric,
@@ -223,73 +218,21 @@ func runClosPhase(name string, opts Options, participants int, fg workload.Spec,
 	return ph
 }
 
-// kvCase is one build of the in-network KV case study (Figs. 4 and 5): two
-// servers and three clients on one switch running sys's dataplane.
-type kvCase struct {
-	sys             Fig4System
-	detailedServers bool
-	// detailedClient reports whether client i runs on a detailed (qemu)
-	// host, and the seed that host gets.
-	detailedClient func(i int) (seed uint64, ok bool)
-	// rate, when positive, makes the clients open-loop at that many
-	// requests/s instead of closed-loop at the saturating window.
-	rate float64
+// mustInstantiate instantiates a figure's system under one cell's choices.
+// A figure's system and choices are fixed, so an error is a bug in them.
+func mustInstantiate(sys *config.System, c config.Choices) *config.Instance {
+	inst, err := sys.Instantiate(c)
+	if err != nil {
+		panic(err.Error())
+	}
+	return inst
 }
 
-// build assembles the case and returns it with its clients.
-func (c kvCase) build(opts Options, p fig4Params, dur sim.Time) (*scenario, []*kv.Client) {
-	n := netsim.New("net", opts.Seed)
-	sw := n.AddSwitch("sw")
-	serverIPs := make([]proto.IP, p.nServers)
-	for i := range serverIPs {
-		serverIPs[i] = proto.HostIP(uint32(100 + i))
+// atFidelity maps each named host to f, a cell's FidelityOverride.
+func atFidelity(f core.Fidelity, names ...string) map[string]core.Fidelity {
+	m := make(map[string]core.Fidelity, len(names))
+	for _, n := range names {
+		m[n] = f
 	}
-	switch c.sys {
-	case SystemNetCache:
-		sw.Dataplane = netcache.New(p.hotKeys, p.serverParams.ValueSize)
-	case SystemPegasus:
-		sw.Dataplane = pegasus.New(fig4VIP, serverIPs, p.hotKeys)
-	}
-	s := orch.New()
-	s.Add(n)
-
-	// attach puts app on the switch: on a detailed host with NIC np when
-	// detailed, on a protocol-level host otherwise.
-	attach := func(name string, ip proto.IP, rate int64, np nicsim.Params, seed uint64, detailed bool, app func(core.Host)) {
-		if detailed {
-			ext := n.AddExternal(sw, name, rate, ip)
-			dh := instantiate.NewDetailedHost(name, ip, hostsim.QemuParams(), np, seed)
-			dh.Host.AddApp(hostsim.AppFunc(func(h *hostsim.Host) { app(h) }))
-			dh.Wire(s, n, ext)
-			return
-		}
-		h := n.AddHost(name, ip)
-		n.ConnectHostSwitch(h, sw, rate, instantiate.EthLatency)
-		h.SetApp(netsim.AppFunc(func(h *netsim.Host) { app(h) }))
-	}
-	for i, ip := range serverIPs {
-		np := nicsim.DefaultParams()
-		np.Rate = p.serverLinkRate
-		attach(fmt.Sprintf("srv%d", i), ip, p.serverLinkRate, np, opts.Seed+uint64(i), c.detailedServers, kv.NewServer(p.serverParams).Run)
-	}
-	var clients []*kv.Client
-	for i := 0; i < p.nClients; i++ {
-		cp := kv.DefaultClientParams(uint32(i), serverIPs)
-		cp.Outstanding = p.outstanding
-		cp.ValueSize = p.valueSize
-		cp.WarmUp = p.warmup
-		if c.sys == SystemPegasus {
-			cp.VIP = fig4VIP
-		}
-		if c.rate > 0 {
-			cp.Outstanding, cp.Rate = 0, c.rate
-		}
-		cli := kv.NewClient(cp)
-		clients = append(clients, cli)
-		seed, detailed := c.detailedClient(i)
-		attach(fmt.Sprintf("cli%d", i), proto.HostIP(uint32(1+i)), p.clientLinkRate,
-			nicsim.DefaultParams(), seed, detailed, cli.Run)
-	}
-	n.ComputeRoutes()
-	return newScenario(s, dur), clients
+	return m
 }

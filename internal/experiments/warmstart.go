@@ -6,8 +6,8 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/config"
 	"repro/internal/decomp"
-	"repro/internal/instantiate"
 	"repro/internal/netsim"
 	"repro/internal/netsim/workload"
 	"repro/internal/orch"
@@ -83,18 +83,16 @@ func buildWarmStart(opts Options) (*orch.Simulation, *netsim.Built, *workload.En
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
 	}
 	topo, meta := netsim.ThreeTier(spec)
-	assign := decomp.Strategy{Name: "ac"}.Assign(meta, len(topo.Switches))
-	built := topo.Build("net", opts.Seed, assign, nil)
-	eng := workload.Install(built.Hosts, workload.Spec{
+	inst := mustInstantiate(&config.System{Topo: topo},
+		config.Choices{Seed: opts.Seed, Partition: decomp.Strategy{Name: "ac"}.Assign(meta, len(topo.Switches))})
+	eng := workload.Install(inst.Built.Hosts, workload.Spec{
 		Pattern: workload.Uniform{},
 		Sizes:   workload.Pareto{Min: 600, Alpha: 1.3, Max: 20_000},
 		Arrival: workload.Open{FlowsPerSec: 50_000},
 		Seed:    opts.Seed,
 	})
-	s := orch.New()
-	instantiate.WirePartitions(s, topo, built, true)
-	s.AddAuxState("wl", eng)
-	return s, built, eng
+	inst.Sim.AddAuxState("wl", eng)
+	return inst.Sim, inst.Built, eng
 }
 
 // warmStartDigest folds the fabric's and workload's full explicit state

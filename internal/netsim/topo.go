@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -143,6 +144,16 @@ func (ix *aggIndex) covers(ip proto.IP) bool {
 		}
 	}
 	return false
+}
+
+// UncoveredHost returns the first host slot whose address no aggregate
+// contains when t is hierarchical (Build panics on one), or -1.
+func (t *Topology) UncoveredHost() int {
+	if !t.Hierarchical() {
+		return -1
+	}
+	ix := t.aggregateIndex()
+	return slices.IndexFunc(t.Hosts, func(h TopoHost) bool { return !ix.covers(h.IP) })
 }
 
 // MakeExternal converts host slot i into a detailed-host attachment point.

@@ -25,12 +25,17 @@
 // model), profiler, orch, instantiate, and the case-study applications
 // under internal/apps.
 //
-// Quickstart:
+// Quickstart — declare the system once, instantiate it, run the emitted
+// simulation:
 //
-//	s := splitsim.NewSimulation()
-//	net := splitsim.NewNetwork("net", seed)
-//	... build hosts/switches, add components, connect channels ...
-//	s.RunSequential(20 * splitsim.Millisecond)  // or RunCoupled
+//	sys := &splitsim.System{}
+//	sys.AddSwitch("tor")
+//	sys.AddHost("server", "tor", 10*splitsim.Gbps, splitsim.Microsecond).Apps = ...
+//	inst, err := sys.Instantiate(splitsim.Choices{Seed: seed})
+//	inst.Sim.RunSequential(20 * splitsim.Millisecond)  // or RunCoupled, Plan
+//
+// Components can also be wired by hand (NewSimulation, NewNetwork,
+// NewDetailedHost), and inst.Sim accepts more hand wiring before it runs.
 //
 // Every Run* method is a fixed-option spelling of one executor: resolve a
 // Placement with Simulation.Plan and call ExecutionPlan.Execute with
@@ -162,13 +167,14 @@ func NewDetailedHost(name string, ip IP, hp HostParams, np NICParams, seed uint6
 // Declarative configuration: describe the simulated system once, then
 // instantiate it under different simulator choices.
 type (
-	// System declaratively describes hosts, switches, links, and apps.
+	// System is a Topology plus the apps, fidelities and detailed-host
+	// settings of its host slots and the dataplanes of its switches.
 	System = config.System
-	// SystemHost is one host description within a System.
+	// SystemHost is one host slot's configuration within a System.
 	SystemHost = config.Host
 	// Choices carries instantiation decisions (fidelities, partitioning).
 	Choices = config.Choices
-	// Instance is a runnable instantiation of a System.
+	// Instance is a runnable instantiation of a System; run its Sim.
 	Instance = config.Instance
 	// App is a configured application, written once against either host
 	// tier's API (core.Host).
