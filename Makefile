@@ -1,17 +1,17 @@
 # Tier-1 gate and convenience targets. `make check` is what every PR must
 # keep green (see README.md); `make race` adds the data-race gate over the
 # whole module (every package may run under the multi-core executor now);
-# `make chaos` runs the transport fault-injection suite under the race
-# detector; `make exec` is the raced gate over the one executor body —
-# conservative pacing, speculation, checkpoint capture and restore; `make e2e`
-# vets and tests the end-to-end benchmark module, which the root module's
-# build and tests do not reach; `make bench` runs every Go benchmark once
-# as a smoke test (performance is recorded only by BENCHMARK.json's
-# bench/e2e workloads); `make examples` runs every program under examples/
-# to completion; `make scale` is a local smoke run of the fabric tests that
-# `make test` already covers; `make loc` prints the per-package code-line
-# table simplicity PRs report before and after; `make fmt` fails on any
-# file gofmt would rewrite.
+# `make chaos` runs the scale-out transport's forwarding and failure tests
+# under the race detector; `make exec` is the raced gate over the one
+# executor body — conservative pacing, speculation, checkpoint capture and
+# restore; `make e2e` vets and tests the end-to-end benchmark module, which
+# the root module's build and tests do not reach; `make bench` runs every
+# Go benchmark once as a smoke test (performance is recorded only by
+# BENCHMARK.json's bench/e2e workloads); `make examples` runs every program
+# under examples/ to completion; `make scale` is a local smoke run of the
+# fabric tests that `make test` already covers; `make loc` prints the
+# per-package code-line table simplicity PRs report before and after;
+# `make fmt` fails on any file gofmt would rewrite.
 
 GO ?= go
 
@@ -62,10 +62,14 @@ exec:
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 	$(GO) test -run 'FuzzSystemInstantiate' ./internal/config/
 
-# Fault-injection suite: supervised transport under connection kills,
-# garbles, and delays, with goroutine-leak accounting — raced.
+# Scale-out transport suite, raced: proxy.Forward matching the in-process
+# run on one and on two multiplexed channels, and failing typed on both
+# sides with no leaked goroutine when the connection is killed mid-stream
+# (ErrClosed), a bit is flipped (ErrCorrupt) or the channel counts differ
+# (ErrHandshake); plus the distributed run matching the monolithic one
+# under both placements.
 chaos:
-	$(GO) test -race -run 'TestSupervised|TestSupervisor|TestDistributed' \
+	$(GO) test -race -run 'TestForward|TestDistributed' \
 		./internal/proxy/ ./internal/orch/
 
 # Datacenter-fabric smoke for local runs (`make test` runs every test named

@@ -4,9 +4,10 @@
 // synchronization protocol rides the socket unchanged, so the distributed
 // run produces exactly the same simulation as an in-process run.
 //
-// Each side's spliced channel is owned by a proxy.Supervisor — the
-// production transport: reconnect with backoff, heartbeats, checksummed
-// framing, and per-connection counters (printed at the end).
+// Each side's spliced channel is carried by proxy.Forward over checksummed
+// framing; its per-connection counters are printed at the end. A broken
+// connection would fail the run with a typed error, and recovery is a
+// re-run.
 package main
 
 import (
@@ -45,6 +46,17 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("channel endpoint listening on %s\n", ln.Addr())
+	// Site 2 dials site 1; the kernel completes the handshake before
+	// Accept, so one goroutine can do both.
+	conn2, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		panic(err)
+	}
+	conn1, err := ln.Accept()
+	if err != nil {
+		panic(err)
+	}
+	ln.Close()
 
 	n1, h1, x1 := site("site1", 1, 2)
 	n2, h2, x2 := site("site2", 2, 1)
@@ -62,13 +74,15 @@ func main() {
 	x1.Bind(epA)
 	x2.Bind(epB)
 
-	supA := proxy.NewSupervisor(proxy.Config{Seed: 1})
-	supA.AddChannel(0, remA, proxy.RawFrameCodec{})
-	supB := proxy.NewSupervisor(proxy.Config{Seed: 2})
-	supB.AddChannel(0, remB, proxy.RawFrameCodec{})
+	var ctrs [2]proxy.Counters
 	proxyDone := make(chan error, 2)
-	go func() { proxyDone <- supA.Serve(context.Background(), ln) }()
-	go func() { proxyDone <- supB.Dial(context.Background(), ln.Addr().String()) }()
+	forward := func(i int, conn net.Conn, rem *link.Remote) {
+		var err error
+		ctrs[i], err = proxy.Forward(context.Background(), conn, []*link.Remote{rem})
+		proxyDone <- err
+	}
+	go forward(0, conn1, remA)
+	go forward(1, conn2, remB)
 
 	// Workload: site1's host pings site2's host.
 	var rtts int
@@ -99,6 +113,5 @@ func main() {
 	}
 	fmt.Printf("distributed simulation of %v completed: %d cross-site echoes\n", end, rtts)
 	fmt.Println("virtual time stayed exact: wall-clock TCP delay never leaks into the simulation")
-	fmt.Print(proxy.CountersTable([]string{"site1", "site2"},
-		[]proxy.Counters{supA.Counters(), supB.Counters()}).String())
+	fmt.Print(proxy.CountersTable([]string{"site1", "site2"}, ctrs[:]).String())
 }

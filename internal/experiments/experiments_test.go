@@ -358,6 +358,29 @@ func TestProfilerOverhead(t *testing.T) {
 	}
 }
 
+// TestScaleOut: splitting the two-pair topology across two simulations
+// joined by proxy.Forward changes nothing about the results (25/20
+// packets at scale 0.2, as EXPERIMENTS.md records), and the connection
+// really carried the boundary traffic.
+func TestScaleOut(t *testing.T) {
+	r, err := ScaleOut(Options{Scale: 0.2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.MonoRx != [2]uint64{25, 20} {
+		t.Errorf("monolithic rx = %v, want [25 20]", r.MonoRx)
+	}
+	if r.DistRx != r.MonoRx || !r.Identical {
+		t.Errorf("distributed rx = %v, monolithic %v (identical %v)", r.DistRx, r.MonoRx, r.Identical)
+	}
+	if c := r.Counters[1]; c.FramesTx == 0 || c.FramesRx == 0 {
+		t.Errorf("client transport idle: %+v", c)
+	}
+	if !strings.Contains(r.String(), "results identical across both runs") {
+		t.Errorf("rendered output does not report identity:\n%s", r)
+	}
+}
+
 func TestOptionsDur(t *testing.T) {
 	o := Options{Scale: 0.1}
 	if d := o.Dur(100*sim.Millisecond, 20*sim.Millisecond); d != 20*sim.Millisecond {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"time"
 
+	"repro/internal/link"
 	"repro/internal/netsim"
 	"repro/internal/orch"
 	"repro/internal/profiler"
@@ -16,48 +16,39 @@ import (
 	"repro/internal/stats"
 )
 
-// Scale-out hardening harness: the same two-pair topology is run three
-// ways — monolithic coupled, distributed over a supervised TCP transport,
-// and distributed again with deterministic connection faults injected —
-// and the harness checks the paper's scale-out invariant: the simulation
-// results are identical in all three, because transport failures cost only
-// wall-clock time, never simulated time. It also prints the transport
-// counters and the profiler's transport lines, the observability side of
-// the supervisor.
+// Scale-out harness: the same two-pair topology is run twice — monolithic
+// coupled, and distributed as two simulations joined by proxy.Forward over
+// a loopback TCP connection — and the harness checks the paper's scale-out
+// invariant: the simulation results are identical, because the transport
+// costs only wall-clock time, never simulated time. It also prints the
+// transport counters and the profiler's transport lines.
 
-// ScaleOutResult holds the three runs' outputs and transport telemetry.
+// ScaleOutResult holds both runs' outputs and transport telemetry.
 type ScaleOutResult struct {
-	End        sim.Time
-	MonoRx     [2]uint64
-	CleanRx    [2]uint64
-	FaultedRx  [2]uint64
-	Identical  bool
-	FaultyConn int
-	Clean      []proxy.Counters // server, client
-	Faulted    []proxy.Counters // server, client
-	ProfLog    string           // splitsim-prof transport lines
-	CleanMs    float64
-	FaultedMs  float64
+	End       sim.Time
+	MonoRx    [2]uint64
+	DistRx    [2]uint64
+	Identical bool
+	Counters  []proxy.Counters // server, client
+	ProfLog   string           // splitsim-prof transport lines
+	DistMs    float64
 }
 
 // String renders the harness output.
 func (r *ScaleOutResult) String() string {
 	var b strings.Builder
-	b.WriteString("Scale-out transport hardening: monolithic vs distributed vs distributed+faults\n")
+	b.WriteString("Scale-out transport: monolithic vs distributed\n")
 	t := stats.NewTable("run", "rx(pair1)", "rx(pair2)", "wall-ms")
 	t.Row("monolithic", r.MonoRx[0], r.MonoRx[1], "-")
-	t.Row("distributed", r.CleanRx[0], r.CleanRx[1], fmt.Sprintf("%.1f", r.CleanMs))
-	t.Row("dist+faults", r.FaultedRx[0], r.FaultedRx[1], fmt.Sprintf("%.1f", r.FaultedMs))
+	t.Row("distributed", r.DistRx[0], r.DistRx[1], fmt.Sprintf("%.1f", r.DistMs))
 	b.WriteString(t.String())
 	if r.Identical {
-		b.WriteString(fmt.Sprintf("results identical across all runs (with %d faulted connections)\n", r.FaultyConn))
+		b.WriteString("results identical across both runs\n")
 	} else {
 		b.WriteString("RESULTS DIVERGED — scale-out invariant violated\n")
 	}
-	b.WriteString("clean transport counters:\n")
-	b.WriteString(proxy.CountersTable([]string{"server", "client"}, r.Clean).String())
-	b.WriteString("faulted transport counters:\n")
-	b.WriteString(proxy.CountersTable([]string{"server", "client"}, r.Faulted).String())
+	b.WriteString("transport counters:\n")
+	b.WriteString(proxy.CountersTable([]string{"server", "client"}, r.Counters).String())
 	b.WriteString("profiler transport lines:\n")
 	b.WriteString(r.ProfLog)
 	return b.String()
@@ -131,9 +122,10 @@ func runScaleOutMono(end sim.Time) ([2]uint64, error) {
 	return t.rx(), nil
 }
 
-// runScaleOutDist splits the topology into two supervised processes, with
-// optional client-side fault injection.
-func runScaleOutDist(end sim.Time, seed uint64, chaos *proxy.Chaos) ([2]uint64, []proxy.Counters, error) {
+// runScaleOutDist splits the topology into two simulations — standing in
+// for two processes — each forwarding its halves of both boundary channels
+// over one loopback TCP connection.
+func runScaleOutDist(end sim.Time) ([2]uint64, []proxy.Counters, error) {
 	t := buildScaleOutTopo()
 
 	sA := orch.New() // n1, n3 — side A of both boundaries
@@ -141,45 +133,34 @@ func runScaleOutDist(end sim.Time, seed uint64, chaos *proxy.Chaos) ([2]uint64, 
 	sA.Reserve(1)
 	sA.Add(t.n[2])
 	sA.Reserve(1)
-	remA12 := sA.ConnectRemote("x12", t.lat, t.side(0), true)
-	remA34 := sA.ConnectRemote("x34", t.lat, t.side(2), true)
+	remA := []*link.Remote{
+		sA.ConnectRemote("x12", t.lat, t.side(0), true),
+		sA.ConnectRemote("x34", t.lat, t.side(2), true),
+	}
 
 	sB := orch.New() // n2, n4 — side B
 	sB.Reserve(1)
 	sB.Add(t.n[1])
 	sB.Reserve(1)
 	sB.Add(t.n[3])
-	remB12 := sB.ConnectRemote("x12", t.lat, t.side(1), false)
-	remB34 := sB.ConnectRemote("x34", t.lat, t.side(3), false)
-
-	cfg := proxy.Config{
-		Heartbeat:   20 * time.Millisecond,
-		BackoffMin:  time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		Linger:      500 * time.Millisecond,
-		MaxAttempts: 200,
+	remB := []*link.Remote{
+		sB.ConnectRemote("x12", t.lat, t.side(1), false),
+		sB.ConnectRemote("x34", t.lat, t.side(3), false),
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+
+	srv, cli, err := loopbackConn()
 	if err != nil {
 		return [2]uint64{}, nil, err
 	}
-	srvCfg := cfg
-	srvCfg.Seed = seed
-	supA := proxy.NewSupervisor(srvCfg)
-	supA.AddChannel(0, remA12, proxy.RawFrameCodec{})
-	supA.AddChannel(1, remA34, proxy.RawFrameCodec{})
-	cliCfg := cfg
-	cliCfg.Seed = seed + 1
-	if chaos != nil {
-		cliCfg.DialFunc = chaos.Dialer()
-	}
-	supB := proxy.NewSupervisor(cliCfg)
-	supB.AddChannel(0, remB12, proxy.RawFrameCodec{})
-	supB.AddChannel(1, remB34, proxy.RawFrameCodec{})
-
+	ctrs := make([]proxy.Counters, 2)
 	errs := make(chan error, 4)
-	go func() { errs <- supA.Serve(context.Background(), ln) }()
-	go func() { errs <- supB.Dial(context.Background(), ln.Addr().String()) }()
+	forward := func(i int, conn net.Conn, rems []*link.Remote) {
+		var err error
+		ctrs[i], err = proxy.Forward(context.Background(), conn, rems)
+		errs <- err
+	}
+	go forward(0, srv, remA)
+	go forward(1, cli, remB)
 	go func() { errs <- sA.RunCoupled(end) }()
 	go func() { errs <- sB.RunCoupled(end) }()
 	var first error
@@ -193,7 +174,25 @@ func runScaleOutDist(end sim.Time, seed uint64, chaos *proxy.Chaos) ([2]uint64, 
 	}
 	checkDrained(sA)
 	checkDrained(sB)
-	return t.rx(), []proxy.Counters{supA.Counters(), supB.Counters()}, nil
+	return t.rx(), ctrs, nil
+}
+
+// loopbackConn returns both ends of one TCP connection on 127.0.0.1: the
+// accepted end and the dialed end.
+func loopbackConn() (srv, cli net.Conn, err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ln.Close()
+	if cli, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		return nil, nil, err
+	}
+	if srv, err = ln.Accept(); err != nil {
+		cli.Close()
+		return nil, nil, err
+	}
+	return srv, cli, nil
 }
 
 // ScaleOut runs the harness.
@@ -205,29 +204,18 @@ func ScaleOut(o Options) (*ScaleOutResult, error) {
 	if r.MonoRx, err = runScaleOutMono(end); err != nil {
 		return nil, fmt.Errorf("monolithic run: %w", err)
 	}
-
 	sw := newStopwatch()
-	if r.CleanRx, r.Clean, err = runScaleOutDist(end, o.Seed, nil); err != nil {
+	if r.DistRx, r.Counters, err = runScaleOutDist(end); err != nil {
 		return nil, fmt.Errorf("distributed run: %w", err)
 	}
-	r.CleanMs = sw.ms()
-
-	chaos := proxy.NewChaos(o.Seed, 3, 4000)
-	sw = newStopwatch()
-	if r.FaultedRx, r.Faulted, err = runScaleOutDist(end, o.Seed+2, chaos); err != nil {
-		return nil, fmt.Errorf("faulted distributed run: %w", err)
-	}
-	r.FaultedMs = sw.ms()
-	_, r.FaultyConn = chaos.Dealt()
-	r.Identical = r.MonoRx == r.CleanRx && r.MonoRx == r.FaultedRx
+	r.DistMs = sw.ms()
+	r.Identical = r.MonoRx == r.DistRx
 
 	// Attach the transport counters to a profiler log, the way a real
 	// distributed run would ship them home.
 	col := profiler.NewCollector()
-	col.AddTransport(profiler.TransportSample{Name: "clean/server", Counters: r.Clean[0]})
-	col.AddTransport(profiler.TransportSample{Name: "clean/client", Counters: r.Clean[1]})
-	col.AddTransport(profiler.TransportSample{Name: "faulted/server", Counters: r.Faulted[0]})
-	col.AddTransport(profiler.TransportSample{Name: "faulted/client", Counters: r.Faulted[1]})
+	col.AddTransport(profiler.TransportSample{Name: "server", Counters: r.Counters[0]})
+	col.AddTransport(profiler.TransportSample{Name: "client", Counters: r.Counters[1]})
 	var b strings.Builder
 	if _, err := col.WriteTo(&b); err != nil {
 		return nil, err

@@ -4,8 +4,8 @@ import "repro/internal/sim"
 
 // NewHalf creates a channel endpoint whose peer lives in another OS
 // process: the local side is a normal Endpoint a Runner attaches to, and
-// the Remote handle is what a proxy (package proxy) pumps to and from the
-// transport. This is the SimBricks proxy mechanism the paper inherits for
+// the Remote handle is what proxy.Forward carries to and from the
+// connection. This is the SimBricks proxy mechanism the paper inherits for
 // scaling out across machines.
 //
 // Synchronization semantics are unchanged: the remote peer's messages
@@ -47,12 +47,13 @@ func (r *Remote) RecvInterruptible() (m Message, ok, intr bool) {
 func (r *Remote) Interrupt() { r.fromLocal.interrupt() }
 
 // Inject delivers a message from the remote peer to the local endpoint.
-// Injecting after CloseToLocal is a protocol violation and panics; the
-// transport's per-channel sequence resync exists to prevent exactly that.
+// Injecting after CloseToLocal is a protocol violation and panics, so a
+// transport injects and closes from one goroutine, and on a failure closes
+// only once its reader has stopped.
 func (r *Remote) Inject(m Message) { r.toLocal.send(m) }
 
 // CloseToLocal signals that the remote peer finished (its final sync has
-// been injected); the local runner treats the channel as drained. It is
-// idempotent: a transport may call it again after a dirty disconnect that
-// raced with a clean end of stream.
+// been injected) or that the transport failed; the local runner treats the
+// channel as drained. It is idempotent: a transport that fails after some
+// channels ended cleanly closes every channel again.
 func (r *Remote) CloseToLocal() { r.toLocal.close() }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/link"
 	"repro/internal/netsim"
 	"repro/internal/orch"
 	"repro/internal/proto"
@@ -75,25 +75,13 @@ func runMonolithic(t *testing.T) (rx2, rx4 uint64) {
 	return h2.RxPackets, h4.RxPackets
 }
 
-func distCfg(seed uint64) proxy.Config {
-	return proxy.Config{
-		Heartbeat:   10 * time.Millisecond,
-		ReadTimeout: 200 * time.Millisecond,
-		BackoffMin:  time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-		Linger:      300 * time.Millisecond,
-		MaxAttempts: 200,
-		Seed:        seed,
-	}
-}
-
 // runDistributed partitions the same topology across two Simulations —
-// standing in for two OS processes — joined by one supervised connection
-// carrying both boundary channels. Every process scripts the same
+// standing in for two OS processes — joined by one loopback TCP connection
+// that proxy.Forward uses to carry both boundary channels. Every process scripts the same
 // component/connection sequence, registering its own pieces and Reserving
 // the peer's, so the source-id assignment matches the monolithic run
 // exactly. Both processes run their two local networks under placement p.
-func runDistributed(t *testing.T, p decomp.Placement, chaos *proxy.Chaos) (rx2, rx4 uint64, sc, cc proxy.Counters) {
+func runDistributed(t *testing.T, p decomp.Placement) (rx2, rx4 uint64, sc, cc proxy.Counters) {
 	t.Helper()
 	n1, h1, x1 := buildSite("net1", 1, 2)
 	n2, h2, x2 := buildSite("net2", 2, 1)
@@ -106,39 +94,46 @@ func runDistributed(t *testing.T, p decomp.Placement, chaos *proxy.Chaos) (rx2, 
 	sA.Reserve(1) // n2 lives in the peer
 	sA.Add(n3)
 	sA.Reserve(1) // n4 lives in the peer
-	remA12 := sA.ConnectRemote("x12", distLatency,
-		orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1}, true)
-	remA34 := sA.ConnectRemote("x34", distLatency,
-		orch.Side{Comp: n3, Bind: x3.Bind, Sink: x3}, true)
+	remA := []*link.Remote{
+		sA.ConnectRemote("x12", distLatency, orch.Side{Comp: n1, Bind: x1.Bind, Sink: x1}, true),
+		sA.ConnectRemote("x34", distLatency, orch.Side{Comp: n3, Bind: x3.Bind, Sink: x3}, true),
+	}
 
 	sB := orch.New() // holds n2, n4; side B
 	sB.Reserve(1)    // n1
 	sB.Add(n2)
 	sB.Reserve(1) // n3
 	sB.Add(n4)
-	remB12 := sB.ConnectRemote("x12", distLatency,
-		orch.Side{Comp: n2, Bind: x2.Bind, Sink: x2}, false)
-	remB34 := sB.ConnectRemote("x34", distLatency,
-		orch.Side{Comp: n4, Bind: x4.Bind, Sink: x4}, false)
+	remB := []*link.Remote{
+		sB.ConnectRemote("x12", distLatency, orch.Side{Comp: n2, Bind: x2.Bind, Sink: x2}, false),
+		sB.ConnectRemote("x34", distLatency, orch.Side{Comp: n4, Bind: x4.Bind, Sink: x4}, false),
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	supA := proxy.NewSupervisor(distCfg(20))
-	supA.AddChannel(0, remA12, proxy.RawFrameCodec{})
-	supA.AddChannel(1, remA34, proxy.RawFrameCodec{})
-	ccfg := distCfg(21)
-	if chaos != nil {
-		ccfg.DialFunc = chaos.Dialer()
+	defer ln.Close()
+	cli, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	supB := proxy.NewSupervisor(ccfg)
-	supB.AddChannel(0, remB12, proxy.RawFrameCodec{})
-	supB.AddChannel(1, remB34, proxy.RawFrameCodec{})
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	errs := make(chan error, 4)
-	go func() { errs <- supA.Serve(context.Background(), ln) }()
-	go func() { errs <- supB.Dial(context.Background(), ln.Addr().String()) }()
+	go func() {
+		var err error
+		sc, err = proxy.Forward(context.Background(), srv, remA)
+		errs <- err
+	}()
+	go func() {
+		var err error
+		cc, err = proxy.Forward(context.Background(), cli, remB)
+		errs <- err
+	}()
 	go func() { errs <- sA.RunParallel(distEnd, p) }()
 	go func() { errs <- sB.RunParallel(distEnd, p) }()
 	for i := 0; i < 4; i++ {
@@ -146,11 +141,11 @@ func runDistributed(t *testing.T, p decomp.Placement, chaos *proxy.Chaos) (rx2, 
 			t.Fatalf("distributed run: %v", err)
 		}
 	}
-	return h2.RxPackets, h4.RxPackets, supA.Counters(), supB.Counters()
+	return h2.RxPackets, h4.RxPackets, sc, cc
 }
 
 // TestDistributedMatchesMonolithic is the scale-out acceptance property:
-// splitting the simulation across two supervised processes changes nothing
+// splitting the simulation across two forwarding processes changes nothing
 // about the results, whether each process runs its two networks on a runner
 // each or both on one runner group.
 func TestDistributedMatchesMonolithic(t *testing.T) {
@@ -159,7 +154,7 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 		t.Fatal("no traffic in monolithic run")
 	}
 	for _, p := range []decomp.Placement{decomp.PerComponent(2), decomp.SingleGroup(2)} {
-		d2, d4, _, cc := runDistributed(t, p, nil)
+		d2, d4, _, cc := runDistributed(t, p)
 		if d2 != m2 || d4 != m4 {
 			t.Fatalf("%s distributed run diverged: monolithic rx=(%d,%d) distributed rx=(%d,%d)",
 				p.Name, m2, m4, d2, d4)
@@ -167,25 +162,6 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 		if cc.FramesTx == 0 || cc.FramesRx == 0 {
 			t.Fatalf("%s client transport idle: %+v", p.Name, cc)
 		}
-	}
-}
-
-// TestDistributedSurvivesConnectionKills re-runs the distributed setup
-// with deterministic connection faults on the dialer: the supervisors must
-// reconnect and the results must still be identical.
-func TestDistributedSurvivesConnectionKills(t *testing.T) {
-	m2, m4 := runMonolithic(t)
-	chaos := proxy.NewChaos(77, 2, 3000)
-	d2, d4, sc, cc := runDistributed(t, decomp.PerComponent(2), chaos)
-	if d2 != m2 || d4 != m4 {
-		t.Fatalf("faulted distributed run diverged: monolithic rx=(%d,%d) got rx=(%d,%d)",
-			m2, m4, d2, d4)
-	}
-	if _, faulty := chaos.Dealt(); faulty == 0 {
-		t.Fatal("chaos dealt no faults")
-	}
-	if sc.Reconnects+cc.Reconnects == 0 {
-		t.Fatalf("no reconnects despite faults: server=%+v client=%+v", sc, cc)
 	}
 }
 

@@ -51,8 +51,8 @@ type channel struct {
 	// endpoints of the synchronized link.Channel the plan bundled the
 	// channel into (ep[x] is end x's), on sub-channel sub of it. A remote
 	// channel's local endpoint is not per execution: it is built with its
-	// link.Remote at registration, because the caller hands the Remote to a
-	// proxy supervisor before anything runs.
+	// link.Remote at registration, because the caller hands the Remote to
+	// proxy.Forward before anything runs.
 	ports [2]*link.DirectPort
 	ep    [2]*link.Endpoint
 	sub   uint16
@@ -197,8 +197,8 @@ func (s *Simulation) Reserve(n int32) {
 
 // ConnectRemote wires the local side of a channel whose peer component
 // runs in another process — the distributed-run analog of Connect. The
-// returned link.Remote is the transport-facing half; hand it to a
-// proxy.Supervisor before running. sideA says whether this process holds
+// returned link.Remote is the transport-facing half; hand it to
+// proxy.Forward before running. sideA says whether this process holds
 // side A of the mirrored connection: Connect assigns the first id to side
 // A's sink and the second to side B's, and the two processes must make the
 // same choice from opposite ends for a distributed run to be bit-identical

@@ -29,13 +29,13 @@ import (
 	"repro/internal/sim"
 )
 
-// TransportSample is one scale-out proxy transport's counter snapshot —
-// the wall-clock layer underneath the virtual-time adapters. Distributed
-// runs attach one per supervisor so a profile shows both what the
-// simulation waited for (adapter counters) and what the wire did to cause
-// it (reconnects, retransmits, backoff time).
+// TransportSample is what one scale-out proxy connection end moved — the
+// wall-clock layer underneath the virtual-time adapters. Distributed runs
+// attach one per proxy.Forward call so a profile shows both what the
+// simulation waited for (adapter counters) and the traffic behind it
+// (frames and bytes each way).
 type TransportSample struct {
-	Name string `json:"name"` // supervisor label ("client", "site0", ...)
+	Name string `json:"name"` // connection end label ("client", "site0", ...)
 	proxy.Counters
 }
 
@@ -135,7 +135,7 @@ func (c *Collector) Add(s Sample) {
 }
 
 // AddTransport appends a transport counter snapshot; distributed harnesses
-// call it once per supervisor after the run ends.
+// call it once per proxy.Forward call after the run ends.
 func (c *Collector) AddTransport(ts TransportSample) {
 	c.mu.Lock()
 	c.transports = append(c.transports, ts)
@@ -164,7 +164,7 @@ type logLine struct {
 // record per line:
 //
 //	splitsim-prof {"sample":{"sim":"net","wall":1000,"virt":2000,"frames":0,"spec":{...},"adapters":[{"ep":"x.a","peer":"host","wait":3,...}]}}
-//	splitsim-prof {"transport":{"name":"client","dials":1,...}}
+//	splitsim-prof {"transport":{"name":"client","ftx":300,...}}
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	emit := func(l logLine) error {

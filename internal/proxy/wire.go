@@ -7,33 +7,28 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/core"
+	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
-// Wire protocol v2. Every frame is
+// Wire protocol v3. Every frame is
 //
 //	u32  length of the remainder (header + payload)
 //	u8   kind
 //	u16  channel id (mux; one TCP connection carries many spliced channels)
-//	u64  virtual timestamp (ps; 0 for control frames)
-//	u16  sub-channel (trunk demux; 0 for sync and control frames)
+//	u64  virtual timestamp (ps; 0 for hello)
+//	u16  sub-channel (trunk demux; 0 for sync, EOS and hello)
 //	u32  CRC32-C over the header fields above and the payload
 //	payload bytes
 //
-// Data and sync frames are sequenced implicitly: the k-th message frame on
-// a channel has sequence number k, because both TCP and the channel pipes
-// are FIFO. hello and ack frames carry explicit per-channel receive
-// counts, which is what makes resync-after-reconnect exact. Heartbeats are
-// pure wall-clock liveness traffic and never touch virtual time.
+// Data and sync frames carry no sequence number: TCP and the channel pipes
+// are both FIFO, so the k-th frame on a channel is message k.
 const (
-	kindSync      byte = 0 // advances the peer's horizon, no payload
-	kindData      byte = 1 // codec-encoded channel payload
-	kindEOS       byte = 2 // clean end of one channel's stream
-	kindHeartbeat byte = 3 // wall-clock idle liveness, no payload
-	kindHello     byte = 4 // session handshake: version + per-channel recvSeq
-	kindAck       byte = 5 // per-channel receive counts (prunes retransmit buffers)
-	kindReject    byte = 6 // peer refuses the connection (already serving)
-	kindBye       byte = 7 // sender is finished and confirms full receipt
+	kindSync  byte = 0 // advances the peer's horizon, no payload
+	kindData  byte = 1 // encoded Ethernet frame (*proto.WireFrame bytes)
+	kindEOS   byte = 2 // clean end of one channel's stream
+	kindHello byte = 3 // handshake: magic, version, channel count
 )
 
 const headerLen = 1 + 2 + 8 + 2 + 4 // kind + channel + timestamp + sub + crc
@@ -47,29 +42,24 @@ const maxFrame = 16 << 20
 
 const (
 	helloMagic   = 0x53535058 // "SSPX"
-	protoVersion = 2
+	protoVersion = 3
+	helloLen     = 4 + 1 + 2 // magic + version + channel count
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Typed transport errors. Callers can errors.Is against these to
-// distinguish failure modes; everything else is an ordinary I/O error.
+// Typed transport errors. Forward's every failure is one of these, so
+// callers can errors.Is against them; the cause stays wrapped inside.
 var (
-	// ErrClosed reports a dirty disconnect: the connection ended
-	// mid-stream, before every channel delivered its kindEOS.
+	// ErrClosed reports a connection that failed (an I/O error or a dirty
+	// disconnect) before every channel delivered its EOS both ways.
 	ErrClosed = errors.New("proxy: connection closed mid-stream")
 	// ErrCorrupt reports a frame that failed validation (bad length,
-	// checksum mismatch, unknown kind, or trailing garbage).
+	// checksum mismatch, unknown kind or channel, or trailing garbage).
 	ErrCorrupt = errors.New("proxy: corrupt frame")
-	// ErrRejected reports that the peer refused the connection because it
-	// is already serving another one.
-	ErrRejected = errors.New("proxy: connection rejected by peer")
-	// ErrHandshake reports an unrecoverable hello exchange failure
-	// (protocol version or channel set mismatch, resync out of range).
+	// ErrHandshake reports a hello the two peers disagree on (magic,
+	// protocol version or channel count).
 	ErrHandshake = errors.New("proxy: handshake failed")
-	// ErrGaveUp reports that the supervisor exhausted its reconnect
-	// attempts.
-	ErrGaveUp = errors.New("proxy: gave up reconnecting")
 )
 
 // frame is one decoded wire unit.
@@ -98,10 +88,10 @@ func appendWireFrame(dst []byte, f frame) []byte {
 
 // parseFrame decodes the remainder of a frame (everything after the u32
 // length prefix). The returned payload aliases b. Every validation failure
-// wraps ErrCorrupt: a checksum mismatch, an unknown kind, or a control
-// frame carrying bytes it must not (the historical bug was accepting
-// sync/EOS frames with trailing garbage, letting framing desync go
-// unnoticed until a later frame exploded deep in the endpoint).
+// wraps ErrCorrupt: a checksum mismatch, an unknown kind, or a sync, EOS
+// or hello frame carrying header fields or bytes it must not (accepting
+// those would let a framing desync go unnoticed until a later frame
+// exploded deep in the endpoint).
 func parseFrame(b []byte) (frame, error) {
 	var f frame
 	if len(b) < headerLen {
@@ -122,19 +112,13 @@ func parseFrame(b []byte) (frame, error) {
 	case kindData:
 		// any payload
 	case kindSync, kindEOS:
-		if len(f.payload) != 0 {
-			return f, fmt.Errorf("%w: kind %d with %d trailing bytes", ErrCorrupt, f.kind, len(f.payload))
+		if len(f.payload) != 0 || f.sub != 0 {
+			return f, fmt.Errorf("%w: kind %d with sub-channel %d and %d payload bytes",
+				ErrCorrupt, f.kind, f.sub, len(f.payload))
 		}
-		if f.sub != 0 {
-			return f, fmt.Errorf("%w: kind %d with sub-channel %d", ErrCorrupt, f.kind, f.sub)
-		}
-	case kindHeartbeat, kindReject, kindBye:
-		if len(f.payload) != 0 || f.sub != 0 || f.t != 0 {
-			return f, fmt.Errorf("%w: control kind %d with non-empty header/payload", ErrCorrupt, f.kind)
-		}
-	case kindHello, kindAck:
-		if f.sub != 0 || f.t != 0 {
-			return f, fmt.Errorf("%w: control kind %d with non-empty header", ErrCorrupt, f.kind)
+	case kindHello:
+		if f.ch != 0 || f.sub != 0 || f.t != 0 {
+			return f, fmt.Errorf("%w: hello with a channel, sub-channel or timestamp", ErrCorrupt)
 		}
 	default:
 		return f, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, f.kind)
@@ -142,116 +126,72 @@ func parseFrame(b []byte) (frame, error) {
 	return f, nil
 }
 
-// readFrame reads one length-prefixed frame from r. The returned payload
-// is freshly allocated. I/O errors come back verbatim (see mapEOF for the
-// dirty-disconnect translation).
-func readFrame(r io.Reader) (frame, error) {
+// readFrame reads one length-prefixed frame from r into buf, growing it as
+// needed, and returns the frame with the (possibly grown) buffer. The
+// frame's payload aliases buf, which the caller reuses for the next frame.
+// I/O errors come back verbatim.
+func readFrame(r io.Reader, buf []byte) (frame, []byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return frame{}, err
+		return frame{}, buf, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n < headerLen || n > maxFrame {
-		return frame{}, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
+		return frame{}, buf, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
 	}
-	buf := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return frame{}, err
+		return frame{}, buf, err
 	}
-	return parseFrame(buf)
+	f, err := parseFrame(buf)
+	return f, buf, err
 }
 
-// mapEOF translates an end-of-stream I/O error into ErrClosed — the
-// connection died before the protocol said goodbye — leaving every other
-// error (timeouts included) intact.
-func mapEOF(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w (%v)", ErrClosed, err)
-	}
-	return err
-}
-
-// chanSeq pairs a channel id with a receive count, the unit of hello and
-// ack payloads.
-type chanSeq struct {
-	id  uint16
-	seq uint64
-}
-
-// appendHelloFrame builds a complete hello frame: magic, version, and one
-// (id, recvSeq) pair per channel.
-func appendHelloFrame(dst []byte, seqs []chanSeq) []byte {
-	p := make([]byte, 0, 4+1+2+len(seqs)*10)
+// appendHelloFrame builds a complete hello frame for n channels.
+func appendHelloFrame(dst []byte, n int) []byte {
+	p := make([]byte, 0, helloLen)
 	p = binary.BigEndian.AppendUint32(p, helloMagic)
 	p = append(p, protoVersion)
-	p = binary.BigEndian.AppendUint16(p, uint16(len(seqs)))
-	for _, cs := range seqs {
-		p = binary.BigEndian.AppendUint16(p, cs.id)
-		p = binary.BigEndian.AppendUint64(p, cs.seq)
-	}
+	p = binary.BigEndian.AppendUint16(p, uint16(n))
 	return appendWireFrame(dst, frame{kind: kindHello, payload: p})
 }
 
-// parseHello decodes a hello payload, validating magic, version, and exact
-// length.
-func parseHello(p []byte) ([]chanSeq, error) {
-	if len(p) < 7 {
-		return nil, fmt.Errorf("%w: hello payload %d bytes", ErrCorrupt, len(p))
+// parseHello decodes a hello payload into the peer's channel count,
+// validating length, magic and version.
+func parseHello(p []byte) (int, error) {
+	if len(p) != helloLen {
+		return 0, fmt.Errorf("%w: hello payload %d bytes, want %d", ErrCorrupt, len(p), helloLen)
 	}
 	if binary.BigEndian.Uint32(p) != helloMagic {
-		return nil, fmt.Errorf("%w: bad hello magic", ErrHandshake)
+		return 0, fmt.Errorf("%w: bad hello magic", ErrHandshake)
 	}
 	if v := p[4]; v != protoVersion {
-		return nil, fmt.Errorf("%w: peer speaks wire protocol v%d, want v%d", ErrHandshake, v, protoVersion)
+		return 0, fmt.Errorf("%w: peer speaks wire protocol v%d, want v%d", ErrHandshake, v, protoVersion)
 	}
-	n := int(binary.BigEndian.Uint16(p[5:]))
-	if len(p) != 7+n*10 {
-		return nil, fmt.Errorf("%w: hello payload %d bytes for %d channels", ErrCorrupt, len(p), n)
-	}
-	seqs := make([]chanSeq, n)
-	for i := range seqs {
-		off := 7 + i*10
-		seqs[i] = chanSeq{
-			id:  binary.BigEndian.Uint16(p[off:]),
-			seq: binary.BigEndian.Uint64(p[off+2:]),
-		}
-	}
-	return seqs, nil
+	return int(binary.BigEndian.Uint16(p[5:])), nil
 }
 
-// appendAckFrame builds a complete ack frame carrying per-channel receive
-// counts.
-func appendAckFrame(dst []byte, seqs []chanSeq) []byte {
-	p := make([]byte, 0, 2+len(seqs)*10)
-	p = binary.BigEndian.AppendUint16(p, uint16(len(seqs)))
-	for _, cs := range seqs {
-		p = binary.BigEndian.AppendUint16(p, cs.id)
-		p = binary.BigEndian.AppendUint64(p, cs.seq)
+// encodePayload returns the wire bytes of a data message's payload. Every
+// component boundary carries encoded Ethernet frames, so that is the one
+// payload type the wire knows. The wrapper is not recycled: it crossed a
+// goroutine boundary to get here.
+func encodePayload(m core.Message) ([]byte, error) {
+	w, ok := m.(*proto.WireFrame)
+	if !ok {
+		return nil, fmt.Errorf("proxy: expected an encoded frame, got %T", m)
 	}
-	return appendWireFrame(dst, frame{kind: kindAck, payload: p})
+	if headerLen+len(w.B) > maxFrame {
+		return nil, fmt.Errorf("proxy: payload of %d bytes exceeds frame limit", len(w.B))
+	}
+	return w.B, nil
 }
 
-// parseAck decodes an ack payload, validating exact length.
-func parseAck(p []byte) ([]chanSeq, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("%w: ack payload %d bytes", ErrCorrupt, len(p))
-	}
-	n := int(binary.BigEndian.Uint16(p))
-	if len(p) != 2+n*10 {
-		return nil, fmt.Errorf("%w: ack payload %d bytes for %d channels", ErrCorrupt, len(p), n)
-	}
-	seqs := make([]chanSeq, n)
-	for i := range seqs {
-		off := 2 + i*10
-		seqs[i] = chanSeq{
-			id:  binary.BigEndian.Uint16(p[off:]),
-			seq: binary.BigEndian.Uint64(p[off+2:]),
-		}
-	}
-	return seqs, nil
-}
-
-// controlFrame encodes a payload-free frame of the given kind.
-func controlFrame(kind byte) []byte {
-	return appendWireFrame(nil, frame{kind: kind})
+// decodePayload wraps a data frame's payload for the local endpoint. The
+// receiver adopts the bytes, so they are a copy of p, which aliases the
+// reader's reused buffer.
+func decodePayload(p []byte) *proto.WireFrame {
+	return proto.GetWireFrame(append([]byte(nil), p...))
 }

@@ -3,9 +3,9 @@ package proxy
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
-	"time"
+
+	"repro/internal/proto"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -14,13 +14,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		{kind: kindData, ch: 7, t: 99, sub: 2, payload: []byte("hello world")},
 		{kind: kindData, ch: 0, t: 0, payload: nil},
 		{kind: kindEOS, ch: 65535, t: 42},
-		{kind: kindHeartbeat},
-		{kind: kindReject},
-		{kind: kindBye},
+		{kind: kindHello, payload: []byte{1, 2, 3, 4, 5, 6, 7}},
 	}
 	for _, want := range cases {
 		enc := appendWireFrame(nil, want)
-		got, err := readFrame(bytes.NewReader(enc))
+		got, _, err := readFrame(bytes.NewReader(enc), nil)
 		if err != nil {
 			t.Fatalf("kind %d: %v", want.kind, err)
 		}
@@ -31,22 +29,24 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRejectsTrailingGarbage is the satellite-4 regression: sync and EOS
-// frames whose length field claims payload bytes must be rejected even when
-// the checksum is consistent, instead of silently accepted.
+// TestRejectsTrailingGarbage: sync and EOS frames whose length field claims
+// payload bytes must be rejected even when the checksum is consistent,
+// instead of silently accepted.
 func TestRejectsTrailingGarbage(t *testing.T) {
-	for _, kind := range []byte{kindSync, kindEOS, kindHeartbeat, kindReject, kindBye} {
+	for _, kind := range []byte{kindSync, kindEOS} {
 		enc := appendWireFrame(nil, frame{kind: kind, payload: []byte{0xde, 0xad}})
 		if _, err := parseFrame(enc[4:]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("kind %d with trailing garbage: got %v, want ErrCorrupt", kind, err)
 		}
 	}
-	// Sub-channel and timestamp abuse on control frames is garbage too.
-	if _, err := parseFrame(appendWireFrame(nil, frame{kind: kindSync, sub: 1})[4:]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("sync with sub-channel: got %v, want ErrCorrupt", err)
+	// Sub-channel, channel and timestamp abuse on control frames is garbage too.
+	for _, f := range []frame{{kind: kindSync, sub: 1}, {kind: kindHello, t: 5}, {kind: kindHello, ch: 1}} {
+		if _, err := parseFrame(appendWireFrame(nil, f)[4:]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%+v: got %v, want ErrCorrupt", f, err)
+		}
 	}
-	if _, err := parseFrame(appendWireFrame(nil, frame{kind: kindHeartbeat, t: 5})[4:]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("heartbeat with timestamp: got %v, want ErrCorrupt", err)
+	if _, err := parseFrame(appendWireFrame(nil, frame{kind: 4})[4:]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown kind: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -64,76 +64,88 @@ func TestEveryBitFlipDetected(t *testing.T) {
 	}
 }
 
-func TestHelloAckRoundTrip(t *testing.T) {
-	seqs := []chanSeq{{id: 0, seq: 17}, {id: 3, seq: 0}, {id: 9, seq: 1 << 40}}
-	hf, err := readFrame(bytes.NewReader(appendHelloFrame(nil, seqs)))
+func TestHelloRoundTrip(t *testing.T) {
+	hf, _, err := readFrame(bytes.NewReader(appendHelloFrame(nil, 300)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := parseHello(hf.payload)
-	if err != nil {
-		t.Fatal(err)
+	n, err := parseHello(hf.payload)
+	if err != nil || n != 300 {
+		t.Fatalf("hello round trip: %d channels, %v; want 300", n, err)
 	}
-	af, err := readFrame(bytes.NewReader(appendAckFrame(nil, seqs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := parseAck(af.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqs {
-		if got[i] != seqs[i] || got2[i] != seqs[i] {
-			t.Fatalf("hello/ack round trip changed pair %d", i)
-		}
-	}
-	// Version and length validation.
+	// Magic, version and length validation.
 	bad := append([]byte(nil), hf.payload...)
-	bad[4] = 99
+	bad[4] = 2
 	if _, err := parseHello(bad); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("wrong version: got %v, want ErrHandshake", err)
 	}
+	bad = append([]byte(nil), hf.payload...)
+	bad[0] ^= 1
+	if _, err := parseHello(bad); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("wrong magic: got %v, want ErrHandshake", err)
+	}
 	if _, err := parseHello(hf.payload[:len(hf.payload)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated hello: got %v, want ErrCorrupt", err)
-	}
-	if _, err := parseAck(af.payload[:len(af.payload)-3]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated ack: got %v, want ErrCorrupt", err)
 	}
 }
 
 // TestRejectsOversizedFrame: the inbound side of every connection reads
 // frames through readFrame, which must refuse a corrupt length prefix before
-// allocating for it, and whose end-of-stream errors mapEOF turns into
+// allocating for it, and whose end-of-stream errors ioErr turns into
 // ErrClosed — a connection dying mid-frame is a dirty disconnect, not a bare
 // EOF.
 func TestRejectsOversizedFrame(t *testing.T) {
 	// A corrupt 1 GB length prefix.
-	if _, err := readFrame(bytes.NewReader([]byte{0x40, 0x00, 0x00, 0x00})); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readFrame(bytes.NewReader([]byte{0x40, 0x00, 0x00, 0x00}), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized frame: got %v, want ErrCorrupt", err)
 	}
 	// A length prefix promising 20 bytes, then only 3 and a slammed door.
-	_, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 20, 1, 2, 3}))
-	if err = mapEOF(err); !errors.Is(err, ErrClosed) {
+	_, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 20, 1, 2, 3}), nil)
+	if err = ioErr(err); !errors.Is(err, ErrClosed) {
 		t.Fatalf("dirty disconnect: got %v, want ErrClosed", err)
 	}
 }
 
-// waitGoroutines polls until the goroutine count settles back to the
-// baseline (small slack for runtime helpers).
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
+// TestCodecRoundTrip: a data frame's payload crosses the wire byte for byte,
+// and the decoded frame owns a copy of it — the reader reuses its buffer
+// for the next frame while the receiver keeps the one it was handed.
+func TestCodecRoundTrip(t *testing.T) {
+	f := &proto.Frame{
+		Eth: proto.Ethernet{Dst: proto.MACFromID(2), Src: proto.MACFromID(1)},
+		IP:  proto.IPv4{Src: proto.HostIP(1), Dst: proto.HostIP(2), Proto: proto.IPProtoUDP},
+		UDP: proto.UDP{SrcPort: 1, DstPort: 9},
+	}
+	f.Seal()
+	raw := proto.AppendFrame(nil, f)
+	p, err := encodePayload(proto.GetWireFrame(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := appendWireFrame(nil, frame{kind: kindData, ch: 1, t: 5, payload: p})
+	stream = appendWireFrame(stream, frame{kind: kindData, ch: 1, t: 6, payload: bytes.Repeat([]byte{0xee}, len(p))})
+	r := bytes.NewReader(stream)
+	fr, buf, err := readFrame(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodePayload(fr.payload)
+	if &got.B[0] == &buf[headerLen] {
+		t.Fatal("decoded frame aliases the read buffer")
+	}
+	if _, _, err := readFrame(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(got.B) != string(raw) {
+		t.Fatal("codec round trip changed bytes, or reading the next frame overwrote them")
+	}
+	if _, err := encodePayload(f); err == nil {
+		t.Fatal("encoding a decoded *proto.Frame should fail")
+	}
+	if _, err := encodePayload(badMsg{}); err == nil {
+		t.Fatal("encoding a non-frame message should fail")
 	}
 }
+
+type badMsg struct{}
+
+func (badMsg) Size() int { return 0 }
