@@ -11,11 +11,14 @@
 # under examples/ to completion; `make scale` is a local smoke run of the
 # fabric tests that `make test` already covers; `make loc` prints the
 # per-package code-line table simplicity PRs report before and after;
-# `make fmt` fails on any file gofmt would rewrite.
+# `make traffic` prints the non-test functions that no experiment, example
+# or benchmark workload reaches (about a minute; not part of `check`), the
+# list simplicity PRs report beside `make loc`; `make fmt` fails on any file
+# gofmt would rewrite.
 
 GO ?= go
 
-.PHONY: check fmt build vet test race chaos exec scale e2e examples bench loc all
+.PHONY: check fmt build vet test race chaos exec scale e2e examples bench loc traffic all
 
 all: check race
 
@@ -65,7 +68,8 @@ exec:
 # Scale-out transport suite, raced: proxy.Forward matching the in-process
 # run on one and on two multiplexed channels, and failing typed on both
 # sides with no leaked goroutine when the connection is killed mid-stream
-# (ErrClosed), a bit is flipped (ErrCorrupt) or the channel counts differ
+# (ErrClosed), a bit is flipped in a frame's body or its length prefix
+# (ErrCorrupt) or the channel counts differ
 # (ErrHandshake); plus the distributed run matching the monolithic one
 # under both placements.
 chaos:
@@ -116,3 +120,8 @@ bench:
 # Non-test, non-comment, non-blank Go lines per package.
 loc:
 	@sh scripts/loc.sh
+
+# Traffic map: coverage-built splitsim, examples and bench/e2e children,
+# driven once each; binaries and counters live in a mktemp -d directory.
+traffic:
+	@sh scripts/traffic.sh

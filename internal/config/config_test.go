@@ -223,82 +223,6 @@ func TestPartitionedCoupledRun(t *testing.T) {
 	}
 }
 
-// TestPartPlacementMatchesSequential runs one mixed-fidelity partitioned
-// system sequentially and under several partition-level placements,
-// asserting bit-identical workload results — the config-layer face of the
-// placement determinism property.
-func TestPartPlacementMatchesSequential(t *testing.T) {
-	const end = 10 * sim.Millisecond
-	build := func() (*config.Instance, *int, *[]sim.Time) {
-		s, received, rtts := smallSystem()
-		inst, err := s.Instantiate(config.Choices{
-			Seed:             1,
-			Partition:        []int{0, 1},
-			FidelityOverride: map[string]core.Fidelity{"server": core.Coarse},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inst, received, rtts
-	}
-
-	refInst, refReceived, refRtts := build()
-	refInst.Sim.RunSequential(end)
-	if *refReceived == 0 {
-		t.Fatal("reference run carried no traffic")
-	}
-
-	for _, tc := range []struct {
-		name      string
-		partGroup []int
-		pair      bool
-	}{
-		{"split-parts", []int{0, 1}, false},
-		{"split-parts-paired", []int{0, 1}, true},
-		{"all-colocated", []int{0, 0}, true},
-	} {
-		inst, received, rtts := build()
-		p, err := inst.PartPlacement(tc.name, tc.partGroup, tc.pair)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inst.Sim.RunParallel(end, p); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if *received != *refReceived {
-			t.Errorf("%s: received %d, sequential %d", tc.name, *received, *refReceived)
-		}
-		if len(*rtts) != len(*refRtts) {
-			t.Fatalf("%s: %d rtts, sequential %d", tc.name, len(*rtts), len(*refRtts))
-		}
-		for i := range *rtts {
-			if (*rtts)[i] != (*refRtts)[i] {
-				t.Fatalf("%s: rtt %d = %v, sequential %v", tc.name, i, (*rtts)[i], (*refRtts)[i])
-			}
-		}
-	}
-
-	// Fully co-located with host/NIC pairing: one group, every channel a
-	// zero-sync direct port.
-	inst, _, _ := build()
-	p, err := inst.PartPlacement("coloc", []int{0, 0}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := inst.Sim.Plan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.NumGroups() != 1 {
-		t.Fatalf("co-located plan has %d groups, want 1", pl.NumGroups())
-	}
-	for _, ch := range pl.Channels {
-		if !ch.Intra {
-			t.Errorf("co-located plan still couples channel %s", ch.Name)
-		}
-	}
-}
-
 func TestClockConfiguration(t *testing.T) {
 	s, _, _ := smallSystem()
 	s.Host(0).Osc = hostsim.Oscillator{DriftPPM: 40, Offset: sim.Millisecond, WanderPPM: 1, Phase: 2}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/hostsim"
 	"repro/internal/instantiate"
 	"repro/internal/netsim"
@@ -161,34 +160,4 @@ func (s *System) seeds(seed uint64, topo *netsim.Topology) map[int]uint64 {
 		seeds[slot], taken[d] = d, true
 	}
 	return seeds
-}
-
-// PartPlacement turns a per-partition group assignment — e.g. a coarse
-// decomp.Strategy assignment lifted onto the built partitions with
-// decomp.Coarsen — into a placement over ALL of the instance's components:
-// partition i joins group partGroup[i], and each detailed host rides with
-// the partition that owns its external port (host, NIC, and attachment
-// partition co-locate, so the chatty PCI and Ethernet channels degrade to
-// direct ports whenever the partition group allows it). With pairHostNIC
-// false, detailed hosts and NICs instead get fresh per-component groups.
-func (i *Instance) PartPlacement(name string, partGroup []int, pairHostNIC bool) (decomp.Placement, error) {
-	parts := i.Built.Parts
-	if len(partGroup) != len(parts) {
-		return decomp.Placement{}, fmt.Errorf("config: %d part groups for %d partitions",
-			len(partGroup), len(parts))
-	}
-	groupOf := make(map[core.Component]int, len(parts))
-	for pi, part := range parts {
-		groupOf[part] = partGroup[pi]
-	}
-	if pairHostNIC {
-		for slot, th := range i.Built.Topo().Hosts {
-			if dh := i.Detailed[th.Name]; dh != nil && th.External {
-				g := partGroup[i.Built.HostPart[slot]]
-				groupOf[dh.Host] = g
-				groupOf[dh.NIC] = g
-			}
-		}
-	}
-	return decomp.Placement{Name: name, Groups: instantiate.ComponentGroups(i.Sim, groupOf)}, nil
 }

@@ -109,35 +109,3 @@ func TestComputeSerializationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMultiCoreParallelism(t *testing.T) {
-	// Two cores complete two equal jobs in the time one core needs for one.
-	run := func(cores int) sim.Time {
-		h := New("h", 1, QemuParams(), 1)
-		h.SetCores(cores)
-		s := sim.NewScheduler(0)
-		h.Attach(core.Env{Sched: s, Src: 1})
-		var last sim.Time
-		for i := 0; i < 4; i++ {
-			h.Compute(10*sim.Microsecond, func() { last = s.Now() })
-		}
-		s.Run()
-		return last
-	}
-	if one, two := run(1), run(2); two*2 != one {
-		t.Fatalf("4 jobs: 1 core %v, 2 cores %v — want exact 2x", one, two)
-	}
-	if four := run(4); four != 10*sim.Microsecond {
-		t.Fatalf("4 cores should finish 4 jobs in one job time, got %v", four)
-	}
-	h := New("h", 1, QemuParams(), 1)
-	if h.Cores() != 1 {
-		t.Fatal("default core count")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCores(0) should panic")
-		}
-	}()
-	h.SetCores(0)
-}

@@ -36,16 +36,16 @@ type Host struct {
 
 	nicPort core.Port // PCI channel toward the NIC
 
-	// One busy-until horizon per simulated core; work lands on the least
-	// loaded core (deterministic lowest-index tie break).
-	cpuBusyUntil []sim.Time
-	cpuBusy      sim.Time // accumulated busy time, for utilization stats
+	// busyUntil is the simulated core's booking horizon; cpuBusy is its
+	// accumulated busy time, for utilization stats.
+	busyUntil sim.Time
+	cpuBusy   sim.Time
 
-	// lanes holds one delivery lane per simulated core, built by Attach on
-	// the run's scheduler. A core's bookings never go back in time, so the
-	// stack completions parked on it keep the heap one entry deep per core
-	// however far ahead the backlog reaches.
-	lanes []*sim.Lane
+	// lane is the delivery lane for stack completions, built by Attach on
+	// the run's scheduler. The core's bookings never go back in time, so the
+	// completions parked on it keep the heap one entry deep however far
+	// ahead the backlog reaches.
+	lane *sim.Lane
 
 	txID       uint64
 	txWaiters  map[uint64]func(hw sim.Time)
@@ -161,27 +161,14 @@ func (k *hostRxSink) Deliver(_ sim.Time, m core.Message) {
 func New(name string, ip proto.IP, p Params, seed uint64) *Host {
 	h := &Host{
 		name: name, ip: ip, mac: proto.MACFromID(uint32(ip)), p: p,
-		rng:          sim.NewRand(seed ^ uint64(ip)*0x9e3779b97f4a7c15),
-		cpuBusyUntil: make([]sim.Time, 1),
-		txWaiters:    make(map[uint64]func(sim.Time)),
-		phcWaiters:   make(map[uint64]func(sim.Time)),
+		rng:        sim.NewRand(seed ^ uint64(ip)*0x9e3779b97f4a7c15),
+		txWaiters:  make(map[uint64]func(sim.Time)),
+		phcWaiters: make(map[uint64]func(sim.Time)),
 	}
 	h.txSink.h = h
 	h.rxSink.h = h
 	return h
 }
-
-// SetCores configures the number of simulated cores (default 1 — the
-// paper's host configuration). Call before the simulation starts.
-func (h *Host) SetCores(n int) {
-	if n < 1 {
-		panic("hostsim: need at least one core")
-	}
-	h.cpuBusyUntil = make([]sim.Time, n)
-}
-
-// Cores returns the simulated core count.
-func (h *Host) Cores() int { return len(h.cpuBusyUntil) }
 
 // Name implements core.Component.
 func (h *Host) Name() string { return h.name }
@@ -189,10 +176,7 @@ func (h *Host) Name() string { return h.name }
 // Attach implements core.Component.
 func (h *Host) Attach(env core.Env) {
 	h.env = env
-	h.lanes = make([]*sim.Lane, len(h.cpuBusyUntil))
-	for i := range h.lanes {
-		h.lanes[i] = env.Sched.NewLane(env.Src)
-	}
+	h.lane = env.Sched.NewLane(env.Src)
 }
 
 // Start implements core.Component.
@@ -258,32 +242,25 @@ func (h *Host) jitter(d sim.Time) sim.Time {
 	return sim.Time(float64(d) * f)
 }
 
-// computeDone books d of work on the least-loaded simulated core and
-// returns its completion time, serialized behind previously queued work,
-// and the core's index. This is the mechanism that makes servers saturate
-// and adds the latency the protocol-level simulator cannot see.
-func (h *Host) computeDone(d sim.Time) (sim.Time, int) {
+// computeDone books d of work on the simulated core and returns its
+// completion time, serialized behind previously queued work. This is the
+// mechanism that makes servers saturate and adds the latency the
+// protocol-level simulator cannot see.
+func (h *Host) computeDone(d sim.Time) sim.Time {
 	d = h.jitter(d)
-	ci := 0
-	for i := 1; i < len(h.cpuBusyUntil); i++ {
-		if h.cpuBusyUntil[i] < h.cpuBusyUntil[ci] {
-			ci = i
-		}
-	}
 	start := h.env.Now()
-	if h.cpuBusyUntil[ci] > start {
-		start = h.cpuBusyUntil[ci]
+	if h.busyUntil > start {
+		start = h.busyUntil
 	}
-	h.cpuBusyUntil[ci] = start + d
+	h.busyUntil = start + d
 	h.cpuBusy += d
 	h.cost.Charge(h.p.SimCostPerEventNs)
-	return h.cpuBusyUntil[ci], ci
+	return h.busyUntil
 }
 
-// Compute runs fn after a simulated core has spent d executing this work.
+// Compute runs fn after the simulated core has spent d executing this work.
 func (h *Host) Compute(d sim.Time, fn func()) {
-	t, _ := h.computeDone(d)
-	h.env.At(t, fn)
+	h.env.At(h.computeDone(d), fn)
 }
 
 // CPUBusy returns accumulated busy time of the simulated core.
@@ -348,8 +325,7 @@ func (h *Host) sendFrame(f *proto.Frame, stamp bool, onTx func(sim.Time)) {
 	j.bytes = proto.AppendFrame(h.pool.GetBuf(), f)
 	j.stamp, j.onTx = stamp, onTx
 	f.Release()
-	t, ci := h.computeDone(h.p.TxStackCost)
-	h.lanes[ci].Post(t, &h.txSink, j)
+	h.lane.Post(h.computeDone(h.p.TxStackCost), &h.txSink, j)
 }
 
 // ReadPHC issues a PTP-hardware-clock read; fn receives the PHC value and
@@ -425,8 +401,7 @@ func (h *Host) receiveFrame(msg pci.RxPacket) {
 	// SO_TIMESTAMP software receive timestamp: taken when the driver sees
 	// the packet, before it waits behind other work on the CPU.
 	j.f, j.hw, j.sw = f, msg.HWTime, h.ClockNow()
-	t, ci := h.computeDone(h.p.IRQOverhead + h.p.RxStackCost)
-	h.lanes[ci].Post(t, &h.rxSink, j)
+	h.lane.Post(h.computeDone(h.p.IRQOverhead+h.p.RxStackCost), &h.rxSink, j)
 }
 
 // LastRxHWTime returns the NIC hardware timestamp of the datagram currently

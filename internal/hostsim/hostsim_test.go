@@ -259,15 +259,12 @@ func TestHorizonWithCPUBacklogLeaksNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		params hostsim.Params
-		cores  int
 	}{
-		{"qemu-1core", hostsim.QemuParams(), 1},
-		{"gem5-2cores-noise", hostsim.Gem5Params(), 2},
+		{"qemu-1core", hostsim.QemuParams()},
+		{"gem5-1core-noise", hostsim.Gem5Params()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := buildRig(tc.params)
-			r.h1.SetCores(tc.cores)
-			r.h2.SetCores(tc.cores)
 			var got uint64
 			r.h2.BindUDP(9, func(proto.IP, uint16, []byte, int) { got++ })
 			r.h1.AddApp(hostsim.AppFunc(func(h *hostsim.Host) {

@@ -91,33 +91,6 @@ func WirePartitions(s *orch.Simulation, topo *netsim.Topology, b *netsim.Built, 
 	}
 }
 
-// ComponentGroups maps an explicit component→group assignment onto the
-// simulation's registration order — the index space decomp.Placement uses.
-// Components missing from groupOf each receive a fresh group of their own
-// (the per-component default), numbered after the largest assigned group.
-// This is the bridge between instantiation-level placement decisions
-// ("partition 2 and its detailed hosts share a runner") and the
-// orchestrator's placement-index space.
-func ComponentGroups(s *orch.Simulation, groupOf map[core.Component]int) []int {
-	next := 0
-	for _, g := range groupOf {
-		if g+1 > next {
-			next = g + 1
-		}
-	}
-	comps := s.Components()
-	groups := make([]int, len(comps))
-	for i, c := range comps {
-		if g, ok := groupOf[c]; ok {
-			groups[i] = g
-			continue
-		}
-		groups[i] = next
-		next++
-	}
-	return groups
-}
-
 // BoundaryMsgs sums frames delivered across all partition boundaries of a
 // Built topology (both directions) — input to the decomposition
 // performance model.

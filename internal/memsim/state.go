@@ -1,7 +1,6 @@
 package memsim
 
 import (
-	"fmt"
 	"reflect"
 
 	"repro/internal/core"
@@ -9,8 +8,9 @@ import (
 	"repro/internal/snap"
 )
 
-// Explicit-state support: cores, the memory controller, and the monolithic
-// wrapper all implement core.Stateful. Configuration (Params, bindings,
+// Explicit-state support: cores and the memory controller implement
+// core.Stateful; the monolithic wrapper does not, so a checkpoint of it
+// fails with core.ErrNotCheckpointable. Configuration (Params, bindings,
 // cost-account routing) is reproduced by the identical build; only mutable
 // progress serializes. In-flight MemReq/MemResp messages travel through the
 // payload codecs registered below.
@@ -18,7 +18,6 @@ import (
 var (
 	_ core.Stateful = (*Core)(nil)
 	_ core.Stateful = (*Mem)(nil)
-	_ core.Stateful = (*Monolithic)(nil)
 )
 
 func init() {
@@ -108,52 +107,3 @@ func (m *Mem) WalkSinks(fn func(s core.Sink)) {
 
 // StartRestored implements core.Stateful (Start seeds nothing either).
 func (m *Mem) StartRestored(end sim.Time) {}
-
-// SnapshotState implements core.Stateful by delegating to the embedded
-// controller and cores in build order.
-func (m *Monolithic) SnapshotState(e *snap.Encoder) error {
-	if err := m.mem.SnapshotState(e); err != nil {
-		return err
-	}
-	e.U32(uint32(len(m.cores)))
-	for _, c := range m.cores {
-		if err := c.SnapshotState(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreState implements core.Stateful.
-func (m *Monolithic) RestoreState(d *snap.Decoder) error {
-	if err := m.mem.RestoreState(d); err != nil {
-		return err
-	}
-	if got := int(d.U32()); got != len(m.cores) {
-		return fmt.Errorf("%w: %s: snapshot has %d cores, build has %d",
-			core.ErrNotCheckpointable, m.name, got, len(m.cores))
-	}
-	for _, c := range m.cores {
-		if err := c.RestoreState(d); err != nil {
-			return err
-		}
-	}
-	return d.Err()
-}
-
-// WalkSinks implements core.Stateful: the controller's sinks, then each
-// core's in build order.
-func (m *Monolithic) WalkSinks(fn func(s core.Sink)) {
-	m.mem.WalkSinks(fn)
-	for _, c := range m.cores {
-		c.WalkSinks(fn)
-	}
-}
-
-// StartRestored implements core.Stateful.
-func (m *Monolithic) StartRestored(end sim.Time) {
-	m.mem.StartRestored(end)
-	for _, c := range m.cores {
-		c.StartRestored(end)
-	}
-}

@@ -36,10 +36,6 @@ type Iface struct {
 	// instantaneous backlog exceeds it (DCTCP-style step marking).
 	// Zero disables marking.
 	MarkThresholdBytes int
-	// RED, when non-nil, replaces step marking with RED: between MinBytes
-	// and MaxBytes the mark (ECT) / drop (non-ECT) probability rises
-	// linearly to MaxP; above MaxBytes everything marks or drops.
-	RED *REDParams
 
 	// Statistics.
 	TxPackets, TxBytes uint64
@@ -153,44 +149,6 @@ func (i *Iface) Reserve(rate int64) {
 // Reserved returns the background tier's current reservation.
 func (i *Iface) Reserved() int64 { return i.bgRate }
 
-// REDParams configures Random Early Detection on an interface. The
-// averaging is instantaneous (gentle-RED variants differ only in shape for
-// the behaviors exercised here).
-type REDParams struct {
-	MinBytes int
-	MaxBytes int
-	MaxP     float64
-}
-
-// redVerdict decides a packet's fate under RED.
-type redVerdict int
-
-const (
-	redPass redVerdict = iota
-	redMark
-	redDrop
-)
-
-func (i *Iface) redDecide(backlog int, ect bool) redVerdict {
-	r := i.RED
-	act := redDrop
-	if ect {
-		act = redMark
-	}
-	switch {
-	case backlog <= r.MinBytes:
-		return redPass
-	case backlog >= r.MaxBytes:
-		return act
-	default:
-		p := r.MaxP * float64(backlog-r.MinBytes) / float64(r.MaxBytes-r.MinBytes)
-		if i.net.rng.Float64() < p {
-			return act
-		}
-		return redPass
-	}
-}
-
 // QueueDelay returns the current queueing delay on this interface,
 // including the background tier's standing-backlog contribution.
 func (i *Iface) QueueDelay(now sim.Time) sim.Time {
@@ -215,18 +173,8 @@ func (i *Iface) Enqueue(f *proto.Frame) sim.Time {
 		f.Release()
 		return -1
 	}
-	ect := f.IP.ECN() == proto.ECNECT0 || f.IP.ECN() == proto.ECNECT1
-	if i.RED != nil {
-		switch i.redDecide(backlog, ect) {
-		case redDrop:
-			i.Drops++
-			f.Release()
-			return -1
-		case redMark:
-			f.IP = f.IP.WithECN(proto.ECNCE)
-			i.Marks++
-		}
-	} else if i.MarkThresholdBytes > 0 && backlog > i.MarkThresholdBytes && ect {
+	if i.MarkThresholdBytes > 0 && backlog > i.MarkThresholdBytes &&
+		(f.IP.ECN() == proto.ECNECT0 || f.IP.ECN() == proto.ECNECT1) {
 		f.IP = f.IP.WithECN(proto.ECNCE)
 		i.Marks++
 	}

@@ -330,7 +330,7 @@ func TestRouteComputeMatchesBuild(t *testing.T) {
 	}{{4, 0}, {6, 0}, {4, 3}} {
 		topo, _ := FatTree(tc.k, 10*sim.Gbps, 40*sim.Gbps, sim.Microsecond)
 		for i := 0; tc.every > 0 && i < len(topo.Hosts); i += tc.every {
-			topo.MakeExternal(i)
+			topo.Hosts[i].External = true
 		}
 		n := topo.Build("ft", 1, nil, nil).Parts[0]
 		var want []int

@@ -156,14 +156,6 @@ func (t *Topology) UncoveredHost() int {
 	return slices.IndexFunc(t.Hosts, func(h TopoHost) bool { return !ix.covers(h.IP) })
 }
 
-// MakeExternal converts host slot i into a detailed-host attachment point.
-func (t *Topology) MakeExternal(i int) {
-	if t.Hosts[i].Lazy {
-		panic("netsim: lazy host slot cannot be external")
-	}
-	t.Hosts[i].External = true
-}
-
 // Boundary is a cross-partition link whose two halves must be wired through
 // a synchronized channel.
 type Boundary struct {

@@ -3,8 +3,6 @@ package profiler
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // EdgeProfile is one directed waiting relation: this simulator spent
@@ -142,5 +140,3 @@ func (a *Analysis) String() string {
 	}
 	return out
 }
-
-var _ = sim.Second

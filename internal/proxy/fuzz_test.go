@@ -12,12 +12,12 @@ import (
 func FuzzProxyFraming(f *testing.F) {
 	seed := func(fr frame) {
 		enc := appendWireFrame(nil, fr)
-		f.Add(enc[4:])
+		f.Add(enc[prefixLen:])
 	}
 	seed(frame{kind: kindSync, ch: 1, t: 12345})
 	seed(frame{kind: kindData, ch: 2, t: 67, sub: 1, payload: []byte("payload")})
 	seed(frame{kind: kindEOS, ch: 3, t: 9})
-	f.Add(appendHelloFrame(nil, 2)[4:])
+	f.Add(appendHelloFrame(nil, 2)[prefixLen:])
 	// A hello of another protocol version, and one cut short.
 	seed(frame{kind: kindHello, payload: []byte{0x53, 0x53, 0x50, 0x58, 2, 0, 1}})
 	seed(frame{kind: kindHello, payload: []byte{0x53, 0x53, 0x50, 0x58, 3}})
@@ -33,8 +33,8 @@ func FuzzProxyFraming(f *testing.F) {
 		// Accepted frames must be canonical: re-encoding reproduces the
 		// input bit for bit (so decode accepts nothing encode cannot make).
 		enc := appendWireFrame(nil, fr)
-		if !bytes.Equal(enc[4:], body) {
-			t.Fatalf("accepted non-canonical frame: %x re-encodes as %x", body, enc[4:])
+		if !bytes.Equal(enc[prefixLen:], body) {
+			t.Fatalf("accepted non-canonical frame: %x re-encodes as %x", body, enc[prefixLen:])
 		}
 		// And the stream reader agrees with the buffer parser.
 		got, _, err := readFrame(bytes.NewReader(enc), nil)

@@ -5,7 +5,7 @@
 //
 // One spliced channel half (link.NewHalf) lives in each process; Forward
 // carries the messages of every half it is given over one connection in a
-// length-prefixed, CRC32-C-checksummed framing (wire protocol v3, see
+// length-prefixed, CRC32-C-checksummed framing (wire protocol v4, see
 // wire.go and DESIGN.md). The conservative synchronization protocol rides
 // along unchanged: data and sync messages carry the sender's virtual
 // timestamps, so the receiver's horizon computation is identical to the

@@ -311,15 +311,16 @@ func TestForwardKillFailsClosed(t *testing.T) {
 
 // helloBytes is the length of one framed hello: the first frame after it
 // starts at this stream offset.
-const helloBytes = 4 + 17 + 7
+const helloBytes = 8 + 17 + 7
 
-// TestForwardCorruptFailsTyped: one bit flipped in the first frame after
-// the hello is caught by the checksum. The receiver fails with ErrCorrupt;
-// the sender, whose peer hangs up, with ErrClosed.
-func TestForwardCorruptFailsTyped(t *testing.T) {
+// garbleFailsTyped flips one bit of the dialing side's outbound stream at
+// offset and demands ErrCorrupt at the receiver, ErrClosed at the sender
+// (whose peer hangs up), and no leaked goroutine.
+func garbleFailsTyped(t *testing.T, offset int64) {
+	t.Helper()
 	before := runtime.NumGoroutine()
 	f := runForwarded(t, 1, 0, func(c net.Conn) net.Conn {
-		return &faultConn{Conn: c, killAt: -1, garbleAt: helloBytes + 5}
+		return &faultConn{Conn: c, killAt: -1, garbleAt: offset}
 	})
 	if !errors.Is(f.err[0], proxy.ErrCorrupt) {
 		t.Fatalf("receiver: got %v, want ErrCorrupt", f.err[0])
@@ -329,6 +330,16 @@ func TestForwardCorruptFailsTyped(t *testing.T) {
 	}
 	settleGoroutines(t, before)
 }
+
+// TestForwardCorruptFailsTyped: one bit flipped in the body of the first
+// frame after the hello is caught by the checksum.
+func TestForwardCorruptFailsTyped(t *testing.T) { garbleFailsTyped(t, helloBytes+9) }
+
+// TestForwardCorruptLengthFailsTyped: one bit flipped in the third byte of
+// the first frame's length prefix leaves the length under the frame bound
+// but past the bytes the peer sends. The check word fails the frame before
+// the receiver waits for them, so nothing hangs.
+func TestForwardCorruptLengthFailsTyped(t *testing.T) { garbleFailsTyped(t, helloBytes+2) }
 
 // TestForwardHandshakeMismatch: peers passing different channel counts fail
 // the hello with ErrHandshake on both sides instead of exchanging frames

@@ -12,9 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Wire protocol v3. Every frame is
+// Wire protocol v4. Every frame is
 //
 //	u32  length of the remainder (header + payload)
+//	u32  bitwise complement of the length
 //	u8   kind
 //	u16  channel id (mux; one TCP connection carries many spliced channels)
 //	u64  virtual timestamp (ps; 0 for hello)
@@ -22,14 +23,19 @@ import (
 //	u32  CRC32-C over the header fields above and the payload
 //	payload bytes
 //
-// Data and sync frames carry no sequence number: TCP and the channel pipes
-// are both FIFO, so the k-th frame on a channel is message k.
+// The reader checks the length against its complement before it waits for
+// the remainder, so a flipped length bit fails the frame at once instead
+// of leaving the reader blocked on bytes the peer never sends. Data and
+// sync frames carry no sequence number: TCP and the channel pipes are both
+// FIFO, so the k-th frame on a channel is message k.
 const (
 	kindSync  byte = 0 // advances the peer's horizon, no payload
 	kindData  byte = 1 // encoded Ethernet frame (*proto.WireFrame bytes)
 	kindEOS   byte = 2 // clean end of one channel's stream
 	kindHello byte = 3 // handshake: magic, version, channel count
 )
+
+const prefixLen = 4 + 4 // length + its complement
 
 const headerLen = 1 + 2 + 8 + 2 + 4 // kind + channel + timestamp + sub + crc
 
@@ -42,7 +48,7 @@ const maxFrame = 16 << 20
 
 const (
 	helloMagic   = 0x53535058 // "SSPX"
-	protoVersion = 3
+	protoVersion = 4
 	helloLen     = 4 + 1 + 2 // magic + version + channel count
 )
 
@@ -54,8 +60,8 @@ var (
 	// ErrClosed reports a connection that failed (an I/O error or a dirty
 	// disconnect) before every channel delivered its EOS both ways.
 	ErrClosed = errors.New("proxy: connection closed mid-stream")
-	// ErrCorrupt reports a frame that failed validation (bad length,
-	// checksum mismatch, unknown kind or channel, or trailing garbage).
+	// ErrCorrupt reports a frame that failed validation (bad length or
+	// length check word, checksum mismatch, unknown kind or channel, or trailing garbage).
 	ErrCorrupt = errors.New("proxy: corrupt frame")
 	// ErrHandshake reports a hello the two peers disagree on (magic,
 	// protocol version or channel count).
@@ -73,8 +79,9 @@ type frame struct {
 
 // appendWireFrame encodes f (length prefix included) onto dst.
 func appendWireFrame(dst []byte, f frame) []byte {
-	n := headerLen + len(f.payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	n := uint32(headerLen + len(f.payload))
+	dst = binary.BigEndian.AppendUint32(dst, n)
+	dst = binary.BigEndian.AppendUint32(dst, ^n)
 	base := len(dst)
 	dst = append(dst, f.kind)
 	dst = binary.BigEndian.AppendUint16(dst, f.ch)
@@ -86,7 +93,7 @@ func appendWireFrame(dst []byte, f frame) []byte {
 	return append(dst, f.payload...)
 }
 
-// parseFrame decodes the remainder of a frame (everything after the u32
+// parseFrame decodes the remainder of a frame (everything after the
 // length prefix). The returned payload aliases b. Every validation failure
 // wraps ErrCorrupt: a checksum mismatch, an unknown kind, or a sync, EOS
 // or hello frame carrying header fields or bytes it must not (accepting
@@ -131,11 +138,14 @@ func parseFrame(b []byte) (frame, error) {
 // frame's payload aliases buf, which the caller reuses for the next frame.
 // I/O errors come back verbatim.
 func readFrame(r io.Reader, buf []byte) (frame, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var pre [prefixLen]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return frame{}, buf, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(pre[:])
+	if chk := binary.BigEndian.Uint32(pre[4:]); chk != ^n {
+		return frame{}, buf, fmt.Errorf("%w: length %d with check word %08x", ErrCorrupt, n, chk)
+	}
 	if n < headerLen || n > maxFrame {
 		return frame{}, buf, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
 	}

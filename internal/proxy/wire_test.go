@@ -35,31 +35,33 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestRejectsTrailingGarbage(t *testing.T) {
 	for _, kind := range []byte{kindSync, kindEOS} {
 		enc := appendWireFrame(nil, frame{kind: kind, payload: []byte{0xde, 0xad}})
-		if _, err := parseFrame(enc[4:]); !errors.Is(err, ErrCorrupt) {
+		if _, err := parseFrame(enc[prefixLen:]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("kind %d with trailing garbage: got %v, want ErrCorrupt", kind, err)
 		}
 	}
 	// Sub-channel, channel and timestamp abuse on control frames is garbage too.
 	for _, f := range []frame{{kind: kindSync, sub: 1}, {kind: kindHello, t: 5}, {kind: kindHello, ch: 1}} {
-		if _, err := parseFrame(appendWireFrame(nil, f)[4:]); !errors.Is(err, ErrCorrupt) {
+		if _, err := parseFrame(appendWireFrame(nil, f)[prefixLen:]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%+v: got %v, want ErrCorrupt", f, err)
 		}
 	}
-	if _, err := parseFrame(appendWireFrame(nil, frame{kind: 4})[4:]); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseFrame(appendWireFrame(nil, frame{kind: 4})[prefixLen:]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown kind: got %v, want ErrCorrupt", err)
 	}
 }
 
-// TestEveryBitFlipDetected flips each bit of an encoded frame body and
-// demands the parser notice: this is the checksum layer's whole job.
+// TestEveryBitFlipDetected flips each bit of an encoded frame and demands
+// the reader notice: a flip in the length prefix by its check word, before
+// it reads on (a longer length would otherwise read past the frame and end
+// in a bare EOF here, a hang on a live connection), a flip in the body by
+// the checksum.
 func TestEveryBitFlipDetected(t *testing.T) {
 	enc := appendWireFrame(nil, frame{kind: kindData, ch: 9, t: 777, sub: 1, payload: []byte("payload bytes")})
-	body := enc[4:]
-	for i := 0; i < len(body)*8; i++ {
-		mut := append([]byte(nil), body...)
+	for i := 0; i < len(enc)*8; i++ {
+		mut := append([]byte(nil), enc...)
 		mut[i/8] ^= 1 << (i % 8)
-		if _, err := parseFrame(mut); err == nil {
-			t.Fatalf("bit flip at %d went undetected", i)
+		if _, _, err := readFrame(bytes.NewReader(mut), nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit flip at %d: got %v, want ErrCorrupt", i, err)
 		}
 	}
 }
@@ -95,12 +97,12 @@ func TestHelloRoundTrip(t *testing.T) {
 // ErrClosed — a connection dying mid-frame is a dirty disconnect, not a bare
 // EOF.
 func TestRejectsOversizedFrame(t *testing.T) {
-	// A corrupt 1 GB length prefix.
-	if _, _, err := readFrame(bytes.NewReader([]byte{0x40, 0x00, 0x00, 0x00}), nil); !errors.Is(err, ErrCorrupt) {
+	// A consistent 1 GB length prefix.
+	if _, _, err := readFrame(bytes.NewReader([]byte{0x40, 0, 0, 0, 0xbf, 0xff, 0xff, 0xff}), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized frame: got %v, want ErrCorrupt", err)
 	}
 	// A length prefix promising 20 bytes, then only 3 and a slammed door.
-	_, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 20, 1, 2, 3}), nil)
+	_, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 20, 0xff, 0xff, 0xff, 0xeb, 1, 2, 3}), nil)
 	if err = ioErr(err); !errors.Is(err, ErrClosed) {
 		t.Fatalf("dirty disconnect: got %v, want ErrClosed", err)
 	}

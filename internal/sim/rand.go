@@ -15,13 +15,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// Fork derives an independent child generator. Children of the same parent
-// with different labels produce uncorrelated streams, which lets components
-// own private generators derived from one experiment seed.
-func (r *Rand) Fork(label uint64) *Rand {
-	return NewRand(r.Uint64() ^ (label * 0x9e3779b97f4a7c15))
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -26,22 +26,6 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
-func TestRandForkIndependent(t *testing.T) {
-	parent := NewRand(7)
-	c1 := parent.Fork(1)
-	parent = NewRand(7)
-	c2 := parent.Fork(2)
-	equal := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			equal++
-		}
-	}
-	if equal > 2 {
-		t.Fatalf("forked streams look correlated: %d equal of 100", equal)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRand(seed)
