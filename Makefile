@@ -45,8 +45,10 @@ race:
 # properties and the remote-rejection contracts, checkpoints restoring
 # bit-identically across placements, modes and GOMAXPROCS levels (with
 # restore cost independent of fabric size, a build whose sink walk
-# differs rejected before any event posts, and a restore into a build
-# whose TCP connections differ rejected), the warm-started sweep's
+# differs rejected before any event posts, a restore into a build
+# whose TCP connections differ rejected, and a capture taken with frames
+# inside switch pipelines resuming to the uninterrupted state under one
+# group and two), the warm-started sweep's
 # identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —
@@ -89,10 +91,14 @@ chaos:
 # its switch-major batch admission must agree with a per-flow hop-by-hop
 # Switch.Route walk (monolithic and partitioned, past one chunk, unroutable
 # destinations, a lone synthetic arrival, checkpoint restore) and allocate
-# one object per flow plus one links array per chunk.
+# one object per flow plus one links array per chunk; and the one-event
+# cut-through switch hop must end a seeded Clos run (blackholed frames and
+# frames left mid-pipeline included) in the state the two-event hop a
+# pass-through dataplane forces reaches, one event fewer per forwarded
+# arrival.
 scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
-	$(GO) test -run 'TestRoute|FuzzRouteTable' ./internal/netsim/
+	$(GO) test -run 'TestRoute|FuzzRouteTable|TestCutThrough' ./internal/netsim/
 	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs|TestBatchAdmission|TestAdmissionAllocs' ./internal/netsim/flowsim/
 
 # End-to-end benchmark module: bench/e2e is a Go module of its own, so the

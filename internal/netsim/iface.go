@@ -18,6 +18,10 @@ type Iface struct {
 	delay sim.Time // one-way propagation
 	peer  *Iface   // nil when ext != nil
 	ext   *ExtPort
+	// cut is the peer's switch when that switch has no Dataplane, nil
+	// otherwise; Network.Attach sets it. A frame sent toward a cut switch
+	// takes one event for the link and the pipeline (see Switch.cutSink).
+	cut *Switch
 
 	busyUntil sim.Time
 
@@ -42,9 +46,10 @@ type Iface struct {
 	Drops, Marks       uint64
 
 	// enqSink and rxSink are the typed-delivery sinks for the two scheduled
-	// hops a frame takes through this interface: the switch pipeline delay
-	// before Enqueue, and the propagation delay before the peer receives.
-	// Embedded by value so the forwarding path allocates nothing.
+	// hops a frame takes through this interface when its switch does not
+	// cut through: the switch pipeline delay before Enqueue, and the
+	// propagation delay before the peer receives. Embedded by value so the
+	// forwarding path allocates nothing.
 	enqSink ifaceEnqSink
 	rxSink  ifaceRxSink
 }
@@ -187,10 +192,24 @@ func (i *Iface) Enqueue(f *proto.Frame) sim.Time {
 	i.TxPackets++
 	i.TxBytes += uint64(size)
 
-	if i.ext != nil {
+	switch {
+	case i.ext != nil:
 		env.PostDelivery(depart, &i.ext.outSink, f)
-		return depart
+	case i.cut != nil:
+		env.PostDelivery(depart+i.delay+i.net.SwitchLatency, &i.cut.cutSink, f)
+	default:
+		env.PostDelivery(depart+i.delay, &i.peer.rxSink, f)
 	}
-	env.PostDelivery(depart+i.delay, &i.peer.rxSink, f)
 	return depart
+}
+
+// setCut points i at its peer's switch when that switch has no Dataplane.
+func (i *Iface) setCut() {
+	i.cut = nil
+	if i.peer == nil {
+		return
+	}
+	if sw, ok := i.peer.owner.(*Switch); ok && sw.Dataplane == nil {
+		i.cut = sw
+	}
 }

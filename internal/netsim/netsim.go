@@ -127,15 +127,24 @@ func (n *Network) Name() string { return n.name }
 // here, in deterministic order, under names scoped by the component name.
 // Route tables still dirty from installs after the build compile here, on
 // the building goroutine: the flow tier's replicas look up every
-// partition's switches from their own runners during the run.
+// partition's switches from their own runners during the run. Every
+// interface facing a switch without a Dataplane is set to cut through.
 func (n *Network) Attach(env core.Env) {
 	n.env = env
 	for i := range n.regs {
 		n.regs[i].h = env.RegisterNamed("net/"+n.name+"/"+n.regs[i].suffix, n.regs[i].fn)
 	}
+	for _, h := range n.hosts {
+		if h.iface != nil {
+			h.iface.setCut()
+		}
+	}
 	for _, sw := range n.switches {
 		if sw.dirty {
 			sw.compile()
+		}
+		for _, ifc := range sw.ifaces {
+			ifc.setCut()
 		}
 	}
 }
@@ -213,6 +222,7 @@ type node interface {
 // AddSwitch creates a switch.
 func (n *Network) AddSwitch(name string) *Switch {
 	s := &Switch{net: n, name: name}
+	s.cutSink.s = s
 	n.switches = append(n.switches, s)
 	return s
 }

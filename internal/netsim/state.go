@@ -90,6 +90,7 @@ func (n *Network) WalkSinks(fn func(s core.Sink)) {
 			fn(&ifc.enqSink)
 			fn(&ifc.rxSink)
 		}
+		fn(&sw.cutSink)
 	}
 	for _, p := range n.exts {
 		fn(&p.outSink)

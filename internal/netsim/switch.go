@@ -61,7 +61,8 @@ type Switch struct {
 	// behavior-identical — and every topology or route mutation clears it.
 	fcache [flowCacheSize]flowEntry
 
-	// Dataplane, when non-nil, processes every received frame.
+	// Dataplane, when non-nil, processes every received frame. Set it
+	// before the network attaches: Attach decides which hops cut through.
 	Dataplane Dataplane
 
 	// TransparentClock makes the switch add per-packet residence time to
@@ -76,6 +77,46 @@ type Switch struct {
 	NoRoute uint64
 	// FlowCacheHits counts forwarding decisions served from fcache.
 	FlowCacheHits uint64
+
+	// cutSink runs a frame's link arrival and pipeline step as one event.
+	cutSink switchCutSink
+}
+
+// switchCutSink is the cut-through hop into a switch without a Dataplane:
+// the sender posts it at departure + propagation + SwitchLatency, and it
+// does what the link arrival (receive) and the pipeline step (enqSink)
+// would have done at their own instants — the arrival's counter and route
+// lookup have no effect the pipeline step could observe.
+type switchCutSink struct{ s *Switch }
+
+// Deliver implements core.Sink. at is the pipeline-exit instant, as in
+// ifaceEnqSink.Deliver.
+func (k *switchCutSink) Deliver(at sim.Time, m sim.Payload) {
+	s := k.s
+	f := m.(*proto.Frame)
+	s.RxPackets++
+	out, ok := s.lookup(f.IP.Dst)
+	if !ok {
+		s.NoRoute++
+		f.Release()
+		return
+	}
+	s.ifaces[out].enqSink.Deliver(at, f)
+}
+
+// Discard implements sim.Discarder. A frame that reached the switch before
+// the run stopped was counted on arrival by the two-event hop, so it is
+// counted here — through Route, since the flow cache is not state a
+// stopped run should touch.
+func (k *switchCutSink) Discard(at sim.Time, m sim.Payload) {
+	s := k.s
+	if at-s.net.SwitchLatency >= s.net.env.Now() {
+		return
+	}
+	s.RxPackets++
+	if _, ok := s.Route(m.(*proto.Frame).IP.Dst); !ok {
+		s.NoRoute++
+	}
 }
 
 // Name returns the switch name.

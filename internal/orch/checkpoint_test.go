@@ -162,6 +162,65 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointMidPipelineResume captures at a horizon that finds frames
+// inside switch pipelines — past their link arrival, before their egress
+// enqueue, each one pending cut-through event — under one group and under
+// two, and resumes every capture under both: each resume must end in the
+// state and event count of an uninterrupted run. The captured switch
+// counters trail a cold run stopped at the same horizon, which counts its
+// mid-pipeline frames as it discards their events; the gap proves the
+// capture held some.
+func TestCheckpointMidPipelineResume(t *testing.T) {
+	const (
+		seed = 2
+		dur  = 2 * sim.Millisecond
+		at   = sim.Millisecond + 137
+	)
+	arrival := workload.Open{FlowsPerSec: 50_000}
+	switchRx := func(b *netsim.Built) (n uint64) {
+		for _, sw := range b.Switches {
+			n += sw.RxPackets
+		}
+		return n
+	}
+
+	ref, refBuilt, refEng := buildCkptSim(seed, arrival)
+	refEvents := ref.RunSequential(dur).Processed()
+	refDigest := ckptDigest(t, refBuilt, refEng)
+	cold, coldBuilt, _ := buildCkptSim(seed, arrival)
+	cold.RunSequential(at)
+	coldRx := switchRx(coldBuilt)
+
+	n := ref.NumComponents()
+	placements := []decomp.Placement{decomp.SingleGroup(n), blocked(n)}
+	for _, cp := range placements {
+		cs, _, _ := buildCkptSim(seed, arrival)
+		res, _ := execute(t, cs, cp, at, orch.RunOptions{Capture: true})
+		ck := res.Checkpoint
+		for _, rp := range placements {
+			rs, rBuilt, rEng := buildCkptSim(seed, arrival)
+			var capturedRx uint64
+			rs.PreRun = func(*link.Group) { capturedRx = switchRx(rBuilt) }
+			_, events := execute(t, rs, rp, dur, orch.RunOptions{Resume: ck})
+			if capturedRx >= coldRx {
+				t.Fatalf("capture %d groups: switch rx %d at the horizon, cold run %d: no frame was mid-pipeline",
+					cp.NumGroups(), capturedRx, coldRx)
+			}
+			if d := ckptDigest(t, rBuilt, rEng); d != refDigest {
+				t.Fatalf("capture %d groups, resume %d groups: digest %#x != uninterrupted %#x",
+					cp.NumGroups(), rp.NumGroups(), d, refDigest)
+			}
+			if got := ck.BaseEvents + events; got != refEvents {
+				t.Fatalf("capture %d groups, resume %d groups: events %d+%d != %d",
+					cp.NumGroups(), rp.NumGroups(), ck.BaseEvents, events, refEvents)
+			}
+			if n := rs.LiveFrames(); n != 0 {
+				t.Fatalf("capture %d groups, resume %d groups: leaked %d frames", cp.NumGroups(), rp.NumGroups(), n)
+			}
+		}
+	}
+}
+
 // TestCheckpointBytesPlacementInvariant: the serialized checkpoint is
 // byte-for-byte identical whether it was captured from a sequential run or
 // a quiesced placed run under any mode — sink names and the canonical
@@ -382,10 +441,11 @@ func TestLoadCheckpoint(t *testing.T) {
 		t.Fatalf("garbled checkpoint: err = %v, want ErrCorrupt", err)
 	}
 	// Containers of the previous formats — sinks addressed by name (1), a
-	// conns section split into direct and trunk channels (2) — are rejected
-	// on their version, not misparsed. The CRC covers the version field, so
-	// each re-stamped container gets a valid one.
-	for _, v := range []uint16{1, 2} {
+	// conns section split into direct and trunk channels (2), a sink walk
+	// without the switches' cut-through sinks (3) — are rejected on their
+	// version, not misparsed. The CRC covers the version field, so each
+	// re-stamped container gets a valid one.
+	for _, v := range []uint16{1, 2, 3} {
 		stale := append([]byte(nil), ck.Data...)
 		binary.LittleEndian.PutUint16(stale[4:], v)
 		binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))

@@ -95,16 +95,14 @@ func (l *Lane) grow() {
 	l.ring, l.head = ring, 0
 }
 
-// discard empties the lane, handing each payload to fn when it is non-nil,
-// and returns how many entries it held. The caller drops the heap entry and
-// resets the scheduler's behind count.
+// discard empties the lane, dropping each entry as DiscardPending drops a
+// plain delivery, and returns how many entries it held. The caller drops
+// the heap entry and resets the scheduler's behind count.
 func (l *Lane) discard(fn func(Payload)) int {
 	n := l.n
 	for ; l.n > 0; l.n-- {
 		e := &l.ring[l.head]
-		if fn != nil {
-			fn(e.payload)
-		}
+		dropDelivery(e.at, e.sink, e.payload, fn)
 		*e = laneEntry{}
 		l.head = (l.head + 1) & (len(l.ring) - 1)
 	}

@@ -45,7 +45,7 @@ func BenchmarkQueueChurn1024(b *testing.B) {
 	var seq uint64
 	push := func(at Time, src int32) {
 		seq++
-		q.Push(eventEntry{at: at, src: src, seq: seq, fn: func() {}})
+		q.Push(eventEntry{at: at, src: src, seq: seq, del: 1})
 	}
 	for i := 0; i < 1024; i++ {
 		push(Time(100+(i*2654435761)%100000), int32(i%7))

@@ -49,6 +49,23 @@ type delivery struct {
 	payload Payload
 }
 
+// funcSink is the sink of a closure event: At/AtSrc/After post fn as a
+// delivery with no payload, so every queue entry is a side-table index.
+type funcSink func()
+
+// Deliver implements Sink.
+func (f funcSink) Deliver(Time, Payload) { f() }
+
+// Discarder is a Sink that owes bookkeeping for a delivery that never
+// runs. DiscardPending calls Discard with the event's time in place of
+// Deliver, before the payload goes to its release callback — netsim's
+// cut-through hop counts there a frame that reached its switch before the
+// run ended.
+type Discarder interface {
+	Sink
+	Discard(at Time, payload Payload)
+}
+
 // NewScheduler returns a scheduler whose locally scheduled events use id as
 // their ordering source.
 func NewScheduler(id int32) *Scheduler {
@@ -80,11 +97,7 @@ func (s *Scheduler) After(d Time, fn func()) { s.AtSrc(s.now+d, s.id, fn) }
 // layer uses this to give messages arriving on different channels a stable
 // order independent of goroutine interleaving.
 func (s *Scheduler) AtSrc(t Time, src int32, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.seq++
-	s.q.Push(eventEntry{at: t, src: src, seq: s.seq, fn: fn})
+	s.PostDelivery(t, src, funcSink(fn), nil)
 }
 
 // PostDelivery schedules a typed delivery event: at time t the scheduler
@@ -151,15 +164,11 @@ func (s *Scheduler) runHead() {
 		d.sink.Deliver(e.at, d.payload)
 		return
 	}
-	if e.del < 0 {
-		i := -e.del - 1
-		ne := s.namedEvts[i]
-		s.namedEvts[i] = namedEvent{}
-		s.freeNamed = append(s.freeNamed, i)
-		s.named[ne.h].fn(ne.args)
-		return
-	}
-	e.fn()
+	i := -e.del - 1
+	ne := s.namedEvts[i]
+	s.namedEvts[i] = namedEvent{}
+	s.freeNamed = append(s.freeNamed, i)
+	s.named[ne.h].fn(ne.args)
 }
 
 // RunBefore executes every event with timestamp strictly less than limit and
@@ -195,20 +204,23 @@ func (s *Scheduler) Run() uint64 {
 
 // DiscardPending drains every still-queued event without executing it and
 // returns how many were dropped. For typed delivery events, lane-held ones
-// included, the payload is handed to fn (nil to ignore) so pooled
-// resources in flight when a run ends — frames queued past the end time,
-// undelivered NIC batches — can be returned to their pools. Func events are
-// dropped silently; Now does not advance. Every lane is left empty, and the
-// delivery side table and its free list are reset.
+// included, a Discarder sink settles its bookkeeping and the payload is
+// then handed to fn (nil to ignore) so pooled resources in flight when a
+// run ends — frames queued past the end time, undelivered NIC batches —
+// can be returned to their pools. Closure and named events are dropped
+// silently; Now does not advance. Every lane is left empty, and the side
+// tables and their free lists are reset.
 func (s *Scheduler) DiscardPending(fn func(Payload)) int {
 	n := 0
 	for e := s.q.top(); e != nil; e = s.q.top() {
 		if e.del > 0 {
 			d := s.deliveries[e.del-1]
-			if k, ok := d.sink.(*laneHead); ok {
+			switch k := d.sink.(type) {
+			case *laneHead:
 				n += (*Lane)(k).discard(fn) - 1 // the head entry is counted below
-			} else if fn != nil {
-				fn(d.payload)
+			case funcSink: // a closure carries no payload to release
+			default:
+				dropDelivery(e.at, d.sink, d.payload, fn)
 			}
 		}
 		s.q.Pop()
@@ -220,4 +232,15 @@ func (s *Scheduler) DiscardPending(fn func(Payload)) int {
 	s.namedEvts = s.namedEvts[:0]
 	s.freeNamed = s.freeNamed[:0]
 	return n
+}
+
+// dropDelivery drops one undelivered typed delivery: a Discarder sink
+// settles first, then fn, when non-nil, takes the payload.
+func dropDelivery(at Time, sink Sink, p Payload, fn func(Payload)) {
+	if k, ok := sink.(Discarder); ok {
+		k.Discard(at, p)
+	}
+	if fn != nil {
+		fn(p)
+	}
 }

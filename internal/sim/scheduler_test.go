@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -113,11 +115,49 @@ func TestSchedulerRunBefore(t *testing.T) {
 	}
 }
 
-// TestEventEntrySize pins the heap entry: every sift copies it, and the
-// GC scans its one pointer word.
+// TestEventEntrySize pins the heap entry: every sift copies it, and with
+// no pointer word in it the GC never scans the heap.
 func TestEventEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(eventEntry{}); n != 32 {
-		t.Fatalf("eventEntry is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(eventEntry{}); n != 24 {
+		t.Fatalf("eventEntry is %d bytes, want 24", n)
+	}
+}
+
+// discardSink records the Discard calls DiscardPending makes.
+type discardSink struct{ at []Time }
+
+func (k *discardSink) Deliver(Time, Payload)      { panic("a discarded event ran") }
+func (k *discardSink) Discard(at Time, _ Payload) { k.at = append(k.at, at) }
+
+// TestClosureEventStaysUnexportable holds the closure event, now a delivery
+// to a funcSink, to its old contract: ExportPending fails with
+// ErrClosureEvent, and DiscardPending drops it without handing anything to
+// its release callback, while a Discarder sink is told each dropped event's
+// time before its payload is released.
+func TestClosureEventStaysUnexportable(t *testing.T) {
+	s := NewScheduler(1)
+	k := &discardSink{}
+	s.PostDelivery(5, 1, k, idTok(7))
+	s.At(10, func() { t.Fatal("a discarded closure ran") })
+	s.PostDelivery(15, 1, k, idTok(8))
+	if _, err := s.ExportPending(); !errors.Is(err, ErrClosureEvent) {
+		t.Fatalf("ExportPending with a closure: err %v, want ErrClosureEvent", err)
+	}
+	var released []Payload
+	if n := s.DiscardPending(func(p Payload) { released = append(released, p) }); n != 3 {
+		t.Fatalf("DiscardPending dropped %d, want 3", n)
+	}
+	if len(released) != 2 || len(k.at) != 2 {
+		t.Fatalf("released %v, Discard at %v: want the two deliveries only", released, k.at)
+	}
+	slices.Sort(k.at)
+	if k.at[0] != 5 || k.at[1] != 15 {
+		t.Fatalf("Discard at %v, want [5 15]", k.at)
+	}
+	for _, p := range released {
+		if _, ok := p.(idTok); !ok {
+			t.Fatalf("release callback got %T, want only delivery payloads", p)
+		}
 	}
 }
 

@@ -60,18 +60,19 @@ func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error
 		switch {
 		case e.del > 0:
 			d := s.deliveries[e.del-1]
-			if k, ok := d.sink.(*laneHead); ok {
+			switch k := d.sink.(type) {
+			case *laneHead:
 				out = (*Lane)(k).appendPending(out)
-				continue
+			case funcSink:
+				return out, fmt.Errorf("%w (at %v, src %d)", ErrClosureEvent, e.at, e.src)
+			default:
+				out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
+					Kind: PendingDelivery, Sink: d.sink, Payload: d.payload})
 			}
-			out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
-				Kind: PendingDelivery, Sink: d.sink, Payload: d.payload})
-		case e.del < 0:
+		default:
 			ne := s.namedEvts[-e.del-1]
 			out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
 				Kind: PendingNamed, Handler: s.named[ne.h].name, Args: ne.args})
-		default:
-			return out, fmt.Errorf("%w (at %v, src %d)", ErrClosureEvent, e.at, e.src)
 		}
 	}
 	return out, nil
