@@ -48,8 +48,10 @@ race:
 # differs rejected before any event posts, a restore into a build
 # whose TCP connections differ rejected, and a capture taken with frames
 # inside switch pipelines resuming to the uninterrupted state under one
-# group and two), the warm-started sweep's
-# identity point matching its cold run, and the
+# group and two, and a capture taken inside a lag window — memory requests
+# and responses arrived but not yet delivered, frames that crossed a
+# partition boundary into a switch pipeline — resuming likewise), the
+# warm-started sweep's identity point matching its cold run, and the
 # scheduler's delivery lanes (their contents are pending events, so
 # snapshots, rollbacks and checkpoints export, discard and restore them) —
 # plus the rollback fuzz seed corpus and the configuration-boundary fuzz seed
@@ -60,9 +62,18 @@ race:
 # modeled link (ModelGraph), and a partitioned build must deliver every
 # boundary link at its own delay, as the monolithic build does, under the
 # sequential and the per-component executor (WirePartitions).
+# Lagged sinks (core.Lagger): a lagged delivery lands at send + latency +
+# lag and widens its endpoint's horizon by the least lag over the sinks it
+# feeds (a bundle with a lag-0 sub keeps plain latency), the plan prints the
+# lookahead per direction, and runs stopped inside a lag window count the
+# window's arrivals exactly — memsim Txns, cost, Blocks and StallTime equal
+# to a lag-free reference model, boundary RxFrames and switch RxPackets and
+# NoRoute equal to the unpartitioned network — under the sequential,
+# blocked2, per-component and monolithic runs; the v4 checkpoint format is
+# rejected with ErrVersion (TestLoadCheckpoint).
 exec:
 	$(GO) test -race \
-		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement|TestWirePartitions' \
+		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement|TestWirePartitions|TestLaggedSink|TestLagWindow' \
 		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/ ./internal/decomp/ ./internal/instantiate/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 	$(GO) test -run 'FuzzSystemInstantiate' ./internal/config/
@@ -109,8 +120,7 @@ e2e:
 	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
 
 # Example programs: `go build ./...` only compiles examples/*, so run each
-# one and fail on a non-zero exit. parallel writes its raw profile under
-# os.TempDir, not the repo.
+# one and fail on a non-zero exit. None writes a file.
 examples:
 	@for d in examples/*/; do \
 		echo "run $$d"; \

@@ -6,13 +6,14 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
-	"os"
 
 	splitsim "repro"
 	"repro/internal/decomp"
 	"repro/internal/link"
 	"repro/internal/netsim"
+	"repro/internal/profiler"
 	"repro/internal/proto"
 )
 
@@ -53,15 +54,18 @@ func main() {
 	g := splitsim.BuildWTPG(a)
 	fmt.Print(g.Render())
 
-	// Persist the raw profile for the wtpg post-processing tool:
-	//   go run ./cmd/wtpg -format dot profile.log
-	f, err := os.CreateTemp("", "splitsim-profile-*.log")
-	if err == nil {
-		defer f.Close()
-		if _, err := col.WriteTo(f); err == nil {
-			fmt.Printf("wrote raw profile to %s (post-process with cmd/wtpg)\n", f.Name())
-		}
+	// The raw profile is what the wtpg post-processing tool reads
+	// (col.WriteTo a file, then `go run ./cmd/wtpg -format dot profile.log`).
+	// Round-trip it through the same parser in memory, writing no file.
+	var raw bytes.Buffer
+	if _, err := col.WriteTo(&raw); err != nil {
+		panic(err)
 	}
+	samples, _, err := profiler.ParseLog(&raw)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("raw profile: %d samples parse back (post-process a saved one with cmd/wtpg)\n", len(samples))
 }
 
 func drop(proto.IP, uint16, []byte, int) {}

@@ -65,10 +65,34 @@ type Port interface {
 }
 
 // Sink receives messages from a peer's Port. Deliver runs at virtual time
-// at = sendTime + latency on the receiving component's scheduler. Like
+// at = sendTime + latency (plus the sink's Lag, see Lagger) on the
+// receiving component's scheduler. Like
 // Message, Sink is an alias of the kernel-level sim.Sink so sinks plug
 // straight into typed delivery events (sim.Scheduler.PostDelivery).
 type Sink = sim.Sink
+
+// Lagger is a Sink with a constant reaction lag: a message that arrives at
+// sendTime + latency has no effect until Lag() later, so it is delivered
+// then — Deliver runs at sendTime + latency + Lag(), and arrival is at −
+// Lag(). A receiver that only acts a fixed delay after each arrival (a core
+// resuming its next compute block, a switch pipeline) declares that delay
+// here, and the channel carrying its input adds it to its lookahead. Lag
+// must be non-negative and constant from wiring to the end of the run. A
+// lagged sink that keeps counters of arrivals implements sim.Discarder, so
+// a run that stops between a message's arrival and its delivery still
+// counts it.
+type Lagger interface {
+	Sink
+	Lag() sim.Time
+}
+
+// LagOf returns sink's reaction lag: Lag() for a Lagger, 0 otherwise.
+func LagOf(sink Sink) sim.Time {
+	if l, ok := sink.(Lagger); ok {
+		return l.Lag()
+	}
+	return 0
+}
 
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(at sim.Time, payload Message)

@@ -10,7 +10,8 @@ import (
 // Channel is a bidirectional SplitSim channel between two component
 // simulators. Each direction is an independent FIFO; both share the same
 // latency, which is also the synchronization quantum — the SimBricks
-// protocol: a side may not run past its peer's last timestamp + latency.
+// protocol: a side may not run past its peer's last timestamp + latency,
+// widened by the least reaction lag of the sinks it feeds.
 type Channel struct {
 	Name    string
 	Latency sim.Time
@@ -27,8 +28,8 @@ func NewChannel(name string, latency sim.Time) *Channel {
 	}
 	c := &Channel{Name: name, Latency: latency}
 	ab, ba := newPipe(), newPipe()
-	c.a = &Endpoint{ch: c, label: name + ".a", out: ab, in: ba, lastSentT: -1, lastRecvT: -1}
-	c.b = &Endpoint{ch: c, label: name + ".b", out: ba, in: ab, lastSentT: -1, lastRecvT: -1}
+	c.a = &Endpoint{ch: c, label: name + ".a", out: ab, in: ba, lastSentT: -1, lastRecvT: -1, lookahead: latency}
+	c.b = &Endpoint{ch: c, label: name + ".b", out: ba, in: ab, lastSentT: -1, lastRecvT: -1, lookahead: latency}
 	c.a.peer = c.b
 	c.b.peer = c.a
 	return c
@@ -54,6 +55,13 @@ type Endpoint struct {
 	runner *Runner
 	subs   []subEnd // indexed by sub-channel id
 
+	// lookahead is how far past the peer's clock this side may run: the
+	// channel latency plus the least reaction lag over its sinks (see
+	// core.Lagger), since no message the peer sends later can act here
+	// sooner. SetSink keeps it current; a sub with a lag-0 sink holds it at
+	// plain latency.
+	lookahead sim.Time
+
 	lastSentT sim.Time // our clock when we last sent anything (-1: never)
 	lastRecvT sim.Time // peer clock as of the last received message (-1: none)
 	peerDone  bool
@@ -72,16 +80,17 @@ type Endpoint struct {
 	Stats Counters
 }
 
-// subEnd is this side's record of one sub-channel: the sink and ordering
-// source its incoming messages deliver with, the component whose pool a
-// logged pooled payload re-mints from at replay (optimistic runs only), and
-// tx, the data messages published on it. tx counts at publication, so a
+// subEnd is this side's record of one sub-channel: the sink, its reaction
+// lag and the ordering source its incoming messages deliver with, the
+// component whose pool a logged pooled payload re-mints from at replay
+// (optimistic runs only), and tx, the data messages published on it. tx counts at publication, so a
 // rollback's re-sends — withheld and then deduplicated — never count twice:
 // at the end of a run each sub's tx is exactly its committed sends, which is
 // what lets several logical channels share one endpoint and still report
 // their own message counts.
 type subEnd struct {
 	sink  core.Sink
+	lag   sim.Time
 	src   int32
 	owner core.Component
 	tx    uint64
@@ -173,22 +182,41 @@ func (p subPort) Latency() sim.Time         { return p.e.ch.Latency }
 // SetSink registers the sink receiving sub-channel sub. srcID is the stable
 // event-ordering source for deliveries on this sub-channel; wiring code must
 // assign srcIDs identically in sequential and coupled mode for runs to be
-// comparable.
+// comparable. The sink's reaction lag (core.LagOf) is read here, once: it
+// sets when the sub's messages deliver and, as the least over every sub,
+// the endpoint's lookahead.
 func (e *Endpoint) SetSink(sub uint16, srcID int32, sink core.Sink) {
 	se := e.sub(sub)
-	se.sink, se.src = sink, srcID
+	se.sink, se.src, se.lag = sink, srcID, core.LagOf(sink)
+	least := sim.Infinity
+	for i := range e.subs {
+		if e.subs[i].sink != nil {
+			least = min(least, e.subs[i].lag)
+		}
+	}
+	e.lookahead = e.ch.Latency + least
 }
 
-// horizon returns the virtual time this side may safely advance to.
+// deliverAt is when a message sent at t acts at a sink of reaction lag lag
+// across latency lat: it arrives at t + lat and is delivered lag later. It
+// is the one formula every delivery path uses — DirectPort.Send, handle and
+// its committed and straggler checks, and the speculative replay — so every
+// placement delivers each message at the same instant.
+func deliverAt(t, lat, lag sim.Time) sim.Time { return t + lat + lag }
+
+// horizon returns the virtual time this side may safely advance to: every
+// later message from the peer is stamped at or after lastRecvT (at or after
+// the common start before the first), so it acts here no sooner than that
+// plus the lookahead.
 func (e *Endpoint) horizon() sim.Time {
 	if e.peerDone {
 		return sim.Infinity
 	}
 	if e.lastRecvT < 0 {
 		// Nothing received yet: the peer is at the common start time.
-		return e.start + e.ch.Latency
+		return e.start + e.lookahead
 	}
-	return e.lastRecvT + e.ch.Latency
+	return e.lastRecvT + e.lookahead
 }
 
 // sendSync stages a pure synchronization message stamped now, unless a
@@ -213,11 +241,11 @@ func (e *Endpoint) finish(end sim.Time) {
 // handle processes one incoming message — the only receive path, fed by the
 // runner's drain, by the message that ends a stall, and by DrainResidual. It
 // advances the recorded peer clock and, for data, schedules delivery at
-// T + latency on the runner's scheduler with the sub-channel's ordering
-// source. While the runner holds a snapshot the message is also logged for
-// replay, and one that lands at or below the scheduler's executed watermark
-// (MaxExec) is a straggler: it is left to the rollback's replay instead of
-// being delivered. Without a snapshot nothing runs past committed, so a
+// T + latency + the sink's lag on the runner's scheduler with the
+// sub-channel's ordering source. While the runner holds a snapshot the
+// message is also logged for replay, and one that lands at or below the
+// scheduler's executed watermark (MaxExec) is a straggler: it is left to
+// the rollback's replay instead of being delivered. Without a snapshot nothing runs past committed, so a
 // straggler is a protocol bug.
 func (e *Endpoint) handle(m Message) {
 	if m.T < e.lastRecvT {
@@ -236,12 +264,13 @@ func (e *Endpoint) handle(m Message) {
 	if st.dom != nil {
 		e.spec.rx.Add(1)
 	}
-	at := m.T + e.ch.Latency
-	if at < r.committed {
-		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, at, r.committed))
-	}
 	if int(m.Sub) >= len(e.subs) || e.subs[m.Sub].sink == nil {
 		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))
+	}
+	se := &e.subs[m.Sub]
+	at := deliverAt(m.T, e.ch.Latency, se.lag)
+	if at < r.committed {
+		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, at, r.committed))
 	}
 	if st.snapValid {
 		e.logInput(m) // may fall back to the snapshot and give it up
@@ -258,7 +287,6 @@ func (e *Endpoint) handle(m Message) {
 		panic(fmt.Sprintf("link: %s straggler at %v (executed to %v) with no snapshot",
 			e.label, at, r.sched.MaxExec()))
 	}
-	se := &e.subs[m.Sub]
 	// A speculative batch leaves the clock at its cap even when the window's
 	// tail was empty; pull it back so the delivery is not in the past.
 	r.sched.Rewind(at)

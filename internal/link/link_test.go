@@ -319,3 +319,65 @@ func TestDirectPortValidation(t *testing.T) {
 	}()
 	NewDirectPort(sim.NewScheduler(0), 0, 1, nil)
 }
+
+// laggedSink is a pinger that declares a reaction lag (core.Lagger).
+type laggedSink struct {
+	*pinger
+	lag sim.Time
+}
+
+func (l laggedSink) Lag() sim.Time { return l.lag }
+
+// TestLaggedSinkLookahead: a lagged sink is delivered at send + latency +
+// lag under the coupled and the direct path alike; its endpoint's horizon
+// rises by the least lag over its sinks; and a bundle that also carries a
+// lag-0 sink keeps plain latency.
+func TestLaggedSinkLookahead(t *testing.T) {
+	const lat, lag = 500 * sim.Nanosecond, 70 * sim.Nanosecond
+	ch := NewChannel("x", lat)
+	b := ch.SideB()
+	b.SetSink(0, 1, laggedSink{&pinger{}, lag})
+	if got := b.horizon(); got != lat+lag {
+		t.Errorf("horizon with one sink of lag %v = %v, want %v", lag, got, lat+lag)
+	}
+	b.SetSink(1, 2, laggedSink{&pinger{}, lag / 2})
+	if got := b.lookahead; got != lat+lag/2 {
+		t.Errorf("lookahead over lags %v and %v = %v, want %v", lag, lag/2, got, lat+lag/2)
+	}
+	b.SetStart(sim.Microsecond)
+	if got := b.horizon(); got != sim.Microsecond+lat+lag/2 {
+		t.Errorf("restored horizon = %v, want start + %v", got, lat+lag/2)
+	}
+	b.SetSink(2, 3, &pinger{})
+	if got := b.lookahead; got != lat {
+		t.Errorf("bundle with a lag-0 sub: lookahead %v, want plain latency %v", got, lat)
+	}
+	if got := ch.SideA().lookahead; got != lat {
+		t.Errorf("side without sinks: lookahead %v, want %v", got, lat)
+	}
+
+	const end = 2 * sim.Microsecond
+	g, pa, pb := buildPair(lat)
+	qb := laggedSink{pb, lag}
+	g.Runners[1].Endpoints()[0].SetSink(0, 101, qb)
+	if err := g.Run(end); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%v:pa:0@%v", lat+lag, lat+lag); len(pb.trace) == 0 || pb.trace[0] != want {
+		t.Fatalf("first lagged delivery %v, want %q", pb.trace, want)
+	}
+
+	s := sim.NewScheduler(0)
+	da := &pinger{name: "pa", interval: 100 * sim.Nanosecond}
+	db := &pinger{name: "pb", interval: 130 * sim.Nanosecond}
+	da.port = NewDirectPort(s, lat, 101, laggedSink{db, lag})
+	db.port = NewDirectPort(s, lat, 100, da)
+	da.Attach(core.Env{Sched: s, Src: 10})
+	db.Attach(core.Env{Sched: s, Src: 11})
+	da.Start(end)
+	db.Start(end)
+	s.RunBefore(end)
+	if fmt.Sprint(da.trace) != fmt.Sprint(pa.trace) || fmt.Sprint(db.trace) != fmt.Sprint(pb.trace) {
+		t.Fatalf("direct and coupled lagged runs differ:\ncoupled %v / %v\ndirect  %v / %v", pa.trace, pb.trace, da.trace, db.trace)
+	}
+}

@@ -5,7 +5,8 @@
 // The synchronization protocol is SimBricks': each side of a channel stamps
 // every outgoing message (data or sync) with its current virtual time, and a
 // receiver may only advance its own clock to lastReceivedTimestamp + channel
-// latency. Because a channel's messages are FIFO with monotone timestamps,
+// latency — plus the least constant reaction lag its sinks declare
+// (core.Lagger), since those deliver that much later still. Because a channel's messages are FIFO with monotone timestamps,
 // a component never sees a message "from the past", and the whole coupled
 // simulation is deterministic — bit-identical to sequential execution of the
 // same components (package orch verifies this property in its tests).
@@ -50,8 +51,9 @@ type chunk struct {
 // staged sends become visible to the consumer in one publish. The consumer
 // owns the head segment and its consumed counter, republished through the
 // atomic `head` for depth accounting. Fully consumed segments are recycled
-// to the producer through the `spare` slot, so steady-state traffic
-// allocates nothing.
+// to the producer through a small stack of `spares` slots, so steady-state
+// traffic allocates nothing, and neither does a burst a few segments deep
+// once the consumer has handed its segments back.
 //
 // The consumer parks on a futex-like gate only when truly idle: it declares
 // itself parked, re-checks for work (the Dekker handshake with the
@@ -76,7 +78,7 @@ type pipe struct {
 	_         [3]uint64
 
 	// Shared. tail/peak are producer-written, head consumer-written;
-	// closed/intr/parked/spare/wake are the control plane.
+	// closed/intr/parked/spares/wake are the control plane.
 	tail   atomic.Uint64 // published message count
 	_      [7]uint64
 	head   atomic.Uint64 // consumed message count
@@ -85,11 +87,16 @@ type pipe struct {
 	closed atomic.Bool
 	intr   atomic.Bool
 	parked atomic.Int32
-	spare  atomic.Pointer[chunk] // one recycled segment, consumer → producer
-	wake   chan struct{}         // cap-1 binary semaphore for the parked gate
+	spares [numSpares]atomic.Pointer[chunk] // recycled segments, consumer → producer
+	wake   chan struct{}                    // cap-1 binary semaphore for the parked gate
 
 	chunkAllocs atomic.Uint64 // segments ever allocated (tests/diagnostics)
 }
+
+// numSpares is how many consumed segments a pipe keeps for reuse. A window
+// of lookahead can put several segments in flight at once; a segment
+// recycled while every slot is full is left to the collector.
+const numSpares = 4
 
 func newPipe() *pipe {
 	c := new(chunk)
@@ -115,7 +122,7 @@ func (p *pipe) push(m Message) {
 	if idx == chunkMask {
 		// Segment full: chain a fresh one (recycled if the consumer has
 		// handed one back) before any slot in it is written.
-		nc := p.spare.Swap(nil)
+		nc := p.takeSpare()
 		if nc == nil {
 			nc = new(chunk)
 			p.chunkAllocs.Add(1)
@@ -193,7 +200,25 @@ func (p *pipe) advanceChunk(c *chunk) {
 	}
 	p.consChunk = next
 	c.next.Store(nil)
-	p.spare.Store(c)
+	for i := range p.spares {
+		if p.spares[i].CompareAndSwap(nil, c) {
+			return
+		}
+	}
+}
+
+// takeSpare pops a recycled segment, nil when none is left. Producer side
+// only: the Swap hands each recycled segment over exactly once, while the
+// consumer only ever fills a slot that is empty.
+func (p *pipe) takeSpare() *chunk {
+	for i := range p.spares {
+		if p.spares[i].Load() != nil {
+			if c := p.spares[i].Swap(nil); c != nil {
+				return c
+			}
+		}
+	}
+	return nil
 }
 
 // tryRecv dequeues without blocking. ok is false when the pipe is empty;

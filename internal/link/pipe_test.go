@@ -166,7 +166,7 @@ func TestPipeCloseFlushesStaged(t *testing.T) {
 
 // TestPipeZeroAlloc pins the ring's steady state at zero allocations: the
 // unbatched send→tryRecv path, and a segment-sized push→flush→drain cycle
-// whose full segment is recycled through the spare slot instead of
+// whose full segment is recycled through a spare slot instead of
 // allocated afresh.
 func TestPipeZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -201,6 +201,27 @@ func TestPipeZeroAlloc(t *testing.T) {
 	}
 	if n := p.chunkAllocs.Load(); n != 2 {
 		t.Errorf("pipe allocated %d segments, want 2 (one live, one recycled)", n)
+	}
+}
+
+// TestPipeRecyclesBurst: a burst several segments deep, consumed only after
+// the whole burst is published, reuses every segment the previous burst
+// handed back — the spare stack holds them all — so repeated bursts of
+// numSpares segments allocate only the first time.
+func TestPipeRecyclesBurst(t *testing.T) {
+	p := newPipe()
+	nop := func(Message) {}
+	for burst := 0; burst < 10; burst++ {
+		for i := 0; i < numSpares*chunkSize; i++ {
+			p.push(Message{T: sim.Time(i), Kind: KindSync})
+		}
+		p.flush()
+		if n, _ := p.drain(nop); n != numSpares*chunkSize {
+			t.Fatalf("burst %d: drained %d, want %d", burst, n, numSpares*chunkSize)
+		}
+	}
+	if n := p.chunkAllocs.Load(); n != numSpares+1 {
+		t.Errorf("pipe allocated %d segments over 10 bursts of %d, want %d", n, numSpares, numSpares+1)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // peer runners. Runner implements the synchronization loop (see Run):
 //
 //	drain incoming messages → raise the committed clock to the horizon
-//	(min over endpoints of lastPeerClock + latency) → run local events
+//	(min over endpoints of lastPeerClock + lookahead, the lookahead being
+//	latency plus the least sink lag) → run local events
 //	strictly before it → emit syncs → wait on the limiting endpoint when
 //	stuck.
 //

@@ -34,7 +34,7 @@ import (
 // the earliest virtual time at which it could ever publish a new message —
 // through a seq-cst atomic, and a stalled runner that observes every
 // cross-group edge empty may leap its committed clock to
-// min(floors) + its minimum inbound latency, far past the per-hop ladder.
+// min(floors) + its minimum inbound lookahead, far past the per-hop ladder.
 // That collapses the empty-window sync ladders that dominate
 // latency-sparse graphs, costs nothing when traffic is dense (any
 // in-flight message vetoes the leap), and never needs rollback.
@@ -89,9 +89,10 @@ type specState struct {
 	withhold bool
 
 	k int // current speculation depth (adaptive, <= ctl.MaxWindows)
-	// minInLat, the minimum latency over endpoints, is both the speculation
-	// window unit and the leap increment; Infinity on an endpoint-less
-	// runner, which never speculates.
+	// minInLat, the minimum lookahead over endpoints (latency plus the
+	// least sink lag), is both the speculation window unit and the leap
+	// increment; Infinity on an endpoint-less runner, which never
+	// speculates.
 	minInLat sim.Time
 
 	snapValid bool
@@ -175,7 +176,7 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 	st.withhold = st.k > 0
 	st.minInLat = sim.Infinity
 	for _, e := range r.eps {
-		st.minInLat = min(st.minInLat, e.ch.Latency)
+		st.minInLat = min(st.minInLat, e.lookahead)
 	}
 }
 
@@ -222,7 +223,7 @@ func NewSpecDomain(runners []*Runner) *SpecDomain {
 }
 
 // tryLeap attempts a GVT leap for r: if every cross-group edge is observably
-// empty, committed jumps to min(all floors) + r's minimum inbound latency.
+// empty, committed jumps to min(all floors) + r's minimum inbound lookahead.
 // The read sequence is a two-cut snapshot: every consumer counter, then every
 // producer counter (a mismatch means data was in flight, or consumed
 // concurrently — either voids the emptiness proof), then every floor, then
@@ -236,7 +237,8 @@ func NewSpecDomain(runners []*Runner) *SpecDomain {
 // output sit at or above the floor when it is stored, and input consumed
 // later delivers at or above the sender's committed clock, which the floor
 // never exceeds. min(floors) is therefore a true global lower bound on every
-// future delivery, and adding r's minimum inbound latency keeps it one.
+// future delivery, and adding r's minimum inbound lookahead (latency plus
+// the receiving sink's lag) keeps it one.
 func (d *SpecDomain) tryLeap(r *Runner) bool {
 	st := &r.spec
 	for i, c := range d.cons {
@@ -469,7 +471,7 @@ func (r *Runner) specRollback() {
 				}
 				payload = p
 			}
-			r.sched.PostDelivery(rec.T+e.ch.Latency, se.src, se.sink, payload)
+			r.sched.PostDelivery(deliverAt(rec.T, e.ch.Latency, se.lag), se.src, se.sink, payload)
 			e.Stats.RxData += msgCount(payload)
 			st.counters.Replayed++
 		}

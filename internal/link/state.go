@@ -9,25 +9,32 @@ import (
 // runs concurrently with the pipes' producers or consumers.
 
 // SetStart records the virtual time a restored run resumes at, lifting the
-// endpoint's pre-first-message horizon floor to start + latency: both sides
+// endpoint's pre-first-message horizon floor to start + lookahead: both sides
 // behave as if a sync at the start time had already been exchanged. Call on
 // both endpoints of every channel before the restored run begins.
 func (e *Endpoint) SetStart(t sim.Time) { e.start = t }
 
-// DrainResidual consumes every message still sitting in the endpoint's
-// incoming pipe through handle, like the run's own drain. When a group run
-// ends at time T, each runner finishes (final sync at T, output closed) as
-// soon as it reaches T, without draining peers' final messages — those are
-// the residual. FIFO timestamp monotonicity plus the horizon invariant
-// guarantee every residual data message delivers at or after T, so handling
-// them from a scheduler sitting at T never schedules into the past.
-func (e *Endpoint) DrainResidual() { e.in.drain(e.handle) }
-
-// Quiesced reports whether the incoming pipe is fully consumed. After a
-// joined group run plus DrainResidual on every endpoint, every pipe must be
-// quiesced: the outgoing direction is the peer's incoming one, so a full
-// sweep over endpoints covers both directions of every channel.
-func (e *Endpoint) Quiesced() bool { return e.in.empty() }
+// DrainResidual consumes every message still bound for the endpoint through
+// handle, like the run's own drain, until the peer's end of stream. When a
+// group run ends at time T, each runner finishes (final sync at T, output
+// closed) as soon as it reaches T, without draining peers' final messages —
+// those are the residual. FIFO timestamp monotonicity plus the horizon
+// invariant guarantee every residual data message delivers at or after T,
+// so handling them from a scheduler sitting at T never schedules into the
+// past. A residual message can still have arrived before T and be owed to
+// a lagged sink's counters (core.Lagger), which is why every execution
+// drains before its end-of-run DiscardPending. In-process peers have closed
+// by the time the group run returns; a remote peer's last messages may
+// still be in transit, so the drain waits for its end of stream.
+func (e *Endpoint) DrainResidual() {
+	for {
+		m, ok, _ := e.in.recv()
+		if !ok {
+			return
+		}
+		e.handle(m)
+	}
+}
 
 // TxData returns the data messages published on sub-channel sub. Channels
 // that share an endpoint each sum their own subs; Stats.TxData is the

@@ -7,8 +7,9 @@ import (
 )
 
 // envPort delivers messages through the owning component's own environment
-// after a fixed latency — the in-process stand-in for a channel inside the
-// monolithic instantiation. Timing matches the split instantiation exactly.
+// after a fixed latency plus the sink's reaction lag — the in-process
+// stand-in for a channel inside the monolithic instantiation. Timing
+// matches the split instantiation exactly.
 type envPort struct {
 	env  *core.Env
 	lat  sim.Time
@@ -20,7 +21,7 @@ func (p envPort) Latency() sim.Time { return p.lat }
 func (p envPort) Send(m core.Message) {
 	// A typed delivery event (not a closure): it serializes into
 	// checkpoints by sink position and payload codec.
-	p.env.PostDelivery(p.env.Now()+p.lat, p.sink, m)
+	p.env.PostDelivery(p.env.Now()+p.lat+core.LagOf(p.sink), p.sink, m)
 }
 
 // Monolithic runs n cores plus the memory controller inside a single

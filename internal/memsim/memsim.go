@@ -115,20 +115,41 @@ type Core struct {
 	end     sim.Time
 	issueAt sim.Time
 
-	// blockDur caches BlockTime(); block completions post as named events
-	// (blockH) so pending ones serialize into checkpoints.
+	// blockDur caches BlockTime(). The first block's completion posts as a
+	// named event (blockH) so a pending one serializes into checkpoints;
+	// every later block ends at its response's delivery (coreSink).
 	blockDur sim.Time
 	blockH   int32
 
 	respSink coreSink
 }
 
-// coreSink delivers memory responses to its core. It is pointer-comparable,
-// so delivery events targeting it can be named in checkpoints.
+// coreSink delivers memory responses to its core. A response only starts
+// the next compute block, so the sink lags blockDur (core.Lagger): the
+// delivery is the block's end, and the response arrived blockDur earlier.
+// It is pointer-comparable, so delivery events targeting it can be named in
+// checkpoints.
 type coreSink struct{ c *Core }
 
-// Deliver implements core.Sink.
-func (s *coreSink) Deliver(at sim.Time, m core.Message) { s.c.onResp(at, m) }
+// Deliver implements core.Sink: at is the end of the block the response
+// started.
+func (s *coreSink) Deliver(at sim.Time, m core.Message) {
+	c := s.c
+	c.onResp(at-c.blockDur, m)
+	c.blockDone()
+}
+
+// Lag implements core.Lagger.
+func (s *coreSink) Lag() sim.Time { return s.c.blockDur }
+
+// Discard implements sim.Discarder: a response that arrived before the run
+// stopped still ends the stall it answered.
+func (s *coreSink) Discard(at sim.Time, m core.Message) {
+	c := s.c
+	if arrived := at - c.blockDur; arrived < c.env.Now() {
+		c.onResp(arrived, m)
+	}
+}
 
 // NewCore creates core number id.
 func NewCore(id int, p Params) *Core {
@@ -166,14 +187,10 @@ func (c *Core) BindMem(p core.Port) { c.memPort = p }
 // MemSink returns the sink receiving memory responses.
 func (c *Core) MemSink() core.Sink { return &c.respSink }
 
-// Start implements core.Component.
+// Start implements core.Component: it runs the first compute block, whose
+// completion issues the first memory transaction.
 func (c *Core) Start(end sim.Time) {
 	c.end = end
-	c.runBlock()
-}
-
-// runBlock executes one compute block then issues a memory transaction.
-func (c *Core) runBlock() {
 	c.env.PostNamed(c.env.Now()+c.blockDur, c.blockH, sim.NamedArgs{})
 }
 
@@ -186,13 +203,13 @@ func (c *Core) blockDone() {
 	c.memPort.Send(MemReq{Core: c.id, ID: c.pending})
 }
 
-func (c *Core) onResp(at sim.Time, m core.Message) {
+// onResp ends the stall of a response that arrived at arrived.
+func (c *Core) onResp(arrived sim.Time, m core.Message) {
 	resp := m.(MemResp)
 	if resp.ID != c.pending {
 		panic("memsim: out-of-order memory response")
 	}
-	c.StallTime += at - c.issueAt
-	c.runBlock()
+	c.StallTime += arrived - c.issueAt
 }
 
 // Mem is the shared memory controller component.
@@ -220,12 +237,27 @@ type Mem struct {
 	reqSink memSink
 }
 
-// memSink delivers memory requests to the controller; pointer-comparable
-// for checkpoint naming, like coreSink.
+// memSink delivers memory requests to the controller. No slot ends sooner
+// than MemService after its request arrives, so the sink lags MemService
+// (core.Lagger) and books the slot from the arrival, at − MemService.
+// Pointer-comparable for checkpoint naming, like coreSink.
 type memSink struct{ m *Mem }
 
 // Deliver implements core.Sink.
-func (s *memSink) Deliver(at sim.Time, msg core.Message) { s.m.onReq(at, msg) }
+func (s *memSink) Deliver(at sim.Time, msg core.Message) { s.m.onReq(at-s.m.p.MemService, msg) }
+
+// Lag implements core.Lagger.
+func (s *memSink) Lag() sim.Time { return s.m.p.MemService }
+
+// Discard implements sim.Discarder: a request that arrived before the run
+// stopped was accepted, so it counts as a transaction with its cost.
+func (s *memSink) Discard(at sim.Time, _ core.Message) {
+	m := s.m
+	if at-m.p.MemService < m.env.Now() {
+		m.cost.Charge(CostPerMemTxnNs)
+		m.Txns++
+	}
+}
 
 // NewMem creates the controller.
 func NewMem(p Params) *Mem {
@@ -264,15 +296,13 @@ func (m *Mem) BindCore(id int, p core.Port) { m.ports[id] = p }
 // ReqSink returns the sink receiving memory requests.
 func (m *Mem) ReqSink() core.Sink { return &m.reqSink }
 
-// onReq serves a transaction: bandwidth-bound occupancy, then respond.
-func (m *Mem) onReq(at sim.Time, msg core.Message) {
+// onReq serves a transaction that arrived at arrived: bandwidth-bound
+// occupancy, then respond.
+func (m *Mem) onReq(arrived sim.Time, msg core.Message) {
 	req := msg.(MemReq)
 	m.cost.Charge(CostPerMemTxnNs)
 	m.Txns++
-	start := m.env.Now()
-	if m.busyUntil > start {
-		start = m.busyUntil
-	}
+	start := max(arrived, m.busyUntil)
 	m.busyUntil = start + m.p.MemService
 	if _, ok := m.ports[req.Core]; !ok {
 		panic(fmt.Sprintf("memsim: no port for core %d", req.Core))

@@ -13,7 +13,6 @@ import (
 type Iface struct {
 	net   *Network
 	owner node
-	name  string
 	rate  int64    // bits per second; 0 means infinitely fast
 	delay sim.Time // one-way propagation
 	peer  *Iface   // nil when ext != nil
@@ -80,8 +79,18 @@ func (k *ifaceRxSink) Deliver(_ sim.Time, m sim.Payload) {
 	k.i.owner.receive(k.i, m.(*proto.Frame))
 }
 
-// Name returns the interface name ("a->b").
-func (i *Iface) Name() string { return i.name }
+// Name returns the interface name ("a->b"), derived from its two ends: it
+// is not stored, since one string per interface is memory nothing on the
+// simulation path reads.
+func (i *Iface) Name() string {
+	far := ""
+	if i.peer != nil {
+		far = i.peer.owner.nodeName()
+	} else if i.ext != nil {
+		far = i.ext.name
+	}
+	return i.owner.nodeName() + "->" + far
+}
 
 // Rate returns the configured link rate in bits per second.
 func (i *Iface) Rate() int64 { return i.rate }

@@ -243,8 +243,8 @@ func (n *Network) AddHost(name string, ip proto.IP) *Host {
 }
 
 // newIface wires a fresh interface owned by o.
-func (n *Network) newIface(o node, name string, rate int64, delay sim.Time) *Iface {
-	i := &Iface{net: n, owner: o, name: name, rate: rate, delay: delay}
+func (n *Network) newIface(o node, rate int64, delay sim.Time) *Iface {
+	i := &Iface{net: n, owner: o, rate: rate, delay: delay}
 	i.enqSink.i = i
 	i.rxSink.i = i
 	return i
@@ -254,8 +254,8 @@ func (n *Network) newIface(o node, name string, rate int64, delay sim.Time) *Ifa
 // given rate and one-way propagation delay. It returns the switch-side
 // interface index.
 func (n *Network) ConnectHostSwitch(h *Host, s *Switch, rate int64, delay sim.Time) int {
-	hi := n.newIface(h, h.name+"->"+s.name, rate, delay)
-	si := n.newIface(s, s.name+"->"+h.name, rate, delay)
+	hi := n.newIface(h, rate, delay)
+	si := n.newIface(s, rate, delay)
 	hi.peer, si.peer = si, hi
 	if h.iface != nil {
 		panic(fmt.Sprintf("netsim: host %s already connected", h.name))
@@ -268,8 +268,8 @@ func (n *Network) ConnectHostSwitch(h *Host, s *Switch, rate int64, delay sim.Ti
 
 // ConnectSwitches links two switches, returning the interface index on each.
 func (n *Network) ConnectSwitches(a, b *Switch, rate int64, delay sim.Time) (ai, bi int) {
-	ia := n.newIface(a, a.name+"->"+b.name, rate, delay)
-	ib := n.newIface(b, b.name+"->"+a.name, rate, delay)
+	ia := n.newIface(a, rate, delay)
+	ib := n.newIface(b, rate, delay)
 	ia.peer, ib.peer = ib, ia
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
@@ -316,7 +316,7 @@ func (k *extOutSink) Deliver(_ sim.Time, m core.Message) {
 func (n *Network) AddExternal(s *Switch, name string, rate int64, ips ...proto.IP) *ExtPort {
 	p := &ExtPort{net: n, name: name, sw: s, ips: ips}
 	p.outSink.p = p
-	ifc := n.newIface(s, s.name+"->"+name, rate, 0)
+	ifc := n.newIface(s, rate, 0)
 	ifc.ext = p
 	p.iface = ifc
 	s.ifaces = append(s.ifaces, ifc)
@@ -332,11 +332,25 @@ func (p *ExtPort) Bind(out core.Port) { p.out = out }
 // Iface returns the switch-side interface of this external port.
 func (p *ExtPort) Iface() *Iface { return p.iface }
 
-// Deliver implements core.Sink: an encoded frame arrives from the external
-// component and enters the switch. Decoded frames come from the network's
-// pool and adopt the incoming wire buffer, so the boundary receive path
-// allocates nothing in steady state.
-func (p *ExtPort) Deliver(_ sim.Time, m core.Message) {
+// Lag implements core.Lagger. A frame entering a switch without a
+// Dataplane does nothing until its pipeline step, SwitchLatency after it
+// arrives, so the port takes it then and runs the arrival and the pipeline
+// step as one event, as an internal hop does (switchCutSink); the channel
+// adds the pipeline delay to its lookahead. A Dataplane switch must see the
+// frame at arrival: no lag.
+func (p *ExtPort) Lag() sim.Time {
+	if p.sw.Dataplane != nil {
+		return 0
+	}
+	return p.net.SwitchLatency
+}
+
+// Deliver implements core.Sink: an encoded frame from the external component
+// enters the switch — at its pipeline exit when the switch cuts through (see
+// Lag), else at arrival. Decoded frames come from the network's pool and
+// adopt the incoming wire buffer, so the boundary receive path allocates
+// nothing in steady state.
+func (p *ExtPort) Deliver(at sim.Time, m core.Message) {
 	w, ok := m.(*proto.WireFrame)
 	if !ok {
 		panic(fmt.Sprintf("netsim: %s: unexpected message %T", p.name, m))
@@ -348,7 +362,32 @@ func (p *ExtPort) Deliver(_ sim.Time, m core.Message) {
 	proto.PutWireFrame(w)
 	p.net.encRx++
 	p.RxFrames++
-	p.sw.receive(p.iface, f)
+	if p.sw.Dataplane != nil {
+		p.sw.receive(p.iface, f)
+		return
+	}
+	p.sw.cutSink.Deliver(at, f)
+}
+
+// Discard implements sim.Discarder. A frame that arrived before the run
+// stopped but was still in the switch pipeline is counted as the arrival
+// would have counted it, on the port and on the switch.
+func (p *ExtPort) Discard(at sim.Time, m core.Message) {
+	if at-p.Lag() >= p.net.env.Now() {
+		return
+	}
+	p.net.encRx++
+	p.RxFrames++
+	b := m.(*proto.WireFrame).B
+	_, rest, err := proto.ParseEthernet(b)
+	var ip proto.IPv4
+	if err == nil {
+		ip, _, err = proto.ParseIPv4(rest)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
+	}
+	p.sw.countStopped(ip.Dst)
 }
 
 // sendOut serializes a frame to honest bytes in a pooled buffer, releases

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/link"
@@ -555,5 +557,28 @@ func TestCostAccounting(t *testing.T) {
 	want := uint64(CostPerHostPacketNs*2 + CostPerSwitchPacketNs)
 	if n.Cost().BusyNanos() != want {
 		t.Fatalf("cost = %d, want %d", n.Cost().BusyNanos(), want)
+	}
+}
+
+// TestIfaceSize pins Iface at 152 bytes, inside the 160-byte size class: one
+// is allocated per interface, so every byte added here is paid on each of a
+// large fabric's interfaces. The name is derived from the two ends, not
+// stored.
+func TestIfaceSize(t *testing.T) {
+	if got := unsafe.Sizeof(Iface{}); got != 152 {
+		t.Errorf("Iface is %d bytes, want 152", got)
+	}
+	n, h1, _, sw := buildStar()
+	ext := n.AddExternal(sw, "nic0", 10*sim.Gbps)
+	var got []string
+	for _, i := range append([]*Iface{h1.iface}, sw.Ifaces()...) {
+		got = append(got, i.Name())
+	}
+	want := []string{"h1->sw", "sw->h1", "sw->h2", "sw->nic0"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("iface names %v, want %v", got, want)
+	}
+	if ext.Iface().Name() != "sw->nic0" {
+		t.Errorf("external iface named %q", ext.Iface().Name())
 	}
 }

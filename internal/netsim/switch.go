@@ -83,10 +83,12 @@ type Switch struct {
 }
 
 // switchCutSink is the cut-through hop into a switch without a Dataplane:
-// the sender posts it at departure + propagation + SwitchLatency, and it
-// does what the link arrival (receive) and the pipeline step (enqSink)
-// would have done at their own instants — the arrival's counter and route
-// lookup have no effect the pipeline step could observe.
+// the sender posts it at departure + propagation + SwitchLatency (an
+// ExtPort, whose channel delivers lagged by SwitchLatency, calls it at the
+// same instant), and it does what the link arrival (receive) and the
+// pipeline step (enqSink) would have done at their own instants — the
+// arrival's counter and route lookup have no effect the pipeline step could
+// observe.
 type switchCutSink struct{ s *Switch }
 
 // Deliver implements core.Sink. at is the pipeline-exit instant, as in
@@ -110,11 +112,16 @@ func (k *switchCutSink) Deliver(at sim.Time, m sim.Payload) {
 // stopped run should touch.
 func (k *switchCutSink) Discard(at sim.Time, m sim.Payload) {
 	s := k.s
-	if at-s.net.SwitchLatency >= s.net.env.Now() {
-		return
+	if at-s.net.SwitchLatency < s.net.env.Now() {
+		s.countStopped(m.(*proto.Frame).IP.Dst)
 	}
+}
+
+// countStopped counts a frame to dst that entered the switch before the run
+// stopped and was still in its pipeline.
+func (s *Switch) countStopped(dst proto.IP) {
 	s.RxPackets++
-	if _, ok := s.Route(m.(*proto.Frame).IP.Dst); !ok {
+	if _, ok := s.Route(dst); !ok {
 		s.NoRoute++
 	}
 }

@@ -342,7 +342,7 @@ func switchIfaceIndex(sw *Switch, f *Iface) int {
 			return fi
 		}
 	}
-	panic(fmt.Sprintf("netsim: iface %s not found on switch %s", f.name, sw.name))
+	panic(fmt.Sprintf("netsim: iface %s not found on switch %s", f.Name(), sw.name))
 }
 
 // topoBFS holds the reusable breadth-first-search state for route

@@ -442,10 +442,11 @@ func TestLoadCheckpoint(t *testing.T) {
 	}
 	// Containers of the previous formats — sinks addressed by name (1), a
 	// conns section split into direct and trunk channels (2), a sink walk
-	// without the switches' cut-through sinks (3) — are rejected on their
-	// version, not misparsed. The CRC covers the version field, so each
-	// re-stamped container gets a valid one.
-	for _, v := range []uint16{1, 2, 3} {
+	// without the switches' cut-through sinks (3), deliveries to lagged
+	// sinks stamped at arrival instead of arrival + lag (4) — are rejected
+	// on their version, not misparsed. The CRC covers the version field, so
+	// each re-stamped container gets a valid one.
+	for _, v := range []uint16{1, 2, 3, 4} {
 		stale := append([]byte(nil), ck.Data...)
 		binary.LittleEndian.PutUint16(stale[4:], v)
 		binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))

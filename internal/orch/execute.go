@@ -86,10 +86,14 @@ var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this
 //  4. install speculation (Optimistic);
 //  5. publish the group on Simulation.Group and call Simulation.PreRun;
 //  6. run the group, every runner on its own goroutine;
-//  7. quiesce the channels and capture a checkpoint (Capture);
-//  8. sweep every scheduler so frames still in flight return to their
-//     pools — on every exit path, so the leak counters read zero after a
-//     failed restore or a panicked runner too.
+//  7. quiesce the channels: every message still in a pipe is handed to its
+//     scheduler (DrainResidual), which a lagged sink's end-of-run count
+//     needs;
+//  8. capture a checkpoint (Capture);
+//  9. sweep every scheduler so frames still in flight return to their
+//     pools and Discarder sinks settle their counters — on every exit path,
+//     so the leak counters read zero after a failed restore or a panicked
+//     runner too.
 //
 // A one-group plan is the sequential execution: its lone runner has no
 // endpoints, so the run is a single RunBefore(end) on one scheduler. The
@@ -166,12 +170,14 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 	if o.Mode == Optimistic {
 		res.Spec = pl.specReport(runners)
 	}
-	if err != nil || !o.Capture {
+	if err != nil {
 		return res, err
 	}
-
-	if err := quiesce(g, end); err != nil {
-		return res, err
+	// Residual messages go onto the schedulers before the deferred sweep, so
+	// a lagged sink's Discard counts those that arrived before end.
+	quiesce(g)
+	if !o.Capture {
+		return res, nil
 	}
 	res.Checkpoint, err = s.capture(scheds, end)
 	return res, err

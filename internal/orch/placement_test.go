@@ -385,9 +385,14 @@ func TestPlanDescribes(t *testing.T) {
 		bs.Add(cs[i])
 	}
 	side := func(c *chatter) orch.Side { return orch.Side{Comp: c, Bind: func(core.Port) {}, Sink: c.sink(0)} }
-	bs.Connect("x", sim.Microsecond, side(cs[0]), side(cs[1]))
+	lagged := func(c *chatter) orch.Side {
+		sd := side(c)
+		sd.Sink = lagSink{sd.Sink, 300 * sim.Nanosecond}
+		return sd
+	}
+	bs.Connect("x", sim.Microsecond, side(cs[0]), lagged(cs[1]))
 	bs.Connect("y", sim.Microsecond, side(cs[1]), side(cs[0]))
-	bs.Connect("z", 2*sim.Microsecond, side(cs[0]), side(cs[1]))
+	bs.Connect("z", 2*sim.Microsecond, side(cs[0]), lagged(cs[1]))
 	bs.Connect("w", sim.Microsecond, side(cs[0]), side(cs[2]))
 	bpl, err := bs.Plan(decomp.Placement{Name: "cut", Groups: []int{0, 1, 0}})
 	if err != nil {
@@ -403,8 +408,20 @@ func TestPlanDescribes(t *testing.T) {
 	if w.Bundle != -1 {
 		t.Errorf("co-located channel w rides bundle %d, want -1", w.Bundle)
 	}
+	// Lookahead adds the receiving side's least lag: z's lagged end B alone
+	// on its bundle gains it, while x's is held at latency by y's lag-0 sink
+	// on the same bundle side.
+	if want := [2]sim.Time{2 * sim.Microsecond, 2300 * sim.Nanosecond}; z.Lookahead != want {
+		t.Errorf("z lookahead %v, want %v", z.Lookahead, want)
+	}
+	if want := [2]sim.Time{sim.Microsecond, sim.Microsecond}; x.Lookahead != want {
+		t.Errorf("x lookahead %v, want %v", x.Lookahead, want)
+	}
+	if w.Lookahead != [2]sim.Time{} {
+		t.Errorf("co-located w lookahead %v, want none", w.Lookahead)
+	}
 	out = bpl.String()
-	for _, want := range []string{"3 coupled on 2 sync bundles, 1 co-located", "bundle"} {
+	for _, want := range []string{"3 coupled on 2 sync bundles, 1 co-located", "bundle", "lookahead a>b", "2.300us"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("plan rendering missing %q:\n%s", want, out)
 		}
@@ -420,3 +437,11 @@ func TestPlanDescribes(t *testing.T) {
 		}
 	}
 }
+
+// lagSink gives a sink a reaction lag (core.Lagger).
+type lagSink struct {
+	core.Sink
+	lag sim.Time
+}
+
+func (l lagSink) Lag() sim.Time { return l.lag }

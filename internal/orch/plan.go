@@ -60,6 +60,13 @@ type PlanChannel struct {
 	// applied at plan time, so the cut pays one sync per window however many
 	// channels cross it — and each remote channel has its own.
 	Bundle int
+	// Lookahead is how far each end may run past the other's clock on the
+	// channel's bundle, end A's first: the latency plus the least reaction
+	// lag (core.Lagger) over the sinks the bundle feeds on that end's side.
+	// It sets the coupled channel's sync pacing — one sync per lookahead
+	// window. Zero for an intra-group channel and for the out-of-process
+	// end of a remote one.
+	Lookahead [2]sim.Time
 
 	sub uint16 // the channel's sub-channel id on its bundle
 }
@@ -167,7 +174,33 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 		pl.Channels = append(pl.Channels, pc)
 	}
 	pl.bundles = len(fill)
+	pl.setLookahead()
 	return pl, nil
+}
+
+// setLookahead fills every coupled channel's Lookahead with what its bundle's
+// endpoints will compute at wiring: latency plus the least sink lag on the
+// receiving group's side of the bundle.
+func (pl *ExecutionPlan) setLookahead() {
+	type side struct{ bundle, group int }
+	least := make(map[side]sim.Time)
+	each := func(fn func(pc *PlanChannel, x int, k side, lag sim.Time)) {
+		for ci, c := range pl.s.chans {
+			pc := &pl.Channels[ci]
+			g := [2]int{pc.GroupA, pc.GroupB}
+			for x := range g {
+				if pc.Bundle >= 0 && c.comp[x] != nil {
+					fn(pc, x, side{pc.Bundle, g[x]}, core.LagOf(c.sink[x]))
+				}
+			}
+		}
+	}
+	each(func(_ *PlanChannel, _ int, k side, lag sim.Time) {
+		if l, ok := least[k]; !ok || lag < l {
+			least[k] = lag
+		}
+	})
+	each(func(pc *PlanChannel, x int, k side, _ sim.Time) { pc.Lookahead[x] = pc.Latency + least[k] })
 }
 
 // NumGroups returns the number of runner groups.
@@ -248,7 +281,8 @@ func (pl *ExecutionPlan) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.
 }
 
 // String renders the plan for `splitsim plan`: a header line, the group
-// table, and the channel table with each coupled channel's sync bundle.
+// table, and the channel table with each coupled channel's sync bundle and
+// its lookahead in each direction, which sets the bundle's sync pacing.
 func (pl *ExecutionPlan) String() string {
 	var b strings.Builder
 	coloc := 0
@@ -271,17 +305,24 @@ func (pl *ExecutionPlan) String() string {
 	b.WriteString(gt.String())
 	b.WriteByte('\n')
 
-	ct := stats.NewTable("channel", "kind", "latency", "groups", "mode", "bundle")
+	ct := stats.NewTable("channel", "kind", "latency", "groups", "mode", "bundle", "lookahead a>b", "lookahead b>a")
 	for _, ch := range pl.Channels {
 		groups := fmt.Sprintf("%d-%d", ch.GroupA, ch.GroupB)
 		mode, bundle := "coupled", fmt.Sprint(ch.Bundle)
+		// a>b is the lookahead into end B, b>a into end A.
+		look := [2]string{"-", "-"}
+		for x, l := range ch.Lookahead {
+			if l > 0 {
+				look[1-x] = fmt.Sprint(l)
+			}
+		}
 		if ch.Intra {
 			mode, bundle = "direct", "-"
 		}
 		if ch.GroupB < 0 {
 			groups = fmt.Sprintf("%d-remote", ch.GroupA)
 		}
-		ct.Row(ch.Name, ch.Kind, ch.Latency, groups, mode, bundle)
+		ct.Row(ch.Name, ch.Kind, ch.Latency, groups, mode, bundle, look[0], look[1])
 	}
 	b.WriteString(ct.String())
 	if cost := link.MeasuredSyncCost(); cost > 0 {

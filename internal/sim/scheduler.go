@@ -58,9 +58,9 @@ func (f funcSink) Deliver(Time, Payload) { f() }
 
 // Discarder is a Sink that owes bookkeeping for a delivery that never
 // runs. DiscardPending calls Discard with the event's time in place of
-// Deliver, before the payload goes to its release callback — netsim's
-// cut-through hop counts there a frame that reached its switch before the
-// run ended.
+// Deliver, before the payload goes to its release callback — a sink that
+// takes messages a fixed lag after they arrive (netsim's cut-through hop,
+// a core.Lagger) counts there an arrival from before the run ended.
 type Discarder interface {
 	Sink
 	Discard(at Time, payload Payload)
