@@ -102,15 +102,21 @@ chaos:
 # its switch-major batch admission must agree with a per-flow hop-by-hop
 # Switch.Route walk (monolithic and partitioned, past one chunk, unroutable
 # destinations, a lone synthetic arrival, checkpoint restore) and allocate
-# one object per flow plus one links array per chunk; and the one-event
-# cut-through switch hop must end a seeded Clos run (blackholed frames and
-# frames left mid-pipeline included) in the state the two-event hop a
-# pass-through dataplane forces reaches, one event fewer per forwarded
-# arrival.
+# only the slab chunks its flows and link arrays fill; a Poisson-arrival
+# run must allocate nothing once its free list is warm, and a churn run
+# that recycles retired flows must report the pinned counts, FCT
+# percentiles and packet-event projection; and the one-event cut-through
+# switch hop must end a seeded Clos run (blackholed frames and frames left
+# mid-pipeline included) in the state the two-event hop a pass-through
+# dataplane forces reaches, one event fewer per forwarded arrival. Fabric
+# memory comes from slabs: building a lazy 10-pod Clos allocates
+# O(switches + slab chunks), not O(interfaces), and interface pointers stay
+# put while lazy slots materialize and external ports are added.
 scale:
 	$(GO) test -run 'TestScaleSmoke|TestScaleMixedSmoke' ./internal/experiments/
-	$(GO) test -run 'TestRoute|FuzzRouteTable|TestCutThrough' ./internal/netsim/
-	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs|TestBatchAdmission|TestAdmissionAllocs' ./internal/netsim/flowsim/
+	$(GO) test -run 'TestRoute|FuzzRouteTable|TestCutThrough|TestIfacePointersStable' ./internal/netsim/
+	$(GO) test -run 'TestBuildAllocs' ./internal/netsim/topogen/
+	$(GO) test -run 'TestFlowSmoke|TestSolver|TestRecomputeSteadyStateAllocs|TestBatchAdmission|TestAdmissionAllocs|TestArrivalAllocs|TestRecycledFlowsReport' ./internal/netsim/flowsim/
 
 # End-to-end benchmark module: bench/e2e is a Go module of its own, so the
 # root `go build ./... && go test ./...` does not notice when an exported

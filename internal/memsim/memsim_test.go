@@ -129,5 +129,5 @@ func TestCoreRequiresOrderedResponses(t *testing.T) {
 			t.Fatal("out-of-order response should panic")
 		}
 	}()
-	c.onResp(0, MemResp{Core: 0, ID: 99})
+	c.onResp(0, &MemResp{Core: 0, ID: 99})
 }

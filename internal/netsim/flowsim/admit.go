@@ -45,11 +45,11 @@ type batch struct {
 // resolveBatch resolves every flow in fs with the same Switch.Route
 // lookups the packet tier makes (so ECMP choices, and therefore which
 // links carry the load, match exactly). It sets each routable flow's
-// links (finite-capacity directed links in path order, cut from one
-// backing array per batch), hops and baseDelay: propagation, switch
-// pipeline latency and the store-and-forward fill of the last packet
-// across every link after the first. A flow that does not route keeps
-// hops 0.
+// links (finite-capacity directed links in path order, in the flow's own
+// array when it has room, else cut from the replica's link slab), hops
+// and baseDelay: propagation, switch pipeline latency and the
+// store-and-forward fill of the last packet across every link after the
+// first. A flow that does not route keeps hops 0.
 //
 // The walk is switch-major: every hop level, the flows still en route are
 // sorted by their current switch and advanced one hop, so each switch's
@@ -122,25 +122,17 @@ func (r *replica) resolveBatch(fs []*flow) {
 		live = live[:n]
 	}
 
-	// Cut each routable flow's links from one array: source access first,
-	// destination access last, the fabric hops (below) in between, with
-	// nlinks reused as the arena index the next hop goes to.
-	total := 0
-	for i := range walks {
-		if walks[i].nsw > 0 {
-			total += int(walks[i].nlinks)
-		}
-	}
-	arena := make([]*blink, total)
-	at := 0
+	// Fill each routable flow's links: source access first, destination
+	// access last, the fabric hops (below) in between, with nlinks reused
+	// as the index the next hop goes to.
 	for i := range walks {
 		w := &walks[i]
 		if w.nsw == 0 {
 			continue
 		}
 		f, n := fs[i], int(w.nlinks)
-		f.links = arena[at : at+n : at+n]
-		w.nlinks = int32(at)
+		r.linksFor(f, n)
+		w.nlinks = 0
 		if w.srcRate > 0 {
 			f.links[0] = r.accessLink(w.srcSlot, dirFwd, w.srcRate)
 			w.nlinks++
@@ -150,11 +142,10 @@ func (r *replica) resolveBatch(fs []*flow) {
 		}
 		f.hops = w.nsw
 		f.baseDelay = w.delay + sim.Time(w.nsw)*eng.switchLatency
-		at += n
 	}
 	for _, s := range crossed {
 		if w := &walks[s.w]; w.nsw > 0 {
-			arena[w.nlinks] = s.bl
+			fs[s.w].links[w.nlinks] = s.bl
 			w.nlinks++
 		}
 	}

@@ -2,16 +2,20 @@ package flowsim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/netsim/topogen"
 	"repro/internal/netsim/workload"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/snap"
 )
 
@@ -315,14 +319,18 @@ func TestBatchAdmissionMatchesHopWalk(t *testing.T) {
 }
 
 // TestAdmissionAllocs pins what admission allocates once every link exists
-// and the scratch has grown: one object per flow plus one links array per
-// chunk — not one links slice per flow. A lone arrival allocates its flow
-// and its links, as the per-flow resolver did.
+// and the scratch has grown: the slab chunks its new flows and their link
+// arrays fill, and nothing per flow or per admission chunk. Each admission
+// here carves fresh flows (the last wave's are dropped, not retired), so a
+// hundred lone arrivals allocate a few chunks between them.
 func TestAdmissionAllocs(t *testing.T) {
-	for _, n := range []int{1, 2*admitChunk + 100} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's")
+	}
+	for _, c := range []struct{ n, runs int }{{1, 100}, {2*admitChunk + 100, 1}} {
+		t.Run(fmt.Sprint(c.n), func(t *testing.T) {
 			_, b, _, slots := admitFabric(t, 1)
-			eng := Install(b, slots, Spec{Trace: randomTrace(uint64(n), n, len(slots)), Seed: 2})
+			eng := Install(b, slots, Spec{Trace: randomTrace(uint64(c.n), c.n, len(slots)), Seed: 2})
 			r := eng.reps[0]
 			admit := func() {
 				clear(r.flows)
@@ -332,16 +340,83 @@ func TestAdmissionAllocs(t *testing.T) {
 				r.step(0)
 			}
 			admit() // creates every link and grows the scratch
+			links := 0
+			for _, f := range r.flows {
+				links += len(f.links)
+			}
 			// A collection during the run allocates runtime objects of its own.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			chunks := (n + admitChunk - 1) / admitChunk
-			if got := testing.AllocsPerRun(1, admit); got > float64(n+chunks) {
-				t.Fatalf("admitting %d flows allocated %.0f objects, want at most %d (one per flow, one per chunk)",
-					n, got, n+chunks)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < c.runs; i++ {
+				admit()
 			}
-			if len(r.flows) != n {
-				t.Fatalf("admitted %d of %d flows", len(r.flows), n)
+			runtime.ReadMemStats(&m1)
+			// Full chunks for the flows and link arrays carved, where a link
+			// array never spans chunks (so a link chunk holds all but the
+			// longest array's worth), plus the chunks each slab makes while
+			// doubling from 8 records to full size: ten at most here.
+			perFlow, perLinks := slab.PerChunk[flow](), slab.PerChunk[*blink]()-(maxHops+2)
+			chunks := (c.n*c.runs+perFlow-1)/perFlow + (links*c.runs+perLinks-1)/perLinks + 2*10
+			if got := m1.Mallocs - m0.Mallocs; got > uint64(chunks) {
+				t.Fatalf("admitting %d flows %d times allocated %d objects, want at most %d (the flow and link slab chunks they fill)",
+					c.n, c.runs, got, chunks)
+			}
+			if len(r.flows) != c.n {
+				t.Fatalf("admitted %d of %d flows", len(r.flows), c.n)
 			}
 		})
+	}
+}
+
+// TestArrivalAllocs: once the free list is warm, a Poisson-arrival run
+// allocates nothing per arrival — each arrival reuses a retired flow and
+// its links array. What a window still allocates is high-water growth,
+// rarer the longer the run: the solver's exactly sized scratch at a new
+// peak of active links, the FCT reservoir filling, a longer path than a
+// recycled flow's array holds. One in a thousand arrivals bounds it; a
+// flow or a links array per arrival is thousands.
+func TestArrivalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's")
+	}
+	_, b, _, slots := admitFabric(t, 1)
+	eng := Install(b, slots, Spec{
+		Pattern: workload.Uniform{}, Sizes: workload.Fixed(20_000), FlowsPerSec: 20_000, Seed: 6,
+	})
+	r := eng.reps[0]
+	sched := sim.NewScheduler(0)
+	b.Parts[0].Attach(core.Env{Sched: sched, Src: 1})
+	const window = 10 * sim.Millisecond
+	b.Parts[0].Start(4 * window)
+	sched.RunBefore(2 * window)
+	if r.completed == 0 || len(r.free) == 0 {
+		t.Fatalf("warm-up retired %d flows (%d free): no churn", r.completed, len(r.free))
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// AllocsPerRun calls run once unmeasured first: the third window warms
+	// further, the fourth is measured.
+	var arrivals int
+	run := func() {
+		before := r.started + r.skipped
+		sched.RunBefore(sched.Now() + window)
+		arrivals = r.started + r.skipped - before
+	}
+	got := testing.AllocsPerRun(1, run)
+	if arrivals < 1000 {
+		t.Fatalf("%d arrivals in the measured window, want at least 1000", arrivals)
+	}
+	if got > float64(arrivals)/1000 {
+		t.Fatalf("%d arrivals allocated %.0f objects once the free list was warm, want at most one per thousand",
+			arrivals, got)
+	}
+}
+
+// TestBlinkSize pins blink at 56 bytes: blinks are packed into their
+// replica's slab, half a million of them on a 10⁶-endpoint mix, so every
+// byte added here is paid on each.
+func TestBlinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(blink{}); got != 56 {
+		t.Errorf("blink is %d bytes, want 56", got)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"repro/internal/netsim/workload"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/stats"
 )
 
@@ -100,23 +101,27 @@ type hop struct {
 // blink is a directed link the fluid computation tracks: capacity, the
 // number of active flows crossing it, and — when this replica's partition
 // owns the transmitting iface — the handle reservations are applied to.
+// Blinks are carved from the replica's slab, 56 bytes each: the counts are
+// 32-bit, which bounds the flows one link carries at 2³¹.
 type blink struct {
 	cap   float64       // bit/s
 	iface *netsim.Iface // nil unless owned by this replica's partition
 	resv  int64         // last reservation applied (bit/s)
 
-	nflows    int
-	activeIdx int // index in replica.active, -1 when idle
+	nflows    int32
+	activeIdx int32 // index in replica.active, -1 when idle
 
 	// progressive-filling scratch
 	avail   float64
-	unfixed int
 	sum     float64
+	unfixed int32
 }
 
 // flow is one active background flow. links holds only finite-capacity
 // directed links on its path; remaining counts wire bits (payload plus
-// per-packet overhead) still to drain.
+// per-packet overhead) still to drain. Flows are carved from the replica's
+// slab and recycled through its free list; a recycled flow keeps its links
+// array for its next path when that fits.
 type flow struct {
 	src, dst  int32 // endpoint indices
 	bytes     int64
@@ -159,6 +164,13 @@ type replica struct {
 	chunk  []*flow           // arrivals drawn but not yet attached
 	batch  batch             // resolveBatch scratch, grow-only
 	solver solver            // recompute scratch, grow-only
+
+	// Slabs the replica's blinks, flows and flow link arrays are carved
+	// from, and the retired flows draw reuses before carving new ones.
+	blinks  slab.Slab[blink]
+	flowMem slab.Slab[flow]
+	linkMem slab.Slab[*blink]
+	free    []*flow
 
 	lastAdvance sim.Time
 	nextArrival sim.Time // -1 when the arrival process is exhausted
@@ -318,8 +330,10 @@ func (r *replica) accessIface(slot int32, dir int8) *netsim.Iface {
 	return nil
 }
 
-// resetLinks drops every blink the replica holds. A trace names at most
-// two access links per flow, so the map is sized once instead of grown.
+// resetLinks drops every blink the replica holds, with the slab they came
+// from, and the free flows, whose link arrays point at them. A trace names
+// at most two access links per flow, so the map is sized once instead of
+// grown.
 func (r *replica) resetLinks() {
 	clear(r.tlinks)
 	hint := 0
@@ -328,6 +342,16 @@ func (r *replica) resetLinks() {
 	}
 	r.access = make(map[uint64]*blink, hint)
 	r.active = r.active[:0]
+	r.blinks = slab.Slab[blink]{}
+	clear(r.free)
+	r.free = r.free[:0]
+}
+
+// newBlink carves a link of the given capacity from the replica's slab.
+func (r *replica) newBlink(rate int64, iface *netsim.Iface) *blink {
+	bl := r.blinks.New()
+	bl.cap, bl.iface, bl.activeIdx = float64(rate), iface, -1
+	return bl
 }
 
 // topoLink returns the replica's blink for a directed topology link,
@@ -335,7 +359,7 @@ func (r *replica) resetLinks() {
 func (r *replica) topoLink(li int32, dir int8, rate int64) *blink {
 	i := 2*int(li) + int(dir)
 	if r.tlinks[i] == nil {
-		r.tlinks[i] = &blink{cap: float64(rate), iface: r.topoIface(li, dir), activeIdx: -1}
+		r.tlinks[i] = r.newBlink(rate, r.topoIface(li, dir))
 	}
 	return r.tlinks[i]
 }
@@ -345,22 +369,50 @@ func (r *replica) accessLink(slot int32, dir int8, rate int64) *blink {
 	key := accessKey(slot, dir)
 	bl, ok := r.access[key]
 	if !ok {
-		bl = &blink{cap: float64(rate), iface: r.accessIface(slot, dir), activeIdx: -1}
+		bl = r.newBlink(rate, r.accessIface(slot, dir))
 		r.access[key] = bl
 	}
 	return bl
 }
 
-// admitBatch resolves fs and attaches, in order, the flows that route. It
-// returns how many did not route and the index of the first of them (-1
-// if all did), and keeps fs, cleared, as the next chunk's buffer.
+// newFlow returns an unresolved flow: a retired one when the free list has
+// any, else one carved from the slab. Only the links array survives reuse.
+func (r *replica) newFlow(src, dst int32, bytes int64, remaining float64, start sim.Time) *flow {
+	var f *flow
+	if k := len(r.free) - 1; k >= 0 {
+		f = r.free[k]
+		r.free[k] = nil
+		r.free = r.free[:k]
+	} else {
+		f = r.flowMem.New()
+	}
+	*f = flow{src: src, dst: dst, bytes: bytes, remaining: remaining, start: start, links: f.links[:0]}
+	return f
+}
+
+// linksFor sets f.links to n entries, reusing f's array when it holds n.
+func (r *replica) linksFor(f *flow, n int) {
+	if cap(f.links) >= n {
+		f.links = f.links[:n]
+		return
+	}
+	f.links = r.linkMem.Cut(n)
+}
+
+// admitBatch resolves fs and attaches, in order, the flows that route;
+// those that do not go back on the free list. It returns how many did not
+// route and the index of the first of them (-1 if all did), and keeps fs,
+// cleared, as the next chunk's buffer.
 func (r *replica) admitBatch(fs []*flow) (unroutable, first int) {
 	r.resolveBatch(fs)
 	first = -1
 	for i, f := range fs {
 		if f.hops > 0 {
 			r.attach(f)
-		} else if unroutable++; first < 0 {
+			continue
+		}
+		r.free = append(r.free, f)
+		if unroutable++; first < 0 {
 			first = i
 		}
 	}
@@ -376,7 +428,7 @@ func (r *replica) attach(f *flow) {
 	for _, bl := range f.links {
 		bl.nflows++
 		if bl.activeIdx < 0 {
-			bl.activeIdx = len(r.active)
+			bl.activeIdx = int32(len(r.active))
 			r.active = append(r.active, bl)
 		}
 	}
@@ -466,13 +518,7 @@ func (r *replica) draw(now sim.Time) *flow {
 			bytes = 1
 		}
 	}
-	return &flow{
-		src:       int32(src),
-		dst:       int32(dst),
-		bytes:     bytes,
-		remaining: wireBits(bytes),
-		start:     now,
-	}
+	return r.newFlow(int32(src), int32(dst), bytes, wireBits(bytes), now)
 }
 
 // projEvents is what the packet tier would have scheduled to move
@@ -488,8 +534,9 @@ func projEvents(f *flow, drainedBits float64) uint64 {
 }
 
 // completeDue retires every flow whose wire bits have drained, recording
-// its completion time (drain span plus the path's base delay). Compaction
-// preserves arrival order so float accumulation stays replica-identical.
+// its completion time (drain span plus the path's base delay), and puts it
+// on the free list. Compaction preserves arrival order so float
+// accumulation stays replica-identical.
 func (r *replica) completeDue(now sim.Time) bool {
 	w := 0
 	done := false
@@ -507,6 +554,7 @@ func (r *replica) completeDue(now sim.Time) bool {
 		for _, bl := range f.links {
 			bl.nflows--
 		}
+		r.free = append(r.free, f)
 	}
 	if done {
 		for i := w; i < len(r.flows); i++ {
@@ -543,7 +591,7 @@ func (r *replica) applyReservations() {
 			bl.activeIdx = -1
 			continue
 		}
-		bl.activeIdx = w
+		bl.activeIdx = int32(w)
 		r.active[w] = bl
 		w++
 	}

@@ -391,3 +391,37 @@ func TestMixedFidelityCheckpointRestore(t *testing.T) {
 func TestFlowReportFCTIsLatency(t *testing.T) {
 	var _ *stats.Latency = flowsim.Report{}.FCT
 }
+
+// TestRecycledFlowsReport runs a Poisson churn — about 4,000 flows, a
+// dozen or so active at a time — in which retired flows are reused for
+// later arrivals, and pins its report to what the engine printed before
+// flows were recycled: the counts, the drained-traffic projection and the
+// FCT percentiles. Recycling must not move a rate or a completion.
+func TestRecycledFlowsReport(t *testing.T) {
+	lazy := smallClos
+	lazy.Lazy = true
+	s, b, m := buildFabric(t, lazy, 3, 1)
+	eng := flowsim.Install(b, allSlots(m), flowsim.Spec{
+		Pattern:     workload.Uniform{},
+		Sizes:       workload.Pareto{Min: 2_000, Alpha: 1.2, Max: 2_000_000},
+		FlowsPerSec: 50_000,
+		Seed:        11,
+	})
+	s.RunSequential(5 * sim.Millisecond)
+	r := eng.Collect()
+	type pinned struct {
+		started, completed, active, unroutable int
+		bytes                                  int64
+		events, proj                           uint64
+		p50, p99                               sim.Time
+	}
+	got := pinned{r.FlowsStarted, r.FlowsCompleted, r.ActiveFlows, r.Unroutable, r.BytesModeled,
+		r.Events, r.ProjPacketEvents, r.FCT.Percentile(50), r.FCT.Percentile(99)}
+	want := pinned{3989, 3975, 14, 0, 35_178_543, 7964, 251_924, 15_831_466, 163_606_258}
+	if got != want {
+		t.Fatalf("report %+v, want %+v", got, want)
+	}
+	if n := flowsim.FlowRecords(eng); 10*n > r.FlowsStarted {
+		t.Fatalf("%d flows started on %d flow records: retired flows were not reused", r.FlowsStarted, n)
+	}
+}

@@ -1,0 +1,7 @@
+//go:build race
+
+package flowsim
+
+// raceEnabled lets allocation-accounting tests skip under -race, where the
+// detector's own bookkeeping shows up in testing.AllocsPerRun.
+const raceEnabled = true

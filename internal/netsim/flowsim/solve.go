@@ -84,7 +84,7 @@ func (r *replica) recompute() {
 				for _, bl := range f.links {
 					bl.avail -= level
 					bl.unfixed--
-					s.touched = append(s.touched, int32(bl.activeIdx))
+					s.touched = append(s.touched, bl.activeIdx)
 				}
 				unfixed--
 			}
@@ -152,7 +152,7 @@ func (s *solver) index(r *replica) (unfixed int) {
 	for l, bl := range r.active {
 		bl.avail = bl.cap
 		bl.unfixed = bl.nflows
-		end += int32(bl.nflows)
+		end += bl.nflows
 		s.start[l] = end
 		if bl.nflows == 0 {
 			s.pos[l] = -1 // idle until applyReservations drops it

@@ -145,13 +145,7 @@ func (e *Engine) RestoreState(dec *snap.Decoder) error {
 					bad = base + i // report it once the flows before it are checked
 					break
 				}
-				chunk = append(chunk, &flow{
-					src:       int32(rec.src),
-					dst:       int32(rec.dst),
-					bytes:     rec.bytes,
-					remaining: rec.rem,
-					start:     rec.start,
-				})
+				chunk = append(chunk, r.newFlow(int32(rec.src), int32(rec.dst), rec.bytes, rec.rem, rec.start))
 			}
 			if _, first := r.admitBatch(chunk); first >= 0 {
 				rec := recs[base+first]

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 // Simulation-cost model: how many nanoseconds of real CPU the protocol-level
@@ -57,6 +58,13 @@ type Network struct {
 	hosts    []*Host
 	exts     []*ExtPort
 	hostByIP map[proto.IP]*Host
+
+	// ifaces and swMem are where every interface and switch of this
+	// network comes from — host, switch and external-port interfaces
+	// alike — one heap object per chunk rather than per element. Both live
+	// as long as the network.
+	ifaces slab.Slab[Iface]
+	swMem  slab.Slab[Switch]
 
 	// regs holds named-event handlers registered before Attach (workload
 	// re-arm hooks, the TCP RTO dispatcher); Attach registers them on the
@@ -101,7 +109,12 @@ type Network struct {
 	prefixRouted    bool
 
 	// rscratch is the working memory every switch's route compile reuses.
+	// rtab holds each compiled table's candidate pool and actions, rstarts
+	// its interval starts. A recompile leaves the old table unused in its
+	// chunk: tables are rebuilt only when routes change after a compile.
 	rscratch routeScratch
+	rtab     slab.Slab[int32]
+	rstarts  slab.Slab[uint32]
 
 	started bool
 }
@@ -221,7 +234,8 @@ type node interface {
 
 // AddSwitch creates a switch.
 func (n *Network) AddSwitch(name string) *Switch {
-	s := &Switch{net: n, name: name}
+	s := n.swMem.New()
+	s.net, s.name = n, name
 	s.cutSink.s = s
 	n.switches = append(n.switches, s)
 	return s
@@ -242,9 +256,11 @@ func (n *Network) AddHost(name string, ip proto.IP) *Host {
 	return h
 }
 
-// newIface wires a fresh interface owned by o.
+// newIface wires a fresh interface owned by o, carved from the network's
+// interface slab.
 func (n *Network) newIface(o node, rate int64, delay sim.Time) *Iface {
-	i := &Iface{net: n, owner: o, rate: rate, delay: delay}
+	i := n.ifaces.New()
+	i.net, i.owner, i.rate, i.delay = n, o, rate, delay
 	i.enqSink.i = i
 	i.rxSink.i = i
 	return i

@@ -560,8 +560,8 @@ func TestCostAccounting(t *testing.T) {
 	}
 }
 
-// TestIfaceSize pins Iface at 152 bytes, inside the 160-byte size class: one
-// is allocated per interface, so every byte added here is paid on each of a
+// TestIfaceSize pins Iface at 152 bytes: interfaces are packed into their
+// network's slab chunks, so every byte added here is paid on each of a
 // large fabric's interfaces. The name is derived from the two ends, not
 // stored.
 func TestIfaceSize(t *testing.T) {

@@ -224,9 +224,19 @@ func (s *Switch) reserveRoutes(n int) {
 	s.cands = slices.Grow(s.cands, n)
 }
 
+// reserveRouteLists is reserveRoutes for switches that hold no route yet,
+// with n[v] routes for switch v: every rule list is cut from one array, and
+// every candidate pool from another.
+func reserveRouteLists(switches []*Switch, n []int) {
+	rules, cands := rows[routeRule](n), rows[int32](n)
+	for v, s := range switches {
+		s.rules, s.cands = rules[v], cands[v]
+	}
+}
+
 // routeScratch is the reusable working memory of Switch.compile, one per
 // Network: a compile builds into it and copies the result out at its exact
-// size.
+// size, into the network's table slabs.
 type routeScratch struct {
 	cands  []int32
 	starts []uint32
@@ -320,9 +330,14 @@ func (s *Switch) compile() {
 		kept = slices.Clone(kept)
 	}
 	s.rules = kept
-	s.cands = slices.Clone(pool)
-	s.starts = slices.Clone(starts)
-	s.acts = slices.Clone(acts)
+	// Each list is capped at its length, so a later install appends a copy
+	// of the pool instead of writing over the actions beside it.
+	tab := s.net.rtab.Cut(len(pool) + len(acts))
+	copy(tab, pool)
+	copy(tab[len(pool):], acts)
+	s.cands, s.acts = tab[:len(pool):len(pool)], tab[len(pool):]
+	s.starts = s.net.rstarts.Cut(len(starts))
+	copy(s.starts, starts)
 	sc.cands, sc.starts, sc.acts, sc.open = pool, starts, acts, open
 	s.dirty = false
 }

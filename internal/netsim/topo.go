@@ -271,6 +271,7 @@ func (t *Topology) Build(name string, seed uint64, assign []int, namer func(part
 		sw.TransparentClock = ts.TC
 		b.Switches[i] = sw
 	}
+	t.sizeIfaces(b.Switches)
 
 	// hostIface[i] = switch-local iface index serving host slot i
 	// (-1 for lazy slots, whose access link does not exist yet).
@@ -331,6 +332,47 @@ func (t *Topology) Build(name string, seed uint64, assign []int, namer func(part
 		sw.compile()
 	}
 	return b
+}
+
+// rows returns one empty slice per count with room for exactly that many
+// elements, all cut from one array: appends within a row never regrow it,
+// and an append past it moves that row out instead of into its neighbour.
+func rows[T any](counts []int) [][]T {
+	total := 0
+	for _, k := range counts {
+		total += k
+	}
+	all, out := make([]T, total), make([][]T, len(counts))
+	for i, k := range counts {
+		out[i], all = all[:0:k], all[k:]
+	}
+	return out
+}
+
+// degrees returns each switch's number of link ends.
+func (t *Topology) degrees() []int {
+	deg := make([]int, len(t.Switches))
+	for _, l := range t.Links {
+		deg[l.A]++
+		deg[l.B]++
+	}
+	return deg
+}
+
+// sizeIfaces gives every switch an empty interface list with room for the
+// interfaces Build attaches to it, one per link end and per host slot that
+// is not lazy, so connecting never regrows a list. A lazy slot materialized
+// later appends past it and moves that switch's list out.
+func (t *Topology) sizeIfaces(switches []*Switch) {
+	n := t.degrees()
+	for _, th := range t.Hosts {
+		if !th.Lazy {
+			n[th.Switch]++
+		}
+	}
+	for i, r := range rows[*Iface](n) {
+		switches[i].ifaces = r
+	}
 }
 
 // switchIfaceIndex returns the index of f among sw's interfaces. A missing
@@ -466,6 +508,7 @@ func (s *topoBFS) candidates(v int) []int {
 func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces func(li int) (aIface, bIface int)) {
 	ns := len(t.Switches)
 	bfs := newTopoBFS(ns)
+	bfs.adj = rows[topoEdge](t.degrees()) // sized: the appends below never regrow
 	for li, l := range t.Links {
 		ai, bi := linkIfaces(li)
 		bfs.adj[l.A] = append(bfs.adj[l.A], topoEdge{nb: l.B, iface: ai})
@@ -503,9 +546,7 @@ func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces fun
 			routes[v]++
 		}
 	}
-	for v, sw := range b.Switches {
-		sw.reserveRoutes(routes[v])
-	}
+	reserveRouteLists(b.Switches, routes)
 
 	// Direct routes on each owning switch (lazy slots get theirs at
 	// MaterializeSlot), with a loud coverage check: a host address no

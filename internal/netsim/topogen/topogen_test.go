@@ -10,6 +10,7 @@ import (
 	"repro/internal/orch"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 const probePort = 7
@@ -326,5 +327,27 @@ func TestHostNamesMatchSprintf(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuildAllocs holds Topology.Build on a lazy 10-pod Clos to O(switches
+// + slab chunks) allocations, not O(interfaces): interfaces and switches
+// come from their network's slabs, every switch's interface list,
+// adjacency and route lists are cut from one array each, and compiled
+// route tables from slabs. One interface per allocation, or a list
+// regrown per link, blows the bound.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's")
+	}
+	spec := scale100k
+	spec.Pods = 10
+	topo, _ := topogen.Clos(spec)
+	ifaces := 2 * len(topo.Links)
+	chunks := (ifaces + slab.PerChunk[netsim.Iface]() - 1) / slab.PerChunk[netsim.Iface]()
+	got := testing.AllocsPerRun(2, func() { topo.Build("clos", 1, nil, nil) })
+	if bound := len(topo.Switches) + chunks; got > float64(bound) {
+		t.Fatalf("building %d switches and %d interfaces allocated %.0f objects, want at most %d (one per switch plus one per %d-interface chunk)",
+			len(topo.Switches), ifaces, got, bound, slab.PerChunk[netsim.Iface]())
 	}
 }
