@@ -51,9 +51,11 @@ race:
 # group and two, and a capture taken inside a lag window — memory requests
 # and responses arrived but not yet delivered, frames that crossed a
 # partition boundary into a switch pipeline — resuming likewise), the
-# warm-started sweep's identity point matching its cold run, and the
+# warm-started sweep's identity point matching its cold run, the
 # scheduler's delivery lanes (their contents are pending events, so
-# snapshots, rollbacks and checkpoints export, discard and restore them) —
+# snapshots, rollbacks and checkpoints export, discard and restore them)
+# and its calendar event queue (the same paths walk the wheel and its heap
+# spill, and must pop in (time, source, sequence) order throughout) —
 # plus the rollback fuzz seed corpus and the configuration-boundary fuzz seed
 # corpus (malformed systems return typed errors, valid ones instantiate and
 # run). The plan's bundles are the only trunk
@@ -73,7 +75,7 @@ race:
 # rejected with ErrVersion (TestLoadCheckpoint).
 exec:
 	$(GO) test -race \
-		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestModelGraph|TestPlanDescribes|TestMergePlacement|TestWirePartitions|TestLaggedSink|TestLagWindow' \
+		-run 'TestParallel|TestOptimistic|TestCheckpoint|TestLoadCheckpoint|TestWarmStart|TestLane|TestEventQueue|TestModelGraph|TestPlanDescribes|TestMergePlacement|TestWirePartitions|TestLaggedSink|TestLagWindow' \
 		./internal/sim/ ./internal/link/ ./internal/orch/ ./internal/profiler/ ./internal/experiments/ ./internal/decomp/ ./internal/instantiate/
 	$(GO) test -run 'FuzzOptimisticRollback' ./internal/orch/
 	$(GO) test -run 'FuzzSystemInstantiate' ./internal/config/

@@ -77,7 +77,7 @@ func TestFlowCacheInvalidatedOnTopologyChange(t *testing.T) {
 		if _, ok := sw.lookup(h1.IP()); !ok {
 			t.Fatal("no route to h1")
 		}
-		e := &sw.fcache[uint32(h1.IP())&(flowCacheSize-1)]
+		e := &sw.fcache[flowSlot(h1.IP())]
 		if !e.ok {
 			t.Fatal("lookup did not fill the flow cache")
 		}

@@ -295,14 +295,23 @@ func TestRouteZeroAlloc(t *testing.T) {
 		t.Fatalf("Route allocates %.2f/lookup, want 0", avg)
 	}
 
-	// Hosts 1, 9 and 17 share a flow-cache slot, so sending to them in turn
-	// misses on every packet.
+	// Three destinations that share a flow-cache slot: sending to them in
+	// turn misses on every packet. Seventeen hosts over eight slots put at
+	// least three in one.
 	hs, s := benchFabric(18)
 	for _, h := range hs {
 		h.BindUDP(9, func(proto.IP, uint16, []byte, int) {})
 	}
 	fab := hs[0].net.switches[0]
-	dsts := []proto.IP{hs[1].IP(), hs[9].IP(), hs[17].IP()}
+	var bySlot [flowCacheSize][]proto.IP
+	var dsts []proto.IP
+	for _, h := range hs[1:] {
+		k := flowSlot(h.IP())
+		if bySlot[k] = append(bySlot[k], h.IP()); len(bySlot[k]) == 3 {
+			dsts = bySlot[k]
+			break
+		}
+	}
 	op := func() {
 		hs[0].SendUDP(dsts[i%len(dsts)], 1, 9, nil, 1400)
 		s.Run()

@@ -22,9 +22,12 @@ type Dataplane interface {
 }
 
 // flowCacheSize is the number of direct-mapped flow-cache entries per
-// switch. Power of two; sized for the handful of hot destinations a switch
-// port typically serves between topology changes.
-const flowCacheSize = 8
+// switch, indexed by flowSlot; sized for the handful of hot destinations a
+// switch port typically serves between topology changes.
+const (
+	flowCacheBits = 3
+	flowCacheSize = 1 << flowCacheBits
+)
 
 // flowEntry is one flow-cache slot: the last next-hop resolved for ip.
 type flowEntry struct {
@@ -380,10 +383,18 @@ func (s *Switch) Route(ip proto.IP) (int, bool) {
 	return int(s.cands[r.off+uint32(ecmpHash(ip))%uint32(r.n)]), true
 }
 
+// flowSlot is ip's flow-cache slot: the top bits of a multiplicative
+// (Fibonacci) hash. The low address bits are a poor index — on a Clos whose
+// materialised hosts all sit at index 0 of their leaf, every destination
+// ends in the same three bits.
+func flowSlot(ip proto.IP) uint32 {
+	return (uint32(ip) * 0x9e3779b1) >> (32 - flowCacheBits)
+}
+
 // lookup resolves the next hop for ip through the flow cache, falling back
 // to (and refilling from) the route table on a miss.
 func (s *Switch) lookup(ip proto.IP) (int, bool) {
-	e := &s.fcache[uint32(ip)&(flowCacheSize-1)]
+	e := &s.fcache[flowSlot(ip)]
 	if e.ok && e.ip == ip {
 		s.FlowCacheHits++
 		return int(e.out), true

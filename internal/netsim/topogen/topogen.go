@@ -79,36 +79,45 @@ type ClosMeta struct {
 	hostBits, leafBits, podBits uint
 }
 
-// leafNames formats one leaf's host names, "h<pod>.<leaf>.<i>", into a
-// single string and hands out substrings of it: one allocation per leaf
-// where a Sprintf per slot made host names most of what a 10⁶-slot fabric
-// allocates. The buffers are reused from leaf to leaf.
-type leafNames struct {
+// nameTable formats a run of names into one buffer, turns it into a single
+// string and hands out substrings of it in order: one allocation per table
+// where a Sprintf per name made names most of what a 10⁶-slot fabric
+// allocates. Clos fills one table with every switch name and one, reset from
+// pod to pod, with each pod's host names.
+type nameTable struct {
 	buf  []byte
-	ends []int // ends[i] is where host i's name stops in all
+	ends []int // ends[i] is where name i stops in all
 	all  string
+	next int // the name take returns next
 }
 
-func (n *leafNames) format(pod, leaf, hosts int) {
-	n.buf, n.ends = n.buf[:0], n.ends[:0]
-	for i := 0; i < hosts; i++ {
-		n.buf = append(n.buf, 'h')
-		n.buf = strconv.AppendInt(n.buf, int64(pod), 10)
-		n.buf = append(n.buf, '.')
-		n.buf = strconv.AppendInt(n.buf, int64(leaf), 10)
-		n.buf = append(n.buf, '.')
-		n.buf = strconv.AppendInt(n.buf, int64(i), 10)
-		n.ends = append(n.ends, len(n.buf))
+// reset empties the table, keeping its buffers.
+func (n *nameTable) reset() { n.buf, n.ends, n.next = n.buf[:0], n.ends[:0], 0 }
+
+// add appends prefix followed by nums, dot-separated: add("h", 1, 2, 3)
+// formats "h1.2.3".
+func (n *nameTable) add(prefix string, nums ...int) {
+	n.buf = append(n.buf, prefix...)
+	for k, v := range nums {
+		if k > 0 {
+			n.buf = append(n.buf, '.')
+		}
+		n.buf = strconv.AppendInt(n.buf, int64(v), 10)
 	}
-	n.all = string(n.buf)
+	n.ends = append(n.ends, len(n.buf))
 }
 
-func (n *leafNames) name(i int) string {
+// seal makes the names added so far the ones take hands out.
+func (n *nameTable) seal() { n.all = string(n.buf) }
+
+// take returns the next name of the sealed table.
+func (n *nameTable) take() string {
 	start := 0
-	if i > 0 {
-		start = n.ends[i-1]
+	if n.next > 0 {
+		start = n.ends[n.next-1]
 	}
-	return n.all[start:n.ends[i]]
+	n.next++
+	return n.all[start:n.ends[n.next-1]]
 }
 
 // bitsFor returns the smallest b with 1<<b >= n.
@@ -219,17 +228,31 @@ func Clos(spec ClosSpec) (*netsim.Topology, *ClosMeta) {
 		Hosts:    make([]netsim.TopoHost, 0, m.TotalHosts()),
 		Links:    make([]netsim.TopoLink, 0, spec.Pods*spec.SpinePerPod*(spec.LeafPerPod+g)),
 	}
+	// Switch names, in the order the switches are added.
+	var swNames, hostNames nameTable
 	for c := 0; c < spec.Cores; c++ {
-		m.Core = append(m.Core, t.AddSwitch(fmt.Sprintf("core%d", c)))
+		swNames.add("core", c)
 	}
-	var names leafNames
 	for p := 0; p < spec.Pods; p++ {
-		var spines, leaves []int
 		for j := 0; j < spec.SpinePerPod; j++ {
-			spines = append(spines, t.AddSwitch(fmt.Sprintf("spine%d.%d", p, j)))
+			swNames.add("spine", p, j)
 		}
 		for l := 0; l < spec.LeafPerPod; l++ {
-			leaves = append(leaves, t.AddSwitch(fmt.Sprintf("leaf%d.%d", p, l)))
+			swNames.add("leaf", p, l)
+		}
+	}
+	swNames.seal()
+	for c := 0; c < spec.Cores; c++ {
+		m.Core = append(m.Core, t.AddSwitch(swNames.take()))
+	}
+	for p := 0; p < spec.Pods; p++ {
+		spines := make([]int, 0, spec.SpinePerPod)
+		leaves := make([]int, 0, spec.LeafPerPod)
+		for j := 0; j < spec.SpinePerPod; j++ {
+			spines = append(spines, t.AddSwitch(swNames.take()))
+		}
+		for l := 0; l < spec.LeafPerPod; l++ {
+			leaves = append(leaves, t.AddSwitch(swNames.take()))
 		}
 		for _, lf := range leaves {
 			for _, sp := range spines {
@@ -242,23 +265,33 @@ func Clos(spec ClosSpec) (*netsim.Topology, *ClosMeta) {
 			}
 		}
 
+		// One name string and one slot array per pod; each leaf's slots
+		// are a capped window of the array.
+		hostNames.reset()
+		for l := range leaves {
+			for i := 0; i < spec.HostsPerLeaf; i++ {
+				hostNames.add("h", p, l, i)
+			}
+		}
+		hostNames.seal()
+		slots := make([]int, 0, spec.LeafPerPod*spec.HostsPerLeaf)
 		podHosts := make([][]int, spec.LeafPerPod)
 		leafPrefixes := make([]proto.Prefix, spec.LeafPerPod)
 		for l, lf := range leaves {
 			leafPrefixes[l] = proto.MakePrefix(m.HostIP(p, l, 0), 32-int(m.hostBits))
-			names.format(p, l, spec.HostsPerLeaf)
-			podHosts[l] = make([]int, 0, spec.HostsPerLeaf)
+			first := len(slots)
 			for i := 0; i < spec.HostsPerLeaf; i++ {
 				ip := m.HostIP(p, l, i)
-				name := names.name(i)
+				name := hostNames.take()
 				var hi int
 				if spec.Lazy {
 					hi = t.AddLazyHost(name, ip, lf, spec.HostRate, spec.LinkDelay)
 				} else {
 					hi = t.AddHost(name, ip, lf, spec.HostRate, spec.LinkDelay)
 				}
-				podHosts[l] = append(podHosts[l], hi)
+				slots = append(slots, hi)
 			}
+			podHosts[l] = slots[first:len(slots):len(slots)]
 		}
 		m.Spine = append(m.Spine, spines)
 		m.Leaf = append(m.Leaf, leaves)

@@ -310,7 +310,7 @@ func TestDefaultUpRouteEquivalence(t *testing.T) {
 }
 
 // TestHostNamesMatchSprintf pins the slot names Clos builds from one buffer
-// per leaf to the Sprintf form they replaced, across digit-count changes
+// per pod to the Sprintf form they replaced, across digit-count changes
 // in every field (pods and hosts past 9 and 99, leaves past 9).
 func TestHostNamesMatchSprintf(t *testing.T) {
 	spec := topogen.ClosSpec{
@@ -349,5 +349,37 @@ func TestBuildAllocs(t *testing.T) {
 	if bound := len(topo.Switches) + chunks; got > float64(bound) {
 		t.Fatalf("building %d switches and %d interfaces allocated %.0f objects, want at most %d (one per switch plus one per %d-interface chunk)",
 			len(topo.Switches), ifaces, got, bound, slab.PerChunk[netsim.Iface]())
+	}
+}
+
+// TestSwitchNamesMatchSprintf pins the core, spine and leaf names Clos
+// builds from one shared buffer to the Sprintf form they replaced, across
+// digit-count changes in every field.
+func TestSwitchNamesMatchSprintf(t *testing.T) {
+	spec := topogen.ClosSpec{
+		Pods: 12, LeafPerPod: 11, SpinePerPod: 2, Cores: 12, HostsPerLeaf: 1,
+		HostRate: 10 * sim.Gbps, LeafRate: 40 * sim.Gbps,
+		LinkDelay: sim.Microsecond, Lazy: true,
+	}
+	topo, m := topogen.Clos(spec)
+	check := func(sw int, want string) {
+		t.Helper()
+		if got := topo.Switches[sw].Name; got != want {
+			t.Fatalf("switch %d: name %q, want %q", sw, got, want)
+		}
+	}
+	for c, sw := range m.Core {
+		check(sw, fmt.Sprintf("core%d", c))
+	}
+	for p := range m.Spine {
+		for j, sw := range m.Spine[p] {
+			check(sw, fmt.Sprintf("spine%d.%d", p, j))
+		}
+		for l, sw := range m.Leaf[p] {
+			check(sw, fmt.Sprintf("leaf%d.%d", p, l))
+		}
+	}
+	if n := len(m.Core) + spec.Pods*(spec.SpinePerPod+spec.LeafPerPod); len(topo.Switches) != n {
+		t.Fatalf("%d switches, want %d", len(topo.Switches), n)
 	}
 }

@@ -61,6 +61,32 @@ func BenchmarkQueueChurn1024(b *testing.B) {
 	}
 }
 
+// BenchmarkQueuePacketShape measures the raw event queue on the packet
+// tier's shape: about 600 entries pending, each popped one booking its
+// successor 1–2 µs ahead — the deltas the calendar wheel is sized for.
+// ns/op is per pop+push pair.
+func BenchmarkQueuePacketShape(b *testing.B) {
+	var q eventQueue
+	var seq uint64
+	push := func(at Time, src int32) {
+		seq++
+		q.Push(eventEntry{at: at, src: src, seq: seq, del: 1})
+	}
+	delta := func(i int) Time { return Microsecond + Time(i*2654435761)%Microsecond }
+	for i := 0; i < 600; i++ {
+		push(delta(i), int32(i%7))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e, ok := q.Pop()
+		if !ok {
+			b.Fatal("queue drained")
+		}
+		push(e.at+delta(n), e.src)
+	}
+}
+
 // BenchmarkLaneBacklog measures ns/event at a standing backlog of k typed
 // deliveries spread over four monotone producers — a detailed host's
 // booked-ahead stack completions. Every delivery re-posts its producer's

@@ -142,17 +142,15 @@ func (s *Scheduler) PeekTime() (t Time, ok bool) {
 // Step executes the earliest pending event, advancing Now to its timestamp.
 // It reports whether an event ran.
 func (s *Scheduler) Step() bool {
-	if s.q.top() == nil {
-		return false
+	e, ok := s.q.Pop()
+	if ok {
+		s.run(e)
 	}
-	s.runHead()
-	return true
+	return ok
 }
 
-// runHead pops and executes the queue head, which the caller has already
-// verified to exist.
-func (s *Scheduler) runHead() {
-	e, _ := s.q.Pop()
+// run executes e, just taken from the queue.
+func (s *Scheduler) run(e eventEntry) {
 	s.now = e.at
 	s.maxExec = e.at
 	s.done++
@@ -180,11 +178,11 @@ func (s *Scheduler) runHead() {
 func (s *Scheduler) RunBefore(limit Time) uint64 {
 	var n uint64
 	for {
-		e := s.q.top()
-		if e == nil || e.at >= limit {
+		e, ok := s.q.popBefore(limit)
+		if !ok {
 			break
 		}
-		s.runHead()
+		s.run(e)
 		n++
 	}
 	if s.now < limit {

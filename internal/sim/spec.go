@@ -50,13 +50,12 @@ func (s *Scheduler) Rewind(t Time) {
 // ExportPendingInto is ExportPending with a caller-supplied buffer: records
 // are appended to dst[:0] so a speculation loop taking a snapshot per
 // committed horizon reuses one backing array instead of allocating each
-// time. Same contract otherwise: heap order, and any closure event fails with
-// ErrClosureEvent.
+// time. Same contract otherwise: queue order, not time order, and any closure
+// event fails with ErrClosureEvent.
 func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error) {
 	out := dst[:0]
-	s.q.fill()
-	for i := range s.q.h {
-		e := &s.q.h[i]
+	var err error
+	s.q.visit(func(e *eventEntry) bool {
 		switch {
 		case e.del > 0:
 			d := s.deliveries[e.del-1]
@@ -64,7 +63,8 @@ func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error
 			case *laneHead:
 				out = (*Lane)(k).appendPending(out)
 			case funcSink:
-				return out, fmt.Errorf("%w (at %v, src %d)", ErrClosureEvent, e.at, e.src)
+				err = fmt.Errorf("%w (at %v, src %d)", ErrClosureEvent, e.at, e.src)
+				return false
 			default:
 				out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
 					Kind: PendingDelivery, Sink: d.sink, Payload: d.payload})
@@ -74,8 +74,9 @@ func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error
 			out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
 				Kind: PendingNamed, Handler: s.named[ne.h].name, Args: ne.args})
 		}
-	}
-	return out, nil
+		return true
+	})
+	return out, err
 }
 
 // RestoreMark resets the scheduler's scalar registers to a captured Mark.

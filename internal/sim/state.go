@@ -111,7 +111,7 @@ const (
 // ErrClosureEvent wrapped with the event time, because a func pointer
 // cannot be serialized. Lane-held entries export as ordinary deliveries
 // under their own (At, Src, Seq); lanes themselves never appear. The queue
-// is not modified; records come back in heap order, not time order —
+// is not modified; records come back in queue order, not time order —
 // callers sort.
 func (s *Scheduler) ExportPending() ([]PendingEvent, error) {
 	out, err := s.ExportPendingInto(make([]PendingEvent, 0, s.Pending()))
