@@ -11,10 +11,11 @@
 # under examples/ to completion; `make scale` is a local smoke run of the
 # fabric tests that `make test` already covers; `make loc` prints the
 # per-package code-line table simplicity PRs report before and after;
-# `make traffic` prints the non-test functions that no experiment, example
-# or benchmark workload reaches (about a minute; not part of `check`), the
-# list simplicity PRs report beside `make loc`; `make fmt` fails on any file
-# gofmt would rewrite.
+# `make traffic` prints the non-test functions that no experiment, example,
+# CLI invocation or benchmark workload reaches and fails unless they are
+# exactly the ones scripts/unreached.txt lists (the ratchet, part of
+# `check`; about 35 s on two cores); `make fmt` fails on any file gofmt
+# would rewrite.
 
 GO ?= go
 
@@ -22,7 +23,7 @@ GO ?= go
 
 all: check race
 
-check: fmt vet build test chaos exec e2e examples
+check: fmt vet build test chaos exec e2e examples traffic
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -145,7 +146,9 @@ bench:
 loc:
 	@sh scripts/loc.sh
 
-# Traffic map: coverage-built splitsim, examples and bench/e2e children,
-# driven once each; binaries and counters live in a mktemp -d directory.
+# Traffic map and ratchet: coverage-built splitsim, wtpg, examples and
+# bench/e2e children, driven once each; fails when the unreached functions
+# differ from scripts/unreached.txt ("<file> <name><TAB><reason>" per line).
+# Binaries and counters live in a mktemp -d directory.
 traffic:
 	@sh scripts/traffic.sh

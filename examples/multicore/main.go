@@ -1,12 +1,14 @@
 // Multi-core decomposition: simulate the same multi-core machine twice —
 // monolithically (sequential gem5) and split into one component per core
 // plus a memory controller (SplitSim adapters over the port interface).
-// Verifies the simulated behavior is identical and prints the performance
-// model's predicted speedup, Fig. 7's experiment in miniature.
+// Verifies the simulated behavior and the modeled sequential cost are
+// identical and prints the performance model's predicted speedup, Fig. 7's
+// experiment in miniature.
 package main
 
 import (
 	"fmt"
+	"math"
 
 	splitsim "repro"
 	"repro/internal/decomp"
@@ -34,13 +36,23 @@ func main() {
 			panic("split and monolithic instantiations diverged")
 		}
 	}
+	if mem.Txns != mono.Mem().Txns {
+		panic("split and monolithic memory controllers diverged")
+	}
 	fmt.Printf("identical simulated behavior: %d blocks/core, %d memory txns\n",
 		split[0].Blocks, mem.Txns)
 
 	comps, links := ss.ModelGraph(dur)
 	model := decomp.Makespan(comps, links, decomp.DefaultParams(dur))
+	// The monolithic build charges every piece to one account, so its own
+	// model must cost what the split pieces sum to.
+	mc, ml := sm.ModelGraph(dur)
+	seq := decomp.Makespan(mc, ml, decomp.DefaultParams(dur)).SeqNs
+	if math.Abs(seq-model.SeqNs) > 1e-9*seq {
+		panic("monolithic and split cost models disagree")
+	}
 	fmt.Printf("sequential gem5: %.0f s per simulated second\n",
-		model.SeqNs/1e9/dur.Seconds())
+		seq/1e9/dur.Seconds())
 	fmt.Printf("SplitSim split:  %.0f s per simulated second (%.1fx speedup)\n",
 		model.ParNs/1e9/dur.Seconds(), model.Speedup)
 	for _, c := range split {

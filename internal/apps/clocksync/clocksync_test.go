@@ -158,9 +158,6 @@ func TestOscillatorModel(t *testing.T) {
 	if got != want {
 		t.Fatalf("Read = %v, want %v", got, want)
 	}
-	if f := o.FreqPPM(0); f != 100 {
-		t.Fatalf("FreqPPM = %v", f)
-	}
 }
 
 func TestDisciplinedClockAdjust(t *testing.T) {

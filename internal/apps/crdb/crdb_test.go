@@ -135,7 +135,7 @@ func TestSingleReplicaCommitWait(t *testing.T) {
 	}
 	// Closed loop with 1 outstanding: every write serializes behind the
 	// 50us wait, so latency must exceed it.
-	if w := cli.WriteLat.Min(); w < 50*sim.Microsecond {
+	if w := cli.WriteLat.Percentile(0); w < 50*sim.Microsecond {
 		t.Fatalf("write latency %v below the commit wait", w)
 	}
 }

@@ -45,12 +45,6 @@ func New(hotKeys, valueSize int) *Dataplane {
 	return d
 }
 
-// CachedValid reports whether key currently has a valid cache entry.
-func (d *Dataplane) CachedValid(key uint64) bool {
-	e, ok := d.entries[key]
-	return ok && e.valid
-}
-
 // Process implements netsim.Dataplane.
 func (d *Dataplane) Process(sw *netsim.Switch, _ *netsim.Iface, f *proto.Frame) bool {
 	if f.IP.Proto != proto.IPProtoUDP {

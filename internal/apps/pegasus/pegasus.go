@@ -47,15 +47,6 @@ func New(vip proto.IP, servers []proto.IP, tracked int) *Dataplane {
 	return d
 }
 
-// Owners returns the replica indices currently holding key (nil if the key
-// is not tracked).
-func (d *Dataplane) Owners(key uint64) []int {
-	if e, ok := d.dir[key]; ok {
-		return append([]int(nil), e.owners...)
-	}
-	return nil
-}
-
 // Process implements netsim.Dataplane.
 func (d *Dataplane) Process(sw *netsim.Switch, _ *netsim.Iface, f *proto.Frame) bool {
 	if f.IP.Proto != proto.IPProtoUDP || f.UDP.DstPort != proto.PortKV || f.IP.Dst != d.VIP {

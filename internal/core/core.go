@@ -46,9 +46,8 @@ func (f Fidelity) String() string {
 }
 
 // Message is anything that can travel over a channel between two component
-// simulators. Size is the message's size in bytes on the wire (or bus); the
-// link layer uses it only for accounting, never for pacing — pacing is the
-// sending component's job.
+// simulators. The channel never looks inside it: pacing and sizing are the
+// sending component's job, and the receiving sink type-switches on it.
 //
 // Message is an alias of sim.Payload so the scheduler can store a delivery
 // (sink + payload) by value in an event-queue slot instead of a heap-
@@ -58,10 +57,10 @@ type Message = sim.Payload
 
 // Port is one direction of a channel as seen by the sending component. Send
 // stamps the payload with the sender's current virtual time; the peer
-// observes it exactly Latency later.
+// observes it exactly the channel's latency later (plus its sink's Lag).
+// The latency belongs to the channel, not to the sender.
 type Port interface {
 	Send(payload Message)
-	Latency() sim.Time
 }
 
 // Sink receives messages from a peer's Port. Deliver runs at virtual time
@@ -156,7 +155,6 @@ type UDPHandler func(src proto.IP, srcPort uint16, payload []byte, virtual int)
 // detailed ones — the modeling gap mixed fidelity trades on.
 type Host interface {
 	Now() sim.Time
-	End() sim.Time
 	After(d sim.Time, fn func())
 	Compute(d sim.Time, fn func())
 	SendUDP(dst proto.IP, srcPort, dstPort uint16, payload []byte, virtual int)

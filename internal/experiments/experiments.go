@@ -124,9 +124,6 @@ func infallible[R any](f func(Options) R) func(Options) (R, error) {
 	return func(o Options) (R, error) { return f(o), nil }
 }
 
-// DefaultOptions returns paper-scale settings.
-func DefaultOptions() Options { return Options{Scale: 1, Seed: 42} }
-
 func (o Options) scale() float64 {
 	if o.Scale <= 0 {
 		return 1

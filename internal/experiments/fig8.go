@@ -37,16 +37,6 @@ type Fig8Result struct {
 	Points []Fig8Point
 }
 
-// Get returns the point for (flavor, parts).
-func (r *Fig8Result) Get(flavor string, parts int) Fig8Point {
-	for _, p := range r.Points {
-		if p.Flavor == flavor && p.Parts == parts {
-			return p
-		}
-	}
-	panic("experiments: missing fig8 point")
-}
-
 // String renders the figure.
 func (r *Fig8Result) String() string {
 	t := stats.NewTable("flavor", "parts", "native(s/sim-s)", "splitsim(s/sim-s)", "reduction")

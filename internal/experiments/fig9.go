@@ -39,16 +39,6 @@ type Fig9Result struct {
 	Points []Fig9Point
 }
 
-// Get returns the point for (strategy, hostKind).
-func (r *Fig9Result) Get(strategy, hostKind string) Fig9Point {
-	for _, p := range r.Points {
-		if p.Strategy == strategy && p.HostKind == hostKind {
-			return p
-		}
-	}
-	panic("experiments: missing fig9 point")
-}
-
 // String renders the figure.
 func (r *Fig9Result) String() string {
 	t := stats.NewTable("strategy", "hosts", "net-parts", "cores", "sim-speed(sim-s/s)")

@@ -50,16 +50,6 @@ type PlacementResult struct {
 	Points []PlacementPoint
 }
 
-// Get returns the point for a placement name.
-func (r *PlacementResult) Get(name string) PlacementPoint {
-	for _, p := range r.Points {
-		if p.Placement == name {
-			return p
-		}
-	}
-	panic("experiments: missing placement point")
-}
-
 // String renders the study.
 func (r *PlacementResult) String() string {
 	t := stats.NewTable("placement", "groups", "pred(s/sim-s)", "acct(s/sim-s)", "syncmsgs", "identical")

@@ -13,7 +13,7 @@ import (
 // and the checkpoint file round-trips through -checkpoint-file /
 // -restore-file.
 func TestWarmStart(t *testing.T) {
-	opts := DefaultOptions()
+	opts := Options{Scale: 1, Seed: 42}
 	opts.Scale = 0.25
 	dir := t.TempDir()
 	opts.CheckpointFile = filepath.Join(dir, "warm.ckpt")
@@ -38,7 +38,7 @@ func TestWarmStart(t *testing.T) {
 
 	// Resume the whole sweep from the saved file: no warmup simulation, same
 	// results.
-	opts2 := DefaultOptions()
+	opts2 := Options{Scale: 1, Seed: 42}
 	opts2.Scale = 0.25
 	opts2.RestoreFile = opts.CheckpointFile
 	r2, err := WarmStart(opts2)
@@ -56,7 +56,7 @@ func TestWarmStart(t *testing.T) {
 	checkGolden(t, "warmstart", warmStartWallFree(r2))
 
 	// A horizon outside the run is rejected, not silently clamped.
-	bad := DefaultOptions()
+	bad := Options{Scale: 1, Seed: 42}
 	bad.Scale = 0.25
 	bad.CheckpointAt = 10 * sim.Millisecond
 	if _, err := WarmStart(bad); err == nil {

@@ -37,16 +37,6 @@ func (o *Oscillator) Read(t sim.Time) sim.Time {
 	return t + o.Offset + sim.Time(err)
 }
 
-// FreqPPM returns the instantaneous frequency error at true time t, in ppm.
-func (o *Oscillator) FreqPPM(t sim.Time) float64 {
-	f := o.DriftPPM
-	if o.WanderPPM != 0 && o.WanderPeriod > 0 {
-		w := 2 * math.Pi / float64(o.WanderPeriod)
-		f += o.WanderPPM * math.Sin(w*float64(t)+o.Phase)
-	}
-	return f
-}
-
 // DisciplinedClock is the guest's system clock: the raw oscillator plus the
 // corrections a synchronization daemon (chrony) applies — a phase step/slew
 // and a frequency adjustment, as clock_adjtime exposes.

@@ -29,7 +29,6 @@ type Host struct {
 	ip   proto.IP
 	mac  proto.MAC
 	rng  *sim.Rand
-	end  sim.Time
 
 	// Clock is the guest system clock (oscillator + chrony corrections).
 	Clock DisciplinedClock
@@ -87,9 +86,6 @@ type txJob struct {
 	onTx  func(sim.Time)
 }
 
-// Size implements core.Message.
-func (j *txJob) Size() int { return len(j.bytes) }
-
 // Release implements core.Releaser for end-of-run scheduler sweeps.
 func (j *txJob) Release() {
 	if j.bytes != nil {
@@ -106,9 +102,6 @@ type rxJob struct {
 	f      *proto.Frame
 	hw, sw sim.Time
 }
-
-// Size implements core.Message.
-func (j *rxJob) Size() int { return j.f.Size() }
 
 // Release implements core.Releaser for end-of-run scheduler sweeps.
 func (j *rxJob) Release() {
@@ -180,8 +173,7 @@ func (h *Host) Attach(env core.Env) {
 }
 
 // Start implements core.Component.
-func (h *Host) Start(end sim.Time) {
-	h.end = end
+func (h *Host) Start(sim.Time) {
 	for _, a := range h.apps {
 		a.Start(h)
 	}
@@ -193,12 +185,6 @@ func (h *Host) Cost() *core.CostAccount { return &h.cost }
 // TimeTaxNsPerVirtualUs reports the fidelity tier's background simulation
 // cost for the makespan model.
 func (h *Host) TimeTaxNsPerVirtualUs() float64 { return h.p.SimTimeTaxNsPerUs }
-
-// Params returns the host's parameter set.
-func (h *Host) Params() Params { return h.p }
-
-// Fidelity returns the host simulator tier (qemu or gem5).
-func (h *Host) Fidelity() core.Fidelity { return h.p.Fidelity }
 
 // AddApp registers an application started with the simulation.
 func (h *Host) AddApp(a App) { h.apps = append(h.apps, a) }
@@ -213,9 +199,6 @@ func (h *Host) NICSink() core.Sink { return core.SinkFunc(h.fromNIC) }
 
 // Now returns true virtual time (the simulator's global clock).
 func (h *Host) Now() sim.Time { return h.env.Now() }
-
-// End returns the simulation end time.
-func (h *Host) End() sim.Time { return h.end }
 
 // ClockNow returns the guest system clock — what gettimeofday would report,
 // including oscillator error and chrony corrections.
@@ -262,9 +245,6 @@ func (h *Host) computeDone(d sim.Time) sim.Time {
 func (h *Host) Compute(d sim.Time, fn func()) {
 	h.env.At(h.computeDone(d), fn)
 }
-
-// CPUBusy returns accumulated busy time of the simulated core.
-func (h *Host) CPUBusy() sim.Time { return h.cpuBusy }
 
 // SendUDP transmits a datagram: the send syscall and stack consume CPU,
 // then the frame is submitted to the NIC over PCI. The payload is encoded

@@ -107,9 +107,6 @@ func (e *Endpoint) sub(id uint16) *subEnd {
 // Label returns a human-readable endpoint name ("chan.a"/"chan.b").
 func (e *Endpoint) Label() string { return e.label }
 
-// PeerLabel returns the label of the opposite endpoint.
-func (e *Endpoint) PeerLabel() string { return e.peer.label }
-
 // PeerRunnerName returns the name of the runner that owns the opposite
 // endpoint ("" before it is attached).
 func (e *Endpoint) PeerRunnerName() string {
@@ -118,12 +115,6 @@ func (e *Endpoint) PeerRunnerName() string {
 	}
 	return e.peer.runner.Name()
 }
-
-// Channel returns the owning channel.
-func (e *Endpoint) Channel() *Channel { return e.ch }
-
-// Latency implements core.Port.
-func (e *Endpoint) Latency() sim.Time { return e.ch.Latency }
 
 // Send transmits payload on sub-channel 0, stamped with the owning runner's
 // current virtual time. It implements core.Port.
@@ -177,7 +168,6 @@ type subPort struct {
 }
 
 func (p subPort) Send(payload core.Message) { p.e.SendSub(p.sub, payload) }
-func (p subPort) Latency() sim.Time         { return p.e.ch.Latency }
 
 // SetSink registers the sink receiving sub-channel sub. srcID is the stable
 // event-ordering source for deliveries on this sub-channel; wiring code must

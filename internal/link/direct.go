@@ -31,9 +31,6 @@ func NewDirectPort(sched *sim.Scheduler, lat sim.Time, src int32, sink core.Sink
 	return &DirectPort{sched: sched, lat: lat, lag: core.LagOf(sink), src: src, sink: sink}
 }
 
-// Latency implements core.Port.
-func (p *DirectPort) Latency() sim.Time { return p.lat }
-
 // Send implements core.Port.
 func (p *DirectPort) Send(payload core.Message) {
 	at := deliverAt(p.sched.Now(), p.lat, p.lag)

@@ -16,8 +16,6 @@ const benchBatch = 64
 
 type nopPayload struct{}
 
-func (nopPayload) Size() int { return 0 }
-
 // benchConsumer wires one channel whose B side is attached to a runner and
 // whose A side's pipe is written directly (bypassing endpoint bookkeeping)
 // so the producer adds no measurable cost.

@@ -14,8 +14,6 @@ type testMsg struct {
 	from string
 }
 
-func (m testMsg) Size() int { return 64 }
-
 // pinger sends a message every interval and records everything it receives.
 type pinger struct {
 	name     string

@@ -16,13 +16,6 @@ const (
 	KindData
 )
 
-func (k Kind) String() string {
-	if k == KindData {
-		return "data"
-	}
-	return "sync"
-}
-
 // Message is one unit on a channel. T is the sender's virtual clock at send
 // time; the receiver processes the payload at T + channel latency. Sub names
 // the logical sub-channel for trunk (multiplexed) channels; plain channels

@@ -73,14 +73,8 @@ func TestEndpointLabels(t *testing.T) {
 	if ch.SideA().Label() != "wire.a" || ch.SideB().Label() != "wire.b" {
 		t.Fatal("labels")
 	}
-	if ch.SideA().PeerLabel() != "wire.b" {
-		t.Fatal("peer label")
-	}
 	if ch.SideA().PeerRunnerName() != "beta" || ch.SideB().PeerRunnerName() != "alpha" {
 		t.Fatal("peer runner names")
-	}
-	if ch.SideA().Channel() != ch || ch.SideA().Latency() != sim.Microsecond {
-		t.Fatal("channel accessors")
 	}
 }
 

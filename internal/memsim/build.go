@@ -16,8 +16,6 @@ type envPort struct {
 	sink core.Sink
 }
 
-func (p envPort) Latency() sim.Time { return p.lat }
-
 func (p envPort) Send(m core.Message) {
 	// A typed delivery event (not a closure): it serializes into
 	// checkpoints by sink position and payload codec.

@@ -86,17 +86,11 @@ type MemReq struct {
 	ID   uint64
 }
 
-// Size implements core.Message (a 64-byte cache line plus header).
-func (*MemReq) Size() int { return 72 }
-
 // MemResp completes a MemReq.
 type MemResp struct {
 	Core int
 	ID   uint64
 }
-
-// Size implements core.Message.
-func (*MemResp) Size() int { return 16 }
 
 // Core simulates one processor core running the synthetic workload. It
 // implements core.Component; wire its port to a memory controller (split)

@@ -169,8 +169,3 @@ func ThreeTier(spec ThreeTierSpec) (*Topology, ThreeTierMeta) {
 	}
 	return t, m
 }
-
-// TotalHosts returns the number of host slots in the topology.
-func (m ThreeTierMeta) TotalHosts() int {
-	return m.Spec.Aggs * m.Spec.RacksPerAgg * m.Spec.HostsPerRack
-}

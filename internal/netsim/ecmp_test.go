@@ -115,10 +115,10 @@ func TestIfaceStats(t *testing.T) {
 	if up.TxPackets != 1 || up.TxBytes != 1000 {
 		t.Fatalf("uplink stats: %d pkts %d bytes", up.TxPackets, up.TxBytes)
 	}
-	if up.Name() == "" || up.Rate() != 10*sim.Gbps || up.Delay() != sim.Microsecond {
-		t.Fatal("iface accessors broken")
+	if up.Rate() != 10*sim.Gbps || up.delay != sim.Microsecond {
+		t.Fatal("iface rate or delay wrong")
 	}
-	if q := up.QueueDelay(s.Now()); q != 0 {
-		t.Fatalf("queue should be drained, delay %v", q)
+	if up.busyUntil > s.Now() {
+		t.Fatalf("queue should be drained, busy until %v", up.busyUntil)
 	}
 }

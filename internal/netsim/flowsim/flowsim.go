@@ -707,9 +707,3 @@ func (e *Engine) Collect() Report {
 		FCT:              r.fct,
 	}
 }
-
-func (rp Report) String() string {
-	return fmt.Sprintf("flows=%d/%d active=%d bytes=%d events=%d projPktEvents=%d roundCapHits=%d cappedFlows=%d",
-		rp.FlowsCompleted, rp.FlowsStarted, rp.ActiveFlows, rp.BytesModeled, rp.Events, rp.ProjPacketEvents,
-		rp.RoundCapHits, rp.CappedFlows)
-}

@@ -338,8 +338,9 @@ func TestSolverChurnMatchesOracle(t *testing.T) {
 			requireSameRates(t, a, b, fmt.Sprintf("seed %d event %d at %v", seed, ev, now))
 			a.applyReservations()
 			b.applyReservations()
+			ra, rb := reservations(a), reservations(b)
 			for i, ia := range ifaces[0] {
-				va, vb := ia.Reserved(), ifaces[1][i].Reserved()
+				va, vb := ra[ia], rb[ifaces[1][i]]
 				if va != vb {
 					t.Fatalf("seed %d event %d: iface %d reserved %d, oracle %d", seed, ev, i, va, vb)
 				}
@@ -369,4 +370,23 @@ func TestRecomputeSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, r.recompute); n != 0 {
 		t.Fatalf("recompute allocates %v times per call in steady state", n)
 	}
+}
+
+// reservations returns the rate each of r's links last passed to its
+// interface's Reserve; an interface the replica never reserved on is absent
+// (reads 0, as its reservation does).
+func reservations(r *replica) map[*netsim.Iface]int64 {
+	out := make(map[*netsim.Iface]int64)
+	add := func(bl *blink) {
+		if bl != nil && bl.iface != nil {
+			out[bl.iface] = bl.resv
+		}
+	}
+	for _, bl := range r.tlinks {
+		add(bl)
+	}
+	for _, bl := range r.access {
+		add(bl)
+	}
+	return out
 }

@@ -40,19 +40,11 @@ type Host struct {
 	RxPackets, TxPackets uint64
 }
 
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
-
-func (h *Host) nodeName() string { return h.name }
-
 // IP returns the host address.
 func (h *Host) IP() proto.IP { return h.ip }
 
 // LocalIP returns the host address (alias used by the shared app API).
 func (h *Host) LocalIP() proto.IP { return h.ip }
-
-// MAC returns the host's Ethernet address.
-func (h *Host) MAC() proto.MAC { return h.mac }
 
 // Iface returns the host's link interface.
 func (h *Host) Iface() *Iface { return h.iface }

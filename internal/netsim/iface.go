@@ -79,24 +79,8 @@ func (k *ifaceRxSink) Deliver(_ sim.Time, m sim.Payload) {
 	k.i.owner.receive(k.i, m.(*proto.Frame))
 }
 
-// Name returns the interface name ("a->b"), derived from its two ends: it
-// is not stored, since one string per interface is memory nothing on the
-// simulation path reads.
-func (i *Iface) Name() string {
-	far := ""
-	if i.peer != nil {
-		far = i.peer.owner.nodeName()
-	} else if i.ext != nil {
-		far = i.ext.name
-	}
-	return i.owner.nodeName() + "->" + far
-}
-
 // Rate returns the configured link rate in bits per second.
 func (i *Iface) Rate() int64 { return i.rate }
-
-// Delay returns the one-way propagation delay.
-func (i *Iface) Delay() sim.Time { return i.delay }
 
 // Peer returns the other side's interface, nil for external ports.
 func (i *Iface) Peer() *Iface { return i.peer }
@@ -158,18 +142,6 @@ func (i *Iface) Reserve(rate int64) {
 		mtuT := float64(sim.TransmitTime(1500, i.rate))
 		i.bgDelay = sim.Time(mtuT * rho / (1 - rho))
 	}
-}
-
-// Reserved returns the background tier's current reservation.
-func (i *Iface) Reserved() int64 { return i.bgRate }
-
-// QueueDelay returns the current queueing delay on this interface,
-// including the background tier's standing-backlog contribution.
-func (i *Iface) QueueDelay(now sim.Time) sim.Time {
-	if i.busyUntil <= now {
-		return i.bgDelay
-	}
-	return i.busyUntil - now + i.bgDelay
 }
 
 // Enqueue places f on the output queue. It returns the departure time

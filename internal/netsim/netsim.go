@@ -217,19 +217,12 @@ func (n *Network) NewFrame() *proto.Frame { return n.pool.Get() }
 // FrameStats implements core.FramePooler.
 func (n *Network) FrameStats() proto.PoolStats { return n.pool.Stats() }
 
-// Rand returns the network's deterministic random source.
-func (n *Network) Rand() *sim.Rand { return n.rng }
-
-// Hosts returns all protocol-level hosts.
-func (n *Network) Hosts() []*Host { return n.hosts }
-
 // Switches returns all switches.
 func (n *Network) Switches() []*Switch { return n.switches }
 
 // node is anything that terminates an interface.
 type node interface {
 	receive(in *Iface, f *proto.Frame)
-	nodeName() string
 }
 
 // AddSwitch creates a switch.

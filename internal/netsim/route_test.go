@@ -121,8 +121,7 @@ func runRouteProgram(t testing.TB, prog []byte) *Switch {
 		}
 		for bits, m := range o.prefixes {
 			for addr := range m {
-				p := proto.Prefix{Addr: addr, Bits: bits}
-				edges(uint32(addr), uint32(addr|^p.Mask()))
+				edges(uint32(addr), uint32(addr)|^(uint32(0xffffffff)<<(32-bits)))
 			}
 		}
 		check(0)
@@ -347,7 +346,7 @@ func TestRouteComputeMatchesBuild(t *testing.T) {
 			for _, th := range topo.Hosts {
 				out, ok := sw.Route(th.IP)
 				if !ok {
-					t.Fatalf("FatTree(%d): Build left %s without a route to %v", tc.k, sw.Name(), th.IP)
+					t.Fatalf("FatTree(%d): Build left %s without a route to %v", tc.k, sw.name, th.IP)
 				}
 				want = append(want, out)
 			}
@@ -362,7 +361,7 @@ func TestRouteComputeMatchesBuild(t *testing.T) {
 			for _, th := range topo.Hosts {
 				if out, ok := sw.Route(th.IP); !ok || out != want[i] {
 					t.Fatalf("FatTree(%d), external every %d: %s -> %v: ComputeRoutes gives %d,%v; Build gave %d",
-						tc.k, tc.every, sw.Name(), th.IP, out, ok, want[i])
+						tc.k, tc.every, sw.name, th.IP, out, ok, want[i])
 				}
 				i++
 			}

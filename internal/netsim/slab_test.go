@@ -33,7 +33,7 @@ func TestIfacePointersStable(t *testing.T) {
 
 	type snapshot struct {
 		ifc         *Iface
-		owner, peer string
+		owner, peer node
 		rate        int64
 		delay       sim.Time
 	}
@@ -41,7 +41,7 @@ func TestIfacePointersStable(t *testing.T) {
 	for _, sw := range b.Switches {
 		var row []snapshot
 		for _, ifc := range sw.Ifaces() {
-			row = append(row, snapshot{ifc, ifc.owner.nodeName(), ifc.Peer().owner.nodeName(), ifc.Rate(), ifc.Delay()})
+			row = append(row, snapshot{ifc, ifc.owner, ifc.Peer().owner, ifc.Rate(), ifc.delay})
 		}
 		before = append(before, row)
 	}
@@ -65,16 +65,16 @@ func TestIfacePointersStable(t *testing.T) {
 		for i, s := range before[v] {
 			ifc := now[i]
 			if ifc != s.ifc {
-				t.Fatalf("%s iface %d moved: %p, was %p", sw.Name(), i, ifc, s.ifc)
+				t.Fatalf("%s iface %d moved: %p, was %p", sw.name, i, ifc, s.ifc)
 			}
-			got := snapshot{ifc, ifc.owner.nodeName(), ifc.Peer().owner.nodeName(), ifc.Rate(), ifc.Delay()}
+			got := snapshot{ifc, ifc.owner, ifc.Peer().owner, ifc.Rate(), ifc.delay}
 			if got != s {
-				t.Fatalf("%s iface %d reads %+v, was %+v", sw.Name(), i, got, s)
+				t.Fatalf("%s iface %d reads %+v, was %+v", sw.name, i, got, s)
 			}
 		}
 		for _, ifc := range now {
 			if seen[ifc] {
-				t.Fatalf("iface %s carved twice", ifc.Name())
+				t.Fatalf("iface %p carved twice", ifc)
 			}
 			seen[ifc] = true
 		}
@@ -84,7 +84,7 @@ func TestIfacePointersStable(t *testing.T) {
 			continue
 		}
 		if seen[h.Iface()] || !slices.Contains(h.Iface().Peer().owner.(*Switch).Ifaces(), h.Iface().Peer()) {
-			t.Fatalf("host %s iface shares a switch iface or lost its peer", h.Name())
+			t.Fatalf("host %s iface shares a switch iface or lost its peer", h.name)
 		}
 	}
 	if want := 2*leaves + leaves + materialized + 1; len(seen) != want {

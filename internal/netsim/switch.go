@@ -129,14 +129,6 @@ func (s *Switch) countStopped(dst proto.IP) {
 	}
 }
 
-// Name returns the switch name.
-func (s *Switch) Name() string { return s.name }
-
-func (s *Switch) nodeName() string { return s.name }
-
-// Network returns the owning network.
-func (s *Switch) Network() *Network { return s.net }
-
 // Ifaces returns the switch's interfaces in attachment order.
 func (s *Switch) Ifaces() []*Iface { return s.ifaces }
 

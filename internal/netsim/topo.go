@@ -384,7 +384,7 @@ func switchIfaceIndex(sw *Switch, f *Iface) int {
 			return fi
 		}
 	}
-	panic(fmt.Sprintf("netsim: iface %s not found on switch %s", f.Name(), sw.name))
+	panic(fmt.Sprintf("netsim: interface not found on switch %s", sw.name))
 }
 
 // topoBFS holds the reusable breadth-first-search state for route

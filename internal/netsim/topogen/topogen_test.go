@@ -39,14 +39,14 @@ func TestAddressPlanIsPodAligned(t *testing.T) {
 					t.Fatalf("duplicate address %v", ip)
 				}
 				seen[ip] = true
-				if !m.LeafPrefix[p][l].Contains(ip) {
+				if !inPrefix(m.LeafPrefix[p][l], ip) {
 					t.Errorf("%v outside its leaf prefix %v", ip, m.LeafPrefix[p][l])
 				}
-				if !m.PodPrefix[p].Contains(ip) {
+				if !inPrefix(m.PodPrefix[p], ip) {
 					t.Errorf("%v outside its pod prefix %v", ip, m.PodPrefix[p])
 				}
 				for q := 0; q < 3; q++ {
-					if q != p && m.PodPrefix[q].Contains(ip) {
+					if q != p && inPrefix(m.PodPrefix[q], ip) {
 						t.Errorf("%v inside foreign pod prefix %v", ip, m.PodPrefix[q])
 					}
 				}
@@ -76,10 +76,10 @@ func TestRoutingStateIsOPodsAt100kHosts(t *testing.T) {
 
 	bound := spec.Pods + spec.LeafPerPod + 2 // pod aggregates + own pod's leaves + slack
 	maxEntries, totalBytes := 0, 0
-	for _, sw := range b.Switches {
+	for v, sw := range b.Switches {
 		perIP, prefix := sw.RouteEntries()
 		if perIP != 0 {
-			t.Fatalf("%s: %d per-IP routes on a lazy hierarchical build", sw.Name(), perIP)
+			t.Fatalf("%s: %d per-IP routes on a lazy hierarchical build", topo.Switches[v].Name, perIP)
 		}
 		if perIP+prefix > maxEntries {
 			maxEntries = perIP + prefix
@@ -383,3 +383,6 @@ func TestSwitchNamesMatchSprintf(t *testing.T) {
 		t.Fatalf("%d switches, want %d", len(topo.Switches), n)
 	}
 }
+
+// inPrefix reports whether ip falls inside p.
+func inPrefix(p proto.Prefix, ip proto.IP) bool { return ip.Masked(p.Bits) == p.Addr }

@@ -455,10 +455,3 @@ func (e *Engine) Collect() Report {
 	}
 	return r
 }
-
-// String renders a one-line summary.
-func (r Report) String() string {
-	return fmt.Sprintf("flows=%d completed=%d bytes=%d fct{%s n=%d sampled=%d}",
-		r.FlowsStarted, r.FlowsCompleted, r.BytesSent,
-		r.FCT.Summary(), r.FCT.Count(), r.FCT.Sampled())
-}

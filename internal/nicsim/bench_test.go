@@ -26,7 +26,6 @@ func (d *drainPort) Send(m core.Message) {
 		proto.PutWireFrame(v)
 	}
 }
-func (d *drainPort) Latency() sim.Time { return sim.Nanosecond }
 
 // benchNIC builds a NIC with recycling ports on both sides.
 func benchNIC(p nicsim.Params) (*nicsim.NIC, *drainPort, *drainPort, *sim.Scheduler) {

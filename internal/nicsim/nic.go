@@ -114,9 +114,6 @@ type txPend struct {
 	stamp bool
 }
 
-// Size implements core.Message.
-func (p *txPend) Size() int { return len(p.frame) }
-
 // nicTxSink handles wire-departure events: the frame goes out the Ethernet
 // port and the completion goes back over PCI.
 type nicTxSink struct{ n *NIC }

@@ -21,7 +21,6 @@ func (r *recorder) Send(m core.Message) {
 	r.msgs = append(r.msgs, m)
 	r.at = append(r.at, r.sched.Now())
 }
-func (r *recorder) Latency() sim.Time { return sim.Nanosecond }
 
 // rig builds a NIC with recorder ports on both sides.
 func rig(p nicsim.Params) (*nicsim.NIC, *recorder, *recorder, *sim.Scheduler) {

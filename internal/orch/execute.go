@@ -230,14 +230,6 @@ func (s *Simulation) RunParallel(end sim.Time, p decomp.Placement) error {
 	return err
 }
 
-// RunOptimistic executes the simulation optimistically under the given
-// placement at the default speculation ceiling — the speculative analog of
-// RunParallel.
-func (s *Simulation) RunOptimistic(end sim.Time, p decomp.Placement) (*SpecReport, error) {
-	res, err := s.execute(end, p, RunOptions{Mode: Optimistic, K: DefaultSpecWindows})
-	return res.Spec, err
-}
-
 // CheckpointSequential runs the simulation sequentially from time zero to
 // at and captures a checkpoint there; restore it into a freshly built,
 // identically configured Simulation.

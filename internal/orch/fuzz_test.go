@@ -57,8 +57,6 @@ type chatMsg struct {
 	seq  int
 }
 
-func (chatMsg) Size() int { return 32 }
-
 // buildRandom creates a random connected component graph.
 func buildRandom(seed uint64, nComps int) (*orch.Simulation, []*chatter) {
 	rng := sim.NewRand(seed)

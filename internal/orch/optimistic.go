@@ -57,25 +57,6 @@ func (r *SpecReport) Totals() link.SpecCounters {
 	return t
 }
 
-// String renders the report as one line per group plus a totals line.
-func (r *SpecReport) String() string {
-	var b []byte
-	for i := range r.Groups {
-		g := &r.Groups[i]
-		mode := "speculative"
-		if g.Conservative != "" {
-			mode = "conservative (" + g.Conservative + ")"
-		}
-		b = fmt.Appendf(b, "%s: %s snap=%d roll=%d leap=%d replay=%d\n",
-			g.Group, mode, g.Counters.Snapshots, g.Counters.Rollbacks,
-			g.Counters.Leaps, g.Counters.Replayed)
-	}
-	t := r.Totals()
-	b = fmt.Appendf(b, "total: snap=%d roll=%d leap=%d replay=%d wasted=%dns",
-		t.Snapshots, t.Rollbacks, t.Leaps, t.Replayed, t.WastedNanos)
-	return string(b)
-}
-
 // payRef locates one pending delivery's deep-copied pooled payload inside a
 // groupSnap's payload buffer (enc=false: the payload was captured by
 // reference — it is not pooled, and messages are immutable after send).

@@ -574,8 +574,11 @@ func TestParallelRemoteRejected(t *testing.T) {
 // remote channels via the typed error — its GVT leaps read every runner's
 // floor and edge counters, which a peer process does not share.
 func TestOptimisticRemoteRejected(t *testing.T) {
-	s := remoteSim()
-	_, err := s.RunOptimistic(sim.Millisecond, decomp.SingleGroup(1))
+	pl, err := remoteSim().Plan(decomp.SingleGroup(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pl.RunOptimistic(sim.Millisecond)
 	if !errors.Is(err, orch.ErrRemoteUnsupported) {
 		t.Fatalf("RunOptimistic with remotes: err = %v, want ErrRemoteUnsupported", err)
 	}

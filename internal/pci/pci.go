@@ -20,18 +20,12 @@ type TxSubmit struct {
 	Timestamp bool
 }
 
-// Size implements core.Message.
-func (m TxSubmit) Size() int { return 16 + len(m.Frame) }
-
 // TxDone is a NIC-to-host transmit completion. HWTime carries the PTP
 // hardware clock value at wire departure when requested.
 type TxDone struct {
 	ID     uint64
 	HWTime sim.Time
 }
-
-// Size implements core.Message.
-func (m TxDone) Size() int { return 16 }
 
 // RxPacket is a NIC-to-host received frame, DMA'd into a host buffer.
 // HWTime is the PTP hardware clock value at wire arrival.
@@ -40,25 +34,16 @@ type RxPacket struct {
 	HWTime sim.Time
 }
 
-// Size implements core.Message.
-func (m RxPacket) Size() int { return 8 + len(m.Frame) }
-
 // PHCRead is a host-to-NIC read of the PTP hardware clock register.
 type PHCRead struct {
 	ID uint64
 }
-
-// Size implements core.Message.
-func (m PHCRead) Size() int { return 8 }
 
 // PHCValue is the NIC's reply to a PHCRead.
 type PHCValue struct {
 	ID     uint64
 	HWTime sim.Time
 }
-
-// Size implements core.Message.
-func (m PHCValue) Size() int { return 16 }
 
 // DefaultLatency is the PCI channel latency used throughout (the SimBricks
 // default of 500 ns).
@@ -71,15 +56,6 @@ const DefaultLatency = 500 * sim.Nanosecond
 // lists) because the PCI channel crosses runner goroutines in coupled runs.
 type TxBatch struct {
 	Subs []TxSubmit
-}
-
-// Size implements core.Message.
-func (b *TxBatch) Size() int {
-	n := 0
-	for i := range b.Subs {
-		n += b.Subs[i].Size()
-	}
-	return n
 }
 
 // Count implements link.MultiMessage: a batch occupies one event but counts
@@ -105,15 +81,6 @@ func PutTxBatch(b *TxBatch) {
 // with PutRxBatch after draining Pkts.
 type RxBatch struct {
 	Pkts []RxPacket
-}
-
-// Size implements core.Message.
-func (b *RxBatch) Size() int {
-	n := 0
-	for i := range b.Pkts {
-		n += b.Pkts[i].Size()
-	}
-	return n
 }
 
 // Count implements link.MultiMessage.

@@ -1,33 +1,6 @@
 package pci
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
-
-// The PCI vocabulary is plain data; what matters is that every message
-// satisfies core.Message with a sensible size (the link layer accounts
-// bytes moved between host and NIC simulators).
-
-func TestMessageSizes(t *testing.T) {
-	frame := make([]byte, 100)
-	cases := []struct {
-		m    core.Message
-		want int
-	}{
-		{TxSubmit{ID: 1, Frame: frame}, 116},
-		{TxDone{ID: 1}, 16},
-		{RxPacket{Frame: frame}, 108},
-		{PHCRead{ID: 1}, 8},
-		{PHCValue{ID: 1}, 16},
-	}
-	for _, c := range cases {
-		if got := c.m.Size(); got != c.want {
-			t.Errorf("%T Size() = %d, want %d", c.m, got, c.want)
-		}
-	}
-}
+import "testing"
 
 func TestDefaultLatencyPositive(t *testing.T) {
 	if DefaultLatency <= 0 {

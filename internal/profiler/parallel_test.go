@@ -71,5 +71,3 @@ func TestParallelProfilingRace(t *testing.T) {
 }
 
 type pingMsg struct{}
-
-func (pingMsg) Size() int { return 16 }

@@ -56,9 +56,9 @@ type Sample struct {
 	// packet-path leak indicator.
 	Frames uint64 `json:"frames"`
 	// SpecActive reports that the runner executes optimistically
-	// (orch.RunOptimistic); Spec then carries its speculation counters —
-	// snapshots, rollbacks, GVT leaps, replayed deliveries, wasted nanos —
-	// as of sample time.
+	// (orch.ExecutionPlan.RunOptimistic); Spec then carries its
+	// speculation counters — snapshots, rollbacks, GVT leaps, replayed
+	// deliveries, wasted nanos — as of sample time.
 	SpecActive bool              `json:"spec_active,omitempty"`
 	Spec       link.SpecCounters `json:"spec"`
 	Adapters   []AdapterSample   `json:"adapters,omitempty"`

@@ -28,25 +28,6 @@ const (
 	KVInvalidate
 )
 
-func (o KVOp) String() string {
-	switch o {
-	case KVGet:
-		return "GET"
-	case KVSet:
-		return "SET"
-	case KVGetReply:
-		return "GET-R"
-	case KVSetReply:
-		return "SET-R"
-	case KVCacheUpdate:
-		return "CUPD"
-	case KVInvalidate:
-		return "CINV"
-	default:
-		return "?"
-	}
-}
-
 // KV message flag bits.
 const (
 	// KVFlagSwitchHit marks a reply served directly by a switch cache.
@@ -106,21 +87,6 @@ const (
 	PTPDelayReq
 	PTPDelayResp
 )
-
-func (t PTPType) String() string {
-	switch t {
-	case PTPSync:
-		return "Sync"
-	case PTPFollowUp:
-		return "FollowUp"
-	case PTPDelayReq:
-		return "DelayReq"
-	case PTPDelayResp:
-		return "DelayResp"
-	default:
-		return "?"
-	}
-}
 
 // PTPMsg is a simplified PTP message. Origin carries the relevant precise
 // timestamp (meaning depends on Type); Correction accumulates transparent-

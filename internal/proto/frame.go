@@ -47,9 +47,6 @@ func (f *Frame) WireLen() int {
 	return EthernetLen + IPv4Len + f.l4Len() + f.PayloadLen()
 }
 
-// Size implements core.Message.
-func (f *Frame) Size() int { return f.WireLen() }
-
 // Seal fixes up the length fields (IPv4 total length, UDP length) from the
 // payload sizes. Call it after filling in headers and payload. Payloads
 // that would overflow the IPv4 total length panic: silently wrapping the
@@ -71,7 +68,7 @@ func (f *Frame) Seal() *Frame {
 }
 
 // AppendFrame encodes the frame. Virtual payload bytes are not written; the
-// IPv4 total length still covers them, which is how ParseFrame recovers the
+// IPv4 total length still covers them, which is how ParseFrameInto recovers the
 // count (like a capture with a snap length).
 func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = AppendEthernet(dst, f.Eth)
@@ -83,18 +80,6 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 		dst = AppendTCP(dst, f.TCP)
 	}
 	return append(dst, f.Payload...)
-}
-
-// ParseFrame decodes a frame produced by AppendFrame. The returned frame's
-// Payload aliases b — the caller hands the buffer over rather than paying
-// the copy the old decoder made; callers that mutate b afterwards must copy
-// first.
-func ParseFrame(b []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := ParseFrameInto(f, b); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // ParseFrameInto decodes into f, aliasing f.Payload into b with no copy.

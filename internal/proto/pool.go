@@ -126,9 +126,6 @@ func (f *Frame) Release() {
 // off with the message and adopted by the receiver's FramePool).
 type WireFrame struct{ B []byte }
 
-// Size implements core.Message: the encoded length.
-func (w *WireFrame) Size() int { return len(w.B) }
-
 var wirePool = sync.Pool{New: func() any { return new(WireFrame) }}
 
 // GetWireFrame wraps b in a pooled WireFrame. Ownership of b transfers with

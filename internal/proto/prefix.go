@@ -21,12 +21,6 @@ func MakePrefix(addr IP, bits int) Prefix {
 	return Prefix{Addr: addr.Masked(uint8(bits)), Bits: uint8(bits)}
 }
 
-// Mask returns the netmask selecting the prefix's fixed bits.
-func (p Prefix) Mask() IP { return IP(uint32(0xffffffff) << (32 - p.Bits)) }
-
-// Contains reports whether ip falls inside the prefix.
-func (p Prefix) Contains(ip IP) bool { return ip.Masked(p.Bits) == p.Addr }
-
 // String renders "a.b.c.d/len".
 func (p Prefix) String() string { return fmt.Sprintf("%v/%d", p.Addr, p.Bits) }
 

@@ -30,10 +30,6 @@ func MACFromID(id uint32) MAC {
 	return MAC{0x02, 0x00, byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
 // IP is an IPv4 address in host integer form.
 type IP uint32
 

@@ -149,5 +149,3 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 type badMsg struct{}
-
-func (badMsg) Size() int { return 0 }

@@ -45,10 +45,10 @@ import "math/bits"
 // Payload is the opaque unit of data a typed delivery event carries. It is
 // the kernel-level view of a channel message: package core aliases it as
 // core.Message, so anything that travels over a channel can be stored
-// directly in an event-queue slot without a wrapping closure.
-type Payload interface {
-	Size() int
-}
+// directly in an event-queue slot without a wrapping closure. It is a
+// marker: the kernel never looks inside a payload, and the sink that
+// receives it type-switches on what it expects.
+type Payload interface{}
 
 // Sink receives typed delivery events. Deliver runs at the event's virtual
 // time with the payload stored in the queue entry; package core aliases this

@@ -10,8 +10,6 @@ import (
 // tok is a test payload identified by its post order.
 type tok int
 
-func (tok) Size() int { return 0 }
-
 // laneRig is a seeded producer mixing lane posts with plain PostDelivery
 // posts over a few shared srcs, with many equal timestamps. Every delivery
 // logs itself and posts a random number of successors, so the backlog

@@ -48,8 +48,6 @@ func TestPostOrdersLikeAtSrc(t *testing.T) {
 
 type idTok int
 
-func (idTok) Size() int { return 0 }
-
 // TestPostCountsAsPending covers queue accounting through the hole state:
 // Pending must stay exact across pop/push cycles.
 func TestPostCountsAsPending(t *testing.T) {

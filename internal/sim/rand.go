@@ -93,9 +93,6 @@ func NewZipf(s float64, n int) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws a rank using r.
 func (z *Zipf) Next(r *Rand) int {
 	u := r.Float64()

@@ -115,8 +115,6 @@ const backlogProducers = 4
 
 type backlogTok struct{ p int }
 
-func (*backlogTok) Size() int { return 0 }
-
 type backlog struct {
 	s     *Scheduler
 	lanes []*Lane // nil for the PostDelivery form

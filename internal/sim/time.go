@@ -33,17 +33,11 @@ const Infinity Time = math.MaxInt64
 // Seconds returns t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Nanoseconds returns t as a floating-point number of nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // Microseconds returns t as a floating-point number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
 // FromSeconds converts a number of seconds into a Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// FromNanos converts a number of nanoseconds into a Time.
-func FromNanos(ns float64) Time { return Time(ns * float64(Nanosecond)) }
 
 // String renders t with a unit chosen by magnitude, e.g. "1.500ms".
 func (t Time) String() string {

@@ -22,9 +22,6 @@ func TestTimeSeconds(t *testing.T) {
 	if got := FromSeconds(1.5); got != 1500*Millisecond {
 		t.Errorf("FromSeconds(1.5) = %v, want 1.5ms in ps", got)
 	}
-	if got := FromNanos(2.5); got != 2500*Picosecond {
-		t.Errorf("FromNanos(2.5) = %v", got)
-	}
 }
 
 func TestTimeString(t *testing.T) {

@@ -57,9 +57,6 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
@@ -131,15 +128,6 @@ func (d *Decoder) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a little-endian uint32.
@@ -259,12 +247,6 @@ func (r *Reader) Section(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
 	}
 	return p, nil
-}
-
-// Has reports whether a section is present.
-func (r *Reader) Has(name string) bool {
-	_, ok := r.sections[name]
-	return ok
 }
 
 // Names returns the section names, sorted.

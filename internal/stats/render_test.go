@@ -38,9 +38,9 @@ func TestCDFAgreesWithPercentile(t *testing.T) {
 			}
 		}
 		// The final point must be the maximum.
-		if cdf[len(cdf)-1].Value != l.Max() {
+		if cdf[len(cdf)-1].Value != l.Percentile(100) {
 			t.Errorf("samples=%d points=%d: last CDF value %v != max %v",
-				tc.samples, tc.points, cdf[len(cdf)-1].Value, l.Max())
+				tc.samples, tc.points, cdf[len(cdf)-1].Value, l.Percentile(100))
 		}
 	}
 }

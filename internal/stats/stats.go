@@ -60,10 +60,6 @@ func (l *Latency) Count() int {
 	return len(l.samples)
 }
 
-// Sampled returns the number of samples actually retained, which the
-// distribution queries are computed over.
-func (l *Latency) Sampled() int { return len(l.samples) }
-
 // Merge folds o's retained samples into l (and o's observation count into
 // l's). Merging bounded recorders approximates a reservoir over the union:
 // each retained sample of o passes through l's replacement rule.
@@ -85,7 +81,8 @@ func (l *Latency) sortSamples() {
 	}
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) by nearest-rank.
+// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank:
+// Percentile(0) is the smallest sample and Percentile(100) the largest.
 func (l *Latency) Percentile(p float64) sim.Time {
 	if len(l.samples) == 0 {
 		return 0
@@ -111,24 +108,6 @@ func (l *Latency) Mean() sim.Time {
 		sum += s
 	}
 	return sum / sim.Time(len(l.samples))
-}
-
-// Min and Max return the extremes.
-func (l *Latency) Min() sim.Time {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	l.sortSamples()
-	return l.samples[0]
-}
-
-// Max returns the largest sample.
-func (l *Latency) Max() sim.Time {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	l.sortSamples()
-	return l.samples[len(l.samples)-1]
 }
 
 // CDFPoint is one point of a cumulative distribution.
@@ -161,12 +140,6 @@ func (l *Latency) CDF(n int) []CDFPoint {
 		out = append(out, CDFPoint{Value: l.samples[idx], Frac: f})
 	}
 	return out
-}
-
-// Summary renders "mean/p50/p99/max".
-func (l *Latency) Summary() string {
-	return fmt.Sprintf("mean=%v p50=%v p99=%v max=%v",
-		l.Mean(), l.Percentile(50), l.Percentile(99), l.Max())
 }
 
 // Rate converts a count over a duration into an operations/second value.

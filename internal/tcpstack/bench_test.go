@@ -75,8 +75,8 @@ func benchFlow() (*Conn, *sim.Scheduler) {
 // stepAcked advances the simulation until at least `bytes` more payload has
 // been cumulatively acknowledged.
 func stepAcked(snd *Conn, s *sim.Scheduler, bytes int64) {
-	target := snd.Acked() + bytes
-	for snd.Acked() < target {
+	target := snd.sndUna + bytes
+	for snd.sndUna < target {
 		if !s.Step() {
 			panic("tcpstack bench: flow stalled")
 		}

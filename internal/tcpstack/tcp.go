@@ -48,13 +48,6 @@ const (
 	CCDCTCP
 )
 
-func (a CCAlgo) String() string {
-	if a == CCDCTCP {
-		return "dctcp"
-	}
-	return "reno"
-}
-
 // Model constants.
 const (
 	// MSS is the maximum segment payload in bytes.
@@ -156,20 +149,8 @@ func (c *Conn) StartFlow() {
 // Delivered returns in-order bytes delivered at the receiver.
 func (c *Conn) Delivered() int64 { return c.delivered }
 
-// Acked returns bytes cumulatively acknowledged at the sender.
-func (c *Conn) Acked() int64 { return c.sndUna }
-
-// Cwnd returns the sender congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
-
-// SRTT returns the smoothed RTT estimate.
-func (c *Conn) SRTT() sim.Time { return c.srtt }
-
 // Alpha returns the DCTCP marking-fraction estimate.
 func (c *Conn) Alpha() float64 { return c.alpha }
-
-// Done reports whether a bounded transfer completed.
-func (c *Conn) Done() bool { return c.done }
 
 // ext64 widens a 32-bit wire sequence number near base.
 func ext64(base int64, wire uint32) int64 {

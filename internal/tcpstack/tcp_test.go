@@ -70,8 +70,8 @@ func TestBoundedTransferCompletes(t *testing.T) {
 	snd, rcv := l.flow(CCReno, 200_000, func() { done = true })
 	snd.StartFlow()
 	l.run(sim.Second)
-	if !done || !snd.Done() {
-		t.Fatalf("transfer incomplete: acked=%d", snd.Acked())
+	if !done || !snd.done {
+		t.Fatalf("transfer incomplete: acked=%d", snd.sndUna)
 	}
 	if rcv.Delivered() != 200_000 {
 		t.Fatalf("delivered %d", rcv.Delivered())
@@ -85,13 +85,13 @@ func TestSlowStartDoubling(t *testing.T) {
 	l := newLoop(100 * sim.Microsecond)
 	snd, _ := l.flow(CCReno, 0, nil)
 	snd.StartFlow()
-	if snd.Cwnd() != initialWindow {
-		t.Fatalf("initial cwnd %v", snd.Cwnd())
+	if snd.cwnd != initialWindow {
+		t.Fatalf("initial cwnd %v", snd.cwnd)
 	}
 	// After one RTT of acks, cwnd has roughly doubled (slow start).
 	l.run(250 * sim.Microsecond)
-	if snd.Cwnd() < 1.8*initialWindow {
-		t.Fatalf("cwnd after 1 RTT = %.0f, want ~2x initial", snd.Cwnd())
+	if snd.cwnd < 1.8*initialWindow {
+		t.Fatalf("cwnd after 1 RTT = %.0f, want ~2x initial", snd.cwnd)
 	}
 }
 
@@ -217,9 +217,9 @@ func TestRenoHalvesOnECE(t *testing.T) {
 	snd, _ := l.flow(CCReno, 0, nil)
 	snd.StartFlow()
 	l.run(2 * sim.Millisecond)
-	before := snd.Cwnd()
+	before := snd.cwnd
 	l.run(4 * sim.Millisecond)
-	after := snd.Cwnd()
+	after := snd.cwnd
 	// Repeated halving bounded: cwnd stays above 2 MSS and does not
 	// collapse to zero.
 	if after < 2*MSS {
@@ -234,7 +234,7 @@ func TestSRTTEstimation(t *testing.T) {
 	snd.StartFlow()
 	l.run(20 * sim.Millisecond)
 	// RTT is exactly 200us on this loop (no queueing in the mock).
-	if s := snd.SRTT(); s < 180*sim.Microsecond || s > 230*sim.Microsecond {
+	if s := snd.srtt; s < 180*sim.Microsecond || s > 230*sim.Microsecond {
 		t.Fatalf("srtt = %v, want ~200us", s)
 	}
 }
@@ -274,7 +274,7 @@ func TestUnboundedFlowRunsForever(t *testing.T) {
 	snd, rcv := l.flow(CCDCTCP, 0, nil)
 	snd.StartFlow()
 	l.run(5 * sim.Millisecond)
-	if snd.Done() {
+	if snd.done {
 		t.Fatal("unbounded flow reported done")
 	}
 	if rcv.Delivered() == 0 {
@@ -296,10 +296,4 @@ func TestStartFlowOnReceiverPanics(t *testing.T) {
 		}
 	}()
 	rcv.StartFlow()
-}
-
-func TestAlgoString(t *testing.T) {
-	if CCReno.String() != "reno" || CCDCTCP.String() != "dctcp" {
-		t.Fatal("CCAlgo strings")
-	}
 }

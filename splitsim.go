@@ -152,9 +152,6 @@ type (
 // QemuParams returns the coarse (instruction-counting) host tier.
 func QemuParams() HostParams { return hostsim.QemuParams() }
 
-// Gem5Params returns the detailed-timing host tier.
-func Gem5Params() HostParams { return hostsim.Gem5Params() }
-
 // DefaultNICParams returns the i40e-like 10G NIC configuration.
 func DefaultNICParams() NICParams { return nicsim.DefaultParams() }
 

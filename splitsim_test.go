@@ -80,10 +80,11 @@ func TestPublicAPITopologyAndTCP(t *testing.T) {
 	s := splitsim.NewSimulation()
 	s.Add(b.Parts[0])
 	src, dst := b.Hosts[meta.Left[0]], b.Hosts[meta.Right[0]]
-	snd, rcv := netsim.NewFlow(src, dst, 40000, 5001, netsim.CCDCTCP, 500_000, nil)
+	done := false
+	snd, rcv := netsim.NewFlow(src, dst, 40000, 5001, netsim.CCDCTCP, 500_000, func() { done = true })
 	src.SetApp(netsim.AppFunc(func(*netsim.Host) { snd.StartFlow() }))
 	s.RunSequential(100 * splitsim.Millisecond)
-	if !snd.Done() || rcv.Delivered() != 500_000 {
+	if !done || rcv.Delivered() != 500_000 {
 		t.Fatalf("transfer incomplete: %d", rcv.Delivered())
 	}
 }
