@@ -40,11 +40,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Executor gate: ExecutionPlan.Execute is one body, so its modes race-test
-# together. Parallel digest/wake/yield/profiling tests (nondeterminism and
+# Executor gate: Execute (conservative) and RunOptimistic (speculative) share
+# one executor body, so they race-test together. Parallel
+# digest/wake/yield/profiling tests (nondeterminism and
 # data races among concurrent runners), the speculation digest/rollback/leap
 # properties and the remote-rejection contracts, checkpoints restoring
-# bit-identically across placements, modes and GOMAXPROCS levels (with
+# bit-identically across placements, with and without speculation, and at
+# every GOMAXPROCS level (with
 # restore cost independent of fabric size, a build whose sink walk
 # differs rejected before any event posts, a restore into a build
 # whose TCP connections differ rejected, and a capture taken with frames

@@ -3,7 +3,7 @@
 //
 //	splitsim list
 //	splitsim run fig4 [-scale 1.0] [-seed 42]
-//	splitsim run placement [-placement ac] [-optimistic[=K]]
+//	splitsim run placement [-placement ac]
 //	splitsim run all  [-scale 0.1]
 //	splitsim plan fig8 [-placement auto]
 package main
@@ -13,11 +13,9 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/orch"
 	"repro/internal/sim"
 )
 
@@ -32,7 +30,7 @@ func names() []string {
 
 // checkOpts validates subcommand cmd's flags against experiment exp: -bg
 // names a tier, -scale is positive, -hosts is not negative, each
-// experiment-specific flag (-optimistic, -bg, -hosts, -checkpoint-at,
+// experiment-specific flag (-bg, -hosts, -checkpoint-at,
 // -checkpoint-file, -restore-file) reaches an experiment that reads it
 // (alone or in `run all`; plan never executes), and -placement is one the
 // experiment's table row accepts.
@@ -45,8 +43,6 @@ func checkOpts(cmd, exp string, o experiments.Options) error {
 		return fmt.Errorf("-scale must be positive, not %v", o.Scale)
 	case o.Hosts < 0:
 		return fmt.Errorf("-hosts must be 0 (scale-derived) or positive, not %d", o.Hosts)
-	case o.Exec.Mode == orch.Optimistic && unread("placement"):
-		return fmt.Errorf("-optimistic applies to `run placement` and `run all` only, not `%s %s`", cmd, exp)
 	case o.Bg != "" && unread("scale"):
 		return fmt.Errorf("-bg applies to `run scale` and `run all` only, not `%s %s`", cmd, exp)
 	case o.Hosts != 0 && unread("scale", "flowsim"):
@@ -86,7 +82,6 @@ flags for run and plan:
   -scale f       duration/topology scale (default 1.0 = paper scale)
   -seed n        random seed (default 42)
   -placement p   execution placement (%s)
-  -optimistic[=K]  speculate K lookahead windows past the committed horizon (run placement/all only; bare flag = default depth)
   -checkpoint-at us     warmup horizon in microseconds (run warmstart/all only)
   -checkpoint-file f    write the captured checkpoint to f (run warmstart/all only)
   -restore-file f       resume from a checkpoint file instead of simulating the warmup (run warmstart/all only)
@@ -105,49 +100,16 @@ func parseOpts(cmd string, args []string) experiments.Options {
 	scale := fs.Float64("scale", 1.0, "duration/topology scale")
 	seed := fs.Uint64("seed", 42, "random seed")
 	placement := fs.String("placement", "", "execution placement")
-	var optimistic optimisticFlag
-	fs.Var(&optimistic, "optimistic", "optimistic executor for placed runs; =K sets speculation depth")
 	ckAt := fs.Float64("checkpoint-at", 0, "warmup horizon in microseconds (checkpointing experiments)")
 	ckFile := fs.String("checkpoint-file", "", "write the captured checkpoint here")
 	restore := fs.String("restore-file", "", "resume from this checkpoint file")
 	hosts := fs.Int("hosts", 0, "target endpoint count for the scale experiments (0 = scale-derived)")
 	bg := fs.String("bg", "", "background-traffic tier for scale experiments: flow")
 	_ = fs.Parse(args)
-	var exec orch.RunOptions
-	if optimistic > 0 {
-		exec = orch.RunOptions{Mode: orch.Optimistic, K: int(optimistic)}
-	}
-	return experiments.Options{Scale: *scale, Seed: *seed, Placement: *placement, Exec: exec,
+	return experiments.Options{Scale: *scale, Seed: *seed, Placement: *placement,
 		CheckpointAt:   sim.Time(*ckAt * float64(sim.Microsecond)),
 		CheckpointFile: *ckFile, RestoreFile: *restore,
 		Hosts: *hosts, Bg: *bg}
-}
-
-// optimisticFlag implements -optimistic[=K] as the speculation ceiling, 0
-// meaning off: bare -optimistic enables the optimistic executor at its
-// default ceiling, -optimistic=K (K > 0) sets it explicitly,
-// -optimistic=false disables it.
-type optimisticFlag int
-
-func (f *optimisticFlag) String() string { return strconv.Itoa(int(*f)) }
-
-func (f *optimisticFlag) IsBoolFlag() bool { return true }
-
-func (f *optimisticFlag) Set(s string) error {
-	switch s {
-	case "", "true":
-		*f = orch.DefaultSpecWindows
-		return nil
-	case "false":
-		*f = 0
-		return nil
-	}
-	k, err := strconv.Atoi(s)
-	if err != nil || k < 1 {
-		return fmt.Errorf("want true, false, or a window count >= 1, got %q", s)
-	}
-	*f = optimisticFlag(k)
-	return nil
 }
 
 func fail(format string, args ...interface{}) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/orch"
 )
 
 func TestCatalogCoversEveryFigure(t *testing.T) {
@@ -93,26 +92,6 @@ func TestCheckPlacement(t *testing.T) {
 		err := checkOpts("run", c.exp, c.opts)
 		if (err == nil) != c.ok {
 			t.Errorf("checkOpts(%q, %+v) = %v, want ok=%v", c.exp, c.opts, err, c.ok)
-		}
-	}
-	// -optimistic reaches only the placement study's placed runs; plan
-	// never executes, so it rejects the flag outright.
-	optimistic := with(func(o *experiments.Options) {
-		o.Exec = orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows}
-	})
-	for _, c := range []struct {
-		cmd, exp string
-		ok       bool
-	}{
-		{"run", "placement", true},
-		{"run", "all", true},
-		{"run", "fig8", false},
-		{"run", "fig7", false},
-		{"plan", "placement", false},
-		{"plan", "fig8", false},
-	} {
-		if err := checkOpts(c.cmd, c.exp, optimistic); (err == nil) != c.ok {
-			t.Errorf("checkOpts(%q, %q, -optimistic) = %v, want ok=%v", c.cmd, c.exp, err, c.ok)
 		}
 	}
 	// Each experiment-specific flag reaches only the experiments that read

@@ -66,7 +66,7 @@ func main() {
 	srv.Host.AddApp(hostsim.AppFunc(gm.Run))
 	slave := &clocksync.PTPSlave{Master: srv.Host.LocalIP(), NIC: cli.NIC}
 	chPTP := clocksync.NewChrony()
-	ref := &clocksync.PHCRefClock{Slave: slave, NIC: cli.NIC, Poll: 200 * splitsim.Millisecond}
+	ref := &clocksync.PHCRefClock{Slave: slave, Poll: 200 * splitsim.Millisecond}
 	ref.OnMeasurement = chPTP.OnMeasurement
 	cli.Host.AddApp(hostsim.AppFunc(slave.Run))
 	cli.Host.AddApp(hostsim.AppFunc(chPTP.Run))

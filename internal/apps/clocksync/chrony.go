@@ -2,7 +2,6 @@ package clocksync
 
 import (
 	"repro/internal/hostsim"
-	"repro/internal/nicsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -116,8 +115,6 @@ func (c *Chrony) TrueError() sim.Time {
 type PHCRefClock struct {
 	// Slave provides the PHC's own synchronization error bound.
 	Slave *PTPSlave
-	// NIC is kept for symmetry/diagnostics.
-	NIC *nicsim.NIC
 	// Poll is the PHC comparison interval.
 	Poll sim.Time
 	// OnMeasurement receives each comparison (wired to Chrony).

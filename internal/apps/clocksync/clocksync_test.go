@@ -90,7 +90,7 @@ func TestPTPConvergesMuchTighter(t *testing.T) {
 		NIC:    r.client.NIC,
 	}
 	ch := clocksync.NewChrony()
-	ref := &clocksync.PHCRefClock{Slave: slave, NIC: r.client.NIC, Poll: 200 * sim.Millisecond}
+	ref := &clocksync.PHCRefClock{Slave: slave, Poll: 200 * sim.Millisecond}
 	ref.OnMeasurement = ch.OnMeasurement
 	r.client.Host.AddApp(hostsim.AppFunc(slave.Run))
 	r.client.Host.AddApp(hostsim.AppFunc(ch.Run))
@@ -137,7 +137,7 @@ func TestPTPBeatsNTP(t *testing.T) {
 		r.server.Host.AddApp(hostsim.AppFunc(gm.Run))
 		slave := &clocksync.PTPSlave{Master: r.server.Host.LocalIP(), NIC: r.client.NIC}
 		ch := clocksync.NewChrony()
-		ref := &clocksync.PHCRefClock{Slave: slave, NIC: r.client.NIC, Poll: 200 * sim.Millisecond}
+		ref := &clocksync.PHCRefClock{Slave: slave, Poll: 200 * sim.Millisecond}
 		ref.OnMeasurement = ch.OnMeasurement
 		r.client.Host.AddApp(hostsim.AppFunc(slave.Run))
 		r.client.Host.AddApp(hostsim.AppFunc(ch.Run))

@@ -29,13 +29,6 @@ type Options struct {
 	// their model predictions under s/percomp/auto). Empty keeps each
 	// experiment's default.
 	Placement string
-	// Exec selects how placed runs execute: Mode picks conservative
-	// (Parallel, the zero value: one sync exchange per lookahead window) or
-	// optimistic (speculation past the conservative sync horizons with
-	// per-group snapshot/rollback) execution, K the speculation ceiling.
-	// Results are bit-identical under every choice; only wall-clock
-	// measurements change.
-	Exec orch.RunOptions
 	// CheckpointAt overrides the warmup horizon for experiments that
 	// checkpoint (warmstart). Zero keeps the experiment's default.
 	CheckpointAt sim.Time

@@ -126,7 +126,7 @@ func PlacementStudy(opts Options) (*PlacementResult, error) {
 		sw := newStopwatch()
 		pl, err := run.sim.Plan(p)
 		if err == nil {
-			_, err = pl.Execute(run.dur, opts.Exec)
+			err = pl.RunParallel(run.dur)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: placement %s: %w", name, err)

@@ -74,12 +74,22 @@ func ckptDigest(t *testing.T, built *netsim.Built, eng *workload.Engine) uint64 
 // ckptModes are the multi-group executions both checkpoint properties sweep:
 // resuming and capturing must be indifferent to how the groups synchronize,
 // speculation included.
-var ckptModes = []struct {
+var ckptModes = []ckptMode{{"parallel", false}, {"optimistic", true}}
+
+type ckptMode struct {
 	name string
-	opts orch.RunOptions
-}{
-	{"parallel", orch.RunOptions{}},
-	{"optimistic", orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows}},
+	spec bool // speculate at DefaultSpecWindows
+}
+
+// execute runs the plan of p under o in mode m; the report is nil unless m
+// speculates.
+func (m ckptMode) execute(tb testing.TB, s *orch.Simulation, p decomp.Placement, end sim.Time,
+	o orch.RunOptions) (*orch.RunResult, *orch.SpecReport, uint64) {
+	if m.spec {
+		return speculate(tb, s, p, end, o, orch.DefaultSpecWindows)
+	}
+	res, events := execute(tb, s, p, end, o)
+	return res, nil, events
 }
 
 // TestCheckpointRestoreBitIdentical is the tentpole's acceptance property:
@@ -142,9 +152,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				for _, m := range ckptModes {
 					s2, b2, e2 := buildCkptSim(seed, arrival)
-					o := m.opts
-					o.Resume = ck
-					_, events := execute(t, s2, decomp.PerComponent(nComps), dur, o)
+					_, _, events := m.execute(t, s2, decomp.PerComponent(nComps), dur, orch.RunOptions{Resume: ck})
 					if d := ckptDigest(t, b2, e2); d != refDigest {
 						t.Fatalf("seed %d procs %d %s: placed resume digest %#x != reference %#x",
 							seed, procs, m.name, d, refDigest)
@@ -243,9 +251,7 @@ func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 			if p.Name == "blocked2" && maxBundleShare(t, ps, p) < 2 {
 				t.Fatal("no two channels share a sync bundle: the blocked row tests nothing")
 			}
-			o := m.opts
-			o.Capture = true
-			res, _ := execute(t, ps, p, half, o)
+			res, _, _ := m.execute(t, ps, p, half, orch.RunOptions{Capture: true})
 			pck := res.Checkpoint
 			if pck.BaseEvents != seqCk.BaseEvents {
 				t.Fatalf("%s %s: base events %d != sequential %d", p.Name, m.name, pck.BaseEvents, seqCk.BaseEvents)
@@ -356,24 +362,20 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 	for _, p := range []decomp.Placement{decomp.PerComponent(n), blocked(n)} {
 		for _, m := range ckptModes {
 			cp, _, _ := buildMemSplit()
-			o := m.opts
-			o.Capture = true
-			res, _ := execute(t, cp, p, half, o)
+			res, spec, _ := m.execute(t, cp, p, half, orch.RunOptions{Capture: true})
 			if !bytes.Equal(res.Checkpoint.Data, ck.Data) {
 				t.Fatalf("memsim %s %s capture differs from the sequential capture", p.Name, m.name)
 			}
 
 			ps, pCores, pMem := buildMemSplit()
-			o = m.opts
-			o.Resume = ck
-			_, events := execute(t, ps, p, dur, o)
+			_, _, events := m.execute(t, ps, p, dur, orch.RunOptions{Resume: ck})
 			if d := memSplitDigest(t, pCores, pMem); d != refDigest {
 				t.Fatalf("memsim %s %s resume digest %#x != reference %#x", p.Name, m.name, d, refDigest)
 			}
 			if got := ck.BaseEvents + events; got != refEvents {
 				t.Fatalf("memsim %s %s events %d+%d != %d", p.Name, m.name, ck.BaseEvents, events, refEvents)
 			}
-			if m.opts.Mode == orch.Optimistic && res.Spec.Totals().Snapshots == 0 {
+			if m.spec && spec.Totals().Snapshots == 0 {
 				t.Errorf("memsim %s optimistic capture never snapshotted: speculation did not engage", p.Name)
 			}
 		}
@@ -395,9 +397,7 @@ func TestCheckpointProfiledRun(t *testing.T) {
 		s, _, _ := buildMemSplit()
 		col := profiler.NewCollector()
 		s.PreRun = func(g *link.Group) { col.Attach(g, half/16) }
-		o := m.opts
-		o.Capture = true
-		res, _ := execute(t, s, decomp.PerComponent(s.NumComponents()), half, o)
+		res, _, _ := m.execute(t, s, decomp.PerComponent(s.NumComponents()), half, orch.RunOptions{Capture: true})
 		if !bytes.Equal(res.Checkpoint.Data, want.Data) {
 			t.Fatalf("%s: profiled capture differs from the unprofiled sequential capture", m.name)
 		}

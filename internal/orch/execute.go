@@ -10,45 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// One executor. Every way of running a plan — sequential, placed,
-// optimistically, into a checkpoint, out of one — is the same sequence with
-// different options, written once in ExecutionPlan.Execute. The
-// Run*/Checkpoint*/Resume* methods at the bottom of this file are
-// fixed-option spellings of it.
-
-// Mode selects how the runner groups of a plan synchronize. Results are
-// bit-identical under every mode; only wall-clock time differs.
-type Mode int
-
-const (
-	// Parallel is conservative synchronization (the zero value): each group
-	// runs its events up to the horizon its peers have promised and
-	// exchanges one sync per lookahead window. Each runner group is a plain
-	// goroutine and thread placement is the Go scheduler's. It is the only
-	// mode that synchronizes remote (cross-process) channels.
-	Parallel Mode = iota
-	// Optimistic is Parallel plus speculation: each group may run up to
-	// RunOptions.K lookahead windows past its committed horizon behind a
-	// per-group snapshot, and stalled groups leap empty windows by GVT (see
-	// optimistic.go and link/spec.go).
-	Optimistic
-)
+// One executor. Every way of running a plan — sequential, placed, into a
+// checkpoint, out of one, speculatively — is the same sequence with different
+// options, written once in ExecutionPlan.run. Execute is its conservative
+// spelling; the Run*/Checkpoint*/Resume* methods at the bottom of this file
+// are fixed-option spellings of Execute, and RunOptimistic is the one way in
+// to speculation.
 
 // DefaultSpecWindows is the speculation ceiling RunOptimistic uses: deep
 // enough to bridge the empty-window stretches of latency-dominated graphs
 // while keeping the worst-case re-execution (one snapshot window) cheap.
 const DefaultSpecWindows = 8
 
+// noSpec is run's speculation ceiling for a conservative execution.
+const noSpec = -1
+
 // RunOptions is everything a caller can vary about an execution.
 type RunOptions struct {
-	Mode Mode
-	// K is the speculation ceiling under Optimistic: how many lookahead
-	// windows past the committed horizon a group may run. The depth adapts at
-	// runtime — a rollback halves a group's working depth, clean commits
-	// earn it back — so K bounds it rather than fixing it. K = 0 never
-	// speculates; groups still join the leap domain for its GVT leaping.
-	// Ignored under the other modes.
-	K int
 	// Resume, when set, restores the checkpoint into the freshly built
 	// simulation before running: the run starts at Resume.At, not zero.
 	Resume *Checkpoint
@@ -62,20 +40,29 @@ type RunResult struct {
 	// Scheds holds the run's schedulers, one per runner group in group
 	// order, for event counts and clocks.
 	Scheds []*sim.Scheduler
-	// Spec reports what speculation did; nil unless the run was Optimistic.
-	Spec *SpecReport
 	// Checkpoint is the captured snapshot; nil unless Capture was set.
 	Checkpoint *Checkpoint
 }
 
 // ErrRemoteUnsupported reports a simulation with remote (cross-process)
 // connections being run in a way that cannot synchronize them: only a
-// conservative (Parallel) execution from time zero, at any placement, keeps
+// conservative execution (Execute) from time zero, at any placement, keeps
 // remote channels synchronized.
 var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this executor")
 
-// Execute runs the plan until virtual time end (events at exactly end do
-// not run). The phases, in order:
+// Execute runs the plan conservatively until virtual time end (events at
+// exactly end do not run): each group runs its events up to the horizon its
+// peers have promised and exchanges one sync per lookahead window. Each
+// runner group is a plain goroutine and thread placement is the Go
+// scheduler's. Results are bit-identical at every placement.
+func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error) {
+	res, _, err := pl.run(end, o, noSpec)
+	return res, err
+}
+
+// run is the one executor body; k is the speculation ceiling (noSpec: run
+// conservatively, k >= 0: speculate, see optimistic.go). The phases, in
+// order:
 //
 //  1. build one scheduler and runner per group (clock at Resume.At when
 //     resuming);
@@ -83,7 +70,7 @@ var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this
 //     cross-group — and attach components in registration order with
 //     their sequential ordering sources;
 //  3. restore component, aux, counter and pending-event state (Resume);
-//  4. install speculation (Optimistic);
+//  4. install speculation (k >= 0);
 //  5. publish the group on Simulation.Group and call Simulation.PreRun;
 //  6. run the group, every runner on its own goroutine;
 //  7. quiesce the channels: every message still in a pipe is handed to its
@@ -98,16 +85,12 @@ var ErrRemoteUnsupported = errors.New("orch: remote channels unsupported by this
 // A one-group plan is the sequential execution: its lone runner has no
 // endpoints, so the run is a single RunBefore(end) on one scheduler. The
 // result is never nil; on error it carries what the run produced so far.
-func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error) {
+// The speculation report is nil unless k >= 0.
+func (pl *ExecutionPlan) run(end sim.Time, o RunOptions, k int) (*RunResult, *SpecReport, error) {
 	s := pl.s
 	res := &RunResult{}
-	if n := s.remoteChannels(); n > 0 {
-		if o.Resume != nil || o.Capture {
-			return res, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
-		}
-		if o.Mode == Optimistic {
-			return res, fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
-		}
+	if s.remoteChannels() > 0 && (o.Resume != nil || o.Capture) {
+		return res, nil, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
 	}
 
 	g := &link.Group{}
@@ -146,7 +129,7 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 
 	if o.Resume != nil {
 		if err := s.restoreInto(o.Resume, pl, scheds); err != nil {
-			return res, err
+			return res, nil, err
 		}
 		// Lift every endpoint's pre-first-message horizon floor to the resume
 		// time: a fresh endpoint that has heard nothing would otherwise bound
@@ -158,8 +141,8 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 		}
 	}
 
-	if o.Mode == Optimistic {
-		pl.installSpec(scheds, runners, o.K)
+	if k >= 0 {
+		pl.installSpec(scheds, runners, k)
 	}
 
 	s.Group = g
@@ -167,20 +150,20 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 		s.PreRun(g)
 	}
 	err := g.Run(end)
-	if o.Mode == Optimistic {
-		res.Spec = pl.specReport(runners)
+	var spec *SpecReport
+	if k >= 0 {
+		spec = pl.specReport(runners)
 	}
 	if err != nil {
-		return res, err
+		return res, spec, err
 	}
 	// Residual messages go onto the schedulers before the deferred sweep, so
 	// a lagged sink's Discard counts those that arrived before end.
 	quiesce(g)
-	if !o.Capture {
-		return res, nil
+	if o.Capture {
+		res.Checkpoint, err = s.capture(scheds, end)
 	}
-	res.Checkpoint, err = s.capture(scheds, end)
-	return res, err
+	return res, spec, err
 }
 
 // execute plans p and executes the plan.
@@ -256,9 +239,10 @@ func (pl *ExecutionPlan) RunParallel(end sim.Time) error {
 	return err
 }
 
-// RunOptimistic executes the plan optimistically at the default speculation
-// ceiling.
+// RunOptimistic executes the plan optimistically from time zero at the
+// default speculation ceiling, DefaultSpecWindows, and reports what
+// speculation did. The run is bit-identical to Execute's.
 func (pl *ExecutionPlan) RunOptimistic(end sim.Time) (*SpecReport, error) {
-	res, err := pl.Execute(end, RunOptions{Mode: Optimistic, K: DefaultSpecWindows})
-	return res.Spec, err
+	_, spec, err := pl.speculate(end, RunOptions{}, DefaultSpecWindows)
+	return spec, err
 }

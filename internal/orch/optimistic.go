@@ -12,20 +12,34 @@ import (
 // Optimistic parallel execution. A conservative run never lets a group run
 // past the horizon its peers have promised; on latency-dominated graphs that
 // leaves cores idle climbing sync ladders through windows where nothing ever
-// arrives. Under the Optimistic mode each group speculates up to K sync
-// windows past its committed horizon, holding a per-group in-memory snapshot
-// to fall back on when a straggler message proves the speculation wrong.
-// Outgoing messages stay withheld until the committed horizon passes them,
-// so misspeculation never escapes a group and a rollback is strictly local.
-// The standing invariant is inherited unchanged: an optimistic run is
+// arrives. An optimistic run (RunOptimistic) lets each group speculate up to
+// K sync windows past its committed horizon, holding a per-group in-memory
+// snapshot to fall back on when a straggler message proves the speculation
+// wrong. Outgoing messages stay withheld until the committed horizon passes
+// them, so misspeculation never escapes a group and a rollback is strictly
+// local. The standing invariant is inherited unchanged: an optimistic run is
 // bit-identical to RunSequential for every placement, every K, and every
 // interleaving.
 //
 // The fabric half (the speculation steps of the runner loop, straggler
-// detection, input-log replay, GVT leaping) lives in link/spec.go. This file is the orchestrator half,
-// Execute's speculation-install phase: deciding which groups may speculate,
-// building the snapshot/restore closures over the group's components and
-// scheduler, wiring replay pool owners, and reporting what speculation did.
+// detection, input-log replay, GVT leaping) lives in link/spec.go. This file
+// is the orchestrator half, the executor's speculation-install phase:
+// deciding which groups may speculate, building the snapshot/restore
+// closures over the group's components and scheduler, wiring replay pool
+// owners, and reporting what speculation did.
+
+// speculate executes the plan optimistically with speculation ceiling k
+// (k = 0 never speculates; groups still join the leap domain for its GVT
+// leaping). The depth adapts at runtime — a rollback halves a group's
+// working depth, clean commits earn it back — so k bounds it rather than
+// fixing it. Remote channels are synchronized only conservatively, so a
+// plan with any is rejected.
+func (pl *ExecutionPlan) speculate(end sim.Time, o RunOptions, k int) (*RunResult, *SpecReport, error) {
+	if n := pl.s.remoteChannels(); n > 0 {
+		return &RunResult{}, nil, fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
+	}
+	return pl.run(end, o, k)
+}
 
 // GroupSpec is one group's speculation outcome.
 type GroupSpec struct {

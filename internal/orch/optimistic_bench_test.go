@@ -12,9 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
-// The optimistic benchmarks measure ns per simulated event under the
-// Optimistic mode, over the same done-events loop as the placement suite so
-// both modes read in one unit. Each benchmark sweeps GOMAXPROCS 1/2/4 as
+// The optimistic benchmarks measure ns per simulated event under
+// speculation (the Speculate hook at DefaultSpecWindows), over the same
+// done-events loop as the placement suite so both executors read in one
+// unit. Each benchmark sweeps GOMAXPROCS 1/2/4 as
 // P1/P2/P4 sub-benchmarks (levels the machine has no CPUs for skip) and
 // reports an xspeedup metric — the conservative parallel executor's
 // ns/event on the identical graph and placement, measured once per
@@ -63,7 +64,7 @@ func parallelRefNs(b *testing.B, key string,
 	start := time.Now()
 	for events < specRefMinEvents {
 		s, _ := build()
-		_, n := execute(b, s, p, benchEnd, orch.RunOptions{Mode: orch.Parallel})
+		_, n := execute(b, s, p, benchEnd, orch.RunOptions{})
 		events += n
 	}
 	ns := float64(time.Since(start).Nanoseconds()) / float64(events)
@@ -83,8 +84,7 @@ func benchOptimistic(b *testing.B, name string,
 		start := time.Now()
 		for done < uint64(b.N) {
 			s, _ := build()
-			_, events := execute(b, s, p, benchEnd,
-				orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows})
+			_, _, events := speculate(b, s, p, benchEnd, orch.RunOptions{}, orch.DefaultSpecWindows)
 			done += events
 		}
 		if ns := float64(time.Since(start).Nanoseconds()) / float64(done); ns > 0 {
@@ -103,7 +103,7 @@ func benchParallelRef(b *testing.B,
 		var done uint64
 		for done < uint64(b.N) {
 			s, _ := build()
-			_, events := execute(b, s, p, benchEnd, orch.RunOptions{Mode: orch.Parallel})
+			_, events := execute(b, s, p, benchEnd, orch.RunOptions{})
 			done += events
 		}
 	})

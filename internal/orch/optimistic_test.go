@@ -210,9 +210,25 @@ func runSpecOpt(t *testing.T, build specBuildFn, seed uint64, nComps int, end si
 	p decomp.Placement, k int) (uint64, uint64, uint64, *orch.SpecReport) {
 	t.Helper()
 	s, comps := build(seed, nComps)
-	res, events := execute(t, s, p, end, orch.RunOptions{Mode: orch.Optimistic, K: k})
+	_, spec, events := speculate(t, s, p, end, orch.RunOptions{}, k)
 	h, n := specDigest(comps)
-	return h, n, events, res.Spec
+	return h, n, events, spec
+}
+
+// speculate is execute through the Speculate hook: it runs the plan of p
+// optimistically under o at speculation ceiling k.
+func speculate(tb testing.TB, s *orch.Simulation, p decomp.Placement, end sim.Time, o orch.RunOptions,
+	k int) (*orch.RunResult, *orch.SpecReport, uint64) {
+	tb.Helper()
+	pl, err := s.Plan(p)
+	if err != nil {
+		tb.Fatalf("Plan(%v): %v", p.Groups, err)
+	}
+	res, spec, err := pl.Speculate(end, o, k)
+	if err != nil {
+		tb.Fatalf("Speculate(%v, %+v, %d): %v", p.Groups, o, k, err)
+	}
+	return res, spec, processed(res)
 }
 
 // randPlacements is the placement set every optimistic property sweeps:
@@ -481,6 +497,60 @@ func TestOptimisticFramesDrained(t *testing.T) {
 	}
 }
 
+// TestOptimisticClosureDemotes drives the runtime demotion path: twoNets'
+// sender keeps an h.After closure pending from time zero (the placement
+// study's bulk apps do the same), so its group passes the build-time check
+// but fails its first snapshot and runs conservatively. The run still
+// delivers and processes exactly what the sequential run does, and drains
+// every frame.
+func TestOptimisticClosureDemotes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
+	const end = 2 * sim.Millisecond
+
+	ref, _, refH2 := twoNets()
+	refEvents := ref.RunSequential(end).Processed()
+
+	s, h1, h2 := twoNets()
+	pl, err := s.Plan(decomp.PerComponent(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pl.RunOptimistic(end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Group 0 holds net1, the sender's network.
+	if rep.Groups[0].Conservative == "" {
+		t.Errorf("group %s speculated with a closure pending", rep.Groups[0].Group)
+	}
+	for _, g := range rep.Groups {
+		if g.Conservative == "" {
+			continue
+		}
+		if !strings.HasPrefix(g.Conservative, "snapshot failed: ") ||
+			!strings.Contains(g.Conservative, sim.ErrClosureEvent.Error()) {
+			t.Errorf("group %s: reason %q, want a snapshot failure on %q",
+				g.Group, g.Conservative, sim.ErrClosureEvent)
+		}
+		if g.Counters.Snapshots != 0 || g.Counters.Rollbacks != 0 {
+			t.Errorf("group %s: demoted group took snapshots/rollbacks: %+v", g.Group, g.Counters)
+		}
+	}
+	if h2.RxPackets != refH2.RxPackets || h1.TxPackets != h2.RxPackets {
+		t.Fatalf("tx %d, rx %d; sequential rx %d", h1.TxPackets, h2.RxPackets, refH2.RxPackets)
+	}
+	var events uint64
+	for _, r := range s.Group.Runners {
+		events += r.Scheduler().Processed()
+	}
+	if events != refEvents {
+		t.Fatalf("%d events, sequential %d", events, refEvents)
+	}
+	if live := s.LiveFrames(); live != 0 {
+		t.Fatalf("%d pooled frames leaked after the demoted run", live)
+	}
+}
+
 // TestOptimisticProfiledStillSpeculates: the profiler samples from the
 // runner's OnAdvance hook and posts no scheduler events, so attaching it to
 // an optimistic run costs the run nothing it can observe — no group demotes
@@ -500,14 +570,14 @@ func TestOptimisticProfiledStillSpeculates(t *testing.T) {
 	s, cores, mem := buildMemSplit()
 	col := profiler.NewCollector()
 	s.PreRun = func(g *link.Group) { col.Attach(g, dur/32) }
-	res, events := execute(t, s, decomp.PerComponent(s.NumComponents()), dur,
-		orch.RunOptions{Mode: orch.Optimistic, K: orch.DefaultSpecWindows, Capture: true})
-	for _, g := range res.Spec.Groups {
+	res, spec, events := speculate(t, s, decomp.PerComponent(s.NumComponents()), dur,
+		orch.RunOptions{Capture: true}, orch.DefaultSpecWindows)
+	for _, g := range spec.Groups {
 		if g.Conservative != "" {
 			t.Errorf("profiled group %s demoted: %s", g.Group, g.Conservative)
 		}
 	}
-	if res.Spec.Totals().Snapshots == 0 {
+	if spec.Totals().Snapshots == 0 {
 		t.Error("profiled run never snapshotted: speculation did not engage")
 	}
 	if d := memSplitDigest(t, cores, mem); d != refDigest || events != refEvents {
@@ -610,7 +680,7 @@ func FuzzOptimisticRollback(f *testing.F) {
 		p := decomp.Placement{Name: "fuzz", Groups: groups}
 
 		s, comps := buildSpecRandom(seed, nComps)
-		_, events := execute(t, s, p, end, orch.RunOptions{Mode: orch.Optimistic, K: k})
+		_, _, events := speculate(t, s, p, end, orch.RunOptions{}, k)
 		if h, n := specDigest(comps); h != refH || n != refN {
 			t.Fatalf("digest %#x/%d != sequential %#x/%d (K=%d, groups=%v)",
 				h, n, refH, refN, k, groups)

@@ -17,7 +17,7 @@ import (
 func runParallelTrial(t *testing.T, build buildFn, seed uint64, nComps int, end sim.Time, p decomp.Placement) ([][]string, uint64) {
 	t.Helper()
 	s, comps := build(seed, nComps)
-	_, events := execute(t, s, p, end, orch.RunOptions{Mode: orch.Parallel})
+	_, events := execute(t, s, p, end, orch.RunOptions{})
 	traces := make([][]string, len(comps))
 	for i, c := range comps {
 		traces[i] = c.trace

@@ -138,11 +138,16 @@ func execute(tb testing.TB, s *orch.Simulation, p decomp.Placement, end sim.Time
 	if err != nil {
 		tb.Fatalf("Execute(%v, %+v): %v", p.Groups, o, err)
 	}
+	return res, processed(res)
+}
+
+// processed is the number of scheduler events res's groups processed.
+func processed(res *orch.RunResult) uint64 {
 	var events uint64
 	for _, sc := range res.Scheds {
 		events += sc.Processed()
 	}
-	return res, events
+	return events
 }
 
 // runPlaced builds a fresh simulation, runs it under p (or sequentially

@@ -5,8 +5,8 @@
 #
 # Every program is built with statement coverage over the whole module,
 # then driven the way people use it:
-#   - `splitsim run all -scale 0.02`, one optimistic placed run, `splitsim
-#     plan` for every plannable experiment and `splitsim list`;
+#   - `splitsim run all -scale 0.02`, `splitsim plan` for every plannable
+#     experiment and `splitsim list`;
 #   - `wtpg` in both formats on the committed profile in cmd/wtpg/testdata;
 #   - bad-flag and unknown-name invocations of both CLIs, each of which
 #     must exit non-zero;
@@ -62,13 +62,13 @@ mustfail() {
 splitsim="$tmp/bin/splitsim"
 "$splitsim" list > /dev/null
 "$splitsim" run all -scale 0.02 > /dev/null
-"$splitsim" run placement -scale 0.02 -optimistic > /dev/null
 for e in $("$splitsim" 2>&1 | sed -n 's/^plannable: \[\(.*\)\]$/\1/p'); do
     "$splitsim" plan "$e" -scale 0.02 > /dev/null
 done
 mustfail "$splitsim"
 mustfail "$splitsim" run nosuch
-mustfail "$splitsim" run fig4 -optimistic=0
+mustfail "$splitsim" run fig4 -placement s
+mustfail "$splitsim" run placement -optimistic
 mustfail "$splitsim" plan fig4
 
 prof=cmd/wtpg/testdata/parallel.prof

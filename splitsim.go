@@ -38,9 +38,9 @@
 // NewDetailedHost), and inst.Sim accepts more hand wiring before it runs.
 //
 // Every Run* method is a fixed-option spelling of one executor: resolve a
-// Placement with Simulation.Plan and call ExecutionPlan.Execute with
-// RunOptions to pick the mode (conservative Parallel or Optimistic), the
-// speculation ceiling, and checkpoint resume/capture yourself.
+// Placement with Simulation.Plan and call ExecutionPlan.Execute, the
+// conservative executor, with RunOptions to pick checkpoint resume/capture
+// yourself. ExecutionPlan.RunOptimistic is the one way into speculation.
 package splitsim
 
 import (
@@ -187,9 +187,9 @@ type (
 )
 
 // Placement-aware execution: one build pipeline and one executor
-// (ExecutionPlan.Execute) for sequential, coupled, multi-core, optimistic,
-// checkpointed and distributed runs, with co-location as a first-class
-// knob.
+// (ExecutionPlan.Execute) for sequential, coupled, multi-core, checkpointed
+// and distributed runs, with co-location as a first-class knob;
+// ExecutionPlan.RunOptimistic runs a plan speculatively.
 type (
 	// Placement maps component index -> runner group; any placement runs
 	// bit-identically to the sequential execution.
@@ -198,23 +198,11 @@ type (
 	// Placement: components, channels (direct/coupled/remote), groups.
 	ExecutionPlan = orch.ExecutionPlan
 	// RunOptions is everything ExecutionPlan.Execute lets a caller vary:
-	// the pacing mode, the speculation ceiling, a checkpoint to resume
-	// from, and whether to capture one at the end.
+	// a checkpoint to resume from, and whether to capture one at the end.
 	RunOptions = orch.RunOptions
-	// RunResult is what an execution leaves behind: the schedulers, the
-	// speculation report, the captured checkpoint.
+	// RunResult is what an execution leaves behind: the schedulers and the
+	// captured checkpoint.
 	RunResult = orch.RunResult
-)
-
-// Modes for RunOptions.Mode. Results are bit-identical under both; only
-// wall-clock time differs.
-const (
-	// Parallel is conservative synchronization (the zero value): one sync
-	// exchange per lookahead window.
-	Parallel = orch.Parallel
-	// Optimistic adds speculation past the committed horizon (RunOptions.K
-	// windows deep) with per-group snapshot/rollback.
-	Optimistic = orch.Optimistic
 )
 
 // Placement constructors and the profiler→placement feedback loop.
