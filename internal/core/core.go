@@ -56,11 +56,16 @@ func (f Fidelity) String() string {
 type Message = sim.Payload
 
 // Port is one direction of a channel as seen by the sending component. Send
-// stamps the payload with the sender's current virtual time; the peer
-// observes it exactly the channel's latency later (plus its sink's Lag).
-// The latency belongs to the channel, not to the sender.
+// stamps the payload with the sender's current virtual time and a hold: how
+// long after now the message leaves the sender (a frame's departure behind
+// its queue, say; 0 for at once). The peer observes it hold plus exactly the
+// channel's latency later (plus its sink's Lag). The stamp, not the hold,
+// is what synchronization sees, so a held send costs no lookahead; a sender
+// that already knows when something departs sends it now, held, instead of
+// scheduling an event for the departure. The latency belongs to the
+// channel, not to the sender.
 type Port interface {
-	Send(payload Message)
+	Send(payload Message, hold sim.Time)
 }
 
 // Sink receives messages from a peer's Port. Deliver runs at virtual time

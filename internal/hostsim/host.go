@@ -129,7 +129,7 @@ func (k *hostTxSink) Deliver(_ sim.Time, m core.Message) {
 	}
 	b := pci.GetTxBatch()
 	b.Subs = append(b.Subs, pci.TxSubmit{ID: id, Frame: j.bytes, Timestamp: j.stamp})
-	h.nicPort.Send(b)
+	h.nicPort.Send(b, 0)
 	j.bytes, j.onTx = nil, nil
 	h.freeTxJob = append(h.freeTxJob, j)
 }
@@ -314,7 +314,7 @@ func (h *Host) ReadPHC(fn func(hw sim.Time)) {
 	h.phcID++
 	id := h.phcID
 	h.phcWaiters[id] = fn
-	h.nicPort.Send(pci.PHCRead{ID: id})
+	h.nicPort.Send(pci.PHCRead{ID: id}, 0)
 }
 
 // DialTCP creates the sending side of a TCP flow toward a remote endpoint.

@@ -117,16 +117,17 @@ func (e *Endpoint) PeerRunnerName() string {
 }
 
 // Send transmits payload on sub-channel 0, stamped with the owning runner's
-// current virtual time. It implements core.Port.
-func (e *Endpoint) Send(payload core.Message) { e.SendSub(0, payload) }
+// current virtual time and held for hold. It implements core.Port.
+func (e *Endpoint) Send(payload core.Message, hold sim.Time) { e.SendSub(0, payload, hold) }
 
-// SendSub transmits payload on the given sub-channel. The message is staged
+// SendSub transmits payload on the given sub-channel, held for hold past the
+// stamp (the owning runner's clock). The message is staged
 // in the outgoing ring but not yet published: the owning runner publishes
 // every staged message at once (one atomic store + at most one consumer
 // wakeup per scheduler pass) from syncAt, finish, and before blocking —
 // see Runner.flushAll. FIFO order and monotone timestamps are preserved
 // because staging keeps the producer's program order.
-func (e *Endpoint) SendSub(sub uint16, payload core.Message) {
+func (e *Endpoint) SendSub(sub uint16, payload core.Message, hold sim.Time) {
 	if e.runner == nil {
 		panic("link: endpoint " + e.label + " not attached to a runner")
 	}
@@ -137,17 +138,17 @@ func (e *Endpoint) SendSub(sub uint16, payload core.Message) {
 		// Speculative group: the send may sit at or past the committed
 		// horizon and could still roll back, so it is staged locally and
 		// published by releaseWithheld once committed passes its stamp.
-		e.spec.withheld = append(e.spec.withheld, specOut{T: now, Sub: sub, Payload: payload})
+		e.spec.withheld = append(e.spec.withheld, specOut{T: now, Hold: hold, Sub: sub, Payload: payload})
 		return
 	}
-	e.publish(now, sub, payload, n)
+	e.publish(now, hold, sub, payload, n)
 }
 
-// publish stages one data message stamped t, worth n logical messages, into
-// the outgoing ring — the one place data enters it, straight from SendSub or
-// on release from the withheld buffer.
-func (e *Endpoint) publish(t sim.Time, sub uint16, payload core.Message, n uint64) {
-	e.out.push(Message{T: t, Kind: KindData, Sub: sub, Payload: payload})
+// publish stages one data message stamped t and held for hold, worth n
+// logical messages, into the outgoing ring — the one place data enters it,
+// straight from SendSub or on release from the withheld buffer.
+func (e *Endpoint) publish(t, hold sim.Time, sub uint16, payload core.Message, n uint64) {
+	e.out.push(Message{T: t, Hold: hold, Kind: KindData, Sub: sub, Payload: payload})
 	e.sub(sub).tx += n
 	if e.runner.spec.dom != nil {
 		e.spec.tx.Add(1)
@@ -167,7 +168,7 @@ type subPort struct {
 	sub uint16
 }
 
-func (p subPort) Send(payload core.Message) { p.e.SendSub(p.sub, payload) }
+func (p subPort) Send(payload core.Message, hold sim.Time) { p.e.SendSub(p.sub, payload, hold) }
 
 // SetSink registers the sink receiving sub-channel sub. srcID is the stable
 // event-ordering source for deliveries on this sub-channel; wiring code must
@@ -187,12 +188,13 @@ func (e *Endpoint) SetSink(sub uint16, srcID int32, sink core.Sink) {
 	e.lookahead = e.ch.Latency + least
 }
 
-// deliverAt is when a message sent at t acts at a sink of reaction lag lag
-// across latency lat: it arrives at t + lat and is delivered lag later. It
-// is the one formula every delivery path uses — DirectPort.Send, handle and
-// its committed and straggler checks, and the speculative replay — so every
-// placement delivers each message at the same instant.
-func deliverAt(t, lat, lag sim.Time) sim.Time { return t + lat + lag }
+// deliverAt is when a message sent at t and held for hold acts at a sink of
+// reaction lag lag across latency lat: it leaves at t + hold, arrives lat
+// later and is delivered lag after that. It is the one formula every
+// delivery path uses — DirectPort.Send, handle and its committed and
+// straggler checks, and the speculative replay — so every placement
+// delivers each message at the same instant.
+func deliverAt(t, hold, lat, lag sim.Time) sim.Time { return t + hold + lat + lag }
 
 // horizon returns the virtual time this side may safely advance to: every
 // later message from the peer is stamped at or after lastRecvT (at or after
@@ -231,7 +233,7 @@ func (e *Endpoint) finish(end sim.Time) {
 // handle processes one incoming message — the only receive path, fed by the
 // runner's drain, by the message that ends a stall, and by DrainResidual. It
 // advances the recorded peer clock and, for data, schedules delivery at
-// T + latency + the sink's lag on the runner's scheduler with the
+// T + hold + latency + the sink's lag on the runner's scheduler with the
 // sub-channel's ordering source. While the runner holds a snapshot the
 // message is also logged for replay, and one that lands at or below the
 // scheduler's executed watermark (MaxExec) is a straggler: it is left to
@@ -258,7 +260,7 @@ func (e *Endpoint) handle(m Message) {
 		panic(fmt.Sprintf("link: %s has no sink for sub-channel %d", e.label, m.Sub))
 	}
 	se := &e.subs[m.Sub]
-	at := deliverAt(m.T, e.ch.Latency, se.lag)
+	at := deliverAt(m.T, m.Hold, e.ch.Latency, se.lag)
 	if at < r.committed {
 		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, at, r.committed))
 	}

@@ -7,7 +7,7 @@ import (
 
 // DirectPort is the sequential-mode counterpart of an Endpoint: it delivers
 // messages through a shared scheduler instead of a pipe between goroutines.
-// Delivery time (send time + latency + the sink's reaction lag) and
+// Delivery time (send time + hold + latency + the sink's reaction lag) and
 // event-ordering source are chosen
 // exactly as the coupled path chooses them, so a simulation wired with
 // DirectPorts is event-for-event identical to one wired with Channels.
@@ -32,8 +32,8 @@ func NewDirectPort(sched *sim.Scheduler, lat sim.Time, src int32, sink core.Sink
 }
 
 // Send implements core.Port.
-func (p *DirectPort) Send(payload core.Message) {
-	at := deliverAt(p.sched.Now(), p.lat, p.lag)
+func (p *DirectPort) Send(payload core.Message, hold sim.Time) {
+	at := deliverAt(p.sched.Now(), hold, p.lat, p.lag)
 	p.Stats.TxData += msgCount(payload)
 	// Typed delivery event: the (sink, payload) pair lives in the queue
 	// slot, so sequential-mode message delivery allocates nothing.

@@ -99,10 +99,10 @@ func BenchmarkCoupledPingPong(b *testing.B) {
 		ra.Attach(ch.SideA())
 		rb.Attach(ch.SideB())
 		ch.SideA().SetSink(0, 10, core.SinkFunc(func(at sim.Time, m core.Message) {
-			ch.SideA().Send(m)
+			ch.SideA().Send(m, 0)
 		}))
 		ch.SideB().SetSink(0, 20, core.SinkFunc(func(at sim.Time, m core.Message) {
-			ch.SideB().Send(m)
+			ch.SideB().Send(m, 0)
 		}))
 		ra.AddComponent(&benchSeeder{port: ch.SideA()}, 5)
 		g := &Group{}
@@ -121,5 +121,5 @@ type benchSeeder struct {
 func (s *benchSeeder) Name() string        { return "seed" }
 func (s *benchSeeder) Attach(env core.Env) { s.env = env }
 func (s *benchSeeder) Start(end sim.Time) {
-	s.env.At(0, func() { s.port.Send(nopPayload{}) })
+	s.env.At(0, func() { s.port.Send(nopPayload{}, 0) })
 }

@@ -32,7 +32,7 @@ func (p *pinger) Start(end sim.Time) {
 	}
 }
 func (p *pinger) tick() {
-	p.port.Send(testMsg{seq: p.sent, from: p.name})
+	p.port.Send(testMsg{seq: p.sent, from: p.name}, 0)
 	p.sent++
 	p.env.After(p.interval, p.tick)
 }
@@ -222,7 +222,7 @@ func TestThreeRunnerChain(t *testing.T) {
 	var relayed int
 	ab.SideB().SetSink(0, 101, core.SinkFunc(func(at sim.Time, m core.Message) {
 		relayed++
-		bc.SideA().Send(m)
+		bc.SideA().Send(m, 0)
 	}))
 	bc.SideA().SetSink(0, 102, core.SinkFunc(func(sim.Time, core.Message) {}))
 

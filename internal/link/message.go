@@ -17,11 +17,14 @@ const (
 )
 
 // Message is one unit on a channel. T is the sender's virtual clock at send
-// time; the receiver processes the payload at T + channel latency. Sub names
-// the logical sub-channel for trunk (multiplexed) channels; plain channels
-// use sub-channel 0.
+// time, and the only time synchronization reads; Hold is how long after T
+// the payload leaves the sender (see core.Port), so the receiver processes
+// it at T + Hold + channel latency (+ its sink's lag). Sub names the logical
+// sub-channel for trunk (multiplexed) channels; plain channels use
+// sub-channel 0. Sync messages carry neither a hold nor a payload.
 type Message struct {
 	T       sim.Time
+	Hold    sim.Time
 	Kind    Kind
 	Sub     uint16
 	Payload core.Message

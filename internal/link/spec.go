@@ -120,6 +120,7 @@ type specState struct {
 // specOut is one staged (or, payload-less, one published) outgoing message.
 type specOut struct {
 	T       sim.Time
+	Hold    sim.Time
 	Sub     uint16
 	Payload core.Message
 }
@@ -130,6 +131,7 @@ type specOut struct {
 // standing contract that messages are immutable after send.
 type specIn struct {
 	T       sim.Time
+	Hold    sim.Time
 	Sub     uint16
 	Payload core.Message
 	off, n  int32
@@ -471,7 +473,7 @@ func (r *Runner) specRollback() {
 				}
 				payload = p
 			}
-			r.sched.PostDelivery(deliverAt(rec.T, e.ch.Latency, se.lag), se.src, se.sink, payload)
+			r.sched.PostDelivery(deliverAt(rec.T, rec.Hold, e.ch.Latency, se.lag), se.src, se.sink, payload)
 			e.Stats.RxData += msgCount(payload)
 			st.counters.Replayed++
 		}
@@ -493,7 +495,7 @@ func (r *Runner) specRollback() {
 func (e *Endpoint) logInput(m Message) {
 	sp := &e.spec
 	if _, pooled := m.Payload.(core.Releaser); !pooled {
-		sp.log = append(sp.log, specIn{T: m.T, Sub: m.Sub, Payload: m.Payload})
+		sp.log = append(sp.log, specIn{T: m.T, Hold: m.Hold, Sub: m.Sub, Payload: m.Payload})
 		return
 	}
 	off := sp.logBuf.Len()
@@ -508,7 +510,7 @@ func (e *Endpoint) logInput(m Message) {
 		e.runner.specDemote("input not loggable: " + err.Error())
 		return
 	}
-	sp.log = append(sp.log, specIn{T: m.T, Sub: m.Sub,
+	sp.log = append(sp.log, specIn{T: m.T, Hold: m.Hold, Sub: m.Sub,
 		off: int32(off), n: int32(sp.logBuf.Len() - off), enc: true})
 }
 
@@ -544,7 +546,7 @@ func (r *Runner) releaseWithheld() {
 			if r.spec.snapValid {
 				sp.pubLog = append(sp.pubLog, specOut{T: m.T, Sub: m.Sub})
 			}
-			e.publish(m.T, m.Sub, m.Payload, msgCount(m.Payload))
+			e.publish(m.T, m.Hold, m.Sub, m.Payload, msgCount(m.Payload))
 		}
 		if n > 0 {
 			rest := copy(sp.withheld, sp.withheld[n:])

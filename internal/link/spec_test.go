@@ -38,7 +38,7 @@ func (n *loopNode) Start(sim.Time) { n.env.PostNamed(0, n.tickH, sim.NamedArgs{}
 
 func (n *loopNode) tick(sim.NamedArgs) {
 	for _, p := range n.ports {
-		p.Send(testMsg{seq: n.sent, from: n.name})
+		p.Send(testMsg{seq: n.sent, from: n.name}, 0)
 		n.sent++
 	}
 	gap := n.interval
@@ -61,7 +61,7 @@ func (s *loopSink) Deliver(at sim.Time, m core.Message) {
 	n, msg := s.n, m.(testMsg)
 	n.trace = append(n.trace, fmt.Sprintf("%s.%d<-%s#%d@%v", n.name, s.port, msg.from, msg.seq, at))
 	if n.got++; n.got%3 == 0 {
-		n.ports[(s.port+1)%len(n.ports)].Send(testMsg{seq: n.sent, from: n.name})
+		n.ports[(s.port+1)%len(n.ports)].Send(testMsg{seq: n.sent, from: n.name}, 0)
 		n.sent++
 	}
 }

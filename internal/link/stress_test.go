@@ -32,7 +32,7 @@ func TestManyRunnerRing(t *testing.T) {
 		prev.SetSink(0, int32(100+i), core.SinkFunc(func(at sim.Time, m core.Message) {
 			received[i]++
 			// Forward the token onward.
-			next.Send(m)
+			next.Send(m, 0)
 		}))
 		chans[i].SideA().SetSink(0, int32(200+i), core.SinkFunc(func(sim.Time, core.Message) {}))
 		g.Add(runners[i])
@@ -60,7 +60,7 @@ type seeder struct {
 func (s *seeder) Name() string        { return "seed" }
 func (s *seeder) Attach(env core.Env) { s.env = env }
 func (s *seeder) Start(end sim.Time) {
-	s.env.At(0, func() { s.port.Send(testMsg{seq: 0, from: "seed"}) })
+	s.env.At(0, func() { s.port.Send(testMsg{seq: 0, from: "seed"}, 0) })
 }
 
 // TestEndpointLabels covers the introspection surface the profiler uses.

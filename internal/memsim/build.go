@@ -7,7 +7,7 @@ import (
 )
 
 // envPort delivers messages through the owning component's own environment
-// after a fixed latency plus the sink's reaction lag — the in-process
+// after its hold, a fixed latency and the sink's reaction lag — the in-process
 // stand-in for a channel inside the monolithic instantiation. Timing
 // matches the split instantiation exactly.
 type envPort struct {
@@ -16,10 +16,10 @@ type envPort struct {
 	sink core.Sink
 }
 
-func (p envPort) Send(m core.Message) {
+func (p envPort) Send(m core.Message, hold sim.Time) {
 	// A typed delivery event (not a closure): it serializes into
 	// checkpoints by sink position and payload codec.
-	p.env.PostDelivery(p.env.Now()+p.lat+core.LagOf(p.sink), p.sink, m)
+	p.env.PostDelivery(p.env.Now()+hold+p.lat+core.LagOf(p.sink), p.sink, m)
 }
 
 // Monolithic runs n cores plus the memory controller inside a single

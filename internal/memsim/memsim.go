@@ -204,7 +204,7 @@ func (c *Core) blockDone() {
 	c.issueAt = c.env.Now()
 	req := c.reqs.New()
 	*req = MemReq{Core: c.id, ID: c.pending}
-	c.memPort.Send(req)
+	c.memPort.Send(req, 0)
 }
 
 // onResp ends the stall of a response that arrived at arrived.
@@ -326,5 +326,5 @@ func (m *Mem) serveNext() {
 		m.pend = m.pend[:0]
 		m.pendHead = 0
 	}
-	m.ports[req.Core].Send((*MemResp)(req))
+	m.ports[req.Core].Send((*MemResp)(req), 0)
 }

@@ -58,16 +58,21 @@ type Iface struct {
 type ifaceEnqSink struct{ i *Iface }
 
 // Deliver implements core.Sink. at is the pipeline-arrival instant (the
-// closure-based predecessor read env.Now() here, which equals at).
+// closure-based predecessor read env.Now() here, which equals at). The
+// residence is written between admission and hand-off: an external port
+// gives the frame away at enqueue, after which it may belong to another
+// runner.
 func (k *ifaceEnqSink) Deliver(at sim.Time, m sim.Payload) {
 	i := k.i
 	f := m.(*proto.Frame)
-	depart := i.Enqueue(f)
-	if depart >= 0 {
-		if sw, ok := i.owner.(*Switch); ok && sw.TransparentClock {
-			sw.addResidence(f, depart-at+i.net.SwitchLatency)
-		}
+	depart := i.admit(f)
+	if depart < 0 {
+		return
 	}
+	if sw, ok := i.owner.(*Switch); ok && sw.TransparentClock {
+		sw.addResidence(f, depart-at+i.net.SwitchLatency)
+	}
+	i.send(f, depart)
 }
 
 // ifaceRxSink runs the propagation arrival: the owning node receives the
@@ -150,8 +155,17 @@ func (i *Iface) Reserve(rate int64) {
 // instantaneous backlog. Enqueue owns the frame: dropped frames are
 // released, accepted frames travel on to the peer (or external port).
 func (i *Iface) Enqueue(f *proto.Frame) sim.Time {
-	env := i.net.env
-	now := env.Now()
+	depart := i.admit(f)
+	if depart >= 0 {
+		i.send(f, depart)
+	}
+	return depart
+}
+
+// admit is Enqueue's queueing half: it drops (and releases) or marks f and
+// books its serialization, returning the departure time or -1.
+func (i *Iface) admit(f *proto.Frame) sim.Time {
+	now := i.net.env.Now()
 	backlog := i.backlogBytes(now)
 	size := f.WireLen()
 	if i.QueueCapBytes > 0 && backlog+size > i.QueueCapBytes {
@@ -172,16 +186,22 @@ func (i *Iface) Enqueue(f *proto.Frame) sim.Time {
 	i.busyUntil = depart
 	i.TxPackets++
 	i.TxBytes += uint64(size)
+	return depart
+}
 
+// send is Enqueue's forwarding half: an admitted frame that departs at
+// depart goes on toward the peer. An external port takes it now, held to
+// its departure, so a boundary costs no departure event.
+func (i *Iface) send(f *proto.Frame, depart sim.Time) {
+	env := i.net.env
 	switch {
 	case i.ext != nil:
-		env.PostDelivery(depart, &i.ext.outSink, f)
+		i.ext.send(f, depart-env.Now())
 	case i.cut != nil:
 		env.PostDelivery(depart+i.delay+i.net.SwitchLatency, &i.cut.cutSink, f)
 	default:
 		env.PostDelivery(depart+i.delay, &i.peer.rxSink, f)
 	}
-	return depart
 }
 
 // setCut points i at its peer's switch when that switch has no Dataplane.

@@ -79,10 +79,10 @@ type Network struct {
 	// port comes from here, and every terminal sink returns frames to it.
 	pool proto.FramePool
 
-	// encRx/encTx count frames decoded from / encoded onto partition
-	// boundaries; the lazy Cost() recomputation charges them at
-	// CostPerBoundaryPacketNs each.
-	encRx, encTx uint64
+	// bndRx/bndTx count frames received from / sent onto external ports;
+	// the lazy Cost() recomputation charges them at CostPerBoundaryPacketNs
+	// each.
+	bndRx, bndTx uint64
 
 	// flowEvents counts flow-level background-tier events attributed to
 	// this partition (see flowsim); charged at CostPerFlowEventNs.
@@ -204,7 +204,7 @@ func (n *Network) Cost() *core.CostAccount {
 	for _, h := range n.hosts {
 		total += (h.TxPackets + h.RxPackets) * CostPerHostPacketNs
 	}
-	total += (n.encRx + n.encTx) * CostPerBoundaryPacketNs
+	total += (n.bndRx + n.bndTx) * CostPerBoundaryPacketNs
 	total += n.flowEvents * CostPerFlowEventNs
 	n.cost.Store(total)
 	return &n.cost
@@ -288,11 +288,14 @@ func (n *Network) ConnectSwitches(a, b *Switch, rate int64, delay sim.Time) (ai,
 }
 
 // ExtPort attaches an external component (a detailed host's NIC, or a peer
-// network partition) to a switch port. Frames leaving the switch through
-// this port are encoded to bytes and sent on the bound core.Port as
-// *proto.WireFrame; frames arriving from the external side enter through
-// Deliver (ExtPort implements core.Sink) in the same form. A boundary always
-// encodes, so no pool-owned *proto.Frame ever crosses to another runner.
+// network partition) to a switch port. A frame leaving the switch through
+// this port is sent on the bound core.Port when it is enqueued, held to its
+// departure (see core.Port): there is no departure event. A port that
+// Topology.Build paired with the other half of a cut link hands the
+// *proto.Frame itself over, detached from this network's pool for the peer
+// to adopt; every other port encodes the frame to bytes and sends a
+// *proto.WireFrame. Frames arriving from the external side enter through
+// Deliver (ExtPort implements core.Sink) in either form.
 type ExtPort struct {
 	net   *Network
 	name  string
@@ -301,21 +304,13 @@ type ExtPort struct {
 	out   core.Port
 	ips   []proto.IP
 
+	// handoff marks a port whose peer is an ExtPort in this process, which
+	// adopts frames instead of decoding bytes; Topology.Build sets it on
+	// both halves of a cut link.
+	handoff bool
+
 	// RxFrames counts frames delivered from the external side.
 	RxFrames uint64
-
-	// outSink is the typed-delivery sink for this port's departure events
-	// (see Iface.Enqueue): one queue slot per departing frame, no closure.
-	outSink extOutSink
-}
-
-// extOutSink hands departed frames to ExtPort.sendOut from a typed delivery
-// event.
-type extOutSink struct{ p *ExtPort }
-
-// Deliver implements core.Sink.
-func (k *extOutSink) Deliver(_ sim.Time, m core.Message) {
-	k.p.sendOut(m.(*proto.Frame))
 }
 
 // AddExternal creates an external port on switch s. The link's serialization
@@ -324,7 +319,6 @@ func (k *extOutSink) Deliver(_ sim.Time, m core.Message) {
 // ComputeRoutes.
 func (n *Network) AddExternal(s *Switch, name string, rate int64, ips ...proto.IP) *ExtPort {
 	p := &ExtPort{net: n, name: name, sw: s, ips: ips}
-	p.outSink.p = p
 	ifc := n.newIface(s, rate, 0)
 	ifc.ext = p
 	p.iface = ifc
@@ -354,22 +348,28 @@ func (p *ExtPort) Lag() sim.Time {
 	return p.net.SwitchLatency
 }
 
-// Deliver implements core.Sink: an encoded frame from the external component
-// enters the switch — at its pipeline exit when the switch cuts through (see
-// Lag), else at arrival. Decoded frames come from the network's pool and
-// adopt the incoming wire buffer, so the boundary receive path allocates
-// nothing in steady state.
+// Deliver implements core.Sink: a frame from the external component enters
+// the switch — at its pipeline exit when the switch cuts through (see Lag),
+// else at arrival. A handed-over frame joins this network's pool; an
+// encoded one is decoded into a frame from the pool that adopts the
+// incoming wire buffer, so the boundary receive path allocates nothing in
+// steady state.
 func (p *ExtPort) Deliver(at sim.Time, m core.Message) {
-	w, ok := m.(*proto.WireFrame)
-	if !ok {
+	var f *proto.Frame
+	switch m := m.(type) {
+	case *proto.Frame:
+		f = m
+		p.net.pool.Adopt(f)
+	case *proto.WireFrame:
+		f = p.net.pool.Get()
+		if err := proto.ParseFrameInto(f, m.B); err != nil {
+			panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
+		}
+		proto.PutWireFrame(m)
+	default:
 		panic(fmt.Sprintf("netsim: %s: unexpected message %T", p.name, m))
 	}
-	f := p.net.pool.Get()
-	if err := proto.ParseFrameInto(f, w.B); err != nil {
-		panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
-	}
-	proto.PutWireFrame(w)
-	p.net.encRx++
+	p.net.bndRx++
 	p.RxFrames++
 	if p.sw.Dataplane != nil {
 		p.sw.receive(p.iface, f)
@@ -385,27 +385,39 @@ func (p *ExtPort) Discard(at sim.Time, m core.Message) {
 	if at-p.Lag() >= p.net.env.Now() {
 		return
 	}
-	p.net.encRx++
+	p.net.bndRx++
 	p.RxFrames++
-	b := m.(*proto.WireFrame).B
-	_, rest, err := proto.ParseEthernet(b)
-	var ip proto.IPv4
-	if err == nil {
-		ip, _, err = proto.ParseIPv4(rest)
+	var dst proto.IP
+	switch m := m.(type) {
+	case *proto.Frame:
+		dst = m.IP.Dst
+	case *proto.WireFrame:
+		_, rest, err := proto.ParseEthernet(m.B)
+		var ip proto.IPv4
+		if err == nil {
+			ip, _, err = proto.ParseIPv4(rest)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
+		}
+		dst = ip.Dst
 	}
-	if err != nil {
-		panic(fmt.Sprintf("netsim: %s: bad frame from external port: %v", p.name, err))
-	}
-	p.sw.countStopped(ip.Dst)
+	p.sw.countStopped(dst)
 }
 
-// sendOut serializes a frame to honest bytes in a pooled buffer, releases
-// the frame and transmits the bytes to the external component.
-func (p *ExtPort) sendOut(f *proto.Frame) {
+// send transmits f, departing hold from now, to the external component:
+// handed over to a paired port, else as honest bytes in a pooled buffer
+// (the frame is released).
+func (p *ExtPort) send(f *proto.Frame, hold sim.Time) {
 	if p.out == nil {
 		panic("netsim: external port " + p.name + " not bound")
 	}
-	p.net.encTx++
-	p.out.Send(proto.GetWireFrame(proto.AppendFrame(p.net.pool.GetBuf(), f)))
+	p.net.bndTx++
+	if p.handoff {
+		f.Detach()
+		p.out.Send(f, hold)
+		return
+	}
+	p.out.Send(proto.GetWireFrame(proto.AppendFrame(p.net.pool.GetBuf(), f)), hold)
 	f.Release()
 }

@@ -499,6 +499,78 @@ func TestTransparentClockAddsResidence(t *testing.T) {
 
 func PTPSyncType() proto.PTPType { return proto.PTPSync }
 
+// wireRecorder is a port that keeps a copy of every encoded frame sent on
+// it, taken at the send.
+type wireRecorder struct{ frames [][]byte }
+
+func (r *wireRecorder) Send(m core.Message, _ sim.Time) {
+	w := m.(*proto.WireFrame)
+	r.frames = append(r.frames, append([]byte(nil), w.B...))
+	proto.PutWireFrame(w)
+}
+
+// TestTransparentClockResidenceBeforeHandoff: an external port sends a
+// frame when it is enqueued, so a transparent clock must write the
+// residence before that. The PTP event leaving toward an external peer
+// carries the same correction as the one an internal host receives across
+// the same queue.
+func TestTransparentClockResidenceBeforeHandoff(t *testing.T) {
+	build := func(ext bool) (sim.Time, *Network) {
+		n := New("net", 1)
+		sw := n.AddSwitch("sw")
+		h1 := n.AddHost("h1", proto.HostIP(1))
+		n.ConnectHostSwitch(h1, sw, 10*sim.Gbps, sim.Microsecond)
+		var rec wireRecorder
+		corr := sim.Time(-1)
+		if ext {
+			n.AddExternal(sw, "x", sim.Gbps, proto.HostIP(2)).Bind(&rec)
+		} else {
+			h2 := n.AddHost("h2", proto.HostIP(2))
+			n.ConnectHostSwitch(h2, sw, sim.Gbps, sim.Microsecond)
+			h2.BindUDP(proto.PortPTPEvent, func(_ proto.IP, _ uint16, payload []byte, _ int) {
+				if m, err := proto.ParsePTP(payload); err == nil {
+					corr = m.Correction
+				}
+			})
+		}
+		n.ComputeRoutes()
+		sw.TransparentClock = true
+		h1.SetApp(AppFunc(func(h *Host) {
+			for i := 0; i < 20; i++ {
+				h.SendUDP(proto.HostIP(2), 1, 9, nil, 1400)
+			}
+			m := proto.PTPMsg{Type: proto.PTPSync, Seq: 1, Origin: h.Now()}
+			h.SendUDP(proto.HostIP(2), proto.PortPTPEvent, proto.PortPTPEvent, proto.AppendPTP(nil, m), 0)
+		}))
+		runSeq(10*sim.Millisecond, n)
+		for _, b := range rec.frames {
+			f := &proto.Frame{}
+			if err := proto.ParseFrameInto(f, b); err != nil {
+				t.Fatal(err)
+			}
+			if f.UDP.DstPort == proto.PortPTPEvent {
+				m, err := proto.ParsePTP(f.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				corr = m.Correction
+			}
+		}
+		return corr, n
+	}
+	want, _ := build(false)
+	got, n := build(true)
+	if want < 10*sim.Microsecond {
+		t.Fatalf("internal correction = %v, want >= 10us of queueing residence", want)
+	}
+	if got != want {
+		t.Fatalf("correction sent on the external port = %v, internal host received %v", got, want)
+	}
+	if st := n.FrameStats(); st.Live != 0 {
+		t.Fatalf("%d frames live after the run", st.Live)
+	}
+}
+
 // consumeDataplane swallows KV GETs and answers from the switch.
 type consumeDataplane struct{ hits int }
 

@@ -92,9 +92,6 @@ func (n *Network) WalkSinks(fn func(s core.Sink)) {
 		}
 		fn(&sw.cutSink)
 	}
-	for _, p := range n.exts {
-		fn(&p.outSink)
-	}
 }
 
 func snapshotIface(e *snap.Encoder, i *Iface) {
@@ -120,8 +117,8 @@ func restoreIface(d *snap.Decoder, i *Iface) {
 // SnapshotState implements core.Stateful.
 func (n *Network) SnapshotState(e *snap.Encoder) error {
 	e.U64(n.rng.State())
-	e.U64(n.encRx)
-	e.U64(n.encTx)
+	e.U64(n.bndRx)
+	e.U64(n.bndTx)
 	e.U64(n.flowEvents)
 	e.U32(uint32(len(n.hosts)))
 	for _, h := range n.hosts {
@@ -156,8 +153,8 @@ func (n *Network) SnapshotState(e *snap.Encoder) error {
 // surface as typed errors.
 func (n *Network) RestoreState(d *snap.Decoder) error {
 	n.rng.SetState(d.U64())
-	n.encRx = d.U64()
-	n.encTx = d.U64()
+	n.bndRx = d.U64()
+	n.bndTx = d.U64()
 	n.flowEvents = d.U64()
 	if got := int(d.U32()); got != len(n.hosts) {
 		return fmt.Errorf("%w: %s: snapshot has %d hosts, build has %d",

@@ -307,6 +307,7 @@ func (t *Topology) Build(name string, seed uint64, assign []int, namer func(part
 		}
 		ea := b.Parts[pa].AddExternal(sa, fmt.Sprintf("x%d.a", li), l.Rate)
 		eb := b.Parts[pb].AddExternal(sb, fmt.Sprintf("x%d.b", li), l.Rate)
+		ea.handoff, eb.handoff = true, true
 		b.LinkIfaces[li] = [2]int32{
 			int32(switchIfaceIndex(sa, ea.iface)), int32(switchIfaceIndex(sb, eb.iface))}
 		b.Boundaries = append(b.Boundaries, Boundary{Link: li, PartA: pa, PartB: pb, PortA: ea, PortB: eb})

@@ -15,7 +15,7 @@ import (
 // so the benchmarks measure the NIC path itself at steady state.
 type drainPort struct{ n int }
 
-func (d *drainPort) Send(m core.Message) {
+func (d *drainPort) Send(m core.Message, _ sim.Time) {
 	d.n++
 	switch v := m.(type) {
 	case *pci.RxBatch:

@@ -68,12 +68,13 @@ type NIC struct {
 	// its flush event is already scheduled. nil when no batch is open.
 	curBatch *pci.RxBatch
 
-	// freeTx recycles the per-frame transmit descriptors parked in the
-	// scheduler between doorbell and wire departure.
+	// freeTx recycles the transmit descriptors of timestamped frames,
+	// parked in the scheduler between doorbell and wire departure.
 	freeTx []*txPend
 
-	// txSink and rxSink are the typed-delivery sinks for wire departure and
-	// DMA-complete events — one queue slot per event, no closures.
+	// txSink and rxSink are the typed-delivery sinks for timestamped wire
+	// departures and DMA-complete events — one queue slot per event, no
+	// closures.
 	txSink nicTxSink
 	rxSink nicRxSink
 
@@ -106,29 +107,27 @@ func New(name string, p Params) *NIC {
 	return n
 }
 
-// txPend is a frame between doorbell and wire departure, parked in the
-// scheduler as a typed delivery payload.
+// txPend is a timestamped frame between doorbell and wire departure,
+// parked in the scheduler as a typed delivery payload.
 type txPend struct {
 	frame []byte
 	id    uint64
-	stamp bool
 }
 
-// nicTxSink handles wire-departure events: the frame goes out the Ethernet
-// port and the completion goes back over PCI.
+// nicTxSink handles a timestamped frame's wire-departure event: the frame
+// goes out the Ethernet port and the completion, stamped with the PHC at
+// departure, goes back over PCI.
 type nicTxSink struct{ n *NIC }
 
 // Deliver implements core.Sink.
 func (k *nicTxSink) Deliver(at sim.Time, m core.Message) {
 	n := k.n
 	p := m.(*txPend)
-	n.netPort.Send(proto.GetWireFrame(p.frame))
+	n.netPort.Send(proto.GetWireFrame(p.frame), 0)
 	d := pci.GetTxDone()
 	d.ID = p.id
-	if p.stamp {
-		d.HWTime = n.PHC(at)
-	}
-	n.hostPort.Send(d)
+	d.HWTime = n.PHC(at)
+	n.hostPort.Send(d, 0)
 	p.frame = nil
 	n.freeTx = append(n.freeTx, p)
 }
@@ -144,7 +143,7 @@ func (k *nicRxSink) Deliver(_ sim.Time, m core.Message) {
 	if b == n.curBatch {
 		n.curBatch = nil
 	}
-	n.hostPort.Send(b)
+	n.hostPort.Send(b, 0)
 }
 
 // Name implements core.Component.
@@ -211,7 +210,7 @@ func (n *NIC) fromHost(at sim.Time, m core.Message) {
 		pci.PutTxBatch(msg)
 	case pci.PHCRead:
 		n.env.After(n.p.PHCReadLatency, func() {
-			n.hostPort.Send(pci.PHCValue{ID: msg.ID, HWTime: n.PHC(n.env.Now())})
+			n.hostPort.Send(pci.PHCValue{ID: msg.ID, HWTime: n.PHC(n.env.Now())}, 0)
 		})
 	default:
 		panic("nicsim: unexpected host message")
@@ -220,7 +219,7 @@ func (n *NIC) fromHost(at sim.Time, m core.Message) {
 
 // transmit models DMA fetch then wire serialization, then emits the frame
 // toward the network and a TxDone (with hardware timestamp if requested)
-// toward the host.
+// toward the host, both leaving at the frame's departure.
 func (n *NIC) transmit(msg pci.TxSubmit) {
 	ready := n.env.Now() + n.p.TxDMA
 	start := ready
@@ -230,6 +229,18 @@ func (n *NIC) transmit(msg pci.TxSubmit) {
 	depart := start + sim.TransmitTime(proto.RawWireLen(msg.Frame), n.p.Rate)
 	n.txBusyUntil = depart
 	n.TxFrames++
+	if !msg.Timestamp {
+		// Nothing about an unstamped frame can change before it leaves, so
+		// the frame and its completion go now, held to the departure.
+		hold := depart - n.env.Now()
+		n.netPort.Send(proto.GetWireFrame(msg.Frame), hold)
+		d := pci.GetTxDone()
+		d.ID = msg.ID
+		n.hostPort.Send(d, hold)
+		return
+	}
+	// A stamped frame keeps its departure event: the timestamp is the PHC
+	// reading at departure, and AdjPHCFreq may retune the PHC before then.
 	var p *txPend
 	if k := len(n.freeTx); k > 0 {
 		p = n.freeTx[k-1]
@@ -237,7 +248,7 @@ func (n *NIC) transmit(msg pci.TxSubmit) {
 	} else {
 		p = &txPend{}
 	}
-	p.frame, p.id, p.stamp = msg.Frame, msg.ID, msg.Timestamp
+	p.frame, p.id = msg.Frame, msg.ID
 	n.env.PostDelivery(depart, &n.txSink, p)
 }
 

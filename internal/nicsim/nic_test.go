@@ -10,16 +10,17 @@ import (
 	"repro/internal/sim"
 )
 
-// recorder captures messages a port sends, with timestamps.
+// recorder captures messages a port sends, with the times they leave the
+// NIC (send time plus hold).
 type recorder struct {
 	sched *sim.Scheduler
 	msgs  []core.Message
 	at    []sim.Time
 }
 
-func (r *recorder) Send(m core.Message) {
+func (r *recorder) Send(m core.Message, hold sim.Time) {
 	r.msgs = append(r.msgs, m)
-	r.at = append(r.at, r.sched.Now())
+	r.at = append(r.at, r.sched.Now()+hold)
 }
 
 // rig builds a NIC with recorder ports on both sides.

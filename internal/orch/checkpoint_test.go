@@ -172,12 +172,13 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 
 // TestCheckpointMidPipelineResume captures at a horizon that finds frames
 // inside switch pipelines — past their link arrival, before their egress
-// enqueue, each one pending cut-through event — under one group and under
-// two, and resumes every capture under both: each resume must end in the
-// state and event count of an uninterrupted run. The captured switch
+// enqueue, each one pending cut-through event — and frames a boundary port
+// already handed over that have not yet departed, under one group and
+// under two, and resumes every capture under both: each resume must end in
+// the state and event count of an uninterrupted run. The captured switch
 // counters trail a cold run stopped at the same horizon, which counts its
 // mid-pipeline frames as it discards their events; the gap proves the
-// capture held some.
+// capture held some. boundaryHeld proves the held frames.
 func TestCheckpointMidPipelineResume(t *testing.T) {
 	const (
 		seed = 2
@@ -198,6 +199,9 @@ func TestCheckpointMidPipelineResume(t *testing.T) {
 	cold, coldBuilt, _ := buildCkptSim(seed, arrival)
 	cold.RunSequential(at)
 	coldRx := switchRx(coldBuilt)
+	if held := boundaryHeld(at); held == 0 || held > 1<<62 {
+		t.Fatalf("%d frames held on boundary ports at the horizon: no hold window", int64(held))
+	}
 
 	n := ref.NumComponents()
 	placements := []decomp.Placement{decomp.SingleGroup(n), blocked(n)}
@@ -443,10 +447,11 @@ func TestLoadCheckpoint(t *testing.T) {
 	// Containers of the previous formats — sinks addressed by name (1), a
 	// conns section split into direct and trunk channels (2), a sink walk
 	// without the switches' cut-through sinks (3), deliveries to lagged
-	// sinks stamped at arrival instead of arrival + lag (4) — are rejected
-	// on their version, not misparsed. The CRC covers the version field, so
-	// each re-stamped container gets a valid one.
-	for _, v := range []uint16{1, 2, 3, 4} {
+	// sinks stamped at arrival instead of arrival + lag (4), a sink walk
+	// with the external ports' departure sinks (5) — are rejected on their
+	// version, not misparsed. The CRC covers the version field, so each
+	// re-stamped container gets a valid one.
+	for _, v := range []uint16{1, 2, 3, 4, 5} {
 		stale := append([]byte(nil), ck.Data...)
 		binary.LittleEndian.PutUint16(stale[4:], v)
 		binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))

@@ -31,7 +31,7 @@ func (c *chatter) Start(end sim.Time) {
 	tick = func() {
 		for i, p := range c.ports {
 			c.seq++
-			p.Send(chatMsg{from: c.name, port: i, seq: c.seq})
+			p.Send(chatMsg{from: c.name, port: i, seq: c.seq}, 0)
 		}
 		c.env.After(c.period, tick)
 	}
@@ -46,7 +46,7 @@ func (c *chatter) sink(port int) core.Sink {
 		// Occasionally forward, creating cross-channel causality.
 		if c.rng.Float64() < 0.3 && len(c.ports) > 0 {
 			c.seq++
-			c.ports[c.rng.Intn(len(c.ports))].Send(chatMsg{from: c.name, port: -1, seq: c.seq})
+			c.ports[c.rng.Intn(len(c.ports))].Send(chatMsg{from: c.name, port: -1, seq: c.seq}, 0)
 		}
 	})
 }

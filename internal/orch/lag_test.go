@@ -246,14 +246,37 @@ func TestLagWindowCountersExactBoundary(t *testing.T) {
 	}
 }
 
+// boundaryHeld returns how many frames the checkpoint fixture, run to at,
+// had enqueued on a boundary port without their having left it: a frame
+// enqueued before at that departed before at has reached the peer port by
+// at plus the link delay, so the enqueued frames a run to that later
+// instant has not received were still held at at.
+func boundaryHeld(at sim.Time) uint64 {
+	run := func(end sim.Time) *netsim.Built {
+		s, b, _ := buildCkptSim(2, workload.Open{FlowsPerSec: 50_000})
+		s.RunSequential(end)
+		return b
+	}
+	var enqueued, arrived uint64
+	for _, bd := range run(at).Boundaries {
+		enqueued += bd.PortA.Iface().TxPackets + bd.PortB.Iface().TxPackets
+	}
+	for _, bd := range run(at + sim.Microsecond).Boundaries { // the fixture's link delay
+		arrived += bd.PortA.RxFrames + bd.PortB.RxFrames
+	}
+	return enqueued - arrived
+}
+
 // TestCheckpointLagWindowResume captures at horizons inside lag windows —
 // memory requests and responses that arrived but are not yet delivered,
-// frames that crossed a partition boundary into a switch pipeline — under
-// one group and under two, and resumes every capture under both: each
-// resume must end in the state and event count of an uninterrupted run.
-// The captured counters trail a cold run stopped at the same horizon, whose
-// end-of-run sweep counts the window's arrivals; the gap proves the capture
-// held some.
+// frames that crossed a partition boundary into a switch pipeline — and,
+// at the same boundary horizon, inside hold windows: frames a boundary
+// port already handed to its channel that have not yet departed. It
+// captures under one group and under two, and resumes every capture under
+// both: each resume must end in the state and event count of an
+// uninterrupted run, with no frame left outstanding. The captured counters
+// trail a cold run stopped at the same horizon, whose end-of-run sweep
+// counts the window's arrivals; the gap proves the capture held some.
 func TestCheckpointLagWindowResume(t *testing.T) {
 	type fixture struct {
 		s      *orch.Simulation
@@ -291,11 +314,18 @@ func TestCheckpointLagWindowResume(t *testing.T) {
 		name    string
 		build   func() fixture
 		at, dur sim.Time
+		held    bool // the horizon must also sit inside a hold window
 	}{
-		{"memsim", memFix, 50*sim.Microsecond + 61*sim.Nanosecond, 100 * sim.Microsecond},
-		{"boundary", netFix, sim.Millisecond + 137*sim.Nanosecond, 2 * sim.Millisecond},
+		{"memsim", memFix, 50*sim.Microsecond + 61*sim.Nanosecond, 100 * sim.Microsecond, false},
+		{"boundary", netFix, sim.Millisecond + 137*sim.Nanosecond, 2 * sim.Millisecond, false},
+		{"hold", netFix, sim.Millisecond + 37*sim.Nanosecond + 137, 2 * sim.Millisecond, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.held {
+				if held := boundaryHeld(tc.at); held == 0 || held > 1<<62 {
+					t.Fatalf("%d frames held on boundary ports at the horizon: no hold window", int64(held))
+				}
+			}
 			ref := tc.build()
 			refEvents := ref.s.RunSequential(tc.dur).Processed()
 			refDigest := ref.digest()
@@ -327,6 +357,9 @@ func TestCheckpointLagWindowResume(t *testing.T) {
 					if got := res.Checkpoint.BaseEvents + events; got != refEvents {
 						t.Fatalf("capture %d groups, resume %d groups: events %d+%d != %d",
 							cp.NumGroups(), rp.NumGroups(), res.Checkpoint.BaseEvents, events, refEvents)
+					}
+					if n := r.s.LiveFrames(); n != 0 {
+						t.Fatalf("capture %d groups, resume %d groups: leaked %d frames", cp.NumGroups(), rp.NumGroups(), n)
 					}
 				}
 			}

@@ -57,7 +57,7 @@ func (c *specChatter) Start(end sim.Time) {
 func (c *specChatter) tick(sim.NamedArgs) {
 	for i, p := range c.ports {
 		c.seq++
-		p.Send(chatMsg{from: c.name, port: i, seq: int(c.seq)})
+		p.Send(chatMsg{from: c.name, port: i, seq: int(c.seq)}, 0)
 	}
 	c.env.PostNamed(c.env.Now()+c.period, c.tickH, sim.NamedArgs{})
 }
@@ -76,7 +76,7 @@ func (c *specChatter) sink(port int) core.Sink {
 		c.record(fmt.Sprintf("%s<-%s.%d#%d@%v", c.name, msg.from, msg.port, msg.seq, at))
 		if c.rng.Float64() < 0.3 && len(c.ports) > 0 {
 			c.seq++
-			c.ports[c.rng.Intn(len(c.ports))].Send(chatMsg{from: c.name, port: -1, seq: int(c.seq)})
+			c.ports[c.rng.Intn(len(c.ports))].Send(chatMsg{from: c.name, port: -1, seq: int(c.seq)}, 0)
 		}
 	})
 }

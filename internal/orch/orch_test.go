@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decomp"
+	"repro/internal/instantiate"
 	"repro/internal/link"
 	"repro/internal/netsim"
 	"repro/internal/netsim/workload"
@@ -133,6 +134,91 @@ func TestBoundaryCarriesOnlyWireFrames(t *testing.T) {
 	t.Run("two-group", func(t *testing.T) {
 		run(t, func(s *orch.Simulation) error { return s.RunParallel(sim.Millisecond, decomp.PerComponent(2)) })
 	})
+}
+
+// tcPair builds two switches, the first a transparent clock, each with one
+// host, joined by a 1 Gb/s link that Build cuts into a boundary when
+// assign splits them. h1 queues twenty bulk datagrams toward h2 and then a
+// PTP sync, so the sync waits behind them at the first switch's egress.
+// The hosts return in topology order.
+func tcPair(assign []int) (*netsim.Topology, *netsim.Built) {
+	var topo netsim.Topology
+	s0, s1 := topo.AddSwitch("s0"), topo.AddSwitch("s1")
+	topo.Switches[s0].TC = true
+	topo.AddHost("h1", proto.HostIP(1), s0, 10*sim.Gbps, sim.Microsecond)
+	topo.AddHost("h2", proto.HostIP(2), s1, 10*sim.Gbps, sim.Microsecond)
+	topo.AddLink(s0, s1, sim.Gbps, sim.Microsecond)
+	b := topo.Build("tc", 1, assign, nil)
+	b.Hosts[0].SetApp(netsim.AppFunc(func(h *netsim.Host) {
+		for i := 0; i < 20; i++ {
+			h.SendUDP(proto.HostIP(2), 1, 9, nil, 1400)
+		}
+		m := proto.PTPMsg{Type: proto.PTPSync, Seq: 1, Origin: h.Now()}
+		h.SendUDP(proto.HostIP(2), proto.PortPTPEvent, proto.PortPTPEvent, proto.AppendPTP(nil, m), 0)
+	}))
+	return &topo, b
+}
+
+// TestTransparentClockAcrossBoundary: a transparent-clock switch whose
+// egress is a partition boundary hands the PTP sync to the peer partition
+// at enqueue, so it must write the residence first. The correction h2
+// receives equals the unpartitioned fabric's, sequentially and on two
+// groups, and no frame is left outstanding.
+func TestTransparentClockAcrossBoundary(t *testing.T) {
+	run := func(assign []int, p func(int) decomp.Placement) sim.Time {
+		topo, b := tcPair(assign)
+		corr := sim.Time(-1)
+		b.Hosts[1].BindUDP(proto.PortPTPEvent, func(_ proto.IP, _ uint16, payload []byte, _ int) {
+			if m, err := proto.ParsePTP(payload); err == nil {
+				corr = m.Correction
+			}
+		})
+		s := orch.New()
+		instantiate.WirePartitions(s, topo, b, true)
+		execute(t, s, p(s.NumComponents()), sim.Millisecond, orch.RunOptions{})
+		if live := s.LiveFrames(); live != 0 {
+			t.Fatalf("assign %v: %d frames live after the run", assign, live)
+		}
+		return corr
+	}
+	want := run(nil, singleGroup)
+	if want < 10*sim.Microsecond {
+		t.Fatalf("unpartitioned correction = %v, want >= 10us of queueing residence", want)
+	}
+	for _, p := range []func(int) decomp.Placement{singleGroup, perComponent} {
+		if got := run([]int{0, 1}, p); got != want {
+			t.Errorf("partitioned, %d groups: correction %v, unpartitioned %v", p(2).NumGroups(), got, want)
+		}
+	}
+}
+
+// TestBuildBoundaryHandsFramesOver pins the other message form of a
+// network boundary: the two halves of a link that Topology.Build cut hand
+// the *proto.Frame itself over, never bytes. Every frame one partition's
+// pool lets go the other adopts, and no frame is left outstanding,
+// sequentially and on two groups.
+func TestBuildBoundaryHandsFramesOver(t *testing.T) {
+	for _, p := range []func(int) decomp.Placement{singleGroup, perComponent} {
+		topo, b := tcPair([]int{0, 1})
+		seen := map[string]int{}
+		s := orch.New()
+		for _, part := range b.Parts {
+			s.Add(part)
+		}
+		bd := b.Boundaries[0]
+		s.Connect("bd", topo.Links[bd.Link].Delay,
+			orch.Side{Comp: b.Parts[0], Bind: bd.PortA.Bind, Sink: bd.PortA},
+			orch.Side{Comp: b.Parts[1], Bind: bd.PortB.Bind, Sink: &typeSink{next: bd.PortB, seen: seen}})
+		execute(t, s, p(s.NumComponents()), sim.Millisecond, orch.RunOptions{})
+		if len(seen) != 1 || seen["*proto.Frame"] != 21 {
+			t.Errorf("%d groups: boundary received %v, want 21 *proto.Frame", p(2).NumGroups(), seen)
+		}
+		out, in := b.Parts[0].FrameStats(), b.Parts[1].FrameStats()
+		if out.Out != 21 || in.In != out.Out || out.Live+in.Live != 0 {
+			t.Errorf("%d groups: sender %+v, receiver %+v: want 21 frames out, as many in, none live",
+				p(2).NumGroups(), out, in)
+		}
+	}
 }
 
 // TestSequentialIsTheOneGroupPlan pins what RunSequential keeps through the

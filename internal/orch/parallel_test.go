@@ -205,7 +205,7 @@ func (c *sparse) Attach(env core.Env) { c.env = env }
 func (c *sparse) Start(sim.Time) {
 	c.env.After(sim.Microsecond, func() {
 		for _, i := range c.send {
-			c.ports[i].Send(chatMsg{from: c.name, port: i})
+			c.ports[i].Send(chatMsg{from: c.name, port: i}, 0)
 		}
 	})
 }

@@ -47,7 +47,7 @@ func TestParallelProfilingRace(t *testing.T) {
 		sched := runners[i].Scheduler()
 		var tick func()
 		tick = func() {
-			a.Send(pingMsg{})
+			a.Send(pingMsg{}, 0)
 			sched.After(5*sim.Microsecond, tick)
 		}
 		sched.After(sim.Microsecond, tick)

@@ -1,6 +1,10 @@
 package proto
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/slab"
+)
 
 // FramePool is a free list of Frames and of the payload buffers backing
 // them. It makes the steady-state packet path allocation-free: terminal
@@ -11,35 +15,45 @@ import "sync"
 // Ownership contract. A *Frame obtained from Get is owned by exactly one
 // component at a time. Handing the frame to a port, sink, or scheduler
 // delivery transfers ownership; the terminal consumer calls Release. A pool
-// is confined to its owning component's scheduler goroutine — a network
-// boundary (netsim.ExtPort) encodes every frame it sends, so cross-runner
-// channels carry bytes (WireFrame), never *Frame, by construction, and pools
-// need no locking. Byte buffers do migrate between pools: ParseFrameInto
-// adopts the input buffer into the receiving frame, and Release returns it
-// to the receiver's pool. Traffic flowing both ways keeps the buffer
-// populations balanced; poolMaxFree caps them either way.
+// is confined to its owning component's scheduler goroutine, so pools need
+// no locking. A frame leaves its pool for another only across a channel
+// between two network partitions (netsim.ExtPort): the sender Detaches it
+// before the send, the frame travels pool-less, and the receiver Adopts it
+// at delivery. The channel's publish and consume order the two, so neither
+// pool is ever touched from a goroutine other than its owner's. Every other
+// boundary — a NIC, a proxy — carries bytes (WireFrame). Byte buffers
+// migrate too: ParseFrameInto adopts the input buffer into the receiving
+// frame, and Release returns it to the receiver's pool. Traffic flowing both
+// ways keeps the frame and buffer populations balanced; poolMaxFree caps
+// the free lists either way, and new frames are cut from a slab, so an
+// imbalance costs one allocation per chunk rather than per frame.
 //
 // Frames built with plain struct literals (tests, app-injected replies)
 // have no pool; their Release is a no-op and the GC reclaims them.
 type FramePool struct {
 	free  []*Frame
 	bufs  [][]byte
+	mem   slab.Slab[Frame]
 	stats PoolStats
 }
 
 // PoolStats is a pool-health counter snapshot.
 type PoolStats struct {
-	Allocs   uint64 // frames newly heap-allocated
+	Allocs   uint64 // frames newly made (cut from the pool's slab)
 	Reuses   uint64 // frames served from the free list
 	Releases uint64 // frames returned via Release
+	In       uint64 // frames adopted from another pool
+	Out      uint64 // frames detached to another pool
 	Live     uint64 // frames currently checked out (leaks if nonzero after a run)
 }
 
-// Add accumulates o into s; Live saturates at zero like the per-pool value.
+// Add accumulates o into s.
 func (s *PoolStats) Add(o PoolStats) {
 	s.Allocs += o.Allocs
 	s.Reuses += o.Reuses
 	s.Releases += o.Releases
+	s.In += o.In
+	s.Out += o.Out
 	s.Live += o.Live
 }
 
@@ -52,7 +66,9 @@ func (p *FramePool) Get() *Frame {
 	n := len(p.free)
 	if n == 0 {
 		p.stats.Allocs++
-		return &Frame{pool: p, live: true}
+		f := p.mem.New()
+		f.pool, f.live = p, true
+		return f
 	}
 	f := p.free[n-1]
 	p.free[n-1] = nil
@@ -87,8 +103,38 @@ func (p *FramePool) PutBuf(b []byte) {
 // Stats returns the pool-health counters.
 func (p *FramePool) Stats() PoolStats {
 	s := p.stats
-	s.Live = s.Allocs + s.Reuses - s.Releases
+	s.Live = s.Allocs + s.Reuses + s.In - s.Releases - s.Out
 	return s
+}
+
+// Detach takes f out of its pool so another pool can Adopt it: the pool
+// counts it gone, and f is pool-less (its Release a no-op) until adopted.
+// f keeps its payload buffer. Detaching a pool-less frame does nothing.
+func (f *Frame) Detach() {
+	p := f.pool
+	if p == nil {
+		return
+	}
+	if !f.live {
+		panic("proto: detach of a released frame")
+	}
+	p.stats.Out++
+	f.pool, f.live = nil, false
+}
+
+// Adopt makes p the owner of f, which must be pool-less (detached, or built
+// as a literal) or already p's: a frame re-minted from a checkpoint or a
+// replay log comes from the receiver's own pool and is adopted already.
+func (p *FramePool) Adopt(f *Frame) {
+	switch f.pool {
+	case p:
+		return
+	case nil:
+	default:
+		panic("proto: adopt of a frame another pool owns")
+	}
+	f.pool, f.live = p, true
+	p.stats.In++
 }
 
 // Release returns the frame (and any adopted payload buffer) to its pool.

@@ -311,7 +311,7 @@ func TestForwardKillFailsClosed(t *testing.T) {
 
 // helloBytes is the length of one framed hello: the first frame after it
 // starts at this stream offset.
-const helloBytes = 8 + 17 + 7
+const helloBytes = 8 + 25 + 7
 
 // garbleFailsTyped flips one bit of the dialing side's outbound stream at
 // offset and demands ErrCorrupt at the receiver, ErrClosed at the sender

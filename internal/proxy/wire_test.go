@@ -2,16 +2,24 @@ package proxy
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
+	"net"
+	"strings"
 	"testing"
 
+	"repro/internal/link"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []frame{
 		{kind: kindSync, ch: 3, t: 12345},
-		{kind: kindData, ch: 7, t: 99, sub: 2, payload: []byte("hello world")},
+		{kind: kindData, ch: 7, t: 99, hold: 1234567, sub: 2, payload: []byte("hello world")},
 		{kind: kindData, ch: 0, t: 0, payload: nil},
 		{kind: kindEOS, ch: 65535, t: 42},
 		{kind: kindHello, payload: []byte{1, 2, 3, 4, 5, 6, 7}},
@@ -22,7 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kind %d: %v", want.kind, err)
 		}
-		if got.kind != want.kind || got.ch != want.ch || got.t != want.t ||
+		if got.kind != want.kind || got.ch != want.ch || got.t != want.t || got.hold != want.hold ||
 			got.sub != want.sub || !bytes.Equal(got.payload, want.payload) {
 			t.Fatalf("kind %d: round trip changed frame: %+v -> %+v", want.kind, want, got)
 		}
@@ -39,8 +47,10 @@ func TestRejectsTrailingGarbage(t *testing.T) {
 			t.Fatalf("kind %d with trailing garbage: got %v, want ErrCorrupt", kind, err)
 		}
 	}
-	// Sub-channel, channel and timestamp abuse on control frames is garbage too.
-	for _, f := range []frame{{kind: kindSync, sub: 1}, {kind: kindHello, t: 5}, {kind: kindHello, ch: 1}} {
+	// Sub-channel, channel, timestamp and hold abuse on control frames is
+	// garbage too, and so is a data frame held into the past.
+	for _, f := range []frame{{kind: kindSync, sub: 1}, {kind: kindHello, t: 5}, {kind: kindHello, ch: 1},
+		{kind: kindSync, hold: 1}, {kind: kindEOS, hold: 1}, {kind: kindHello, hold: 1}, {kind: kindData, hold: -1}} {
 		if _, err := parseFrame(appendWireFrame(nil, f)[prefixLen:]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%+v: got %v, want ErrCorrupt", f, err)
 		}
@@ -56,7 +66,7 @@ func TestRejectsTrailingGarbage(t *testing.T) {
 // in a bare EOF here, a hang on a live connection), a flip in the body by
 // the checksum.
 func TestEveryBitFlipDetected(t *testing.T) {
-	enc := appendWireFrame(nil, frame{kind: kindData, ch: 9, t: 777, sub: 1, payload: []byte("payload bytes")})
+	enc := appendWireFrame(nil, frame{kind: kindData, ch: 9, t: 777, hold: 55, sub: 1, payload: []byte("payload bytes")})
 	for i := 0; i < len(enc)*8; i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i/8] ^= 1 << (i % 8)
@@ -110,7 +120,8 @@ func TestRejectsOversizedFrame(t *testing.T) {
 
 // TestCodecRoundTrip: a data frame's payload crosses the wire byte for byte,
 // and the decoded frame owns a copy of it — the reader reuses its buffer
-// for the next frame while the receiver keeps the one it was handed.
+// for the next frame while the receiver keeps the one it was handed. A
+// handed-over *proto.Frame encodes to the same bytes as its WireFrame.
 func TestCodecRoundTrip(t *testing.T) {
 	f := &proto.Frame{
 		Eth: proto.Ethernet{Dst: proto.MACFromID(2), Src: proto.MACFromID(1)},
@@ -119,7 +130,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	f.Seal()
 	raw := proto.AppendFrame(nil, f)
-	p, err := encodePayload(proto.GetWireFrame(raw))
+	p, err := encodePayload(nil, proto.GetWireFrame(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +151,41 @@ func TestCodecRoundTrip(t *testing.T) {
 	if string(got.B) != string(raw) {
 		t.Fatal("codec round trip changed bytes, or reading the next frame overwrote them")
 	}
-	if _, err := encodePayload(f); err == nil {
-		t.Fatal("encoding a decoded *proto.Frame should fail")
+	if pf, err := encodePayload(nil, f); err != nil || string(pf) != string(raw) {
+		t.Fatalf("encoding a *proto.Frame: %v, bytes equal %v", err, string(pf) == string(raw))
 	}
-	if _, err := encodePayload(badMsg{}); err == nil {
+	if _, err := encodePayload(nil, badMsg{}); err == nil {
 		t.Fatal("encoding a non-frame message should fail")
 	}
 }
 
 type badMsg struct{}
+
+// TestForwardRefusesV4Peer: a peer still framing wire protocol v4 (no hold
+// field in the header) is refused with ErrHandshake naming its version,
+// not read as a corrupt frame and not allowed to exchange data.
+func TestForwardRefusesV4Peer(t *testing.T) {
+	local, peer := net.Pipe()
+	_, r := link.NewHalf("c", sim.Microsecond)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Forward(context.Background(), local, []*link.Remote{r})
+		done <- err
+	}()
+	// v4's hello: kind, channel, timestamp, sub-channel, checksum, payload.
+	p := binary.BigEndian.AppendUint32(nil, helloMagic)
+	p = append(p, 4)
+	p = binary.BigEndian.AppendUint16(p, 1)
+	body := []byte{kindHello, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	body = binary.BigEndian.AppendUint32(body, crc32.Update(crc32.Checksum(body, crcTable), crcTable, p))
+	body = append(body, p...)
+	v4 := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	v4 = binary.BigEndian.AppendUint32(v4, ^uint32(len(body)))
+	go io.Copy(io.Discard, peer) // net.Pipe is unbuffered: take our hello
+	go peer.Write(append(v4, body...))
+	err := <-done
+	peer.Close()
+	if !errors.Is(err, ErrHandshake) || !strings.Contains(err.Error(), "v4") {
+		t.Fatalf("v4 peer: got %v, want ErrHandshake naming v4", err)
+	}
+}

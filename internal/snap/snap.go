@@ -35,7 +35,7 @@ const (
 	// magic identifies a snap container ("SPSN" little-endian).
 	magic uint32 = 0x4e535053
 	// Version is the current container version.
-	Version uint16 = 5
+	Version uint16 = 6
 )
 
 // Encoder appends fixed-width little-endian primitives to a buffer.
