@@ -44,7 +44,11 @@ race:
 # one executor body, so they race-test together. Parallel
 # digest/wake/yield/profiling tests (nondeterminism and
 # data races among concurrent runners), the speculation digest/rollback/leap
-# properties and the remote-rejection contracts, checkpoints restoring
+# properties and the remote-rejection contracts, the one snapshot contract
+# (speculation, capture and resume refuse a non-Stateful build, and
+# speculation aux state, before any event runs; a snapshot or input log
+# that fails mid-run, like a runner's panic, fails the run with an error
+# errors.Is still matches, leaking no frame), checkpoints restoring
 # bit-identically across placements, with and without speculation, and at
 # every GOMAXPROCS level (with
 # restore cost independent of fabric size, a build whose sink walk

@@ -38,10 +38,6 @@ type App func(h core.Host)
 type Host struct {
 	// Apps run on the host at simulation start.
 	Apps []App
-	// Fidelity is the desired simulation detail for this host; the zero
-	// value defers to Choices.DefaultFidelity, and Choices.FidelityOverride
-	// wins over both.
-	Fidelity core.Fidelity
 	// Osc is a detailed host's clock oscillator (zero: a perfect clock).
 	Osc hostsim.Oscillator
 	// NIC configures a detailed host's NIC; nil picks nicsim.DefaultParams

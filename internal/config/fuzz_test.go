@@ -36,6 +36,7 @@ func (b *fuzzBytes) next() int {
 func decodeSystem(data []byte) (*config.System, config.Choices) {
 	b := fuzzBytes(data)
 	sys := &config.System{Topo: &netsim.Topology{}}
+	c := config.Choices{FidelityOverride: make(map[string]core.Fidelity)}
 	ns := b.next() % 4
 	for i := 0; i < ns; i++ {
 		sys.AddSwitch(fmt.Sprintf("sw%d", i))
@@ -49,7 +50,7 @@ func decodeSystem(data []byte) (*config.System, config.Choices) {
 		delay := sim.Time(b.next()%3) * sim.Microsecond
 		slot := sys.Topo.AddHost(name, ip, sw, rate, delay)
 		h := sys.Host(slot)
-		h.Fidelity = core.Fidelity(b.next() % 3)
+		c.FidelityOverride[name] = core.Fidelity(b.next() % 3)
 		dst := proto.HostIP(uint32(b.next() % 6))
 		h.Apps = append(h.Apps, func(h core.Host) {
 			h.BindUDP(7, func(src proto.IP, sport uint16, p []byte, _ int) {
@@ -63,7 +64,6 @@ func decodeSystem(data []byte) (*config.System, config.Choices) {
 		a, z := b.next()%(ns+2)-1, b.next()%(ns+2)-1
 		sys.Topo.AddLink(a, z, int64(b.next()%3)*sim.Gbps, sim.Time(b.next()%3)*sim.Microsecond)
 	}
-	var c config.Choices
 	if b.next()%2 == 1 {
 		c.Partition = make([]int, ns+b.next()%2)
 		for i := range c.Partition {

@@ -19,7 +19,7 @@ type Choices struct {
 	// Seed drives the network's randomness and the seeds of detailed hosts
 	// that declare none.
 	Seed uint64
-	// DefaultFidelity applies to hosts whose Fidelity is ProtocolLevel.
+	// DefaultFidelity applies to every host FidelityOverride does not name.
 	DefaultFidelity core.Fidelity
 	// FidelityOverride forces a fidelity per host name (optional).
 	FidelityOverride map[string]core.Fidelity
@@ -47,12 +47,9 @@ type Instance struct {
 }
 
 // fidelityOf resolves a host's effective fidelity under the choices.
-func (c Choices) fidelityOf(name string, h *Host) core.Fidelity {
+func (c Choices) fidelityOf(name string) core.Fidelity {
 	if f, ok := c.FidelityOverride[name]; ok {
 		return f
-	}
-	if h != nil && h.Fidelity != core.ProtocolLevel {
-		return h.Fidelity
 	}
 	return c.DefaultFidelity
 }
@@ -71,7 +68,7 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 	topo.Hosts = slices.Clone(topo.Hosts)
 	for slot := range topo.Hosts {
 		th := &topo.Hosts[slot]
-		th.External = c.fidelityOf(th.Name, s.Hosts[slot]) != core.ProtocolLevel
+		th.External = c.fidelityOf(th.Name) != core.ProtocolLevel
 		if th.External && th.Lazy {
 			return nil, fmt.Errorf("%w: lazy host slot %q cannot be detailed", ErrBadChoice, th.Name)
 		}
@@ -127,7 +124,7 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 		if h.NIC != nil {
 			np = *h.NIC
 		}
-		dh := instantiate.NewDetailedHost(th.Name, th.IP, hostParams(c.fidelityOf(th.Name, h)), np, seeds[slot])
+		dh := instantiate.NewDetailedHost(th.Name, th.IP, hostParams(c.fidelityOf(th.Name)), np, seeds[slot])
 		dh.Host.Clock.Osc = h.Osc
 		for _, app := range h.Apps {
 			dh.Host.AddApp(hostsim.AppFunc(func(hh *hostsim.Host) { app(hh) }))

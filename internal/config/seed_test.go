@@ -17,8 +17,11 @@ func TestDetailedHostSeeds(t *testing.T) {
 	for _, c := range []Choices{{Seed: 0}, {Seed: 7}, {Seed: 42 ^ 3}} {
 		sys := &System{}
 		sys.AddSwitch("sw")
+		c.FidelityOverride = make(map[string]core.Fidelity)
 		for i := 0; i < 4; i++ {
-			sys.AddHost(fmt.Sprintf("h%d", i), "sw", sim.Gbps, sim.Microsecond).Fidelity = core.Coarse
+			name := fmt.Sprintf("h%d", i)
+			sys.AddHost(name, "sw", sim.Gbps, sim.Microsecond)
+			c.FidelityOverride[name] = core.Coarse
 		}
 		sys.Host(0).SetSeed(0)
 		sys.Host(1).SetSeed(42) // slot 2 derives 42 under Seed 42^3

@@ -112,6 +112,8 @@ type clockSyncCase struct {
 	// ptp lists the PTP slaves by host name; each needs its host's NIC,
 	// which exists once the system is instantiated.
 	ptp map[string]*clocksync.PTPSlave
+	// detailed names the hosts instantiated as qemu-class machines.
+	detailed []string
 }
 
 // onHost adapts an app that needs the detailed host's clock and NIC.
@@ -138,7 +140,8 @@ func clockSyncSystem(mode ClockSyncMode, opts Options, warm sim.Time) *clockSync
 		topo.Hosts[slot].Name = name
 		seed := opts.Seed + uint64(k)
 		h := cs.sys.Host(slot).SetSeed(seed)
-		h.Fidelity, h.Apps = core.Coarse, apps
+		h.Apps = apps
+		cs.detailed = append(cs.detailed, name)
 		if drift != 0 {
 			np := nicsim.DefaultParams()
 			np.PHCDriftPPM = drift + 5
@@ -217,7 +220,7 @@ func runClockSync(mode ClockSyncMode, opts Options) ClockSyncRow {
 	dur := opts.Dur(20*sim.Second, 2*sim.Second)
 	warm := dur / 4
 	cs := clockSyncSystem(mode, opts, warm)
-	inst := mustInstantiate(cs.sys, config.Choices{Seed: opts.Seed})
+	inst := mustInstantiate(cs.sys, config.Choices{Seed: opts.Seed, FidelityOverride: atFidelity(core.Coarse, cs.detailed...)})
 	for name, slave := range cs.ptp {
 		slave.NIC = inst.Detailed[name].NIC
 	}

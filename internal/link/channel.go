@@ -265,7 +265,7 @@ func (e *Endpoint) handle(m Message) {
 		panic(fmt.Sprintf("link: %s data for %v below committed horizon %v", e.label, at, r.committed))
 	}
 	if st.snapValid {
-		e.logInput(m) // may fall back to the snapshot and give it up
+		e.logInput(m)
 	}
 	if st.snapValid && (st.rollbackPending || at <= r.sched.MaxExec()) {
 		// Straggler (or riding one already detected this drain): state will

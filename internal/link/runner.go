@@ -401,7 +401,8 @@ func (g *Group) Add(rs ...*Runner) { g.Runners = append(g.Runners, rs...) }
 // scheduler's — so a blocked runner's yield (pipe.recv) is a cheap
 // goroutine switch that lets a peer sharing its P publish, not an OS-thread
 // hand-off. A panic in any runner is captured and returned as an error
-// after the remaining runners are unblocked by their peers' closed pipes.
+// after the remaining runners are unblocked by their peers' closed pipes; a
+// panic value that is an error stays matchable with errors.Is.
 func (g *Group) Run(end sim.Time) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(g.Runners))
@@ -411,7 +412,11 @@ func (g *Group) Run(end sim.Time) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("runner %s: %v", r.name, p)
+					if err, ok := p.(error); ok {
+						errs[i] = fmt.Errorf("runner %s: %w", r.name, err)
+					} else {
+						errs[i] = fmt.Errorf("runner %s: %v", r.name, p)
+					}
 					// Unblock peers waiting on us.
 					for _, e := range r.eps {
 						func() {

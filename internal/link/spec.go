@@ -61,12 +61,9 @@ type SpecControl struct {
 	// core.Stateful, scheduler mark + pending events) into recycled buffers;
 	// Restore rebuilds exactly that state. Both are orchestrator closures —
 	// the fabric only decides when to call them. nil when MaxWindows is 0.
+	// A Snapshot error ends the run with that error (see specSnapshot).
 	Snapshot func() error
 	Restore  func() error
-	// Reason, when non-empty, marks the group conservative by construction
-	// (a member component is not core.Stateful, aux state is attached, ...):
-	// MaxWindows is forced to 0 and the reason surfaces in reports.
-	Reason string
 }
 
 const (
@@ -97,10 +94,6 @@ type specState struct {
 
 	snapValid bool
 	snapDone  uint64 // Processed() at the snapshot
-
-	// demoteReason, once non-empty, pins the runner conservative for good
-	// (SpecControl.Reason, snapshot or input-log failure).
-	demoteReason string
 
 	rollbackPending bool
 	cleanStreak     int
@@ -171,10 +164,6 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 	st := &r.spec
 	st.ctl = ctl
 	st.k = ctl.MaxWindows
-	if ctl.Reason != "" {
-		st.k = 0
-		st.demoteReason = ctl.Reason
-	}
 	st.withhold = st.k > 0
 	st.minInLat = sim.Infinity
 	for _, e := range r.eps {
@@ -186,10 +175,10 @@ func (r *Runner) SetSpec(ctl *SpecControl) {
 // pooled payloads can re-mint from its pool at replay.
 func (e *Endpoint) SetSpecOwner(sub uint16, owner core.Component) { e.sub(sub).owner = owner }
 
-// SpecStats returns the runner's speculation counters, the reason it runs
-// conservatively ("" when speculative), and whether SetSpec armed it.
-func (r *Runner) SpecStats() (SpecCounters, string, bool) {
-	return r.spec.counters, r.spec.demoteReason, r.spec.ctl != nil
+// SpecStats returns the runner's speculation counters and whether SetSpec
+// armed it.
+func (r *Runner) SpecStats() (SpecCounters, bool) {
+	return r.spec.counters, r.spec.ctl != nil
 }
 
 // SpecDomain is the set of runners sharing a GVT: all groups of one
@@ -357,9 +346,9 @@ func (r *Runner) specDirty() bool {
 // specSnapshot refreshes the committed restore point. Callers guarantee a
 // quiet scheduler (MaxExec < committed: nothing speculative has executed);
 // the speculative clock advance, if any, is rewound so the capture sits
-// exactly at the committed horizon. Failure (closure events in the queue, an
-// unregistered payload codec) demotes the runner to conservative execution
-// instead of failing the run.
+// exactly at the committed horizon. A failed snapshot (a closure event in
+// the queue, a payload without a codec or pool owner) ends the run with its
+// error: Group.Run returns it, so callers can match it with errors.Is.
 func (r *Runner) specSnapshot() {
 	st := &r.spec
 	for _, e := range r.eps {
@@ -369,8 +358,7 @@ func (r *Runner) specSnapshot() {
 	}
 	r.sched.Rewind(r.committed)
 	if err := st.ctl.Snapshot(); err != nil {
-		r.specDemote("snapshot failed: " + err.Error())
-		return
+		panic(fmt.Errorf("speculative snapshot at %v: %w", r.committed, err))
 	}
 	st.snapValid = true
 	st.snapDone = r.sched.Processed()
@@ -386,24 +374,11 @@ func (r *Runner) specSnapshot() {
 	st.counters.Snapshots++
 }
 
-// specDemote permanently disables speculation for the runner, recording why.
-// Only legal at points where no uncommitted execution is live (initial
-// snapshot, quiet-point refresh, or immediately after a rollback), which
-// every call site guarantees.
-func (r *Runner) specDemote(reason string) {
-	st := &r.spec
-	if st.demoteReason == "" {
-		st.demoteReason = reason
-	}
-	st.k = 0
-	r.specDisarm()
-}
-
 // specDisarm drops the rollback apparatus after speculation stops (adaptive
-// K reaching 0, or demotion): no rollback can be needed once execution stays
-// below committed, so the logs only waste memory. Withheld staging and the
-// dedup window (dropLeft/pubLog) stay live — in-flight replay dedup must
-// still complete.
+// K reaching 0, or the end of the run): no rollback can be needed once
+// execution stays below committed, so the logs only waste memory. Withheld
+// staging and the dedup window (dropLeft/pubLog) stay live — in-flight
+// replay dedup must still complete.
 func (r *Runner) specDisarm() {
 	r.spec.snapValid = false
 	for _, e := range r.eps {
@@ -416,7 +391,7 @@ func (r *Runner) specDisarm() {
 // them in a row, an adaptively lowered K earns one doubling back.
 func (r *Runner) specCommitTick() {
 	st := &r.spec
-	if st.ctl == nil || st.demoteReason != "" || st.k >= st.ctl.MaxWindows {
+	if st.ctl == nil || st.k >= st.ctl.MaxWindows {
 		return
 	}
 	st.cleanStreak++
@@ -487,11 +462,9 @@ func (r *Runner) specRollback() {
 
 // logInput appends one incoming data message to the endpoint's replay log;
 // only called while the runner holds a valid snapshot. The delivery consumes
-// a pooled payload, so the log takes a deep copy of it. If the payload has
-// no codec (or no pool owner to re-mint from), speculation cannot continue
-// safely: fall back to the committed snapshot now — the log up to here
-// replays — and run conservatively from it, leaving this message to be
-// delivered on committed state where it never needs replaying.
+// a pooled payload, so the log takes a deep copy of it. A pooled payload
+// with no codec, or no pool owner to re-mint it from, could not replay: the
+// message is released and the run ends with the error.
 func (e *Endpoint) logInput(m Message) {
 	sp := &e.spec
 	if _, pooled := m.Payload.(core.Releaser); !pooled {
@@ -506,9 +479,8 @@ func (e *Endpoint) logInput(m Message) {
 		err = core.EncodePayload(&sp.logBuf, m.Payload)
 	}
 	if err != nil {
-		e.runner.specRollback()
-		e.runner.specDemote("input not loggable: " + err.Error())
-		return
+		core.ReleaseMessage(m.Payload)
+		panic(fmt.Errorf("%s: input at %v not loggable: %w", e.label, m.T, err))
 	}
 	sp.log = append(sp.log, specIn{T: m.T, Hold: m.Hold, Sub: m.Sub,
 		off: int32(off), n: int32(sp.logBuf.Len() - off), enc: true})

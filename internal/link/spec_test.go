@@ -1,8 +1,10 @@
 package link
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -80,7 +82,7 @@ type loopSnap struct {
 
 func (s *loopSnap) snapshot() (err error) {
 	s.ticks, s.sent, s.got, s.traceLen = s.n.ticks, s.n.sent, s.n.got, len(s.n.trace)
-	s.evs, err = s.sched.ExportPendingInto(s.evs)
+	s.evs, err = s.sched.ExportPending(s.evs)
 	s.mark = s.sched.CaptureMark()
 	return err
 }
@@ -143,9 +145,9 @@ func runLoopChain(t *testing.T, nNodes int, cfg loopConfig, end sim.Time) ([][]s
 	for i, r := range g.Runners {
 		traces[i] = nodes[i].trace
 		events += r.Scheduler().Processed()
-		c, reason, active := r.SpecStats()
-		if active != cfg.domain || reason != "" {
-			t.Fatalf("%s: runner %s SpecStats active=%v reason=%q", cfg.name, r.Name(), active, reason)
+		c, active := r.SpecStats()
+		if active != cfg.domain {
+			t.Fatalf("%s: runner %s SpecStats active=%v", cfg.name, r.Name(), active)
 		}
 		spec.Snapshots += c.Snapshots
 		spec.Rollbacks += c.Rollbacks
@@ -202,5 +204,62 @@ func TestOptimisticLoopModesAgree(t *testing.T) {
 				t.Errorf("%s: %d GVT leaps", tag, spec.Leaps)
 			}
 		}
+	}
+}
+
+// pooledMsg is a pooled payload (a core.Releaser) with no codec; it counts
+// its releases.
+type pooledMsg struct{ released *int }
+
+func (m pooledMsg) Release() { *m.released++ }
+
+// pooledSender sends one pooledMsg at time zero and accepts anything sent
+// back.
+type pooledSender struct {
+	env      core.Env
+	port     core.Port
+	released *int
+}
+
+func (p *pooledSender) Name() string                   { return "sender" }
+func (p *pooledSender) Attach(env core.Env)            { p.env = env }
+func (p *pooledSender) Deliver(sim.Time, core.Message) {}
+func (p *pooledSender) Start(sim.Time) {
+	p.env.At(0, func() { p.port.Send(pooledMsg{p.released}, 0) })
+}
+
+// TestOptimisticUnloggableInputFails: a speculating runner logs every input
+// for replay, and a pooled payload arriving on a sub-channel with no pool
+// owner could not be re-minted at replay. The run ends with
+// core.ErrUnknownSink, matchable through Group.Run's error, which names the
+// failing runner once, and the unlogged payload is released.
+func TestOptimisticUnloggableInputFails(t *testing.T) {
+	var released int
+	ra, rb := NewRunner("a", sim.NewScheduler(1)), NewRunner("b", sim.NewScheduler(2))
+	ch := NewChannel("ab", 500*sim.Nanosecond)
+	ra.Attach(ch.SideA())
+	rb.Attach(ch.SideB())
+	snd := &pooledSender{port: ch.SideA(), released: &released}
+	rcv := &loopNode{name: "rcv", interval: 100 * sim.Nanosecond, ports: []core.Port{ch.SideB()}}
+	ch.SideA().SetSink(0, 100, snd)
+	ch.SideB().SetSink(0, 101, rcv.sink(0))
+	ra.AddComponent(snd, 10)
+	rb.AddComponent(rcv, 11)
+	ra.SetSpec(&SpecControl{})
+	ls := &loopSnap{n: rcv, sched: rb.Scheduler()}
+	rb.SetSpec(&SpecControl{MaxWindows: 8, Snapshot: ls.snapshot, Restore: ls.rollback})
+	g := &Group{}
+	g.Add(ra, rb)
+	NewSpecDomain(g.Runners)
+
+	err := g.Run(10 * sim.Microsecond)
+	if !errors.Is(err, core.ErrUnknownSink) {
+		t.Fatalf("err = %v, want ErrUnknownSink", err)
+	}
+	if n := strings.Count(err.Error(), "runner b"); n != 1 {
+		t.Errorf("error %q names the runner %d times, want once", err, n)
+	}
+	if released != 1 {
+		t.Errorf("unlogged payload released %d times, want 1", released)
 	}
 }

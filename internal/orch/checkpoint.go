@@ -35,8 +35,10 @@ import (
 // bit-identical no matter which placement or mode produced them, and the
 // restored run is bit-identical to the uninterrupted one.
 //
-// Not captured: remote (cross-process) connections, dynamically created TCP
-// flows, and pending closure events — each surfaces a typed error at capture.
+// Not captured: remote (cross-process) connections and components that are
+// not core.Stateful, both refused before the run starts (ExecutionPlan.run),
+// and dynamically created TCP flows and pending closure events, each a
+// typed error at capture.
 
 // Checkpoint is a restorable snapshot of a simulation at time At.
 type Checkpoint struct {
@@ -95,24 +97,17 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 // order, then both ends of every channel in registration order. The
 // order is independent of placement, which keeps checkpoint bytes
 // placement-invariant. Every visited sink takes the next position, nil and
-// func-typed ones included. A component that is not core.Stateful
-// contributes no sinks and is reported as the error once the walk is done.
-func (s *Simulation) walkSinks(fn func(sk core.Sink, owner core.Component)) error {
-	var err error
+// func-typed ones included. Only runs that pass ExecutionPlan.run's
+// snapshot contract walk, so every component is core.Stateful.
+func (s *Simulation) walkSinks(fn func(sk core.Sink, owner core.Component)) {
 	for _, c := range s.comps {
-		if st, ok := c.(core.Stateful); ok {
-			st.WalkSinks(func(sk core.Sink) { fn(sk, c) })
-		} else if err == nil {
-			err = fmt.Errorf("%w: component %q does not implement core.Stateful",
-				core.ErrNotCheckpointable, c.Name())
-		}
+		c.(core.Stateful).WalkSinks(func(sk core.Sink) { fn(sk, c) })
 	}
 	for _, c := range s.chans {
 		for x, comp := range c.comp {
 			fn(c.sink[x], comp)
 		}
 	}
-	return err
 }
 
 // sinkRef is one sink of the walk: the sink, its position (in a
@@ -143,32 +138,27 @@ func (x sinkIndex) lookup(sk core.Sink) (ref sinkRef, ok bool) {
 	return ref, ok
 }
 
-// sinkIndex indexes the walk and returns it with the walk's length. On error
-// (a component that is not core.Stateful) the index is still returned,
-// complete for every sink the walk reached.
-func (s *Simulation) sinkIndex() (sinkIndex, uint32, error) {
+// sinkIndex indexes the walk and returns it with the walk's length.
+func (s *Simulation) sinkIndex() (sinkIndex, uint32) {
 	x := make(sinkIndex)
 	var n uint32
-	err := s.walkSinks(func(sk core.Sink, owner core.Component) {
+	s.walkSinks(func(sk core.Sink, owner core.Component) {
 		if _, seen := x.lookup(sk); !seen && sinkComparable(sk) {
 			x[sk] = sinkRef{sink: sk, ord: n, owner: owner}
 		}
 		n++
 	})
-	return x, n, err
+	return x, n
 }
 
 // capture serializes the quiesced simulation at time at. scheds holds every
 // scheduler of the finished run, one per group.
 func (s *Simulation) capture(scheds []*sim.Scheduler, at sim.Time) (*Checkpoint, error) {
-	sinks, nsinks, err := s.sinkIndex()
-	if err != nil {
-		return nil, err
-	}
+	sinks, nsinks := s.sinkIndex()
 	var events []sim.PendingEvent
 	var base uint64
 	for _, sc := range scheds {
-		evs, err := sc.ExportPending()
+		evs, err := sc.ExportPending(nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", core.ErrNotCheckpointable, err)
 		}
@@ -320,9 +310,7 @@ func (s *Simulation) restoreInto(ck *Checkpoint, pl *ExecutionPlan, scheds []*si
 	// another length fails here, before any state or event lands. The
 	// counting walk sizes the one list that resolves positions.
 	var walked uint32
-	if err := s.walkSinks(func(core.Sink, core.Component) { walked++ }); err != nil {
-		return err
-	}
+	s.walkSinks(func(core.Sink, core.Component) { walked++ })
 	if walked != nsinks {
 		return fmt.Errorf("%w: snapshot has %d sinks, build has %d",
 			core.ErrNotCheckpointable, nsinks, walked)

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -71,22 +72,27 @@ func ckptDigest(t *testing.T, built *netsim.Built, eng *workload.Engine) uint64 
 	return h.Sum64()
 }
 
-// ckptModes are the multi-group executions both checkpoint properties sweep:
-// resuming and capturing must be indifferent to how the groups synchronize,
-// speculation included.
-var ckptModes = []ckptMode{{"parallel", false}, {"optimistic", true}}
+// ckptModes are the multi-group executions the checkpoint properties sweep
+// over the aux-state fabric: resuming and capturing must be indifferent to
+// how the groups synchronize, GVT leaping included. Aux state cannot roll
+// back, so that fabric may not speculate; specModes adds speculation for
+// the memsim fixtures, which carry none.
+var (
+	ckptModes = []ckptMode{{"parallel", -1}, {"leap", 0}}
+	specModes = []ckptMode{{"parallel", -1}, {"leap", 0}, {"optimistic", orch.DefaultSpecWindows}}
+)
 
 type ckptMode struct {
 	name string
-	spec bool // speculate at DefaultSpecWindows
+	k    int // speculation ceiling; -1 runs Execute
 }
 
-// execute runs the plan of p under o in mode m; the report is nil unless m
-// speculates.
+// execute runs the plan of p under o in mode m; the report is nil for
+// Execute.
 func (m ckptMode) execute(tb testing.TB, s *orch.Simulation, p decomp.Placement, end sim.Time,
 	o orch.RunOptions) (*orch.RunResult, *orch.SpecReport, uint64) {
-	if m.spec {
-		return speculate(tb, s, p, end, o, orch.DefaultSpecWindows)
+	if m.k >= 0 {
+		return speculate(tb, s, p, end, o, m.k)
 	}
 	res, events := execute(tb, s, p, end, o)
 	return res, nil, events
@@ -96,7 +102,7 @@ func (m ckptMode) execute(tb testing.TB, s *orch.Simulation, p decomp.Placement,
 // checkpoint at the halfway horizon, restore into a fresh build, run to the
 // end — the final state digest, the total event count, and the leaked-frame
 // count (zero) all match an uninterrupted run exactly. The resumed half
-// runs sequentially, in parallel, and optimistically, across
+// runs sequentially, in parallel, and leap-only (K = 0), across
 // GOMAXPROCS {1, 2, 4, NumCPU}.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const (
@@ -364,7 +370,7 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 	// bundle.
 	n := cs.NumComponents()
 	for _, p := range []decomp.Placement{decomp.PerComponent(n), blocked(n)} {
-		for _, m := range ckptModes {
+		for _, m := range specModes {
 			cp, _, _ := buildMemSplit()
 			res, spec, _ := m.execute(t, cp, p, half, orch.RunOptions{Capture: true})
 			if !bytes.Equal(res.Checkpoint.Data, ck.Data) {
@@ -379,7 +385,7 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 			if got := ck.BaseEvents + events; got != refEvents {
 				t.Fatalf("memsim %s %s events %d+%d != %d", p.Name, m.name, ck.BaseEvents, events, refEvents)
 			}
-			if m.spec && spec.Totals().Snapshots == 0 {
+			if m.k > 0 && spec.Totals().Snapshots == 0 {
 				t.Errorf("memsim %s optimistic capture never snapshotted: speculation did not engage", p.Name)
 			}
 		}
@@ -397,7 +403,7 @@ func TestCheckpointProfiledRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckpointSequential: %v", err)
 	}
-	for _, m := range ckptModes {
+	for _, m := range specModes {
 		s, _, _ := buildMemSplit()
 		col := profiler.NewCollector()
 		s.PreRun = func(g *link.Group) { col.Attach(g, half/16) }
@@ -695,5 +701,42 @@ func TestCheckpointRejectsImplicitState(t *testing.T) {
 
 	if _, err := s.CheckpointSequential(sim.Millisecond); !errors.Is(err, core.ErrNotCheckpointable) {
 		t.Fatalf("detailed-host checkpoint: err = %v, want ErrNotCheckpointable", err)
+	}
+}
+
+// TestCheckpointRefusedBeforeRun: Capture on a build with a component that
+// is not core.Stateful (the detailed host) fails with
+// core.ErrNotCheckpointable naming the group and the component before any
+// event runs, under one group and under one per component, not after the
+// whole warm-up.
+func TestCheckpointRefusedBeforeRun(t *testing.T) {
+	for _, per := range []bool{false, true} {
+		n := netsim.New("net", 1)
+		sw := n.AddSwitch("sw")
+		ip := proto.HostIP(5)
+		ext := n.AddExternal(sw, "h", 10*sim.Gbps, ip)
+		n.ComputeRoutes()
+		s := orch.New()
+		s.Add(n)
+		dh := instantiate.NewDetailedHost("h", ip, hostsim.QemuParams(), nicsim.DefaultParams(), 3)
+		dh.Wire(s, n, ext)
+		p := decomp.SingleGroup(s.NumComponents())
+		if per {
+			p = decomp.PerComponent(s.NumComponents())
+		}
+		pl, err := s.Plan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Execute(sim.Millisecond, orch.RunOptions{Capture: true})
+		if !errors.Is(err, core.ErrNotCheckpointable) || !strings.Contains(err.Error(), "group ") {
+			t.Fatalf("%s: err = %v, want ErrNotCheckpointable naming a group", p.Name, err)
+		}
+		if events := processed(res); events != 0 || s.Group != nil {
+			t.Fatalf("%s: refused capture processed %d events", p.Name, events)
+		}
+		if live := s.LiveFrames(); live != 0 {
+			t.Fatalf("%s: %d pooled frames leaked", p.Name, live)
+		}
 	}
 }

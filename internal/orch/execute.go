@@ -61,9 +61,20 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 }
 
 // run is the one executor body; k is the speculation ceiling (noSpec: run
-// conservatively, k >= 0: speculate, see optimistic.go). The phases, in
-// order:
+// conservatively, k >= 0: speculate, see optimistic.go). The depth adapts at
+// run time — a rollback halves a group's working depth, clean commits earn
+// it back — so k bounds it rather than fixing it; k = 0 never speculates,
+// but the groups still join one leap domain for its GVT leaping. The
+// phases, in order:
 //
+//  0. check the plan before any runner exists. Remote channels are
+//     synchronized only conservatively, so speculation, Capture and Resume
+//     refuse them. Speculation (k > 0), Capture and Resume share one
+//     snapshot contract: every component is core.Stateful, so the sink walk
+//     visits them all, and a speculative run has no aux state, which is
+//     simulation-global and cannot roll back with one group. A plan that
+//     breaks it fails with core.ErrNotCheckpointable naming the group and
+//     component;
 //  1. build one scheduler and runner per group (clock at Resume.At when
 //     resuming);
 //  2. wire every channel — direct ports intra-group, synchronized channels
@@ -89,8 +100,24 @@ func (pl *ExecutionPlan) Execute(end sim.Time, o RunOptions) (*RunResult, error)
 func (pl *ExecutionPlan) run(end sim.Time, o RunOptions, k int) (*RunResult, *SpecReport, error) {
 	s := pl.s
 	res := &RunResult{}
-	if s.remoteChannels() > 0 && (o.Resume != nil || o.Capture) {
+	if n := s.remoteChannels(); n > 0 && k >= 0 {
+		return res, nil, fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
+	} else if n > 0 && (o.Resume != nil || o.Capture) {
 		return res, nil, fmt.Errorf("%w: remote connections", core.ErrNotCheckpointable)
+	}
+	if k > 0 || o.Resume != nil || o.Capture {
+		if k > 0 && len(s.auxs) > 0 {
+			return res, nil, fmt.Errorf("%w: aux state %q cannot roll back with one group",
+				core.ErrNotCheckpointable, s.auxs[0].name)
+		}
+		for gi, members := range pl.groupComps {
+			for _, ci := range members {
+				if _, ok := s.comps[ci].(core.Stateful); !ok {
+					return res, nil, fmt.Errorf("%w: group %s: component %q does not implement core.Stateful",
+						core.ErrNotCheckpointable, pl.GroupNames[gi], pl.Comps[ci].Name)
+				}
+			}
+		}
 	}
 
 	g := &link.Group{}
@@ -242,7 +269,14 @@ func (pl *ExecutionPlan) RunParallel(end sim.Time) error {
 // RunOptimistic executes the plan optimistically from time zero at the
 // default speculation ceiling, DefaultSpecWindows, and reports what
 // speculation did. The run is bit-identical to Execute's.
+//
+// Every component must be core.Stateful and no aux state may be attached:
+// a plan that breaks the snapshot contract fails with
+// core.ErrNotCheckpointable before any event runs, and a plan with remote
+// channels with ErrRemoteUnsupported. A group snapshot or an input log
+// that fails mid-run (a closure event pending, a payload without a codec or
+// pool owner) ends the run with its error.
 func (pl *ExecutionPlan) RunOptimistic(end sim.Time) (*SpecReport, error) {
-	_, spec, err := pl.speculate(end, RunOptions{}, DefaultSpecWindows)
+	_, spec, err := pl.run(end, RunOptions{}, DefaultSpecWindows)
 	return spec, err
 }

@@ -24,30 +24,18 @@ import (
 // The fabric half (the speculation steps of the runner loop, straggler
 // detection, input-log replay, GVT leaping) lives in link/spec.go. This file
 // is the orchestrator half, the executor's speculation-install phase:
-// deciding which groups may speculate, building the snapshot/restore
-// closures over the group's components and scheduler, wiring replay pool
-// owners, and reporting what speculation did.
-
-// speculate executes the plan optimistically with speculation ceiling k
-// (k = 0 never speculates; groups still join the leap domain for its GVT
-// leaping). The depth adapts at runtime — a rollback halves a group's
-// working depth, clean commits earn it back — so k bounds it rather than
-// fixing it. Remote channels are synchronized only conservatively, so a
-// plan with any is rejected.
-func (pl *ExecutionPlan) speculate(end sim.Time, o RunOptions, k int) (*RunResult, *SpecReport, error) {
-	if n := pl.s.remoteChannels(); n > 0 {
-		return &RunResult{}, nil, fmt.Errorf("%w: plan has %d remote connection(s)", ErrRemoteUnsupported, n)
-	}
-	return pl.run(end, o, k)
-}
+// building the snapshot/restore closures over each group's components and
+// scheduler, wiring replay pool owners, and reporting what speculation did.
+// Which plans may speculate is the snapshot contract ExecutionPlan.run
+// checks before any event runs; a snapshot or input log that fails at run
+// time ends the run with its error.
 
 // GroupSpec is one group's speculation outcome.
 type GroupSpec struct {
 	Group string
-	// Conservative is the reason this group ran without speculation
-	// ("" when it speculated): a build-time ineligibility (non-Stateful
-	// component, aux state) or a runtime demotion (unsnapshottable queue,
-	// unloggable input).
+	// Conservative is always empty: a group either speculates or its run
+	// fails. The field stays only because the end-to-end benchmark reads
+	// it, and goes with the benchmark epoch (ROADMAP item 1).
 	Conservative string
 	Counters     link.SpecCounters
 }
@@ -107,8 +95,7 @@ type groupSnap struct {
 
 // snapshot captures the group at its committed horizon. An error (a closure
 // event in the queue, a payload with no codec, a pooled delivery whose sink
-// has no known owner) demotes the group to conservative execution — the
-// fabric treats it as "cannot speculate", never as a failed run.
+// has no known owner) ends the run with that error.
 func (gs *groupSnap) snapshot() error {
 	gs.state.Reset()
 	gs.offs = gs.offs[:0]
@@ -118,7 +105,7 @@ func (gs *groupSnap) snapshot() error {
 		}
 		gs.offs = append(gs.offs, gs.state.Len())
 	}
-	evs, err := gs.sched.ExportPendingInto(gs.evs)
+	evs, err := gs.sched.ExportPending(gs.evs)
 	gs.evs = evs
 	if err != nil {
 		return err
@@ -192,40 +179,19 @@ func (gs *groupSnap) restore() error {
 	return gs.sched.RestorePending(gs.work)
 }
 
-// specReason decides build-time eligibility for group gi: "" when every
-// member can snapshot, otherwise the reason the group must stay
-// conservative. Runtime conditions (a closure event pending at snapshot
-// time, payloads without codecs) are left to the fabric's demotion path.
-func (pl *ExecutionPlan) specReason(gi int) string {
-	if len(pl.s.auxs) > 0 {
-		// Aux state (workload engines, reservoirs) is simulation-global and
-		// mutated from component event handlers; it cannot roll back with a
-		// single group, so no group may speculate past state it touches.
-		return "aux state " + pl.s.auxs[0].name + " attached"
-	}
-	for _, ci := range pl.groupComps[gi] {
-		if _, ok := pl.s.comps[ci].(core.Stateful); !ok {
-			return "component " + pl.Comps[ci].Name + " is not checkpointable"
-		}
-	}
-	return ""
-}
-
 // installSpec arms every runner's loop for optimistic execution with
-// speculation ceiling k and joins them into one leap domain. Groups that
-// cannot speculate run at depth 0 (GVT leaping only) and are reported with
-// their reason — a plan with no eligible group still runs, it just never
-// speculates. Call after wire.
+// speculation ceiling k and joins them into one leap domain; at k = 0 the
+// groups only leap. At k > 0 run has already checked that every group can
+// snapshot. Call after wire.
 func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Runner, k int) {
 	s := pl.s
-	// A sink the walk could not reach only demotes the group whose snapshot
-	// meets a pooled delivery to it, so the walk's error is not the run's.
-	sinks, _, _ := s.sinkIndex()
+	var sinks sinkIndex
+	if k > 0 {
+		sinks, _ = s.sinkIndex()
+	}
 	for gi := range runners {
 		ctl := &link.SpecControl{MaxWindows: k}
-		if reason := pl.specReason(gi); reason != "" {
-			ctl.Reason = reason
-		} else if k > 0 {
+		if k > 0 {
 			gs := &groupSnap{sched: scheds[gi], sinks: sinks}
 			for _, ci := range pl.groupComps[gi] {
 				gs.comps = append(gs.comps, s.comps[ci].(core.Stateful))
@@ -256,8 +222,8 @@ func (pl *ExecutionPlan) installSpec(scheds []*sim.Scheduler, runners []*link.Ru
 func (pl *ExecutionPlan) specReport(runners []*link.Runner) *SpecReport {
 	rep := &SpecReport{Groups: make([]GroupSpec, len(runners))}
 	for gi, r := range runners {
-		counters, reason, _ := r.SpecStats()
-		rep.Groups[gi] = GroupSpec{Group: pl.GroupNames[gi], Conservative: reason, Counters: counters}
+		counters, _ := r.SpecStats()
+		rep.Groups[gi] = GroupSpec{Group: pl.GroupNames[gi], Counters: counters}
 	}
 	return rep
 }

@@ -315,12 +315,6 @@ func TestOptimisticSpeculates(t *testing.T) {
 			if h != refH {
 				t.Fatalf("seed%d %s: digest diverged under deep speculation", seed, p.Name)
 			}
-			for _, g := range rep.Groups {
-				if g.Conservative != "" && len(p.Groups) > 1 {
-					t.Fatalf("seed%d %s: eligible group %s ran conservative: %s",
-						seed, p.Name, g.Group, g.Conservative)
-				}
-			}
 			tt := rep.Totals()
 			snaps += tt.Snapshots
 			rolls += tt.Rollbacks
@@ -335,46 +329,31 @@ func TestOptimisticSpeculates(t *testing.T) {
 	}
 }
 
-// TestOptimisticNonStatefulConservative: a graph of closure-timer chatter
-// components (not core.Stateful) must run — bit-identically — with every
-// group demoted to conservative execution under a typed reason, never fail.
-func TestOptimisticNonStatefulConservative(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
-	const (
-		seed   = uint64(3)
-		nComps = 6
-		end    = 2 * sim.Millisecond
-	)
-	refTraces, refEvents := runPlaced(t, buildRandom, seed, nComps, end, nil)
-
-	s, comps := buildRandom(seed, nComps)
+// TestOptimisticNonStatefulRefused: a graph of closure-timer chatter
+// components (not core.Stateful) cannot snapshot, so RunOptimistic refuses
+// it with core.ErrNotCheckpointable naming a group and component, before
+// any runner is built or any event runs.
+func TestOptimisticNonStatefulRefused(t *testing.T) {
+	const nComps = 6
+	s, comps := buildRandom(3, nComps)
 	pl, err := s.Plan(decomp.PerComponent(nComps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimistic(end)
-	if err != nil {
-		t.Fatal(err)
+	_, err = pl.RunOptimistic(2 * sim.Millisecond)
+	if !errors.Is(err, core.ErrNotCheckpointable) || !strings.Contains(err.Error(), `component "c0"`) {
+		t.Fatalf("err = %v, want ErrNotCheckpointable naming component c0", err)
 	}
-	for _, g := range rep.Groups {
-		if !strings.Contains(g.Conservative, "not checkpointable") {
-			t.Errorf("group %s: reason %q, want a not-checkpointable demotion", g.Group, g.Conservative)
+	if s.Group != nil {
+		t.Fatal("refused run built its runners")
+	}
+	for _, c := range comps {
+		if c.seq != 0 || len(c.trace) != 0 {
+			t.Fatalf("component %s sent %d and received %d messages in a refused run", c.name, c.seq, len(c.trace))
 		}
-		if g.Counters.Snapshots != 0 || g.Counters.Rollbacks != 0 {
-			t.Errorf("group %s: conservative group took snapshots/rollbacks: %+v", g.Group, g.Counters)
-		}
 	}
-	var events uint64
-	for _, r := range s.Group.Runners {
-		events += r.Scheduler().Processed()
-	}
-	if events != refEvents {
-		t.Fatalf("%d events, sequential %d", events, refEvents)
-	}
-	for i, c := range comps {
-		if !equalSlices(c.trace, refTraces[i]) {
-			t.Fatalf("component %s trace diverged", c.name)
-		}
+	if live := s.LiveFrames(); live != 0 {
+		t.Fatalf("%d pooled frames leaked", live)
 	}
 }
 
@@ -384,34 +363,32 @@ type auxProbe struct{}
 func (auxProbe) SnapshotState(*snap.Encoder) error { return nil }
 func (auxProbe) RestoreState(*snap.Decoder) error  { return nil }
 
-// TestOptimisticAuxStateConservative: attached aux state is mutated from
-// component handlers and cannot roll back with any single group, so its
-// presence forces every group conservative.
-func TestOptimisticAuxStateConservative(t *testing.T) {
-	const (
-		seed   = uint64(2)
-		nComps = 4
-		end    = sim.Millisecond
-	)
-	refH, refN, _ := runSpecSeq(buildSpecRandom, seed, nComps, end)
-
-	s, comps := buildSpecRandom(seed, nComps)
+// TestOptimisticAuxStateRefused: attached aux state is mutated from
+// component handlers and cannot roll back with any single group, so
+// RunOptimistic refuses a plan that carries it with
+// core.ErrNotCheckpointable before any event runs.
+func TestOptimisticAuxStateRefused(t *testing.T) {
+	const nComps = 4
+	s, comps := buildSpecRandom(2, nComps)
 	s.AddAuxState("probe", auxProbe{})
 	pl, err := s.Plan(decomp.PerComponent(nComps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimistic(end)
-	if err != nil {
-		t.Fatal(err)
+	_, err = pl.RunOptimistic(sim.Millisecond)
+	if !errors.Is(err, core.ErrNotCheckpointable) || !strings.Contains(err.Error(), `aux state "probe"`) {
+		t.Fatalf("err = %v, want ErrNotCheckpointable naming aux state probe", err)
 	}
-	for _, g := range rep.Groups {
-		if !strings.Contains(g.Conservative, "aux state") {
-			t.Errorf("group %s: reason %q, want an aux-state demotion", g.Group, g.Conservative)
+	if s.Group != nil {
+		t.Fatal("refused run built its runners")
+	}
+	for _, c := range comps {
+		if c.seq != 0 || c.n != 0 {
+			t.Fatalf("component %s sent %d and received %d messages in a refused run", c.name, c.seq, c.n)
 		}
 	}
-	if h, n := specDigest(comps); h != refH || n != refN {
-		t.Fatalf("digest %#x/%d != sequential %#x/%d", h, n, refH, refN)
+	if live := s.LiveFrames(); live != 0 {
+		t.Fatalf("%d pooled frames leaked", live)
 	}
 }
 
@@ -487,74 +464,37 @@ func TestOptimisticFramesDrained(t *testing.T) {
 	if live := s.LiveFrames(); live != 0 {
 		t.Fatalf("%d pooled frames leaked after optimistic run", live)
 	}
-	for _, g := range rep.Groups {
-		if g.Conservative != "" {
-			t.Errorf("group %s demoted: %s", g.Group, g.Conservative)
-		}
-	}
 	if rep.Totals().Snapshots == 0 {
 		t.Error("netsim groups never snapshotted: speculation did not engage")
 	}
 }
 
-// TestOptimisticClosureDemotes drives the runtime demotion path: twoNets'
-// sender keeps an h.After closure pending from time zero (the placement
-// study's bulk apps do the same), so its group passes the build-time check
-// but fails its first snapshot and runs conservatively. The run still
-// delivers and processes exactly what the sequential run does, and drains
-// every frame.
-func TestOptimisticClosureDemotes(t *testing.T) {
+// TestOptimisticClosureFails: twoNets' sender keeps an h.After closure
+// pending from time zero (the placement study's bulk apps do the same). Its
+// components are core.Stateful, so the plan passes the up-front check, but
+// the sender's group cannot take its first snapshot: the run fails with an
+// error that matches sim.ErrClosureEvent, and every frame goes back to its
+// pool.
+func TestOptimisticClosureFails(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
-	const end = 2 * sim.Millisecond
-
-	ref, _, refH2 := twoNets()
-	refEvents := ref.RunSequential(end).Processed()
-
-	s, h1, h2 := twoNets()
+	s, _, _ := twoNets()
 	pl, err := s.Plan(decomp.PerComponent(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimistic(end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Group 0 holds net1, the sender's network.
-	if rep.Groups[0].Conservative == "" {
-		t.Errorf("group %s speculated with a closure pending", rep.Groups[0].Group)
-	}
-	for _, g := range rep.Groups {
-		if g.Conservative == "" {
-			continue
-		}
-		if !strings.HasPrefix(g.Conservative, "snapshot failed: ") ||
-			!strings.Contains(g.Conservative, sim.ErrClosureEvent.Error()) {
-			t.Errorf("group %s: reason %q, want a snapshot failure on %q",
-				g.Group, g.Conservative, sim.ErrClosureEvent)
-		}
-		if g.Counters.Snapshots != 0 || g.Counters.Rollbacks != 0 {
-			t.Errorf("group %s: demoted group took snapshots/rollbacks: %+v", g.Group, g.Counters)
-		}
-	}
-	if h2.RxPackets != refH2.RxPackets || h1.TxPackets != h2.RxPackets {
-		t.Fatalf("tx %d, rx %d; sequential rx %d", h1.TxPackets, h2.RxPackets, refH2.RxPackets)
-	}
-	var events uint64
-	for _, r := range s.Group.Runners {
-		events += r.Scheduler().Processed()
-	}
-	if events != refEvents {
-		t.Fatalf("%d events, sequential %d", events, refEvents)
+	_, err = pl.RunOptimistic(2 * sim.Millisecond)
+	if !errors.Is(err, sim.ErrClosureEvent) {
+		t.Fatalf("err = %v, want ErrClosureEvent", err)
 	}
 	if live := s.LiveFrames(); live != 0 {
-		t.Fatalf("%d pooled frames leaked after the demoted run", live)
+		t.Fatalf("%d pooled frames leaked after the failed run", live)
 	}
 }
 
 // TestOptimisticProfiledStillSpeculates: the profiler samples from the
 // runner's OnAdvance hook and posts no scheduler events, so attaching it to
-// an optimistic run costs the run nothing it can observe — no group demotes
-// (a closure tick in the queue used to fail every snapshot), snapshots are
+// an optimistic run costs the run nothing it can observe — the run does not
+// fail (a closure tick in the queue would fail every snapshot), snapshots are
 // taken, and digest and event count equal the unprofiled sequential run's.
 // Samples carry the committed clock, so each runner's are nondecreasing in
 // virtual time however far it speculated; and the same profiled run
@@ -572,11 +512,6 @@ func TestOptimisticProfiledStillSpeculates(t *testing.T) {
 	s.PreRun = func(g *link.Group) { col.Attach(g, dur/32) }
 	res, spec, events := speculate(t, s, decomp.PerComponent(s.NumComponents()), dur,
 		orch.RunOptions{Capture: true}, orch.DefaultSpecWindows)
-	for _, g := range spec.Groups {
-		if g.Conservative != "" {
-			t.Errorf("profiled group %s demoted: %s", g.Group, g.Conservative)
-		}
-	}
 	if spec.Totals().Snapshots == 0 {
 		t.Error("profiled run never snapshotted: speculation did not engage")
 	}

@@ -269,6 +269,39 @@ func TestSequentialPanicSurfaces(t *testing.T) {
 	s.RunSequential(sim.Millisecond)
 }
 
+// TestParallelPanicKeepsTypedError: a component of a two-group run that
+// panics with an error mid-stream, frames in flight, fails the run with an
+// error errors.Is still matches, prefixed once with the failing runner's
+// name, and every frame goes back to its pool.
+func TestParallelPanicKeepsTypedError(t *testing.T) {
+	s, h1, _ := twoNets()
+	h1.SetApp(netsim.AppFunc(func(h *netsim.Host) {
+		var tick func()
+		tick = func() {
+			if h.Now() >= 100*sim.Microsecond {
+				panic(fmt.Errorf("decode: %w", core.ErrUnknownPayload))
+			}
+			h.SendUDP(proto.HostIP(2), 1, 9, nil, 400)
+			h.After(20*sim.Microsecond, tick)
+		}
+		tick()
+	}))
+	pl, err := s.Plan(decomp.PerComponent(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pl.Execute(sim.Millisecond, orch.RunOptions{})
+	if !errors.Is(err, core.ErrUnknownPayload) {
+		t.Fatalf("err = %v, want ErrUnknownPayload", err)
+	}
+	if n := strings.Count(err.Error(), "runner "); n != 1 {
+		t.Errorf("error %q names a runner %d times, want once", err, n)
+	}
+	if live := s.LiveFrames(); live != 0 {
+		t.Fatalf("%d pooled frames leaked by the panicked run", live)
+	}
+}
+
 // TestCheckpointFailedResumeLeaksNothing: a checkpoint whose last delivery
 // names a sink position past the end of the build's walk fails the restore
 // with the typed error, and the frames re-minted for the deliveries decoded

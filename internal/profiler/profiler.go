@@ -108,7 +108,7 @@ func (c *Collector) sample(r *link.Runner, virt sim.Time) {
 			s.Frames += fp.FrameStats().Live
 		}
 	}
-	s.Spec, _, s.SpecActive = r.SpecStats()
+	s.Spec, s.SpecActive = r.SpecStats()
 	for _, e := range r.Endpoints() {
 		s.Adapters = append(s.Adapters, AdapterSample{
 			Label:    e.Label(),

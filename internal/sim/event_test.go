@@ -183,7 +183,7 @@ func checkSchedulerReference(t *testing.T, seed uint64) {
 			}
 		case k < 95:
 			var err error
-			if buf, err = s.ExportPendingInto(buf); err != nil {
+			if buf, err = s.ExportPending(buf); err != nil {
 				t.Fatal(err)
 			}
 			seen := map[uint64]bool{}

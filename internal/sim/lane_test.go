@@ -121,7 +121,7 @@ func TestLaneExportRestore(t *testing.T) {
 			t.Fatalf("seed %d: no lane backlog at the cut", seed)
 		}
 		mark := r.s.CaptureMark()
-		evs, err := r.s.ExportPending()
+		evs, err := r.s.ExportPending(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

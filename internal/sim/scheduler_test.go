@@ -140,7 +140,7 @@ func TestClosureEventStaysUnexportable(t *testing.T) {
 	s.PostDelivery(5, 1, k, idTok(7))
 	s.At(10, func() { t.Fatal("a discarded closure ran") })
 	s.PostDelivery(15, 1, k, idTok(8))
-	if _, err := s.ExportPending(); !errors.Is(err, ErrClosureEvent) {
+	if _, err := s.ExportPending(nil); !errors.Is(err, ErrClosureEvent) {
 		t.Fatalf("ExportPending with a closure: err %v, want ErrClosureEvent", err)
 	}
 	var released []Payload

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // This file is the scheduler half of optimistic execution: a cheap in-memory
-// restore point (Mark + pending-event export into a caller-recycled buffer)
+// restore point (Mark + ExportPending into a caller-recycled buffer)
 // and the two ways of moving the clock backwards safely. Unlike the
 // checkpoint path in state.go, nothing here canonicalizes or serializes —
 // records keep their live Sink pointers and exact sequence numbers, so a
@@ -45,38 +45,6 @@ func (s *Scheduler) Rewind(t Time) {
 		panic(fmt.Sprintf("sim: Rewind(%v) over executed history (maxExec %v)", t, s.maxExec))
 	}
 	s.now = t
-}
-
-// ExportPendingInto is ExportPending with a caller-supplied buffer: records
-// are appended to dst[:0] so a speculation loop taking a snapshot per
-// committed horizon reuses one backing array instead of allocating each
-// time. Same contract otherwise: queue order, not time order, and any closure
-// event fails with ErrClosureEvent.
-func (s *Scheduler) ExportPendingInto(dst []PendingEvent) ([]PendingEvent, error) {
-	out := dst[:0]
-	var err error
-	s.q.visit(func(e *eventEntry) bool {
-		switch {
-		case e.del > 0:
-			d := s.deliveries[e.del-1]
-			switch k := d.sink.(type) {
-			case *laneHead:
-				out = (*Lane)(k).appendPending(out)
-			case funcSink:
-				err = fmt.Errorf("%w (at %v, src %d)", ErrClosureEvent, e.at, e.src)
-				return false
-			default:
-				out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
-					Kind: PendingDelivery, Sink: d.sink, Payload: d.payload})
-			}
-		default:
-			ne := s.namedEvts[-e.del-1]
-			out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
-				Kind: PendingNamed, Handler: s.named[ne.h].name, Args: ne.args})
-		}
-		return true
-	})
-	return out, err
 }
 
 // RestoreMark resets the scheduler's scalar registers to a captured Mark.

@@ -106,19 +106,40 @@ const (
 	PendingNamed    uint8 = 1
 )
 
-// ExportPending returns every queued event as a restorable record. Any
-// closure event (At/AtSrc/After) makes the queue unexportable and returns
-// ErrClosureEvent wrapped with the event time, because a func pointer
-// cannot be serialized. Lane-held entries export as ordinary deliveries
-// under their own (At, Src, Seq); lanes themselves never appear. The queue
-// is not modified; records come back in queue order, not time order —
-// callers sort.
-func (s *Scheduler) ExportPending() ([]PendingEvent, error) {
-	out, err := s.ExportPendingInto(make([]PendingEvent, 0, s.Pending()))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// ExportPending appends every queued event to dst[:0] as a restorable
+// record and returns the result; a speculation loop taking a snapshot per
+// committed horizon passes its last result back to reuse one backing array,
+// and a one-off export passes nil. Any closure event (At/AtSrc/After) makes
+// the queue unexportable and returns ErrClosureEvent wrapped with the event
+// time, because a func pointer cannot be serialized. Lane-held entries
+// export as ordinary deliveries under their own (At, Src, Seq); lanes
+// themselves never appear. The queue is not modified; records come back in
+// queue order, not time order — callers sort.
+func (s *Scheduler) ExportPending(dst []PendingEvent) ([]PendingEvent, error) {
+	out := dst[:0]
+	var err error
+	s.q.visit(func(e *eventEntry) bool {
+		switch {
+		case e.del > 0:
+			d := s.deliveries[e.del-1]
+			switch k := d.sink.(type) {
+			case *laneHead:
+				out = (*Lane)(k).appendPending(out)
+			case funcSink:
+				err = fmt.Errorf("%w (at %v, src %d)", ErrClosureEvent, e.at, e.src)
+				return false
+			default:
+				out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
+					Kind: PendingDelivery, Sink: d.sink, Payload: d.payload})
+			}
+		default:
+			ne := s.namedEvts[-e.del-1]
+			out = append(out, PendingEvent{At: e.at, Src: e.src, Seq: e.seq,
+				Kind: PendingNamed, Handler: s.named[ne.h].name, Args: ne.args})
+		}
+		return true
+	})
+	return out, err
 }
 
 // StartAt initializes a fresh scheduler's clock to t, so a restored run
